@@ -23,6 +23,7 @@ from .simulate import (
 from .subspace import (
     CovBlocks,
     HankelPair,
+    HankelStats,
     ModalSet,
     Realization,
     build_hankel,
@@ -35,7 +36,7 @@ from .subspace import (
 )
 from .model import ModelState, PriorHyper, StackedData, default_priors, log_joint
 from .gibbs import GibbsChain, GibbsConfig, run_gibbs
-from .vb import VBConfig, VBPosterior, elbo, run_vb
+from .vb import VBConfig, VBPosterior, elbo, latent_means, run_vb
 from .modal_posterior import (
     ModalPosterior,
     ModalSample,

@@ -45,7 +45,7 @@ from .model import PriorHyper, StackedData, default_priors
 from .rng import Rng
 from .simulate import build_shear_frame, discretize, simulate_response, to_continuous_ss
 from .spectral import welch_psd
-from .subspace import build_hankel, ssi_cov
+from .subspace import HankelStats, build_hankel, ssi_cov
 from .vb import VBConfig, run_vb
 
 __all__ = [
@@ -110,7 +110,7 @@ class OutputDir:
 
 
 def _manifest(command: str, cfg: dict, started: float,
-              failures: dict | None = None) -> dict:
+              failures: dict | None = None, diagnostics: dict | None = None) -> dict:
     return {
         "command": command,
         "seed": cfg.get("seed"),
@@ -123,7 +123,14 @@ def _manifest(command: str, cfg: dict, started: float,
         "elapsed_s": time.time() - started,
         "failures": {str(k): v for k, v in (failures or {}).items()},
         "status": "partial" if failures else "ok",
+        "diagnostics": diagnostics,
     }
+
+
+def _warn_not_converged(diag: dict, max_iter: int, where: str = "") -> None:
+    if not diag["converged"]:
+        print(f"warning: VB{where} stopped at max_iter={max_iter} without "
+              f"converging", file=sys.stderr)
 
 
 def load_prior_overrides(path) -> dict:
@@ -300,18 +307,21 @@ def cmd_identify(cfg: dict) -> Path:
                        _manifest("identify", cfg, started))
             return Path(cfg["out"])
 
-        hp = build_hankel(ts, j, center=center)
-        data = StackedData.from_hankel(hp)
-        priors = build_priors(data.view_dims[0], data.view_dims[1], order, overrides)
+        half = ts.channels * j
+        priors = build_priors(half, half, order, overrides)
         _write_welch_overlay(out, ts)
 
+        diagnostics = None
         if engine == "vb":
             vb_config = VBConfig(max_iter=cfg.get("max_iter", 500),
                                  elbo_rel_tol=cfg.get("tol", 1e-7),
                                  seed=cfg["seed"],
                                  latent_cross_cov=not cfg.get("strict_paper_vb", False),
                                  warm_start=cfg.get("warm_start", False))
-            post = run_vb(data, priors, vb_config)
+            post = run_vb(HankelStats.from_record(ts, j, center=center), priors,
+                          vb_config)
+            diagnostics = post.diagnostics()
+            _warn_not_converged(diagnostics, vb_config.max_iter)
             save_vb_posterior(out.subdir("vb_posterior"), post,
                               extra_meta={"seed": cfg["seed"],
                                           "priors": describe_priors(priors)})
@@ -326,6 +336,7 @@ def cmd_identify(cfg: dict) -> Path:
                                        thinning=cfg.get("thin", 1),
                                        seed=cfg["seed"],
                                        warm_start=cfg.get("warm_start", False))
+            data = StackedData.from_hankel(build_hankel(ts, j, center=center))
             chain = run_gibbs(data, priors, gibbs_config)
             save_chain(out.subdir("chain"), chain,
                        extra_meta={"priors": describe_priors(priors)})
@@ -339,7 +350,7 @@ def cmd_identify(cfg: dict) -> Path:
         write_json(out.file("modes_summary.json"), summarize(posterior))
         _write_mode_draws(out, posterior)
         write_json(out.file("run_manifest.json"),
-                   _manifest("identify", cfg, started))
+                   _manifest("identify", cfg, started, diagnostics=diagnostics))
     return Path(cfg["out"])
 
 
@@ -374,8 +385,12 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
         ]) if result.orders.size else np.empty((0, 3))
         write_matrix_csv(out.file("stabilisation.csv"), triples,
                          header=["order", "frequency_hz", "damping_ratio"])
+        for order, diag in result.diagnostics.items():
+            _warn_not_converged(diag, vb_config.max_iter, f" at order {order}")
         write_json(out.file("run_manifest.json"),
-                   _manifest("stabilise", cfg, started, failures=result.failures))
+                   _manifest("stabilise", cfg, started, failures=result.failures,
+                             diagnostics={str(k): v for k, v in
+                                          result.diagnostics.items()}))
     return Path(cfg["out"]), result.failures
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .model import ModelState, PriorHyper, StackedData
-from .rng import Rng, sample_inverse_wishart, spd_cholesky, symmetrize
-from .subspace import cca, chol_with_jitter
+from .rng import Rng, sample_inverse_wishart, spd_cholesky, spd_inverse, symmetrize
+from .subspace import HankelStats, cca, chol_with_jitter
 
 __all__ = [
     "GibbsConfig",
@@ -36,6 +36,7 @@ __all__ = [
     "update_weight_column",
     "update_latent",
     "initial_state",
+    "warm_start_point",
     "run_gibbs",
     "effective_sample_size",
     "split_rhat",
@@ -103,17 +104,9 @@ def _block_precision(state: ModelState) -> np.ndarray:
     prec = np.zeros((sum(dims), sum(dims)))
     start = 0
     for cov, dim in zip(state.noise_cov, dims):
-        chol = spd_cholesky(cov, "noise_cov")
-        prec[start:start + dim, start:start + dim] = cho_solve(
-            (chol, True), np.eye(dim), check_finite=False)
+        prec[start:start + dim, start:start + dim] = spd_inverse(cov, "noise_cov")
         start += dim
-    return symmetrize(prec)
-
-
-def _precision_of(cov: np.ndarray, name: str) -> np.ndarray:
-    chol = spd_cholesky(cov, name)
-    return symmetrize(cho_solve((chol, True), np.eye(cov.shape[0]),
-                                check_finite=False))
+    return prec
 
 
 def _draw_from_natural(prec_chol: np.ndarray, mean: np.ndarray,
@@ -148,7 +141,7 @@ def _mean_natural(state: ModelState, data: StackedData, priors: PriorHyper,
     if prec is None:
         prec = _block_precision(state)
     if prior_prec is None:
-        prior_prec = _precision_of(priors.mean_cov, "mean_cov")
+        prior_prec = spd_inverse(priors.mean_cov, "mean_cov")
     n = data.n_columns
     # sum over columns of (x_n - W z_n) = residual sum + N * current mean
     demeaned_sum = resid.sum(axis=1) + n * state.mean
@@ -180,7 +173,7 @@ def _weight_column_natural(state: ModelState, data: StackedData, priors: PriorHy
     if prec is None:
         prec = _block_precision(state)
     if prior_prec is None:
-        prior_prec = _precision_of(priors.weight_cov, "weight_cov")
+        prior_prec = spd_inverse(priors.weight_cov, "weight_cov")
     z_row = state.latent[i]
     sq_sum = float(z_row @ z_row)
     post_prec = symmetrize(sq_sum * prec + prior_prec)
@@ -279,18 +272,18 @@ def initial_state(data: StackedData, priors: PriorHyper, rng: Rng,
     return ModelState(weights=weights, mean=mean, noise_cov=noise, latent=latent)
 
 
-def _warm_start_state(data: StackedData, priors: PriorHyper) -> ModelState:
-    """Maximum-likelihood point of the two-view latent projection model."""
-    if len(data.view_dims) != 2:
+def warm_start_point(stats: HankelStats, priors: PriorHyper,
+                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(weights, mean, per-view noise blocks) at the maximum-likelihood
+    point of the two-view latent projection model, from the statistics."""
+    if len(stats.view_dims) != 2:
         raise ValueError("warm start requires exactly two views")
     d = priors.latent_dim
-    mean = data.x.mean(axis=1)
-    centred = data.x - mean[:, None]
-    sl1, sl2 = data.slices()
-    n = data.n_columns
-    auto1 = symmetrize(centred[sl1] @ centred[sl1].T / n)
-    auto2 = symmetrize(centred[sl2] @ centred[sl2].T / n)
-    cross = centred[sl1] @ centred[sl2].T / n
+    h = stats.view_dims[0]
+    cov = stats.gram / stats.n_cols
+    auto1 = symmetrize(cov[:h, :h])
+    auto2 = symmetrize(cov[h:, h:])
+    cross = cov[:h, h:]
     left, corr, right = cca(auto1, auto2, cross)
     root = np.sqrt(corr[:d])
     chol1, _ = chol_with_jitter(auto1, "first-view auto-covariance")
@@ -302,8 +295,14 @@ def _warm_start_state(data: StackedData, priors: PriorHyper) -> ModelState:
     # keep the MLE noise blocks safely positive definite
     noise = [blk + 1e-8 * np.trace(blk) / blk.shape[0] * np.eye(blk.shape[0])
              for blk in noise]
+    return weights, stats.row_mean.copy(), noise
+
+
+def _warm_start_state(data: StackedData, priors: PriorHyper) -> ModelState:
+    """Maximum-likelihood point with the latent at its conditional mean."""
+    weights, mean, noise = warm_start_point(data.stats(), priors)
     state = ModelState(weights=weights, mean=mean, noise_cov=noise,
-                       latent=np.zeros((d, n)))
+                       latent=np.zeros((priors.latent_dim, data.n_columns)))
     state.latent, _ = latent_conditional(state, data)
     return state
 
@@ -343,12 +342,13 @@ def run_gibbs(data: StackedData, priors: PriorHyper, config: GibbsConfig) -> Gib
     total_dim = priors.dim
     slices = data.slices()
 
-    prior_mean_prec = _precision_of(priors.mean_cov, "mean_cov")
+    prior_mean_prec = spd_inverse(priors.mean_cov, "mean_cov")
     prior_mean_rhs = prior_mean_prec @ priors.mean_loc
-    prior_weight_prec = _precision_of(priors.weight_cov, "weight_cov")
+    prior_weight_prec = spd_inverse(priors.weight_cov, "weight_cov")
     prior_weight_rhs = prior_weight_prec @ priors.weight_loc
-    data_gram = data.x @ data.x.T
-    data_sum = data.x.sum(axis=1)
+    stats = data.stats()
+    data_gram = stats.raw_gram()
+    data_sum = n * stats.row_mean
 
     weight_samples = np.empty((n_records, total_dim, d))
     mean_samples = np.empty((n_records, total_dim))

@@ -196,7 +196,11 @@ def load_chain(directory) -> GibbsChain:
 
 def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = None) -> Path:
     """Persist the variational posterior: JSON manifest plus matrix CSVs
-    (same container layout as the chain) and the bound trace."""
+    (same container layout as the chain) and the bound trace.
+
+    The latent factor is stored as its d x D map and centre: the latent
+    mean of data column x_n is latent_map @ (x_n - latent_centre).
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     total_dim, d = post.weight_mean.shape
@@ -204,7 +208,6 @@ def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = No
         "kind": "vb_posterior",
         "dim": total_dim,
         "latent_dim": d,
-        "n_columns": post.latent_mean.shape[1],
         "view_dims": list(post.view_dims),
         "vectorization": "column-major",
         "noise_dof": list(post.noise_dof),
@@ -217,7 +220,8 @@ def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = No
     write_matrix_csv(directory / "weight_mean.csv", post.weight_mean)
     write_matrix_csv(directory / "weight_cov.csv", _flatten_records(post.weight_cov))
     write_matrix_csv(directory / "latent_cov.csv", post.latent_cov)
-    write_matrix_csv(directory / "latent_mean.csv", post.latent_mean)
+    write_matrix_csv(directory / "latent_map.csv", post.latent_map)
+    write_matrix_csv(directory / "latent_centre.csv", post.latent_centre[None, :])
     write_matrix_csv(directory / "mean_loc.csv", post.mean_loc[None, :])
     write_matrix_csv(directory / "mean_cov.csv", post.mean_cov)
     for m, scale in enumerate(post.noise_scale, start=1):

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import GibbsChain
-from .model import StackedData, default_priors
+from .model import default_priors
 from .rng import Rng, psd_factor
 from .simulate import TimeSeries
 from .spectral import WelchSpec
 from .subspace import (
+    HankelStats,
     ModalSet,
-    build_hankel,
+    build_hankel,  # noqa: F401  -- perfbench/tracing.py wraps this attribute
     modal_from_state_matrix,
     realization_from_observability,
 )
@@ -94,7 +95,8 @@ class ModalPosterior:
 @dataclass
 class StabilisationData:
     """Flat (order, frequency, damping) triples across model orders, with
-    non-conjugate (real-pole) entries removed."""
+    non-conjugate (real-pole) entries removed, plus the variational
+    engine's convergence diagnostics per order that ran."""
 
     orders: np.ndarray
     frequencies: np.ndarray
@@ -102,6 +104,7 @@ class StabilisationData:
     requested_orders: tuple[int, ...]
     failures: dict[int, str] = field(default_factory=dict)
     welch: WelchSpec | None = None
+    diagnostics: dict[int, dict] = field(default_factory=dict)
 
 
 def mac(a: np.ndarray, b: np.ndarray) -> float:
@@ -171,7 +174,7 @@ def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
                    source: str, order: int) -> tuple[list[ModalSample], int]:
     """Propagate a stack of observability draws, excluding degenerate ones.
 
-    Exclusions are logged and counted, never silent.
+    Exclusions are counted and logged as one line, never silent.
     """
     out: list[ModalSample] = []
     n_excluded = 0
@@ -179,9 +182,8 @@ def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
         try:
             out.append(propagate_to_modal(samples[k], n_channels, dt,
                                           source=source, order=order, index=k))
-        except np.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError:
             n_excluded += 1
-            logger.warning("excluded degenerate draw %d: %s", k, exc)
     if n_excluded:
         logger.warning("excluded %d of %d draws as degenerate",
                        n_excluded, samples.shape[0])
@@ -309,8 +311,10 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
     propagated (frequency, damping, order) triples.
 
     ``priors_factory(view_dim_future, view_dim_past, order)`` supplies the
-    priors for each order.  Per-order failures are recorded and the sweep
-    continues; real-pole entries are removed from the pooled triples.
+    priors for each order.  Numerical per-order failures (linear-algebra
+    errors, invalid values, a decreasing or non-finite bound) are recorded
+    and the sweep continues; any other exception propagates.  Real-pole
+    entries are removed from the pooled triples.
     """
     orders = sorted(set(int(o) for o in orders))
     if not orders:
@@ -319,18 +323,19 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
     if orders[-1] > half:
         raise ValueError(f"max order {orders[-1]} exceeds Hankel half-height {half}")
 
-    hp = build_hankel(ts, block_rows, center=center)
-    data = StackedData.from_hankel(hp)
+    stats = HankelStats.from_record(ts, block_rows, center=center)
     dt = 1.0 / ts.fs
 
     all_orders: list[np.ndarray] = []
     all_freqs: list[np.ndarray] = []
     all_damps: list[np.ndarray] = []
     failures: dict[int, str] = {}
+    diagnostics: dict[int, dict] = {}
     for order in orders:
         try:
-            priors = priors_factory(data.view_dims[0], data.view_dims[1], order)
-            post = run_vb(data, priors, vb_config)
+            priors = priors_factory(stats.view_dims[0], stats.view_dims[1], order)
+            post = run_vb(stats, priors, vb_config)
+            diagnostics[order] = post.diagnostics()
             draws = draw_observability_samples(
                 post, n_draws, Rng(vb_config.seed, STAB_DRAW_STREAM_BASE + order))
             modal_samples, n_excluded = propagate_many(draws, ts.channels, dt,
@@ -352,7 +357,7 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
             all_orders.append(np.full(freq_arr.size, order, dtype=int))
             all_freqs.append(freq_arr)
             all_damps.append(damp_arr)
-        except Exception as exc:  # record and continue with remaining orders
+        except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
             logger.warning("stabilisation failed at order %d: %s", order, exc)
             failures[order] = str(exc)
 
@@ -363,4 +368,5 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
         requested_orders=tuple(orders),
         failures=failures,
         welch=welch,
+        diagnostics=diagnostics,
     )

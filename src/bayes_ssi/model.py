@@ -22,12 +22,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .rng import (
+    chol_logdet,
     inverse_wishart_logpdf,
     mvn_logpdf,
     spd_cholesky,
     validate_spd,
 )
-from .subspace import HankelPair
+from .subspace import HankelPair, HankelStats
 
 __all__ = [
     "StackedData",
@@ -78,6 +79,10 @@ class StackedData:
     @property
     def n_columns(self) -> int:
         return self.x.shape[1]
+
+    def stats(self) -> HankelStats:
+        """Sufficient statistics (centred Gram, row means, column count)."""
+        return HankelStats.from_matrix(self.x, self.view_dims)
 
     def slices(self) -> list[slice]:
         return view_slices(self.view_dims)
@@ -182,8 +187,7 @@ def log_joint(state: ModelState, data: StackedData, priors: PriorHyper) -> float
         dim = cov.shape[0]
         chol = spd_cholesky(cov, "noise_cov")
         white = solve_triangular(chol, resid[sl], lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        total += -0.5 * n * (dim * np.log(2.0 * np.pi) + logdet)
+        total += -0.5 * n * (dim * np.log(2.0 * np.pi) + chol_logdet(chol))
         total += -0.5 * float(np.sum(white * white))
 
     # standard-normal latent prior

@@ -9,7 +9,7 @@ given a (seed, stream) pair.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import multigammaln
 
 __all__ = [
@@ -18,6 +18,8 @@ __all__ = [
     "symmetrize",
     "check_symmetric",
     "spd_cholesky",
+    "spd_inverse",
+    "chol_logdet",
     "validate_spd",
     "psd_factor",
     "sample_mvn",
@@ -101,6 +103,20 @@ def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
         ) from None
 
 
+def spd_inverse(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Exactly symmetric inverse of the symmetric positive definite ``mat``,
+    through its Cholesky factor."""
+    mat = symmetrize(np.asarray(mat, dtype=float))
+    chol = spd_cholesky(mat, name)
+    return symmetrize(cho_solve((chol, True), np.eye(mat.shape[0]),
+                                check_finite=False))
+
+
+def chol_logdet(chol: np.ndarray) -> float:
+    """ln |A| from the Cholesky factor of A."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
 def validate_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check symmetry and positive definiteness; return the validated array."""
     mat = np.asarray(mat, dtype=float)
@@ -172,10 +188,6 @@ def sample_inverse_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarra
     return symmetrize(m.T @ m)
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """Log density of N(mean, cov) at x, constants included."""
     x = np.asarray(x, dtype=float)
@@ -183,7 +195,7 @@ def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     dim = mean.size
     chol = spd_cholesky(np.asarray(cov, dtype=float), "cov")
     dev = solve_triangular(chol, x - mean, lower=True)
-    return -0.5 * (dim * np.log(2.0 * np.pi) + _chol_logdet(chol) + float(dev @ dev))
+    return -0.5 * (dim * np.log(2.0 * np.pi) + chol_logdet(chol) + float(dev @ dev))
 
 
 def wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> float:
@@ -197,10 +209,10 @@ def wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> float:
     half = solve_triangular(chol_s, chol_x, lower=True)
     trace_term = float(np.sum(half * half))
     return (
-        0.5 * (dof - dim - 1) * _chol_logdet(chol_x)
+        0.5 * (dof - dim - 1) * chol_logdet(chol_x)
         - 0.5 * trace_term
         - 0.5 * dof * dim * np.log(2.0)
-        - 0.5 * dof * _chol_logdet(chol_s)
+        - 0.5 * dof * chol_logdet(chol_s)
         - multigammaln(0.5 * dof, dim)
     )
 
@@ -216,9 +228,9 @@ def inverse_wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> floa
     half = solve_triangular(chol_x, chol_s, lower=True)
     trace_term = float(np.sum(half * half))
     return (
-        -0.5 * (dof + dim + 1) * _chol_logdet(chol_x)
+        -0.5 * (dof + dim + 1) * chol_logdet(chol_x)
         - 0.5 * trace_term
-        + 0.5 * dof * _chol_logdet(chol_s)
+        + 0.5 * dof * chol_logdet(chol_s)
         - 0.5 * dof * dim * np.log(2.0)
         - multigammaln(0.5 * dof, dim)
     )

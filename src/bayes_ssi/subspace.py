@@ -1,7 +1,7 @@
-"""Deterministic subspace machinery: block-Hankel assembly, covariance
-blocks, canonical correlation analysis, the canonical-variate weighted
-covariance-driven identification baseline, and modal extraction from a
-state-space realization."""
+"""Deterministic subspace machinery: block-Hankel assembly, the Hankel
+sufficient statistics and their covariance blocks, canonical correlation
+analysis, the canonical-variate weighted covariance-driven identification
+baseline, and modal extraction from a state-space realization."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .simulate import TimeSeries
 
 __all__ = [
     "HankelPair",
+    "HankelStats",
     "CovBlocks",
     "Realization",
     "ModalSet",
@@ -56,6 +57,104 @@ class HankelPair:
     @property
     def n_cols(self) -> int:
         return self.past.shape[1]
+
+
+@dataclass(frozen=True)
+class HankelStats:
+    """Sufficient statistics of the stacked Hankel (future rows over past
+    rows, as the engines stack them).
+
+    Every covariance-driven computation sees the data only through the
+    Gram ``gram`` of the columns centred about their mean ``row_mean`` and
+    the column count ``n_cols``; no D x N array is kept.  For a centred
+    Hankel ``row_mean`` is zero.
+    """
+
+    gram: np.ndarray          # D x D, sum_n (x_n - row_mean)(x_n - row_mean)^T
+    row_mean: np.ndarray      # D
+    n_cols: int
+    view_dims: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.row_mean.size
+
+    def raw_gram(self) -> np.ndarray:
+        """sum_n x_n x_n^T, the Gram about zero."""
+        return self.gram + self.n_cols * np.outer(self.row_mean, self.row_mean)
+
+    def cov_blocks(self) -> "CovBlocks":
+        """Covariance blocks of the Hankel halves with 1/N_cols scaling,
+        taken about zero like the products of the Hankel rows themselves."""
+        raw = self.raw_gram() / self.n_cols
+        half = self.view_dims[0]
+        return CovBlocks(past_past=symmetrize(raw[half:, half:]),
+                         future_future=symmetrize(raw[:half, :half]),
+                         future_past=raw[:half, half:].copy())
+
+    @classmethod
+    def from_matrix(cls, x: np.ndarray, view_dims: tuple[int, ...]) -> "HankelStats":
+        """Statistics of an explicit stacked matrix, one column per observation."""
+        x = np.asarray(x, dtype=float)
+        row_mean = x.mean(axis=1)
+        centred = x - row_mean[:, None]
+        return cls(gram=symmetrize(centred @ centred.T), row_mean=row_mean,
+                   n_cols=x.shape[1], view_dims=tuple(view_dims))
+
+    @classmethod
+    def from_record(cls, ts: TimeSeries, block_rows: int,
+                    center: bool = True) -> "HankelStats":
+        """Statistics of the stacked Hankel of ``ts``, built from the record.
+
+        With y the record minus each channel's mean, block (b, b + k) of
+        the lag-ordered Gram is the full lag-k product
+        sum_s y_s y_{s+k}^T minus the few terms before and after the
+        Hankel's window, so the work is one l x l product per lag.  Window
+        sums are corrected the same way, and centring subtracts their
+        small outer products, never two large numbers.
+        """
+        j = int(block_rows)
+        n_cols = _hankel_cols(ts, j)
+        l = ts.channels
+        n_blocks = 2 * j
+        channel_mean = ts.data.mean(axis=1)
+        y = ts.data - channel_mean[:, None]
+
+        total = y.sum(axis=1)
+        head_sums = np.cumsum(y[:, :n_blocks - 1], axis=1)
+        tail_sums = np.cumsum(y[:, ::-1][:, :n_blocks - 1], axis=1)[:, ::-1]
+        window = np.empty((n_blocks, l))
+        for b in range(n_blocks):
+            # samples before the window are 0..b-1, after it n_cols+b..end
+            before = head_sums[:, b - 1] if b else 0.0
+            after = tail_sums[:, b] if b < n_blocks - 1 else 0.0
+            window[b] = total - before - after
+
+        lagged = np.empty((n_blocks, n_blocks, l, l))
+        for k in range(n_blocks):
+            m = n_blocks - k
+            full = y[:, :y.shape[1] - k] @ y[:, k:].T
+            head = np.einsum("is,js->sij", y[:, :m - 1], y[:, k:k + m - 1])
+            tail = np.einsum("is,js->sij", y[:, n_cols:n_cols + m - 1],
+                             y[:, n_cols + k:n_cols + k + m - 1])
+            before = np.concatenate([np.zeros((1, l, l)), np.cumsum(head, axis=0)])
+            after = np.concatenate([np.cumsum(tail[::-1], axis=0)[::-1],
+                                    np.zeros((1, l, l))])
+            b = np.arange(m)
+            lagged[b, b + k] = full - before - after
+            lagged[b + k, b] = np.swapaxes(lagged[b, b + k], 1, 2)
+        lagged -= np.einsum("bi,cj->bcij", window, window) / n_cols
+
+        # stacked order: future lags j..2j-1, then past lags 0..j-1
+        order = np.r_[j:n_blocks, 0:j]
+        dim = n_blocks * l
+        gram = lagged[np.ix_(order, order)].transpose(0, 2, 1, 3).reshape(dim, dim)
+        if center:
+            row_mean = np.zeros(dim)
+        else:
+            row_mean = (window[order] / n_cols + channel_mean).reshape(dim)
+        return cls(gram=symmetrize(gram), row_mean=row_mean, n_cols=n_cols,
+                   view_dims=(j * l, j * l))
 
 
 @dataclass(frozen=True)
@@ -102,6 +201,19 @@ class ModalSet:
         return self.frequencies.size
 
 
+def _hankel_cols(ts: TimeSeries, j: int) -> int:
+    """Column count N - 2j + 1 of the Hankel halves, validated."""
+    if j < 1:
+        raise ValueError("block_rows must be >= 1")
+    n_cols = ts.n_samples - 2 * j + 1
+    if n_cols < 1:
+        raise ValueError(
+            f"time series too short: {ts.n_samples} samples, need at least {2 * j} "
+            f"for {j} block rows"
+        )
+    return n_cols
+
+
 def build_hankel(ts: TimeSeries, block_rows: int, center: bool = True) -> HankelPair:
     """Stack the record into past (lags 0..j-1) and future (lags j..2j-1)
     block-Hankel matrices with N - 2j + 1 columns.
@@ -110,15 +222,8 @@ def build_hankel(ts: TimeSeries, block_rows: int, center: bool = True) -> Hankel
     (the Bayesian model absorbs means through its mean parameter).
     """
     j = int(block_rows)
-    if j < 1:
-        raise ValueError("block_rows must be >= 1")
-    l, n = ts.channels, ts.n_samples
-    n_cols = n - 2 * j + 1
-    if n_cols < 1:
-        raise ValueError(
-            f"time series too short: {n} samples, need at least {2 * j} "
-            f"for {j} block rows"
-        )
+    n_cols = _hankel_cols(ts, j)
+    l = ts.channels
     stacked = np.empty((2 * j * l, n_cols))
     for b in range(2 * j):
         stacked[b * l:(b + 1) * l] = ts.data[:, b:b + n_cols]
@@ -274,15 +379,15 @@ def ssi_cov(ts: TimeSeries, block_rows: int, order: int, center: bool = True,
             ) -> tuple[Realization, ModalSet]:
     """Classical canonical-variate weighted covariance-driven identification.
 
-    Builds the Hankel pair, factorizes the covariance blocks at the
-    requested order and extracts modal parameters from the realization.
+    Builds the Hankel statistics from the record, factorizes their
+    covariance blocks at the requested order and extracts modal parameters
+    from the realization.
     """
     if order > ts.channels * block_rows:
         raise ValueError(
             f"order {order} exceeds Hankel half-height {ts.channels * block_rows}"
         )
-    hp = build_hankel(ts, block_rows, center=center)
-    cb = covariance_blocks(hp)
+    cb = HankelStats.from_record(ts, block_rows, center=center).cov_blocks()
     obs, ctrb, _ = observability_controllability(cb, order)
     a, c_out, residual = realization_from_observability(obs, ts.channels)
     modal = modal_from_state_matrix(a, c_out, 1.0 / ts.fs)

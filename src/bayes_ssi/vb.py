@@ -13,10 +13,13 @@ correction (mean-only treatment of the other rows), which is no longer an
 exact coordinate update, so the bound is then allowed to wobble (warning
 instead of error).
 
-Update functions accept optional precomputed quantities (expected
-precisions, prior precisions, the centred-data cross Gram); ``run_vb``
-passes them to avoid recomputing invariants inside a sweep, which changes
-no result.
+Every update and the bound see the data only through its sufficient
+statistics (:class:`~bayes_ssi.subspace.HankelStats`).  The latent means
+are affine in the data, z_n = A (x_n - c), so the latent factor is held as
+the d x D map A and the centre c it was applied at; :func:`latent_means`
+recovers the d x N means when explicit data are at hand.  The public
+``update_*`` functions take explicit data, build its statistics and call
+the same kernel ``run_vb`` sweeps with.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import multigammaln, psi
 
-from .model import PriorHyper, StackedData
-from .rng import Rng, spd_cholesky, symmetrize
+from .gibbs import warm_start_point
+from .model import PriorHyper, StackedData, view_slices
+from .rng import Rng, chol_logdet, spd_cholesky, spd_inverse, symmetrize
+from .subspace import HankelStats
 
 __all__ = [
     "VBConfig",
@@ -38,6 +42,7 @@ __all__ = [
     "ElboDecreaseError",
     "expected_noise_precision",
     "expected_residual_scatter",
+    "latent_means",
     "update_latent_factor",
     "update_weight_factor",
     "update_noise_factor",
@@ -81,10 +86,15 @@ class VBConfig:
 
 @dataclass
 class VBPosterior:
-    """Parameters of the factorized surrogate posterior."""
+    """Parameters of the factorized surrogate posterior.
+
+    The latent mean of data column x_n is ``latent_map @ (x_n -
+    latent_centre)``; every column shares ``latent_cov``.
+    """
 
     latent_cov: np.ndarray           # d x d, shared across columns
-    latent_mean: np.ndarray          # d x N
+    latent_map: np.ndarray           # d x D
+    latent_centre: np.ndarray        # D
     weight_mean: np.ndarray          # D x d
     weight_cov: np.ndarray           # d x D x D
     mean_loc: np.ndarray             # D
@@ -97,14 +107,16 @@ class VBPosterior:
     n_iter: int = 0
     elapsed_s: float = 0.0
 
-    def slices(self) -> list[slice]:
-        edges = np.concatenate([[0], np.cumsum(self.view_dims)])
-        return [slice(int(edges[m]), int(edges[m + 1]))
-                for m in range(len(self.view_dims))]
+    def diagnostics(self) -> dict:
+        """Convergence summary: sweeps run, whether the bound converged,
+        and wall-clock milliseconds per sweep."""
+        return {"n_iter": self.n_iter, "converged": self.converged,
+                "ms_per_sweep": 1e3 * self.elapsed_s / self.n_iter if self.n_iter else 0.0}
 
     def copy(self) -> "VBPosterior":
         return VBPosterior(
-            latent_cov=self.latent_cov.copy(), latent_mean=self.latent_mean.copy(),
+            latent_cov=self.latent_cov.copy(), latent_map=self.latent_map.copy(),
+            latent_centre=self.latent_centre.copy(),
             weight_mean=self.weight_mean.copy(), weight_cov=self.weight_cov.copy(),
             mean_loc=self.mean_loc.copy(), mean_cov=self.mean_cov.copy(),
             noise_scale=[s.copy() for s in self.noise_scale],
@@ -114,104 +126,224 @@ class VBPosterior:
         )
 
 
+def latent_means(post: VBPosterior, data: StackedData) -> np.ndarray:
+    """d x N latent factor means of the columns of ``data``."""
+    return post.latent_map @ (data.x - post.latent_centre[:, None])
+
+
 def expected_noise_precision(post: VBPosterior) -> list[np.ndarray]:
     """Per-view expected precision dof * scale^-1 of the Wishart factors."""
+    return [dof * spd_inverse(scale, "noise factor scale")
+            for scale, dof in zip(post.noise_scale, post.noise_dof)]
+
+
+def _expected_logdet_precision(scale_logdet: float, dim: int, dof: float) -> float:
+    """E[ln |precision|] under a Wishart factor whose scale inverse has log
+    determinant ``scale_logdet``."""
+    digamma_sum = float(np.sum(psi(0.5 * (dof - np.arange(dim)))))
+    return digamma_sum + dim * np.log(2.0) - scale_logdet
+
+
+def _latent_moments(post: VBPosterior, stats: HankelStats,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column sums of the latent means z_n, of z_n z_n^T and of
+    (x_n - mean_loc) z_n^T, from the latent map and the statistics."""
+    n = stats.n_cols
+    gram_map = stats.gram @ post.latent_map.T
+    shift = post.latent_map @ (stats.row_mean - post.latent_centre)
+    z_sum = n * shift
+    z_gram = post.latent_map @ gram_map + n * np.outer(shift, shift)
+    xz = gram_map + n * np.outer(stats.row_mean - post.mean_loc, shift)
+    return z_sum, z_gram, xz
+
+
+def _residual_scatter(post: VBPosterior, stats: HankelStats) -> list[np.ndarray]:
+    """Per-view blocks of sum_n E[(x_n - mu - W z_n)(x_n - mu - W z_n)^T]."""
+    n = stats.n_cols
+    _, z_gram, xz = _latent_moments(post, stats)
+    # second moment of W z_n summed over columns: latent means and covariance
+    z_second = z_gram + n * post.latent_cov
+    sq_diag = np.diag(z_second)
     out = []
-    for scale, dof in zip(post.noise_scale, post.noise_dof):
-        chol = spd_cholesky(scale, "noise factor scale")
-        out.append(symmetrize(dof * cho_solve((chol, True), np.eye(scale.shape[0]),
-                                              check_finite=False)))
+    for sl in view_slices(stats.view_dims):
+        wm = post.weight_mean[sl]
+        dev = stats.row_mean[sl] - post.mean_loc[sl]
+        block = stats.gram[sl, sl] + n * np.outer(dev, dev)
+        block -= xz[sl] @ wm.T + wm @ xz[sl].T
+        block += wm @ z_second @ wm.T + n * post.mean_cov[sl, sl]
+        block += np.tensordot(sq_diag, post.weight_cov[:, sl, sl], axes=1)
+        out.append(symmetrize(block))
     return out
 
 
-def _precision_of(cov: np.ndarray, name: str) -> np.ndarray:
-    chol = spd_cholesky(cov, name)
-    return symmetrize(cho_solve((chol, True), np.eye(cov.shape[0]),
-                                check_finite=False))
+class _Kernel:
+    """The closed-form coordinate updates and the bound on one set of
+    sufficient statistics, with the prior invariants computed once."""
 
+    def __init__(self, stats: HankelStats, priors: PriorHyper):
+        self.stats = stats
+        self.priors = priors
+        self.slices = view_slices(stats.view_dims)
+        self.weight_prec = spd_inverse(priors.weight_cov, "weight_cov")
+        self.weight_logdet = chol_logdet(spd_cholesky(priors.weight_cov, "weight_cov"))
+        self.mean_prec = spd_inverse(priors.mean_cov, "mean_cov")
+        self.mean_logdet = chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov"))
+        self.noise_prior_logdet = [chol_logdet(spd_cholesky(scale0, "noise prior scale"))
+                                   for scale0 in priors.noise_scale]
 
-def _chol_inverse(prec: np.ndarray, name: str) -> np.ndarray:
-    chol = spd_cholesky(symmetrize(prec), name)
-    return symmetrize(cho_solve((chol, True), np.eye(prec.shape[0]),
-                                check_finite=False))
+    def update_latent(self, post: VBPosterior, psi_blocks: list[np.ndarray]) -> None:
+        d = post.latent_cov.shape[0]
+        quad = np.zeros((d, d))
+        trace_corr = np.zeros(d)
+        projector = np.empty((d, self.stats.dim))
+        for psi_m, sl in zip(psi_blocks, self.slices):
+            wm = post.weight_mean[sl]
+            psi_wm = psi_m @ wm
+            quad += wm.T @ psi_wm
+            projector[:, sl] = psi_wm.T
+            for i in range(d):
+                trace_corr[i] += float(np.sum(psi_m * post.weight_cov[i][sl, sl]))
+        quad += np.diag(trace_corr) + np.eye(d)
+        post.latent_cov = spd_inverse(quad, "latent factor precision")
+        post.latent_map = post.latent_cov @ projector
+        post.latent_centre = post.mean_loc.copy()
 
+    def update_weights(self, post: VBPosterior, columns, psi_blocks: list[np.ndarray],
+                       cross_cov: bool) -> None:
+        """Update the weight-column factors in ``columns``, in order; each
+        sees the columns updated before it."""
+        n = self.stats.n_cols
+        _, z_gram, xz = _latent_moments(post, self.stats)
+        for i in columns:
+            sq_sum = z_gram[i, i] + n * post.latent_cov[i, i]
+            prec = self.weight_prec.copy()
+            for psi_m, sl in zip(psi_blocks, self.slices):
+                prec[sl, sl] += sq_sum * psi_m
+            cov = spd_inverse(prec, "weight factor precision")
 
-def update_latent_factor(post: VBPosterior, data: StackedData, priors: PriorHyper,
-                         psi_blocks: list[np.ndarray] | None = None) -> None:
-    """Closed-form update of the shared latent covariance and all column means."""
-    slices = post.slices()
-    if psi_blocks is None:
-        psi_blocks = expected_noise_precision(post)
-    d = post.latent_mean.shape[0]
+            cross = z_gram[:, i]
+            if cross_cov:
+                cross = cross + n * post.latent_cov[:, i]
+            data_term = xz[:, i] - (post.weight_mean @ cross
+                                    - post.weight_mean[:, i] * cross[i])
+            rhs = np.empty(self.stats.dim)
+            for psi_m, sl in zip(psi_blocks, self.slices):
+                rhs[sl] = psi_m @ data_term[sl]
+            rhs += self.weight_prec @ self.priors.weight_loc
+            post.weight_mean[:, i] = cov @ rhs
+            post.weight_cov[i] = cov
 
-    quad = np.zeros((d, d))
-    trace_corr = np.zeros(d)
-    projector = np.empty((d, data.dim))
-    for psi_m, sl in zip(psi_blocks, slices):
-        wm = post.weight_mean[sl]
-        psi_wm = psi_m @ wm
-        quad += wm.T @ psi_wm
-        projector[:, sl] = psi_wm.T
+    def update_noise(self, post: VBPosterior) -> None:
+        scatter = _residual_scatter(post, self.stats)
+        post.noise_scale = [symmetrize(scale0 + blk)
+                            for scale0, blk in zip(self.priors.noise_scale, scatter)]
+        post.noise_dof = [dof0 + self.stats.n_cols for dof0 in self.priors.noise_dof]
+
+    def update_mean(self, post: VBPosterior, psi_blocks: list[np.ndarray]) -> None:
+        n = self.stats.n_cols
+        prec = self.mean_prec.copy()
+        for psi_m, sl in zip(psi_blocks, self.slices):
+            prec[sl, sl] += n * psi_m
+        cov = spd_inverse(prec, "mean factor precision")
+
+        z_sum, _, _ = _latent_moments(post, self.stats)
+        demeaned = n * self.stats.row_mean - post.weight_mean @ z_sum
+        rhs = np.empty(self.stats.dim)
+        for psi_m, sl in zip(psi_blocks, self.slices):
+            rhs[sl] = psi_m @ demeaned[sl]
+        rhs += self.mean_prec @ self.priors.mean_loc
+        post.mean_loc = cov @ rhs
+        post.mean_cov = cov
+
+    def elbo(self, post: VBPosterior, psi_blocks: list[np.ndarray]) -> float:
+        """Expected log joint minus the surrogate's expected log density."""
+        priors = self.priors
+        n = self.stats.n_cols
+        d = post.latent_cov.shape[0]
+        total_dim = self.stats.dim
+        log_2pi = np.log(2.0 * np.pi)
+        scatter = _residual_scatter(post, self.stats)
+        _, z_gram, _ = _latent_moments(post, self.stats)
+        scale_logdets = [chol_logdet(spd_cholesky(scale, "noise factor scale"))
+                         for scale in post.noise_scale]
+        e_logdets = [_expected_logdet_precision(logdet, scale.shape[0], dof)
+                     for logdet, scale, dof in zip(scale_logdets, post.noise_scale,
+                                                   post.noise_dof)]
+
+        value = 0.0
+        # expected log likelihood, per view
+        for psi_m, blk, e_logdet in zip(psi_blocks, scatter, e_logdets):
+            dim = blk.shape[0]
+            value += 0.5 * n * (e_logdet - dim * log_2pi)
+            value -= 0.5 * float(np.sum(psi_m * blk))
+
+        # expected log prior of the latent columns
+        sq_total = float(np.trace(z_gram)) + n * float(np.trace(post.latent_cov))
+        value += -0.5 * n * d * log_2pi - 0.5 * sq_total
+
+        # expected log prior of the noise precisions
+        for scale0, dof0, logdet0, e_logdet, psi_m in zip(
+                priors.noise_scale, priors.noise_dof, self.noise_prior_logdet,
+                e_logdets, psi_blocks):
+            dim = scale0.shape[0]
+            value += 0.5 * (dof0 - dim - 1) * e_logdet
+            value -= 0.5 * float(np.sum(scale0 * psi_m))
+            value += 0.5 * dof0 * logdet0
+            value -= 0.5 * dof0 * dim * np.log(2.0)
+            value -= multigammaln(0.5 * dof0, dim)
+
+        # expected log prior of the mean
+        dev = post.mean_loc - priors.mean_loc
+        value += -0.5 * total_dim * log_2pi
+        value -= 0.5 * self.mean_logdet
+        value -= 0.5 * (float(dev @ self.mean_prec @ dev)
+                        + float(np.sum(self.mean_prec * post.mean_cov)))
+
+        # expected log prior of the weight columns
         for i in range(d):
-            trace_corr[i] += float(np.sum(psi_m * post.weight_cov[i][sl, sl]))
-    quad += np.diag(trace_corr) + np.eye(d)
-    post.latent_cov = _chol_inverse(quad, "latent factor precision")
-    means = projector @ data.x
-    means -= (projector @ post.mean_loc)[:, None]
-    post.latent_mean = post.latent_cov @ means
+            dev = post.weight_mean[:, i] - priors.weight_loc
+            value += -0.5 * total_dim * log_2pi - 0.5 * self.weight_logdet
+            value -= 0.5 * (float(dev @ self.weight_prec @ dev)
+                            + float(np.sum(self.weight_prec * post.weight_cov[i])))
+
+        # minus expected log of the surrogate (its negative entropy)
+        value += 0.5 * n * (chol_logdet(spd_cholesky(post.latent_cov, "latent factor cov"))
+                            + d * (1.0 + log_2pi))
+        for i in range(d):
+            value += 0.5 * (chol_logdet(spd_cholesky(post.weight_cov[i],
+                                                     "weight factor cov"))
+                            + total_dim * (1.0 + log_2pi))
+        value += 0.5 * (chol_logdet(spd_cholesky(post.mean_cov, "mean factor cov"))
+                        + total_dim * (1.0 + log_2pi))
+        for scale, dof, logdet, e_logdet in zip(post.noise_scale, post.noise_dof,
+                                                scale_logdets, e_logdets):
+            dim = scale.shape[0]
+            # E[ln q(precision)] with tr(scale <precision>) = dof * dim
+            e_log_q = (0.5 * (dof - dim - 1) * e_logdet - 0.5 * dof * dim
+                       - 0.5 * dof * dim * np.log(2.0)
+                       + 0.5 * dof * logdet
+                       - multigammaln(0.5 * dof, dim))
+            value -= e_log_q
+        return float(value)
+
+
+def update_latent_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
+    """Closed-form update of the shared latent covariance and the latent map."""
+    _Kernel(data.stats(), priors).update_latent(post, expected_noise_precision(post))
 
 
 def update_weight_factor(post: VBPosterior, data: StackedData, priors: PriorHyper,
-                         i: int, cross_cov: bool = True,
-                         psi_blocks: list[np.ndarray] | None = None,
-                         prior_prec: np.ndarray | None = None,
-                         data_proj: np.ndarray | None = None) -> None:
+                         i: int, cross_cov: bool = True) -> None:
     """Closed-form update of weight-column factor ``i``.
 
     ``cross_cov`` keeps the shared latent covariance's off-diagonal
-    contribution when subtracting the other columns' effect.  ``data_proj``
-    may carry the precomputed centred-data/latent-mean cross Gram
-    (x - mean) @ latent_mean^T; it is valid as long as the mean and latent
-    factors have not moved since it was computed.
+    contribution when subtracting the other columns' effect.
     """
-    slices = post.slices()
-    if psi_blocks is None:
-        psi_blocks = expected_noise_precision(post)
-    if prior_prec is None:
-        prior_prec = _precision_of(priors.weight_cov, "weight_cov")
-    n = data.n_columns
-
-    row = post.latent_mean[i]
-    sq_sum = float(row @ row) + n * post.latent_cov[i, i]
-
-    prec = prior_prec.copy()
-    for psi_m, sl in zip(psi_blocks, slices):
-        prec[sl, sl] += sq_sum * psi_m
-    cov = _chol_inverse(prec, "weight factor precision")
-
-    cross = post.latent_mean @ row
-    if cross_cov:
-        cross = cross + n * post.latent_cov[:, i]
-    if data_proj is not None:
-        data_term = data_proj[:, i].copy()
-    else:
-        data_term = data.x @ row
-        data_term -= post.mean_loc * float(row.sum())
-    data_term -= post.weight_mean @ cross - post.weight_mean[:, i] * cross[i]
-
-    rhs = np.empty(data.dim)
-    for psi_m, sl in zip(psi_blocks, slices):
-        rhs[sl] = psi_m @ data_term[sl]
-    rhs += prior_prec @ priors.weight_loc
-    post.weight_mean[:, i] = cov @ rhs
-    post.weight_cov[i] = cov
+    _Kernel(data.stats(), priors).update_weights(post, [i], expected_noise_precision(post),
+                                                 cross_cov)
 
 
-def expected_residual_scatter(post: VBPosterior, data: StackedData,
-                              data_gram: np.ndarray | None = None,
-                              data_sum: np.ndarray | None = None,
-                              data_proj: np.ndarray | None = None,
-                              ) -> list[np.ndarray]:
+def expected_residual_scatter(post: VBPosterior, data: StackedData) -> list[np.ndarray]:
     """Per-view blocks of sum_n E[(x_n - mu - W z_n)(x_n - mu - W z_n)^T].
 
     Expands every second moment of the surrogate: the mean-factor
@@ -219,164 +351,27 @@ def expected_residual_scatter(post: VBPosterior, data: StackedData,
     and the per-column weight covariances weighted by the latent second
     moments.  Single source of truth shared by the noise update and the
     bound.
-
-    When the data Gram ``x @ x.T``, the data row sum and the centred cross
-    Gram ``(x - mean) @ latent_mean.T`` are supplied, the mean-residual
-    part is expanded through them instead of streaming the data matrix.
     """
-    slices = post.slices()
-    n = data.n_columns
-    sq_diag = np.sum(post.latent_mean**2, axis=1) + n * np.diag(post.latent_cov)
-
-    if data_gram is not None and data_sum is not None and data_proj is not None:
-        loc = post.mean_loc
-        fitted_gram = post.latent_mean @ post.latent_mean.T
-        centred_gram = (data_gram - np.outer(data_sum, loc) - np.outer(loc, data_sum)
-                        + n * np.outer(loc, loc))
-        full = (centred_gram - data_proj @ post.weight_mean.T
-                - post.weight_mean @ data_proj.T
-                + post.weight_mean @ fitted_gram @ post.weight_mean.T)
-        resid_blocks = [full[sl, sl] for sl in slices]
-    else:
-        resid = data.x - post.mean_loc[:, None]
-        np.subtract(resid, post.weight_mean @ post.latent_mean, out=resid)
-        resid_blocks = [resid[sl] @ resid[sl].T for sl in slices]
-
-    out = []
-    for sl, block in zip(slices, resid_blocks):
-        block = block + n * post.mean_cov[sl, sl]
-        wm = post.weight_mean[sl]
-        block += n * wm @ post.latent_cov @ wm.T
-        for i in range(post.weight_mean.shape[1]):
-            block += sq_diag[i] * post.weight_cov[i][sl, sl]
-        out.append(symmetrize(block))
-    return out
+    return _residual_scatter(post, data.stats())
 
 
-def update_noise_factor(post: VBPosterior, data: StackedData, priors: PriorHyper,
-                        scatter: list[np.ndarray] | None = None) -> None:
+def update_noise_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
     """Closed-form update of the per-view Wishart precision factors."""
-    if scatter is None:
-        scatter = expected_residual_scatter(post, data)
-    n = data.n_columns
-    post.noise_scale = [symmetrize(scale0 + blk)
-                        for scale0, blk in zip(priors.noise_scale, scatter)]
-    post.noise_dof = [dof0 + n for dof0 in priors.noise_dof]
+    _Kernel(data.stats(), priors).update_noise(post)
 
 
-def update_mean_factor(post: VBPosterior, data: StackedData, priors: PriorHyper,
-                       psi_blocks: list[np.ndarray] | None = None,
-                       prior_prec: np.ndarray | None = None) -> None:
+def update_mean_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
     """Closed-form update of the mean factor."""
-    slices = post.slices()
-    if psi_blocks is None:
-        psi_blocks = expected_noise_precision(post)
-    if prior_prec is None:
-        prior_prec = _precision_of(priors.mean_cov, "mean_cov")
-    n = data.n_columns
-
-    prec = prior_prec.copy()
-    for psi_m, sl in zip(psi_blocks, slices):
-        prec[sl, sl] += n * psi_m
-    cov = _chol_inverse(prec, "mean factor precision")
-
-    demeaned = data.x.sum(axis=1) - post.weight_mean @ post.latent_mean.sum(axis=1)
-    rhs = np.empty(data.dim)
-    for psi_m, sl in zip(psi_blocks, slices):
-        rhs[sl] = psi_m @ demeaned[sl]
-    rhs += prior_prec @ priors.mean_loc
-    post.mean_loc = cov @ rhs
-    post.mean_cov = cov
+    _Kernel(data.stats(), priors).update_mean(post, expected_noise_precision(post))
 
 
-def _chol_logdet(mat: np.ndarray, name: str) -> float:
-    chol = spd_cholesky(mat, name)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def _expected_logdet_precision(scale: np.ndarray, dof: float) -> float:
-    """E[ln |precision|] under a Wishart factor with the given scale inverse."""
-    dim = scale.shape[0]
-    digamma_sum = float(np.sum(psi(0.5 * (dof - np.arange(dim)))))
-    return digamma_sum + dim * np.log(2.0) - _chol_logdet(scale, "noise factor scale")
-
-
-def elbo(post: VBPosterior, data: StackedData, priors: PriorHyper,
-         psi_blocks: list[np.ndarray] | None = None,
-         scatter: list[np.ndarray] | None = None) -> float:
+def elbo(post: VBPosterior, data: StackedData, priors: PriorHyper) -> float:
     """Evidence lower bound: expected log joint minus the surrogate's
     expected log density, all terms in closed form."""
-    if psi_blocks is None:
-        psi_blocks = expected_noise_precision(post)
-    if scatter is None:
-        scatter = expected_residual_scatter(post, data)
-    n = data.n_columns
-    d = post.latent_mean.shape[0]
-    total_dim = data.dim
-
-    value = 0.0
-    # expected log likelihood, per view
-    for psi_m, blk, scale, dof in zip(psi_blocks, scatter, post.noise_scale,
-                                      post.noise_dof):
-        dim = scale.shape[0]
-        e_logdet = _expected_logdet_precision(scale, dof)
-        value += 0.5 * n * (e_logdet - dim * np.log(2.0 * np.pi))
-        value -= 0.5 * float(np.sum(psi_m * blk))
-
-    # expected log prior of the latent columns
-    sq_total = float(np.sum(post.latent_mean**2)) + n * float(np.trace(post.latent_cov))
-    value += -0.5 * n * d * np.log(2.0 * np.pi) - 0.5 * sq_total
-
-    # expected log prior of the noise precisions
-    for scale0, dof0, scale, dof, psi_m in zip(priors.noise_scale, priors.noise_dof,
-                                               post.noise_scale, post.noise_dof,
-                                               psi_blocks):
-        dim = scale0.shape[0]
-        e_logdet = _expected_logdet_precision(scale, dof)
-        value += 0.5 * (dof0 - dim - 1) * e_logdet
-        value -= 0.5 * float(np.sum(scale0 * psi_m))
-        value += 0.5 * dof0 * _chol_logdet(scale0, "noise prior scale")
-        value -= 0.5 * dof0 * dim * np.log(2.0)
-        value -= multigammaln(0.5 * dof0, dim)
-
-    # expected log prior of the mean
-    prior_prec = _precision_of(priors.mean_cov, "mean_cov")
-    dev = post.mean_loc - priors.mean_loc
-    value += -0.5 * total_dim * np.log(2.0 * np.pi)
-    value -= 0.5 * _chol_logdet(priors.mean_cov, "mean_cov")
-    value -= 0.5 * (float(dev @ prior_prec @ dev)
-                    + float(np.sum(prior_prec * post.mean_cov)))
-
-    # expected log prior of the weight columns
-    w_prior_prec = _precision_of(priors.weight_cov, "weight_cov")
-    w_prior_logdet = _chol_logdet(priors.weight_cov, "weight_cov")
-    for i in range(d):
-        dev = post.weight_mean[:, i] - priors.weight_loc
-        value += -0.5 * total_dim * np.log(2.0 * np.pi) - 0.5 * w_prior_logdet
-        value -= 0.5 * (float(dev @ w_prior_prec @ dev)
-                        + float(np.sum(w_prior_prec * post.weight_cov[i])))
-
-    # minus expected log of the surrogate (its negative entropy)
-    value += 0.5 * n * (_chol_logdet(post.latent_cov, "latent factor cov")
-                        + d * (1.0 + np.log(2.0 * np.pi)))
-    for i in range(d):
-        value += 0.5 * (_chol_logdet(post.weight_cov[i], "weight factor cov")
-                        + total_dim * (1.0 + np.log(2.0 * np.pi)))
-    value += 0.5 * (_chol_logdet(post.mean_cov, "mean factor cov")
-                    + total_dim * (1.0 + np.log(2.0 * np.pi)))
-    for scale, dof in zip(post.noise_scale, post.noise_dof):
-        dim = scale.shape[0]
-        e_logdet = _expected_logdet_precision(scale, dof)
-        # E[ln q(precision)] with tr(scale <precision>) = dof * dim
-        e_log_q = (0.5 * (dof - dim - 1) * e_logdet - 0.5 * dof * dim
-                   - 0.5 * dof * dim * np.log(2.0)
-                   + 0.5 * dof * _chol_logdet(scale, "noise factor scale")
-                   - multigammaln(0.5 * dof, dim))
-        value -= e_log_q
-    return float(value)
+    return _Kernel(data.stats(), priors).elbo(post, expected_noise_precision(post))
 
 
-def initial_posterior(data: StackedData, priors: PriorHyper, seed: int,
+def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
                       warm_start: bool = False) -> VBPosterior:
     """Deterministic seeded initialization: small random weight means, zero
     latent means, noise factors at their prior, mean factor centred on the
@@ -388,27 +383,28 @@ def initial_posterior(data: StackedData, priors: PriorHyper, seed: int,
     """
     rng = Rng(seed, stream=2)
     d = priors.latent_dim
-    total_dim = data.dim
+    total_dim = stats.dim
+    n = stats.n_cols
     if warm_start:
-        from .gibbs import _warm_start_state
-
-        state = _warm_start_state(data, priors)
-        weight_mean = state.weights
+        weight_mean, _, noise_cov = warm_start_point(stats, priors)
         weight_cov = np.repeat(1e-8 * np.eye(total_dim)[None, :, :], d, axis=0)
-        noise_dof = [dof0 + data.n_columns for dof0 in priors.noise_dof]
-        noise_scale = [dof * blk for dof, blk in zip(noise_dof, state.noise_cov)]
+        noise_dof = [dof0 + n for dof0 in priors.noise_dof]
+        noise_scale = [dof * blk for dof, blk in zip(noise_dof, noise_cov)]
     else:
-        scale = 0.1 * float(np.sqrt(np.mean(data.x**2))) + 1e-8
+        mean_square = (float(np.trace(stats.gram)) + n * float(stats.row_mean @ stats.row_mean)
+                       ) / (total_dim * n)
+        scale = 0.1 * float(np.sqrt(mean_square)) + 1e-8
         weight_mean = scale * rng.generator.standard_normal((total_dim, d))
         weight_cov = np.repeat(priors.weight_cov[None, :, :], d, axis=0)
         noise_scale = [s.copy() for s in priors.noise_scale]
         noise_dof = list(priors.noise_dof)
     return VBPosterior(
         latent_cov=np.eye(d),
-        latent_mean=np.zeros((d, data.n_columns)),
+        latent_map=np.zeros((d, total_dim)),
+        latent_centre=stats.row_mean.copy(),
         weight_mean=weight_mean,
         weight_cov=weight_cov,
-        mean_loc=data.x.mean(axis=1),
+        mean_loc=stats.row_mean.copy(),
         mean_cov=1e-10 * np.eye(total_dim),
         noise_scale=noise_scale,
         noise_dof=noise_dof,
@@ -416,76 +412,31 @@ def initial_posterior(data: StackedData, priors: PriorHyper, seed: int,
     )
 
 
-def _shift_scatter(scatter: list[np.ndarray], slices: list[slice],
-                   resid_sums: list[np.ndarray], old_loc: np.ndarray,
-                   new_loc: np.ndarray, old_cov: np.ndarray, new_cov: np.ndarray,
-                   n: int) -> list[np.ndarray]:
-    """Exact update of the residual scatter after the mean factor moved.
-
-    With delta = old - new, the raw scatter gains
-    delta s^T + s delta^T + n delta delta^T (s is the per-view residual
-    row-sum under the old mean) and the mean-covariance term changes by
-    n * (new_cov - old_cov).
-    """
-    out = []
-    for blk, sl, s_old in zip(scatter, slices, resid_sums):
-        delta = (old_loc - new_loc)[sl]
-        adjusted = blk + np.outer(delta, s_old) + np.outer(s_old, delta)
-        adjusted += n * np.outer(delta, delta)
-        adjusted += n * (new_cov[sl, sl] - old_cov[sl, sl])
-        out.append(symmetrize(adjusted))
-    return out
-
-
-def run_vb(data: StackedData, priors: PriorHyper, config: VBConfig) -> VBPosterior:
-    """Iterate the coordinate updates until the bound converges.
+def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPosterior:
+    """Iterate the coordinate updates on the sufficient statistics until the
+    bound converges.
 
     Update order per sweep: latent factor, every weight column, noise
     factors, mean factor; the bound is evaluated after each full sweep.  A
     decrease beyond 1e-8 relative raises (warns in the non-exact
     ``latent_cross_cov=False`` mode); a non-finite bound aborts with a
-    state dump.
+    state dump.  Each sweep costs O(D^3 d), whatever the column count.
     """
-    post = initial_posterior(data, priors, config.seed,
-                             warm_start=config.warm_start)
+    kernel = _Kernel(stats, priors)
+    post = initial_posterior(stats, priors, config.seed, warm_start=config.warm_start)
     d = priors.latent_dim
-    n = data.n_columns
-    slices = post.slices()
-    prior_weight_prec = _precision_of(priors.weight_cov, "weight_cov")
-    prior_mean_prec = _precision_of(priors.mean_cov, "mean_cov")
-    data_gram = data.x @ data.x.T
-    data_sum = data.x.sum(axis=1)
 
     start = time.perf_counter()
     previous = -np.inf
     psi_blocks = expected_noise_precision(post)
     for sweep in range(1, config.max_iter + 1):
-        update_latent_factor(post, data, priors, psi_blocks)
-        # centred-data cross Gram, valid until the mean or latent factor moves
-        latent_sum = post.latent_mean.sum(axis=1)
-        data_proj = data.x @ post.latent_mean.T - np.outer(post.mean_loc, latent_sum)
-        for i in range(d):
-            update_weight_factor(post, data, priors, i,
-                                 cross_cov=config.latent_cross_cov,
-                                 psi_blocks=psi_blocks,
-                                 prior_prec=prior_weight_prec,
-                                 data_proj=data_proj)
-        scatter = expected_residual_scatter(post, data, data_gram, data_sum,
-                                            data_proj)
-        update_noise_factor(post, data, priors, scatter)
+        kernel.update_latent(post, psi_blocks)
+        kernel.update_weights(post, range(d), psi_blocks, config.latent_cross_cov)
+        kernel.update_noise(post)
         psi_blocks = expected_noise_precision(post)
+        kernel.update_mean(post, psi_blocks)
 
-        # residual row sums under the pre-update mean, for the exact
-        # scatter shift after the mean factor moves
-        fitted_sum = post.weight_mean @ latent_sum
-        resid_sum_full = data_sum - n * post.mean_loc - fitted_sum
-        old_loc, old_cov = post.mean_loc, post.mean_cov
-        update_mean_factor(post, data, priors, psi_blocks, prior_mean_prec)
-        scatter = _shift_scatter(scatter, slices,
-                                 [resid_sum_full[sl] for sl in slices],
-                                 old_loc, post.mean_loc, old_cov, post.mean_cov, n)
-
-        bound = elbo(post, data, priors, psi_blocks, scatter)
+        bound = kernel.elbo(post, psi_blocks)
         if not np.isfinite(bound):
             raise RuntimeError(
                 "bound became non-finite at sweep "

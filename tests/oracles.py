@@ -113,3 +113,68 @@ def batch_means_se(chain, n_batches=40):
     batch = n // n_batches
     means = chain[:batch * n_batches].reshape(n_batches, batch).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(n_batches))
+
+
+def _view_slices(view_dims):
+    edges = np.concatenate([[0], np.cumsum(view_dims)]).astype(int)
+    return [slice(edges[m], edges[m + 1]) for m in range(len(view_dims))]
+
+
+def vb_residual_scatter_dense(q, x, view_dims):
+    """Per-view blocks of sum_n E[(x_n - mu - W z_n)(...)^T], streaming the
+    explicit residual matrix and the d x N latent means ``q["latent_mean"]``."""
+    n = x.shape[1]
+    wm, zm, lc = q["weight_mean"], q["latent_mean"], q["latent_cov"]
+    resid = x - q["mean_loc"][:, None] - wm @ zm
+    sq_diag = np.sum(zm**2, axis=1) + n * np.diag(lc)
+    out = []
+    for sl in _view_slices(view_dims):
+        block = resid[sl] @ resid[sl].T + n * q["mean_cov"][sl, sl]
+        block = block + n * wm[sl] @ lc @ wm[sl].T
+        for i in range(wm.shape[1]):
+            block = block + sq_diag[i] * q["weight_cov"][i][sl, sl]
+        out.append(0.5 * (block + block.T))
+    return out
+
+
+def vb_sweep_dense(q, x, view_dims, priors, cross_cov=True):
+    """One coordinate-ascent sweep (latent, each weight column, noise, mean)
+    of the variational engine with explicit d x N latent means and dense
+    inverses.  ``q`` is a dict of factor parameters; a new dict is returned."""
+    q = {k: (np.copy(v) if isinstance(v, np.ndarray) else [np.copy(b) for b in v])
+         for k, v in q.items()}
+    n = x.shape[1]
+    d = q["weight_mean"].shape[1]
+
+    def block_precision():
+        return sla.block_diag(*[dof * np.linalg.inv(scale) for scale, dof
+                                in zip(q["noise_scale"], q["noise_dof"])])
+
+    prec = block_precision()
+    wm, wc = q["weight_mean"], q["weight_cov"]
+    quad = (wm.T @ prec @ wm + np.diag([np.sum(prec * wc[i]) for i in range(d)])
+            + np.eye(d))
+    q["latent_cov"] = np.linalg.inv(quad)
+    q["latent_mean"] = q["latent_cov"] @ wm.T @ prec @ (x - q["mean_loc"][:, None])
+
+    w_prior_prec = np.linalg.inv(priors.weight_cov)
+    zm, lc = q["latent_mean"], q["latent_cov"]
+    centred = x - q["mean_loc"][:, None]
+    for i in range(d):
+        sq_sum = zm[i] @ zm[i] + n * lc[i, i]
+        cov = np.linalg.inv(w_prior_prec + sq_sum * prec)
+        cross = zm @ zm[i] + (n * lc[:, i] if cross_cov else 0.0)
+        term = centred @ zm[i] - (wm @ cross - wm[:, i] * cross[i])
+        wm[:, i] = cov @ (prec @ term + w_prior_prec @ priors.weight_loc)
+        wc[i] = cov
+
+    scatter = vb_residual_scatter_dense(q, x, view_dims)
+    q["noise_scale"] = [scale0 + blk for scale0, blk in zip(priors.noise_scale, scatter)]
+    q["noise_dof"] = [dof0 + n for dof0 in priors.noise_dof]
+
+    prec = block_precision()
+    m_prior_prec = np.linalg.inv(priors.mean_cov)
+    q["mean_cov"] = np.linalg.inv(m_prior_prec + n * prec)
+    demeaned = x.sum(axis=1) - wm @ zm.sum(axis=1)
+    q["mean_loc"] = q["mean_cov"] @ (prec @ demeaned + m_prior_prec @ priors.mean_loc)
+    return q

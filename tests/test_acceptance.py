@@ -72,7 +72,7 @@ def engine_posterior(ts, engine, seed=0, gibbs_sweeps=1000, vb_draws=4000):
         draws = chain_observability_samples(chain)
         extras = {"chain": chain}
     else:
-        post = run_vb(data, priors, VBConfig(seed=seed))
+        post = run_vb(data.stats(), priors, VBConfig(seed=seed))
         draws = draw_observability_samples(post, vb_draws, Rng(seed, 3))
         extras = {"post": post}
     samples, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
@@ -316,10 +316,11 @@ def test_criterion_7_vb_gibbs_degeneracy():
                        mean=gen.standard_normal(4),
                        noise_cov=[0.8 * np.eye(2), 1.4 * np.eye(2)],
                        latent=gen.standard_normal((d, n)))
-    from bayes_ssi.vb import VBPosterior
+    from bayes_ssi.vb import VBPosterior, latent_means
     dofs = [dim + 2.0 + n for dim in view_dims]
     post = VBPosterior(
-        latent_cov=np.zeros((d, d)), latent_mean=state.latent.copy(),
+        latent_cov=np.zeros((d, d)), latent_map=np.zeros((d, 4)),
+        latent_centre=np.zeros(4),
         weight_mean=state.weights.copy(), weight_cov=np.zeros((d, 4, 4)),
         mean_loc=state.mean.copy(), mean_cov=np.zeros((4, 4)),
         noise_scale=[dof * blk for dof, blk in zip(dofs, state.noise_cov)],
@@ -329,7 +330,7 @@ def test_criterion_7_vb_gibbs_degeneracy():
     update_latent_factor(post, data, priors)
     means, cov = latent_conditional(state, data)
     assert np.max(np.abs(post.latent_cov - cov)) < 1e-10
-    assert np.max(np.abs(post.latent_mean - means)) < 1e-10
+    assert np.max(np.abs(latent_means(post, data) - means)) < 1e-10
     post.latent_cov = np.zeros((d, d))
     state.latent = means
 

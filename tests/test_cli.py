@@ -99,6 +99,30 @@ class TestIdentify:
         draws = read_matrix_csv(out / "mode_01_draws.csv", skip_header=True)
         assert draws.shape[1] == 2
 
+    def test_vb_diagnostics_in_manifest(self, sim_dir, tmp_path):
+        out = tmp_path / "vb_diag"
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "vb",
+                       "--draws", 20, "--seed", 3, "--out", out)
+        assert code == 0
+        diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
+        assert diag["converged"] is True
+        trace = read_matrix_csv(out / "elbo_trace.csv", skip_header=True)
+        assert diag["n_iter"] == trace.shape[0]
+        assert diag["ms_per_sweep"] > 0
+
+    def test_vb_not_converged_reported(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "vb_short"
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "vb",
+                       "--draws", 20, "--max-iter", 2, "--seed", 3, "--out", out)
+        assert code == 0
+        diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
+        assert diag["converged"] is False
+        assert diag["n_iter"] == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "max_iter=2" in err[0]
+
     def test_gibbs_full_protocol_row_count(self, tmp_path):
         # 5000 sweeps with 20% burn-in leaves 4000 retained weight rows;
         # run on a tiny two-channel record to keep the protocol affordable
@@ -186,6 +210,9 @@ class TestStabilise:
         assert (out / "welch_sum.csv").exists()
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["failures"] == {}
+        assert set(manifest["diagnostics"]) == {"2", "4", "6"}
+        for diag in manifest["diagnostics"].values():
+            assert set(diag) == {"n_iter", "converged", "ms_per_sweep"}
 
     def test_rerun_byte_identical(self, sim_dir, tmp_path):
         args = ("stabilise", "--input", sim_dir / "response.csv",

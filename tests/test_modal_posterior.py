@@ -23,13 +23,14 @@ from bayes_ssi.vb import VBConfig, VBPosterior
 import oracles
 
 
-def make_vb_posterior(gen, d1, d2, d, n=10, w_scale=0.0):
+def make_vb_posterior(gen, d1, d2, d, w_scale=0.0):
     total = d1 + d2
     w_cov = np.zeros((d, total, total))
     for i in range(d):
         w_cov[i] = w_scale * np.eye(total)
     return VBPosterior(
-        latent_cov=np.eye(d), latent_mean=np.zeros((d, n)),
+        latent_cov=np.eye(d), latent_map=np.zeros((d, total)),
+        latent_centre=np.zeros(total),
         weight_mean=gen.standard_normal((total, d)),
         weight_cov=w_cov, mean_loc=np.zeros(total),
         mean_cov=np.eye(total), noise_scale=[np.eye(d1), np.eye(d2)],
@@ -171,6 +172,19 @@ class TestPropagate:
         assert len(samples) == 2
         assert "degenerate" in caplog.text
 
+    def test_degenerate_draws_logged_as_one_count(self, caplog):
+        gen = np.random.default_rng(11)
+        a0, c0, _ = stable_modal_set(gen, n_modes=2, l=3)
+        good = oracles.observability_forward(a0, c0, 5)
+        bad = np.zeros_like(good)
+        bad[:, 0] = 1.0
+        stack = np.stack([bad, good, bad, bad, good, bad])
+        with caplog.at_level(logging.WARNING, logger="bayes_ssi.modal_posterior"):
+            _, n_excluded = propagate_many(stack, 3, 0.02, "vb", 4)
+        assert n_excluded == 4
+        assert len(caplog.records) == 1
+        assert "excluded 4 of 6 draws" in caplog.records[0].getMessage()
+
 
 class TestAlignModes:
     def test_identical_draws_full_mac(self):
@@ -279,3 +293,23 @@ class TestStabilisation:
                                priors_factory=flaky_priors)
         assert 4 in result.failures and "boom" in result.failures[4]
         assert set(np.unique(result.orders)) == {2}
+
+    def test_programming_error_propagates(self, short_benchmark, monkeypatch):
+        import bayes_ssi.modal_posterior as mp
+
+        def broken_run_vb(stats, priors, config):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(mp, "run_vb", broken_run_vb)
+        cfg = VBConfig(max_iter=5, seed=3)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            stabilisation(short_benchmark, 6, [2, 4], cfg, n_draws=10)
+
+    def test_diagnostics_per_order(self, short_benchmark):
+        cfg = VBConfig(max_iter=2, seed=3)
+        result = stabilisation(short_benchmark, 6, [2, 4], cfg, n_draws=10)
+        assert set(result.diagnostics) == {2, 4}
+        for diag in result.diagnostics.values():
+            assert diag["n_iter"] == 2
+            assert diag["converged"] is False
+            assert diag["ms_per_sweep"] > 0

@@ -155,10 +155,11 @@ class TestVbPersistence:
         gen = np.random.default_rng(7)
         data = StackedData(x=gen.standard_normal((4, 40)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
-        post = run_vb(data, priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
+        post = run_vb(data.stats(), priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
         for name in ("vb_manifest.json", "weight_mean.csv", "weight_cov.csv",
-                     "latent_cov.csv", "latent_mean.csv", "mean_loc.csv",
+                     "latent_cov.csv", "latent_map.csv", "latent_centre.csv",
+                     "mean_loc.csv",
                      "mean_cov.csv", "noise_scale_view1.csv",
                      "noise_scale_view2.csv", "elbo_trace.csv"):
             assert (out / name).exists()

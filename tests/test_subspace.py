@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bayes_ssi.rng import Rng
 from bayes_ssi.simulate import TimeSeries, build_shear_frame, discretize, simulate_response, to_continuous_ss
 from bayes_ssi.subspace import (
+    HankelStats,
     IllConditionedError,
     build_hankel,
     cca,
@@ -65,6 +68,45 @@ class TestBuildHankel:
         hp = build_hankel(ts, 3)
         assert np.allclose(hp.past.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(hp.future.mean(axis=1), 0.0, atol=1e-12)
+
+
+class TestHankelStats:
+    @settings(max_examples=80, deadline=None)
+    @given(l=st.integers(1, 5), j=st.integers(1, 6), center=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e3, 1e3),
+           draw=st.data())
+    def test_record_statistics_match_explicit_hankel(self, l, j, center, seed,
+                                                     offset, draw):
+        n = draw.draw(st.integers(2 * j, 300), label="n_samples")
+        gen = np.random.default_rng(seed)
+        data = offset + gen.standard_normal((l, n)) * gen.uniform(0.1, 10.0, (l, 1))
+        ts = TimeSeries(data=data, fs=1.0)
+        hp = build_hankel(ts, j, center=center)
+        x = np.vstack([hp.future, hp.past])
+        centred = x - x.mean(axis=1, keepdims=True)
+        stats = HankelStats.from_record(ts, j, center=center)
+
+        assert stats.n_cols == hp.n_cols
+        assert stats.view_dims == (l * j, l * j)
+        spread = np.max(np.abs(data - data.mean(axis=1, keepdims=True)))
+        gram_scale = hp.n_cols * spread**2
+        assert np.max(np.abs(stats.gram - centred @ centred.T)) <= 1e-12 * gram_scale
+        sum_scale = hp.n_cols * np.max(np.abs(data))
+        assert (np.max(np.abs(stats.n_cols * stats.row_mean - x.sum(axis=1)))
+                <= 1e-12 * sum_scale)
+
+    def test_covariance_blocks_match_hankel_products(self):
+        gen = np.random.default_rng(4)
+        ts = TimeSeries(data=gen.standard_normal((3, 400)) + 2.0, fs=1.0)
+        for center in (True, False):
+            hp = build_hankel(ts, 4, center=center)
+            cb = HankelStats.from_record(ts, 4, center=center).cov_blocks()
+            n = hp.n_cols
+            assert cb.past_past == pytest.approx(hp.past @ hp.past.T / n, rel=1e-12)
+            assert cb.future_future == pytest.approx(hp.future @ hp.future.T / n,
+                                                     rel=1e-12)
+            assert cb.future_past == pytest.approx(hp.future @ hp.past.T / n,
+                                                   rel=1e-12)
 
 
 class TestCovarianceBlocks:

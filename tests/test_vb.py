@@ -16,6 +16,7 @@ from bayes_ssi.vb import (
     expected_noise_precision,
     expected_residual_scatter,
     initial_posterior,
+    latent_means,
     run_vb,
     update_latent_factor,
     update_mean_factor,
@@ -27,6 +28,8 @@ import oracles
 
 
 def random_posterior(gen, view_dims, d, n):
+    """Random surrogate; its latent means are a random affine map of the
+    data columns (``n`` only sets the noise dof)."""
     total = sum(view_dims)
     w_cov = np.empty((d, total, total))
     for i in range(d):
@@ -42,7 +45,8 @@ def random_posterior(gen, view_dims, d, n):
         noise_scale.append(base @ base.T + (dim + 3.0) * np.eye(dim))
     return VBPosterior(
         latent_cov=latent_cov,
-        latent_mean=gen.standard_normal((d, n)),
+        latent_map=gen.standard_normal((d, total)),
+        latent_centre=gen.standard_normal(total),
         weight_mean=gen.standard_normal((total, d)),
         weight_cov=w_cov,
         mean_loc=gen.standard_normal(total),
@@ -53,15 +57,20 @@ def random_posterior(gen, view_dims, d, n):
     )
 
 
-def point_mass_posterior(state: ModelState, view_dims, n, dof_offset=2.0):
+def point_mass_posterior(state: ModelState, data: StackedData, dof_offset=2.0):
     """Surrogate with zero-variance Gaussian factors and the noise factor a
-    point mass at the given state's noise blocks."""
+    point mass at the given state's noise blocks.  The latent map is the
+    least-squares map from the data columns to the state's latent, exact
+    when the latent lies in the data's row space."""
+    view_dims = data.view_dims
+    n = data.n_columns
     total = sum(view_dims)
     d = state.weights.shape[1]
     dofs = [dim + dof_offset + n for dim in view_dims]
     return VBPosterior(
         latent_cov=np.zeros((d, d)),
-        latent_mean=state.latent.copy(),
+        latent_map=state.latent @ np.linalg.pinv(data.x),
+        latent_centre=np.zeros(total),
         weight_mean=state.weights.copy(),
         weight_cov=np.zeros((d, total, total)),
         mean_loc=state.mean.copy(),
@@ -91,18 +100,18 @@ class TestUpdateOracles:
         post.mean_loc[:] = 0.0
         update_latent_factor(post, self.data, self.priors)
         assert post.latent_cov == pytest.approx(np.eye(self.d))
-        assert post.latent_mean == pytest.approx(np.zeros((self.d, self.n)))
+        assert latent_means(post, self.data) == pytest.approx(np.zeros((self.d, self.n)))
 
     def test_point_mass_weights_reproduce_sampling_conditional(self):
         state = ModelState(weights=self.gen.standard_normal((4, self.d)),
                            mean=self.gen.standard_normal(4),
                            noise_cov=[0.5 * np.eye(2), 2.0 * np.eye(2)],
                            latent=self.gen.standard_normal((self.d, self.n)))
-        post = point_mass_posterior(state, self.view_dims, self.n)
+        post = point_mass_posterior(state, self.data)
         update_latent_factor(post, self.data, self.priors)
         means, cov = latent_conditional(state, self.data)
         assert post.latent_cov == pytest.approx(cov, abs=1e-12)
-        assert post.latent_mean == pytest.approx(means, abs=1e-12)
+        assert latent_means(post, self.data) == pytest.approx(means, abs=1e-12)
 
     @pytest.mark.parametrize("update", ["latent", "weight", "noise", "mean"])
     def test_each_update_does_not_decrease_bound(self, update):
@@ -128,7 +137,7 @@ class TestUpdateOracles:
 
     def test_weight_no_information_returns_prior(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
-        post.latent_mean[0] = 0.0
+        post.latent_map[0] = 0.0
         post.latent_cov[0, :] = 0.0
         post.latent_cov[:, 0] = 0.0
         update_weight_factor(post, self.data, self.priors, 0)
@@ -152,7 +161,7 @@ class TestUpdateOracles:
         post.mean_cov[:] = 0.0
         # noise factor: point mass at identity precision
         post.noise_scale = [post.noise_dof[0] * np.eye(dim)]
-        mz = post.latent_mean[0]
+        mz = latent_means(post, data)[0]
         sq = float(mz @ mz) + n * post.latent_cov[0, 0]
         update_weight_factor(post, data, priors, 0)
         assert post.weight_cov[0] == pytest.approx(np.eye(dim) / (sq + 1.0))
@@ -174,7 +183,7 @@ class TestUpdateOracles:
         vw = float(post.weight_cov[0, 0, 0])
         mu = float(post.mean_loc[0])
         vmu = float(post.mean_cov[0, 0])
-        mz = post.latent_mean[0]
+        mz = latent_means(post, data)[0]
         vz = float(post.latent_cov[0, 0])
         expected = 1.5 + sum(
             (x[0, k] - mu - mw * mz[k]) ** 2 + vmu
@@ -195,7 +204,8 @@ class TestUpdateOracles:
         x = w @ z
         data = StackedData(x=x, view_dims=(1, 1))
         priors = default_priors(1, 1, d, noise_scale=2.0)
-        post = point_mass_posterior(state, (1, 1), n)
+        post = point_mass_posterior(state, data)
+        assert latent_means(post, data) == pytest.approx(z, abs=1e-12)
         update_noise_factor(post, data, priors)
         for scale, scale0 in zip(post.noise_scale, priors.noise_scale):
             assert scale == pytest.approx(scale0, abs=1e-12)
@@ -211,7 +221,7 @@ class TestUpdateOracles:
         post = random_posterior(gen, (1, 1), 1, n)
         post.weight_mean[:] = 0.0
         post.weight_cov[:] = 0.0
-        post.latent_mean[:] = 0.0
+        post.latent_map[:] = 0.0
         psi = [float(p) for p in
                (b[0, 0] for b in expected_noise_precision(post))]
         update_mean_factor(post, data, priors)
@@ -227,7 +237,7 @@ class TestUpdateOracles:
         truth = np.array([1.0, -2.0])
         x = truth[:, None] + 0.3 * gen.standard_normal((2, n))
         data = StackedData(x=x, view_dims=(1, 1))
-        post = initial_posterior(data, priors, seed=0)
+        post = initial_posterior(data.stats(), priors, seed=0)
         for _ in range(5):
             update_latent_factor(post, data, priors)
             for i in range(priors.latent_dim):
@@ -238,19 +248,92 @@ class TestUpdateOracles:
         assert np.all(np.abs(post.mean_loc - truth) < 3 * (sd + 0.3 / np.sqrt(n)))
 
 
+def _dense_factors(post, data):
+    return {"latent_mean": latent_means(post, data), "latent_cov": post.latent_cov,
+            "weight_mean": post.weight_mean, "weight_cov": post.weight_cov,
+            "mean_loc": post.mean_loc, "mean_cov": post.mean_cov,
+            "noise_scale": post.noise_scale, "noise_dof": post.noise_dof}
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(np.asarray(b))
+
+
 class TestScatterConsistency:
     def test_gram_path_matches_streaming_path(self):
+        # the statistics-based scatter against the explicit residual matrix
         gen = np.random.default_rng(11)
         n = 33
-        data = StackedData(x=gen.standard_normal((5, n)), view_dims=(2, 3))
+        data = StackedData(x=gen.standard_normal((5, n)) + 3.0, view_dims=(2, 3))
         post = random_posterior(gen, (2, 3), 2, n)
-        direct = expected_residual_scatter(post, data)
-        proj = (data.x @ post.latent_mean.T
-                - np.outer(post.mean_loc, post.latent_mean.sum(axis=1)))
-        grams = expected_residual_scatter(post, data, data.x @ data.x.T,
-                                          data.x.sum(axis=1), proj)
+        grams = expected_residual_scatter(post, data)
+        direct = oracles.vb_residual_scatter_dense(_dense_factors(post, data), data.x,
+                                                   data.view_dims)
         for a, b in zip(direct, grams):
             assert b == pytest.approx(a, rel=1e-9)
+
+
+class TestStatisticsEngine:
+    @pytest.mark.filterwarnings("ignore:bound decreased")
+    @pytest.mark.parametrize("cross_cov", [True, False])
+    @pytest.mark.parametrize("warm_start", [False, True])
+    @pytest.mark.parametrize("coupled_prior", [False, True])
+    def test_run_vb_matches_dense_sweeps(self, cross_cov, warm_start, coupled_prior):
+        gen = np.random.default_rng(21)
+        d, n, sweeps = 2, 150, 6
+        w0 = gen.standard_normal((6, d))
+        x = (w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
+             + gen.uniform(-2.0, 2.0, (6, 1)))
+        data = StackedData(x=x, view_dims=(3, 3))
+        priors = default_priors(3, 3, d, noise_scale=1.0)
+        if coupled_prior:
+            # weight and mean priors that couple the two views
+            base = gen.standard_normal((6, 6))
+            cov = 0.2 * base @ base.T + np.eye(6)
+            priors = PriorHyper(mean_loc=gen.standard_normal(6), mean_cov=cov,
+                                weight_loc=0.1 * gen.standard_normal(6), weight_cov=cov,
+                                noise_scale=priors.noise_scale,
+                                noise_dof=priors.noise_dof, latent_dim=d,
+                                view_dims=(3, 3))
+        cfg = VBConfig(max_iter=sweeps, elbo_rel_tol=1e-300, seed=4,
+                       latent_cross_cov=cross_cov, warm_start=warm_start)
+        post = run_vb(data.stats(), priors, cfg)
+        assert post.n_iter == sweeps
+
+        q = _dense_factors(initial_posterior(data.stats(), priors, 4, warm_start), data)
+        for _ in range(sweeps):
+            q = oracles.vb_sweep_dense(q, data.x, data.view_dims, priors, cross_cov)
+        got = _dense_factors(post, data)
+        for key in ("latent_mean", "latent_cov", "weight_mean", "weight_cov",
+                    "mean_cov"):
+            assert _rel(got[key], q[key]) < 1e-10, key
+        for a, b in zip(got["noise_scale"], q["noise_scale"]):
+            assert _rel(a, b) < 1e-10
+        assert got["noise_dof"] == q["noise_dof"]
+        rms = np.sqrt(np.mean(x**2))
+        assert np.max(np.abs(got["mean_loc"] - q["mean_loc"])) < 1e-10 * rms
+
+    def test_runs_from_record_statistics_without_data_matrix(self):
+        import tracemalloc
+
+        from bayes_ssi.simulate import TimeSeries
+        from bayes_ssi.subspace import HankelStats
+
+        gen = np.random.default_rng(22)
+        ts = TimeSeries(data=gen.standard_normal((4, 2**15)), fs=1.0)
+        stats = HankelStats.from_record(ts, 15)
+        for value in vars(stats).values():
+            assert stats.n_cols not in np.shape(value)
+        data_matrix_bytes = stats.dim * stats.n_cols * 8
+        priors = default_priors(*stats.view_dims, 4)
+        tracemalloc.start()
+        try:
+            post = run_vb(stats, priors, VBConfig(max_iter=3, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert post.n_iter >= 1
+        assert peak < data_matrix_bytes / 10
 
 
 class TestDegeneracyAgainstSampler:
@@ -268,13 +351,13 @@ class TestDegeneracyAgainstSampler:
                            mean=gen.standard_normal(4),
                            noise_cov=[1.2 * np.eye(2), 0.7 * np.eye(2)],
                            latent=gen.standard_normal((d, n)))
-        post = point_mass_posterior(state, view_dims, n)
+        post = point_mass_posterior(state, data)
 
         # latent step
         update_latent_factor(post, data, priors)
         means, cov = latent_conditional(state, data)
         assert post.latent_cov == pytest.approx(cov, abs=1e-10)
-        assert post.latent_mean == pytest.approx(means, abs=1e-10)
+        assert latent_means(post, data) == pytest.approx(means, abs=1e-10)
         post.latent_cov = np.zeros((d, d))
         state.latent = means
 
@@ -314,7 +397,7 @@ class TestRunVb:
             mean_loc=np.zeros(1), mean_cov=np.eye(1), weight_loc=np.zeros(1),
             weight_cov=np.eye(1), noise_scale=(np.array([[1.0]]),),
             noise_dof=(4.0,), latent_dim=1, view_dims=(1,))
-        post = run_vb(data, priors, VBConfig(max_iter=300, elbo_rel_tol=1e-12,
+        post = run_vb(data.stats(), priors, VBConfig(max_iter=300, elbo_rel_tol=1e-12,
                                              seed=3))
         log_z = oracles.log_marginal_quadrature_1d(
             x[0], weight_sd=1.0, mean_sd=1.0, noise_scale=1.0, noise_dof=4.0,
@@ -327,7 +410,7 @@ class TestRunVb:
         gen = np.random.default_rng(13)
         data = StackedData(x=gen.standard_normal((4, 30)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
-        post = run_vb(data, priors, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
+        post = run_vb(data.stats(), priors, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
                                              seed=5))
         settled = post.elbo_trace[-1]
         update_latent_factor(post, data, priors)
@@ -341,7 +424,7 @@ class TestRunVb:
         gen = np.random.default_rng(14)
         data = StackedData(x=gen.standard_normal((4, 60)), view_dims=(2, 2))
         priors = default_priors(2, 2, 2)
-        post = run_vb(data, priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
+        post = run_vb(data.stats(), priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
                                              seed=6))
         trace = np.asarray(post.elbo_trace)
         assert post.converged
@@ -353,10 +436,10 @@ class TestRunVb:
         data = StackedData(x=gen.standard_normal((4, 40)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
         cfg = VBConfig(max_iter=40, elbo_rel_tol=1e-9, seed=11)
-        a = run_vb(data, priors, cfg)
-        b = run_vb(data, priors, cfg)
+        a = run_vb(data.stats(), priors, cfg)
+        b = run_vb(data.stats(), priors, cfg)
         assert np.array_equal(a.weight_mean, b.weight_mean)
-        assert np.array_equal(a.latent_mean, b.latent_mean)
+        assert np.array_equal(a.latent_map, b.latent_map)
         assert a.elbo_trace == b.elbo_trace
 
     def test_dof_offset_invariant(self):
@@ -364,7 +447,7 @@ class TestRunVb:
         n = 25
         data = StackedData(x=gen.standard_normal((4, n)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
-        post = run_vb(data, priors, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
+        post = run_vb(data.stats(), priors, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
                                              seed=2))
         for dof, dof0 in zip(post.noise_dof, priors.noise_dof):
             assert dof - dof0 == n
@@ -373,7 +456,7 @@ class TestRunVb:
         gen = np.random.default_rng(17)
         data = StackedData(x=gen.standard_normal((4, 50)), view_dims=(2, 2))
         priors = default_priors(2, 2, 2)
-        post = run_vb(data, priors, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
+        post = run_vb(data.stats(), priors, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
                                              seed=4, latent_cross_cov=False))
         assert np.all(np.isfinite(post.elbo_trace))
 
@@ -386,8 +469,8 @@ class TestRunVb:
         x = w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
         data = StackedData(x=x, view_dims=(3, 3))
         priors = default_priors(3, 3, d, noise_scale=1.0)
-        cold = run_vb(data, priors, VBConfig(max_iter=500, seed=1))
-        warm = run_vb(data, priors, VBConfig(max_iter=500, seed=1,
+        cold = run_vb(data.stats(), priors, VBConfig(max_iter=500, seed=1))
+        warm = run_vb(data.stats(), priors, VBConfig(max_iter=500, seed=1,
                                              warm_start=True))
         assert warm.n_iter <= cold.n_iter
         assert warm.elbo_trace[-1] >= cold.elbo_trace[-1] - 1e-4 * abs(
