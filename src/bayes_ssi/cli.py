@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import time
 from datetime import datetime, timezone
@@ -41,11 +42,15 @@ from .modal_posterior import (
     stabilisation,
     summarize,
 )
-from .model import PriorHyper, StackedData, default_priors
+from .model import PriorHyper, default_priors
 from .rng import Rng
 from .simulate import build_shear_frame, discretize, simulate_response, to_continuous_ss
 from .spectral import welch_psd
-from .subspace import HankelStats, build_hankel, ssi_cov
+from .subspace import (
+    HankelStats,
+    build_hankel,  # noqa: F401  -- perfbench/tracing.py wraps this attribute
+    ssi_cov,
+)
 from .vb import VBConfig, run_vb
 
 __all__ = [
@@ -96,15 +101,9 @@ class OutputDir:
         if exc_type is not None:
             for target in reversed(self._written):
                 if target.is_dir():
-                    for child in sorted(target.rglob("*"), reverse=True):
-                        if child.is_file():
-                            child.unlink(missing_ok=True)
-                        else:
-                            child.rmdir()
-                    if target.exists():
-                        target.rmdir()
-                elif target.exists():
-                    target.unlink()
+                    shutil.rmtree(target)
+                else:
+                    target.unlink(missing_ok=True)
         self._lock.unlink(missing_ok=True)
         return False
 
@@ -284,8 +283,8 @@ def cmd_simulate(cfg: dict) -> Path:
 
 
 def cmd_identify(cfg: dict) -> Path:
-    """Hankel -> engine -> modal posterior, with a classical point estimate
-    as the alignment reference."""
+    """Hankel statistics -> engine -> modal posterior, with a classical point
+    estimate as the alignment reference."""
     started = time.time()
     ts = _load_input(cfg)
     j = cfg["block_rows"]
@@ -336,8 +335,9 @@ def cmd_identify(cfg: dict) -> Path:
                                        thinning=cfg.get("thin", 1),
                                        seed=cfg["seed"],
                                        warm_start=cfg.get("warm_start", False))
-            data = StackedData.from_hankel(build_hankel(ts, j, center=center))
-            chain = run_gibbs(data, priors, gibbs_config)
+            chain = run_gibbs(HankelStats.from_record(ts, j, center=center), priors,
+                              gibbs_config)
+            diagnostics = chain.diagnostics()
             save_chain(out.subdir("chain"), chain,
                        extra_meta={"priors": describe_priors(priors)})
             draws = chain_observability_samples(chain)

@@ -1,32 +1,45 @@
 """Gibbs sampler for the hierarchical latent-projection model.
 
 Each sweep draws the per-view noise blocks, the mean, every weight column
-(new columns are used immediately within the sweep) and the latent matrix
-from their full conditionals, in that order.  Conditional-parameter
-functions are exposed separately from the draws so they can be checked
-against closed-form oracles and against the variational updates.
+(new columns are used immediately within the sweep) and the latent
+variables from their full conditionals, in that order.
 
-The update functions accept optional precomputed quantities (current
-residual, block precision, prior precision); ``run_gibbs`` passes them to
-avoid recomputing invariants inside the sweep, which does not change any
-draw.
+Given the latent matrix Z, the noise, mean and weight conditionals see the
+data X only through its statistics (:class:`~bayes_ssi.subspace.HankelStats`:
+the Gram G of the columns about their row means m, m itself and the column
+count N) and through the latent statistics (X - m 1^T) Z^T, Z Z^T and Z 1
+(:class:`LatentStats`).  ``run_gibbs`` therefore never forms X or Z: each
+sweep draws the latent statistics exactly from the latent conditional, so a
+sweep costs the same at any N.  The public ``*_conditional`` and
+``update_*`` functions take explicit (X, Z), build both sets of statistics
+and call the kernel the engine sweeps with; ``latent_conditional`` and
+``update_latent`` keep the explicit d x N latent matrix.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .model import ModelState, PriorHyper, StackedData
-from .rng import Rng, sample_inverse_wishart, spd_cholesky, spd_inverse, symmetrize
+from .model import ModelState, PriorHyper, StackedData, view_slices
+from .rng import (
+    Rng,
+    _bartlett_factor,
+    sample_inverse_wishart,
+    spd_cholesky,
+    spd_inverse,
+    symmetrize,
+)
 from .subspace import HankelStats, cca, chol_with_jitter
 
 __all__ = [
     "GibbsConfig",
     "GibbsChain",
+    "LatentStats",
     "noise_conditionals",
     "mean_conditional",
     "weight_column_conditional",
@@ -72,12 +85,7 @@ class GibbsConfig:
 
 @dataclass
 class GibbsChain:
-    """Retained draws, one leading axis entry per record.
-
-    Every conditional draw is accepted by construction, so the acceptance
-    rate is identically one; it is recorded for interface parity with
-    proposal-based samplers.
-    """
+    """Retained draws, one leading axis entry per record."""
 
     weight_samples: np.ndarray          # n_records x D x d
     mean_samples: np.ndarray            # n_records x D
@@ -85,25 +93,41 @@ class GibbsChain:
     view_dims: tuple[int, ...]
     config: GibbsConfig
     elapsed_s: float = 0.0
-    acceptance_rate: float = 1.0
 
     @property
     def n_records(self) -> int:
         return self.weight_samples.shape[0]
 
+    def diagnostics(self) -> dict:
+        """Run summary: sweeps run, records kept and wall-clock
+        milliseconds per sweep."""
+        n_sweeps = self.config.n_samples
+        return {"n_sweeps": n_sweeps, "n_records": self.n_records,
+                "ms_per_sweep": 1e3 * self.elapsed_s / n_sweeps}
 
-def _residual(state: ModelState, data: StackedData) -> np.ndarray:
-    resid = data.x - state.mean[:, None]
-    np.subtract(resid, state.weights @ state.latent, out=resid)
-    return resid
+
+@dataclass(frozen=True)
+class LatentStats:
+    """Sufficient statistics of a d x N latent matrix Z against data X whose
+    rows have means m: (X - m 1^T) Z^T, Z Z^T and Z 1."""
+
+    cross: np.ndarray    # D x d
+    gram: np.ndarray     # d x d
+    total: np.ndarray    # d
+
+    @classmethod
+    def from_latent(cls, x: np.ndarray, row_mean: np.ndarray,
+                    latent: np.ndarray) -> "LatentStats":
+        return cls(cross=(x - row_mean[:, None]) @ latent.T,
+                   gram=symmetrize(latent @ latent.T), total=latent.sum(axis=1))
 
 
-def _block_precision(state: ModelState) -> np.ndarray:
+def _block_precision(noise_cov: list[np.ndarray]) -> np.ndarray:
     """Dense block-diagonal inverse of the noise covariance."""
-    dims = [cov.shape[0] for cov in state.noise_cov]
+    dims = [cov.shape[0] for cov in noise_cov]
     prec = np.zeros((sum(dims), sum(dims)))
     start = 0
-    for cov, dim in zip(state.noise_cov, dims):
+    for cov, dim in zip(noise_cov, dims):
         prec[start:start + dim, start:start + dim] = spd_inverse(cov, "noise_cov")
         start += dim
     return prec
@@ -116,159 +140,261 @@ def _draw_from_natural(prec_chol: np.ndarray, mean: np.ndarray,
                                    check_finite=False)
 
 
+def _chol_cov(prec_chol: np.ndarray) -> np.ndarray:
+    """Covariance prec^-1 from chol(prec)."""
+    return symmetrize(cho_solve((prec_chol, True), np.eye(prec_chol.shape[0]),
+                                check_finite=False))
+
+
+def _gram_factor(gram: np.ndarray) -> np.ndarray:
+    """D x r factor F with F F^T = gram, r the numerical rank of the
+    positive semi-definite ``gram``."""
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > max(vals[-1], 0.0) * gram.shape[0] * np.finfo(float).eps
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _latent_natural(weights: np.ndarray, prec: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(chol of the shared conditional precision P, map A = P^-1 W^T prec)
+    of the latent conditional z_n | x_n ~ N(A (x_n - mean), P^-1)."""
+    d = weights.shape[1]
+    prec_w = prec @ weights                      # D x d
+    post_chol = spd_cholesky(symmetrize(weights.T @ prec_w + np.eye(d)),
+                             "latent conditional precision")
+    return post_chol, cho_solve((post_chol, True), prec_w.T, check_finite=False)
+
+
+class _Kernel:
+    """The noise, mean and weight-column full conditionals on one set of
+    data statistics, and the exact draw of the latent statistics.
+
+    Invariants are computed once, on first use, so the explicit-data
+    wrappers pay only for the conditional they evaluate."""
+
+    def __init__(self, stats: HankelStats, priors: PriorHyper):
+        self.stats = stats
+        self.priors = priors
+        self.slices = view_slices(stats.view_dims)
+
+    @cached_property
+    def mean_prior(self) -> tuple[np.ndarray, np.ndarray]:
+        """(precision, precision @ location) of the mean prior."""
+        prec = spd_inverse(self.priors.mean_cov, "mean_cov")
+        return prec, prec @ self.priors.mean_loc
+
+    @cached_property
+    def weight_prior(self) -> tuple[np.ndarray, np.ndarray]:
+        """(precision, precision @ location) of the weight-column prior."""
+        prec = spd_inverse(self.priors.weight_cov, "weight_cov")
+        return prec, prec @ self.priors.weight_loc
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Rank-revealing factor F of the centred data Gram, F F^T = G."""
+        return _gram_factor(self.stats.gram)
+
+    def residual_scatter(self, weights: np.ndarray, mean: np.ndarray,
+                         lat: LatentStats) -> np.ndarray:
+        """sum_n (x_n - mean - W z_n)(x_n - mean - W z_n)^T, expanded about
+        the row means so only D x D and D x d arrays appear."""
+        dev = self.stats.row_mean - mean
+        fitted = weights @ lat.total
+        scatter = self.stats.gram + self.stats.n_cols * np.outer(dev, dev)
+        scatter -= lat.cross @ weights.T + weights @ lat.cross.T
+        scatter -= np.outer(dev, fitted) + np.outer(fitted, dev)
+        scatter += weights @ lat.gram @ weights.T
+        return symmetrize(scatter)
+
+    def noise_conditionals(self, weights: np.ndarray, mean: np.ndarray,
+                           lat: LatentStats) -> list[tuple[np.ndarray, float]]:
+        scatter = self.residual_scatter(weights, mean, lat)
+        return [(symmetrize(scale0 + scatter[sl, sl]), dof0 + self.stats.n_cols)
+                for sl, scale0, dof0 in zip(self.slices, self.priors.noise_scale,
+                                            self.priors.noise_dof)]
+
+    def mean_natural(self, weights: np.ndarray, lat: LatentStats,
+                     prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(chol of conditional precision, conditional mean) for the mean."""
+        n = self.stats.n_cols
+        prior_prec, prior_rhs = self.mean_prior
+        post_chol = spd_cholesky(symmetrize(n * prec + prior_prec),
+                                 "mean conditional precision")
+        # sum over columns of (x_n - W z_n)
+        demeaned_sum = n * self.stats.row_mean - weights @ lat.total
+        post_mean = cho_solve((post_chol, True), prec @ demeaned_sum + prior_rhs,
+                              check_finite=False)
+        return post_chol, post_mean
+
+    def weight_natural(self, weights: np.ndarray, mean: np.ndarray,
+                       lat: LatentStats, prec: np.ndarray, i: int,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(chol of conditional precision, conditional mean) for weight column i."""
+        sq_sum = lat.gram[i, i]
+        prior_prec, prior_rhs = self.weight_prior
+        post_chol = spd_cholesky(symmetrize(sq_sum * prec + prior_prec),
+                                 "weight conditional precision")
+        # sum over columns of (x_n - mean - sum_{k != i} w_k z_kn) z_in
+        data_term = (lat.cross[:, i] + (self.stats.row_mean - mean) * lat.total[i]
+                     - weights @ lat.gram[:, i] + weights[:, i] * sq_sum)
+        post_mean = cho_solve((post_chol, True), prec @ data_term + prior_rhs,
+                              check_finite=False)
+        return post_chol, post_mean
+
+    def draw_noise(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
+                   rng: Rng) -> list[np.ndarray]:
+        return [sample_inverse_wishart(rng, scale, dof)
+                for scale, dof in self.noise_conditionals(weights, mean, lat)]
+
+    def draw_mean(self, weights: np.ndarray, lat: LatentStats, prec: np.ndarray,
+                  rng: Rng) -> np.ndarray:
+        post_chol, post_mean = self.mean_natural(weights, lat, prec)
+        return _draw_from_natural(post_chol, post_mean,
+                                  rng.generator.standard_normal(post_mean.size))
+
+    def draw_weight_column(self, weights: np.ndarray, mean: np.ndarray,
+                           lat: LatentStats, prec: np.ndarray, i: int,
+                           rng: Rng) -> np.ndarray:
+        post_chol, post_mean = self.weight_natural(weights, mean, lat, prec, i)
+        return _draw_from_natural(post_chol, post_mean,
+                                  rng.generator.standard_normal(post_mean.size))
+
+    def draw_latent(self, weights: np.ndarray, mean: np.ndarray, prec: np.ndarray,
+                    rng: Rng | None) -> LatentStats:
+        """Statistics of a latent matrix drawn from its full conditional, or
+        of the conditional means when ``rng`` is None."""
+        post_chol, proj = _latent_natural(weights, prec)
+        return self._latent_stats(post_chol, proj, proj @ (self.stats.row_mean - mean),
+                                  rng)
+
+    def draw_prior_latent(self, d: int, rng: Rng) -> LatentStats:
+        """Statistics of a standard-normal d x N latent matrix."""
+        return self._latent_stats(np.eye(d), np.zeros((d, self.stats.dim)),
+                                  np.zeros(d), rng)
+
+    def _latent_stats(self, chol: np.ndarray, proj: np.ndarray, shift: np.ndarray,
+                      rng: Rng | None) -> LatentStats:
+        """Statistics of Z = proj (X - m 1^T) + shift 1^T + chol^-T E, with E
+        a d x N standard-normal matrix (zero when ``rng`` is None), drawn
+        exactly without forming X, Z or E.
+
+        [X - m 1^T; 1^T] = blockdiag(F, sqrt(N)) Q with Q of r + 1
+        orthonormal rows.  Then H = Q E^T is an (r + 1) x d standard-normal
+        matrix and E E^T = H^T H + Wishart(I_d, N - r - 1), independent of
+        H.  With K = [proj F, sqrt(N) shift] + chol^-T H^T:
+        (X - m 1^T) Z^T = F K_F^T, Z 1 = sqrt(N) K_1 and
+        Z Z^T = K K^T + chol^-T Wishart chol^-1.
+        """
+        factor = self.factor
+        n = self.stats.n_cols
+        d = chol.shape[0]
+        rank = factor.shape[1] + 1
+        k = np.empty((d, rank))
+        k[:, :-1] = proj @ factor
+        k[:, -1] = np.sqrt(n) * shift
+        spare = None
+        if rng is not None:
+            k += solve_triangular(chol.T, rng.generator.standard_normal((d, rank)),
+                                  lower=False, check_finite=False)
+            dof = n - rank
+            if dof >= d:
+                spare = _bartlett_factor(rng, d, dof)
+            elif dof > 0:
+                spare = rng.generator.standard_normal((d, dof))
+        gram = k @ k.T
+        if spare is not None:
+            spare = solve_triangular(chol.T, spare, lower=False, check_finite=False)
+            gram += spare @ spare.T
+        return LatentStats(cross=factor @ k[:, :-1].T, gram=symmetrize(gram),
+                           total=np.sqrt(n) * k[:, -1])
+
+
+def _explicit(state: ModelState, data: StackedData, priors: PriorHyper,
+              ) -> tuple[_Kernel, LatentStats]:
+    """The engine's kernel and the latent statistics of explicit data and
+    an explicit latent matrix."""
+    stats = data.stats()
+    return _Kernel(stats, priors), LatentStats.from_latent(data.x, stats.row_mean,
+                                                          state.latent)
+
+
 def noise_conditionals(state: ModelState, data: StackedData, priors: PriorHyper,
-                       resid: np.ndarray | None = None,
                        ) -> list[tuple[np.ndarray, float]]:
     """Per-view (scale, dof) of the inverse-Wishart full conditional."""
-    if resid is None:
-        resid = _residual(state, data)
-    n = data.n_columns
-    out = []
-    for sl, scale0, dof0 in zip(data.slices(), priors.noise_scale, priors.noise_dof):
-        block = resid[sl]
-        out.append((symmetrize(scale0 + block @ block.T), dof0 + n))
-    return out
-
-
-def _mean_natural(state: ModelState, data: StackedData, priors: PriorHyper,
-                  resid: np.ndarray | None = None,
-                  prec: np.ndarray | None = None,
-                  prior_prec: np.ndarray | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(chol of conditional precision, conditional mean) for the mean."""
-    if resid is None:
-        resid = _residual(state, data)
-    if prec is None:
-        prec = _block_precision(state)
-    if prior_prec is None:
-        prior_prec = spd_inverse(priors.mean_cov, "mean_cov")
-    n = data.n_columns
-    # sum over columns of (x_n - W z_n) = residual sum + N * current mean
-    demeaned_sum = resid.sum(axis=1) + n * state.mean
-    post_prec = symmetrize(n * prec + prior_prec)
-    post_chol = spd_cholesky(post_prec, "mean conditional precision")
-    rhs = prec @ demeaned_sum + prior_prec @ priors.mean_loc
-    post_mean = cho_solve((post_chol, True), rhs, check_finite=False)
-    return post_chol, post_mean
+    kernel, lat = _explicit(state, data, priors)
+    return kernel.noise_conditionals(state.weights, state.mean, lat)
 
 
 def mean_conditional(state: ModelState, data: StackedData, priors: PriorHyper,
-                     resid: np.ndarray | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(mean, cov) of the Gaussian full conditional of the mean vector."""
-    post_chol, post_mean = _mean_natural(state, data, priors, resid)
-    post_cov = symmetrize(cho_solve((post_chol, True), np.eye(priors.dim),
-                                    check_finite=False))
-    return post_mean, post_cov
-
-
-def _weight_column_natural(state: ModelState, data: StackedData, priors: PriorHyper,
-                           i: int, resid: np.ndarray | None = None,
-                           prec: np.ndarray | None = None,
-                           prior_prec: np.ndarray | None = None,
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """(chol of conditional precision, conditional mean) for weight column i."""
-    if resid is None:
-        resid = _residual(state, data)
-    if prec is None:
-        prec = _block_precision(state)
-    if prior_prec is None:
-        prior_prec = spd_inverse(priors.weight_cov, "weight_cov")
-    z_row = state.latent[i]
-    sq_sum = float(z_row @ z_row)
-    post_prec = symmetrize(sq_sum * prec + prior_prec)
-    post_chol = spd_cholesky(post_prec, "weight conditional precision")
-    # residual with column i added back: x - mean - sum_{k != i} w_k z_k
-    data_term = resid @ z_row + state.weights[:, i] * sq_sum
-    rhs = prec @ data_term + prior_prec @ priors.weight_loc
-    post_mean = cho_solve((post_chol, True), rhs, check_finite=False)
-    return post_chol, post_mean
+    kernel, lat = _explicit(state, data, priors)
+    post_chol, post_mean = kernel.mean_natural(state.weights, lat,
+                                               _block_precision(state.noise_cov))
+    return post_mean, _chol_cov(post_chol)
 
 
 def weight_column_conditional(state: ModelState, data: StackedData,
                               priors: PriorHyper, i: int,
-                              resid: np.ndarray | None = None,
                               ) -> tuple[np.ndarray, np.ndarray]:
     """(mean, cov) of the Gaussian full conditional of weight column ``i``."""
-    post_chol, post_mean = _weight_column_natural(state, data, priors, i, resid)
-    post_cov = symmetrize(cho_solve((post_chol, True), np.eye(priors.dim),
-                                    check_finite=False))
-    return post_mean, post_cov
-
-
-def _latent_natural(state: ModelState, data: StackedData,
-                    prec: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(chol of shared conditional precision, conditional means) for the
-    latent columns."""
-    if prec is None:
-        prec = _block_precision(state)
-    d = state.latent.shape[0]
-    prec_w = prec @ state.weights                      # D x d
-    post_prec = symmetrize(state.weights.T @ prec_w + np.eye(d))
-    post_chol = spd_cholesky(post_prec, "latent conditional precision")
-    centred = data.x - state.mean[:, None]
-    projected = cho_solve((post_chol, True), prec_w.T, check_finite=False)
-    means = projected @ centred
-    return post_chol, means
+    kernel, lat = _explicit(state, data, priors)
+    post_chol, post_mean = kernel.weight_natural(
+        state.weights, state.mean, lat, _block_precision(state.noise_cov), i)
+    return post_mean, _chol_cov(post_chol)
 
 
 def latent_conditional(state: ModelState, data: StackedData,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(means, shared cov) of the latent columns' Gaussian full conditional."""
-    post_chol, means = _latent_natural(state, data)
-    d = state.latent.shape[0]
-    post_cov = symmetrize(cho_solve((post_chol, True), np.eye(d),
-                                    check_finite=False))
-    return means, post_cov
+    post_chol, proj = _latent_natural(state.weights, _block_precision(state.noise_cov))
+    return proj @ (data.x - state.mean[:, None]), _chol_cov(post_chol)
 
 
-def update_noise(state: ModelState, data: StackedData, priors: PriorHyper, rng: Rng,
-                 resid: np.ndarray | None = None) -> None:
-    for m, (scale, dof) in enumerate(noise_conditionals(state, data, priors, resid)):
-        state.noise_cov[m] = sample_inverse_wishart(rng, scale, dof)
+def update_noise(state: ModelState, data: StackedData, priors: PriorHyper,
+                 rng: Rng) -> None:
+    kernel, lat = _explicit(state, data, priors)
+    state.noise_cov[:] = kernel.draw_noise(state.weights, state.mean, lat, rng)
 
 
-def update_mean(state: ModelState, data: StackedData, priors: PriorHyper, rng: Rng,
-                resid: np.ndarray | None = None, prec: np.ndarray | None = None,
-                prior_prec: np.ndarray | None = None) -> None:
-    post_chol, post_mean = _mean_natural(state, data, priors, resid, prec, prior_prec)
-    noise = rng.generator.standard_normal(post_mean.size)
-    state.mean = _draw_from_natural(post_chol, post_mean, noise)
+def update_mean(state: ModelState, data: StackedData, priors: PriorHyper,
+                rng: Rng) -> None:
+    kernel, lat = _explicit(state, data, priors)
+    state.mean = kernel.draw_mean(state.weights, lat,
+                                  _block_precision(state.noise_cov), rng)
 
 
 def update_weight_column(state: ModelState, data: StackedData, priors: PriorHyper,
-                         i: int, rng: Rng, resid: np.ndarray | None = None,
-                         prec: np.ndarray | None = None,
-                         prior_prec: np.ndarray | None = None) -> None:
-    post_chol, post_mean = _weight_column_natural(state, data, priors, i,
-                                                  resid, prec, prior_prec)
-    noise = rng.generator.standard_normal(post_mean.size)
-    state.weights[:, i] = _draw_from_natural(post_chol, post_mean, noise)
+                         i: int, rng: Rng) -> None:
+    kernel, lat = _explicit(state, data, priors)
+    state.weights[:, i] = kernel.draw_weight_column(
+        state.weights, state.mean, lat, _block_precision(state.noise_cov), i, rng)
 
 
-def update_latent(state: ModelState, data: StackedData, rng: Rng,
-                  prec: np.ndarray | None = None) -> None:
-    post_chol, means = _latent_natural(state, data, prec)
-    noise = rng.generator.standard_normal(means.shape)
-    state.latent = _draw_from_natural(post_chol, means, noise)
+def update_latent(state: ModelState, data: StackedData, rng: Rng) -> None:
+    post_chol, proj = _latent_natural(state.weights, _block_precision(state.noise_cov))
+    means = proj @ (data.x - state.mean[:, None])
+    state.latent = _draw_from_natural(post_chol, means,
+                                      rng.generator.standard_normal(means.shape))
 
 
-def initial_state(data: StackedData, priors: PriorHyper, rng: Rng,
-                  warm_start: bool = False) -> ModelState:
-    """Draw a starting point from the priors, or optionally warm start at
-    the classical maximum-likelihood point for slow-mixing problems."""
-    if warm_start:
-        return _warm_start_state(data, priors)
-    d = priors.latent_dim
+def _prior_point(priors: PriorHyper, rng: Rng,
+                 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(weights, mean, per-view noise blocks) drawn from the priors."""
     noise = [sample_inverse_wishart(rng, scale, dof)
              for scale, dof in zip(priors.noise_scale, priors.noise_dof)]
     mean_chol = spd_cholesky(priors.mean_cov)
     mean = priors.mean_loc + mean_chol @ rng.generator.standard_normal(priors.dim)
     w_chol = spd_cholesky(priors.weight_cov)
     weights = (priors.weight_loc[:, None]
-               + w_chol @ rng.generator.standard_normal((priors.dim, d)))
-    latent = rng.generator.standard_normal((d, data.n_columns))
+               + w_chol @ rng.generator.standard_normal((priors.dim, priors.latent_dim)))
+    return weights, mean, noise
+
+
+def initial_state(data: StackedData, priors: PriorHyper, rng: Rng) -> ModelState:
+    """Draw a starting point, latent matrix included, from the priors."""
+    weights, mean, noise = _prior_point(priors, rng)
+    latent = rng.generator.standard_normal((priors.latent_dim, data.n_columns))
     return ModelState(weights=weights, mean=mean, noise_cov=noise, latent=latent)
 
 
@@ -298,117 +424,46 @@ def warm_start_point(stats: HankelStats, priors: PriorHyper,
     return weights, stats.row_mean.copy(), noise
 
 
-def _warm_start_state(data: StackedData, priors: PriorHyper) -> ModelState:
-    """Maximum-likelihood point with the latent at its conditional mean."""
-    weights, mean, noise = warm_start_point(data.stats(), priors)
-    state = ModelState(weights=weights, mean=mean, noise_cov=noise,
-                       latent=np.zeros((priors.latent_dim, data.n_columns)))
-    state.latent, _ = latent_conditional(state, data)
-    return state
+def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> GibbsChain:
+    """Run the sampler on the data statistics and return the retained records.
 
-
-def _scatter_from_grams(data_gram: np.ndarray, data_sum: np.ndarray,
-                        cross_gram: np.ndarray, latent_gram: np.ndarray,
-                        latent_sum: np.ndarray, weights: np.ndarray,
-                        mean: np.ndarray, n: int) -> np.ndarray:
-    """Residual scatter sum_n r_n r_n^T expanded through Gram matrices.
-
-    Touches only small (D x D, D x d) arrays: the data Gram X X^T and row
-    sum are precomputed once per run, the data-latent cross Gram X Z^T once
-    per sweep.
-    """
-    fitted = weights @ latent_sum
-    scatter = data_gram - np.outer(data_sum, mean) - np.outer(mean, data_sum)
-    scatter -= cross_gram @ weights.T + weights @ cross_gram.T
-    scatter += n * np.outer(mean, mean)
-    scatter += np.outer(mean, fitted) + np.outer(fitted, mean)
-    scatter += weights @ latent_gram @ weights.T
-    return symmetrize(scatter)
-
-
-def run_gibbs(data: StackedData, priors: PriorHyper, config: GibbsConfig) -> GibbsChain:
-    """Run the sampler and return the retained records.
-
-    Deterministic given (seed, config, data): reruns reproduce the chain
-    bit for bit.  The sweep evaluates the same full conditionals as the
-    public update functions but through per-sweep Gram matrices, so the
-    large data matrix is streamed only twice per sweep.
+    The chain starts from a prior draw (latent statistics included) or,
+    with ``config.warm_start``, at :func:`warm_start_point` with the latent
+    statistics at their conditional means.  Deterministic given (seed,
+    config, stats): reruns reproduce the chain bit for bit.  A sweep costs
+    O(D^3 d) whatever the column count.
     """
     rng = Rng(config.seed, stream=1)
-    state = initial_state(data, priors, rng, warm_start=config.warm_start)
+    kernel = _Kernel(stats, priors)
     d = priors.latent_dim
-    n = data.n_columns
     n_records = config.n_records
-    total_dim = priors.dim
-    slices = data.slices()
+    if config.warm_start:
+        weights, mean, noise = warm_start_point(stats, priors)
+        lat = kernel.draw_latent(weights, mean, _block_precision(noise), None)
+    else:
+        weights, mean, noise = _prior_point(priors, rng)
+        lat = kernel.draw_prior_latent(d, rng)
 
-    prior_mean_prec = spd_inverse(priors.mean_cov, "mean_cov")
-    prior_mean_rhs = prior_mean_prec @ priors.mean_loc
-    prior_weight_prec = spd_inverse(priors.weight_cov, "weight_cov")
-    prior_weight_rhs = prior_weight_prec @ priors.weight_loc
-    stats = data.stats()
-    data_gram = stats.raw_gram()
-    data_sum = n * stats.row_mean
-
-    weight_samples = np.empty((n_records, total_dim, d))
-    mean_samples = np.empty((n_records, total_dim))
+    weight_samples = np.empty((n_records, priors.dim, d))
+    mean_samples = np.empty((n_records, priors.dim))
     noise_samples = [np.empty((n_records, dim, dim)) for dim in priors.view_dims]
 
     start = time.perf_counter()
     record = 0
     for sweep in range(1, config.n_samples + 1):
-        cross_gram = data.x @ state.latent.T            # D x d
-        latent_gram = state.latent @ state.latent.T     # d x d
-        latent_sum = state.latent.sum(axis=1)
-
-        # noise blocks
-        scatter = _scatter_from_grams(data_gram, data_sum, cross_gram,
-                                      latent_gram, latent_sum, state.weights,
-                                      state.mean, n)
-        for m, (sl, scale0, dof0) in enumerate(zip(slices, priors.noise_scale,
-                                                   priors.noise_dof)):
-            state.noise_cov[m] = sample_inverse_wishart(
-                rng, symmetrize(scale0 + scatter[sl, sl]), dof0 + n)
-        prec = _block_precision(state)
-
-        # mean
-        demeaned_sum = data_sum - state.weights @ latent_sum
-        post_prec = symmetrize(n * prec + prior_mean_prec)
-        post_chol = spd_cholesky(post_prec, "mean conditional precision")
-        post_mean = cho_solve((post_chol, True), prec @ demeaned_sum + prior_mean_rhs,
-                              check_finite=False)
-        state.mean = _draw_from_natural(
-            post_chol, post_mean, rng.generator.standard_normal(total_dim))
-
+        noise = kernel.draw_noise(weights, mean, lat, rng)
+        prec = _block_precision(noise)
+        mean = kernel.draw_mean(weights, lat, prec, rng)
         # weight columns, refreshed in place within the sweep
         for i in range(d):
-            sq_sum = latent_gram[i, i]
-            post_prec = symmetrize(sq_sum * prec + prior_weight_prec)
-            post_chol = spd_cholesky(post_prec, "weight conditional precision")
-            data_term = (cross_gram[:, i] - state.mean * latent_sum[i]
-                         - state.weights @ latent_gram[:, i]
-                         + state.weights[:, i] * sq_sum)
-            post_mean = cho_solve((post_chol, True),
-                                  prec @ data_term + prior_weight_rhs,
-                                  check_finite=False)
-            state.weights[:, i] = _draw_from_natural(
-                post_chol, post_mean, rng.generator.standard_normal(total_dim))
-
-        # latent columns
-        prec_w = prec @ state.weights
-        post_prec = symmetrize(state.weights.T @ prec_w + np.eye(d))
-        post_chol = spd_cholesky(post_prec, "latent conditional precision")
-        projected = cho_solve((post_chol, True), prec_w.T, check_finite=False)
-        means = projected @ data.x
-        means -= (projected @ state.mean)[:, None]
-        state.latent = _draw_from_natural(
-            post_chol, means, rng.generator.standard_normal((d, n)))
+            weights[:, i] = kernel.draw_weight_column(weights, mean, lat, prec, i, rng)
+        lat = kernel.draw_latent(weights, mean, prec, rng)
 
         kept = sweep > config.n_burn and (sweep - config.n_burn) % config.thinning == 0
         if kept and record < n_records:
-            weight_samples[record] = state.weights
-            mean_samples[record] = state.mean
-            for m, block in enumerate(state.noise_cov):
+            weight_samples[record] = weights
+            mean_samples[record] = mean
+            for m, block in enumerate(noise):
                 noise_samples[m][record] = block
             record += 1
     elapsed = time.perf_counter() - start

@@ -1,14 +1,16 @@
-"""CSV/JSON artifact ingestion and persistence.
+"""CSV/JSON/.npy artifact ingestion and persistence.
 
 All numeric CSV output is written with 17 significant digits so 64-bit
-floats round-trip exactly; reruns with the same seed therefore reproduce
-byte-identical files.  Matrix-per-row files vectorize column-major, as
-stated in the accompanying manifests.
+floats round-trip exactly.  Engine containers (the Gibbs chain and the
+variational factors) hold one ``.npy`` file per array, shape kept, next to
+a JSON manifest.  Reruns with the same seed therefore reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -87,9 +89,21 @@ def ingest_csv(path, fs: float) -> TimeSeries:
         if len(rows) == 1:
             raise ValueError(f"{path}: no data rows below the header") from None
 
-    width = len(rows[header_offset])
-    data = np.empty((len(rows) - header_offset, width))
-    for r, row in enumerate(rows[header_offset:], start=1):
+    body = rows[header_offset:]
+    width = len(body[0])
+    data = None
+    if all(len(row) == width for row in body):
+        try:
+            data = np.fromiter(itertools.chain.from_iterable(body), dtype=float,
+                               count=len(body) * width).reshape(len(body), width)
+        except ValueError:
+            data = None
+    if data is not None and np.isfinite(data).all():
+        return TimeSeries(data=data.T.copy(), fs=float(fs))
+
+    # slow path, only to name the offending row
+    data = np.empty((len(body), width))
+    for r, row in enumerate(body, start=1):
         if len(row) != width:
             raise ValueError(
                 f"{path}: ragged row {r}: expected {width} cells, got {len(row)}"
@@ -132,25 +146,36 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _flatten_records(records: np.ndarray) -> np.ndarray:
-    """Stack of matrices -> one column-major row per record."""
-    n = records.shape[0]
-    return records.reshape(n, -1, order="F").copy() if records.ndim == 3 else records
+def _save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> dict:
+    """One ``<name>.npy`` file per array, shape kept; returns the shapes
+    for the manifest."""
+    for name, arr in arrays.items():
+        np.save(directory / f"{name}.npy", np.asarray(arr, dtype=float),
+                allow_pickle=False)
+    return {name: list(np.shape(arr)) for name, arr in arrays.items()}
+
+
+def _load_array(directory: Path, name: str) -> np.ndarray:
+    return np.load(directory / f"{name}.npy", allow_pickle=False)
 
 
 def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> Path:
-    """Persist a chain: JSON manifest plus one CSV per parameter, one row
-    per retained sample, matrices vectorized column-major."""
+    """Persist a chain: JSON manifest plus one ``.npy`` file per parameter
+    with the record index leading (``w_samples`` n x D x d,
+    ``mu_samples`` n x D, ``sigma_view{m}_samples`` n x D_m x D_m)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     total_dim, d = chain.weight_samples.shape[1:]
+    arrays = {"w_samples": chain.weight_samples, "mu_samples": chain.mean_samples}
+    for m, block in enumerate(chain.noise_samples, start=1):
+        arrays[f"sigma_view{m}_samples"] = block
     manifest = {
         "kind": "gibbs_chain",
         "n_records": chain.n_records,
         "dim": total_dim,
         "latent_dim": d,
         "view_dims": list(chain.view_dims),
-        "vectorization": "column-major",
+        "arrays": _save_arrays(directory, arrays),
         "config": {
             "n_samples": chain.config.n_samples,
             "burn_in_fraction": chain.config.burn_in_fraction,
@@ -162,11 +187,6 @@ def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> 
     if extra_meta:
         manifest.update(extra_meta)
     write_json(directory / "chain_manifest.json", manifest)
-    write_matrix_csv(directory / "w_samples.csv", _flatten_records(chain.weight_samples))
-    write_matrix_csv(directory / "mu_samples.csv", chain.mean_samples)
-    for m, block in enumerate(chain.noise_samples, start=1):
-        write_matrix_csv(directory / f"sigma_view{m}_samples.csv",
-                         _flatten_records(block))
     return directory
 
 
@@ -174,29 +194,23 @@ def load_chain(directory) -> GibbsChain:
     directory = Path(directory)
     with open(directory / "chain_manifest.json") as fh:
         manifest = json.load(fh)
-    total_dim = manifest["dim"]
-    d = manifest["latent_dim"]
     view_dims = tuple(manifest["view_dims"])
-    n = manifest["n_records"]
-    weights = read_matrix_csv(directory / "w_samples.csv").reshape(
-        n, total_dim, d, order="F")
-    means = read_matrix_csv(directory / "mu_samples.csv").reshape(n, total_dim)
-    noise = []
-    for m, dim in enumerate(view_dims, start=1):
-        noise.append(read_matrix_csv(directory / f"sigma_view{m}_samples.csv")
-                     .reshape(n, dim, dim, order="F"))
+    noise = [_load_array(directory, f"sigma_view{m}_samples")
+             for m in range(1, len(view_dims) + 1)]
     cfg = manifest["config"]
     config = GibbsConfig(n_samples=cfg["n_samples"],
                          burn_in_fraction=cfg["burn_in_fraction"],
                          thinning=cfg["thinning"], seed=cfg["seed"],
                          warm_start=cfg.get("warm_start", False))
-    return GibbsChain(weight_samples=weights, mean_samples=means,
+    return GibbsChain(weight_samples=_load_array(directory, "w_samples"),
+                      mean_samples=_load_array(directory, "mu_samples"),
                       noise_samples=noise, view_dims=view_dims, config=config)
 
 
 def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = None) -> Path:
-    """Persist the variational posterior: JSON manifest plus matrix CSVs
-    (same container layout as the chain) and the bound trace.
+    """Persist the variational posterior: JSON manifest plus one ``.npy``
+    file per factor array (same container layout as the chain), the bound
+    trace included.
 
     The latent factor is stored as its d x D map and centre: the latent
     mean of data column x_n is latent_map @ (x_n - latent_centre).
@@ -204,12 +218,24 @@ def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = No
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     total_dim, d = post.weight_mean.shape
+    arrays = {
+        "weight_mean": post.weight_mean,
+        "weight_cov": post.weight_cov,
+        "latent_cov": post.latent_cov,
+        "latent_map": post.latent_map,
+        "latent_centre": post.latent_centre,
+        "mean_loc": post.mean_loc,
+        "mean_cov": post.mean_cov,
+    }
+    for m, scale in enumerate(post.noise_scale, start=1):
+        arrays[f"noise_scale_view{m}"] = scale
+    arrays["elbo_trace"] = np.asarray(post.elbo_trace)
     manifest = {
         "kind": "vb_posterior",
         "dim": total_dim,
         "latent_dim": d,
         "view_dims": list(post.view_dims),
-        "vectorization": "column-major",
+        "arrays": _save_arrays(directory, arrays),
         "noise_dof": list(post.noise_dof),
         "converged": post.converged,
         "n_iter": post.n_iter,
@@ -217,15 +243,4 @@ def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = No
     if extra_meta:
         manifest.update(extra_meta)
     write_json(directory / "vb_manifest.json", manifest)
-    write_matrix_csv(directory / "weight_mean.csv", post.weight_mean)
-    write_matrix_csv(directory / "weight_cov.csv", _flatten_records(post.weight_cov))
-    write_matrix_csv(directory / "latent_cov.csv", post.latent_cov)
-    write_matrix_csv(directory / "latent_map.csv", post.latent_map)
-    write_matrix_csv(directory / "latent_centre.csv", post.latent_centre[None, :])
-    write_matrix_csv(directory / "mean_loc.csv", post.mean_loc[None, :])
-    write_matrix_csv(directory / "mean_cov.csv", post.mean_cov)
-    for m, scale in enumerate(post.noise_scale, start=1):
-        write_matrix_csv(directory / f"noise_scale_view{m}.csv", scale)
-    write_matrix_csv(directory / "elbo_trace.csv",
-                     np.asarray(post.elbo_trace)[:, None])
     return directory

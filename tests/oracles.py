@@ -178,3 +178,76 @@ def vb_sweep_dense(q, x, view_dims, priors, cross_cov=True):
     demeaned = x.sum(axis=1) - wm @ zm.sum(axis=1)
     q["mean_loc"] = q["mean_cov"] @ (prec @ demeaned + m_prior_prec @ priors.mean_loc)
     return q
+
+
+def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
+    """Gibbs chain with an explicit d x N latent matrix, explicit residuals
+    and dense inverses; scipy.stats draws the inverse-Wishart noise blocks.
+
+    Each sweep draws the noise blocks, the mean, every weight column (in
+    place) and the latent columns.  ``start`` is (weights, mean, noise
+    blocks) with the latent at its conditional mean there; without it the
+    chain starts from a prior draw.  Returns per-sweep arrays
+    (means n x D, weights n x D x d, one n x D_m x D_m array per view).
+    """
+    from scipy.stats import invwishart
+
+    gen = np.random.default_rng(seed)
+    total_dim, n = x.shape
+    d = priors.latent_dim
+    slices = _view_slices(view_dims)
+    mean_prior_prec = np.linalg.inv(priors.mean_cov)
+    weight_prior_prec = np.linalg.inv(priors.weight_cov)
+
+    def draw_noise(scales, dofs):
+        return [np.atleast_2d(invwishart.rvs(df=dof, scale=scale, random_state=gen))
+                for scale, dof in zip(scales, dofs)]
+
+    def latent_moments(weights, mean, noise):
+        prec = sla.block_diag(*[np.linalg.inv(blk) for blk in noise])
+        cov = np.linalg.inv(weights.T @ prec @ weights + np.eye(d))
+        return cov @ weights.T @ prec @ (x - mean[:, None]), cov
+
+    if start is None:
+        noise = draw_noise(priors.noise_scale, priors.noise_dof)
+        mean = gen.multivariate_normal(priors.mean_loc, priors.mean_cov)
+        weights = np.column_stack([gen.multivariate_normal(priors.weight_loc,
+                                                           priors.weight_cov)
+                                   for _ in range(d)])
+        latent = gen.standard_normal((d, n))
+    else:
+        weights, mean, noise = (np.array(start[0]), np.array(start[1]),
+                                [np.array(blk) for blk in start[2]])
+        latent, _ = latent_moments(weights, mean, noise)
+
+    out_mean = np.empty((n_sweeps, total_dim))
+    out_weights = np.empty((n_sweeps, total_dim, d))
+    out_noise = [np.empty((n_sweeps, sl.stop - sl.start, sl.stop - sl.start))
+                 for sl in slices]
+    for sweep in range(n_sweeps):
+        resid = x - mean[:, None] - weights @ latent
+        noise = draw_noise([scale0 + resid[sl] @ resid[sl].T
+                            for sl, scale0 in zip(slices, priors.noise_scale)],
+                           [dof0 + n for dof0 in priors.noise_dof])
+        prec = sla.block_diag(*[np.linalg.inv(blk) for blk in noise])
+
+        cov = np.linalg.inv(n * prec + mean_prior_prec)
+        loc = cov @ (prec @ (x - weights @ latent).sum(axis=1)
+                     + mean_prior_prec @ priors.mean_loc)
+        mean = gen.multivariate_normal(loc, cov)
+
+        for i in range(d):
+            others = (x - mean[:, None] - weights @ latent
+                      + np.outer(weights[:, i], latent[i]))
+            cov = np.linalg.inv(latent[i] @ latent[i] * prec + weight_prior_prec)
+            loc = cov @ (prec @ others @ latent[i] + weight_prior_prec @ priors.weight_loc)
+            weights[:, i] = gen.multivariate_normal(loc, cov)
+
+        means, cov = latent_moments(weights, mean, noise)
+        latent = means + np.linalg.cholesky(cov) @ gen.standard_normal((d, n))
+
+        out_mean[sweep] = mean
+        out_weights[sweep] = weights
+        for blocks, blk in zip(out_noise, noise):
+            blocks[sweep] = blk
+    return out_mean, out_weights, out_noise

@@ -66,7 +66,7 @@ def engine_posterior(ts, engine, seed=0, gibbs_sweeps=1000, vb_draws=4000):
     priors = default_priors(data.view_dims[0], data.view_dims[1], ORDER)
     _, reference = ssi_cov(ts, BLOCK_ROWS, ORDER)
     if engine == "gibbs":
-        chain = run_gibbs(data, priors, GibbsConfig(n_samples=gibbs_sweeps,
+        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=gibbs_sweeps,
                                                     burn_in_fraction=0.2,
                                                     seed=seed))
         draws = chain_observability_samples(chain)

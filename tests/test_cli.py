@@ -135,8 +135,12 @@ class TestIdentify:
                        "--samples", 5000, "--burn-in", 0.2,
                        "--seed", 4, "--out", out)
         assert code == 0
-        rows = read_matrix_csv(out / "chain" / "w_samples.csv")
-        assert rows.shape[0] == 4000
+        weights = np.load(out / "chain" / "w_samples.npy", allow_pickle=False)
+        assert weights.shape == (4000, 8, 2)
+        diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
+        assert diag["n_sweeps"] == 5000
+        assert diag["n_records"] == 4000
+        assert diag["ms_per_sweep"] > 0
 
     def test_rerun_byte_identical_numeric_artifacts(self, sim_dir, tmp_path):
         args = ("identify", "--input", sim_dir / "response.csv",

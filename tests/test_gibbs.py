@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
+
 from bayes_ssi.gibbs import (
-    GibbsChain,
     GibbsConfig,
+    LatentStats,
     effective_sample_size,
     initial_state,
     latent_conditional,
@@ -11,11 +13,14 @@ from bayes_ssi.gibbs import (
     noise_conditionals,
     run_gibbs,
     split_rhat,
-    update_latent,
+    update_mean,
+    update_noise,
     update_weight_column,
+    warm_start_point,
     weight_column_conditional,
-    _scatter_from_grams,
-    _residual,
+    _Kernel,
+    _block_precision,
+    _latent_natural,
 )
 from bayes_ssi.model import ModelState, PriorHyper, StackedData, default_priors
 from bayes_ssi.rng import Rng, sample_inverse_wishart
@@ -264,8 +269,8 @@ class TestRunGibbs:
         data = StackedData(x=gen.standard_normal((4, 40)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
         cfg = GibbsConfig(n_samples=30, seed=21)
-        a = run_gibbs(data, priors, cfg)
-        b = run_gibbs(data, priors, cfg)
+        a = run_gibbs(data.stats(), priors, cfg)
+        b = run_gibbs(data.stats(), priors, cfg)
         assert np.array_equal(a.weight_samples, b.weight_samples)
         assert np.array_equal(a.mean_samples, b.mean_samples)
         for blk_a, blk_b in zip(a.noise_samples, b.noise_samples):
@@ -275,50 +280,55 @@ class TestRunGibbs:
         gen = np.random.default_rng(14)
         data = StackedData(x=gen.standard_normal((4, 60)), view_dims=(2, 2))
         priors = default_priors(2, 2, 2)
-        chain = run_gibbs(data, priors, GibbsConfig(n_samples=50, seed=3))
+        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=50, seed=3))
         assert np.all(np.isfinite(chain.weight_samples))
         assert np.all(np.isfinite(chain.mean_samples))
         for blocks in chain.noise_samples:
             for blk in blocks:
                 np.linalg.cholesky(blk)
-        # conditional draws are always accepted
-        assert chain.acceptance_rate == 1.0
 
     def test_sweep_matches_public_updates(self):
-        # one optimized sweep equals one sweep through the public update
-        # functions, draw for draw (same stream, same conditionals)
+        # the engine's noise, mean and weight draws on the statistics of
+        # explicit (X, Z) equal one pass of the public update functions,
+        # draw for draw (same stream, same conditionals)
         gen = np.random.default_rng(23)
-        data = StackedData(x=gen.standard_normal((4, 80)), view_dims=(2, 2))
+        data = StackedData(x=gen.standard_normal((4, 80)) + 0.5, view_dims=(2, 2))
         priors = default_priors(2, 2, 2)
-        chain = run_gibbs(data, priors, GibbsConfig(n_samples=1, seed=31,
-                                                    burn_in_fraction=0.0))
+        state = initial_state(data, priors, Rng(31, 1))
+        stats = data.stats()
+        kernel = _Kernel(stats, priors)
+        lat = LatentStats.from_latent(data.x, stats.row_mean, state.latent)
 
-        rng = Rng(31, 1)
-        state = initial_state(data, priors, rng)
-        from bayes_ssi.gibbs import update_mean, update_noise
-        resid = data.x - state.mean[:, None] - state.weights @ state.latent
-        update_noise(state, data, priors, rng, resid)
+        rng = Rng(31, 2)
+        noise = kernel.draw_noise(state.weights, state.mean, lat, rng)
+        prec = _block_precision(noise)
+        mean = kernel.draw_mean(state.weights, lat, prec, rng)
+        weights = state.weights.copy()
+        for i in range(2):
+            weights[:, i] = kernel.draw_weight_column(weights, mean, lat, prec, i, rng)
+
+        rng = Rng(31, 2)
+        update_noise(state, data, priors, rng)
         update_mean(state, data, priors, rng)
         for i in range(2):
             update_weight_column(state, data, priors, i, rng)
-        update_latent(state, data, rng)
 
-        assert chain.weight_samples[0] == pytest.approx(state.weights, rel=1e-8)
-        assert chain.mean_samples[0] == pytest.approx(state.mean, rel=1e-8)
-        for blk, expect in zip(chain.noise_samples, state.noise_cov):
-            assert blk[0] == pytest.approx(expect, rel=1e-8)
+        assert weights == pytest.approx(state.weights, rel=1e-8)
+        assert mean == pytest.approx(state.mean, rel=1e-8)
+        for blk, expect in zip(noise, state.noise_cov):
+            assert blk == pytest.approx(expect, rel=1e-8)
 
     def test_gram_scatter_matches_residual_scatter(self):
         gen = np.random.default_rng(15)
         n = 37
-        data = StackedData(x=gen.standard_normal((5, n)), view_dims=(2, 3))
+        data = StackedData(x=gen.standard_normal((5, n)) + 2.0, view_dims=(2, 3))
         state = toy_state(gen, (2, 3), 2, n)
-        resid = _residual(state, data)
+        resid = data.x - state.mean[:, None] - state.weights @ state.latent
         direct = resid @ resid.T
-        grams = _scatter_from_grams(
-            data.x @ data.x.T, data.x.sum(axis=1), data.x @ state.latent.T,
-            state.latent @ state.latent.T, state.latent.sum(axis=1),
-            state.weights, state.mean, n)
+        stats = data.stats()
+        grams = _Kernel(stats, default_priors(2, 3, 2)).residual_scatter(
+            state.weights, state.mean,
+            LatentStats.from_latent(data.x, stats.row_mean, state.latent))
         assert grams == pytest.approx(direct, rel=1e-10)
 
     def test_subspace_angle_shrinks_with_data(self):
@@ -334,7 +344,7 @@ class TestRunGibbs:
             z = gen.standard_normal((d, n))
             x = w0 @ z + 0.3 * gen.standard_normal((8, n))
             data = StackedData(x=x, view_dims=dims)
-            chain = run_gibbs(data, priors, GibbsConfig(n_samples=400, seed=5))
+            chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=400, seed=5))
             w_hat = chain.weight_samples[100:].mean(axis=0)
             # largest principal angle between column spaces
             q0, _ = np.linalg.qr(w0)
@@ -349,7 +359,7 @@ class TestRunGibbs:
         gen = np.random.default_rng(17)
         data = StackedData(x=gen.standard_normal((4, 120)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
-        chain = run_gibbs(data, priors,
+        chain = run_gibbs(data.stats(), priors,
                           GibbsConfig(n_samples=20, seed=1, warm_start=True))
         assert chain.n_records == 16
 
@@ -383,3 +393,159 @@ class TestDiagnostics:
     def test_split_rhat_detects_drift(self):
         x = np.linspace(0.0, 5.0, 2000) + np.random.default_rng(22).standard_normal(2000)
         assert split_rhat(x) > 1.2
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _flat_latent_stats(lat):
+    upper = np.triu_indices(lat.gram.shape[0])
+    return np.concatenate([lat.cross.ravel(), lat.gram[upper], lat.total])
+
+
+class TestStatisticsEngine:
+    def test_draws_match_dense_explicit_path(self):
+        # same latent statistics, same noise: the kernel's noise, mean and
+        # weight draws equal draws from dense explicit residuals
+        gen = np.random.default_rng(40)
+        view_dims, d, n = (2, 3), 2, 23
+        x = gen.standard_normal((5, n)) + 3.0 * gen.standard_normal(5)[:, None]
+        base = gen.standard_normal((5, 5))
+        priors = PriorHyper(
+            mean_loc=gen.standard_normal(5), mean_cov=base @ base.T + np.eye(5),
+            weight_loc=gen.standard_normal(5), weight_cov=2.0 * np.eye(5),
+            noise_scale=(2.0 * np.eye(2), 3.0 * np.eye(3)), noise_dof=(5.0, 6.0),
+            latent_dim=d, view_dims=view_dims)
+        state = toy_state(gen, view_dims, d, n)
+        z = state.latent
+        stats = StackedData(x=x, view_dims=view_dims).stats()
+        kernel = _Kernel(stats, priors)
+        lat = LatentStats.from_latent(x, stats.row_mean, z)
+        rng_kernel, rng_dense = Rng(5, 0), Rng(5, 0)
+
+        noise = kernel.draw_noise(state.weights, state.mean, lat, rng_kernel)
+        resid = x - state.mean[:, None] - state.weights @ z
+        for blk, sl, scale0, dof0 in zip(noise, (slice(0, 2), slice(2, 5)),
+                                         priors.noise_scale, priors.noise_dof):
+            expect = sample_inverse_wishart(rng_dense, scale0 + resid[sl] @ resid[sl].T,
+                                            dof0 + n)
+            assert _relative_gap(blk, expect) < 1e-10
+        prec = np.zeros((5, 5))
+        prec[:2, :2] = np.linalg.inv(noise[0])
+        prec[2:, 2:] = np.linalg.inv(noise[1])
+
+        def dense_draw(post_prec, rhs):
+            loc = np.linalg.solve(post_prec, rhs)
+            white = rng_dense.generator.standard_normal(loc.size)
+            return loc + solve_triangular(np.linalg.cholesky(post_prec).T, white,
+                                          lower=False)
+
+        mean = kernel.draw_mean(state.weights, lat, _block_precision(noise), rng_kernel)
+        mean_prior_prec = np.linalg.inv(priors.mean_cov)
+        dense_mean = dense_draw(n * prec + mean_prior_prec,
+                                prec @ (x - state.weights @ z).sum(axis=1)
+                                + mean_prior_prec @ priors.mean_loc)
+        assert _relative_gap(mean, dense_mean) < 1e-10
+
+        weights, dense_weights = state.weights.copy(), state.weights.copy()
+        weight_prior_prec = np.linalg.inv(priors.weight_cov)
+        for i in range(d):
+            weights[:, i] = kernel.draw_weight_column(
+                weights, mean, lat, _block_precision(noise), i, rng_kernel)
+            others = (x - dense_mean[:, None] - dense_weights @ z
+                      + np.outer(dense_weights[:, i], z[i]))
+            dense_weights[:, i] = dense_draw(
+                z[i] @ z[i] * prec + weight_prior_prec,
+                prec @ others @ z[i] + weight_prior_prec @ priors.weight_loc)
+        assert _relative_gap(weights, dense_weights) < 1e-10
+
+    @pytest.mark.parametrize("n, data_rank", [(9, 5), (7, 5), (4, 3), (9, 2)])
+    def test_latent_statistics_match_explicit_draws(self, n, data_rank):
+        # first two moments of ((X - m 1^T) Z^T, Z Z^T, Z 1) drawn from the
+        # statistics agree with those of explicit latent draws; the cases
+        # cover N - rank - 1 >= d (Bartlett), between 0 and d, zero
+        # (N < D + 1) and a rank-deficient X
+        gen = np.random.default_rng(50 + n + data_rank)
+        view_dims, d, n_draws = (2, 3), 2, 20_000
+        x = (gen.standard_normal((5, data_rank)) @ gen.standard_normal((data_rank, n))
+             + gen.standard_normal(5)[:, None])
+        state = toy_state(gen, view_dims, d, n)
+        stats = StackedData(x=x, view_dims=view_dims).stats()
+        kernel = _Kernel(stats, default_priors(2, 3, d))
+        assert kernel.factor.shape[1] == min(data_rank, n - 1)
+        prec = _block_precision(state.noise_cov)
+
+        rng = Rng(7, 0)
+        fast = np.array([_flat_latent_stats(kernel.draw_latent(state.weights, state.mean,
+                                                               prec, rng))
+                         for _ in range(n_draws)])
+
+        chol, proj = _latent_natural(state.weights, prec)
+        noise_map = solve_triangular(chol.T, np.eye(d), lower=False)
+        latent = (proj @ (x - state.mean[:, None])
+                  + noise_map @ gen.standard_normal((n_draws, d, n)))
+        centred = x - stats.row_mean[:, None]
+        explicit = np.array([_flat_latent_stats(LatentStats(
+            cross=centred @ z.T, gram=z @ z.T, total=z.sum(axis=1))) for z in latent])
+
+        for moment in (1, 2):
+            a, b = fast**moment, explicit**moment
+            se = np.hypot(oracles.mc_standard_error(a), oracles.mc_standard_error(b))
+            assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 3.0 * se), moment
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_chain_matches_dense_oracle(self, center, warm_start):
+        # posterior means of mu, mu^2, W W^T and the noise blocks from
+        # run_gibbs agree with the dense explicit-latent chain.  The bound
+        # is 4 batch-means SEs: 24 statistics per case, 96 in all.
+        gen = np.random.default_rng(60)
+        view_dims, d, n, n_sweeps = (2, 2), 1, 30, 6000
+        w0 = gen.standard_normal((4, d))
+        x = (w0 @ gen.standard_normal((d, n)) + 0.5 * gen.standard_normal((4, n))
+             + np.array([0.8, -0.5, 0.3, 1.0])[:, None])
+        if center:
+            x -= x.mean(axis=1, keepdims=True)
+        priors = default_priors(2, 2, d, noise_scale=1.0)
+        stats = StackedData(x=x, view_dims=view_dims).stats()
+        config = GibbsConfig(n_samples=n_sweeps, burn_in_fraction=0.2, seed=8,
+                             warm_start=warm_start)
+        chain = run_gibbs(stats, priors, config)
+        means, weights, noise = oracles.gibbs_chain_dense(
+            x, view_dims, priors, n_sweeps, seed=9,
+            start=warm_start_point(stats, priors) if warm_start else None)
+        kept = slice(config.n_burn, None)
+
+        def summaries(mu, w, blocks):
+            upper = np.triu_indices(4)
+            outer = np.einsum("kid,kjd->kij", w, w)[:, upper[0], upper[1]]
+            noise_entries = [blk[:, [0, 0, 1], [0, 1, 1]] for blk in blocks]
+            return np.column_stack([mu, mu**2, outer, *noise_entries])
+
+        ours = summaries(chain.mean_samples, chain.weight_samples, chain.noise_samples)
+        dense = summaries(means[kept], weights[kept], [blk[kept] for blk in noise])
+        for col in range(ours.shape[1]):
+            se = np.hypot(oracles.batch_means_se(ours[:, col]),
+                          oracles.batch_means_se(dense[:, col]))
+            assert abs(ours[:, col].mean() - dense[:, col].mean()) < 4.0 * se, col
+
+    def test_runs_from_record_statistics_without_data_matrix(self):
+        import tracemalloc
+
+        from bayes_ssi.simulate import TimeSeries
+        from bayes_ssi.subspace import HankelStats
+
+        gen = np.random.default_rng(24)
+        ts = TimeSeries(data=gen.standard_normal((4, 2**15)), fs=1.0)
+        stats = HankelStats.from_record(ts, 15)
+        data_matrix_bytes = stats.dim * stats.n_cols * 8
+        priors = default_priors(*stats.view_dims, 4)
+        tracemalloc.start()
+        try:
+            chain = run_gibbs(stats, priors, GibbsConfig(n_samples=3, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chain.n_records == 2
+        assert peak < data_matrix_bytes / 10

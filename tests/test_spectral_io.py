@@ -128,7 +128,7 @@ class TestChainPersistence:
         gen = np.random.default_rng(5)
         data = StackedData(x=gen.standard_normal((4, 50)), view_dims=(2, 2))
         priors = default_priors(2, 2, 2)
-        chain = run_gibbs(data, priors, GibbsConfig(n_samples=20, seed=9))
+        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=20, seed=9))
         save_chain(tmp_path / "chain", chain)
         back = load_chain(tmp_path / "chain")
         assert np.array_equal(back.weight_samples, chain.weight_samples)
@@ -137,17 +137,19 @@ class TestChainPersistence:
             assert np.array_equal(a, b)
         assert back.config == chain.config
 
-    def test_manifest_documents_vectorization(self, tmp_path):
+    def test_manifest_lists_array_shapes(self, tmp_path):
         gen = np.random.default_rng(6)
         data = StackedData(x=gen.standard_normal((4, 30)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
-        chain = run_gibbs(data, priors, GibbsConfig(n_samples=10, seed=1))
+        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=10, seed=1))
         save_chain(tmp_path / "chain", chain)
         manifest = json.loads((tmp_path / "chain" / "chain_manifest.json").read_text())
-        assert manifest["vectorization"] == "column-major"
         assert manifest["n_records"] == 8
-        rows = read_matrix_csv(tmp_path / "chain" / "w_samples.csv")
-        assert rows.shape == (8, 4 * 1)
+        assert manifest["arrays"] == {"w_samples": [8, 4, 1], "mu_samples": [8, 4],
+                                      "sigma_view1_samples": [8, 2, 2],
+                                      "sigma_view2_samples": [8, 2, 2]}
+        weights = np.load(tmp_path / "chain" / "w_samples.npy", allow_pickle=False)
+        assert np.array_equal(weights, chain.weight_samples)
 
 
 class TestVbPersistence:
@@ -157,13 +159,15 @@ class TestVbPersistence:
         priors = default_priors(2, 2, 1)
         post = run_vb(data.stats(), priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
-        for name in ("vb_manifest.json", "weight_mean.csv", "weight_cov.csv",
-                     "latent_cov.csv", "latent_map.csv", "latent_centre.csv",
-                     "mean_loc.csv",
-                     "mean_cov.csv", "noise_scale_view1.csv",
-                     "noise_scale_view2.csv", "elbo_trace.csv"):
+        for name in ("vb_manifest.json", "weight_mean.npy", "weight_cov.npy",
+                     "latent_cov.npy", "latent_map.npy", "latent_centre.npy",
+                     "mean_loc.npy",
+                     "mean_cov.npy", "noise_scale_view1.npy",
+                     "noise_scale_view2.npy", "elbo_trace.npy"):
             assert (out / name).exists()
-        trace = read_matrix_csv(out / "elbo_trace.csv")
+        trace = np.load(out / "elbo_trace.npy", allow_pickle=False)
         assert trace.size == post.n_iter
-        weight_back = read_matrix_csv(out / "weight_mean.csv")
+        weight_back = np.load(out / "weight_mean.npy", allow_pickle=False)
         assert np.array_equal(weight_back, post.weight_mean)
+        weight_cov_back = np.load(out / "weight_cov.npy", allow_pickle=False)
+        assert np.array_equal(weight_cov_back, post.weight_cov)
