@@ -12,6 +12,7 @@ byte for byte; wall-clock metadata lives only in the run manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import shutil
 import sys
@@ -126,6 +127,20 @@ def _manifest(command: str, cfg: dict, started: float,
     }
 
 
+def _config_echo(command: str, cfg: dict) -> dict:
+    """The resolved configuration as written to ``config.json``."""
+    return {"command": command,
+            **{k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()}}
+
+
+def _vb_config(cfg: dict) -> VBConfig:
+    return VBConfig(max_iter=cfg.get("max_iter", 500),
+                    elbo_rel_tol=cfg.get("tol", 1e-7),
+                    seed=cfg["seed"],
+                    latent_cross_cov=not cfg.get("strict_paper_vb", False),
+                    warm_start=cfg.get("warm_start", False))
+
+
 def _warn_not_converged(diag: dict, max_iter: int, where: str = "") -> None:
     if not diag["converged"]:
         print(f"warning: VB{where} stopped at max_iter={max_iter} without "
@@ -170,33 +185,26 @@ def build_priors(view_dim_future: int, view_dim_past: int, order: int,
     base = default_priors(view_dim_future, view_dim_past, order)
     if not overrides:
         return base
-    dims = (view_dim_future, view_dim_past)
-    total = sum(dims)
-    mean_loc = base.mean_loc
-    mean_cov = base.mean_cov
-    weight_loc = base.weight_loc
-    weight_cov = base.weight_cov
-    noise_scale = list(base.noise_scale)
-    noise_dof = list(base.noise_dof)
-    if "mean_loc" in overrides:
-        mean_loc = _expand_vector(overrides["mean_loc"], total)
-    if "mean_cov" in overrides:
-        mean_cov = _expand_matrix(overrides["mean_cov"], total)
-    if "weight_loc" in overrides:
-        weight_loc = _expand_vector(overrides["weight_loc"], total)
-    if "weight_cov" in overrides:
-        weight_cov = _expand_matrix(overrides["weight_cov"], total)
+    fields = {}
+    for key in ("mean_loc", "weight_loc"):
+        if key in overrides:
+            fields[key] = _expand_vector(overrides[key], base.dim)
+    for key in ("mean_cov", "weight_cov"):
+        if key in overrides:
+            fields[key] = _expand_matrix(overrides[key], base.dim)
     if "noise_scale" in overrides:
         value = overrides["noise_scale"]
         per_view = value if isinstance(value, list) and len(value) == 2 else [value, value]
-        noise_scale = [_expand_matrix(v, d) for v, d in zip(per_view, dims)]
+        fields["noise_scale"] = tuple(_expand_matrix(v, d)
+                                      for v, d in zip(per_view, base.view_dims))
     if "noise_dof" in overrides:
         value = overrides["noise_dof"]
+        if isinstance(value, list) and len(value) != 2:
+            raise ValueError(f"noise_dof must be a number or a list of 2 per-view "
+                             f"values, got a list of {len(value)}")
         per_view = value if isinstance(value, list) else [value, value]
-        noise_dof = [float(v) for v in per_view]
-    return PriorHyper(mean_loc=mean_loc, mean_cov=mean_cov, weight_loc=weight_loc,
-                      weight_cov=weight_cov, noise_scale=tuple(noise_scale),
-                      noise_dof=tuple(noise_dof), latent_dim=order, view_dims=dims)
+        fields["noise_dof"] = tuple(float(v) for v in per_view)
+    return dataclasses.replace(base, **fields)
 
 
 def _load_input(cfg: dict):
@@ -267,8 +275,7 @@ def cmd_simulate(cfg: dict) -> Path:
     ts = simulate_response(dss, cfg["samples"], Rng(cfg["seed"], SIMULATE_STREAM))
 
     with OutputDir(cfg["out"]) as out:
-        write_json(out.file("config.json"), {"command": "simulate", **cfg,
-                                             "out": str(cfg["out"])})
+        write_json(out.file("config.json"), _config_echo("simulate", cfg))
         write_timeseries_csv(out.file("response.csv"), ts)
         write_json(out.file("response.json"), {
             "fs": cfg["fs"], "seed": cfg["seed"], "n_floors": cfg["floors"],
@@ -294,9 +301,7 @@ def cmd_identify(cfg: dict) -> Path:
     overrides = (load_prior_overrides(cfg["priors"]) if cfg.get("priors") else None)
 
     with OutputDir(cfg["out"]) as out:
-        write_json(out.file("config.json"),
-                   {"command": "identify", **{k: (str(v) if isinstance(v, Path) else v)
-                                              for k, v in cfg.items()}})
+        write_json(out.file("config.json"), _config_echo("identify", cfg))
         _, reference = ssi_cov(ts, j, order, center=center)
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
@@ -312,11 +317,7 @@ def cmd_identify(cfg: dict) -> Path:
 
         diagnostics = None
         if engine == "vb":
-            vb_config = VBConfig(max_iter=cfg.get("max_iter", 500),
-                                 elbo_rel_tol=cfg.get("tol", 1e-7),
-                                 seed=cfg["seed"],
-                                 latent_cross_cov=not cfg.get("strict_paper_vb", False),
-                                 warm_start=cfg.get("warm_start", False))
+            vb_config = _vb_config(cfg)
             post = run_vb(HankelStats.from_record(ts, j, center=center), priors,
                           vb_config)
             diagnostics = post.diagnostics()
@@ -361,25 +362,19 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     ts = _load_input(cfg)
     orders = cfg["orders"]
     overrides = (load_prior_overrides(cfg["priors"]) if cfg.get("priors") else None)
-    vb_config = VBConfig(max_iter=cfg.get("max_iter", 500),
-                         elbo_rel_tol=cfg.get("tol", 1e-7),
-                         seed=cfg["seed"],
-                         latent_cross_cov=not cfg.get("strict_paper_vb", False),
-                         warm_start=cfg.get("warm_start", False))
+    vb_config = _vb_config(cfg)
+    # invalid priors fail the command here, not as a failure at every order
+    half = ts.channels * cfg["block_rows"]
+    priors = {order: build_priors(half, half, order, overrides) for order in orders}
 
     with OutputDir(cfg["out"]) as out:
-        write_json(out.file("config.json"),
-                   {"command": "stabilise", **{k: (str(v) if isinstance(v, Path) else v)
-                                               for k, v in cfg.items()}})
+        write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         welch = _write_welch_overlay(out, ts)
-
-        def priors_factory(d1, d2, order):
-            return build_priors(d1, d2, order, overrides)
-
         result = stabilisation(ts, cfg["block_rows"], orders, vb_config,
                                n_draws=cfg.get("draws", 500),
                                center=not cfg.get("no_center", False),
-                               priors_factory=priors_factory, welch=welch)
+                               priors_factory=lambda _d1, _d2, order: priors[order],
+                               welch=welch)
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
         ]) if result.orders.size else np.empty((0, 3))
@@ -399,9 +394,7 @@ def cmd_spectrum(cfg: dict) -> Path:
     started = time.time()
     ts = _load_input(cfg)
     with OutputDir(cfg["out"]) as out:
-        write_json(out.file("config.json"),
-                   {"command": "spectrum", **{k: (str(v) if isinstance(v, Path) else v)
-                                              for k, v in cfg.items()}})
+        write_json(out.file("config.json"), _config_echo("spectrum", cfg))
         spec = welch_psd(ts, segment_length=cfg.get("segment", 1024),
                          overlap=cfg.get("overlap", 0.5))
         header = (["frequency_hz"] + [f"ch{i + 1}" for i in range(ts.channels)]

@@ -8,9 +8,11 @@ Given the latent matrix Z, the noise, mean and weight conditionals see the
 data X only through its statistics (:class:`~bayes_ssi.subspace.HankelStats`:
 the Gram G of the columns about their row means m, m itself and the column
 count N) and through the latent statistics (X - m 1^T) Z^T, Z Z^T and Z 1
-(:class:`LatentStats`).  ``run_gibbs`` therefore never forms X or Z: each
-sweep draws the latent statistics exactly from the latent conditional, so a
-sweep costs the same at any N.  The public ``*_conditional`` and
+(:class:`~bayes_ssi.model.LatentStats`); their algebra is
+:class:`~bayes_ssi.model.Conditionals`, shared with the variational engine.
+``run_gibbs`` therefore never forms X or Z: each sweep draws the latent
+statistics exactly from the latent conditional, so a sweep costs the same at
+any N.  The public ``*_conditional`` and
 ``update_*`` functions take explicit (X, Z), build both sets of statistics
 and call the kernel the engine sweeps with; ``latent_conditional`` and
 ``update_latent`` keep the explicit d x N latent matrix.
@@ -23,23 +25,31 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .model import ModelState, PriorHyper, StackedData, view_slices
+from .model import (
+    Conditionals,
+    LatentStats,
+    ModelState,
+    PriorHyper,
+    StackedData,
+    block_diagonal,
+    latent_natural,
+)
 from .rng import (
     Rng,
     _bartlett_factor,
+    chol_inverse,
     sample_inverse_wishart,
     spd_cholesky,
     spd_inverse,
     symmetrize,
 )
-from .subspace import HankelStats, cca, chol_with_jitter
+from .subspace import HankelStats, cca
 
 __all__ = [
     "GibbsConfig",
     "GibbsChain",
-    "LatentStats",
     "noise_conditionals",
     "mean_conditional",
     "weight_column_conditional",
@@ -106,31 +116,9 @@ class GibbsChain:
                 "ms_per_sweep": 1e3 * self.elapsed_s / n_sweeps}
 
 
-@dataclass(frozen=True)
-class LatentStats:
-    """Sufficient statistics of a d x N latent matrix Z against data X whose
-    rows have means m: (X - m 1^T) Z^T, Z Z^T and Z 1."""
-
-    cross: np.ndarray    # D x d
-    gram: np.ndarray     # d x d
-    total: np.ndarray    # d
-
-    @classmethod
-    def from_latent(cls, x: np.ndarray, row_mean: np.ndarray,
-                    latent: np.ndarray) -> "LatentStats":
-        return cls(cross=(x - row_mean[:, None]) @ latent.T,
-                   gram=symmetrize(latent @ latent.T), total=latent.sum(axis=1))
-
-
 def _block_precision(noise_cov: list[np.ndarray]) -> np.ndarray:
     """Dense block-diagonal inverse of the noise covariance."""
-    dims = [cov.shape[0] for cov in noise_cov]
-    prec = np.zeros((sum(dims), sum(dims)))
-    start = 0
-    for cov, dim in zip(noise_cov, dims):
-        prec[start:start + dim, start:start + dim] = spd_inverse(cov, "noise_cov")
-        start += dim
-    return prec
+    return block_diagonal([spd_inverse(cov, "noise_cov") for cov in noise_cov])
 
 
 def _draw_from_natural(prec_chol: np.ndarray, mean: np.ndarray,
@@ -138,12 +126,6 @@ def _draw_from_natural(prec_chol: np.ndarray, mean: np.ndarray,
     """Sample N(mean, prec^-1) given chol(prec) and standard-normal noise."""
     return mean + solve_triangular(prec_chol.T, noise, lower=False,
                                    check_finite=False)
-
-
-def _chol_cov(prec_chol: np.ndarray) -> np.ndarray:
-    """Covariance prec^-1 from chol(prec)."""
-    return symmetrize(cho_solve((prec_chol, True), np.eye(prec_chol.shape[0]),
-                                check_finite=False))
 
 
 def _gram_factor(gram: np.ndarray) -> np.ndarray:
@@ -154,97 +136,20 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _latent_natural(weights: np.ndarray, prec: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(chol of the shared conditional precision P, map A = P^-1 W^T prec)
-    of the latent conditional z_n | x_n ~ N(A (x_n - mean), P^-1)."""
-    d = weights.shape[1]
-    prec_w = prec @ weights                      # D x d
-    post_chol = spd_cholesky(symmetrize(weights.T @ prec_w + np.eye(d)),
-                             "latent conditional precision")
-    return post_chol, cho_solve((post_chol, True), prec_w.T, check_finite=False)
-
-
-class _Kernel:
-    """The noise, mean and weight-column full conditionals on one set of
-    data statistics, and the exact draw of the latent statistics.
-
-    Invariants are computed once, on first use, so the explicit-data
-    wrappers pay only for the conditional they evaluate."""
-
-    def __init__(self, stats: HankelStats, priors: PriorHyper):
-        self.stats = stats
-        self.priors = priors
-        self.slices = view_slices(stats.view_dims)
-
-    @cached_property
-    def mean_prior(self) -> tuple[np.ndarray, np.ndarray]:
-        """(precision, precision @ location) of the mean prior."""
-        prec = spd_inverse(self.priors.mean_cov, "mean_cov")
-        return prec, prec @ self.priors.mean_loc
-
-    @cached_property
-    def weight_prior(self) -> tuple[np.ndarray, np.ndarray]:
-        """(precision, precision @ location) of the weight-column prior."""
-        prec = spd_inverse(self.priors.weight_cov, "weight_cov")
-        return prec, prec @ self.priors.weight_loc
+class _Kernel(Conditionals):
+    """The model's conditionals with their draws, and the exact draw of the
+    latent statistics."""
 
     @cached_property
     def factor(self) -> np.ndarray:
         """Rank-revealing factor F of the centred data Gram, F F^T = G."""
         return _gram_factor(self.stats.gram)
 
-    def residual_scatter(self, weights: np.ndarray, mean: np.ndarray,
-                         lat: LatentStats) -> np.ndarray:
-        """sum_n (x_n - mean - W z_n)(x_n - mean - W z_n)^T, expanded about
-        the row means so only D x D and D x d arrays appear."""
-        dev = self.stats.row_mean - mean
-        fitted = weights @ lat.total
-        scatter = self.stats.gram + self.stats.n_cols * np.outer(dev, dev)
-        scatter -= lat.cross @ weights.T + weights @ lat.cross.T
-        scatter -= np.outer(dev, fitted) + np.outer(fitted, dev)
-        scatter += weights @ lat.gram @ weights.T
-        return symmetrize(scatter)
-
-    def noise_conditionals(self, weights: np.ndarray, mean: np.ndarray,
-                           lat: LatentStats) -> list[tuple[np.ndarray, float]]:
-        scatter = self.residual_scatter(weights, mean, lat)
-        return [(symmetrize(scale0 + scatter[sl, sl]), dof0 + self.stats.n_cols)
-                for sl, scale0, dof0 in zip(self.slices, self.priors.noise_scale,
-                                            self.priors.noise_dof)]
-
-    def mean_natural(self, weights: np.ndarray, lat: LatentStats,
-                     prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(chol of conditional precision, conditional mean) for the mean."""
-        n = self.stats.n_cols
-        prior_prec, prior_rhs = self.mean_prior
-        post_chol = spd_cholesky(symmetrize(n * prec + prior_prec),
-                                 "mean conditional precision")
-        # sum over columns of (x_n - W z_n)
-        demeaned_sum = n * self.stats.row_mean - weights @ lat.total
-        post_mean = cho_solve((post_chol, True), prec @ demeaned_sum + prior_rhs,
-                              check_finite=False)
-        return post_chol, post_mean
-
-    def weight_natural(self, weights: np.ndarray, mean: np.ndarray,
-                       lat: LatentStats, prec: np.ndarray, i: int,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(chol of conditional precision, conditional mean) for weight column i."""
-        sq_sum = lat.gram[i, i]
-        prior_prec, prior_rhs = self.weight_prior
-        post_chol = spd_cholesky(symmetrize(sq_sum * prec + prior_prec),
-                                 "weight conditional precision")
-        # sum over columns of (x_n - mean - sum_{k != i} w_k z_kn) z_in
-        data_term = (lat.cross[:, i] + (self.stats.row_mean - mean) * lat.total[i]
-                     - weights @ lat.gram[:, i] + weights[:, i] * sq_sum)
-        post_mean = cho_solve((post_chol, True), prec @ data_term + prior_rhs,
-                              check_finite=False)
-        return post_chol, post_mean
-
     def draw_noise(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
                    rng: Rng) -> list[np.ndarray]:
+        scatter = self.residual_scatter(weights, mean, lat)
         return [sample_inverse_wishart(rng, scale, dof)
-                for scale, dof in self.noise_conditionals(weights, mean, lat)]
+                for scale, dof in self.noise_conditionals(scatter)]
 
     def draw_mean(self, weights: np.ndarray, lat: LatentStats, prec: np.ndarray,
                   rng: Rng) -> np.ndarray:
@@ -263,7 +168,7 @@ class _Kernel:
                     rng: Rng | None) -> LatentStats:
         """Statistics of a latent matrix drawn from its full conditional, or
         of the conditional means when ``rng`` is None."""
-        post_chol, proj = _latent_natural(weights, prec)
+        post_chol, proj = latent_natural(weights, prec)
         return self._latent_stats(post_chol, proj, proj @ (self.stats.row_mean - mean),
                                   rng)
 
@@ -322,7 +227,8 @@ def noise_conditionals(state: ModelState, data: StackedData, priors: PriorHyper,
                        ) -> list[tuple[np.ndarray, float]]:
     """Per-view (scale, dof) of the inverse-Wishart full conditional."""
     kernel, lat = _explicit(state, data, priors)
-    return kernel.noise_conditionals(state.weights, state.mean, lat)
+    return kernel.noise_conditionals(kernel.residual_scatter(state.weights, state.mean,
+                                                             lat))
 
 
 def mean_conditional(state: ModelState, data: StackedData, priors: PriorHyper,
@@ -331,7 +237,7 @@ def mean_conditional(state: ModelState, data: StackedData, priors: PriorHyper,
     kernel, lat = _explicit(state, data, priors)
     post_chol, post_mean = kernel.mean_natural(state.weights, lat,
                                                _block_precision(state.noise_cov))
-    return post_mean, _chol_cov(post_chol)
+    return post_mean, chol_inverse(post_chol)
 
 
 def weight_column_conditional(state: ModelState, data: StackedData,
@@ -341,14 +247,14 @@ def weight_column_conditional(state: ModelState, data: StackedData,
     kernel, lat = _explicit(state, data, priors)
     post_chol, post_mean = kernel.weight_natural(
         state.weights, state.mean, lat, _block_precision(state.noise_cov), i)
-    return post_mean, _chol_cov(post_chol)
+    return post_mean, chol_inverse(post_chol)
 
 
 def latent_conditional(state: ModelState, data: StackedData,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(means, shared cov) of the latent columns' Gaussian full conditional."""
-    post_chol, proj = _latent_natural(state.weights, _block_precision(state.noise_cov))
-    return proj @ (data.x - state.mean[:, None]), _chol_cov(post_chol)
+    post_chol, proj = latent_natural(state.weights, _block_precision(state.noise_cov))
+    return proj @ (data.x - state.mean[:, None]), chol_inverse(post_chol)
 
 
 def update_noise(state: ModelState, data: StackedData, priors: PriorHyper,
@@ -372,7 +278,7 @@ def update_weight_column(state: ModelState, data: StackedData, priors: PriorHype
 
 
 def update_latent(state: ModelState, data: StackedData, rng: Rng) -> None:
-    post_chol, proj = _latent_natural(state.weights, _block_precision(state.noise_cov))
+    post_chol, proj = latent_natural(state.weights, _block_precision(state.noise_cov))
     means = proj @ (data.x - state.mean[:, None])
     state.latent = _draw_from_natural(post_chol, means,
                                       rng.generator.standard_normal(means.shape))
@@ -410,12 +316,10 @@ def warm_start_point(stats: HankelStats, priors: PriorHyper,
     auto1 = symmetrize(cov[:h, :h])
     auto2 = symmetrize(cov[h:, h:])
     cross = cov[:h, h:]
-    left, corr, right = cca(auto1, auto2, cross)
+    load1, corr, load2 = cca(auto1, auto2, cross)
     root = np.sqrt(corr[:d])
-    chol1, _ = chol_with_jitter(auto1, "first-view auto-covariance")
-    chol2, _ = chol_with_jitter(auto2, "second-view auto-covariance")
-    w1 = (chol1 @ left[:, :d]) * root
-    w2 = (chol2 @ right[:, :d]) * root
+    w1 = load1[:, :d] * root
+    w2 = load2[:, :d] * root
     weights = np.vstack([w1, w2])
     noise = [symmetrize(auto1 - w1 @ w1.T), symmetrize(auto2 - w2 @ w2.T)]
     # keep the MLE noise blocks safely positive definite

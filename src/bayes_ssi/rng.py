@@ -19,6 +19,7 @@ __all__ = [
     "check_symmetric",
     "spd_cholesky",
     "spd_inverse",
+    "chol_inverse",
     "chol_logdet",
     "validate_spd",
     "psd_factor",
@@ -106,9 +107,12 @@ def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 def spd_inverse(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Exactly symmetric inverse of the symmetric positive definite ``mat``,
     through its Cholesky factor."""
-    mat = symmetrize(np.asarray(mat, dtype=float))
-    chol = spd_cholesky(mat, name)
-    return symmetrize(cho_solve((chol, True), np.eye(mat.shape[0]),
+    return chol_inverse(spd_cholesky(symmetrize(np.asarray(mat, dtype=float)), name))
+
+
+def chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """Exactly symmetric A^-1 from the lower Cholesky factor of A."""
+    return symmetrize(cho_solve((chol, True), np.eye(chol.shape[0]),
                                 check_finite=False))
 
 

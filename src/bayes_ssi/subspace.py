@@ -279,17 +279,18 @@ def cca(auto_x: np.ndarray, auto_y: np.ndarray, cross_xy: np.ndarray,
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical correlation analysis of two views from their covariances.
 
-    Returns (V1, correlations, V2) from the SVD of
-    L_x^-1 @ cross_xy @ L_y^-T where L are Cholesky factors of the
-    auto-covariances.  Correlations are clamped to [0, 1] (numerical noise
-    above 1 is truncated).
+    With L the Cholesky factors of the auto-covariances and U S V^T the SVD
+    of L_x^-1 @ cross_xy @ L_y^-T, returns the canonical loadings
+    (L_x U, correlations S, L_y V); L_x U[:, :k] diag(S[:k]) (L_y V[:, :k])^T
+    is the rank-k canonical approximation of ``cross_xy``.  Correlations are
+    clamped to [0, 1] (numerical noise above 1 is truncated).
     """
     chol_x, _ = chol_with_jitter(auto_x, "first-view auto-covariance")
     chol_y, _ = chol_with_jitter(auto_y, "second-view auto-covariance")
     normalized = solve_triangular(chol_x, cross_xy, lower=True)
     normalized = solve_triangular(chol_y, normalized.T, lower=True).T
     left, svals, right_t = np.linalg.svd(normalized)
-    return left, np.clip(svals, 0.0, 1.0), right_t.T
+    return chol_x @ left, np.clip(svals, 0.0, 1.0), chol_y @ right_t.T
 
 
 def observability_controllability(cb: CovBlocks, order: int,
@@ -304,15 +305,11 @@ def observability_controllability(cb: CovBlocks, order: int,
     dim = cb.future_past.shape[0]
     if not 1 <= order <= dim:
         raise ValueError(f"order must be in [1, {dim}], got {order}")
-    chol_f, _ = chol_with_jitter(cb.future_future, "future auto-covariance")
-    chol_p, _ = chol_with_jitter(cb.past_past, "past auto-covariance")
-    normalized = solve_triangular(chol_f, cb.future_past, lower=True)
-    normalized = solve_triangular(chol_p, normalized.T, lower=True).T
-    left, svals, right_t = np.linalg.svd(normalized)
-    root = np.sqrt(svals[:order])
-    obs = (chol_f @ left[:, :order]) * root
-    ctrb = (root[:, None] * right_t[:order]) @ chol_p.T
-    return obs, ctrb, svals
+    load_f, corr, load_p = cca(cb.future_future, cb.past_past, cb.future_past)
+    root = np.sqrt(corr[:order])
+    obs = load_f[:, :order] * root
+    ctrb = (load_p[:, :order] * root).T
+    return obs, ctrb, corr
 
 
 def realization_from_observability(obs: np.ndarray, n_channels: int,

@@ -17,9 +17,13 @@ Every update and the bound see the data only through its sufficient
 statistics (:class:`~bayes_ssi.subspace.HankelStats`).  The latent means
 are affine in the data, z_n = A (x_n - c), so the latent factor is held as
 the d x D map A and the centre c it was applied at; :func:`latent_means`
-recovers the d x N means when explicit data are at hand.  The public
-``update_*`` functions take explicit data, build its statistics and call
-the same kernel ``run_vb`` sweeps with.
+recovers the d x N means when explicit data are at hand.  Each update is
+the model's full conditional (:class:`~bayes_ssi.model.Conditionals`, the
+algebra the Gibbs engine samples from) evaluated at the expected latent
+statistics and expected noise precision, plus the mean-field corrections
+the other factors' covariances add.  The public ``update_*`` functions take
+explicit data, build its statistics and call the same kernel ``run_vb``
+sweeps with.
 """
 
 from __future__ import annotations
@@ -27,13 +31,21 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import multigammaln, psi
 
 from .gibbs import warm_start_point
-from .model import PriorHyper, StackedData, view_slices
-from .rng import Rng, chol_logdet, spd_cholesky, spd_inverse, symmetrize
+from .model import (
+    Conditionals,
+    LatentStats,
+    PriorHyper,
+    StackedData,
+    block_diagonal,
+    latent_natural,
+)
+from .rng import Rng, chol_inverse, chol_logdet, spd_cholesky, spd_inverse
 from .subspace import HankelStats
 
 __all__ = [
@@ -113,18 +125,6 @@ class VBPosterior:
         return {"n_iter": self.n_iter, "converged": self.converged,
                 "ms_per_sweep": 1e3 * self.elapsed_s / self.n_iter if self.n_iter else 0.0}
 
-    def copy(self) -> "VBPosterior":
-        return VBPosterior(
-            latent_cov=self.latent_cov.copy(), latent_map=self.latent_map.copy(),
-            latent_centre=self.latent_centre.copy(),
-            weight_mean=self.weight_mean.copy(), weight_cov=self.weight_cov.copy(),
-            mean_loc=self.mean_loc.copy(), mean_cov=self.mean_cov.copy(),
-            noise_scale=[s.copy() for s in self.noise_scale],
-            noise_dof=list(self.noise_dof), view_dims=self.view_dims,
-            elbo_trace=list(self.elbo_trace), converged=self.converged,
-            n_iter=self.n_iter, elapsed_s=self.elapsed_s,
-        )
-
 
 def latent_means(post: VBPosterior, data: StackedData) -> np.ndarray:
     """d x N latent factor means of the columns of ``data``."""
@@ -144,192 +144,138 @@ def _expected_logdet_precision(scale_logdet: float, dim: int, dof: float) -> flo
     return digamma_sum + dim * np.log(2.0) - scale_logdet
 
 
-def _latent_moments(post: VBPosterior, stats: HankelStats,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column sums of the latent means z_n, of z_n z_n^T and of
-    (x_n - mean_loc) z_n^T, from the latent map and the statistics."""
-    n = stats.n_cols
-    gram_map = stats.gram @ post.latent_map.T
-    shift = post.latent_map @ (stats.row_mean - post.latent_centre)
-    z_sum = n * shift
-    z_gram = post.latent_map @ gram_map + n * np.outer(shift, shift)
-    xz = gram_map + n * np.outer(stats.row_mean - post.mean_loc, shift)
-    return z_sum, z_gram, xz
+def _wishart_log_norm(scale_logdet: float, dof: float, dim: int) -> float:
+    """Log normalizer of a Wishart density on the precision, for an
+    inverse-Wishart scale with log determinant ``scale_logdet``."""
+    return 0.5 * dof * (scale_logdet - dim * np.log(2.0)) - multigammaln(0.5 * dof, dim)
 
 
-def _residual_scatter(post: VBPosterior, stats: HankelStats) -> list[np.ndarray]:
-    """Per-view blocks of sum_n E[(x_n - mu - W z_n)(x_n - mu - W z_n)^T]."""
-    n = stats.n_cols
-    _, z_gram, xz = _latent_moments(post, stats)
-    # second moment of W z_n summed over columns: latent means and covariance
-    z_second = z_gram + n * post.latent_cov
-    sq_diag = np.diag(z_second)
-    out = []
-    for sl in view_slices(stats.view_dims):
-        wm = post.weight_mean[sl]
-        dev = stats.row_mean[sl] - post.mean_loc[sl]
-        block = stats.gram[sl, sl] + n * np.outer(dev, dev)
-        block -= xz[sl] @ wm.T + wm @ xz[sl].T
-        block += wm @ z_second @ wm.T + n * post.mean_cov[sl, sl]
-        block += np.tensordot(sq_diag, post.weight_cov[:, sl, sl], axes=1)
-        out.append(symmetrize(block))
-    return out
+def _gaussian_kl(dev: np.ndarray, cov: np.ndarray, prior_prec: np.ndarray,
+                 prior_logdet: float) -> float:
+    """KL(N(loc + dev, cov) || N(loc, prior_prec^-1)), with ``prior_logdet``
+    = ln |prior_prec^-1|."""
+    return 0.5 * (float(dev @ prior_prec @ dev) + float(np.sum(prior_prec * cov))
+                  - dev.size + prior_logdet
+                  - chol_logdet(spd_cholesky(cov, "factor cov")))
 
 
-class _Kernel:
+def _expected_precision(post: VBPosterior) -> np.ndarray:
+    """Dense block-diagonal expected noise precision Psi."""
+    return block_diagonal(expected_noise_precision(post))
+
+
+class _Kernel(Conditionals):
     """The closed-form coordinate updates and the bound on one set of
-    sufficient statistics, with the prior invariants computed once."""
+    sufficient statistics.
 
-    def __init__(self, stats: HankelStats, priors: PriorHyper):
-        self.stats = stats
-        self.priors = priors
-        self.slices = view_slices(stats.view_dims)
-        self.weight_prec = spd_inverse(priors.weight_cov, "weight_cov")
-        self.weight_logdet = chol_logdet(spd_cholesky(priors.weight_cov, "weight_cov"))
-        self.mean_prec = spd_inverse(priors.mean_cov, "mean_cov")
-        self.mean_logdet = chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov"))
-        self.noise_prior_logdet = [chol_logdet(spd_cholesky(scale0, "noise prior scale"))
-                                   for scale0 in priors.noise_scale]
+    Each update is the model's Gibbs conditional evaluated at the expected
+    latent statistics, plus the mean-field corrections the other factors'
+    covariances add."""
 
-    def update_latent(self, post: VBPosterior, psi_blocks: list[np.ndarray]) -> None:
+    @cached_property
+    def prior_logdets(self) -> tuple[float, float, list[float]]:
+        """ln |weight_cov|, ln |mean_cov| and each view's ln |noise_scale|
+        of the priors, for the bound."""
+        priors = self.priors
+        return (chol_logdet(spd_cholesky(priors.weight_cov, "weight_cov")),
+                chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov")),
+                [chol_logdet(spd_cholesky(scale0, "noise prior scale"))
+                 for scale0 in priors.noise_scale])
+
+    @cached_property
+    def noise_prior_scale(self) -> np.ndarray:
+        """Dense block-diagonal noise prior scale."""
+        return block_diagonal(self.priors.noise_scale)
+
+    def latent_stats(self, post: VBPosterior, cross_cov: bool = True) -> LatentStats:
+        """Expected latent statistics: (X - m 1^T) E[Z]^T = G A^T,
+        E[Z] 1 = N A (m - c) and E[Z Z^T] = E[Z] E[Z]^T + N latent_cov, or
+        only the diagonal of N latent_cov when ``cross_cov`` is False."""
+        n = self.stats.n_cols
+        cross = self.stats.gram @ post.latent_map.T
+        shift = post.latent_map @ (self.stats.row_mean - post.latent_centre)
+        cov = post.latent_cov if cross_cov else np.diag(np.diag(post.latent_cov))
+        gram = post.latent_map @ cross + n * np.outer(shift, shift) + n * cov
+        return LatentStats(cross=cross, gram=gram, total=n * shift)
+
+    def expected_scatter(self, post: VBPosterior, lat: LatentStats) -> np.ndarray:
+        """sum_n E[(x_n - mu - W z_n)(x_n - mu - W z_n)^T]: the residual
+        scatter at the expected statistics plus the mean factor's covariance
+        and each weight column's covariance times E[sum_n z_in^2]."""
+        scatter = self.residual_scatter(post.weight_mean, post.mean_loc, lat)
+        scatter += self.stats.n_cols * post.mean_cov
+        scatter += np.tensordot(np.diag(lat.gram), post.weight_cov, axes=1)
+        return scatter
+
+    def update_latent(self, post: VBPosterior, psi: np.ndarray) -> None:
         d = post.latent_cov.shape[0]
-        quad = np.zeros((d, d))
-        trace_corr = np.zeros(d)
-        projector = np.empty((d, self.stats.dim))
-        for psi_m, sl in zip(psi_blocks, self.slices):
-            wm = post.weight_mean[sl]
-            psi_wm = psi_m @ wm
-            quad += wm.T @ psi_wm
-            projector[:, sl] = psi_wm.T
-            for i in range(d):
-                trace_corr[i] += float(np.sum(psi_m * post.weight_cov[i][sl, sl]))
-        quad += np.diag(trace_corr) + np.eye(d)
-        post.latent_cov = spd_inverse(quad, "latent factor precision")
-        post.latent_map = post.latent_cov @ projector
+        # E[W^T Psi W] adds tr(Psi Sigma_w_i) to diagonal entry i
+        trace_corr = post.weight_cov.reshape(d, -1) @ psi.ravel()
+        post_chol, post.latent_map = latent_natural(post.weight_mean, psi,
+                                                    np.diag(trace_corr))
+        post.latent_cov = chol_inverse(post_chol)
         post.latent_centre = post.mean_loc.copy()
 
-    def update_weights(self, post: VBPosterior, columns, psi_blocks: list[np.ndarray],
+    def update_weights(self, post: VBPosterior, columns, psi: np.ndarray,
                        cross_cov: bool) -> None:
         """Update the weight-column factors in ``columns``, in order; each
         sees the columns updated before it."""
-        n = self.stats.n_cols
-        _, z_gram, xz = _latent_moments(post, self.stats)
+        lat = self.latent_stats(post, cross_cov)
         for i in columns:
-            sq_sum = z_gram[i, i] + n * post.latent_cov[i, i]
-            prec = self.weight_prec.copy()
-            for psi_m, sl in zip(psi_blocks, self.slices):
-                prec[sl, sl] += sq_sum * psi_m
-            cov = spd_inverse(prec, "weight factor precision")
-
-            cross = z_gram[:, i]
-            if cross_cov:
-                cross = cross + n * post.latent_cov[:, i]
-            data_term = xz[:, i] - (post.weight_mean @ cross
-                                    - post.weight_mean[:, i] * cross[i])
-            rhs = np.empty(self.stats.dim)
-            for psi_m, sl in zip(psi_blocks, self.slices):
-                rhs[sl] = psi_m @ data_term[sl]
-            rhs += self.weight_prec @ self.priors.weight_loc
-            post.weight_mean[:, i] = cov @ rhs
-            post.weight_cov[i] = cov
+            post_chol, post.weight_mean[:, i] = self.weight_natural(
+                post.weight_mean, post.mean_loc, lat, psi, i)
+            post.weight_cov[i] = chol_inverse(post_chol)
 
     def update_noise(self, post: VBPosterior) -> None:
-        scatter = _residual_scatter(post, self.stats)
-        post.noise_scale = [symmetrize(scale0 + blk)
-                            for scale0, blk in zip(self.priors.noise_scale, scatter)]
-        post.noise_dof = [dof0 + self.stats.n_cols for dof0 in self.priors.noise_dof]
+        params = self.noise_conditionals(self.expected_scatter(post, self.latent_stats(post)))
+        post.noise_scale = [scale for scale, _ in params]
+        post.noise_dof = [dof for _, dof in params]
 
-    def update_mean(self, post: VBPosterior, psi_blocks: list[np.ndarray]) -> None:
-        n = self.stats.n_cols
-        prec = self.mean_prec.copy()
-        for psi_m, sl in zip(psi_blocks, self.slices):
-            prec[sl, sl] += n * psi_m
-        cov = spd_inverse(prec, "mean factor precision")
+    def update_mean(self, post: VBPosterior, psi: np.ndarray) -> None:
+        post_chol, post.mean_loc = self.mean_natural(post.weight_mean,
+                                                     self.latent_stats(post), psi)
+        post.mean_cov = chol_inverse(post_chol)
 
-        z_sum, _, _ = _latent_moments(post, self.stats)
-        demeaned = n * self.stats.row_mean - post.weight_mean @ z_sum
-        rhs = np.empty(self.stats.dim)
-        for psi_m, sl in zip(psi_blocks, self.slices):
-            rhs[sl] = psi_m @ demeaned[sl]
-        rhs += self.mean_prec @ self.priors.mean_loc
-        post.mean_loc = cov @ rhs
-        post.mean_cov = cov
-
-    def elbo(self, post: VBPosterior, psi_blocks: list[np.ndarray]) -> float:
-        """Expected log joint minus the surrogate's expected log density."""
+    def elbo(self, post: VBPosterior, psi: np.ndarray) -> float:
+        """Expected log likelihood minus each surrogate factor's KL
+        divergence from its prior."""
         priors = self.priors
         n = self.stats.n_cols
         d = post.latent_cov.shape[0]
-        total_dim = self.stats.dim
-        log_2pi = np.log(2.0 * np.pi)
-        scatter = _residual_scatter(post, self.stats)
-        _, z_gram, _ = _latent_moments(post, self.stats)
+        lat = self.latent_stats(post)
+        weight_logdet, mean_logdet, noise_prior_logdets = self.prior_logdets
         scale_logdets = [chol_logdet(spd_cholesky(scale, "noise factor scale"))
                          for scale in post.noise_scale]
         e_logdets = [_expected_logdet_precision(logdet, scale.shape[0], dof)
                      for logdet, scale, dof in zip(scale_logdets, post.noise_scale,
                                                    post.noise_dof)]
 
-        value = 0.0
-        # expected log likelihood, per view
-        for psi_m, blk, e_logdet in zip(psi_blocks, scatter, e_logdets):
-            dim = blk.shape[0]
-            value += 0.5 * n * (e_logdet - dim * log_2pi)
-            value -= 0.5 * float(np.sum(psi_m * blk))
-
-        # expected log prior of the latent columns
-        sq_total = float(np.trace(z_gram)) + n * float(np.trace(post.latent_cov))
-        value += -0.5 * n * d * log_2pi - 0.5 * sq_total
-
-        # expected log prior of the noise precisions
-        for scale0, dof0, logdet0, e_logdet, psi_m in zip(
-                priors.noise_scale, priors.noise_dof, self.noise_prior_logdet,
-                e_logdets, psi_blocks):
-            dim = scale0.shape[0]
-            value += 0.5 * (dof0 - dim - 1) * e_logdet
-            value -= 0.5 * float(np.sum(scale0 * psi_m))
-            value += 0.5 * dof0 * logdet0
-            value -= 0.5 * dof0 * dim * np.log(2.0)
-            value -= multigammaln(0.5 * dof0, dim)
-
-        # expected log prior of the mean
-        dev = post.mean_loc - priors.mean_loc
-        value += -0.5 * total_dim * log_2pi
-        value -= 0.5 * self.mean_logdet
-        value -= 0.5 * (float(dev @ self.mean_prec @ dev)
-                        + float(np.sum(self.mean_prec * post.mean_cov)))
-
-        # expected log prior of the weight columns
+        value = 0.5 * n * (sum(e_logdets) - self.stats.dim * np.log(2.0 * np.pi))
+        value -= 0.5 * float(np.sum(psi * self.expected_scatter(post, lat)))
+        # latent factors against N(0, I), summed over the columns
+        latent_logdet = chol_logdet(spd_cholesky(post.latent_cov, "latent factor cov"))
+        value -= 0.5 * (float(np.trace(lat.gram)) - n * d - n * latent_logdet)
+        value -= _gaussian_kl(post.mean_loc - priors.mean_loc, post.mean_cov,
+                              priors.mean_prior[0], mean_logdet)
         for i in range(d):
-            dev = post.weight_mean[:, i] - priors.weight_loc
-            value += -0.5 * total_dim * log_2pi - 0.5 * self.weight_logdet
-            value -= 0.5 * (float(dev @ self.weight_prec @ dev)
-                            + float(np.sum(self.weight_prec * post.weight_cov[i])))
-
-        # minus expected log of the surrogate (its negative entropy)
-        value += 0.5 * n * (chol_logdet(spd_cholesky(post.latent_cov, "latent factor cov"))
-                            + d * (1.0 + log_2pi))
-        for i in range(d):
-            value += 0.5 * (chol_logdet(spd_cholesky(post.weight_cov[i],
-                                                     "weight factor cov"))
-                            + total_dim * (1.0 + log_2pi))
-        value += 0.5 * (chol_logdet(spd_cholesky(post.mean_cov, "mean factor cov"))
-                        + total_dim * (1.0 + log_2pi))
-        for scale, dof, logdet, e_logdet in zip(post.noise_scale, post.noise_dof,
-                                                scale_logdets, e_logdets):
+            value -= _gaussian_kl(post.weight_mean[:, i] - priors.weight_loc,
+                                  post.weight_cov[i], priors.weight_prior[0],
+                                  weight_logdet)
+        # Wishart factors; tr(scale E[precision]) = dof * dim under the factor
+        value -= 0.5 * float(np.sum(self.noise_prior_scale * psi))
+        for dof0, logdet0, scale, dof, logdet, e_logdet in zip(
+                priors.noise_dof, noise_prior_logdets, post.noise_scale,
+                post.noise_dof, scale_logdets, e_logdets):
             dim = scale.shape[0]
-            # E[ln q(precision)] with tr(scale <precision>) = dof * dim
-            e_log_q = (0.5 * (dof - dim - 1) * e_logdet - 0.5 * dof * dim
-                       - 0.5 * dof * dim * np.log(2.0)
-                       + 0.5 * dof * logdet
-                       - multigammaln(0.5 * dof, dim))
-            value -= e_log_q
+            value -= (0.5 * (dof - dof0) * e_logdet - 0.5 * dof * dim
+                      + _wishart_log_norm(logdet, dof, dim)
+                      - _wishart_log_norm(logdet0, dof0, dim))
         return float(value)
 
 
 def update_latent_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
     """Closed-form update of the shared latent covariance and the latent map."""
-    _Kernel(data.stats(), priors).update_latent(post, expected_noise_precision(post))
+    _Kernel(data.stats(), priors).update_latent(post, _expected_precision(post))
 
 
 def update_weight_factor(post: VBPosterior, data: StackedData, priors: PriorHyper,
@@ -339,7 +285,7 @@ def update_weight_factor(post: VBPosterior, data: StackedData, priors: PriorHype
     ``cross_cov`` keeps the shared latent covariance's off-diagonal
     contribution when subtracting the other columns' effect.
     """
-    _Kernel(data.stats(), priors).update_weights(post, [i], expected_noise_precision(post),
+    _Kernel(data.stats(), priors).update_weights(post, [i], _expected_precision(post),
                                                  cross_cov)
 
 
@@ -352,7 +298,9 @@ def expected_residual_scatter(post: VBPosterior, data: StackedData) -> list[np.n
     moments.  Single source of truth shared by the noise update and the
     bound.
     """
-    return _residual_scatter(post, data.stats())
+    kernel = _Kernel(data.stats(), None)    # the scatter involves no prior
+    scatter = kernel.expected_scatter(post, kernel.latent_stats(post))
+    return [scatter[sl, sl] for sl in kernel.slices]
 
 
 def update_noise_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
@@ -362,13 +310,13 @@ def update_noise_factor(post: VBPosterior, data: StackedData, priors: PriorHyper
 
 def update_mean_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
     """Closed-form update of the mean factor."""
-    _Kernel(data.stats(), priors).update_mean(post, expected_noise_precision(post))
+    _Kernel(data.stats(), priors).update_mean(post, _expected_precision(post))
 
 
 def elbo(post: VBPosterior, data: StackedData, priors: PriorHyper) -> float:
     """Evidence lower bound: expected log joint minus the surrogate's
     expected log density, all terms in closed form."""
-    return _Kernel(data.stats(), priors).elbo(post, expected_noise_precision(post))
+    return _Kernel(data.stats(), priors).elbo(post, _expected_precision(post))
 
 
 def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
@@ -428,15 +376,15 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
 
     start = time.perf_counter()
     previous = -np.inf
-    psi_blocks = expected_noise_precision(post)
+    psi = _expected_precision(post)
     for sweep in range(1, config.max_iter + 1):
-        kernel.update_latent(post, psi_blocks)
-        kernel.update_weights(post, range(d), psi_blocks, config.latent_cross_cov)
+        kernel.update_latent(post, psi)
+        kernel.update_weights(post, range(d), psi, config.latent_cross_cov)
         kernel.update_noise(post)
-        psi_blocks = expected_noise_precision(post)
-        kernel.update_mean(post, psi_blocks)
+        psi = _expected_precision(post)
+        kernel.update_mean(post, psi)
 
-        bound = kernel.elbo(post, psi_blocks)
+        bound = kernel.elbo(post, psi)
         if not np.isfinite(bound):
             raise RuntimeError(
                 "bound became non-finite at sweep "

@@ -189,6 +189,18 @@ class TestIdentify:
                        "--seed", 1, "--out", out)
         assert code == 1
 
+    def test_noise_dof_of_wrong_length_rejected(self, sim_dir, tmp_path, capsys):
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text(json.dumps({"noise_dof": [70]}))
+        out = tmp_path / "bad_dof"
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "vb",
+                       "--draws", 20, "--max-iter", 40, "--seed", 2,
+                       "--priors", priors_file, "--out", out)
+        assert code == 1
+        assert "noise_dof" in capsys.readouterr().err
+        assert listing(out) == []
+
     def test_engine_failure_cleans_partial_artifacts(self, sim_dir, tmp_path):
         # order larger than the Hankel half-height fails after config.json
         # is staged; the directory must be left clean
@@ -252,6 +264,23 @@ class TestStabilise:
         assert set(np.unique(triples[:, 0])) == {2.0}
 
 
+    def test_invalid_priors_fail_before_any_order(self, sim_dir, tmp_path, capsys):
+        # an invalid prior file is a configuration error, not a failure at
+        # every order: exit 1, one error line, no stabilisation output
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text(json.dumps({"noise_dof": 1}))
+        out = tmp_path / "bad_priors"
+        code = run_cli("stabilise", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 2, "--order", 4,
+                       "--draws", 10, "--max-iter", 30, "--seed", 5,
+                       "--priors", priors_file, "--out", out)
+        assert code == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(err) == 1 and err[0].startswith("error:") and "noise_dof" in err[0]
+        assert not (out / "stabilisation.csv").exists()
+        assert not (out / "run_manifest.json").exists()
+
+
 class TestSpectrum:
     def test_psd_csv_layout(self, sim_dir, tmp_path):
         out = tmp_path / "spec"
@@ -285,6 +314,12 @@ class TestPriorConfig:
         path.write_text(json.dumps({"mean_cov": mat}))
         priors = build_priors(4, 4, 2, load_prior_overrides(path))
         assert priors.mean_cov == pytest.approx(2.0 * np.eye(8))
+
+    def test_noise_dof_needs_one_entry_per_view(self):
+        assert build_priors(3, 3, 2, {"noise_dof": [70, 80]}).noise_dof == (70.0, 80.0)
+        for value in ([70], [70, 80, 90]):
+            with pytest.raises(ValueError, match="noise_dof"):
+                build_priors(3, 3, 2, {"noise_dof": value})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "p.json"

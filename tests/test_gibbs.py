@@ -5,7 +5,6 @@ from scipy.linalg import solve_triangular
 
 from bayes_ssi.gibbs import (
     GibbsConfig,
-    LatentStats,
     effective_sample_size,
     initial_state,
     latent_conditional,
@@ -20,9 +19,15 @@ from bayes_ssi.gibbs import (
     weight_column_conditional,
     _Kernel,
     _block_precision,
-    _latent_natural,
 )
-from bayes_ssi.model import ModelState, PriorHyper, StackedData, default_priors
+from bayes_ssi.model import (
+    LatentStats,
+    ModelState,
+    PriorHyper,
+    StackedData,
+    default_priors,
+    latent_natural,
+)
 from bayes_ssi.rng import Rng, sample_inverse_wishart
 
 import oracles
@@ -481,7 +486,7 @@ class TestStatisticsEngine:
                                                                prec, rng))
                          for _ in range(n_draws)])
 
-        chol, proj = _latent_natural(state.weights, prec)
+        chol, proj = latent_natural(state.weights, prec)
         noise_map = solve_triangular(chol.T, np.eye(d), lower=False)
         latent = (proj @ (x - state.mean[:, None])
                   + noise_map @ gen.standard_normal((n_draws, d, n)))

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayes_ssi.gibbs import GibbsChain, GibbsConfig
 from bayes_ssi.modal_posterior import (
@@ -215,6 +217,50 @@ class TestAlignModes:
             assert cluster.n_aligned == 1
             assert cluster.frequencies[0] == pytest.approx(
                 cluster.reference_frequency)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 4),
+           l=st.integers(2, 5), n_draws=st.integers(1, 8),
+           n_spurious=st.integers(0, 2))
+    def test_summary_unchanged_when_draw_modes_permuted(self, seed, n_modes, l,
+                                                       n_draws, n_spurious):
+        # generic draws (no exact MAC or frequency ties): the assignment
+        # does not depend on the order of a draw's modes
+        gen = np.random.default_rng(seed)
+        _, _, modal0 = stable_modal_set(gen, n_modes=n_modes, l=l)
+        width = n_modes + n_spurious
+
+        def noisy(values, scale):
+            return values * (1.0 + scale * gen.standard_normal(values.shape))
+
+        draws = []
+        for _ in range(n_draws):
+            freqs = np.concatenate([noisy(modal0.frequencies, 0.03),
+                                    gen.uniform(0.1, 25.0, n_spurious)])
+            shapes = np.concatenate(
+                [modal0.mode_shapes, gen.standard_normal((l, n_spurious))], axis=1)
+            shapes = shapes + 0.3 * (gen.standard_normal((l, width))
+                                     + 1j * gen.standard_normal((l, width)))
+            draws.append(ModalSet(frequencies=freqs,
+                                  damping_ratios=gen.uniform(-0.01, 0.1, width),
+                                  mode_shapes=shapes,
+                                  eigenvalues=np.ones(width, complex),
+                                  real_pole=np.zeros(width, bool)))
+
+        def summary(modal_sets):
+            samples = [ModalSample(index=k, modal=m, source="vb", order=2 * n_modes)
+                       for k, m in enumerate(modal_sets)]
+            return summarize(align_modes(samples, modal0))
+
+        permuted = []
+        for draw in draws:
+            perm = gen.permutation(width)
+            permuted.append(ModalSet(
+                frequencies=draw.frequencies[perm],
+                damping_ratios=draw.damping_ratios[perm],
+                mode_shapes=draw.mode_shapes[:, perm],
+                eigenvalues=draw.eigenvalues[perm], real_pole=draw.real_pole[perm]))
+        assert summary(permuted) == summary(draws)
 
     def test_negative_damping_never_clipped(self):
         gen = np.random.default_rng(13)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -71,6 +73,14 @@ class TestDefaultPriors:
     def test_bad_dof_rejected(self):
         with pytest.raises(ValueError, match="noise_dof"):
             default_priors(4, 4, 2, noise_dof_offset=-10.0)
+
+    def test_noise_entries_must_match_view_count(self):
+        # zipping would silently drop the second view's noise prior
+        base = default_priors(3, 3, 2)
+        for scale, dof in ((base.noise_scale, base.noise_dof[:1]),
+                           (base.noise_scale[:1], base.noise_dof)):
+            with pytest.raises(ValueError, match="one entry per view"):
+                dataclasses.replace(base, noise_scale=scale, noise_dof=dof)
 
 
 class TestLogJoint:

@@ -269,6 +269,40 @@ class TestModalExtraction:
         assert modal.n_modes == 1
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 4),
+           l=st.integers(1, 5))
+    def test_invariant_under_similarity_transform(self, seed, n_modes, l):
+        # (T A T^-1, C T^-1) realizes the same system as (A, C): same
+        # frequencies, damping and mode shapes for a well-conditioned T
+        gen = np.random.default_rng(seed)
+        angles = 0.2 + np.cumsum(gen.uniform(0.15, 0.5, n_modes))
+        radii = gen.uniform(0.85, 0.99, n_modes)
+        dim = 2 * n_modes
+        blocks = np.zeros((dim, dim))
+        for k, (ang, rad) in enumerate(zip(angles, radii)):
+            blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rad * np.array(
+                [[np.cos(ang), np.sin(ang)], [-np.sin(ang), np.cos(ang)]])
+        basis = gen.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
+        a = basis @ blocks @ np.linalg.inv(basis)
+        c_out = gen.standard_normal((l, dim))
+        q1, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+        q2, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+        t = q1 @ np.diag(gen.uniform(0.5, 2.0, dim)) @ q2
+        t_inv = np.linalg.inv(t)
+
+        ref = modal_from_state_matrix(a, c_out, 0.02)
+        moved = modal_from_state_matrix(t @ a @ t_inv, c_out @ t_inv, 0.02)
+        assert moved.n_modes == ref.n_modes == n_modes
+        assert moved.frequencies == pytest.approx(ref.frequencies, rel=1e-9)
+        assert moved.damping_ratios == pytest.approx(ref.damping_ratios, rel=1e-9)
+        for k in range(n_modes):
+            a_k, b_k = ref.mode_shapes[:, k], moved.mode_shapes[:, k]
+            mac = abs(np.vdot(a_k, b_k)) ** 2 / (np.vdot(a_k, a_k).real
+                                                 * np.vdot(b_k, b_k).real)
+            assert mac >= 1.0 - 1e-9
+
+
 class TestSsiCov:
     def test_full_rank_reconstruction(self):
         gen = np.random.default_rng(9)
