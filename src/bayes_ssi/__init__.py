@@ -21,22 +21,20 @@ from .simulate import (
     van_loan_discretize,
 )
 from .subspace import (
-    CovBlocks,
     HankelPair,
     HankelStats,
     ModalSet,
     Realization,
     build_hankel,
     cca,
-    covariance_blocks,
     matrix_sqrt,
     modal_from_state_matrix,
     realization_from_observability,
     ssi_cov,
 )
-from .model import ModelState, PriorHyper, StackedData, default_priors, log_joint
+from .model import PriorHyper, default_priors, log_joint
 from .gibbs import GibbsChain, GibbsConfig, run_gibbs
-from .vb import VBConfig, VBPosterior, elbo, latent_means, run_vb
+from .vb import VBConfig, VBPosterior, latent_means, run_vb
 from .modal_posterior import (
     ModalPosterior,
     ModalSample,

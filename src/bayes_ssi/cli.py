@@ -194,17 +194,33 @@ def build_priors(view_dim_future: int, view_dim_past: int, order: int,
             fields[key] = _expand_matrix(overrides[key], base.dim)
     if "noise_scale" in overrides:
         value = overrides["noise_scale"]
-        per_view = value if isinstance(value, list) and len(value) == 2 else [value, value]
+        try:
+            rank = np.ndim(value)
+        except ValueError:      # ragged: a list of per-view entries
+            rank = None
+        shared = rank == 0 or (rank == 2 and all(np.shape(value) == (d, d)
+                                                 for d in base.view_dims))
+        per_view = _per_view("noise_scale", value, shared)
         fields["noise_scale"] = tuple(_expand_matrix(v, d)
                                       for v, d in zip(per_view, base.view_dims))
     if "noise_dof" in overrides:
         value = overrides["noise_dof"]
-        if isinstance(value, list) and len(value) != 2:
-            raise ValueError(f"noise_dof must be a number or a list of 2 per-view "
-                             f"values, got a list of {len(value)}")
-        per_view = value if isinstance(value, list) else [value, value]
+        per_view = _per_view("noise_dof", value, not isinstance(value, list))
         fields["noise_dof"] = tuple(float(v) for v in per_view)
     return dataclasses.replace(base, **fields)
+
+
+def _per_view(key: str, value, shared: bool) -> list:
+    """The two per-view entries of a noise prior override: ``value`` for
+    both views when ``shared``, else ``value`` itself, which must then be a
+    list of exactly two entries."""
+    if shared:
+        return [value, value]
+    if not isinstance(value, list) or len(value) != 2:
+        got = f"a list of {len(value)}" if isinstance(value, list) else repr(value)
+        raise ValueError(f"{key} must be one value for both views or a list of 2 "
+                         f"per-view values, got {got}")
+    return value
 
 
 def _load_input(cfg: dict):
@@ -431,10 +447,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
 
+    def common_model(p):
+        p.add_argument("--block-rows", type=int, required=True)
+        p.add_argument("--order", type=int, action="append", required=True)
+        p.add_argument("--priors", default=None)
+        p.add_argument("--no-center", action="store_true")
+        p.add_argument("--strict-paper-vb", action="store_true")
+        p.add_argument("--warm-start", action="store_true")
+        p.add_argument("--max-iter", type=int, default=500)
+        p.add_argument("--tol", type=float, default=1e-7)
+
     ident = sub.add_parser("identify", help="single-order identification")
     common_input(ident)
-    ident.add_argument("--block-rows", type=int, required=True)
-    ident.add_argument("--order", type=int, action="append", required=True)
+    common_model(ident)
     ident.add_argument("--engine", choices=["ssi", "gibbs", "vb"], default="vb")
     ident.add_argument("--samples", type=int, default=5000,
                        help="Gibbs sweeps before burn-in removal")
@@ -442,24 +467,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--thin", type=int, default=1)
     ident.add_argument("--draws", type=int, default=4000,
                        help="Monte Carlo draws propagated from the VB posterior")
-    ident.add_argument("--priors", default=None)
-    ident.add_argument("--no-center", action="store_true")
-    ident.add_argument("--strict-paper-vb", action="store_true")
-    ident.add_argument("--warm-start", action="store_true")
-    ident.add_argument("--max-iter", type=int, default=500)
-    ident.add_argument("--tol", type=float, default=1e-7)
 
     stab = sub.add_parser("stabilise", help="multi-order variational sweep")
     common_input(stab)
-    stab.add_argument("--block-rows", type=int, required=True)
-    stab.add_argument("--order", type=int, action="append", required=True)
+    common_model(stab)
     stab.add_argument("--draws", type=int, default=500)
-    stab.add_argument("--priors", default=None)
-    stab.add_argument("--no-center", action="store_true")
-    stab.add_argument("--strict-paper-vb", action="store_true")
-    stab.add_argument("--warm-start", action="store_true")
-    stab.add_argument("--max-iter", type=int, default=500)
-    stab.add_argument("--tol", type=float, default=1e-7)
 
     spec = sub.add_parser("spectrum", help="Welch spectra of a record")
     common_input(spec)
@@ -471,27 +483,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    cfg = {k: v for k, v in vars(args).items() if k != "command"}
+    if args.command == "identify":
+        orders = cfg.pop("order")
+        if len(orders) != 1:
+            parser.error("identify takes exactly one --order")
+        cfg["order"] = orders[0]
+    elif args.command == "stabilise":
+        cfg["orders"] = cfg.pop("order")
     try:
-        if args.command == "simulate":
-            cmd_simulate({k: v for k, v in vars(args).items() if k != "command"})
-            return 0
-        if args.command == "identify":
-            cfg = {k: v for k, v in vars(args).items() if k != "command"}
-            orders = cfg.pop("order")
-            if len(orders) != 1:
-                parser.error("identify takes exactly one --order")
-            cfg["order"] = orders[0]
-            cmd_identify(cfg)
-            return 0
         if args.command == "stabilise":
-            cfg = {k: v for k, v in vars(args).items() if k != "command"}
-            cfg["orders"] = cfg.pop("order")
             _, failures = cmd_stabilise(cfg)
             return 1 if failures else 0
-        if args.command == "spectrum":
-            cmd_spectrum({k: v for k, v in vars(args).items() if k != "command"})
-            return 0
-        parser.error(f"unknown command {args.command}")
+        {"simulate": cmd_simulate, "identify": cmd_identify,
+         "spectrum": cmd_spectrum}[args.command](cfg)
     except Exception as exc:  # surface engine failures with nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,10 +12,7 @@ count N) and through the latent statistics (X - m 1^T) Z^T, Z Z^T and Z 1
 :class:`~bayes_ssi.model.Conditionals`, shared with the variational engine.
 ``run_gibbs`` therefore never forms X or Z: each sweep draws the latent
 statistics exactly from the latent conditional, so a sweep costs the same at
-any N.  The public ``*_conditional`` and
-``update_*`` functions take explicit (X, Z), build both sets of statistics
-and call the kernel the engine sweeps with; ``latent_conditional`` and
-``update_latent`` keep the explicit d x N latent matrix.
+any N.
 """
 
 from __future__ import annotations
@@ -27,19 +24,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import (
-    Conditionals,
-    LatentStats,
-    ModelState,
-    PriorHyper,
-    StackedData,
-    block_diagonal,
-    latent_natural,
-)
+from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
 from .rng import (
     Rng,
     _bartlett_factor,
-    chol_inverse,
     sample_inverse_wishart,
     spd_cholesky,
     spd_inverse,
@@ -50,15 +38,6 @@ from .subspace import HankelStats, cca
 __all__ = [
     "GibbsConfig",
     "GibbsChain",
-    "noise_conditionals",
-    "mean_conditional",
-    "weight_column_conditional",
-    "latent_conditional",
-    "update_noise",
-    "update_mean",
-    "update_weight_column",
-    "update_latent",
-    "initial_state",
     "warm_start_point",
     "run_gibbs",
     "effective_sample_size",
@@ -214,76 +193,6 @@ class _Kernel(Conditionals):
                            total=np.sqrt(n) * k[:, -1])
 
 
-def _explicit(state: ModelState, data: StackedData, priors: PriorHyper,
-              ) -> tuple[_Kernel, LatentStats]:
-    """The engine's kernel and the latent statistics of explicit data and
-    an explicit latent matrix."""
-    stats = data.stats()
-    return _Kernel(stats, priors), LatentStats.from_latent(data.x, stats.row_mean,
-                                                          state.latent)
-
-
-def noise_conditionals(state: ModelState, data: StackedData, priors: PriorHyper,
-                       ) -> list[tuple[np.ndarray, float]]:
-    """Per-view (scale, dof) of the inverse-Wishart full conditional."""
-    kernel, lat = _explicit(state, data, priors)
-    return kernel.noise_conditionals(kernel.residual_scatter(state.weights, state.mean,
-                                                             lat))
-
-
-def mean_conditional(state: ModelState, data: StackedData, priors: PriorHyper,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, cov) of the Gaussian full conditional of the mean vector."""
-    kernel, lat = _explicit(state, data, priors)
-    post_chol, post_mean = kernel.mean_natural(state.weights, lat,
-                                               _block_precision(state.noise_cov))
-    return post_mean, chol_inverse(post_chol)
-
-
-def weight_column_conditional(state: ModelState, data: StackedData,
-                              priors: PriorHyper, i: int,
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, cov) of the Gaussian full conditional of weight column ``i``."""
-    kernel, lat = _explicit(state, data, priors)
-    post_chol, post_mean = kernel.weight_natural(
-        state.weights, state.mean, lat, _block_precision(state.noise_cov), i)
-    return post_mean, chol_inverse(post_chol)
-
-
-def latent_conditional(state: ModelState, data: StackedData,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(means, shared cov) of the latent columns' Gaussian full conditional."""
-    post_chol, proj = latent_natural(state.weights, _block_precision(state.noise_cov))
-    return proj @ (data.x - state.mean[:, None]), chol_inverse(post_chol)
-
-
-def update_noise(state: ModelState, data: StackedData, priors: PriorHyper,
-                 rng: Rng) -> None:
-    kernel, lat = _explicit(state, data, priors)
-    state.noise_cov[:] = kernel.draw_noise(state.weights, state.mean, lat, rng)
-
-
-def update_mean(state: ModelState, data: StackedData, priors: PriorHyper,
-                rng: Rng) -> None:
-    kernel, lat = _explicit(state, data, priors)
-    state.mean = kernel.draw_mean(state.weights, lat,
-                                  _block_precision(state.noise_cov), rng)
-
-
-def update_weight_column(state: ModelState, data: StackedData, priors: PriorHyper,
-                         i: int, rng: Rng) -> None:
-    kernel, lat = _explicit(state, data, priors)
-    state.weights[:, i] = kernel.draw_weight_column(
-        state.weights, state.mean, lat, _block_precision(state.noise_cov), i, rng)
-
-
-def update_latent(state: ModelState, data: StackedData, rng: Rng) -> None:
-    post_chol, proj = latent_natural(state.weights, _block_precision(state.noise_cov))
-    means = proj @ (data.x - state.mean[:, None])
-    state.latent = _draw_from_natural(post_chol, means,
-                                      rng.generator.standard_normal(means.shape))
-
-
 def _prior_point(priors: PriorHyper, rng: Rng,
                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(weights, mean, per-view noise blocks) drawn from the priors."""
@@ -295,13 +204,6 @@ def _prior_point(priors: PriorHyper, rng: Rng,
     weights = (priors.weight_loc[:, None]
                + w_chol @ rng.generator.standard_normal((priors.dim, priors.latent_dim)))
     return weights, mean, noise
-
-
-def initial_state(data: StackedData, priors: PriorHyper, rng: Rng) -> ModelState:
-    """Draw a starting point, latent matrix included, from the priors."""
-    weights, mean, noise = _prior_point(priors, rng)
-    latent = rng.generator.standard_normal((priors.latent_dim, data.n_columns))
-    return ModelState(weights=weights, mean=mean, noise_cov=noise, latent=latent)
 
 
 def warm_start_point(stats: HankelStats, priors: PriorHyper,

@@ -1,6 +1,7 @@
 """Shared definition of the hierarchical latent-projection model used by
-both inference engines: stacked two-view data, prior hyperparameters, and
-the per-view block structure of the noise covariance.
+both inference engines: prior hyperparameters, the per-view block
+structure of the noise covariance, and the model's conditionals and log
+joint density on the data statistics.
 
 The observation model for each column x_n of the stacked data is
 
@@ -14,7 +15,7 @@ identification pipeline always stacks exactly two (future rows first, then
 past rows).
 
 Given the latent matrix Z, the noise, mean and weight-column conditionals
-see the data only through its statistics
+and the log joint see the data only through its statistics
 (:class:`~bayes_ssi.subspace.HankelStats`) and the latent statistics
 (:class:`LatentStats`).  :class:`Conditionals` and :func:`latent_natural`
 are the one implementation of that algebra: the Gibbs engine evaluates it
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .rng import (
     chol_logdet,
@@ -38,12 +39,10 @@ from .rng import (
     symmetrize,
     validate_spd,
 )
-from .subspace import HankelPair, HankelStats
+from .subspace import HankelStats
 
 __all__ = [
-    "StackedData",
     "PriorHyper",
-    "ModelState",
     "LatentStats",
     "Conditionals",
     "view_slices",
@@ -70,48 +69,6 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
         out[start:start + dim, start:start + dim] = blk
         start += dim
     return out
-
-
-@dataclass(frozen=True)
-class StackedData:
-    """Column-wise observations with the first view's rows on top.
-
-    For the identification pipeline the first view is the future Hankel
-    half and the second the past half, so both views have l*j rows and
-    there are N_cols columns.
-    """
-
-    x: np.ndarray
-    view_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.x.ndim != 2:
-            raise ValueError("stacked data must be a 2-d matrix")
-        if sum(self.view_dims) != self.x.shape[0]:
-            raise ValueError(
-                f"view dims {self.view_dims} do not sum to row count {self.x.shape[0]}"
-            )
-
-    @classmethod
-    def from_hankel(cls, hp: HankelPair) -> "StackedData":
-        """Stack the future rows over the past rows."""
-        return cls(x=np.vstack([hp.future, hp.past]),
-                   view_dims=(hp.future.shape[0], hp.past.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.x.shape[1]
-
-    def stats(self) -> HankelStats:
-        """Sufficient statistics (centred Gram, row means, column count)."""
-        return HankelStats.from_matrix(self.x, self.view_dims)
-
-    def slices(self) -> list[slice]:
-        return view_slices(self.view_dims)
 
 
 @dataclass(frozen=True)
@@ -171,22 +128,6 @@ class PriorHyper:
         """(precision, precision @ location) of the weight-column prior."""
         prec = spd_inverse(self.weight_cov, "weight_cov")
         return prec, prec @ self.weight_loc
-
-
-@dataclass
-class ModelState:
-    """One point in parameter space: weights, mean, per-view noise blocks
-    and the latent matrix."""
-
-    weights: np.ndarray              # D x d
-    mean: np.ndarray                 # D
-    noise_cov: list[np.ndarray]      # per-view blocks
-    latent: np.ndarray               # d x N
-
-    def copy(self) -> "ModelState":
-        return ModelState(weights=self.weights.copy(), mean=self.mean.copy(),
-                          noise_cov=[s.copy() for s in self.noise_cov],
-                          latent=self.latent.copy())
 
 
 @dataclass(frozen=True)
@@ -313,29 +254,32 @@ def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,
     )
 
 
-def log_joint(state: ModelState, data: StackedData, priors: PriorHyper) -> float:
-    """Log of the full joint density at ``state``, constants included so
-    values are comparable across states."""
-    x = data.x
-    n = data.n_columns
-    resid = x - state.mean[:, None] - state.weights @ state.latent
+def log_joint(stats: HankelStats, lat: LatentStats, weights: np.ndarray,
+              mean: np.ndarray, noise_cov: list[np.ndarray],
+              priors: PriorHyper) -> float:
+    """Log of the full joint density at (weights, mean, per-view noise
+    blocks, latent matrix Z), constants included so values are comparable
+    across states.  The data enter through ``stats`` and Z through its
+    statistics ``lat``."""
+    n = stats.n_cols
+    scatter = Conditionals(stats, priors).residual_scatter(weights, mean, lat)
 
     total = 0.0
-    for sl, cov in zip(data.slices(), state.noise_cov):
+    for sl, cov in zip(view_slices(stats.view_dims), noise_cov):
         dim = cov.shape[0]
         chol = spd_cholesky(cov, "noise_cov")
-        white = solve_triangular(chol, resid[sl], lower=True)
         total += -0.5 * n * (dim * np.log(2.0 * np.pi) + chol_logdet(chol))
-        total += -0.5 * float(np.sum(white * white))
+        total += -0.5 * float(np.trace(cho_solve((chol, True), scatter[sl, sl],
+                                                 check_finite=False)))
 
     # standard-normal latent prior
-    d = state.latent.shape[0]
-    total += -0.5 * n * d * np.log(2.0 * np.pi) - 0.5 * float(np.sum(state.latent**2))
+    d = lat.gram.shape[0]
+    total += -0.5 * (n * d * np.log(2.0 * np.pi) + float(np.trace(lat.gram)))
 
-    for cov, scale, dof in zip(state.noise_cov, priors.noise_scale, priors.noise_dof):
+    for cov, scale, dof in zip(noise_cov, priors.noise_scale, priors.noise_dof):
         total += inverse_wishart_logpdf(cov, scale, dof)
 
-    total += mvn_logpdf(state.mean, priors.mean_loc, priors.mean_cov)
-    for i in range(state.weights.shape[1]):
-        total += mvn_logpdf(state.weights[:, i], priors.weight_loc, priors.weight_cov)
+    total += mvn_logpdf(mean, priors.mean_loc, priors.mean_cov)
+    for i in range(weights.shape[1]):
+        total += mvn_logpdf(weights[:, i], priors.weight_loc, priors.weight_cov)
     return float(total)

@@ -1,7 +1,7 @@
 """Deterministic subspace machinery: block-Hankel assembly, the Hankel
-sufficient statistics and their covariance blocks, canonical correlation
-analysis, the canonical-variate weighted covariance-driven identification
-baseline, and modal extraction from a state-space realization."""
+sufficient statistics, canonical correlation analysis, the
+canonical-variate weighted covariance-driven identification baseline, and
+modal extraction from a state-space realization."""
 
 from __future__ import annotations
 
@@ -17,12 +17,10 @@ from .simulate import TimeSeries
 __all__ = [
     "HankelPair",
     "HankelStats",
-    "CovBlocks",
     "Realization",
     "ModalSet",
     "IllConditionedError",
     "build_hankel",
-    "covariance_blocks",
     "chol_with_jitter",
     "matrix_sqrt",
     "cca",
@@ -83,19 +81,17 @@ class HankelStats:
         """sum_n x_n x_n^T, the Gram about zero."""
         return self.gram + self.n_cols * np.outer(self.row_mean, self.row_mean)
 
-    def cov_blocks(self) -> "CovBlocks":
-        """Covariance blocks of the Hankel halves with 1/N_cols scaling,
-        taken about zero like the products of the Hankel rows themselves."""
-        raw = self.raw_gram() / self.n_cols
-        half = self.view_dims[0]
-        return CovBlocks(past_past=symmetrize(raw[half:, half:]),
-                         future_future=symmetrize(raw[:half, :half]),
-                         future_past=raw[:half, half:].copy())
-
     @classmethod
     def from_matrix(cls, x: np.ndarray, view_dims: tuple[int, ...]) -> "HankelStats":
-        """Statistics of an explicit stacked matrix, one column per observation."""
+        """Statistics of an explicit stacked matrix, one column per
+        observation, whose rows split into views of ``view_dims`` rows."""
         x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("stacked data must be a 2-d matrix")
+        if sum(view_dims) != x.shape[0]:
+            raise ValueError(
+                f"view dims {tuple(view_dims)} do not sum to row count {x.shape[0]}"
+            )
         row_mean = x.mean(axis=1)
         centred = x - row_mean[:, None]
         return cls(gram=symmetrize(centred @ centred.T), row_mean=row_mean,
@@ -155,15 +151,6 @@ class HankelStats:
             row_mean = (window[order] / n_cols + channel_mean).reshape(dim)
         return cls(gram=symmetrize(gram), row_mean=row_mean, n_cols=n_cols,
                    view_dims=(j * l, j * l))
-
-
-@dataclass(frozen=True)
-class CovBlocks:
-    """Auto- and cross-covariance blocks of the Hankel halves (1/N scaling)."""
-
-    past_past: np.ndarray
-    future_future: np.ndarray
-    future_past: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -234,16 +221,6 @@ def build_hankel(ts: TimeSeries, block_rows: int, center: bool = True) -> Hankel
                       n_channels=l, block_rows=j, centred=center)
 
 
-def covariance_blocks(hp: HankelPair) -> CovBlocks:
-    """Covariance blocks with 1/N_cols scaling; auto-blocks symmetrized."""
-    n = hp.n_cols
-    return CovBlocks(
-        past_past=symmetrize(hp.past @ hp.past.T / n),
-        future_future=symmetrize(hp.future @ hp.future.T / n),
-        future_past=hp.future @ hp.past.T / n,
-    )
-
-
 def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, escalating diagonal jitter up to 1e-6*trace/dim.
 
@@ -293,19 +270,23 @@ def cca(auto_x: np.ndarray, auto_y: np.ndarray, cross_xy: np.ndarray,
     return chol_x @ left, np.clip(svals, 0.0, 1.0), chol_y @ right_t.T
 
 
-def observability_controllability(cb: CovBlocks, order: int,
+def observability_controllability(stats: HankelStats, order: int,
                                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical-variate weighted factorization of the future-past
     covariance, truncated to ``order`` states.
 
+    The covariance blocks of the Hankel halves are taken about zero, like
+    the products of the Hankel rows themselves, with 1/N_cols scaling.
     Returns (observability, controllability, correlations) such that
-    observability @ controllability reconstructs the cross-covariance up to
-    the discarded singular-value energy.
+    observability @ controllability reconstructs the future-past block up
+    to the discarded singular-value energy.
     """
-    dim = cb.future_past.shape[0]
+    dim = stats.view_dims[0]
     if not 1 <= order <= dim:
         raise ValueError(f"order must be in [1, {dim}], got {order}")
-    load_f, corr, load_p = cca(cb.future_future, cb.past_past, cb.future_past)
+    cov = stats.raw_gram() / stats.n_cols
+    load_f, corr, load_p = cca(symmetrize(cov[:dim, :dim]), symmetrize(cov[dim:, dim:]),
+                               cov[:dim, dim:])
     root = np.sqrt(corr[:order])
     obs = load_f[:, :order] * root
     ctrb = (load_p[:, :order] * root).T
@@ -384,8 +365,8 @@ def ssi_cov(ts: TimeSeries, block_rows: int, order: int, center: bool = True,
         raise ValueError(
             f"order {order} exceeds Hankel half-height {ts.channels * block_rows}"
         )
-    cb = HankelStats.from_record(ts, block_rows, center=center).cov_blocks()
-    obs, ctrb, _ = observability_controllability(cb, order)
+    stats = HankelStats.from_record(ts, block_rows, center=center)
+    obs, ctrb, _ = observability_controllability(stats, order)
     a, c_out, residual = realization_from_observability(obs, ts.channels)
     modal = modal_from_state_matrix(a, c_out, 1.0 / ts.fs)
     realization = Realization(observability=obs, controllability=ctrb, a=a,

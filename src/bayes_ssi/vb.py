@@ -21,9 +21,7 @@ recovers the d x N means when explicit data are at hand.  Each update is
 the model's full conditional (:class:`~bayes_ssi.model.Conditionals`, the
 algebra the Gibbs engine samples from) evaluated at the expected latent
 statistics and expected noise precision, plus the mean-field corrections
-the other factors' covariances add.  The public ``update_*`` functions take
-explicit data, build its statistics and call the same kernel ``run_vb``
-sweeps with.
+the other factors' covariances add.
 """
 
 from __future__ import annotations
@@ -37,14 +35,7 @@ import numpy as np
 from scipy.special import multigammaln, psi
 
 from .gibbs import warm_start_point
-from .model import (
-    Conditionals,
-    LatentStats,
-    PriorHyper,
-    StackedData,
-    block_diagonal,
-    latent_natural,
-)
+from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
 from .rng import Rng, chol_inverse, chol_logdet, spd_cholesky, spd_inverse
 from .subspace import HankelStats
 
@@ -53,13 +44,7 @@ __all__ = [
     "VBPosterior",
     "ElboDecreaseError",
     "expected_noise_precision",
-    "expected_residual_scatter",
     "latent_means",
-    "update_latent_factor",
-    "update_weight_factor",
-    "update_noise_factor",
-    "update_mean_factor",
-    "elbo",
     "initial_posterior",
     "run_vb",
 ]
@@ -126,9 +111,9 @@ class VBPosterior:
                 "ms_per_sweep": 1e3 * self.elapsed_s / self.n_iter if self.n_iter else 0.0}
 
 
-def latent_means(post: VBPosterior, data: StackedData) -> np.ndarray:
-    """d x N latent factor means of the columns of ``data``."""
-    return post.latent_map @ (data.x - post.latent_centre[:, None])
+def latent_means(post: VBPosterior, x: np.ndarray) -> np.ndarray:
+    """d x N latent factor means of the columns of the stacked data ``x``."""
+    return post.latent_map @ (x - post.latent_centre[:, None])
 
 
 def expected_noise_precision(post: VBPosterior) -> list[np.ndarray]:
@@ -271,52 +256,6 @@ class _Kernel(Conditionals):
                       + _wishart_log_norm(logdet, dof, dim)
                       - _wishart_log_norm(logdet0, dof0, dim))
         return float(value)
-
-
-def update_latent_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
-    """Closed-form update of the shared latent covariance and the latent map."""
-    _Kernel(data.stats(), priors).update_latent(post, _expected_precision(post))
-
-
-def update_weight_factor(post: VBPosterior, data: StackedData, priors: PriorHyper,
-                         i: int, cross_cov: bool = True) -> None:
-    """Closed-form update of weight-column factor ``i``.
-
-    ``cross_cov`` keeps the shared latent covariance's off-diagonal
-    contribution when subtracting the other columns' effect.
-    """
-    _Kernel(data.stats(), priors).update_weights(post, [i], _expected_precision(post),
-                                                 cross_cov)
-
-
-def expected_residual_scatter(post: VBPosterior, data: StackedData) -> list[np.ndarray]:
-    """Per-view blocks of sum_n E[(x_n - mu - W z_n)(x_n - mu - W z_n)^T].
-
-    Expands every second moment of the surrogate: the mean-factor
-    covariance, the shared latent covariance mapped through the weights,
-    and the per-column weight covariances weighted by the latent second
-    moments.  Single source of truth shared by the noise update and the
-    bound.
-    """
-    kernel = _Kernel(data.stats(), None)    # the scatter involves no prior
-    scatter = kernel.expected_scatter(post, kernel.latent_stats(post))
-    return [scatter[sl, sl] for sl in kernel.slices]
-
-
-def update_noise_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
-    """Closed-form update of the per-view Wishart precision factors."""
-    _Kernel(data.stats(), priors).update_noise(post)
-
-
-def update_mean_factor(post: VBPosterior, data: StackedData, priors: PriorHyper) -> None:
-    """Closed-form update of the mean factor."""
-    _Kernel(data.stats(), priors).update_mean(post, _expected_precision(post))
-
-
-def elbo(post: VBPosterior, data: StackedData, priors: PriorHyper) -> float:
-    """Evidence lower bound: expected log joint minus the surrogate's
-    expected log density, all terms in closed form."""
-    return _Kernel(data.stats(), priors).elbo(post, _expected_precision(post))
 
 
 def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,

@@ -13,21 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
+
 from bayes_ssi.cli import main as cli_main
-from bayes_ssi.gibbs import (
-    GibbsConfig,
-    latent_conditional,
-    mean_conditional,
-    noise_conditionals,
-    run_gibbs,
-    update_latent,
-    update_mean,
-    update_noise,
-    update_weight_column,
-    weight_column_conditional,
-)
+from bayes_ssi.gibbs import GibbsConfig, run_gibbs, _block_precision, _prior_point
 from bayes_ssi.io import read_matrix_csv
-from bayes_ssi.model import ModelState, PriorHyper, StackedData, default_priors
+from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
 from bayes_ssi.modal_posterior import (
     align_modes,
     chain_observability_samples,
@@ -36,19 +27,14 @@ from bayes_ssi.modal_posterior import (
     stabilisation,
     summarize,
 )
-from bayes_ssi.rng import Rng, psd_factor, spd_cholesky
+from bayes_ssi.rng import Rng, chol_inverse
 from bayes_ssi.simulate import TimeSeries, build_shear_frame, discretize, simulate_response, to_continuous_ss
-from bayes_ssi.subspace import build_hankel, cca, covariance_blocks, observability_controllability, ssi_cov
-from bayes_ssi.vb import (
-    VBConfig,
-    update_latent_factor,
-    update_mean_factor,
-    update_noise_factor,
-    update_weight_factor,
-    run_vb,
-)
+from bayes_ssi.subspace import HankelStats, cca, observability_controllability, ssi_cov
+from bayes_ssi.vb import VBConfig, VBPosterior, latent_means, run_vb, _expected_precision
+from bayes_ssi.vb import _Kernel as VBKernel
 
 import oracles
+from explicit import explicit_kernel
 
 FULL_PROFILE = os.environ.get("BAYES_SSI_FULL_ACCEPTANCE", "") not in ("", "0")
 BLOCK_ROWS = 15
@@ -61,18 +47,16 @@ def slice_ts(ts, n):
 
 def engine_posterior(ts, engine, seed=0, gibbs_sweeps=1000, vb_draws=4000):
     """One full identification run; returns (summary dict, extras)."""
-    hp = build_hankel(ts, BLOCK_ROWS)
-    data = StackedData.from_hankel(hp)
-    priors = default_priors(data.view_dims[0], data.view_dims[1], ORDER)
+    stats = HankelStats.from_record(ts, BLOCK_ROWS)
+    priors = default_priors(*stats.view_dims, ORDER)
     _, reference = ssi_cov(ts, BLOCK_ROWS, ORDER)
     if engine == "gibbs":
-        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=gibbs_sweeps,
-                                                    burn_in_fraction=0.2,
-                                                    seed=seed))
+        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=gibbs_sweeps,
+                                                     burn_in_fraction=0.2, seed=seed))
         draws = chain_observability_samples(chain)
         extras = {"chain": chain}
     else:
-        post = run_vb(data.stats(), priors, VBConfig(seed=seed))
+        post = run_vb(stats, priors, VBConfig(seed=seed))
         draws = draw_observability_samples(post, vb_draws, Rng(seed, 3))
         extras = {"post": post}
     samples, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
@@ -211,43 +195,48 @@ def test_criterion_5_getting_it_right():
     rng = Rng(2024, 0)
 
     def prior_state(r):
-        from bayes_ssi.gibbs import initial_state
-        dummy = StackedData(x=np.zeros((2, n)), view_dims=view_dims)
-        return initial_state(dummy, priors, r)
+        weights, mean, noise = _prior_point(priors, r)
+        return weights, mean, noise, r.generator.standard_normal((d, n))
 
-    def observe(state, r):
-        fitted = state.weights @ state.latent + state.mean[:, None]
-        noise_sd = np.sqrt([state.noise_cov[0][0, 0], state.noise_cov[1][0, 0]])
+    def observe(weights, mean, noise, latent, r):
+        fitted = weights @ latent + mean[:, None]
+        noise_sd = np.sqrt([noise[0][0, 0], noise[1][0, 0]])
         return fitted + noise_sd[:, None] * r.generator.standard_normal((2, n))
 
-    def stats(state):
+    def stats(weights, mean, noise):
         return np.array([
-            state.noise_cov[0][0, 0], state.noise_cov[1][0, 0],
-            state.mean[0], state.mean[1],
-            state.weights[0, 0], state.weights[1, 0],
+            noise[0][0, 0], noise[1][0, 0],
+            mean[0], mean[1],
+            weights[0, 0], weights[1, 0],
         ])
 
     # forward: independent draws from the prior and the likelihood
     forward = np.empty((n_iter, 6))
     for k in range(n_iter):
-        state = prior_state(rng)
-        observe(state, rng)  # x is not needed for the parameter stats
-        forward[k] = stats(state)
+        weights, mean, noise, latent = prior_state(rng)
+        observe(weights, mean, noise, latent, rng)  # x is not needed for the stats
+        forward[k] = stats(weights, mean, noise)
 
     # successive-conditional: Gibbs transition, then refresh the data
     chain_rng = Rng(2024, 1)
-    state = prior_state(chain_rng)
-    x = observe(state, chain_rng)
+    weights, mean, noise, latent = prior_state(chain_rng)
+    x = observe(weights, mean, noise, latent, chain_rng)
     chain = np.empty((n_iter, 6))
     for k in range(n_iter):
-        data = StackedData(x=x, view_dims=view_dims)
-        update_noise(state, data, priors, chain_rng)
-        update_mean(state, data, priors, chain_rng)
+        kernel, lat = explicit_kernel(x, view_dims, priors, latent)
+        noise = kernel.draw_noise(weights, mean, lat, chain_rng)
+        prec = _block_precision(noise)
+        mean = kernel.draw_mean(weights, lat, prec, chain_rng)
         for i in range(d):
-            update_weight_column(state, data, priors, i, chain_rng)
-        update_latent(state, data, chain_rng)
-        x = observe(state, chain_rng)
-        chain[k] = stats(state)
+            weights[:, i] = kernel.draw_weight_column(weights, mean, lat, prec, i,
+                                                      chain_rng)
+        # explicit latent draw Z = A (X - mu 1^T) + L^-T E
+        chol, proj = latent_natural(weights, prec)
+        latent = proj @ (x - mean[:, None]) + solve_triangular(
+            chol.T, chain_rng.generator.standard_normal((d, n)), lower=False,
+            check_finite=False)
+        x = observe(weights, mean, noise, latent, chain_rng)
+        chain[k] = stats(weights, mean, noise)
 
     for col in range(6):
         for moment in (1, 2):
@@ -273,17 +262,18 @@ def test_criterion_6_conditional_and_subspace_oracles():
     for dim in (2, 3):
         base = gen.standard_normal((dim, dim))
         noise.append(base @ base.T + dim * np.eye(dim))
-    state = ModelState(weights=gen.standard_normal((5, 2)),
-                       mean=gen.standard_normal(5), noise_cov=noise,
-                       latent=np.zeros((2, n)))
-    data = StackedData(x=gen.standard_normal((5, n)), view_dims=(2, 3))
-    means, cov = latent_conditional(state, data)
+    weights = gen.standard_normal((5, 2))
+    mean = gen.standard_normal(5)
+    x = gen.standard_normal((5, n))
+    chol, proj = latent_natural(weights, _block_precision(noise))
+    means = proj @ (x - mean[:, None])
+    cov = chol_inverse(chol)
     full_cov = np.zeros((5, 5))
     full_cov[:2, :2] = noise[0]
     full_cov[2:, 2:] = noise[1]
     for k in range(n):
-        mean_o, cov_o = oracles.gaussian_condition_oracle(
-            state.weights, state.mean, full_cov, data.x[:, k])
+        mean_o, cov_o = oracles.gaussian_condition_oracle(weights, mean, full_cov,
+                                                          x[:, k])
         assert np.max(np.abs(means[:, k] - mean_o)) < 1e-10
     assert np.max(np.abs(cov - cov_o)) < 1e-10
 
@@ -297,10 +287,10 @@ def test_criterion_6_conditional_and_subspace_oracles():
 
     # exact factorization at full rank
     ts = TimeSeries(data=gen.standard_normal((2, 3000)), fs=1.0)
-    cb = covariance_blocks(build_hankel(ts, 3))
-    obs, ctrb, _ = observability_controllability(cb, cb.future_past.shape[0])
-    rel = (np.linalg.norm(obs @ ctrb - cb.future_past, "fro")
-           / np.linalg.norm(cb.future_past, "fro"))
+    stats = HankelStats.from_record(ts, 3)
+    obs, ctrb, _ = observability_controllability(stats, 6)
+    cross = stats.raw_gram()[:6, 6:] / stats.n_cols
+    rel = np.linalg.norm(obs @ ctrb - cross, "fro") / np.linalg.norm(cross, "fro")
     assert rel < 1e-8
 
 
@@ -311,49 +301,53 @@ def test_criterion_7_vb_gibbs_degeneracy():
     view_dims = (2, 2)
     d, n = 2, 12
     priors = default_priors(2, 2, d, noise_scale=2.0)
-    data = StackedData(x=gen.standard_normal((4, n)), view_dims=view_dims)
-    state = ModelState(weights=gen.standard_normal((4, d)),
-                       mean=gen.standard_normal(4),
-                       noise_cov=[0.8 * np.eye(2), 1.4 * np.eye(2)],
-                       latent=gen.standard_normal((d, n)))
-    from bayes_ssi.vb import VBPosterior, latent_means
+    x = gen.standard_normal((4, n))
+    weights = gen.standard_normal((4, d))
+    mean = gen.standard_normal(4)
+    noise = [0.8 * np.eye(2), 1.4 * np.eye(2)]
+    latent = gen.standard_normal((d, n))
+    gibbs_kernel, _ = explicit_kernel(x, view_dims, priors, latent)
+    kernel = VBKernel(gibbs_kernel.stats, priors)
     dofs = [dim + 2.0 + n for dim in view_dims]
     post = VBPosterior(
         latent_cov=np.zeros((d, d)), latent_map=np.zeros((d, 4)),
         latent_centre=np.zeros(4),
-        weight_mean=state.weights.copy(), weight_cov=np.zeros((d, 4, 4)),
-        mean_loc=state.mean.copy(), mean_cov=np.zeros((4, 4)),
-        noise_scale=[dof * blk for dof, blk in zip(dofs, state.noise_cov)],
+        weight_mean=weights.copy(), weight_cov=np.zeros((d, 4, 4)),
+        mean_loc=mean.copy(), mean_cov=np.zeros((4, 4)),
+        noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs, view_dims=view_dims,
     )
 
-    update_latent_factor(post, data, priors)
-    means, cov = latent_conditional(state, data)
-    assert np.max(np.abs(post.latent_cov - cov)) < 1e-10
-    assert np.max(np.abs(latent_means(post, data) - means)) < 1e-10
+    kernel.update_latent(post, _expected_precision(post))
+    chol, proj = latent_natural(weights, _block_precision(noise))
+    latent = proj @ (x - mean[:, None])
+    assert np.max(np.abs(post.latent_cov - chol_inverse(chol))) < 1e-10
+    assert np.max(np.abs(latent_means(post, x) - latent)) < 1e-10
     post.latent_cov = np.zeros((d, d))
-    state.latent = means
+    lat = LatentStats.from_latent(x, gibbs_kernel.stats.row_mean, latent)
 
     for i in range(d):
-        update_weight_factor(post, data, priors, i)
-        w_mean, w_cov = weight_column_conditional(state, data, priors, i)
-        assert np.max(np.abs(post.weight_cov[i] - w_cov)) < 1e-10
+        kernel.update_weights(post, [i], _expected_precision(post), True)
+        chol, w_mean = gibbs_kernel.weight_natural(weights, mean, lat,
+                                                   _block_precision(noise), i)
+        assert np.max(np.abs(post.weight_cov[i] - chol_inverse(chol))) < 1e-10
         assert np.max(np.abs(post.weight_mean[:, i] - w_mean)) < 1e-10
         post.weight_cov[i] = 0.0
-        state.weights[:, i] = w_mean
+        weights[:, i] = w_mean
 
-    update_noise_factor(post, data, priors)
-    conds = noise_conditionals(state, data, priors)
+    kernel.update_noise(post)
+    conds = gibbs_kernel.noise_conditionals(gibbs_kernel.residual_scatter(weights, mean,
+                                                                          lat))
     for (scale_g, dof_g), scale_v, dof_v in zip(conds, post.noise_scale,
                                                 post.noise_dof):
         assert dof_v == dof_g
         assert np.max(np.abs(scale_v - scale_g)) < 1e-10
     # hold the precision at its conditional mean on both sides
-    state.noise_cov = [scale / dof for scale, dof in conds]
+    noise = [scale / dof for scale, dof in conds]
 
-    update_mean_factor(post, data, priors)
-    m_mean, m_cov = mean_conditional(state, data, priors)
-    assert np.max(np.abs(post.mean_cov - m_cov)) < 1e-10
+    kernel.update_mean(post, _expected_precision(post))
+    chol, m_mean = gibbs_kernel.mean_natural(weights, lat, _block_precision(noise))
+    assert np.max(np.abs(post.mean_cov - chol_inverse(chol))) < 1e-10
     assert np.max(np.abs(post.mean_loc - m_mean)) < 1e-10
 
 

@@ -321,6 +321,18 @@ class TestPriorConfig:
             with pytest.raises(ValueError, match="noise_dof"):
                 build_priors(3, 3, 2, {"noise_dof": value})
 
+    def test_noise_scale_read_by_rank(self):
+        # a 2x2 matrix for views of dimension 2 is one prior shared by both
+        # views, not two per-view rows; other two-element lists are per view
+        shared = build_priors(2, 2, 1, {"noise_scale": [[1, 0], [0, 2]]})
+        for scale in shared.noise_scale:
+            assert scale == pytest.approx(np.diag([1.0, 2.0]))
+        per_view = build_priors(2, 2, 1, {"noise_scale": [[[1, 0], [0, 2]], 3.0]})
+        assert per_view.noise_scale[0] == pytest.approx(np.diag([1.0, 2.0]))
+        assert per_view.noise_scale[1] == pytest.approx(3.0 * np.eye(2))
+        with pytest.raises(ValueError, match="noise_scale"):
+            build_priors(2, 2, 1, {"noise_scale": [1.0, 2.0, 3.0]})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"bogus": 1.0}))

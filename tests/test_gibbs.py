@@ -6,31 +6,18 @@ from scipy.linalg import solve_triangular
 from bayes_ssi.gibbs import (
     GibbsConfig,
     effective_sample_size,
-    initial_state,
-    latent_conditional,
-    mean_conditional,
-    noise_conditionals,
     run_gibbs,
     split_rhat,
-    update_mean,
-    update_noise,
-    update_weight_column,
     warm_start_point,
-    weight_column_conditional,
     _Kernel,
     _block_precision,
 )
-from bayes_ssi.model import (
-    LatentStats,
-    ModelState,
-    PriorHyper,
-    StackedData,
-    default_priors,
-    latent_natural,
-)
-from bayes_ssi.rng import Rng, sample_inverse_wishart
+from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
+from bayes_ssi.rng import Rng, chol_inverse, sample_inverse_wishart
+from bayes_ssi.subspace import HankelStats
 
 import oracles
+from explicit import explicit_kernel
 
 
 def single_view_priors(dim, d, noise_scale=2.0, noise_dof=8.0,
@@ -44,16 +31,15 @@ def single_view_priors(dim, d, noise_scale=2.0, noise_dof=8.0,
 
 
 def toy_state(gen, view_dims, d, n, noise=None):
+    """(weights, mean, per-view noise blocks, d x n latent matrix)."""
     total = sum(view_dims)
     if noise is None:
         noise = []
         for dim in view_dims:
             base = gen.standard_normal((dim, dim))
             noise.append(base @ base.T + dim * np.eye(dim))
-    return ModelState(weights=gen.standard_normal((total, d)),
-                      mean=gen.standard_normal(total),
-                      noise_cov=noise,
-                      latent=gen.standard_normal((d, n)))
+    return (gen.standard_normal((total, d)), gen.standard_normal(total), noise,
+            gen.standard_normal((d, n)))
 
 
 class TestNoiseConditional:
@@ -63,11 +49,10 @@ class TestNoiseConditional:
         # empirical mean of draws against the formula
         n, dim = 12, 2
         priors = default_priors(dim, dim, 1, noise_scale=3.0)
-        data = StackedData(x=np.zeros((2 * dim, n)), view_dims=(dim, dim))
-        state = ModelState(weights=np.zeros((2 * dim, 1)), mean=np.zeros(2 * dim),
-                           noise_cov=[np.eye(dim), np.eye(dim)],
-                           latent=np.zeros((1, n)))
-        conds = noise_conditionals(state, data, priors)
+        kernel, lat = explicit_kernel(np.zeros((2 * dim, n)), (dim, dim), priors,
+                                      np.zeros((1, n)))
+        conds = kernel.noise_conditionals(
+            kernel.residual_scatter(np.zeros((2 * dim, 1)), np.zeros(2 * dim), lat))
         for (scale, dof), scale0, dof0 in zip(conds, priors.noise_scale,
                                               priors.noise_dof):
             assert scale == pytest.approx(scale0)
@@ -87,10 +72,12 @@ class TestNoiseConditional:
         gen = np.random.default_rng(2)
         n = 40
         priors = single_view_priors(1, 1, noise_scale=2.5, noise_dof=5.0)
-        data = StackedData(x=gen.standard_normal((1, n)), view_dims=(1,))
-        state = toy_state(gen, (1,), 1, n)
-        resid = data.x - state.mean[:, None] - state.weights @ state.latent
-        (scale, dof), = noise_conditionals(state, data, priors)
+        x = gen.standard_normal((1, n))
+        weights, mean, _, latent = toy_state(gen, (1,), 1, n)
+        resid = x - mean[:, None] - weights @ latent
+        kernel, lat = explicit_kernel(x, (1,), priors, latent)
+        (scale, dof), = kernel.noise_conditionals(kernel.residual_scatter(weights, mean,
+                                                                          lat))
         assert dof == 5.0 + n
         assert scale[0, 0] == pytest.approx(2.5 + float(np.sum(resid**2)), rel=1e-12)
 
@@ -98,18 +85,15 @@ class TestNoiseConditional:
         gen = np.random.default_rng(3)
         priors = default_priors(2, 2, 1)
         base = gen.standard_normal((4, 2000))
-        state = toy_state(gen, (2, 2), 1, 2000)
-        small = StackedData(x=base[:, :500], view_dims=(2, 2))
-        large = StackedData(x=base[:, :2000], view_dims=(2, 2))
-        state_small = state.copy()
-        state_small.latent = state.latent[:, :500]
-        tr_small = sum(np.trace(s) - np.trace(s0) for (s, _), s0 in
-                       zip(noise_conditionals(state_small, small, priors),
-                           priors.noise_scale))
-        tr_large = sum(np.trace(s) - np.trace(s0) for (s, _), s0 in
-                       zip(noise_conditionals(state, large, priors),
-                           priors.noise_scale))
-        assert tr_large / tr_small == pytest.approx(4.0, rel=0.25)
+        weights, mean, _, latent = toy_state(gen, (2, 2), 1, 2000)
+
+        def scatter_trace(n):
+            kernel, lat = explicit_kernel(base[:, :n], (2, 2), priors, latent[:, :n])
+            conds = kernel.noise_conditionals(kernel.residual_scatter(weights, mean, lat))
+            return sum(np.trace(s) - np.trace(s0)
+                       for (s, _), s0 in zip(conds, priors.noise_scale))
+
+        assert scatter_trace(2000) / scatter_trace(500) == pytest.approx(4.0, rel=0.25)
 
 
 class TestMeanConditional:
@@ -121,14 +105,12 @@ class TestMeanConditional:
         weights = gen.standard_normal((4, d))
         latent = gen.standard_normal((d, n))
         priors = default_priors(2, 2, d)
-        data = StackedData(x=weights @ latent, view_dims=(2, 2))
+        kernel, lat = explicit_kernel(weights @ latent, (2, 2), priors, latent)
         noise = [0.5 * np.eye(2), 2.0 * np.eye(2)]
-        state = ModelState(weights=weights, mean=np.zeros(4), noise_cov=noise,
-                           latent=latent)
-        mean, cov = mean_conditional(state, data, priors)
+        chol, mean = kernel.mean_natural(weights, lat, _block_precision(noise))
         assert mean == pytest.approx(np.zeros(4), abs=1e-10)
         prec = np.diag([n / 0.5, n / 0.5, n / 2.0, n / 2.0]) + np.eye(4)
-        assert cov == pytest.approx(np.linalg.inv(prec))
+        assert chol_inverse(chol) == pytest.approx(np.linalg.inv(prec))
 
     def test_large_n_approaches_demeaned_average(self):
         # Sigma = I, prior I: posterior mean -> sample mean of (x - W z)
@@ -139,10 +121,8 @@ class TestMeanConditional:
         latent = gen.standard_normal((1, n))
         truth = np.array([0.7, -0.4])
         x = weights @ latent + truth[:, None] + gen.standard_normal((2, n))
-        data = StackedData(x=x, view_dims=(1, 1))
-        state = ModelState(weights=weights, mean=np.zeros(2),
-                           noise_cov=[np.eye(1), np.eye(1)], latent=latent)
-        mean, cov = mean_conditional(state, data, priors)
+        kernel, lat = explicit_kernel(x, (1, 1), priors, latent)
+        _, mean = kernel.mean_natural(weights, lat, np.eye(2))
         target = (x - weights @ latent).mean(axis=1)
         assert mean == pytest.approx(target, abs=3 / np.sqrt(n))
 
@@ -152,13 +132,13 @@ class TestMeanConditional:
         n = 9
         priors = single_view_priors(1, 1, mean_scale=4.0)
         x = gen.standard_normal((1, n)) + 2.0
-        data = StackedData(x=x, view_dims=(1,))
-        state = toy_state(gen, (1,), 1, n, noise=[np.array([[0.5]])])
-        mean, cov = mean_conditional(state, data, priors)
-        demeaned = x - state.weights @ state.latent
+        weights, _, noise, latent = toy_state(gen, (1,), 1, n, noise=[np.array([[0.5]])])
+        kernel, lat = explicit_kernel(x, (1,), priors, latent)
+        chol, mean = kernel.mean_natural(weights, lat, _block_precision(noise))
+        demeaned = x - weights @ latent
         prec = n / 0.5 + 1 / 4.0
         expected_mean = (demeaned.sum() / 0.5) / prec
-        assert cov[0, 0] == pytest.approx(1 / prec, rel=1e-12)
+        assert chol_inverse(chol)[0, 0] == pytest.approx(1 / prec, rel=1e-12)
         assert mean[0] == pytest.approx(expected_mean, rel=1e-12)
 
 
@@ -167,12 +147,14 @@ class TestWeightConditional:
         gen = np.random.default_rng(7)
         n, d = 10, 2
         priors = default_priors(2, 2, d)
-        state = toy_state(gen, (2, 2), d, n)
-        state.latent[0] = 0.0
-        data = StackedData(x=gen.standard_normal((4, n)), view_dims=(2, 2))
-        mean, cov = weight_column_conditional(state, data, priors, 0)
-        assert mean == pytest.approx(priors.weight_loc)
-        assert cov == pytest.approx(priors.weight_cov)
+        weights, mean, noise, latent = toy_state(gen, (2, 2), d, n)
+        latent[0] = 0.0
+        kernel, lat = explicit_kernel(gen.standard_normal((4, n)), (2, 2), priors,
+                                      latent)
+        chol, col_mean = kernel.weight_natural(weights, mean, lat,
+                                               _block_precision(noise), 0)
+        assert col_mean == pytest.approx(priors.weight_loc)
+        assert chol_inverse(chol) == pytest.approx(priors.weight_cov)
 
     def test_matches_ridge_regression(self):
         # d = 1, one view, Sigma = I: Bayesian linear regression with
@@ -186,12 +168,11 @@ class TestWeightConditional:
             latent_dim=1, view_dims=(dim,))
         x = gen.standard_normal((dim, n))
         z = gen.standard_normal((1, n))
-        state = ModelState(weights=np.zeros((dim, 1)), mean=np.zeros(dim),
-                           noise_cov=[np.eye(dim)], latent=z)
-        mean, cov = weight_column_conditional(state, data=StackedData(x=x, view_dims=(dim,)),
-                                              priors=priors, i=0)
+        kernel, lat = explicit_kernel(x, (dim,), priors, z)
+        chol, mean = kernel.weight_natural(np.zeros((dim, 1)), np.zeros(dim), lat,
+                                           np.eye(dim), 0)
         ridge_prec = float(z[0] @ z[0]) + 1.0
-        assert cov == pytest.approx(np.eye(dim) / ridge_prec)
+        assert chol_inverse(chol) == pytest.approx(np.eye(dim) / ridge_prec)
         assert mean == pytest.approx((x @ z[0]) / ridge_prec)
 
     def test_consistency_against_planted_weights(self):
@@ -209,12 +190,11 @@ class TestWeightConditional:
             weight_loc=np.zeros(dim), weight_cov=np.eye(dim),
             noise_scale=(np.eye(dim),), noise_dof=(dim + 2.0,),
             latent_dim=d, view_dims=(dim,))
-        state = ModelState(weights=w0.copy(), mean=np.zeros(dim),
-                           noise_cov=[0.01 * np.eye(dim)], latent=z)
-        data = StackedData(x=x, view_dims=(dim,))
+        kernel, lat = explicit_kernel(x, (dim,), priors, z)
+        prec = _block_precision([0.01 * np.eye(dim)])
         for i in range(d):
-            mean, cov = weight_column_conditional(state, data, priors, i)
-            sd = np.sqrt(np.diag(cov))
+            chol, mean = kernel.weight_natural(w0, np.zeros(dim), lat, prec, i)
+            sd = np.sqrt(np.diag(chol_inverse(chol)))
             assert np.all(np.abs(mean - w0[:, i]) < 3 * sd + 1e-9)
 
 
@@ -222,41 +202,35 @@ class TestLatentConditional:
     def test_zero_weights_prior_fallback(self):
         gen = np.random.default_rng(10)
         n = 8
-        state = ModelState(weights=np.zeros((4, 2)), mean=np.zeros(4),
-                           noise_cov=[np.eye(2), np.eye(2)],
-                           latent=np.zeros((2, n)))
-        data = StackedData(x=gen.standard_normal((4, n)), view_dims=(2, 2))
-        means, cov = latent_conditional(state, data)
-        assert cov == pytest.approx(np.eye(2))
-        assert means == pytest.approx(np.zeros((2, n)))
+        x = gen.standard_normal((4, n))
+        chol, proj = latent_natural(np.zeros((4, 2)), _block_precision([np.eye(2)] * 2))
+        assert chol_inverse(chol) == pytest.approx(np.eye(2))
+        assert proj @ x == pytest.approx(np.zeros((2, n)))
 
     def test_identity_weights_algebraic_identity(self):
         # W = I, Sigma = I, mean = 0: z_n ~ N(x_n / 2, I / 2)
         gen = np.random.default_rng(11)
         n = 5
         x = gen.standard_normal((2, n))
-        state = ModelState(weights=np.eye(2), mean=np.zeros(2),
-                           noise_cov=[np.eye(1), np.eye(1)],
-                           latent=np.zeros((2, n)))
-        data = StackedData(x=x, view_dims=(1, 1))
-        means, cov = latent_conditional(state, data)
-        assert cov == pytest.approx(np.eye(2) / 2)
-        assert means == pytest.approx(x / 2)
+        chol, proj = latent_natural(np.eye(2), _block_precision([np.eye(1)] * 2))
+        assert chol_inverse(chol) == pytest.approx(np.eye(2) / 2)
+        assert proj @ x == pytest.approx(x / 2)
 
     def test_matches_dense_gaussian_conditioning(self):
         gen = np.random.default_rng(12)
         n, d = 6, 2
-        state = toy_state(gen, (2, 3), d, n)
-        data = StackedData(x=gen.standard_normal((5, n)), view_dims=(2, 3))
-        means, cov = latent_conditional(state, data)
+        weights, mean, noise, _ = toy_state(gen, (2, 3), d, n)
+        x = gen.standard_normal((5, n))
+        chol, proj = latent_natural(weights, _block_precision(noise))
+        means = proj @ (x - mean[:, None])
         full_cov = np.zeros((5, 5))
-        full_cov[:2, :2] = state.noise_cov[0]
-        full_cov[2:, 2:] = state.noise_cov[1]
+        full_cov[:2, :2] = noise[0]
+        full_cov[2:, 2:] = noise[1]
         for k in range(n):
-            mean_o, cov_o = oracles.gaussian_condition_oracle(
-                state.weights, state.mean, full_cov, data.x[:, k])
+            mean_o, cov_o = oracles.gaussian_condition_oracle(weights, mean, full_cov,
+                                                              x[:, k])
             assert means[:, k] == pytest.approx(mean_o, abs=1e-10)
-        assert cov == pytest.approx(cov_o, abs=1e-10)
+        assert chol_inverse(chol) == pytest.approx(cov_o, abs=1e-10)
 
 
 class TestRunGibbs:
@@ -271,11 +245,11 @@ class TestRunGibbs:
 
     def test_chain_reproducible(self):
         gen = np.random.default_rng(13)
-        data = StackedData(x=gen.standard_normal((4, 40)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
         priors = default_priors(2, 2, 1)
         cfg = GibbsConfig(n_samples=30, seed=21)
-        a = run_gibbs(data.stats(), priors, cfg)
-        b = run_gibbs(data.stats(), priors, cfg)
+        a = run_gibbs(stats, priors, cfg)
+        b = run_gibbs(stats, priors, cfg)
         assert np.array_equal(a.weight_samples, b.weight_samples)
         assert np.array_equal(a.mean_samples, b.mean_samples)
         for blk_a, blk_b in zip(a.noise_samples, b.noise_samples):
@@ -283,57 +257,24 @@ class TestRunGibbs:
 
     def test_records_finite_and_spd(self):
         gen = np.random.default_rng(14)
-        data = StackedData(x=gen.standard_normal((4, 60)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 60)), (2, 2))
         priors = default_priors(2, 2, 2)
-        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=50, seed=3))
+        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=50, seed=3))
         assert np.all(np.isfinite(chain.weight_samples))
         assert np.all(np.isfinite(chain.mean_samples))
         for blocks in chain.noise_samples:
             for blk in blocks:
                 np.linalg.cholesky(blk)
 
-    def test_sweep_matches_public_updates(self):
-        # the engine's noise, mean and weight draws on the statistics of
-        # explicit (X, Z) equal one pass of the public update functions,
-        # draw for draw (same stream, same conditionals)
-        gen = np.random.default_rng(23)
-        data = StackedData(x=gen.standard_normal((4, 80)) + 0.5, view_dims=(2, 2))
-        priors = default_priors(2, 2, 2)
-        state = initial_state(data, priors, Rng(31, 1))
-        stats = data.stats()
-        kernel = _Kernel(stats, priors)
-        lat = LatentStats.from_latent(data.x, stats.row_mean, state.latent)
-
-        rng = Rng(31, 2)
-        noise = kernel.draw_noise(state.weights, state.mean, lat, rng)
-        prec = _block_precision(noise)
-        mean = kernel.draw_mean(state.weights, lat, prec, rng)
-        weights = state.weights.copy()
-        for i in range(2):
-            weights[:, i] = kernel.draw_weight_column(weights, mean, lat, prec, i, rng)
-
-        rng = Rng(31, 2)
-        update_noise(state, data, priors, rng)
-        update_mean(state, data, priors, rng)
-        for i in range(2):
-            update_weight_column(state, data, priors, i, rng)
-
-        assert weights == pytest.approx(state.weights, rel=1e-8)
-        assert mean == pytest.approx(state.mean, rel=1e-8)
-        for blk, expect in zip(noise, state.noise_cov):
-            assert blk == pytest.approx(expect, rel=1e-8)
-
     def test_gram_scatter_matches_residual_scatter(self):
         gen = np.random.default_rng(15)
         n = 37
-        data = StackedData(x=gen.standard_normal((5, n)) + 2.0, view_dims=(2, 3))
-        state = toy_state(gen, (2, 3), 2, n)
-        resid = data.x - state.mean[:, None] - state.weights @ state.latent
+        x = gen.standard_normal((5, n)) + 2.0
+        weights, mean, _, latent = toy_state(gen, (2, 3), 2, n)
+        resid = x - mean[:, None] - weights @ latent
         direct = resid @ resid.T
-        stats = data.stats()
-        grams = _Kernel(stats, default_priors(2, 3, 2)).residual_scatter(
-            state.weights, state.mean,
-            LatentStats.from_latent(data.x, stats.row_mean, state.latent))
+        kernel, lat = explicit_kernel(x, (2, 3), default_priors(2, 3, 2), latent)
+        grams = kernel.residual_scatter(weights, mean, lat)
         assert grams == pytest.approx(direct, rel=1e-10)
 
     def test_subspace_angle_shrinks_with_data(self):
@@ -348,8 +289,8 @@ class TestRunGibbs:
         for n in (2**8, 2**10, 2**12):
             z = gen.standard_normal((d, n))
             x = w0 @ z + 0.3 * gen.standard_normal((8, n))
-            data = StackedData(x=x, view_dims=dims)
-            chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=400, seed=5))
+            chain = run_gibbs(HankelStats.from_matrix(x, dims), priors,
+                              GibbsConfig(n_samples=400, seed=5))
             w_hat = chain.weight_samples[100:].mean(axis=0)
             # largest principal angle between column spaces
             q0, _ = np.linalg.qr(w0)
@@ -362,20 +303,11 @@ class TestRunGibbs:
 
     def test_warm_start_runs(self):
         gen = np.random.default_rng(17)
-        data = StackedData(x=gen.standard_normal((4, 120)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 120)), (2, 2))
         priors = default_priors(2, 2, 1)
-        chain = run_gibbs(data.stats(), priors,
+        chain = run_gibbs(stats, priors,
                           GibbsConfig(n_samples=20, seed=1, warm_start=True))
         assert chain.n_records == 16
-
-    def test_initial_state_from_priors_deterministic(self):
-        gen = np.random.default_rng(18)
-        data = StackedData(x=gen.standard_normal((4, 10)), view_dims=(2, 2))
-        priors = default_priors(2, 2, 1)
-        a = initial_state(data, priors, Rng(9, 1))
-        b = initial_state(data, priors, Rng(9, 1))
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.latent, b.latent)
 
 
 class TestDiagnostics:
@@ -422,15 +354,12 @@ class TestStatisticsEngine:
             weight_loc=gen.standard_normal(5), weight_cov=2.0 * np.eye(5),
             noise_scale=(2.0 * np.eye(2), 3.0 * np.eye(3)), noise_dof=(5.0, 6.0),
             latent_dim=d, view_dims=view_dims)
-        state = toy_state(gen, view_dims, d, n)
-        z = state.latent
-        stats = StackedData(x=x, view_dims=view_dims).stats()
-        kernel = _Kernel(stats, priors)
-        lat = LatentStats.from_latent(x, stats.row_mean, z)
+        weights0, mean0, _, z = toy_state(gen, view_dims, d, n)
+        kernel, lat = explicit_kernel(x, view_dims, priors, z)
         rng_kernel, rng_dense = Rng(5, 0), Rng(5, 0)
 
-        noise = kernel.draw_noise(state.weights, state.mean, lat, rng_kernel)
-        resid = x - state.mean[:, None] - state.weights @ z
+        noise = kernel.draw_noise(weights0, mean0, lat, rng_kernel)
+        resid = x - mean0[:, None] - weights0 @ z
         for blk, sl, scale0, dof0 in zip(noise, (slice(0, 2), slice(2, 5)),
                                          priors.noise_scale, priors.noise_dof):
             expect = sample_inverse_wishart(rng_dense, scale0 + resid[sl] @ resid[sl].T,
@@ -446,14 +375,14 @@ class TestStatisticsEngine:
             return loc + solve_triangular(np.linalg.cholesky(post_prec).T, white,
                                           lower=False)
 
-        mean = kernel.draw_mean(state.weights, lat, _block_precision(noise), rng_kernel)
+        mean = kernel.draw_mean(weights0, lat, _block_precision(noise), rng_kernel)
         mean_prior_prec = np.linalg.inv(priors.mean_cov)
         dense_mean = dense_draw(n * prec + mean_prior_prec,
-                                prec @ (x - state.weights @ z).sum(axis=1)
+                                prec @ (x - weights0 @ z).sum(axis=1)
                                 + mean_prior_prec @ priors.mean_loc)
         assert _relative_gap(mean, dense_mean) < 1e-10
 
-        weights, dense_weights = state.weights.copy(), state.weights.copy()
+        weights, dense_weights = weights0.copy(), weights0.copy()
         weight_prior_prec = np.linalg.inv(priors.weight_cov)
         for i in range(d):
             weights[:, i] = kernel.draw_weight_column(
@@ -475,20 +404,19 @@ class TestStatisticsEngine:
         view_dims, d, n_draws = (2, 3), 2, 20_000
         x = (gen.standard_normal((5, data_rank)) @ gen.standard_normal((data_rank, n))
              + gen.standard_normal(5)[:, None])
-        state = toy_state(gen, view_dims, d, n)
-        stats = StackedData(x=x, view_dims=view_dims).stats()
+        weights, mean, noise, _ = toy_state(gen, view_dims, d, n)
+        stats = HankelStats.from_matrix(x, view_dims)
         kernel = _Kernel(stats, default_priors(2, 3, d))
         assert kernel.factor.shape[1] == min(data_rank, n - 1)
-        prec = _block_precision(state.noise_cov)
+        prec = _block_precision(noise)
 
         rng = Rng(7, 0)
-        fast = np.array([_flat_latent_stats(kernel.draw_latent(state.weights, state.mean,
-                                                               prec, rng))
+        fast = np.array([_flat_latent_stats(kernel.draw_latent(weights, mean, prec, rng))
                          for _ in range(n_draws)])
 
-        chol, proj = latent_natural(state.weights, prec)
+        chol, proj = latent_natural(weights, prec)
         noise_map = solve_triangular(chol.T, np.eye(d), lower=False)
-        latent = (proj @ (x - state.mean[:, None])
+        latent = (proj @ (x - mean[:, None])
                   + noise_map @ gen.standard_normal((n_draws, d, n)))
         centred = x - stats.row_mean[:, None]
         explicit = np.array([_flat_latent_stats(LatentStats(
@@ -513,7 +441,7 @@ class TestStatisticsEngine:
         if center:
             x -= x.mean(axis=1, keepdims=True)
         priors = default_priors(2, 2, d, noise_scale=1.0)
-        stats = StackedData(x=x, view_dims=view_dims).stats()
+        stats = HankelStats.from_matrix(x, view_dims)
         config = GibbsConfig(n_samples=n_sweeps, burn_in_fraction=0.2, seed=8,
                              warm_start=warm_start)
         chain = run_gibbs(stats, priors, config)
@@ -539,7 +467,6 @@ class TestStatisticsEngine:
         import tracemalloc
 
         from bayes_ssi.simulate import TimeSeries
-        from bayes_ssi.subspace import HankelStats
 
         gen = np.random.default_rng(24)
         ts = TimeSeries(data=gen.standard_normal((4, 2**15)), fs=1.0)

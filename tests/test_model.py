@@ -4,46 +4,28 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from bayes_ssi.gibbs import weight_column_conditional
-from bayes_ssi.model import (
-    ModelState,
-    PriorHyper,
-    StackedData,
-    default_priors,
-    log_joint,
-    view_slices,
-)
-from bayes_ssi.subspace import build_hankel
-from bayes_ssi.simulate import TimeSeries
+from bayes_ssi.gibbs import _block_precision
+from bayes_ssi.model import LatentStats, default_priors, log_joint, view_slices
+from bayes_ssi.subspace import HankelStats
+
+from explicit import explicit_kernel
 
 
 def toy_state(gen, view_dims, d, n):
+    """(weights, mean, per-view noise blocks, d x n latent matrix)."""
     total = sum(view_dims)
     noise = []
     for dim in view_dims:
         base = gen.standard_normal((dim, dim))
         noise.append(base @ base.T + dim * np.eye(dim))
-    return ModelState(
-        weights=gen.standard_normal((total, d)),
-        mean=gen.standard_normal(total),
-        noise_cov=noise,
-        latent=gen.standard_normal((d, n)),
-    )
+    return (gen.standard_normal((total, d)), gen.standard_normal(total), noise,
+            gen.standard_normal((d, n)))
 
 
 class TestStackedData:
-    def test_from_hankel_orders_future_first(self):
-        gen = np.random.default_rng(0)
-        ts = TimeSeries(data=gen.standard_normal((2, 30)), fs=1.0)
-        hp = build_hankel(ts, 2, center=False)
-        data = StackedData.from_hankel(hp)
-        assert data.view_dims == (4, 4)
-        assert data.x[:4] == pytest.approx(hp.future)
-        assert data.x[4:] == pytest.approx(hp.past)
-
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StackedData(x=np.zeros((5, 10)), view_dims=(2, 2))
+        with pytest.raises(ValueError, match="do not sum to row count"):
+            HankelStats.from_matrix(np.zeros((5, 10)), (2, 2))
 
     def test_view_slices(self):
         assert view_slices((2, 3)) == [slice(0, 2), slice(2, 5)]
@@ -92,9 +74,8 @@ class TestLogJoint:
         priors = default_priors(1, 1, d, noise_scale=2.0, noise_dof_offset=3.0)
         noise_mean = [scale / (dof - dim - 1) for scale, dof, dim in
                       zip(priors.noise_scale, priors.noise_dof, priors.view_dims)]
-        state = ModelState(weights=np.zeros((2, d)), mean=np.zeros(2),
-                           noise_cov=noise_mean, latent=np.zeros((d, 1)))
-        data = StackedData(x=np.zeros((2, 1)), view_dims=view_dims)
+        kernel, lat = explicit_kernel(np.zeros((2, 1)), view_dims, priors,
+                                      np.zeros((d, 1)))
 
         expected = 0.0
         for blk in noise_mean:
@@ -106,57 +87,59 @@ class TestLogJoint:
         expected += st.norm(0, 1).logpdf(0.0)                        # latent prior
         expected += st.multivariate_normal(np.zeros(2), np.eye(2)).logpdf(np.zeros(2))
         expected += st.multivariate_normal(np.zeros(2), np.eye(2)).logpdf(np.zeros(2))
-        assert log_joint(state, data, priors) == pytest.approx(expected, rel=1e-12)
+        value = log_joint(kernel.stats, lat, np.zeros((2, d)), np.zeros(2), noise_mean,
+                          priors)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_matches_scipy_assembly(self):
         gen = np.random.default_rng(1)
         view_dims = (2, 3)
         d, n = 2, 4
         priors = default_priors(2, 3, d)
-        state = toy_state(gen, view_dims, d, n)
-        data = StackedData(x=gen.standard_normal((5, n)), view_dims=view_dims)
+        weights, mean, noise, latent = toy_state(gen, view_dims, d, n)
+        x = gen.standard_normal((5, n))
+        kernel, lat = explicit_kernel(x, view_dims, priors, latent)
 
         expected = 0.0
-        fitted = state.weights @ state.latent + state.mean[:, None]
+        fitted = weights @ latent + mean[:, None]
         full_cov = np.zeros((5, 5))
-        full_cov[:2, :2] = state.noise_cov[0]
-        full_cov[2:, 2:] = state.noise_cov[1]
+        full_cov[:2, :2] = noise[0]
+        full_cov[2:, 2:] = noise[1]
         for k in range(n):
-            expected += st.multivariate_normal(fitted[:, k], full_cov).logpdf(
-                data.x[:, k])
+            expected += st.multivariate_normal(fitted[:, k], full_cov).logpdf(x[:, k])
             expected += st.multivariate_normal(np.zeros(d), np.eye(d)).logpdf(
-                state.latent[:, k])
-        for blk, scale, dof in zip(state.noise_cov, priors.noise_scale,
-                                   priors.noise_dof):
+                latent[:, k])
+        for blk, scale, dof in zip(noise, priors.noise_scale, priors.noise_dof):
             expected += st.invwishart(df=dof, scale=scale).logpdf(blk)
-        expected += st.multivariate_normal(priors.mean_loc, priors.mean_cov).logpdf(
-            state.mean)
+        expected += st.multivariate_normal(priors.mean_loc, priors.mean_cov).logpdf(mean)
         for i in range(d):
             expected += st.multivariate_normal(priors.weight_loc,
-                                               priors.weight_cov).logpdf(
-                state.weights[:, i])
-        assert log_joint(state, data, priors) == pytest.approx(expected, rel=1e-10)
+                                               priors.weight_cov).logpdf(weights[:, i])
+        value = log_joint(kernel.stats, lat, weights, mean, noise, priors)
+        assert value == pytest.approx(expected, rel=1e-10)
 
     def test_duplicated_columns_double_data_terms(self):
         gen = np.random.default_rng(2)
         view_dims = (2, 2)
         d, n = 1, 6
         priors = default_priors(2, 2, d)
-        state = toy_state(gen, view_dims, d, n)
-        data = StackedData(x=gen.standard_normal((4, n)), view_dims=view_dims)
-
-        state2 = state.copy()
-        state2.latent = np.hstack([state.latent, state.latent])
-        data2 = StackedData(x=np.hstack([data.x, data.x]), view_dims=view_dims)
+        weights, mean, noise, latent = toy_state(gen, view_dims, d, n)
+        x = gen.standard_normal((4, n))
+        single_kernel, single_lat = explicit_kernel(x, view_dims, priors, latent)
+        double_kernel, double_lat = explicit_kernel(np.hstack([x, x]), view_dims, priors,
+                                                    np.hstack([latent, latent]))
 
         # parameter-prior terms do not scale with N
-        zero_data = StackedData(x=np.zeros((4, 0)), view_dims=view_dims)
-        zero_state = state.copy()
-        zero_state.latent = np.zeros((d, 0))
-        prior_part = log_joint(zero_state, zero_data, priors)
+        zero_stats = HankelStats(gram=np.zeros((4, 4)), row_mean=np.zeros(4), n_cols=0,
+                                 view_dims=view_dims)
+        zero_lat = LatentStats(cross=np.zeros((4, d)), gram=np.zeros((d, d)),
+                               total=np.zeros(d))
+        prior_part = log_joint(zero_stats, zero_lat, weights, mean, noise, priors)
 
-        single = log_joint(state, data, priors) - prior_part
-        double = log_joint(state2, data2, priors) - prior_part
+        single = log_joint(single_kernel.stats, single_lat, weights, mean, noise,
+                           priors) - prior_part
+        double = log_joint(double_kernel.stats, double_lat, weights, mean, noise,
+                           priors) - prior_part
         assert double == pytest.approx(2.0 * single, rel=1e-12)
 
     def test_conditional_mean_is_local_maximum(self):
@@ -166,21 +149,22 @@ class TestLogJoint:
         view_dims = (2, 2)
         d, n = 2, 30
         priors = default_priors(2, 2, d)
-        state = toy_state(gen, view_dims, d, n)
-        data = StackedData(x=gen.standard_normal((4, n)), view_dims=view_dims)
+        weights, mean, noise, latent = toy_state(gen, view_dims, d, n)
+        kernel, lat = explicit_kernel(gen.standard_normal((4, n)), view_dims, priors,
+                                      latent)
 
-        mean, _ = weight_column_conditional(state, data, priors, 0)
-        state.weights[:, 0] = mean
-        baseline = log_joint(state, data, priors)
+        _, col_mean = kernel.weight_natural(weights, mean, lat, _block_precision(noise), 0)
+        weights[:, 0] = col_mean
+        baseline = log_joint(kernel.stats, lat, weights, mean, noise, priors)
         for direction in np.eye(4):
             for eps in (1e-3, 1e-2):
-                bumped = state.copy()
-                bumped.weights[:, 0] = mean + eps * direction
-                assert log_joint(bumped, data, priors) < baseline
+                bumped = weights.copy()
+                bumped[:, 0] = col_mean + eps * direction
+                assert log_joint(kernel.stats, lat, bumped, mean, noise, priors) < baseline
 
     def test_finite_for_valid_states(self):
         gen = np.random.default_rng(4)
         priors = default_priors(2, 2, 2)
-        state = toy_state(gen, (2, 2), 2, 5)
-        data = StackedData(x=gen.standard_normal((4, 5)), view_dims=(2, 2))
-        assert np.isfinite(log_joint(state, data, priors))
+        weights, mean, noise, latent = toy_state(gen, (2, 2), 2, 5)
+        kernel, lat = explicit_kernel(gen.standard_normal((4, 5)), (2, 2), priors, latent)
+        assert np.isfinite(log_joint(kernel.stats, lat, weights, mean, noise, priors))

@@ -13,8 +13,9 @@ from bayes_ssi.io import (
     write_matrix_csv,
     write_timeseries_csv,
 )
-from bayes_ssi.model import StackedData, default_priors
+from bayes_ssi.model import default_priors
 from bayes_ssi.simulate import TimeSeries
+from bayes_ssi.subspace import HankelStats
 from bayes_ssi.spectral import welch_psd
 from bayes_ssi.vb import VBConfig, run_vb
 
@@ -126,9 +127,9 @@ class TestMatrixCsv:
 class TestChainPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         gen = np.random.default_rng(5)
-        data = StackedData(x=gen.standard_normal((4, 50)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 50)), (2, 2))
         priors = default_priors(2, 2, 2)
-        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=20, seed=9))
+        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=20, seed=9))
         save_chain(tmp_path / "chain", chain)
         back = load_chain(tmp_path / "chain")
         assert np.array_equal(back.weight_samples, chain.weight_samples)
@@ -139,9 +140,9 @@ class TestChainPersistence:
 
     def test_manifest_lists_array_shapes(self, tmp_path):
         gen = np.random.default_rng(6)
-        data = StackedData(x=gen.standard_normal((4, 30)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2))
         priors = default_priors(2, 2, 1)
-        chain = run_gibbs(data.stats(), priors, GibbsConfig(n_samples=10, seed=1))
+        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=10, seed=1))
         save_chain(tmp_path / "chain", chain)
         manifest = json.loads((tmp_path / "chain" / "chain_manifest.json").read_text())
         assert manifest["n_records"] == 8
@@ -155,9 +156,9 @@ class TestChainPersistence:
 class TestVbPersistence:
     def test_files_written_with_trace(self, tmp_path):
         gen = np.random.default_rng(7)
-        data = StackedData(x=gen.standard_normal((4, 40)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
         priors = default_priors(2, 2, 1)
-        post = run_vb(data.stats(), priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
+        post = run_vb(stats, priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
         for name in ("vb_manifest.json", "weight_mean.npy", "weight_cov.npy",
                      "latent_cov.npy", "latent_map.npy", "latent_centre.npy",

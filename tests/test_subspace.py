@@ -12,7 +12,6 @@ from bayes_ssi.subspace import (
     build_hankel,
     cca,
     chol_with_jitter,
-    covariance_blocks,
     matrix_sqrt,
     modal_from_state_matrix,
     observability_controllability,
@@ -100,50 +99,48 @@ class TestHankelStats:
         ts = TimeSeries(data=gen.standard_normal((3, 400)) + 2.0, fs=1.0)
         for center in (True, False):
             hp = build_hankel(ts, 4, center=center)
-            cb = HankelStats.from_record(ts, 4, center=center).cov_blocks()
+            stats = HankelStats.from_record(ts, 4, center=center)
             n = hp.n_cols
-            assert cb.past_past == pytest.approx(hp.past @ hp.past.T / n, rel=1e-12)
-            assert cb.future_future == pytest.approx(hp.future @ hp.future.T / n,
-                                                     rel=1e-12)
-            assert cb.future_past == pytest.approx(hp.future @ hp.past.T / n,
-                                                   rel=1e-12)
+            cov = stats.raw_gram() / n
+            assert cov[12:, 12:] == pytest.approx(hp.past @ hp.past.T / n, rel=1e-12)
+            assert cov[:12, :12] == pytest.approx(hp.future @ hp.future.T / n, rel=1e-12)
+            assert cov[:12, 12:] == pytest.approx(hp.future @ hp.past.T / n, rel=1e-12)
 
 
 class TestCovarianceBlocks:
+    """The blocks of the raw stacked Gram over N_cols that the baseline
+    factorizes: future-future, past-past and future-past."""
+
     def test_identical_views(self):
         data = np.vstack([np.sin(np.arange(40.0)), np.cos(np.arange(40.0))])
         ts = TimeSeries(data=data, fs=1.0)
         hp = build_hankel(ts, 2, center=False)
-        hp_same = type(hp)(past=hp.future, future=hp.future, n_channels=2,
-                           block_rows=2, centred=False)
-        cb = covariance_blocks(hp_same)
-        assert cb.future_past == pytest.approx(cb.future_future)
-        assert cb.past_past == pytest.approx(cb.future_future)
+        stats = HankelStats.from_matrix(np.vstack([hp.future, hp.future]), (4, 4))
+        cov = stats.raw_gram() / stats.n_cols
+        assert cov[:4, 4:] == pytest.approx(cov[:4, :4])
+        assert cov[4:, 4:] == pytest.approx(cov[:4, :4])
 
     def test_hand_computed_two_by_two(self):
         # Yp = [[1, -1], [1, 1]] over 2 columns: Yp Yp^T / 2 = I
         yp = np.array([[1.0, -1.0], [1.0, 1.0]])
-        hp_kwargs = dict(past=yp, future=yp, n_channels=2, block_rows=1,
-                         centred=False)
-        from bayes_ssi.subspace import HankelPair
-        cb = covariance_blocks(HankelPair(**hp_kwargs))
-        assert cb.past_past == pytest.approx(np.eye(2))
+        stats = HankelStats.from_matrix(np.vstack([yp, yp]), (2, 2))
+        assert stats.raw_gram()[2:, 2:] / stats.n_cols == pytest.approx(np.eye(2))
 
     def test_independent_white_channels_cross_covariance_vanishes(self):
         gen = np.random.default_rng(2)
         n = 40_000
         ts = TimeSeries(data=gen.standard_normal((2, n)), fs=1.0)
-        hp = build_hankel(ts, 2)
-        cb = covariance_blocks(hp)
-        assert np.max(np.abs(cb.future_past)) < 4.0 / np.sqrt(hp.n_cols)
+        stats = HankelStats.from_record(ts, 2)
+        cross = stats.raw_gram()[:4, 4:] / stats.n_cols
+        assert np.max(np.abs(cross)) < 4.0 / np.sqrt(stats.n_cols)
 
     def test_cross_norm_bound(self):
         gen = np.random.default_rng(3)
         ts = TimeSeries(data=gen.standard_normal((3, 500)), fs=1.0)
-        cb = covariance_blocks(build_hankel(ts, 3))
-        cross = np.linalg.norm(cb.future_past, 2)
-        auto = np.sqrt(np.linalg.norm(cb.past_past, 2)
-                       * np.linalg.norm(cb.future_future, 2))
+        stats = HankelStats.from_record(ts, 3)
+        cov = stats.raw_gram() / stats.n_cols
+        cross = np.linalg.norm(cov[:9, 9:], 2)
+        auto = np.sqrt(np.linalg.norm(cov[9:, 9:], 2) * np.linalg.norm(cov[:9, :9], 2))
         assert cross <= auto * (1 + 1e-12)
 
 
@@ -307,11 +304,11 @@ class TestSsiCov:
     def test_full_rank_reconstruction(self):
         gen = np.random.default_rng(9)
         ts = TimeSeries(data=gen.standard_normal((2, 2000)), fs=1.0)
-        hp = build_hankel(ts, 2)
-        cb = covariance_blocks(hp)
-        obs, ctrb, _ = observability_controllability(cb, cb.future_past.shape[0])
-        err = np.linalg.norm(obs @ ctrb - cb.future_past, "fro")
-        assert err < 1e-8 * np.linalg.norm(cb.future_past, "fro")
+        stats = HankelStats.from_record(ts, 2)
+        obs, ctrb, _ = observability_controllability(stats, 4)
+        cross = stats.raw_gram()[:4, 4:] / stats.n_cols
+        err = np.linalg.norm(obs @ ctrb - cross, "fro")
+        assert err < 1e-8 * np.linalg.norm(cross, "fro")
 
     def test_benchmark_frequencies_within_two_percent(self, benchmark_system,
                                                        benchmark_ts_full):

@@ -1,30 +1,23 @@
 import numpy as np
 import pytest
 
-from bayes_ssi.gibbs import (
-    latent_conditional,
-    mean_conditional,
-    noise_conditionals,
-    weight_column_conditional,
-)
-from bayes_ssi.model import ModelState, PriorHyper, StackedData, default_priors
+from bayes_ssi.gibbs import _block_precision
+from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
+from bayes_ssi.rng import chol_inverse
+from bayes_ssi.subspace import HankelStats
 from bayes_ssi.vb import (
-    ElboDecreaseError,
     VBConfig,
     VBPosterior,
-    elbo,
     expected_noise_precision,
-    expected_residual_scatter,
     initial_posterior,
     latent_means,
     run_vb,
-    update_latent_factor,
-    update_mean_factor,
-    update_noise_factor,
-    update_weight_factor,
+    _expected_precision,
+    _Kernel,
 )
 
 import oracles
+from explicit import explicit_kernel
 
 
 def random_posterior(gen, view_dims, d, n):
@@ -57,25 +50,24 @@ def random_posterior(gen, view_dims, d, n):
     )
 
 
-def point_mass_posterior(state: ModelState, data: StackedData, dof_offset=2.0):
+def point_mass_posterior(x, view_dims, weights, mean, noise, latent, dof_offset=2.0):
     """Surrogate with zero-variance Gaussian factors and the noise factor a
-    point mass at the given state's noise blocks.  The latent map is the
-    least-squares map from the data columns to the state's latent, exact
-    when the latent lies in the data's row space."""
-    view_dims = data.view_dims
-    n = data.n_columns
+    point mass at the noise blocks ``noise``.  The latent map is the
+    least-squares map from the data columns to ``latent``, exact when the
+    latent lies in the data's row space."""
+    n = x.shape[1]
     total = sum(view_dims)
-    d = state.weights.shape[1]
+    d = weights.shape[1]
     dofs = [dim + dof_offset + n for dim in view_dims]
     return VBPosterior(
         latent_cov=np.zeros((d, d)),
-        latent_map=state.latent @ np.linalg.pinv(data.x),
+        latent_map=latent @ np.linalg.pinv(x),
         latent_centre=np.zeros(total),
-        weight_mean=state.weights.copy(),
+        weight_mean=weights.copy(),
         weight_cov=np.zeros((d, total, total)),
-        mean_loc=state.mean.copy(),
+        mean_loc=mean.copy(),
         mean_cov=np.zeros((total, total)),
-        noise_scale=[dof * blk for dof, blk in zip(dofs, state.noise_cov)],
+        noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs,
         view_dims=tuple(view_dims),
     )
@@ -90,57 +82,58 @@ class TestUpdateOracles:
         self.priors = default_priors(2, 2, self.d, noise_scale=1.0)
         w0 = self.gen.standard_normal((4, self.d))
         z0 = self.gen.standard_normal((self.d, self.n))
-        x = w0 @ z0 + 0.5 * self.gen.standard_normal((4, self.n))
-        self.data = StackedData(x=x, view_dims=self.view_dims)
+        self.x = w0 @ z0 + 0.5 * self.gen.standard_normal((4, self.n))
+        self.kernel = _Kernel(HankelStats.from_matrix(self.x, self.view_dims), self.priors)
 
     def test_zero_weights_prior_fallback(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
         post.weight_mean[:] = 0.0
         post.weight_cov[:] = 0.0
         post.mean_loc[:] = 0.0
-        update_latent_factor(post, self.data, self.priors)
+        self.kernel.update_latent(post, _expected_precision(post))
         assert post.latent_cov == pytest.approx(np.eye(self.d))
-        assert latent_means(post, self.data) == pytest.approx(np.zeros((self.d, self.n)))
+        assert latent_means(post, self.x) == pytest.approx(np.zeros((self.d, self.n)))
 
     def test_point_mass_weights_reproduce_sampling_conditional(self):
-        state = ModelState(weights=self.gen.standard_normal((4, self.d)),
-                           mean=self.gen.standard_normal(4),
-                           noise_cov=[0.5 * np.eye(2), 2.0 * np.eye(2)],
-                           latent=self.gen.standard_normal((self.d, self.n)))
-        post = point_mass_posterior(state, self.data)
-        update_latent_factor(post, self.data, self.priors)
-        means, cov = latent_conditional(state, self.data)
-        assert post.latent_cov == pytest.approx(cov, abs=1e-12)
-        assert latent_means(post, self.data) == pytest.approx(means, abs=1e-12)
+        weights = self.gen.standard_normal((4, self.d))
+        mean = self.gen.standard_normal(4)
+        noise = [0.5 * np.eye(2), 2.0 * np.eye(2)]
+        latent = self.gen.standard_normal((self.d, self.n))
+        post = point_mass_posterior(self.x, self.view_dims, weights, mean, noise, latent)
+        self.kernel.update_latent(post, _expected_precision(post))
+        chol, proj = latent_natural(weights, _block_precision(noise))
+        assert post.latent_cov == pytest.approx(chol_inverse(chol), abs=1e-12)
+        assert latent_means(post, self.x) == pytest.approx(
+            proj @ (self.x - mean[:, None]), abs=1e-12)
 
     @pytest.mark.parametrize("update", ["latent", "weight", "noise", "mean"])
     def test_each_update_does_not_decrease_bound(self, update):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
-        before = elbo(post, self.data, self.priors)
+        before = self.kernel.elbo(post, _expected_precision(post))
+        psi = _expected_precision(post)
         if update == "latent":
-            update_latent_factor(post, self.data, self.priors)
+            self.kernel.update_latent(post, psi)
         elif update == "weight":
-            for i in range(self.d):
-                update_weight_factor(post, self.data, self.priors, i)
+            self.kernel.update_weights(post, range(self.d), psi, True)
         elif update == "noise":
-            update_noise_factor(post, self.data, self.priors)
+            self.kernel.update_noise(post)
         else:
-            update_mean_factor(post, self.data, self.priors)
-        after = elbo(post, self.data, self.priors)
+            self.kernel.update_mean(post, psi)
+        after = self.kernel.elbo(post, _expected_precision(post))
         assert after >= before - 1e-10 * abs(before)
 
     def test_latent_update_strictly_improves_from_random_start(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
-        before = elbo(post, self.data, self.priors)
-        update_latent_factor(post, self.data, self.priors)
-        assert elbo(post, self.data, self.priors) > before
+        before = self.kernel.elbo(post, _expected_precision(post))
+        self.kernel.update_latent(post, _expected_precision(post))
+        assert self.kernel.elbo(post, _expected_precision(post)) > before
 
     def test_weight_no_information_returns_prior(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
         post.latent_map[0] = 0.0
         post.latent_cov[0, :] = 0.0
         post.latent_cov[:, 0] = 0.0
-        update_weight_factor(post, self.data, self.priors, 0)
+        self.kernel.update_weights(post, [0], _expected_precision(post), True)
         assert post.weight_mean[:, 0] == pytest.approx(self.priors.weight_loc)
         assert post.weight_cov[0] == pytest.approx(self.priors.weight_cov)
 
@@ -155,15 +148,15 @@ class TestUpdateOracles:
             noise_scale=(np.eye(dim),), noise_dof=(dim + 2.0,),
             latent_dim=1, view_dims=(dim,))
         x = gen.standard_normal((dim, n))
-        data = StackedData(x=x, view_dims=(dim,))
         post = random_posterior(gen, (dim,), 1, n)
         post.mean_loc[:] = 0.0
         post.mean_cov[:] = 0.0
         # noise factor: point mass at identity precision
         post.noise_scale = [post.noise_dof[0] * np.eye(dim)]
-        mz = latent_means(post, data)[0]
+        mz = latent_means(post, x)[0]
         sq = float(mz @ mz) + n * post.latent_cov[0, 0]
-        update_weight_factor(post, data, priors, 0)
+        kernel = _Kernel(HankelStats.from_matrix(x, (dim,)), priors)
+        kernel.update_weights(post, [0], _expected_precision(post), True)
         assert post.weight_cov[0] == pytest.approx(np.eye(dim) / (sq + 1.0))
         assert post.weight_mean[:, 0] == pytest.approx((x @ mz) / (sq + 1.0))
 
@@ -177,19 +170,18 @@ class TestUpdateOracles:
             weight_cov=np.eye(1), noise_scale=(np.array([[1.5]]),),
             noise_dof=(3.0,), latent_dim=1, view_dims=(1,))
         x = gen.standard_normal((1, n))
-        data = StackedData(x=x, view_dims=(1,))
         post = random_posterior(gen, (1,), 1, n)
         mw = float(post.weight_mean[0, 0])
         vw = float(post.weight_cov[0, 0, 0])
         mu = float(post.mean_loc[0])
         vmu = float(post.mean_cov[0, 0])
-        mz = latent_means(post, data)[0]
+        mz = latent_means(post, x)[0]
         vz = float(post.latent_cov[0, 0])
         expected = 1.5 + sum(
             (x[0, k] - mu - mw * mz[k]) ** 2 + vmu
             + (mz[k] ** 2 + vz) * vw + mw**2 * vz
             for k in range(n))
-        update_noise_factor(post, data, priors)
+        _Kernel(HankelStats.from_matrix(x, (1,)), priors).update_noise(post)
         assert post.noise_scale[0][0, 0] == pytest.approx(expected, rel=1e-10)
         assert post.noise_dof[0] == 3.0 + n
 
@@ -199,14 +191,11 @@ class TestUpdateOracles:
         n, d = 10, 1
         w = np.ones((2, d))
         z = np.linspace(-1, 1, n)[None, :]
-        state = ModelState(weights=w, mean=np.zeros(2),
-                           noise_cov=[np.eye(1), np.eye(1)], latent=z)
         x = w @ z
-        data = StackedData(x=x, view_dims=(1, 1))
         priors = default_priors(1, 1, d, noise_scale=2.0)
-        post = point_mass_posterior(state, data)
-        assert latent_means(post, data) == pytest.approx(z, abs=1e-12)
-        update_noise_factor(post, data, priors)
+        post = point_mass_posterior(x, (1, 1), w, np.zeros(2), [np.eye(1), np.eye(1)], z)
+        assert latent_means(post, x) == pytest.approx(z, abs=1e-12)
+        _Kernel(HankelStats.from_matrix(x, (1, 1)), priors).update_noise(post)
         for scale, scale0 in zip(post.noise_scale, priors.noise_scale):
             assert scale == pytest.approx(scale0, abs=1e-12)
 
@@ -217,14 +206,14 @@ class TestUpdateOracles:
         n = 20
         priors = default_priors(1, 1, 1)
         x = gen.standard_normal((2, n)) + 3.0
-        data = StackedData(x=x, view_dims=(1, 1))
         post = random_posterior(gen, (1, 1), 1, n)
         post.weight_mean[:] = 0.0
         post.weight_cov[:] = 0.0
         post.latent_map[:] = 0.0
         psi = [float(p) for p in
                (b[0, 0] for b in expected_noise_precision(post))]
-        update_mean_factor(post, data, priors)
+        kernel = _Kernel(HankelStats.from_matrix(x, (1, 1)), priors)
+        kernel.update_mean(post, _expected_precision(post))
         for row, p in enumerate(psi):
             shrink = n * p / (n * p + 1.0)
             assert post.mean_loc[row] == pytest.approx(
@@ -236,20 +225,20 @@ class TestUpdateOracles:
         priors = default_priors(1, 1, 1)
         truth = np.array([1.0, -2.0])
         x = truth[:, None] + 0.3 * gen.standard_normal((2, n))
-        data = StackedData(x=x, view_dims=(1, 1))
-        post = initial_posterior(data.stats(), priors, seed=0)
+        kernel = _Kernel(HankelStats.from_matrix(x, (1, 1)), priors)
+        post = initial_posterior(kernel.stats, priors, seed=0)
         for _ in range(5):
-            update_latent_factor(post, data, priors)
-            for i in range(priors.latent_dim):
-                update_weight_factor(post, data, priors, i)
-            update_noise_factor(post, data, priors)
-            update_mean_factor(post, data, priors)
+            kernel.update_latent(post, _expected_precision(post))
+            kernel.update_weights(post, range(priors.latent_dim),
+                                  _expected_precision(post), True)
+            kernel.update_noise(post)
+            kernel.update_mean(post, _expected_precision(post))
         sd = np.sqrt(np.diag(post.mean_cov))
         assert np.all(np.abs(post.mean_loc - truth) < 3 * (sd + 0.3 / np.sqrt(n)))
 
 
-def _dense_factors(post, data):
-    return {"latent_mean": latent_means(post, data), "latent_cov": post.latent_cov,
+def _dense_factors(post, x):
+    return {"latent_mean": latent_means(post, x), "latent_cov": post.latent_cov,
             "weight_mean": post.weight_mean, "weight_cov": post.weight_cov,
             "mean_loc": post.mean_loc, "mean_cov": post.mean_cov,
             "noise_scale": post.noise_scale, "noise_dof": post.noise_dof}
@@ -264,13 +253,13 @@ class TestScatterConsistency:
         # the statistics-based scatter against the explicit residual matrix
         gen = np.random.default_rng(11)
         n = 33
-        data = StackedData(x=gen.standard_normal((5, n)) + 3.0, view_dims=(2, 3))
+        x = gen.standard_normal((5, n)) + 3.0
         post = random_posterior(gen, (2, 3), 2, n)
-        grams = expected_residual_scatter(post, data)
-        direct = oracles.vb_residual_scatter_dense(_dense_factors(post, data), data.x,
-                                                   data.view_dims)
-        for a, b in zip(direct, grams):
-            assert b == pytest.approx(a, rel=1e-9)
+        kernel = _Kernel(HankelStats.from_matrix(x, (2, 3)), default_priors(2, 3, 2))
+        scatter = kernel.expected_scatter(post, kernel.latent_stats(post))
+        direct = oracles.vb_residual_scatter_dense(_dense_factors(post, x), x, (2, 3))
+        for a, sl in zip(direct, kernel.slices):
+            assert scatter[sl, sl] == pytest.approx(a, rel=1e-9)
 
 
 class TestStatisticsEngine:
@@ -284,7 +273,7 @@ class TestStatisticsEngine:
         w0 = gen.standard_normal((6, d))
         x = (w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
              + gen.uniform(-2.0, 2.0, (6, 1)))
-        data = StackedData(x=x, view_dims=(3, 3))
+        stats = HankelStats.from_matrix(x, (3, 3))
         priors = default_priors(3, 3, d, noise_scale=1.0)
         if coupled_prior:
             # weight and mean priors that couple the two views
@@ -297,13 +286,13 @@ class TestStatisticsEngine:
                                 view_dims=(3, 3))
         cfg = VBConfig(max_iter=sweeps, elbo_rel_tol=1e-300, seed=4,
                        latent_cross_cov=cross_cov, warm_start=warm_start)
-        post = run_vb(data.stats(), priors, cfg)
+        post = run_vb(stats, priors, cfg)
         assert post.n_iter == sweeps
 
-        q = _dense_factors(initial_posterior(data.stats(), priors, 4, warm_start), data)
+        q = _dense_factors(initial_posterior(stats, priors, 4, warm_start), x)
         for _ in range(sweeps):
-            q = oracles.vb_sweep_dense(q, data.x, data.view_dims, priors, cross_cov)
-        got = _dense_factors(post, data)
+            q = oracles.vb_sweep_dense(q, x, (3, 3), priors, cross_cov)
+        got = _dense_factors(post, x)
         for key in ("latent_mean", "latent_cov", "weight_mean", "weight_cov",
                     "mean_cov"):
             assert _rel(got[key], q[key]) < 1e-10, key
@@ -317,7 +306,6 @@ class TestStatisticsEngine:
         import tracemalloc
 
         from bayes_ssi.simulate import TimeSeries
-        from bayes_ssi.subspace import HankelStats
 
         gen = np.random.default_rng(22)
         ts = TimeSeries(data=gen.standard_normal((4, 2**15)), fs=1.0)
@@ -346,44 +334,48 @@ class TestDegeneracyAgainstSampler:
         d, n = 2, 15
         priors = default_priors(2, 2, d, noise_scale=1.5)
         x = gen.standard_normal((4, n))
-        data = StackedData(x=x, view_dims=view_dims)
-        state = ModelState(weights=gen.standard_normal((4, d)),
-                           mean=gen.standard_normal(4),
-                           noise_cov=[1.2 * np.eye(2), 0.7 * np.eye(2)],
-                           latent=gen.standard_normal((d, n)))
-        post = point_mass_posterior(state, data)
+        weights = gen.standard_normal((4, d))
+        mean = gen.standard_normal(4)
+        noise = [1.2 * np.eye(2), 0.7 * np.eye(2)]
+        latent = gen.standard_normal((d, n))
+        post = point_mass_posterior(x, view_dims, weights, mean, noise, latent)
+        gibbs_kernel, _ = explicit_kernel(x, view_dims, priors, latent)
+        kernel = _Kernel(gibbs_kernel.stats, priors)
 
         # latent step
-        update_latent_factor(post, data, priors)
-        means, cov = latent_conditional(state, data)
-        assert post.latent_cov == pytest.approx(cov, abs=1e-10)
-        assert latent_means(post, data) == pytest.approx(means, abs=1e-10)
+        kernel.update_latent(post, _expected_precision(post))
+        chol, proj = latent_natural(weights, _block_precision(noise))
+        latent = proj @ (x - mean[:, None])
+        assert post.latent_cov == pytest.approx(chol_inverse(chol), abs=1e-10)
+        assert latent_means(post, x) == pytest.approx(latent, abs=1e-10)
         post.latent_cov = np.zeros((d, d))
-        state.latent = means
+        lat = LatentStats.from_latent(x, gibbs_kernel.stats.row_mean, latent)
 
         # weight steps, refreshed in order
         for i in range(d):
-            update_weight_factor(post, data, priors, i)
-            w_mean, w_cov = weight_column_conditional(state, data, priors, i)
-            assert post.weight_cov[i] == pytest.approx(w_cov, abs=1e-10)
+            kernel.update_weights(post, [i], _expected_precision(post), True)
+            chol, w_mean = gibbs_kernel.weight_natural(weights, mean, lat,
+                                                       _block_precision(noise), i)
+            assert post.weight_cov[i] == pytest.approx(chol_inverse(chol), abs=1e-10)
             assert post.weight_mean[:, i] == pytest.approx(w_mean, abs=1e-10)
             post.weight_cov[i] = 0.0
-            state.weights[:, i] = w_mean
+            weights[:, i] = w_mean
 
         # noise step: compare natural parameters, then hold the precision
         # at its conditional mean on both sides
-        update_noise_factor(post, data, priors)
-        conds = noise_conditionals(state, data, priors)
+        kernel.update_noise(post)
+        conds = gibbs_kernel.noise_conditionals(
+            gibbs_kernel.residual_scatter(weights, mean, lat))
         for (scale_g, dof_g), scale_v, dof_v in zip(conds, post.noise_scale,
                                                     post.noise_dof):
             assert dof_v == dof_g
             assert scale_v == pytest.approx(scale_g, abs=1e-10)
-        state.noise_cov = [scale / dof for (scale, dof) in conds]
+        noise = [scale / dof for (scale, dof) in conds]
 
         # mean step
-        update_mean_factor(post, data, priors)
-        m_mean, m_cov = mean_conditional(state, data, priors)
-        assert post.mean_cov == pytest.approx(m_cov, abs=1e-10)
+        kernel.update_mean(post, _expected_precision(post))
+        chol, m_mean = gibbs_kernel.mean_natural(weights, lat, _block_precision(noise))
+        assert post.mean_cov == pytest.approx(chol_inverse(chol), abs=1e-10)
         assert post.mean_loc == pytest.approx(m_mean, abs=1e-10)
 
 
@@ -392,13 +384,12 @@ class TestRunVb:
         # scalar model, N = 3: the converged bound sits below the log
         # marginal likelihood computed by dense quadrature
         x = np.array([[0.3, -0.7, 1.1]])
-        data = StackedData(x=x, view_dims=(1,))
         priors = PriorHyper(
             mean_loc=np.zeros(1), mean_cov=np.eye(1), weight_loc=np.zeros(1),
             weight_cov=np.eye(1), noise_scale=(np.array([[1.0]]),),
             noise_dof=(4.0,), latent_dim=1, view_dims=(1,))
-        post = run_vb(data.stats(), priors, VBConfig(max_iter=300, elbo_rel_tol=1e-12,
-                                             seed=3))
+        post = run_vb(HankelStats.from_matrix(x, (1,)), priors,
+                      VBConfig(max_iter=300, elbo_rel_tol=1e-12, seed=3))
         log_z = oracles.log_marginal_quadrature_1d(
             x[0], weight_sd=1.0, mean_sd=1.0, noise_scale=1.0, noise_dof=4.0,
             n_herm=100, n_noise=600)
@@ -408,23 +399,24 @@ class TestRunVb:
 
     def test_fixed_point_invariance(self):
         gen = np.random.default_rng(13)
-        data = StackedData(x=gen.standard_normal((4, 30)), view_dims=(2, 2))
         priors = default_priors(2, 2, 1)
-        post = run_vb(data.stats(), priors, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
-                                             seed=5))
+        kernel = _Kernel(HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2)),
+                         priors)
+        post = run_vb(kernel.stats, priors, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
+                                                     seed=5))
         settled = post.elbo_trace[-1]
-        update_latent_factor(post, data, priors)
-        update_weight_factor(post, data, priors, 0)
-        update_noise_factor(post, data, priors)
-        update_mean_factor(post, data, priors)
-        again = elbo(post, data, priors)
+        kernel.update_latent(post, _expected_precision(post))
+        kernel.update_weights(post, [0], _expected_precision(post), True)
+        kernel.update_noise(post)
+        kernel.update_mean(post, _expected_precision(post))
+        again = kernel.elbo(post, _expected_precision(post))
         assert abs(again - settled) <= 1e-10 * abs(settled)
 
     def test_monotone_trace_and_termination(self):
         gen = np.random.default_rng(14)
-        data = StackedData(x=gen.standard_normal((4, 60)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 60)), (2, 2))
         priors = default_priors(2, 2, 2)
-        post = run_vb(data.stats(), priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
+        post = run_vb(stats, priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
                                              seed=6))
         trace = np.asarray(post.elbo_trace)
         assert post.converged
@@ -433,11 +425,11 @@ class TestRunVb:
 
     def test_determinism(self):
         gen = np.random.default_rng(15)
-        data = StackedData(x=gen.standard_normal((4, 40)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
         priors = default_priors(2, 2, 1)
         cfg = VBConfig(max_iter=40, elbo_rel_tol=1e-9, seed=11)
-        a = run_vb(data.stats(), priors, cfg)
-        b = run_vb(data.stats(), priors, cfg)
+        a = run_vb(stats, priors, cfg)
+        b = run_vb(stats, priors, cfg)
         assert np.array_equal(a.weight_mean, b.weight_mean)
         assert np.array_equal(a.latent_map, b.latent_map)
         assert a.elbo_trace == b.elbo_trace
@@ -445,18 +437,18 @@ class TestRunVb:
     def test_dof_offset_invariant(self):
         gen = np.random.default_rng(16)
         n = 25
-        data = StackedData(x=gen.standard_normal((4, n)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, n)), (2, 2))
         priors = default_priors(2, 2, 1)
-        post = run_vb(data.stats(), priors, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
+        post = run_vb(stats, priors, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
                                              seed=2))
         for dof, dof0 in zip(post.noise_dof, priors.noise_dof):
             assert dof - dof0 == n
 
     def test_strict_paper_mode_runs(self):
         gen = np.random.default_rng(17)
-        data = StackedData(x=gen.standard_normal((4, 50)), view_dims=(2, 2))
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 50)), (2, 2))
         priors = default_priors(2, 2, 2)
-        post = run_vb(data.stats(), priors, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
+        post = run_vb(stats, priors, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
                                              seed=4, latent_cross_cov=False))
         assert np.all(np.isfinite(post.elbo_trace))
 
@@ -467,10 +459,10 @@ class TestRunVb:
         d, n = 2, 800
         w0 = gen.standard_normal((6, d))
         x = w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
-        data = StackedData(x=x, view_dims=(3, 3))
+        stats = HankelStats.from_matrix(x, (3, 3))
         priors = default_priors(3, 3, d, noise_scale=1.0)
-        cold = run_vb(data.stats(), priors, VBConfig(max_iter=500, seed=1))
-        warm = run_vb(data.stats(), priors, VBConfig(max_iter=500, seed=1,
+        cold = run_vb(stats, priors, VBConfig(max_iter=500, seed=1))
+        warm = run_vb(stats, priors, VBConfig(max_iter=500, seed=1,
                                              warm_start=True))
         assert warm.n_iter <= cold.n_iter
         assert warm.elbo_trace[-1] >= cold.elbo_trace[-1] - 1e-4 * abs(
