@@ -12,7 +12,6 @@ from .rng import Rng, sample_inverse_wishart, sample_mvn, sample_wishart
 from .simulate import (
     ContinuousSS,
     DiscreteSS,
-    ShearFrame,
     TimeSeries,
     build_shear_frame,
     discretize,
@@ -24,28 +23,43 @@ from .subspace import (
     HankelPair,
     HankelStats,
     ModalSet,
-    Realization,
     build_hankel,
     cca,
-    matrix_sqrt,
     modal_from_state_matrix,
+    modal_parameters,
     realization_from_observability,
+    shift_invariance,
     ssi_cov,
 )
 from .model import PriorHyper, default_priors, log_joint
 from .gibbs import GibbsChain, GibbsConfig, run_gibbs
 from .vb import VBConfig, VBPosterior, latent_means, run_vb
 from .modal_posterior import (
+    ModalDraws,
     ModalPosterior,
-    ModalSample,
     StabilisationData,
     align_modes,
     chain_observability_samples,
     draw_observability_samples,
     mac,
-    propagate_to_modal,
+    propagate_many,
     stabilisation,
     summarize,
 )
 from .spectral import WelchSpec, welch_psd
 from .io import ingest_csv
+
+__all__ = [
+    "Rng", "sample_inverse_wishart", "sample_mvn", "sample_wishart",
+    "ContinuousSS", "DiscreteSS", "TimeSeries", "build_shear_frame",
+    "discretize", "simulate_response", "to_continuous_ss",
+    "van_loan_discretize", "HankelPair", "HankelStats", "ModalSet",
+    "build_hankel", "cca", "modal_from_state_matrix", "modal_parameters",
+    "realization_from_observability", "shift_invariance", "ssi_cov",
+    "PriorHyper", "default_priors", "log_joint", "GibbsChain", "GibbsConfig",
+    "run_gibbs", "VBConfig", "VBPosterior", "latent_means", "run_vb",
+    "ModalDraws", "ModalPosterior", "StabilisationData", "align_modes",
+    "chain_observability_samples", "draw_observability_samples", "mac",
+    "propagate_many", "stabilisation", "summarize", "WelchSpec", "welch_psd",
+    "ingest_csv",
+]

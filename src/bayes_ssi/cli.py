@@ -239,14 +239,11 @@ def _load_input(cfg: dict):
     return ingest_csv(path, float(fs))
 
 
-def _write_welch_overlay(out: OutputDir, ts, segment: int | None = None,
-                         overlap: float = 0.5):
-    segment = segment or min(1024, ts.n_samples)
-    spec = welch_psd(ts, segment_length=segment, overlap=overlap)
+def _write_welch_overlay(out: OutputDir, ts) -> None:
+    spec = welch_psd(ts, segment_length=min(1024, ts.n_samples), overlap=0.5)
     write_matrix_csv(out.file("welch_sum.csv"),
                      np.column_stack([spec.frequencies, spec.psd_sum]),
                      header=["frequency_hz", "psd_sum"])
-    return spec
 
 
 def _modal_estimate_payload(modal, order: int, block_rows: int) -> dict:
@@ -318,7 +315,7 @@ def cmd_identify(cfg: dict) -> Path:
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("identify", cfg))
-        _, reference = ssi_cov(ts, j, order, center=center)
+        reference = ssi_cov(ts, j, order, center=center)
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
 
@@ -361,9 +358,9 @@ def cmd_identify(cfg: dict) -> Path:
         else:
             raise ValueError(f"unknown engine {engine!r}")
 
-        modal_samples, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
-                                                   engine, order)
-        posterior = align_modes(modal_samples, reference, n_excluded=n_excluded)
+        modal, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
+                                           engine, order)
+        posterior = align_modes(modal, reference, n_excluded=n_excluded)
         write_json(out.file("modes_summary.json"), summarize(posterior))
         _write_mode_draws(out, posterior)
         write_json(out.file("run_manifest.json"),
@@ -385,12 +382,11 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
-        welch = _write_welch_overlay(out, ts)
+        _write_welch_overlay(out, ts)
         result = stabilisation(ts, cfg["block_rows"], orders, vb_config,
                                n_draws=cfg.get("draws", 500),
                                center=not cfg.get("no_center", False),
-                               priors_factory=lambda _d1, _d2, order: priors[order],
-                               welch=welch)
+                               priors_factory=lambda _d1, _d2, order: priors[order])
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
         ]) if result.orders.size else np.empty((0, 3))

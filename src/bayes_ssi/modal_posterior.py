@@ -1,10 +1,10 @@
 """Propagate posterior weight draws to modal-parameter posteriors.
 
-Each draw of the first-view weight block is treated as an extended
-observability sample: the state matrix is recovered by the same
-shift-invariance solve as the classical baseline, eigen-decomposed, and the
-resulting modal sets are aligned across draws against a classical reference
-so per-mode histograms and summaries are well defined.  Negative damping
+Each draw of the first-view weight block is an extended observability
+sample.  The stack of draws goes, ``DRAW_BLOCK`` at a time, through the
+baseline's shift-invariance solve and eigen-decomposition into one
+``ModalDraws`` container of padded arrays, whose modes are then aligned to
+the classical reference by MAC in array operations.  Negative damping
 draws are kept (they occur legitimately); summaries report their fraction.
 """
 
@@ -19,18 +19,17 @@ from .gibbs import GibbsChain
 from .model import default_priors
 from .rng import Rng, psd_factor
 from .simulate import TimeSeries
-from .spectral import WelchSpec
 from .subspace import (
     HankelStats,
     ModalSet,
     build_hankel,  # noqa: F401  -- perfbench/tracing.py wraps this attribute
-    modal_from_state_matrix,
-    realization_from_observability,
+    modal_parameters,
+    shift_invariance,
 )
 from .vb import VBConfig, VBPosterior, run_vb
 
 __all__ = [
-    "ModalSample",
+    "ModalDraws",
     "ModeCluster",
     "ModalPosterior",
     "StabilisationData",
@@ -38,7 +37,6 @@ __all__ = [
     "phase_align",
     "draw_observability_samples",
     "chain_observability_samples",
-    "propagate_to_modal",
     "propagate_many",
     "align_modes",
     "summarize",
@@ -51,14 +49,26 @@ logger = logging.getLogger(__name__)
 DRAW_STREAM = 3
 STAB_DRAW_STREAM_BASE = 100
 
+# draws generated and propagated per block, which bounds the working memory
+DRAW_BLOCK = 256
+
 
 @dataclass(frozen=True)
-class ModalSample:
-    """Modal parameters extracted from one posterior draw."""
+class ModalDraws:
+    """Modes of a stack of propagated draws, padded to a common width m.
 
-    index: int
-    modal: ModalSet
-    source: str          # "gibbs" or "vb"
+    Row k is draw ``index[k]`` of the propagated stack (degenerate draws
+    are excluded).  Its modes fill the columns where ``present`` is set, in
+    ascending frequency; the padding after them is zero.
+    """
+
+    frequencies: np.ndarray     # n x m, Hz
+    damping_ratios: np.ndarray  # n x m
+    mode_shapes: np.ndarray     # n x m x l, complex
+    real_pole: np.ndarray       # n x m, bool
+    present: np.ndarray         # n x m, bool
+    index: np.ndarray           # n
+    source: str                 # "gibbs" or "vb"
     order: int
 
 
@@ -84,7 +94,6 @@ class ModalPosterior:
     """Per-mode aligned draws plus alignment diagnostics."""
 
     clusters: list[ModeCluster]
-    reference: ModalSet
     n_draws: int
     n_excluded: int
     n_unassigned: int
@@ -103,48 +112,50 @@ class StabilisationData:
     damping_ratios: np.ndarray
     requested_orders: tuple[int, ...]
     failures: dict[int, str] = field(default_factory=dict)
-    welch: WelchSpec | None = None
     diagnostics: dict[int, dict] = field(default_factory=dict)
 
 
-def mac(a: np.ndarray, b: np.ndarray) -> float:
-    """Modal assurance criterion between two complex shape vectors."""
-    num = abs(np.vdot(a, b)) ** 2
-    den = float(np.real(np.vdot(a, a)) * np.real(np.vdot(b, b)))
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b along the last axis, broadcast over the others."""
+    return np.einsum("...i,...i->...", np.conj(a), b)
+
+
+def mac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Modal assurance criterion between complex shape vectors along the
+    last axis, broadcast over the others; 0 where a vector is zero."""
+    num = np.abs(_inner(a, b)) ** 2
+    den = np.real(_inner(a, a)) * np.real(_inner(b, b))
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)[()]
 
 
 def phase_align(shape: np.ndarray) -> np.ndarray:
-    """Unit-normalized copy rotated to the phase maximizing the real part."""
-    norm = np.linalg.norm(shape)
-    if norm == 0:
-        return shape.astype(complex)
-    rotated = shape / norm
-    s = complex(np.sum(rotated**2))
-    if abs(s) > 0:
-        rotated = rotated * np.exp(-0.5j * np.angle(s))
-    return rotated
+    """Unit-normalized copy rotated to the phase maximizing the real part,
+    along the last axis; zero vectors stay zero."""
+    shape = np.asarray(shape, dtype=complex)
+    norm = np.linalg.norm(shape, axis=-1, keepdims=True)
+    rotated = np.divide(shape, norm, out=np.zeros_like(shape), where=norm != 0)
+    s = np.sum(rotated**2, axis=-1, keepdims=True)
+    return rotated * np.exp(-0.5j * np.angle(s))
 
 
 def draw_observability_samples(post: VBPosterior, n: int, rng: Rng) -> np.ndarray:
-    """Monte Carlo observability samples from the variational posterior.
-
-    Each draw samples every weight column from its Gaussian factor,
-    assembles the full matrix and keeps the first-view rows.
-    """
+    """Monte Carlo observability samples from the variational posterior:
+    every weight column drawn from its Gaussian factor, first-view rows
+    kept, ``DRAW_BLOCK`` draws at a time in draw, column, row order."""
     if n < 1:
         raise ValueError("need at least one draw")
     total_dim, d = post.weight_mean.shape
     d1 = post.view_dims[0]
-    factors = [psd_factor(post.weight_cov[i]) for i in range(d)]
+    # d x D x d1: each column's factor restricted to the first-view rows
+    factors = np.stack([psd_factor(post.weight_cov[i])[:d1].T for i in range(d)])
+    mean = post.weight_mean[:d1]
     out = np.empty((n, d1, d))
     gen = rng.generator
-    for k in range(n):
-        for i in range(d):
-            col = post.weight_mean[:, i] + factors[i] @ gen.standard_normal(total_dim)
-            out[k, :, i] = col[:d1]
+    for start in range(0, n, DRAW_BLOCK):
+        noise = gen.standard_normal((min(DRAW_BLOCK, n - start), d, total_dim))
+        # (d, B, D) @ (d, D, d1) -> (d, B, d1) -> B x d1 x d
+        spread = (noise.transpose(1, 0, 2) @ factors).transpose(1, 2, 0)
+        out[start:start + noise.shape[0]] = mean + spread
     return out
 
 
@@ -156,110 +167,91 @@ def chain_observability_samples(chain: GibbsChain) -> np.ndarray:
     return chain.weight_samples[:, :d1, :]
 
 
-def propagate_to_modal(w1: np.ndarray, n_channels: int, dt: float,
-                       source: str = "vb", order: int | None = None,
-                       index: int = 0) -> ModalSample:
-    """Observability sample -> state matrix -> modal set.
-
-    Raises numpy.linalg.LinAlgError for degenerate draws (rank-deficient
-    shifted block); callers exclude and count those.
-    """
-    a, c_out, _ = realization_from_observability(w1, n_channels)
-    modal = modal_from_state_matrix(a, c_out, dt)
-    return ModalSample(index=index, modal=modal, source=source,
-                       order=order if order is not None else w1.shape[1])
-
-
 def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
-                   source: str, order: int) -> tuple[list[ModalSample], int]:
-    """Propagate a stack of observability draws, excluding degenerate ones.
-
-    Exclusions are counted and logged as one line, never silent.
-    """
-    out: list[ModalSample] = []
-    n_excluded = 0
-    for k in range(samples.shape[0]):
-        try:
-            out.append(propagate_to_modal(samples[k], n_channels, dt,
-                                          source=source, order=order, index=k))
-        except np.linalg.LinAlgError:
-            n_excluded += 1
+                   source: str, order: int) -> tuple[ModalDraws, int]:
+    """Modes of the non-degenerate draws of a stack, ``DRAW_BLOCK`` at a
+    time, and the number of degenerate draws excluded (logged as one line,
+    never silent)."""
+    parts, kept = [], []
+    for start in range(0, samples.shape[0], DRAW_BLOCK):
+        block = samples[start:start + DRAW_BLOCK]
+        a, degenerate = shift_invariance(block, n_channels)
+        good = np.flatnonzero(~degenerate)
+        parts.append(modal_parameters(a[good], block[good, :n_channels], dt))
+        kept.append(start + good)
+    freqs, damping, shapes, real_pole, present = (np.concatenate(p) for p in zip(*parts))
+    index = np.concatenate(kept)
+    n_excluded = samples.shape[0] - index.size
     if n_excluded:
         logger.warning("excluded %d of %d draws as degenerate",
                        n_excluded, samples.shape[0])
-    return out, n_excluded
+    width = int(present.sum(axis=1).max(initial=0))
+    draws = ModalDraws(frequencies=freqs[:, :width], damping_ratios=damping[:, :width],
+                       mode_shapes=shapes[:, :width], real_pole=real_pole[:, :width],
+                       present=present[:, :width], index=index, source=source,
+                       order=order)
+    return draws, n_excluded
 
 
-def align_modes(samples: list[ModalSample], reference: ModalSet,
+def align_modes(draws: ModalDraws, reference: ModalSet,
                 mac_threshold: float = 0.8, freq_gate: float = 0.1,
                 n_excluded: int = 0) -> ModalPosterior:
     """Match every draw's modes to the classical reference modes.
 
-    Greedy best-MAC assignment with a relative frequency gate and a
-    frequency-distance tiebreak; unmatched draw modes land in the
-    unassigned pool.  Shapes are unit-normalized, rotated to real-maximal
-    phase and sign-aligned to the reference.
+    Greedy per draw over the pairs with MAC >= ``mac_threshold`` inside the
+    relative frequency gate: best MAC first, then frequency distance, then
+    the higher mode index; each mode is used once, and unmatched draw modes
+    are counted as unassigned.  Shapes are unit-normalized, rotated to
+    real-maximal phase and sign-aligned to the reference.
     """
-    if not samples:
+    n, m = draws.present.shape
+    if n == 0:
         raise ValueError("no modal samples to align")
     ref_idx = np.flatnonzero(~reference.real_pole)
-    ref_shapes = [phase_align(reference.mode_shapes[:, j]) for j in ref_idx]
+    ref_shapes = phase_align(reference.mode_shapes[:, ref_idx].T)
     ref_freqs = reference.frequencies[ref_idx]
+    r = ref_idx.size
 
-    buckets: list[dict[str, list]] = [
-        {"freq": [], "damp": [], "shape": [], "mac": [], "idx": []}
-        for _ in ref_idx
-    ]
-    n_unassigned = 0
-    for sample in samples:
-        modal = sample.modal
-        pairs = []
-        for jm in range(modal.n_modes):
-            f = modal.frequencies[jm]
-            shape = modal.mode_shapes[:, jm]
-            for jr, (f_ref, s_ref) in enumerate(zip(ref_freqs, ref_shapes)):
-                if f_ref > 0 and abs(f - f_ref) > freq_gate * f_ref:
-                    continue
-                score = mac(shape, s_ref)
-                if score < mac_threshold:
-                    continue
-                pairs.append((score, -abs(f - f_ref), jm, jr))
-        pairs.sort(reverse=True)
-        used_draw: set[int] = set()
-        used_ref: set[int] = set()
-        for score, _, jm, jr in pairs:
-            if jm in used_draw or jr in used_ref:
-                continue
-            used_draw.add(jm)
-            used_ref.add(jr)
-            aligned = phase_align(modal.mode_shapes[:, jm])
-            if np.real(np.vdot(ref_shapes[jr], aligned)) < 0:
-                aligned = -aligned
-            bucket = buckets[jr]
-            bucket["freq"].append(modal.frequencies[jm])
-            bucket["damp"].append(modal.damping_ratios[jm])
-            bucket["shape"].append(aligned)
-            bucket["mac"].append(score)
-            bucket["idx"].append(sample.index)
-        n_unassigned += modal.n_modes - len(used_draw)
+    # n x m x r: every draw mode against every reference mode
+    gap = np.abs(draws.frequencies[:, :, None] - ref_freqs)
+    score = mac(draws.mode_shapes[:, :, None, :], ref_shapes)
+    gated = (ref_freqs > 0) & (gap > freq_gate * ref_freqs)
+    free = np.where(draws.present[:, :, None] & ~gated & (score >= mac_threshold),
+                    score, -np.inf)
+    # taking each draw's highest-ranked free pair min(m, r) times assigns
+    # the same pairs as scanning all its pairs in rank order
+    rank = np.arange(m * r).reshape(m, r)
+    rows = np.arange(n)
+    assigned = np.full((n, r), -1)
+    for _ in range(min(m, r)):
+        tie = np.isfinite(free) & (free == free.max(axis=(1, 2), keepdims=True))
+        near = np.where(tie, -gap, -np.inf).max(axis=(1, 2), keepdims=True)
+        pick = np.where(tie & (-gap == near), rank, -1).max(axis=(1, 2))
+        hit = rows[pick >= 0]
+        jm, jr = np.divmod(pick[hit], r)
+        assigned[hit, jr] = jm
+        free[hit, jm, :] = -np.inf
+        free[hit, :, jr] = -np.inf
 
     clusters = []
-    for jr, bucket in enumerate(buckets):
+    for jr in range(r):
+        k = np.flatnonzero(assigned[:, jr] >= 0)
+        jm = assigned[k, jr]
+        shapes = phase_align(draws.mode_shapes[k, jm])
+        flip = np.real(_inner(ref_shapes[jr], shapes)) < 0
         clusters.append(ModeCluster(
             reference_frequency=float(ref_freqs[jr]),
             reference_shape=ref_shapes[jr],
-            frequencies=np.asarray(bucket["freq"]),
-            damping_ratios=np.asarray(bucket["damp"]),
-            mode_shapes=(np.vstack(bucket["shape"]) if bucket["shape"]
-                         else np.empty((0, reference.mode_shapes.shape[0]), complex)),
-            mac_scores=np.asarray(bucket["mac"]),
-            draw_indices=np.asarray(bucket["idx"], dtype=int),
+            frequencies=draws.frequencies[k, jm],
+            damping_ratios=draws.damping_ratios[k, jm],
+            mode_shapes=np.where(flip[:, None], -shapes, shapes),
+            mac_scores=score[k, jm, jr],
+            draw_indices=draws.index[k],
         ))
-    first = samples[0]
-    return ModalPosterior(clusters=clusters, reference=reference,
-                          n_draws=len(samples) + n_excluded,
+    n_unassigned = int(np.count_nonzero(draws.present) - np.count_nonzero(assigned >= 0))
+    return ModalPosterior(clusters=clusters, n_draws=n + n_excluded,
                           n_excluded=n_excluded, n_unassigned=n_unassigned,
-                          source=first.source, order=first.order)
+                          source=draws.source, order=draws.order)
 
 
 def summarize(posterior: ModalPosterior) -> dict:
@@ -306,7 +298,7 @@ def summarize(posterior: ModalPosterior) -> dict:
 def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
                   vb_config: VBConfig, n_draws: int = 500, *,
                   center: bool = True, priors_factory=default_priors,
-                  welch: WelchSpec | None = None) -> StabilisationData:
+                  ) -> StabilisationData:
     """Run the variational engine at multiple model orders and pool the
     propagated (frequency, damping, order) triples.
 
@@ -338,25 +330,17 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
             diagnostics[order] = post.diagnostics()
             draws = draw_observability_samples(
                 post, n_draws, Rng(vb_config.seed, STAB_DRAW_STREAM_BASE + order))
-            modal_samples, n_excluded = propagate_many(draws, ts.channels, dt,
-                                                       "vb", order)
-            if not modal_samples:
+            modal, n_excluded = propagate_many(draws, ts.channels, dt, "vb", order)
+            if modal.index.size == 0:
                 failures[order] = (
                     f"all {n_excluded} draws degenerate; the shift-invariance "
                     f"solve needs (block_rows - 1) * channels >= order"
                 )
                 continue
-            nyquist = ts.fs / 2.0
-            freqs, damps = [], []
-            for sample in modal_samples:
-                keep = ~sample.modal.real_pole & (sample.modal.frequencies < nyquist)
-                freqs.append(sample.modal.frequencies[keep])
-                damps.append(sample.modal.damping_ratios[keep])
-            freq_arr = np.concatenate(freqs) if freqs else np.empty(0)
-            damp_arr = np.concatenate(damps) if damps else np.empty(0)
-            all_orders.append(np.full(freq_arr.size, order, dtype=int))
-            all_freqs.append(freq_arr)
-            all_damps.append(damp_arr)
+            keep = modal.present & ~modal.real_pole & (modal.frequencies < ts.fs / 2.0)
+            all_orders.append(np.full(np.count_nonzero(keep), order, dtype=int))
+            all_freqs.append(modal.frequencies[keep])
+            all_damps.append(modal.damping_ratios[keep])
         except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
             logger.warning("stabilisation failed at order %d: %s", order, exc)
             failures[order] = str(exc)
@@ -367,6 +351,5 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
         damping_ratios=(np.concatenate(all_damps) if all_damps else np.empty(0)),
         requested_orders=tuple(orders),
         failures=failures,
-        welch=welch,
         diagnostics=diagnostics,
     )

@@ -20,7 +20,6 @@ from scipy.linalg import expm, solve_discrete_lyapunov
 from .rng import Rng, psd_factor, symmetrize
 
 __all__ = [
-    "ShearFrame",
     "ContinuousSS",
     "DiscreteSS",
     "TimeSeries",
@@ -31,19 +30,6 @@ __all__ = [
     "stationary_state_covariance",
     "simulate_response",
 ]
-
-
-@dataclass(frozen=True)
-class ShearFrame:
-    """Lumped-mass shear frame with two columns per storey and stiffness-
-    proportional damping c_j = k_j / 1000."""
-
-    n_floors: int
-    mass: float = 2.0
-    stiffness: float = 2500.0
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return build_shear_frame(self.n_floors, self.mass, self.stiffness)
 
 
 @dataclass(frozen=True)

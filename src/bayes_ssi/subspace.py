@@ -1,7 +1,12 @@
 """Deterministic subspace machinery: block-Hankel assembly, the Hankel
 sufficient statistics, canonical correlation analysis, the
 canonical-variate weighted covariance-driven identification baseline, and
-modal extraction from a state-space realization."""
+modal extraction from state-space realizations.
+
+The shift-invariance solve and the eigen -> modal conversion run on stacks
+of matrices (``shift_invariance``, ``modal_parameters``); the classical
+baseline is the stack-of-one case (``realization_from_observability``,
+``modal_from_state_matrix``)."""
 
 from __future__ import annotations
 
@@ -17,15 +22,15 @@ from .simulate import TimeSeries
 __all__ = [
     "HankelPair",
     "HankelStats",
-    "Realization",
     "ModalSet",
     "IllConditionedError",
     "build_hankel",
     "chol_with_jitter",
-    "matrix_sqrt",
     "cca",
     "observability_controllability",
     "ssi_cov",
+    "shift_invariance",
+    "modal_parameters",
     "realization_from_observability",
     "modal_from_state_matrix",
 ]
@@ -88,6 +93,8 @@ class HankelStats:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError("stacked data must be a 2-d matrix")
+        if x.shape[1] == 0:
+            raise ValueError("stacked data has no columns")
         if sum(view_dims) != x.shape[0]:
             raise ValueError(
                 f"view dims {tuple(view_dims)} do not sum to row count {x.shape[0]}"
@@ -154,19 +161,6 @@ class HankelStats:
 
 
 @dataclass(frozen=True)
-class Realization:
-    """Truncated decomposition of the future-past covariance plus the
-    recovered state-space matrices."""
-
-    observability: np.ndarray   # l*j x d
-    controllability: np.ndarray  # d x l*j
-    a: np.ndarray               # d x d
-    c_out: np.ndarray           # l x d
-    order: int
-    shift_residual: float
-
-
-@dataclass(frozen=True)
 class ModalSet:
     """Modal parameters with conjugate pairs collapsed to one entry each.
 
@@ -179,7 +173,6 @@ class ModalSet:
     frequencies: np.ndarray       # Hz
     damping_ratios: np.ndarray
     mode_shapes: np.ndarray       # complex, l x n_modes
-    eigenvalues: np.ndarray       # discrete-time, complex
     real_pole: np.ndarray         # bool mask
     n_dropped: int = 0
 
@@ -246,12 +239,6 @@ def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> tuple[np.ndarray,
     )
 
 
-def matrix_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T = mat (Cholesky square root)."""
-    factor, _ = chol_with_jitter(mat, "matrix")
-    return factor
-
-
 def cca(auto_x: np.ndarray, auto_y: np.ndarray, cross_xy: np.ndarray,
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical correlation analysis of two views from their covariances.
@@ -293,68 +280,102 @@ def observability_controllability(stats: HankelStats, order: int,
     return obs, ctrb, corr
 
 
-def realization_from_observability(obs: np.ndarray, n_channels: int,
-                                   ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Recover (A, C) from the extended observability by the shift-invariance
-    least-squares solve; also returns the residual norm of the solve."""
+def shift_invariance(obs: np.ndarray, n_channels: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """State matrices A = pinv(O[:-l]) O[l:] of a stack of extended
+    observabilities O (n x rows x order), and the mask of degenerate ones:
+    not finite, or a shifted block whose smallest singular value is at most
+    1e-12 of its largest.  Degenerate state matrices are NaN."""
     obs = np.asarray(obs, dtype=float)
     l = int(n_channels)
-    rows, order = obs.shape
+    n, rows, order = obs.shape
     if rows < 2 * l or rows % l:
         raise ValueError("observability must stack at least 2 complete block rows")
-    top = obs[:-l]
-    bottom = obs[l:]
-    svals = np.linalg.svd(top, compute_uv=False)
-    if svals.size < order or svals[order - 1] <= 1e-12 * svals[0]:
-        raise np.linalg.LinAlgError(
-            "shifted observability block is rank deficient; cannot solve for the state matrix"
-        )
-    a = np.linalg.pinv(top, rcond=1e-12) @ bottom
-    residual = float(np.linalg.norm(top @ a - bottom))
-    return a, obs[:l].copy(), residual
+    a = np.full((n, order, order), np.nan)
+    degenerate = np.ones(n, dtype=bool)
+    if rows - l < order:
+        return a, degenerate
+    good = np.flatnonzero(np.isfinite(obs).all(axis=(1, 2)))
+    svals = np.linalg.svd(obs[good, :-l], compute_uv=False)
+    good = good[svals[:, order - 1] > 1e-12 * svals[:, 0]]
+    degenerate[good] = False
+    a[good] = np.linalg.pinv(obs[good, :-l], rcond=1e-12) @ obs[good, l:]
+    return a, degenerate
 
 
-def modal_from_state_matrix(a: np.ndarray, c_out: np.ndarray, dt: float) -> ModalSet:
-    """Eigen-decompose the discrete state matrix and convert to natural
-    frequencies, damping ratios and mode shapes.
+def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
+                     ) -> tuple[np.ndarray, ...]:
+    """Natural frequencies, damping ratios and mode shapes of a stack of
+    discrete state matrices (n x d x d) with output matrices (n x l x d).
 
-    Complex-conjugate eigenvalue pairs are collapsed to the
-    positive-imaginary representative; real eigenvalues are retained with
-    ``real_pole`` set.  Zero eigenvalues are dropped (continuous-time log
-    undefined) and counted.
+    Conjugate eigenvalue pairs collapse to their positive-imaginary member;
+    real eigenvalues are kept with ``real_pole`` set; zero eigenvalues
+    (continuous-time log undefined) are dropped with one warning counting
+    them.  Returns (frequencies, damping_ratios, mode_shapes, real_pole,
+    present), n x d each (shapes n x d x l, complex): row k holds matrix
+    k's modes in ascending frequency where ``present``, then zeros.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    c_out = np.asarray(c_out, dtype=float)
     eigvals, eigvecs = np.linalg.eig(np.asarray(a, dtype=float))
     nonzero = np.abs(eigvals) > 1e-300
     n_dropped = int(np.count_nonzero(~nonzero))
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} zero eigenvalue(s) with undefined log")
-
     keep = nonzero & ((eigvals.imag > 0) | (eigvals.imag == 0))
-    mu = eigvals[keep]
-    shapes = np.asarray(c_out, dtype=float) @ eigvecs[:, keep]
 
-    lam = np.log(mu.astype(complex)) / dt
-    mag = np.abs(lam)
-    freqs = mag / (2.0 * np.pi)
     with np.errstate(invalid="ignore", divide="ignore"):
+        lam = np.log(eigvals.astype(complex)) / dt
+        mag = np.abs(lam)
         damping = np.where(mag > 0, -lam.real / np.where(mag > 0, mag, 1.0), 0.0)
-    real_pole = mu.imag == 0
+    freqs = mag / (2.0 * np.pi)
 
-    idx = np.argsort(freqs, kind="stable")
-    return ModalSet(
-        frequencies=freqs[idx],
-        damping_ratios=damping[idx],
-        mode_shapes=shapes[:, idx],
-        eigenvalues=mu[idx],
-        real_pole=real_pole[idx],
-        n_dropped=n_dropped,
-    )
+    idx = np.argsort(np.where(keep, freqs, np.inf), axis=-1, kind="stable")
+    present = np.take_along_axis(keep, idx, axis=-1)
+
+    def sort(values):
+        return np.where(present, np.take_along_axis(values, idx, axis=-1), 0)
+
+    width = int(present.sum(axis=-1).max(initial=0))
+    # gather eigenvectors as rows and multiply by their transpose: the
+    # operands keep the layout of one matrix's ``c_out @ eigvecs[:, kept]``
+    vecs = np.take_along_axis(np.swapaxes(eigvecs, -1, -2), idx[:, :width, None], axis=1)
+    shapes = np.zeros(present.shape + (c_out.shape[-2],), dtype=complex)
+    shapes[:, :width] = np.swapaxes(c_out @ np.swapaxes(vecs, -1, -2), -1, -2)
+    shapes[~present] = 0
+    real_pole = present & np.take_along_axis(eigvals.imag == 0, idx, axis=-1)
+    return sort(freqs), sort(damping), shapes, real_pole, present
+
+
+def realization_from_observability(obs: np.ndarray, n_channels: int,
+                                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(A, C) of one extended observability, the stack-of-one case of
+    :func:`shift_invariance`; raises numpy.linalg.LinAlgError if degenerate."""
+    obs = np.asarray(obs, dtype=float)
+    a, degenerate = shift_invariance(obs[None], n_channels)
+    if degenerate[0]:
+        raise np.linalg.LinAlgError("shifted observability block is rank deficient; "
+                                    "cannot solve for the state matrix")
+    return a[0], obs[:int(n_channels)].copy()
+
+
+def modal_from_state_matrix(a: np.ndarray, c_out: np.ndarray, dt: float) -> ModalSet:
+    """Modal parameters of one state matrix: the stack-of-one case of
+    :func:`modal_parameters`, trimmed to its modes."""
+    a = np.asarray(a, dtype=float)
+    freqs, damping, shapes, real_pole, present = modal_parameters(
+        a[None], np.asarray(c_out)[None], dt)
+    k = int(present.sum())
+    # each complex mode kept stands for a conjugate pair of eigenvalues
+    n_dropped = a.shape[0] - k - int(np.count_nonzero(~real_pole[0, :k]))
+    return ModalSet(frequencies=freqs[0, :k], damping_ratios=damping[0, :k],
+                    mode_shapes=shapes[0, :k].T, real_pole=real_pole[0, :k],
+                    n_dropped=n_dropped)
 
 
 def ssi_cov(ts: TimeSeries, block_rows: int, order: int, center: bool = True,
-            ) -> tuple[Realization, ModalSet]:
+            ) -> ModalSet:
     """Classical canonical-variate weighted covariance-driven identification.
 
     Builds the Hankel statistics from the record, factorizes their
@@ -366,9 +387,6 @@ def ssi_cov(ts: TimeSeries, block_rows: int, order: int, center: bool = True,
             f"order {order} exceeds Hankel half-height {ts.channels * block_rows}"
         )
     stats = HankelStats.from_record(ts, block_rows, center=center)
-    obs, ctrb, _ = observability_controllability(stats, order)
-    a, c_out, residual = realization_from_observability(obs, ts.channels)
-    modal = modal_from_state_matrix(a, c_out, 1.0 / ts.fs)
-    realization = Realization(observability=obs, controllability=ctrb, a=a,
-                              c_out=c_out, order=order, shift_residual=residual)
-    return realization, modal
+    obs, _, _ = observability_controllability(stats, order)
+    a, c_out = realization_from_observability(obs, ts.channels)
+    return modal_from_state_matrix(a, c_out, 1.0 / ts.fs)

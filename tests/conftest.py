@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from bayes_ssi.rng import Rng

@@ -251,3 +251,81 @@ def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
         for blocks, blk in zip(out_noise, noise):
             blocks[sweep] = blk
     return out_mean, out_weights, out_noise
+
+
+def propagate_and_align_loop(samples, n_channels, dt, reference,
+                             mac_threshold=0.8, freq_gate=0.1):
+    """Posterior draws propagated and aligned one draw at a time.
+
+    Each draw's shifted block gets an SVD rank test, a pinv solve and an
+    ``eig``; its modes are matched to the reference by scanning every
+    gated (MAC, -frequency distance, draw mode, reference mode) tuple in
+    descending order.  Returns the excluded and unassigned counts and, per
+    complex reference mode, the aligned (frequencies, damping ratios,
+    phase-aligned shapes, MACs, draw indices).
+    """
+    def vdot_mac(a, b):
+        den = float(np.real(np.vdot(a, a)) * np.real(np.vdot(b, b)))
+        return abs(np.vdot(a, b)) ** 2 / den if den else 0.0
+
+    def unit_phase(shape):
+        norm = np.linalg.norm(shape)
+        if norm == 0:
+            return shape.astype(complex)
+        rotated = shape / norm
+        s = complex(np.sum(rotated**2))
+        return rotated * np.exp(-0.5j * np.angle(s)) if abs(s) > 0 else rotated
+
+    def modes(obs):
+        top, bottom = obs[:-n_channels], obs[n_channels:]
+        order = obs.shape[1]
+        svals = np.linalg.svd(top, compute_uv=False)
+        if svals.size < order or svals[order - 1] <= 1e-12 * svals[0]:
+            raise np.linalg.LinAlgError("rank deficient")
+        eigvals, eigvecs = np.linalg.eig(np.linalg.pinv(top, rcond=1e-12) @ bottom)
+        keep = (np.abs(eigvals) > 1e-300) & (eigvals.imag >= 0)
+        lam = np.log(eigvals[keep].astype(complex)) / dt
+        mag = np.abs(lam)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            damping = np.where(mag > 0, -lam.real / np.where(mag > 0, mag, 1.0), 0.0)
+        freqs = mag / (2.0 * np.pi)
+        idx = np.argsort(freqs, kind="stable")
+        return freqs[idx], damping[idx], (obs[:n_channels] @ eigvecs[:, keep])[:, idx]
+
+    ref_idx = np.flatnonzero(~reference.real_pole)
+    ref_shapes = [unit_phase(reference.mode_shapes[:, j]) for j in ref_idx]
+    ref_freqs = reference.frequencies[ref_idx]
+    buckets = [([], [], [], [], []) for _ in ref_idx]
+    n_excluded = n_unassigned = 0
+    for k, obs in enumerate(samples):
+        if not np.all(np.isfinite(obs)):
+            n_excluded += 1
+            continue
+        try:
+            freqs, damping, shapes = modes(obs)
+        except np.linalg.LinAlgError:
+            n_excluded += 1
+            continue
+        pairs = []
+        for jm, f in enumerate(freqs):
+            for jr, (f_ref, s_ref) in enumerate(zip(ref_freqs, ref_shapes)):
+                if f_ref > 0 and abs(f - f_ref) > freq_gate * f_ref:
+                    continue
+                score = vdot_mac(shapes[:, jm], s_ref)
+                if score >= mac_threshold:
+                    pairs.append((score, -abs(f - f_ref), jm, jr))
+        used_draw, used_ref = set(), set()
+        for score, _, jm, jr in sorted(pairs, reverse=True):
+            if jm in used_draw or jr in used_ref:
+                continue
+            used_draw.add(jm)
+            used_ref.add(jr)
+            aligned = unit_phase(shapes[:, jm])
+            if np.real(np.vdot(ref_shapes[jr], aligned)) < 0:
+                aligned = -aligned
+            for bucket, value in zip(buckets[jr], (freqs[jm], damping[jm], aligned,
+                                                   score, k)):
+                bucket.append(value)
+        n_unassigned += freqs.size - len(used_draw)
+    clusters = [tuple(np.array(values) for values in bucket) for bucket in buckets]
+    return n_excluded, n_unassigned, clusters

@@ -241,7 +241,6 @@ class TestStabilise:
             (out2 / "stabilisation.csv").read_bytes()
 
     def test_partial_failure_nonzero_exit(self, sim_dir, tmp_path, monkeypatch):
-        import bayes_ssi.cli as cli_mod
         import bayes_ssi.modal_posterior as mp
 
         original = mp.run_vb

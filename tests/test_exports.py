@@ -22,6 +22,7 @@ def test_module_all_resolves(name):
 
 
 def test_package_reexports_resolve():
+    assert [n for n in bayes_ssi.__all__ if not hasattr(bayes_ssi, n)] == []
     tree = ast.parse(Path(bayes_ssi.__file__).read_text())
     imports = [node for node in tree.body
                if isinstance(node, ast.ImportFrom) and node.level == 1]

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from bayes_ssi.gibbs import GibbsChain, GibbsConfig
 from bayes_ssi.modal_posterior import (
-    ModalSample,
+    ModalDraws,
     align_modes,
     chain_observability_samples,
     draw_observability_samples,
     mac,
     phase_align,
     propagate_many,
-    propagate_to_modal,
     stabilisation,
     summarize,
 )
@@ -53,6 +52,33 @@ def stable_modal_set(gen, n_modes=2, l=3, dt=0.02):
         a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk
     c_out = gen.standard_normal((l, 2 * n_modes))
     return a, c_out, modal_from_state_matrix(a, c_out, dt)
+
+
+def stack_modal_sets(modal_sets, source="vb", order=4):
+    """ModalDraws holding one modal set per draw, padded to the widest."""
+    n, width = len(modal_sets), max(m.n_modes for m in modal_sets)
+    l = modal_sets[0].mode_shapes.shape[0]
+    freqs, damping = np.zeros((n, width)), np.zeros((n, width))
+    shapes = np.zeros((n, width, l), complex)
+    real_pole, present = np.zeros((n, width), bool), np.zeros((n, width), bool)
+    for k, m in enumerate(modal_sets):
+        freqs[k, :m.n_modes] = m.frequencies
+        damping[k, :m.n_modes] = m.damping_ratios
+        shapes[k, :m.n_modes] = m.mode_shapes.T
+        real_pole[k, :m.n_modes] = m.real_pole
+        present[k, :m.n_modes] = True
+    return ModalDraws(frequencies=freqs, damping_ratios=damping, mode_shapes=shapes,
+                      real_pole=real_pole, present=present, index=np.arange(n),
+                      source=source, order=order)
+
+
+def one_draw_modes(obs, n_channels, dt):
+    """(frequencies, damping, shapes n_modes x l, real_pole) of one draw."""
+    draws, n_excluded = propagate_many(obs[None], n_channels, dt, "vb", obs.shape[1])
+    assert n_excluded == 0
+    keep = draws.present[0]
+    return (draws.frequencies[0, keep], draws.damping_ratios[0, keep],
+            draws.mode_shapes[0, keep], draws.real_pole[0, keep])
 
 
 class TestMac:
@@ -138,28 +164,21 @@ class TestPropagate:
         gen = np.random.default_rng(8)
         a0, c0, modal0 = stable_modal_set(gen, n_modes=2, l=3)
         obs = oracles.observability_forward(a0, c0, 5)
-        sample = propagate_to_modal(obs, 3, 0.02)
-        keep = ~sample.modal.real_pole
+        freqs, damping, _, real_pole = one_draw_modes(obs, 3, 0.02)
         ref = ~modal0.real_pole
-        assert sample.modal.frequencies[keep] == pytest.approx(
-            modal0.frequencies[ref], rel=1e-8)
-        assert sample.modal.damping_ratios[keep] == pytest.approx(
-            modal0.damping_ratios[ref], rel=1e-8)
+        assert freqs[~real_pole] == pytest.approx(modal0.frequencies[ref], rel=1e-8)
+        assert damping[~real_pole] == pytest.approx(modal0.damping_ratios[ref], rel=1e-8)
 
     def test_similarity_transform_invariance(self):
         gen = np.random.default_rng(9)
         a0, c0, _ = stable_modal_set(gen, n_modes=2, l=3)
         obs = oracles.observability_forward(a0, c0, 5)
         rot = gen.standard_normal((4, 4)) + 3 * np.eye(4)
-        plain = propagate_to_modal(obs, 3, 0.02)
-        rotated = propagate_to_modal(obs @ rot, 3, 0.02)
-        assert rotated.modal.frequencies == pytest.approx(
-            plain.modal.frequencies, abs=1e-8)
-        assert rotated.modal.damping_ratios == pytest.approx(
-            plain.modal.damping_ratios, abs=1e-8)
-        for j in range(plain.modal.n_modes):
-            assert mac(plain.modal.mode_shapes[:, j],
-                       rotated.modal.mode_shapes[:, j]) == pytest.approx(1.0, abs=1e-8)
+        freqs, damping, shapes, _ = one_draw_modes(obs, 3, 0.02)
+        freqs_r, damping_r, shapes_r, _ = one_draw_modes(obs @ rot, 3, 0.02)
+        assert freqs_r == pytest.approx(freqs, abs=1e-8)
+        assert damping_r == pytest.approx(damping, abs=1e-8)
+        assert mac(shapes, shapes_r) == pytest.approx(np.ones(freqs.size), abs=1e-8)
 
     def test_degenerate_draws_excluded_and_counted(self, caplog):
         gen = np.random.default_rng(10)
@@ -169,9 +188,10 @@ class TestPropagate:
         bad[:, 0] = 1.0
         stack = np.stack([good, bad, good])
         with caplog.at_level(logging.WARNING):
-            samples, n_excluded = propagate_many(stack, 3, 0.02, "vb", 4)
+            draws, n_excluded = propagate_many(stack, 3, 0.02, "vb", 4)
         assert n_excluded == 1
-        assert len(samples) == 2
+        assert draws.index.tolist() == [0, 2]
+        assert draws.frequencies.shape[0] == 2
         assert "degenerate" in caplog.text
 
     def test_degenerate_draws_logged_as_one_count(self, caplog):
@@ -192,9 +212,7 @@ class TestAlignModes:
     def test_identical_draws_full_mac(self):
         gen = np.random.default_rng(11)
         _, _, modal0 = stable_modal_set(gen, n_modes=3, l=4)
-        samples = [ModalSample(index=k, modal=modal0, source="vb", order=6)
-                   for k in range(5)]
-        posterior = align_modes(samples, modal0)
+        posterior = align_modes(stack_modal_sets([modal0] * 5, order=6), modal0)
         assert posterior.n_unassigned == 0
         for cluster in posterior.clusters:
             assert cluster.n_aligned == 5
@@ -208,11 +226,9 @@ class TestAlignModes:
             frequencies=modal0.frequencies[perm],
             damping_ratios=modal0.damping_ratios[perm],
             mode_shapes=modal0.mode_shapes[:, perm],
-            eigenvalues=modal0.eigenvalues[perm],
             real_pole=modal0.real_pole[perm],
         )
-        posterior = align_modes(
-            [ModalSample(index=0, modal=permuted, source="vb", order=6)], modal0)
+        posterior = align_modes(stack_modal_sets([permuted], order=6), modal0)
         for cluster in posterior.clusters:
             assert cluster.n_aligned == 1
             assert cluster.frequencies[0] == pytest.approx(
@@ -244,13 +260,11 @@ class TestAlignModes:
             draws.append(ModalSet(frequencies=freqs,
                                   damping_ratios=gen.uniform(-0.01, 0.1, width),
                                   mode_shapes=shapes,
-                                  eigenvalues=np.ones(width, complex),
                                   real_pole=np.zeros(width, bool)))
 
         def summary(modal_sets):
-            samples = [ModalSample(index=k, modal=m, source="vb", order=2 * n_modes)
-                       for k, m in enumerate(modal_sets)]
-            return summarize(align_modes(samples, modal0))
+            return summarize(align_modes(
+                stack_modal_sets(modal_sets, order=2 * n_modes), modal0))
 
         permuted = []
         for draw in draws:
@@ -258,9 +272,24 @@ class TestAlignModes:
             permuted.append(ModalSet(
                 frequencies=draw.frequencies[perm],
                 damping_ratios=draw.damping_ratios[perm],
-                mode_shapes=draw.mode_shapes[:, perm],
-                eigenvalues=draw.eigenvalues[perm], real_pole=draw.real_pole[perm]))
+                mode_shapes=draw.mode_shapes[:, perm], real_pole=draw.real_pole[perm]))
         assert summary(permuted) == summary(draws)
+
+    def test_mac_ties_broken_by_frequency_then_mode_index(self):
+        # equal shapes give equal MACs: the closer frequency wins, and at
+        # equal distance the higher draw mode index
+        shape = np.array([[1.0], [0.5 + 0.25j], [-0.5]])
+        reference = ModalSet(frequencies=np.array([2.0]), damping_ratios=np.array([0.01]),
+                             mode_shapes=shape, real_pole=np.array([False]))
+        draws = [ModalSet(frequencies=np.array(freqs), damping_ratios=np.array([0.01, 0.02]),
+                          mode_shapes=np.hstack([shape, shape]),
+                          real_pole=np.zeros(2, bool))
+                 for freqs in ([1.9, 2.05], [2.05, 1.9], [1.75, 2.25], [2.25, 1.75])]
+        posterior = align_modes(stack_modal_sets(draws), reference, freq_gate=0.2)
+        cluster, = posterior.clusters
+        assert cluster.frequencies.tolist() == [2.05, 2.05, 2.25, 1.75]
+        assert cluster.damping_ratios.tolist() == [0.02, 0.01, 0.02, 0.02]
+        assert posterior.n_unassigned == 4
 
     def test_negative_damping_never_clipped(self):
         gen = np.random.default_rng(13)
@@ -269,11 +298,9 @@ class TestAlignModes:
             frequencies=modal0.frequencies,
             damping_ratios=np.array([-0.01, modal0.damping_ratios[1]]),
             mode_shapes=modal0.mode_shapes,
-            eigenvalues=modal0.eigenvalues,
             real_pole=modal0.real_pole,
         )
-        posterior = align_modes(
-            [ModalSample(index=0, modal=tweaked, source="vb", order=4)], modal0)
+        posterior = align_modes(stack_modal_sets([tweaked]), modal0)
         summary = summarize(posterior)
         assert posterior.clusters[0].damping_ratios[0] == -0.01
         assert summary["modes"][0]["damping_negative_fraction"] == 1.0
@@ -281,18 +308,78 @@ class TestAlignModes:
     def test_empty_sample_list_rejected(self):
         gen = np.random.default_rng(14)
         _, _, modal0 = stable_modal_set(gen, n_modes=2, l=3)
+        bad = np.zeros((2, 15, 4))
+        bad[:, :, 0] = 1.0
+        draws, n_excluded = propagate_many(bad, 3, 0.02, "vb", 4)
+        assert n_excluded == 2
         with pytest.raises(ValueError):
-            align_modes([], modal0)
+            align_modes(draws, modal0, n_excluded=n_excluded)
 
     def test_summary_reports_exclusions(self):
         gen = np.random.default_rng(15)
         _, _, modal0 = stable_modal_set(gen, n_modes=2, l=3)
-        samples = [ModalSample(index=0, modal=modal0, source="gibbs", order=4)]
-        posterior = align_modes(samples, modal0, n_excluded=3)
+        posterior = align_modes(stack_modal_sets([modal0], source="gibbs"), modal0,
+                                n_excluded=3)
         summary = summarize(posterior)
+        assert summary["source"] == "gibbs"
         assert summary["n_draws"] == 4
         assert summary["n_excluded"] == 3
         assert summary["exclusion_rate"] == pytest.approx(0.75)
+
+
+def random_draw_stack(gen, a0, c0, n_blocks, n_draws):
+    """Observability draws around (a0, c0): perturbed ones, pure noise with
+    real poles and spurious modes, draws with a real-pole block, and
+    degenerate ones (a repeated column, or a non-finite entry)."""
+    dim, l = a0.shape[0], c0.shape[0]
+    draws = []
+    for kind in gen.integers(0, 5, n_draws):
+        a = a0 + 0.02 * gen.standard_normal(a0.shape)
+        if kind == 2:
+            a[:2, :2] = np.diag(gen.uniform(-0.9, 0.9, 2))
+        obs = oracles.observability_forward(a, c0 + 0.05 * gen.standard_normal(c0.shape),
+                                            n_blocks)
+        if kind == 1:
+            obs = gen.standard_normal((n_blocks * l, dim))
+        elif kind == 3:
+            obs[:, -1] = obs[:, 0]
+        elif kind == 4 and gen.random() < 0.3:
+            obs[gen.integers(obs.shape[0]), 0] = np.nan
+        draws.append(obs)
+    return np.stack(draws)
+
+
+class TestStackedAgainstLoop:
+    # from two channels up: with one channel every MAC is 1 up to rounding,
+    # so the best-MAC ranking would compare rounding errors
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 4),
+           l=st.integers(2, 4), n_draws=st.integers(1, 40))
+    def test_matches_per_draw_loop(self, seed, n_modes, l, n_draws):
+        gen = np.random.default_rng(seed)
+        a0, c0, reference = stable_modal_set(gen, n_modes=n_modes, l=l)
+        n_blocks = 2 * n_modes // l + 3
+        stack = random_draw_stack(gen, a0, c0, n_blocks, n_draws)
+        n_excluded, n_unassigned, expected = oracles.propagate_and_align_loop(
+            stack, l, 0.02, reference)
+
+        draws, excluded = propagate_many(stack, l, 0.02, "vb", 2 * n_modes)
+        assert excluded == n_excluded
+        if draws.index.size == 0:
+            return
+        posterior = align_modes(draws, reference, n_excluded=excluded)
+        assert posterior.n_unassigned == n_unassigned
+        assert posterior.n_draws == n_draws
+        assert len(posterior.clusters) == len(expected)
+        for cluster, (freqs, damping, shapes, macs, idx) in zip(posterior.clusters,
+                                                                expected):
+            assert cluster.draw_indices.tolist() == idx.tolist()
+            if idx.size == 0:
+                continue
+            assert cluster.frequencies == pytest.approx(freqs, rel=1e-12, abs=0)
+            assert cluster.damping_ratios == pytest.approx(damping, rel=1e-12, abs=0)
+            assert cluster.mac_scores == pytest.approx(macs, rel=1e-12, abs=0)
+            assert np.abs(cluster.mode_shapes - shapes).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,10 @@ class TestStackedData:
         with pytest.raises(ValueError, match="do not sum to row count"):
             HankelStats.from_matrix(np.zeros((5, 10)), (2, 2))
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="no columns"):
+            HankelStats.from_matrix(np.zeros((4, 0)), (2, 2))
+
     def test_view_slices(self):
         assert view_slices((2, 3)) == [slice(0, 2), slice(2, 5)]
 

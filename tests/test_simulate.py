@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm, solve_discrete_lyapunov
+from scipy.linalg import expm
 
 from bayes_ssi.rng import Rng
 from bayes_ssi.simulate import (
@@ -14,8 +14,6 @@ from bayes_ssi.simulate import (
     van_loan_discretize,
 )
 from bayes_ssi.spectral import welch_psd
-
-import oracles
 
 
 class TestBuildShearFrame:

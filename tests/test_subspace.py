@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,11 @@ from bayes_ssi.subspace import (
     build_hankel,
     cca,
     chol_with_jitter,
-    matrix_sqrt,
     modal_from_state_matrix,
+    modal_parameters,
     observability_controllability,
     realization_from_observability,
+    shift_invariance,
     ssi_cov,
 )
 
@@ -145,16 +148,21 @@ class TestCovarianceBlocks:
 
 
 class TestMatrixSqrt:
+    """The Cholesky square root with a jitter ladder that ``cca`` uses."""
+
     def test_identity(self):
-        assert matrix_sqrt(np.eye(3)) == pytest.approx(np.eye(3))
+        factor, jitter = chol_with_jitter(np.eye(3))
+        assert factor == pytest.approx(np.eye(3))
+        assert jitter == 0.0
 
     def test_diagonal(self):
-        assert matrix_sqrt(np.diag([4.0, 9.0])) == pytest.approx(np.diag([2.0, 3.0]))
+        factor, _ = chol_with_jitter(np.diag([4.0, 9.0]))
+        assert factor == pytest.approx(np.diag([2.0, 3.0]))
 
     def test_random_spd_reconstruction(self):
         gen = np.random.default_rng(4)
         mat = random_spd(gen, 5)
-        factor = matrix_sqrt(mat)
+        factor, _ = chol_with_jitter(mat)
         assert np.tril(factor) == pytest.approx(factor)
         assert np.max(np.abs(factor @ factor.T - mat)) < 1e-10 * np.max(np.abs(mat))
 
@@ -208,23 +216,47 @@ class TestRealization:
         a0 = np.array([[0.8, 0.3], [-0.3, 0.8]])
         c0 = gen.standard_normal((2, 2))
         obs = oracles.observability_forward(a0, c0, 6)
-        a, c_out, _ = realization_from_observability(obs, 2)
+        a, c_out = realization_from_observability(obs, 2)
         assert np.sort_complex(np.linalg.eigvals(a)) == pytest.approx(
             np.sort_complex(np.linalg.eigvals(a0)), abs=1e-8)
         assert c_out == pytest.approx(c0)
 
     def test_scalar_shift(self):
         obs = np.array([[1.0], [0.5], [0.25], [0.125]])
-        a, c_out, resid = realization_from_observability(obs, 1)
+        a, c_out = realization_from_observability(obs, 1)
         assert a == pytest.approx(np.array([[0.5]]))
         assert c_out == pytest.approx(np.array([[1.0]]))
-        assert resid >= 0.0
 
     def test_random_orthonormal_residual_nonnegative(self):
         gen = np.random.default_rng(8)
         q, _ = np.linalg.qr(gen.standard_normal((4, 2)))
-        _, _, resid = realization_from_observability(q, 2)
-        assert resid >= 0.0
+        a, _ = realization_from_observability(q, 2)
+        # least squares: the shift residual is orthogonal to the shifted block
+        residual = q[:-2] @ a - q[2:]
+        assert q[:-2].T @ residual == pytest.approx(np.zeros((2, 2)), abs=1e-12)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        # shift_invariance on a stack gives each matrix's own solve bit for
+        # bit, and flags rank-deficient, non-finite and too-short draws
+        gen = np.random.default_rng(11)
+        good = [oracles.observability_forward(gen.uniform(-0.9, 0.9, (4, 4)),
+                                              gen.standard_normal((3, 4)), 5)
+                for _ in range(3)]
+        flat = good[0].copy()
+        flat[:, 1] = flat[:, 0]
+        blown = good[1].copy()
+        blown[4, 2] = np.inf
+        stack = np.stack([good[0], flat, good[1], blown, good[2]])
+        a, degenerate = shift_invariance(stack, 3)
+        assert degenerate.tolist() == [False, True, False, True, False]
+        assert np.all(np.isnan(a[degenerate]))
+        for k in (0, 2, 4):
+            a_k, c_k = realization_from_observability(stack[k], 3)
+            assert np.array_equal(a[k], a_k)
+            assert np.array_equal(c_k, stack[k, :3])
+        # 2 block rows of 3 channels leave 3 shifted rows for 4 states
+        _, short = shift_invariance(stack[:, :6], 3)
+        assert short.all()
 
     def test_rank_deficient_top_rejected(self):
         obs = np.zeros((6, 2))
@@ -265,6 +297,31 @@ class TestModalExtraction:
         assert modal.n_dropped == 1
         assert modal.n_modes == 1
 
+
+    def test_stack_rows_match_one_matrix_at_a_time(self):
+        # a stack mixing complex pairs, real poles and a zero eigenvalue
+        gen = np.random.default_rng(12)
+        rot = np.array([[0.9, 0.3], [-0.3, 0.9]])
+        mats = [np.block([[rot, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag(d)]])
+                for d in ([0.5, -0.2], [0.0, 0.7], [0.8, 0.1])]
+        mats.append(gen.standard_normal((4, 4)))
+        outs = gen.standard_normal((4, 3, 4))
+        with pytest.warns(UserWarning, match="dropped 1"):
+            freqs, damping, shapes, real_pole, present = modal_parameters(
+                np.stack(mats), outs, 0.02)
+        assert present.sum(axis=1).tolist()[:3] == [3, 2, 3]
+        for k, (a, c_out) in enumerate(zip(mats, outs)):
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                one = modal_from_state_matrix(a, c_out, 0.02)
+            n = one.n_modes
+            assert present[k, :n].all() and not present[k, n:].any()
+            assert np.array_equal(freqs[k, :n], one.frequencies)
+            assert np.array_equal(damping[k, :n], one.damping_ratios)
+            assert np.array_equal(real_pole[k, :n], one.real_pole)
+            assert shapes[k, :n].T == pytest.approx(one.mode_shapes, rel=1e-14)
+            assert not np.any(freqs[k, n:]) and not np.any(shapes[k, n:])
+            assert np.all(np.diff(freqs[k, :n]) >= 0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 4),
@@ -312,7 +369,7 @@ class TestSsiCov:
 
     def test_benchmark_frequencies_within_two_percent(self, benchmark_system,
                                                        benchmark_ts_full):
-        _, modal = ssi_cov(benchmark_ts_full, 15, 8)
+        modal = ssi_cov(benchmark_ts_full, 15, 8)
         keep = ~modal.real_pole
         freqs = np.sort(modal.frequencies[keep])
         oracle = benchmark_system["oracle_freqs"]
@@ -324,7 +381,7 @@ class TestSsiCov:
         css = to_continuous_ss(mass_mat, damp, stiff, 1e-4, 0.0)
         dss = discretize(css, 0.02)
         ts = simulate_response(dss, 2**14, Rng(13, 0))
-        _, modal = ssi_cov(ts, 10, 2)
+        modal = ssi_cov(ts, 10, 2)
         keep = ~modal.real_pole
         freqs, _ = oracles.proportional_damping_oracle(mass_mat, damp, stiff)
         assert modal.frequencies[keep] == pytest.approx(freqs, rel=0.01)
@@ -335,13 +392,13 @@ class TestSsiCov:
         c0 = gen.standard_normal((2, 2))
         obs = oracles.observability_forward(a0, c0, 5)
         rot = gen.standard_normal((2, 2)) + 2 * np.eye(2)
-        a1, _, _ = realization_from_observability(obs, 2)
-        a2, _, _ = realization_from_observability(obs @ rot, 2)
+        a1, _ = realization_from_observability(obs, 2)
+        a2, _ = realization_from_observability(obs @ rot, 2)
         assert np.sort_complex(np.linalg.eigvals(a1)) == pytest.approx(
             np.sort_complex(np.linalg.eigvals(a2)), abs=1e-8)
 
     def test_frequencies_below_nyquist(self, benchmark_ts_full):
-        _, modal = ssi_cov(benchmark_ts_full, 10, 6)
+        modal = ssi_cov(benchmark_ts_full, 10, 6)
         assert np.all(modal.frequencies < benchmark_ts_full.fs / 2 + 1e-9)
 
     def test_order_exceeding_half_height_rejected(self, small_ts):
@@ -351,6 +408,6 @@ class TestSsiCov:
     def test_odd_order_allowed(self, small_ts):
         # odd truncation leaves an unpaired eigenvalue; conjugate-pair
         # filtering flags the straggler as a real pole
-        _, modal = ssi_cov(small_ts, 10, 7)
+        modal = ssi_cov(small_ts, 10, 7)
         assert modal.n_modes >= 3
         assert np.count_nonzero(modal.real_pole) >= 1
