@@ -315,7 +315,8 @@ def cmd_identify(cfg: dict) -> Path:
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("identify", cfg))
-        reference = ssi_cov(ts, j, order, center=center)
+        stats = HankelStats.from_record(ts, j, center=center)
+        reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
 
@@ -331,8 +332,7 @@ def cmd_identify(cfg: dict) -> Path:
         diagnostics = None
         if engine == "vb":
             vb_config = _vb_config(cfg)
-            post = run_vb(HankelStats.from_record(ts, j, center=center), priors,
-                          vb_config)
+            post = run_vb(stats, priors, vb_config)
             diagnostics = post.diagnostics()
             _warn_not_converged(diagnostics, vb_config.max_iter)
             save_vb_posterior(out.subdir("vb_posterior"), post,
@@ -349,8 +349,7 @@ def cmd_identify(cfg: dict) -> Path:
                                        thinning=cfg.get("thin", 1),
                                        seed=cfg["seed"],
                                        warm_start=cfg.get("warm_start", False))
-            chain = run_gibbs(HankelStats.from_record(ts, j, center=center), priors,
-                              gibbs_config)
+            chain = run_gibbs(stats, priors, gibbs_config)
             diagnostics = chain.diagnostics()
             save_chain(out.subdir("chain"), chain,
                        extra_meta={"priors": describe_priors(priors)})

@@ -10,7 +10,6 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from pathlib import Path
 
@@ -74,46 +73,41 @@ def ingest_csv(path, fs: float) -> TimeSeries:
         raise ValueError("fs must be positive")
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-
-    def parse(row):
-        return [float(cell) for cell in row]
-
-    header_offset = 0
+        reader = csv.reader(fh)
+        rows = (row for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        try:
+            list(map(float, first))
+            header_lines = 0
+        except ValueError:
+            header_lines = reader.line_num
+            if next(rows, None) is None:
+                raise ValueError(f"{path}: no data rows below the header") from None
     try:
-        parse(rows[0])
+        data = np.loadtxt(path, delimiter=",", skiprows=header_lines, ndmin=2,
+                          comments=None)
     except ValueError:
-        header_offset = 1
-        if len(rows) == 1:
-            raise ValueError(f"{path}: no data rows below the header") from None
-
-    body = rows[header_offset:]
-    width = len(body[0])
-    data = None
-    if all(len(row) == width for row in body):
-        try:
-            data = np.fromiter(itertools.chain.from_iterable(body), dtype=float,
-                               count=len(body) * width).reshape(len(body), width)
-        except ValueError:
-            data = None
-    if data is not None and np.isfinite(data).all():
-        return TimeSeries(data=data.T.copy(), fs=float(fs))
-
-    # slow path, only to name the offending row
-    data = np.empty((len(body), width))
-    for r, row in enumerate(body, start=1):
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: ragged row {r}: expected {width} cells, got {len(row)}"
-            )
-        try:
-            data[r - 1] = parse(row)
-        except ValueError:
-            raise ValueError(f"{path}: non-numeric cell at row {r}") from None
-        if not np.all(np.isfinite(data[r - 1])):
-            raise ValueError(f"{path}: non-finite value at row {r}")
+        data = None
+    if data is None or not np.isfinite(data).all():
+        # quoted cells, which numpy's parser rejects, or a bad row: parse
+        # cell by cell to read the former and name the latter
+        with open(path, newline="") as fh:
+            body = [row for row in csv.reader(fh) if row][int(header_lines > 0):]
+        width = len(body[0])
+        data = np.empty((len(body), width))
+        for r, row in enumerate(body, start=1):
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: ragged row {r}: expected {width} cells, got {len(row)}"
+                )
+            try:
+                data[r - 1] = list(map(float, row))
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric cell at row {r}") from None
+            if not np.all(np.isfinite(data[r - 1])):
+                raise ValueError(f"{path}: non-finite value at row {r}")
     return TimeSeries(data=data.T.copy(), fs=float(fs))
 
 

@@ -296,10 +296,14 @@ def shift_invariance(obs: np.ndarray, n_channels: int,
     if rows - l < order:
         return a, degenerate
     good = np.flatnonzero(np.isfinite(obs).all(axis=(1, 2)))
-    svals = np.linalg.svd(obs[good, :-l], compute_uv=False)
-    good = good[svals[:, order - 1] > 1e-12 * svals[:, 0]]
+    u, s, vt = np.linalg.svd(obs[good, :-l], full_matrices=False)
+    full_rank = s[:, order - 1] > 1e-12 * s[:, 0]
+    good, u, s, vt = good[full_rank], u[full_rank], s[full_rank], vt[full_rank]
     degenerate[good] = False
-    a[good] = np.linalg.pinv(obs[good, :-l], rcond=1e-12) @ obs[good, l:]
+    # every kept singular value clears pinv's 1e-12 cutoff, so this is
+    # pinv(O[:-l], rcond=1e-12) in pinv's own operand order
+    pinv = np.swapaxes(vt, -1, -2) @ ((1 / s)[..., None] * np.swapaxes(u, -1, -2))
+    a[good] = pinv @ obs[good, l:]
     return a, degenerate
 
 
@@ -374,19 +378,18 @@ def modal_from_state_matrix(a: np.ndarray, c_out: np.ndarray, dt: float) -> Moda
                     n_dropped=n_dropped)
 
 
-def ssi_cov(ts: TimeSeries, block_rows: int, order: int, center: bool = True,
+def ssi_cov(stats: HankelStats, order: int, n_channels: int, dt: float,
             ) -> ModalSet:
     """Classical canonical-variate weighted covariance-driven identification.
 
-    Builds the Hankel statistics from the record, factorizes their
-    covariance blocks at the requested order and extracts modal parameters
-    from the realization.
+    Factorizes the covariance blocks of the Hankel statistics of an
+    ``n_channels`` record sampled every ``dt`` seconds at the requested
+    order and extracts modal parameters from the realization.
     """
-    if order > ts.channels * block_rows:
+    if order > stats.view_dims[0]:
         raise ValueError(
-            f"order {order} exceeds Hankel half-height {ts.channels * block_rows}"
+            f"order {order} exceeds Hankel half-height {stats.view_dims[0]}"
         )
-    stats = HankelStats.from_record(ts, block_rows, center=center)
     obs, _, _ = observability_controllability(stats, order)
-    a, c_out = realization_from_observability(obs, ts.channels)
-    return modal_from_state_matrix(a, c_out, 1.0 / ts.fs)
+    a, c_out = realization_from_observability(obs, n_channels)
+    return modal_from_state_matrix(a, c_out, dt)

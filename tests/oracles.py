@@ -6,6 +6,9 @@ conditioning, quadrature, long-run Monte Carlo.  scipy.stats serves as the
 reference distribution implementation.
 """
 
+import csv
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -329,3 +332,33 @@ def propagate_and_align_loop(samples, n_channels, dt, reference,
         n_unassigned += freqs.size - len(used_draw)
     clusters = [tuple(np.array(values) for values in bucket) for bucket in buckets]
     return n_excluded, n_unassigned, clusters
+
+
+def csv_rows_reading(path):
+    """Samples x channels array of a numeric CSV read row by row: the csv
+    module splits every non-empty row, Python's ``float`` parses each cell,
+    and a first row that does not parse is the header.  Raises ValueError
+    with the messages ``io.ingest_csv`` uses."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    try:
+        [float(cell) for cell in rows[0]]
+    except ValueError:
+        rows = rows[1:]
+        if not rows:
+            raise ValueError(f"{path}: no data rows below the header") from None
+    width = len(rows[0])
+    values = []
+    for r, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: ragged row {r}: expected {width} cells, got {len(row)}")
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric cell at row {r}") from None
+        if not all(math.isfinite(v) for v in values[-1]):
+            raise ValueError(f"{path}: non-finite value at row {r}")
+    return np.array(values)

@@ -49,7 +49,7 @@ def engine_posterior(ts, engine, seed=0, gibbs_sweeps=1000, vb_draws=4000):
     """One full identification run; returns (summary dict, extras)."""
     stats = HankelStats.from_record(ts, BLOCK_ROWS)
     priors = default_priors(*stats.view_dims, ORDER)
-    reference = ssi_cov(ts, BLOCK_ROWS, ORDER)
+    reference = ssi_cov(stats, ORDER, ts.channels, 1.0 / ts.fs)
     if engine == "gibbs":
         chain = run_gibbs(stats, priors, GibbsConfig(n_samples=gibbs_sweeps,
                                                      burn_in_fraction=0.2, seed=seed))
@@ -113,7 +113,8 @@ def test_criterion_1_classical_baseline(benchmark_ts_full, benchmark_oracle):
     frequencies within 2%, damping within 30%, in under 30 s."""
     oracle_freqs, oracle_zetas = benchmark_oracle
     start = time.perf_counter()
-    modal = ssi_cov(benchmark_ts_full, BLOCK_ROWS, ORDER)
+    modal = ssi_cov(HankelStats.from_record(benchmark_ts_full, BLOCK_ROWS), ORDER,
+                    benchmark_ts_full.channels, 1.0 / benchmark_ts_full.fs)
     elapsed = time.perf_counter() - start
     keep = ~modal.real_pole
     freqs = np.sort(modal.frequencies[keep])

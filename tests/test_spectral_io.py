@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import signal
 
 from bayes_ssi.gibbs import GibbsConfig, run_gibbs
 from bayes_ssi.io import (
@@ -18,6 +22,8 @@ from bayes_ssi.simulate import TimeSeries
 from bayes_ssi.subspace import HankelStats
 from bayes_ssi.spectral import welch_psd
 from bayes_ssi.vb import VBConfig, run_vb
+
+import oracles
 
 
 class TestWelch:
@@ -55,6 +61,38 @@ class TestWelch:
         ts = TimeSeries(data=np.zeros((1, 100)), fs=1.0)
         with pytest.raises(ValueError, match="segment_length"):
             welch_psd(ts, segment_length=256)
+
+
+@st.composite
+def welch_cases(draw):
+    """(record length, segment length, overlap): odd and even segments
+    down to 2, segments as long as the record, no overlap and overlaps
+    near 1."""
+    n = draw(st.integers(2, 700))
+    segment = draw(st.one_of(st.just(2), st.just(n), st.integers(2, n)))
+    overlap = draw(st.one_of(st.just(0.0), st.floats(0.95, 0.999),
+                             st.floats(0.0, 0.999)))
+    return n, segment, overlap
+
+
+class TestWelchAgainstScipy:
+    @settings(max_examples=150, deadline=None)
+    @given(case=welch_cases(), channels=st.integers(1, 4),
+           fs=st.floats(0.5, 2000.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_welch(self, case, channels, fs, seed):
+        n, segment, overlap = case
+        gen = np.random.default_rng(seed)
+        means = gen.uniform(-10.0, 10.0, (channels, 1))
+        data = means + gen.uniform(0.1, 5.0, (channels, 1)) * gen.standard_normal(
+            (channels, n))
+        spec = welch_psd(TimeSeries(data=data, fs=fs), segment_length=segment,
+                         overlap=overlap)
+        freqs, psd = signal.welch(data, fs=fs, window="hann", nperseg=segment,
+                                  noverlap=int(overlap * segment),
+                                  detrend="constant", scaling="density", axis=1)
+        assert np.array_equal(spec.frequencies, freqs)
+        assert np.abs(spec.psd - psd).max() <= 1e-12 * np.abs(psd).max()
+        assert np.array_equal(spec.psd_sum, spec.psd.sum(axis=0))
 
 
 class TestIngestCsv:
@@ -108,6 +146,63 @@ class TestIngestCsv:
         write_timeseries_csv(path, ts)
         back = ingest_csv(path, fs=50.0)
         assert np.array_equal(back.data, ts.data)
+
+
+INGEST_CASES = {
+    "crlf": "a,b\r\n1.5,2\r\n-3e-7,4\r\n",
+    "carriage_returns_only": "1,2\r3,4\r",
+    "blank_lines_between_rows": "1,2\n\n\n3,4\n\n",
+    "blank_line_before_header": "\n\ntime,accel\n1,2\n3,4\n",
+    "quoted_header_over_two_lines": '"time\n(s)",accel\n1,2\n3,4\n',
+    "quoted_numeric_cells": '"1.0","2.5"\n3,"4"\n',
+    "hash_inside_cell": "1,2#3\n4,5\n",
+    "hash_in_header": "# a,b\n1,2\n",
+    "leading_trailing_spaces": " 1.0, 2.0 \n3.0 ,\t4.0\n",
+    "whitespace_only_line": "1,2\n  \n3,4\n",
+    "empty_cell": "1,2\n3,\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "nan_row": "1,2\n3,nan\n5,6\n",
+    "inf_row_below_header": "h1,h2\n1,2\n-inf,3\n",
+    "ragged_row": "1,2\n3\n4,5\n",
+    "header_only": "a,b\n",
+    "header_then_blank_lines": "a,b\n\n\n",
+    "empty": "",
+    "blank_lines_only": "\n\n",
+    "one_row": "1.25,2.5,3.75\n",
+    "one_column": "x\n1\n2\n3\n",
+    "no_final_newline": "1,2\n3,4",
+    "exponents_and_signs": "+1e5,-.5\n5.,1E-3\n",
+}
+
+
+class TestIngestFastPath:
+    """``ingest_csv`` returns the row-by-row reading's array bit for bit, or
+    raises its message."""
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_matches_row_reading(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(INGEST_CASES[name].encode())
+        try:
+            expected = oracles.csv_rows_reading(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                ingest_csv(path, fs=1.0)
+            assert str(raised.value) == str(exc)
+        else:
+            ts = ingest_csv(path, fs=1.0)
+            assert ts.data.shape == expected.T.shape
+            assert np.array_equal(ts.data.view(np.uint64), expected.T.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=arrays(np.uint64, st.tuples(st.integers(1, 30), st.integers(1, 5))))
+    def test_random_bit_patterns_round_trip(self, tmp_path_factory, bits):
+        values = bits.view(np.float64).copy()
+        values[~np.isfinite(values)] = 0.0
+        path = tmp_path_factory.mktemp("bits") / "rec.csv"
+        write_timeseries_csv(path, TimeSeries(data=values.T, fs=1.0))
+        back = ingest_csv(path, fs=1.0)
+        assert np.array_equal(back.data.view(np.uint64), values.T.view(np.uint64))
 
 
 class TestMatrixCsv:

@@ -25,6 +25,12 @@ from bayes_ssi.subspace import (
 import oracles
 
 
+def classical(ts, block_rows, order):
+    """``ssi_cov`` on the centred Hankel statistics of ``ts``."""
+    return ssi_cov(HankelStats.from_record(ts, block_rows), order, ts.channels,
+                   1.0 / ts.fs)
+
+
 def random_spd(gen, dim, jitter=1.0):
     base = gen.standard_normal((dim, dim))
     return base @ base.T + jitter * dim * np.eye(dim)
@@ -258,6 +264,21 @@ class TestRealization:
         _, short = shift_invariance(stack[:, :6], 3)
         assert short.all()
 
+    def test_one_svd_matches_pinv_bit_for_bit(self):
+        # the rank test and the solve share one SVD; the state matrices are
+        # pinv's bit for bit, and the mask is the one of pinv's singular values
+        gen = np.random.default_rng(12)
+        stack = gen.standard_normal((200, 20, 6))
+        stack[::7, :, 5] = stack[::7, :, 4]
+        stack[3::11, :, 1] *= 1e-14
+        a, degenerate = shift_invariance(stack, 4)
+        svals = np.linalg.svd(stack[:, :-4], compute_uv=False)
+        assert np.array_equal(degenerate, svals[:, 5] <= 1e-12 * svals[:, 0])
+        assert 0 < degenerate.sum() < 200
+        for k in np.flatnonzero(~degenerate):
+            expected = np.linalg.pinv(stack[k, :-4], rcond=1e-12) @ stack[k, 4:]
+            assert np.array_equal(a[k], expected)
+
     def test_rank_deficient_top_rejected(self):
         obs = np.zeros((6, 2))
         obs[:, 0] = 1.0
@@ -369,7 +390,7 @@ class TestSsiCov:
 
     def test_benchmark_frequencies_within_two_percent(self, benchmark_system,
                                                        benchmark_ts_full):
-        modal = ssi_cov(benchmark_ts_full, 15, 8)
+        modal = classical(benchmark_ts_full, 15, 8)
         keep = ~modal.real_pole
         freqs = np.sort(modal.frequencies[keep])
         oracle = benchmark_system["oracle_freqs"]
@@ -381,7 +402,7 @@ class TestSsiCov:
         css = to_continuous_ss(mass_mat, damp, stiff, 1e-4, 0.0)
         dss = discretize(css, 0.02)
         ts = simulate_response(dss, 2**14, Rng(13, 0))
-        modal = ssi_cov(ts, 10, 2)
+        modal = classical(ts, 10, 2)
         keep = ~modal.real_pole
         freqs, _ = oracles.proportional_damping_oracle(mass_mat, damp, stiff)
         assert modal.frequencies[keep] == pytest.approx(freqs, rel=0.01)
@@ -398,16 +419,16 @@ class TestSsiCov:
             np.sort_complex(np.linalg.eigvals(a2)), abs=1e-8)
 
     def test_frequencies_below_nyquist(self, benchmark_ts_full):
-        modal = ssi_cov(benchmark_ts_full, 10, 6)
+        modal = classical(benchmark_ts_full, 10, 6)
         assert np.all(modal.frequencies < benchmark_ts_full.fs / 2 + 1e-9)
 
     def test_order_exceeding_half_height_rejected(self, small_ts):
         with pytest.raises(ValueError, match="order"):
-            ssi_cov(small_ts, 3, 13)
+            classical(small_ts, 3, 13)
 
     def test_odd_order_allowed(self, small_ts):
         # odd truncation leaves an unpaired eigenvalue; conjugate-pair
         # filtering flags the straggler as a real pole
-        modal = ssi_cov(small_ts, 10, 7)
+        modal = classical(small_ts, 10, 7)
         assert modal.n_modes >= 3
         assert np.count_nonzero(modal.real_pole) >= 1
