@@ -6,14 +6,19 @@ Every command validates its configuration up front, owns its output
 directory through a lockfile, echoes the fully resolved configuration next
 to the numeric artifacts, and cleans partial artifacts up on failure.
 Reruns with the same configuration and seed reproduce every numeric output
-byte for byte; wall-clock metadata lives only in the run manifest.
+byte for byte; wall-clock metadata lives only in the run manifest.  The
+bundled OpenBLAS libraries of numpy and scipy run on one thread unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, so the bytes do not
+depend on the machine's core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
+import os
 import shutil
 import sys
 import time
@@ -62,9 +67,53 @@ __all__ = [
     "cmd_spectrum",
     "build_priors",
     "load_prior_overrides",
+    "pin_blas_threads",
+    "blas_threads",
 ]
 
 SIMULATE_STREAM = 0
+
+# package -> (library directory beside it, OpenBLAS file pattern, symbol suffix)
+_OPENBLAS = {"numpy": ("numpy.libs", "libscipy_openblas64_*.so*", "64_"),
+             "scipy": ("scipy.libs", "libscipy_openblas-*.so*", "")}
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_threads_call(package: str, verb: str):
+    """``scipy_openblas_<verb>_num_threads`` of the OpenBLAS bundled with
+    ``package``, or None if that library or symbol is not there."""
+    libdir, pattern, suffix = _OPENBLAS[package]
+    root = Path(sys.modules[package].__file__).parent.parent / libdir
+    for path in sorted(root.glob(pattern)):
+        try:
+            return getattr(ctypes.CDLL(str(path)),
+                           f"scipy_openblas_{verb}_num_threads{suffix}")
+        except (OSError, AttributeError):
+            return None
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Run numpy's and scipy's OpenBLAS on one thread each, unless the
+    user set a thread count in the environment."""
+    if any(os.environ.get(name) for name in _THREAD_ENV):
+        return
+    for package in _OPENBLAS:
+        setter = _openblas_threads_call(package, "set")
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter(1)
+
+
+def blas_threads() -> dict:
+    """OpenBLAS threads in effect per package, None where unknown."""
+    counts = {}
+    for package in _OPENBLAS:
+        getter = _openblas_threads_call(package, "get")
+        if getter is not None:
+            getter.restype = ctypes.c_int
+        counts[package] = None if getter is None else int(getter())
+    return counts
 
 
 class OutputDir:
@@ -124,6 +173,7 @@ def _manifest(command: str, cfg: dict, started: float,
         "failures": {str(k): v for k, v in (failures or {}).items()},
         "status": "partial" if failures else "ok",
         "diagnostics": diagnostics,
+        "blas_threads": blas_threads(),
     }
 
 
@@ -360,7 +410,10 @@ def cmd_identify(cfg: dict) -> Path:
         modal, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
                                            engine, order)
         posterior = align_modes(modal, reference, n_excluded=n_excluded)
-        write_json(out.file("modes_summary.json"), summarize(posterior))
+        summary = summarize(posterior)
+        if engine == "vb":
+            summary["status"] = diagnostics["status"]
+        write_json(out.file("modes_summary.json"), summary)
         _write_mode_draws(out, posterior)
         write_json(out.file("run_manifest.json"),
                    _manifest("identify", cfg, started, diagnostics=diagnostics))
@@ -478,6 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    pin_blas_threads()
     cfg = {k: v for k, v in vars(args).items() if k != "command"}
     if args.command == "identify":
         orders = cfg.pop("order")

@@ -207,14 +207,17 @@ def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = No
     trace included.
 
     The latent factor is stored as its d x D map and centre: the latent
-    mean of data column x_n is latent_map @ (x_n - latent_centre).
+    mean of data column x_n is latent_map @ (x_n - latent_centre).  The
+    weight factors are stored as their shared basis B (D x D) and
+    eigenvalues e (d x D): column i's covariance is B diag(e_i) B^T.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     total_dim, d = post.weight_mean.shape
     arrays = {
         "weight_mean": post.weight_mean,
-        "weight_cov": post.weight_cov,
+        "weight_basis": post.weight_basis,
+        "weight_eigs": post.weight_eigs,
         "latent_cov": post.latent_cov,
         "latent_map": post.latent_map,
         "latent_centre": post.latent_centre,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gibbs import GibbsChain
 from .model import default_priors
-from .rng import Rng, psd_factor
+from .rng import Rng
 from .simulate import TimeSeries
 from .subspace import (
     HankelStats,
@@ -51,6 +51,9 @@ STAB_DRAW_STREAM_BASE = 100
 
 # draws generated and propagated per block, which bounds the working memory
 DRAW_BLOCK = 256
+
+# decimals of the MACs that alignment ranks on
+MAC_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,9 @@ def draw_observability_samples(post: VBPosterior, n: int, rng: Rng) -> np.ndarra
         raise ValueError("need at least one draw")
     total_dim, d = post.weight_mean.shape
     d1 = post.view_dims[0]
-    # d x D x d1: each column's factor restricted to the first-view rows
-    factors = np.stack([psd_factor(post.weight_cov[i])[:d1].T for i in range(d)])
+    # d x D x d1: column i's factor B diag(sqrt(e_i)) restricted to the
+    # first-view rows
+    factors = np.sqrt(post.weight_eigs)[:, :, None] * post.weight_basis[:d1].T
     mean = post.weight_mean[:d1]
     out = np.empty((n, d1, d))
     gen = rng.generator
@@ -199,10 +203,11 @@ def align_modes(draws: ModalDraws, reference: ModalSet,
     """Match every draw's modes to the classical reference modes.
 
     Greedy per draw over the pairs with MAC >= ``mac_threshold`` inside the
-    relative frequency gate: best MAC first, then frequency distance, then
-    the higher mode index; each mode is used once, and unmatched draw modes
-    are counted as unassigned.  Shapes are unit-normalized, rotated to
-    real-maximal phase and sign-aligned to the reference.
+    relative frequency gate: best MAC (to ``MAC_DECIMALS`` decimals) first,
+    then frequency distance, then the higher mode index; each mode is used
+    once, and unmatched draw modes are counted as unassigned.  Shapes are
+    unit-normalized, rotated to real-maximal phase and sign-aligned to the
+    reference.
     """
     n, m = draws.present.shape
     if n == 0:
@@ -216,8 +221,11 @@ def align_modes(draws: ModalDraws, reference: ModalSet,
     gap = np.abs(draws.frequencies[:, :, None] - ref_freqs)
     score = mac(draws.mode_shapes[:, :, None, :], ref_shapes)
     gated = (ref_freqs > 0) & (gap > freq_gate * ref_freqs)
+    # rank on MACs rounded to MAC_DECIMALS, so that MACs equal up to
+    # rounding (every MAC of a one-channel record is 1) tie and fall
+    # through to the frequency distance
     free = np.where(draws.present[:, :, None] & ~gated & (score >= mac_threshold),
-                    score, -np.inf)
+                    np.round(score, MAC_DECIMALS), -np.inf)
     # taking each draw's highest-ranked free pair min(m, r) times assigns
     # the same pairs as scanning all its pairs in rank order
     rank = np.arange(m * r).reshape(m, r)

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .rng import (
+    NotPositiveDefiniteError,
     chol_logdet,
     inverse_wishart_logpdf,
     mvn_logpdf,
@@ -129,6 +130,11 @@ class PriorHyper:
         prec = spd_inverse(self.weight_cov, "weight_cov")
         return prec, prec @ self.weight_loc
 
+    @cached_property
+    def weight_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of the weight-column prior covariance."""
+        return spd_cholesky(self.weight_cov, "weight_cov")
+
 
 @dataclass(frozen=True)
 class LatentStats:
@@ -211,20 +217,50 @@ class Conditionals:
                               check_finite=False)
         return post_chol, post_mean
 
+    def weight_rhs(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
+                   prec: np.ndarray, i: int) -> np.ndarray:
+        """Conditional precision times conditional mean of weight column i:
+        prec @ sum_n (x_n - mean - sum_{k != i} w_k z_kn) z_in plus the
+        prior precision times the prior location."""
+        data_term = (lat.cross[:, i] + (self.stats.row_mean - mean) * lat.total[i]
+                     - weights @ lat.gram[:, i] + weights[:, i] * lat.gram[i, i])
+        return prec @ data_term + self.priors.weight_prior[1]
+
     def weight_natural(self, weights: np.ndarray, mean: np.ndarray,
                        lat: LatentStats, prec: np.ndarray, i: int,
                        ) -> tuple[np.ndarray, np.ndarray]:
         """(chol of conditional precision, conditional mean) for weight column i."""
-        sq_sum = lat.gram[i, i]
-        prior_prec, prior_rhs = self.priors.weight_prior
-        post_chol = spd_cholesky(symmetrize(sq_sum * prec + prior_prec),
+        post_chol = spd_cholesky(symmetrize(lat.gram[i, i] * prec
+                                            + self.priors.weight_prior[0]),
                                  "weight conditional precision")
-        # sum over columns of (x_n - mean - sum_{k != i} w_k z_kn) z_in
-        data_term = (lat.cross[:, i] + (self.stats.row_mean - mean) * lat.total[i]
-                     - weights @ lat.gram[:, i] + weights[:, i] * sq_sum)
-        post_mean = cho_solve((post_chol, True), prec @ data_term + prior_rhs,
+        post_mean = cho_solve((post_chol, True),
+                              self.weight_rhs(weights, mean, lat, prec, i),
                               check_finite=False)
         return post_chol, post_mean
+
+    def weight_basis(self, prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, lam) diagonalizing the weight prior precision P0 and ``prec``
+        at once: B^T P0 B = I and B^T prec B = diag(lam).
+
+        With L L^T the prior covariance, L^T prec L = V diag(lam) V^T and
+        B = L V.  Every weight column's conditional precision
+        s_i prec + P0 is then B^-T diag(s_i lam + 1) B^-1."""
+        chol = self.priors.weight_chol
+        lam, vecs = np.linalg.eigh(symmetrize(chol.T @ prec @ chol))
+        return chol @ vecs, lam
+
+    def weight_factors(self, prec: np.ndarray, sq_sums: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(B, e): the shared basis and the d x D eigenvalues
+        e_i = 1 / (s_i lam + 1) of the weight columns' conditional
+        covariances B diag(e_i) B^T, for s_i = ``sq_sums[i]`` = (Z Z^T)_ii."""
+        basis, lam = self.weight_basis(prec)
+        whitened = np.outer(sq_sums, lam) + 1.0
+        if not np.all(whitened > 0.0):
+            raise NotPositiveDefiniteError(
+                "weight conditional precision is not positive definite: "
+                f"whitened eigenvalue {whitened.min():.3e}")
+        return basis, 1.0 / whitened
 
 
 def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,

@@ -8,6 +8,8 @@ given a (seed, stream) pair.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import multigammaln
@@ -153,14 +155,22 @@ def sample_mvn(rng: Rng, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _bartlett_factor(rng: Rng, dim: int, dof: float) -> np.ndarray:
-    """Lower-triangular Bartlett factor A with A @ A.T ~ Wishart(I, dof)."""
+    """Lower-triangular Bartlett factor A with A @ A.T ~ Wishart(I, dof):
+    chi-square draws with dof - i degrees of freedom on the diagonal, then
+    standard normals below it in row order (Smith & Hocking, AS 53)."""
     a = np.zeros((dim, dim))
     gen = rng.generator
-    for i in range(dim):
-        a[i, i] = np.sqrt(gen.chisquare(dof - i))
-        if i > 0:
-            a[i, :i] = gen.standard_normal(i)
+    a.flat[::dim + 1] = np.sqrt(gen.chisquare(dof - np.arange(dim)))
+    a[_strict_lower(dim)] = gen.standard_normal(dim * (dim - 1) // 2)
     return a
+
+
+@lru_cache(maxsize=None)
+def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major indices of the strict lower triangle of a dim x dim matrix,
+    cached: at the latent dimensions the Gibbs sweep draws, building them
+    costs more than the draws themselves."""
+    return np.tril_indices(dim, -1)
 
 
 def sample_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarray:

@@ -17,7 +17,14 @@ Every update and the bound see the data only through its sufficient
 statistics (:class:`~bayes_ssi.subspace.HankelStats`).  The latent means
 are affine in the data, z_n = A (x_n - c), so the latent factor is held as
 the d x D map A and the centre c it was applied at; :func:`latent_means`
-recovers the d x N means when explicit data are at hand.  Each update is
+recovers the d x N means when explicit data are at hand.
+
+Every weight column's precision is s_i Psi + P0, with one expected noise
+precision Psi and one prior precision P0 shared by all columns, so one
+symmetric eigendecomposition per sweep diagonalizes all of them
+(:meth:`~bayes_ssi.model.Conditionals.weight_basis`): the weight factors
+are held as a D x D basis B with B^T P0 B = I and a d x D array e of
+eigenvalues, column i's covariance being B diag(e_i) B^T.  Each update is
 the model's full conditional (:class:`~bayes_ssi.model.Conditionals`, the
 algebra the Gibbs engine samples from) evaluated at the expected latent
 statistics and expected noise precision, plus the mean-field corrections
@@ -86,14 +93,18 @@ class VBPosterior:
     """Parameters of the factorized surrogate posterior.
 
     The latent mean of data column x_n is ``latent_map @ (x_n -
-    latent_centre)``; every column shares ``latent_cov``.
+    latent_centre)``; every column shares ``latent_cov``.  Weight column
+    i's covariance is ``weight_basis @ diag(weight_eigs[i]) @
+    weight_basis.T``, and the basis whitens the weight prior precision P0:
+    ``weight_basis.T @ P0 @ weight_basis = I``, which the bound relies on.
     """
 
     latent_cov: np.ndarray           # d x d, shared across columns
     latent_map: np.ndarray           # d x D
     latent_centre: np.ndarray        # D
     weight_mean: np.ndarray          # D x d
-    weight_cov: np.ndarray           # d x D x D
+    weight_basis: np.ndarray         # D x D, shared by every column
+    weight_eigs: np.ndarray          # d x D
     mean_loc: np.ndarray             # D
     mean_cov: np.ndarray             # D x D
     noise_scale: list[np.ndarray]    # per view
@@ -105,9 +116,11 @@ class VBPosterior:
     elapsed_s: float = 0.0
 
     def diagnostics(self) -> dict:
-        """Convergence summary: sweeps run, whether the bound converged,
-        and wall-clock milliseconds per sweep."""
+        """Convergence summary: sweeps run, whether the bound converged
+        (also as ``status``, "converged" or "not_converged") and
+        wall-clock milliseconds per sweep."""
         return {"n_iter": self.n_iter, "converged": self.converged,
+                "status": "converged" if self.converged else "not_converged",
                 "ms_per_sweep": 1e3 * self.elapsed_s / self.n_iter if self.n_iter else 0.0}
 
 
@@ -158,12 +171,11 @@ class _Kernel(Conditionals):
     covariances add."""
 
     @cached_property
-    def prior_logdets(self) -> tuple[float, float, list[float]]:
-        """ln |weight_cov|, ln |mean_cov| and each view's ln |noise_scale|
-        of the priors, for the bound."""
+    def prior_logdets(self) -> tuple[float, list[float]]:
+        """ln |mean_cov| and each view's ln |noise_scale| of the priors, for
+        the bound."""
         priors = self.priors
-        return (chol_logdet(spd_cholesky(priors.weight_cov, "weight_cov")),
-                chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov")),
+        return (chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov")),
                 [chol_logdet(spd_cholesky(scale0, "noise prior scale"))
                  for scale0 in priors.noise_scale])
 
@@ -189,27 +201,31 @@ class _Kernel(Conditionals):
         and each weight column's covariance times E[sum_n z_in^2]."""
         scatter = self.residual_scatter(post.weight_mean, post.mean_loc, lat)
         scatter += self.stats.n_cols * post.mean_cov
-        scatter += np.tensordot(np.diag(lat.gram), post.weight_cov, axes=1)
+        basis = post.weight_basis
+        scatter += (basis * (np.diag(lat.gram) @ post.weight_eigs)) @ basis.T
         return scatter
 
     def update_latent(self, post: VBPosterior, psi: np.ndarray) -> None:
-        d = post.latent_cov.shape[0]
-        # E[W^T Psi W] adds tr(Psi Sigma_w_i) to diagonal entry i
-        trace_corr = post.weight_cov.reshape(d, -1) @ psi.ravel()
+        # E[W^T Psi W] adds tr(Psi Sigma_w_i) = e_i . diag(B^T Psi B) to
+        # diagonal entry i
+        basis = post.weight_basis
+        trace_corr = post.weight_eigs @ np.einsum("ij,ij->j", basis, psi @ basis)
         post_chol, post.latent_map = latent_natural(post.weight_mean, psi,
                                                     np.diag(trace_corr))
         post.latent_cov = chol_inverse(post_chol)
         post.latent_centre = post.mean_loc.copy()
 
-    def update_weights(self, post: VBPosterior, columns, psi: np.ndarray,
+    def update_weights(self, post: VBPosterior, psi: np.ndarray,
                        cross_cov: bool) -> None:
-        """Update the weight-column factors in ``columns``, in order; each
-        sees the columns updated before it."""
+        """Update every weight-column factor in column order; each mean sees
+        the columns updated before it.  The covariances depend only on Psi
+        and E[sum_n z_in^2], so all columns share one eigenbasis."""
         lat = self.latent_stats(post, cross_cov)
-        for i in columns:
-            post_chol, post.weight_mean[:, i] = self.weight_natural(
-                post.weight_mean, post.mean_loc, lat, psi, i)
-            post.weight_cov[i] = chol_inverse(post_chol)
+        basis, eigs = self.weight_factors(psi, np.diag(lat.gram))
+        for i in range(eigs.shape[0]):
+            rhs = self.weight_rhs(post.weight_mean, post.mean_loc, lat, psi, i)
+            post.weight_mean[:, i] = basis @ (eigs[i] * (rhs @ basis))
+        post.weight_basis, post.weight_eigs = basis, eigs
 
     def update_noise(self, post: VBPosterior) -> None:
         params = self.noise_conditionals(self.expected_scatter(post, self.latent_stats(post)))
@@ -228,7 +244,7 @@ class _Kernel(Conditionals):
         n = self.stats.n_cols
         d = post.latent_cov.shape[0]
         lat = self.latent_stats(post)
-        weight_logdet, mean_logdet, noise_prior_logdets = self.prior_logdets
+        mean_logdet, noise_prior_logdets = self.prior_logdets
         scale_logdets = [chol_logdet(spd_cholesky(scale, "noise factor scale"))
                          for scale in post.noise_scale]
         e_logdets = [_expected_logdet_precision(logdet, scale.shape[0], dof)
@@ -242,10 +258,12 @@ class _Kernel(Conditionals):
         value -= 0.5 * (float(np.trace(lat.gram)) - n * d - n * latent_logdet)
         value -= _gaussian_kl(post.mean_loc - priors.mean_loc, post.mean_cov,
                               priors.mean_prior[0], mean_logdet)
-        for i in range(d):
-            value -= _gaussian_kl(post.weight_mean[:, i] - priors.weight_loc,
-                                  post.weight_cov[i], priors.weight_prior[0],
-                                  weight_logdet)
+        # weight columns against their prior: B^T P0 B = I makes the trace
+        # term sum(e_i) and ln |P0^-1| - ln |Sigma_w_i| = -sum(ln e_i)
+        dev = post.weight_mean - priors.weight_loc[:, None]
+        eigs = post.weight_eigs
+        value -= 0.5 * (float(np.sum(dev * (priors.weight_prior[0] @ dev)))
+                        + float(np.sum(eigs - np.log(eigs))) - eigs.size)
         # Wishart factors; tr(scale E[precision]) = dof * dim under the factor
         value -= 0.5 * float(np.sum(self.noise_prior_scale * psi))
         for dof0, logdet0, scale, dof, logdet, e_logdet in zip(
@@ -274,7 +292,9 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
     n = stats.n_cols
     if warm_start:
         weight_mean, _, noise_cov = warm_start_point(stats, priors)
-        weight_cov = np.repeat(1e-8 * np.eye(total_dim)[None, :, :], d, axis=0)
+        # 1e-8 I = B diag(1e-8 / lam) B^T for the basis with B^T B = diag(lam)
+        weight_basis, lam = Conditionals(stats, priors).weight_basis(np.eye(total_dim))
+        weight_eigs = np.tile(1e-8 / lam, (d, 1))
         noise_dof = [dof0 + n for dof0 in priors.noise_dof]
         noise_scale = [dof * blk for dof, blk in zip(noise_dof, noise_cov)]
     else:
@@ -282,7 +302,9 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
                        ) / (total_dim * n)
         scale = 0.1 * float(np.sqrt(mean_square)) + 1e-8
         weight_mean = scale * rng.generator.standard_normal((total_dim, d))
-        weight_cov = np.repeat(priors.weight_cov[None, :, :], d, axis=0)
+        # the prior covariance L L^T: B = L, e_i = 1
+        weight_basis = priors.weight_chol.copy()
+        weight_eigs = np.ones((d, total_dim))
         noise_scale = [s.copy() for s in priors.noise_scale]
         noise_dof = list(priors.noise_dof)
     return VBPosterior(
@@ -290,7 +312,8 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
         latent_map=np.zeros((d, total_dim)),
         latent_centre=stats.row_mean.copy(),
         weight_mean=weight_mean,
-        weight_cov=weight_cov,
+        weight_basis=weight_basis,
+        weight_eigs=weight_eigs,
         mean_loc=stats.row_mean.copy(),
         mean_cov=1e-10 * np.eye(total_dim),
         noise_scale=noise_scale,
@@ -307,18 +330,17 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
     factors, mean factor; the bound is evaluated after each full sweep.  A
     decrease beyond 1e-8 relative raises (warns in the non-exact
     ``latent_cross_cov=False`` mode); a non-finite bound aborts with a
-    state dump.  Each sweep costs O(D^3 d), whatever the column count.
+    state dump.  Each sweep costs O(D^3 + D^2 d), whatever the column count.
     """
     kernel = _Kernel(stats, priors)
     post = initial_posterior(stats, priors, config.seed, warm_start=config.warm_start)
-    d = priors.latent_dim
 
     start = time.perf_counter()
     previous = -np.inf
     psi = _expected_precision(post)
     for sweep in range(1, config.max_iter + 1):
         kernel.update_latent(post, psi)
-        kernel.update_weights(post, range(d), psi, config.latent_cross_cov)
+        kernel.update_weights(post, psi, config.latent_cross_cov)
         kernel.update_noise(post)
         psi = _expected_precision(post)
         kernel.update_mean(post, psi)

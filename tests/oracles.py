@@ -183,6 +183,58 @@ def vb_sweep_dense(q, x, view_dims, priors, cross_cov=True):
     return q
 
 
+def vb_bound_dense(q, x, view_dims, priors):
+    """Evidence lower bound of the surrogate ``q`` (factor parameters as in
+    ``vb_sweep_dense``) on the explicit data: the expected log likelihood
+    from the explicit residuals, minus the KL divergence of every factor
+    from its prior, with dense inverses and slogdet log determinants."""
+    from scipy.special import digamma, multigammaln
+
+    n = x.shape[1]
+
+    def logdet(a):
+        return np.linalg.slogdet(a)[1]
+
+    def gaussian_kl(loc, cov, loc0, cov0):
+        prec0 = np.linalg.inv(cov0)
+        dev = loc - loc0
+        return 0.5 * (np.trace(prec0 @ cov) + dev @ prec0 @ dev - loc.size
+                      + logdet(cov0) - logdet(cov))
+
+    def e_logdet(scale, dof):
+        # E ln |precision| for precision ~ Wishart(dof, scale^-1)
+        dim = scale.shape[0]
+        return (sum(digamma(0.5 * (dof - k)) for k in range(dim))
+                + dim * np.log(2.0) - logdet(scale))
+
+    def wishart_kl(scale, dof, scale0, dof0):
+        # KL(Wishart(dof, V) || Wishart(dof0, V0)), V = scale^-1, V0 = scale0^-1
+        dim = scale.shape[0]
+        return (0.5 * (dof - dof0) * e_logdet(scale, dof) - 0.5 * dof * dim
+                + 0.5 * dof * np.trace(scale0 @ np.linalg.inv(scale))
+                - 0.5 * (dof - dof0) * dim * np.log(2.0)
+                + 0.5 * dof * logdet(scale) - 0.5 * dof0 * logdet(scale0)
+                - multigammaln(0.5 * dof, dim) + multigammaln(0.5 * dof0, dim))
+
+    value = 0.0
+    scatter = vb_residual_scatter_dense(q, x, view_dims)
+    for blk, scale, dof in zip(scatter, q["noise_scale"], q["noise_dof"]):
+        dim = scale.shape[0]
+        value += 0.5 * n * (e_logdet(scale, dof) - dim * np.log(2.0 * np.pi))
+        value -= 0.5 * dof * np.trace(np.linalg.inv(scale) @ blk)
+    zm, lc = q["latent_mean"], q["latent_cov"]
+    d = lc.shape[0]
+    value -= 0.5 * (n * np.trace(lc) + np.sum(zm**2) - n * d - n * logdet(lc))
+    value -= gaussian_kl(q["mean_loc"], q["mean_cov"], priors.mean_loc, priors.mean_cov)
+    for i in range(d):
+        value -= gaussian_kl(q["weight_mean"][:, i], q["weight_cov"][i],
+                             priors.weight_loc, priors.weight_cov)
+    for scale, dof, scale0, dof0 in zip(q["noise_scale"], q["noise_dof"],
+                                        priors.noise_scale, priors.noise_dof):
+        value -= wishart_kl(scale, dof, scale0, dof0)
+    return float(value)
+
+
 def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
     """Gibbs chain with an explicit d x N latent matrix, explicit residuals
     and dense inverses; scipy.stats draws the inverse-Wishart noise blocks.
@@ -257,13 +309,13 @@ def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
 
 
 def propagate_and_align_loop(samples, n_channels, dt, reference,
-                             mac_threshold=0.8, freq_gate=0.1):
+                             mac_threshold=0.8, freq_gate=0.1, mac_decimals=12):
     """Posterior draws propagated and aligned one draw at a time.
 
     Each draw's shifted block gets an SVD rank test, a pinv solve and an
     ``eig``; its modes are matched to the reference by scanning every
-    gated (MAC, -frequency distance, draw mode, reference mode) tuple in
-    descending order.  Returns the excluded and unassigned counts and, per
+    gated (MAC rounded to ``mac_decimals``, -frequency distance, draw
+    mode, reference mode) tuple in descending order.  Returns the excluded and unassigned counts and, per
     complex reference mode, the aligned (frequencies, damping ratios,
     phase-aligned shapes, MACs, draw indices).
     """
@@ -316,11 +368,13 @@ def propagate_and_align_loop(samples, n_channels, dt, reference,
                     continue
                 score = vdot_mac(shapes[:, jm], s_ref)
                 if score >= mac_threshold:
-                    pairs.append((score, -abs(f - f_ref), jm, jr))
+                    pairs.append((float(np.round(score, mac_decimals)), -abs(f - f_ref),
+                                  jm, jr))
         used_draw, used_ref = set(), set()
-        for score, _, jm, jr in sorted(pairs, reverse=True):
+        for _, _, jm, jr in sorted(pairs, reverse=True):
             if jm in used_draw or jr in used_ref:
                 continue
+            score = vdot_mac(shapes[:, jm], ref_shapes[jr])
             used_draw.add(jm)
             used_ref.add(jr)
             aligned = unit_phase(shapes[:, jm])

@@ -34,7 +34,7 @@ from bayes_ssi.vb import VBConfig, VBPosterior, latent_means, run_vb, _expected_
 from bayes_ssi.vb import _Kernel as VBKernel
 
 import oracles
-from explicit import explicit_kernel
+from explicit import explicit_kernel, weight_cov
 
 FULL_PROFILE = os.environ.get("BAYES_SSI_FULL_ACCEPTANCE", "") not in ("", "0")
 BLOCK_ROWS = 15
@@ -313,7 +313,8 @@ def test_criterion_7_vb_gibbs_degeneracy():
     post = VBPosterior(
         latent_cov=np.zeros((d, d)), latent_map=np.zeros((d, 4)),
         latent_centre=np.zeros(4),
-        weight_mean=weights.copy(), weight_cov=np.zeros((d, 4, 4)),
+        weight_mean=weights.copy(), weight_basis=np.eye(4),
+        weight_eigs=np.zeros((d, 4)),
         mean_loc=mean.copy(), mean_cov=np.zeros((4, 4)),
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs, view_dims=view_dims,
@@ -327,14 +328,15 @@ def test_criterion_7_vb_gibbs_degeneracy():
     post.latent_cov = np.zeros((d, d))
     lat = LatentStats.from_latent(x, gibbs_kernel.stats.row_mean, latent)
 
+    # every column in one update, each mean refreshed in order
+    kernel.update_weights(post, _expected_precision(post), True)
     for i in range(d):
-        kernel.update_weights(post, [i], _expected_precision(post), True)
         chol, w_mean = gibbs_kernel.weight_natural(weights, mean, lat,
                                                    _block_precision(noise), i)
-        assert np.max(np.abs(post.weight_cov[i] - chol_inverse(chol))) < 1e-10
+        assert np.max(np.abs(weight_cov(post)[i] - chol_inverse(chol))) < 1e-10
         assert np.max(np.abs(post.weight_mean[:, i] - w_mean)) < 1e-10
-        post.weight_cov[i] = 0.0
         weights[:, i] = w_mean
+    post.weight_eigs[:] = 0.0
 
     kernel.update_noise(post)
     conds = gibbs_kernel.noise_conditionals(gibbs_kernel.residual_scatter(weights, mean,

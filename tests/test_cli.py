@@ -107,6 +107,8 @@ class TestIdentify:
         assert code == 0
         diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
         assert diag["converged"] is True
+        assert diag["status"] == "converged"
+        assert json.loads((out / "modes_summary.json").read_text())["status"] == "converged"
         trace = read_matrix_csv(out / "elbo_trace.csv", skip_header=True)
         assert diag["n_iter"] == trace.shape[0]
         assert diag["ms_per_sweep"] > 0
@@ -119,7 +121,10 @@ class TestIdentify:
         assert code == 0
         diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
         assert diag["converged"] is False
+        assert diag["status"] == "not_converged"
         assert diag["n_iter"] == 2
+        summary = json.loads((out / "modes_summary.json").read_text())
+        assert summary["status"] == "not_converged"
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "max_iter=2" in err[0]
 
@@ -228,7 +233,18 @@ class TestStabilise:
         assert manifest["failures"] == {}
         assert set(manifest["diagnostics"]) == {"2", "4", "6"}
         for diag in manifest["diagnostics"].values():
-            assert set(diag) == {"n_iter", "converged", "ms_per_sweep"}
+            assert set(diag) == {"n_iter", "converged", "status", "ms_per_sweep"}
+
+    def test_not_converged_status_per_order(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "stab_short"
+        code = run_cli("stabilise", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 2, "--order", 4,
+                       "--draws", 10, "--max-iter", 2, "--seed", 5, "--out", out)
+        assert code == 0
+        diagnostics = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
+        assert {order: diag["status"] for order, diag in diagnostics.items()} == {
+            "2": "not_converged", "4": "not_converged"}
+        assert len(capsys.readouterr().err.strip().splitlines()) == 2
 
     def test_rerun_byte_identical(self, sim_dir, tmp_path):
         args = ("stabilise", "--input", sim_dir / "response.csv",
@@ -252,9 +268,12 @@ class TestStabilise:
 
         monkeypatch.setattr(mp, "run_vb", failing_run_vb)
         out = tmp_path / "partial"
+        # about 30% of the order-2 draws of this record have a complex pole
+        # below Nyquist, so 40 draws leave order 2 without a triple with
+        # probability 0.7**40, 10 draws with 0.7**10 = 3%
         code = run_cli("stabilise", "--input", sim_dir / "response.csv",
                        "--block-rows", 8, "--order", 2, "--order", 4,
-                       "--draws", 10, "--max-iter", 30, "--tol", "1e-6",
+                       "--draws", 40, "--max-iter", 30, "--tol", "1e-6",
                        "--seed", 5, "--out", out)
         assert code == 1
         manifest = json.loads((out / "run_manifest.json").read_text())

@@ -25,15 +25,14 @@ import oracles
 
 
 def make_vb_posterior(gen, d1, d2, d, w_scale=0.0):
+    """Weight factors with covariance ``w_scale`` I for every column."""
     total = d1 + d2
-    w_cov = np.zeros((d, total, total))
-    for i in range(d):
-        w_cov[i] = w_scale * np.eye(total)
     return VBPosterior(
         latent_cov=np.eye(d), latent_map=np.zeros((d, total)),
         latent_centre=np.zeros(total),
         weight_mean=gen.standard_normal((total, d)),
-        weight_cov=w_cov, mean_loc=np.zeros(total),
+        weight_basis=np.eye(total), weight_eigs=np.full((d, total), w_scale),
+        mean_loc=np.zeros(total),
         mean_cov=np.eye(total), noise_scale=[np.eye(d1), np.eye(d2)],
         noise_dof=[d1 + 2.0, d2 + 2.0], view_dims=(d1, d2),
     )
@@ -350,12 +349,20 @@ def random_draw_stack(gen, a0, c0, n_blocks, n_draws):
 
 
 class TestStackedAgainstLoop:
-    # from two channels up: with one channel every MAC is 1 up to rounding,
-    # so the best-MAC ranking would compare rounding errors
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 4),
-           l=st.integers(2, 4), n_draws=st.integers(1, 40))
+           l=st.integers(1, 4), n_draws=st.integers(1, 40))
     def test_matches_per_draw_loop(self, seed, n_modes, l, n_draws):
+        self.check(seed, n_modes, l, n_draws)
+
+    def test_one_channel_macs_tie_on_rounding(self):
+        # with one channel every MAC is 1 up to rounding; ranked unrounded,
+        # this stack's draw 3 went to the second reference mode in the
+        # per-draw loop and stayed unassigned in the batched path
+        self.check(seed=32, n_modes=4, l=1, n_draws=27)
+
+    @staticmethod
+    def check(seed, n_modes, l, n_draws):
         gen = np.random.default_rng(seed)
         a0, c0, reference = stable_modal_set(gen, n_modes=n_modes, l=l)
         n_blocks = 2 * n_modes // l + 3
@@ -445,4 +452,5 @@ class TestStabilisation:
         for diag in result.diagnostics.values():
             assert diag["n_iter"] == 2
             assert diag["converged"] is False
+            assert diag["status"] == "not_converged"
             assert diag["ms_per_sweep"] > 0

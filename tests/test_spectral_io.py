@@ -255,7 +255,8 @@ class TestVbPersistence:
         priors = default_priors(2, 2, 1)
         post = run_vb(stats, priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
-        for name in ("vb_manifest.json", "weight_mean.npy", "weight_cov.npy",
+        for name in ("vb_manifest.json", "weight_mean.npy", "weight_basis.npy",
+                     "weight_eigs.npy",
                      "latent_cov.npy", "latent_map.npy", "latent_centre.npy",
                      "mean_loc.npy",
                      "mean_cov.npy", "noise_scale_view1.npy",
@@ -265,5 +266,8 @@ class TestVbPersistence:
         assert trace.size == post.n_iter
         weight_back = np.load(out / "weight_mean.npy", allow_pickle=False)
         assert np.array_equal(weight_back, post.weight_mean)
-        weight_cov_back = np.load(out / "weight_cov.npy", allow_pickle=False)
-        assert np.array_equal(weight_cov_back, post.weight_cov)
+        assert not (out / "weight_cov.npy").exists()
+        basis = np.load(out / "weight_basis.npy", allow_pickle=False)
+        eigs = np.load(out / "weight_eigs.npy", allow_pickle=False)
+        assert np.array_equal(basis, post.weight_basis)
+        assert np.array_equal(eigs, post.weight_eigs)

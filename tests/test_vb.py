@@ -3,7 +3,7 @@ import pytest
 
 from bayes_ssi.gibbs import _block_precision
 from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
-from bayes_ssi.rng import chol_inverse
+from bayes_ssi.rng import NotPositiveDefiniteError, chol_inverse
 from bayes_ssi.subspace import HankelStats
 from bayes_ssi.vb import (
     VBConfig,
@@ -17,17 +17,16 @@ from bayes_ssi.vb import (
 )
 
 import oracles
-from explicit import explicit_kernel
+from explicit import explicit_kernel, weight_cov
 
 
 def random_posterior(gen, view_dims, d, n):
     """Random surrogate; its latent means are a random affine map of the
-    data columns (``n`` only sets the noise dof)."""
+    data columns (``n`` only sets the noise dof).  The weight basis is a
+    random orthonormal matrix, which whitens the identity weight prior
+    covariance the tests that evaluate the bound on it use."""
     total = sum(view_dims)
-    w_cov = np.empty((d, total, total))
-    for i in range(d):
-        base = gen.standard_normal((total, total))
-        w_cov[i] = 0.1 * (base @ base.T / total) + 0.5 * np.eye(total)
+    basis, _ = np.linalg.qr(gen.standard_normal((total, total)))
     base = gen.standard_normal((total, total))
     mean_cov = 0.1 * (base @ base.T / total) + 0.3 * np.eye(total)
     base = gen.standard_normal((d, d))
@@ -41,7 +40,8 @@ def random_posterior(gen, view_dims, d, n):
         latent_map=gen.standard_normal((d, total)),
         latent_centre=gen.standard_normal(total),
         weight_mean=gen.standard_normal((total, d)),
-        weight_cov=w_cov,
+        weight_basis=basis,
+        weight_eigs=gen.uniform(0.5, 1.0, (d, total)),
         mean_loc=gen.standard_normal(total),
         mean_cov=mean_cov,
         noise_scale=noise_scale,
@@ -64,7 +64,8 @@ def point_mass_posterior(x, view_dims, weights, mean, noise, latent, dof_offset=
         latent_map=latent @ np.linalg.pinv(x),
         latent_centre=np.zeros(total),
         weight_mean=weights.copy(),
-        weight_cov=np.zeros((d, total, total)),
+        weight_basis=np.eye(total),
+        weight_eigs=np.zeros((d, total)),
         mean_loc=mean.copy(),
         mean_cov=np.zeros((total, total)),
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
@@ -88,7 +89,7 @@ class TestUpdateOracles:
     def test_zero_weights_prior_fallback(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
         post.weight_mean[:] = 0.0
-        post.weight_cov[:] = 0.0
+        post.weight_eigs[:] = 0.0
         post.mean_loc[:] = 0.0
         self.kernel.update_latent(post, _expected_precision(post))
         assert post.latent_cov == pytest.approx(np.eye(self.d))
@@ -114,7 +115,7 @@ class TestUpdateOracles:
         if update == "latent":
             self.kernel.update_latent(post, psi)
         elif update == "weight":
-            self.kernel.update_weights(post, range(self.d), psi, True)
+            self.kernel.update_weights(post, psi, True)
         elif update == "noise":
             self.kernel.update_noise(post)
         else:
@@ -133,9 +134,9 @@ class TestUpdateOracles:
         post.latent_map[0] = 0.0
         post.latent_cov[0, :] = 0.0
         post.latent_cov[:, 0] = 0.0
-        self.kernel.update_weights(post, [0], _expected_precision(post), True)
+        self.kernel.update_weights(post, _expected_precision(post), True)
         assert post.weight_mean[:, 0] == pytest.approx(self.priors.weight_loc)
-        assert post.weight_cov[0] == pytest.approx(self.priors.weight_cov)
+        assert weight_cov(post)[0] == pytest.approx(self.priors.weight_cov)
 
     def test_weight_update_matches_moment_ridge(self):
         # d = 1, single view: ridge regression with input-uncertainty
@@ -156,8 +157,8 @@ class TestUpdateOracles:
         mz = latent_means(post, x)[0]
         sq = float(mz @ mz) + n * post.latent_cov[0, 0]
         kernel = _Kernel(HankelStats.from_matrix(x, (dim,)), priors)
-        kernel.update_weights(post, [0], _expected_precision(post), True)
-        assert post.weight_cov[0] == pytest.approx(np.eye(dim) / (sq + 1.0))
+        kernel.update_weights(post, _expected_precision(post), True)
+        assert weight_cov(post)[0] == pytest.approx(np.eye(dim) / (sq + 1.0))
         assert post.weight_mean[:, 0] == pytest.approx((x @ mz) / (sq + 1.0))
 
     def test_noise_update_scalar_moment_expansion(self):
@@ -172,7 +173,7 @@ class TestUpdateOracles:
         x = gen.standard_normal((1, n))
         post = random_posterior(gen, (1,), 1, n)
         mw = float(post.weight_mean[0, 0])
-        vw = float(post.weight_cov[0, 0, 0])
+        vw = float(weight_cov(post)[0, 0, 0])
         mu = float(post.mean_loc[0])
         vmu = float(post.mean_cov[0, 0])
         mz = latent_means(post, x)[0]
@@ -208,7 +209,7 @@ class TestUpdateOracles:
         x = gen.standard_normal((2, n)) + 3.0
         post = random_posterior(gen, (1, 1), 1, n)
         post.weight_mean[:] = 0.0
-        post.weight_cov[:] = 0.0
+        post.weight_eigs[:] = 0.0
         post.latent_map[:] = 0.0
         psi = [float(p) for p in
                (b[0, 0] for b in expected_noise_precision(post))]
@@ -229,8 +230,7 @@ class TestUpdateOracles:
         post = initial_posterior(kernel.stats, priors, seed=0)
         for _ in range(5):
             kernel.update_latent(post, _expected_precision(post))
-            kernel.update_weights(post, range(priors.latent_dim),
-                                  _expected_precision(post), True)
+            kernel.update_weights(post, _expected_precision(post), True)
             kernel.update_noise(post)
             kernel.update_mean(post, _expected_precision(post))
         sd = np.sqrt(np.diag(post.mean_cov))
@@ -239,7 +239,7 @@ class TestUpdateOracles:
 
 def _dense_factors(post, x):
     return {"latent_mean": latent_means(post, x), "latent_cov": post.latent_cov,
-            "weight_mean": post.weight_mean, "weight_cov": post.weight_cov,
+            "weight_mean": post.weight_mean, "weight_cov": weight_cov(post),
             "mean_loc": post.mean_loc, "mean_cov": post.mean_cov,
             "noise_scale": post.noise_scale, "noise_dof": post.noise_dof}
 
@@ -268,11 +268,27 @@ class TestStatisticsEngine:
     @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("coupled_prior", [False, True])
     def test_run_vb_matches_dense_sweeps(self, cross_cov, warm_start, coupled_prior):
+        self.check_against_dense(cross_cov, warm_start, coupled_prior, centred=False)
+
+    @pytest.mark.filterwarnings("ignore:bound decreased")
+    @pytest.mark.parametrize("cross_cov", [True, False])
+    @pytest.mark.parametrize("warm_start", [False, True])
+    @pytest.mark.parametrize("coupled_prior", [False, True])
+    def test_centred_data_matches_dense_sweeps(self, cross_cov, warm_start,
+                                               coupled_prior):
+        self.check_against_dense(cross_cov, warm_start, coupled_prior, centred=True)
+
+    @staticmethod
+    def check_against_dense(cross_cov, warm_start, coupled_prior, centred):
         gen = np.random.default_rng(21)
         d, n, sweeps = 2, 150, 6
         w0 = gen.standard_normal((6, d))
         x = (w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
              + gen.uniform(-2.0, 2.0, (6, 1)))
+        if centred:
+            # zero row means, as a centred Hankel has; otherwise the rows
+            # keep their offsets, as with --no-center
+            x -= x.mean(axis=1, keepdims=True)
         stats = HankelStats.from_matrix(x, (3, 3))
         priors = default_priors(3, 3, d, noise_scale=1.0)
         if coupled_prior:
@@ -290,8 +306,10 @@ class TestStatisticsEngine:
         assert post.n_iter == sweeps
 
         q = _dense_factors(initial_posterior(stats, priors, 4, warm_start), x)
-        for _ in range(sweeps):
+        for bound in post.elbo_trace:
             q = oracles.vb_sweep_dense(q, x, (3, 3), priors, cross_cov)
+            dense = oracles.vb_bound_dense(q, x, (3, 3), priors)
+            assert abs(bound - dense) < 1e-10 * abs(dense)
         got = _dense_factors(post, x)
         for key in ("latent_mean", "latent_cov", "weight_mean", "weight_cov",
                     "mean_cov"):
@@ -324,6 +342,42 @@ class TestStatisticsEngine:
         assert peak < data_matrix_bytes / 10
 
 
+class TestWeightBasis:
+    def _kernel_and_posterior(self, seed):
+        gen = np.random.default_rng(seed)
+        d, n = 3, 80
+        x = gen.standard_normal((6, n)) + gen.uniform(-1.0, 1.0, (6, 1))
+        base = gen.standard_normal((6, 6))
+        # a weight prior that couples the two views
+        priors = PriorHyper(mean_loc=np.zeros(6), mean_cov=np.eye(6),
+                            weight_loc=gen.standard_normal(6),
+                            weight_cov=0.3 * base @ base.T + 0.5 * np.eye(6),
+                            noise_scale=(np.eye(3), 2.0 * np.eye(3)),
+                            noise_dof=(6.0, 7.0), latent_dim=d, view_dims=(3, 3))
+        kernel = _Kernel(HankelStats.from_matrix(x, (3, 3)), priors)
+        return kernel, random_posterior(gen, (3, 3), d, n)
+
+    def test_column_covariances_invert_column_precisions(self):
+        kernel, post = self._kernel_and_posterior(31)
+        psi = _expected_precision(post)
+        sq = np.diag(kernel.latent_stats(post).gram)
+        kernel.update_weights(post, psi, True)
+        prior_prec = np.linalg.inv(kernel.priors.weight_cov)
+        basis = post.weight_basis
+        assert basis.T @ prior_prec @ basis == pytest.approx(np.eye(6), abs=1e-12)
+        for i, s in enumerate(sq):
+            dense = np.linalg.inv(s * psi + prior_prec)
+            assert _rel(weight_cov(post)[i], dense) < 1e-10
+
+    def test_indefinite_whitened_precision_raises(self):
+        kernel, post = self._kernel_and_posterior(32)
+        # a noise precision with a negative eigenvalue makes s_i lam + 1
+        # negative for a large enough s_i
+        psi = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e6])
+        with pytest.raises(NotPositiveDefiniteError, match="weight conditional precision"):
+            kernel.update_weights(post, psi, True)
+
+
 class TestDegeneracyAgainstSampler:
     def test_point_mass_sweep_equals_conditional_means(self):
         # zero-variance factors: each variational update reproduces the
@@ -351,15 +405,16 @@ class TestDegeneracyAgainstSampler:
         post.latent_cov = np.zeros((d, d))
         lat = LatentStats.from_latent(x, gibbs_kernel.stats.row_mean, latent)
 
-        # weight steps, refreshed in order
+        # weight steps: one update of every column, each mean refreshed in
+        # order
+        kernel.update_weights(post, _expected_precision(post), True)
         for i in range(d):
-            kernel.update_weights(post, [i], _expected_precision(post), True)
             chol, w_mean = gibbs_kernel.weight_natural(weights, mean, lat,
                                                        _block_precision(noise), i)
-            assert post.weight_cov[i] == pytest.approx(chol_inverse(chol), abs=1e-10)
+            assert weight_cov(post)[i] == pytest.approx(chol_inverse(chol), abs=1e-10)
             assert post.weight_mean[:, i] == pytest.approx(w_mean, abs=1e-10)
-            post.weight_cov[i] = 0.0
             weights[:, i] = w_mean
+        post.weight_eigs[:] = 0.0
 
         # noise step: compare natural parameters, then hold the precision
         # at its conditional mean on both sides
@@ -406,7 +461,7 @@ class TestRunVb:
                                                      seed=5))
         settled = post.elbo_trace[-1]
         kernel.update_latent(post, _expected_precision(post))
-        kernel.update_weights(post, [0], _expected_precision(post), True)
+        kernel.update_weights(post, _expected_precision(post), True)
         kernel.update_noise(post)
         kernel.update_mean(post, _expected_precision(post))
         again = kernel.elbo(post, _expected_precision(post))
