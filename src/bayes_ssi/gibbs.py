@@ -13,6 +13,12 @@ count N) and through the latent statistics (X - m 1^T) Z^T, Z Z^T and Z 1
 ``run_gibbs`` therefore never forms X or Z: each sweep draws the latent
 statistics exactly from the latent conditional, so a sweep costs the same at
 any N.
+
+Given the latent statistics, the mean's and every weight column's
+conditional precision depend only on the drawn noise precision, so each
+sweep factors all of them at once, per view block when the priors allow
+(:attr:`~bayes_ssi.model.PriorHyper.factor_slices`), before drawing the
+mean and the columns in turn.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .rng import (
     Rng,
     _bartlett_factor,
     sample_inverse_wishart,
+    sample_inverse_wishart_pair,
     spd_cholesky,
     spd_inverse,
     symmetrize,
@@ -82,29 +89,20 @@ class GibbsChain:
     view_dims: tuple[int, ...]
     config: GibbsConfig
     elapsed_s: float = 0.0
+    factor_blocks: tuple[int, ...] = ()
 
     @property
     def n_records(self) -> int:
         return self.weight_samples.shape[0]
 
     def diagnostics(self) -> dict:
-        """Run summary: sweeps run, records kept and wall-clock
-        milliseconds per sweep."""
+        """Run summary: sweeps run, records kept, wall-clock milliseconds
+        per sweep and the sizes of the blocks the sweep factored the mean
+        and weight conditional precisions on."""
         n_sweeps = self.config.n_samples
         return {"n_sweeps": n_sweeps, "n_records": self.n_records,
-                "ms_per_sweep": 1e3 * self.elapsed_s / n_sweeps}
-
-
-def _block_precision(noise_cov: list[np.ndarray]) -> np.ndarray:
-    """Dense block-diagonal inverse of the noise covariance."""
-    return block_diagonal([spd_inverse(cov, "noise_cov") for cov in noise_cov])
-
-
-def _draw_from_natural(prec_chol: np.ndarray, mean: np.ndarray,
-                       noise: np.ndarray) -> np.ndarray:
-    """Sample N(mean, prec^-1) given chol(prec) and standard-normal noise."""
-    return mean + solve_triangular(prec_chol.T, noise, lower=False,
-                                   check_finite=False)
+                "ms_per_sweep": 1e3 * self.elapsed_s / n_sweeps,
+                "factor_blocks": list(self.factor_blocks)}
 
 
 def _gram_factor(gram: np.ndarray) -> np.ndarray:
@@ -124,24 +122,31 @@ class _Kernel(Conditionals):
         """Rank-revealing factor F of the centred data Gram, F F^T = G."""
         return _gram_factor(self.stats.gram)
 
-    def draw_noise(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
-                   rng: Rng) -> list[np.ndarray]:
-        scatter = self.residual_scatter(weights, mean, lat)
-        return [sample_inverse_wishart(rng, scale, dof)
-                for scale, dof in self.noise_conditionals(scatter)]
+    def transition(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
+                   rng: Rng) -> tuple[np.ndarray, np.ndarray, list[np.ndarray],
+                                      np.ndarray]:
+        """Draw the per-view noise blocks, then the mean, then every weight
+        column in order (each seeing the columns drawn before it) from their
+        full conditionals given the latent statistics.  Returns (weights,
+        mean, noise blocks, dense noise precision).
 
-    def draw_mean(self, weights: np.ndarray, lat: LatentStats, prec: np.ndarray,
-                  rng: Rng) -> np.ndarray:
-        post_chol, post_mean = self.mean_natural(weights, lat, prec)
-        return _draw_from_natural(post_chol, post_mean,
-                                  rng.generator.standard_normal(post_mean.size))
-
-    def draw_weight_column(self, weights: np.ndarray, mean: np.ndarray,
-                           lat: LatentStats, prec: np.ndarray, i: int,
-                           rng: Rng) -> np.ndarray:
-        post_chol, post_mean = self.weight_natural(weights, mean, lat, prec, i)
-        return _draw_from_natural(post_chol, post_mean,
-                                  rng.generator.standard_normal(post_mean.size))
+        The random numbers are consumed in that order: each noise block's
+        Bartlett factor, D normals for the mean, D normals per column."""
+        draws = [sample_inverse_wishart_pair(rng, scale, dof)
+                 for scale, dof in self.noise_conditionals(
+                     self.residual_scatter(weights, mean, lat))]
+        noise = [cov for cov, _ in draws]
+        prec = block_diagonal([block_prec for _, block_prec in draws])
+        factors = self.precision_factors(prec, np.diag(lat.gram))
+        normal = rng.generator.standard_normal
+        dim = self.stats.dim
+        mean = self.factor_solve(factors, 0, self.mean_rhs(weights, lat, prec),
+                                 normal(dim))
+        weights = weights.copy()
+        for i in range(weights.shape[1]):
+            weights[:, i] = self.factor_solve(
+                factors, i + 1, self.weight_rhs(weights, mean, lat, prec, i), normal(dim))
+        return weights, mean, noise, prec
 
     def draw_latent(self, weights: np.ndarray, mean: np.ndarray, prec: np.ndarray,
                     rng: Rng | None) -> LatentStats:
@@ -237,7 +242,8 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     with ``config.warm_start``, at :func:`warm_start_point` with the latent
     statistics at their conditional means.  Deterministic given (seed,
     config, stats): reruns reproduce the chain bit for bit.  A sweep costs
-    O(D^3 d) whatever the column count.
+    O(d sum_b h_b^3) over the factor blocks h_b (O(d D^3) when the priors
+    couple the views) whatever the column count.
     """
     rng = Rng(config.seed, stream=1)
     kernel = _Kernel(stats, priors)
@@ -245,7 +251,8 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     n_records = config.n_records
     if config.warm_start:
         weights, mean, noise = warm_start_point(stats, priors)
-        lat = kernel.draw_latent(weights, mean, _block_precision(noise), None)
+        prec = block_diagonal([spd_inverse(blk, "noise_cov") for blk in noise])
+        lat = kernel.draw_latent(weights, mean, prec, None)
     else:
         weights, mean, noise = _prior_point(priors, rng)
         lat = kernel.draw_prior_latent(d, rng)
@@ -257,12 +264,7 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     start = time.perf_counter()
     record = 0
     for sweep in range(1, config.n_samples + 1):
-        noise = kernel.draw_noise(weights, mean, lat, rng)
-        prec = _block_precision(noise)
-        mean = kernel.draw_mean(weights, lat, prec, rng)
-        # weight columns, refreshed in place within the sweep
-        for i in range(d):
-            weights[:, i] = kernel.draw_weight_column(weights, mean, lat, prec, i, rng)
+        weights, mean, noise, prec = kernel.transition(weights, mean, lat, rng)
         lat = kernel.draw_latent(weights, mean, prec, rng)
 
         kept = sweep > config.n_burn and (sweep - config.n_burn) % config.thinning == 0
@@ -276,7 +278,9 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
 
     return GibbsChain(weight_samples=weight_samples, mean_samples=mean_samples,
                       noise_samples=noise_samples, view_dims=priors.view_dims,
-                      config=config, elapsed_s=elapsed)
+                      config=config, elapsed_s=elapsed,
+                      factor_blocks=tuple(sl.stop - sl.start
+                                          for sl in priors.factor_slices))
 
 
 def effective_sample_size(draws: np.ndarray) -> float:

@@ -169,6 +169,7 @@ def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> 
         "dim": total_dim,
         "latent_dim": d,
         "view_dims": list(chain.view_dims),
+        "factor_blocks": list(chain.factor_blocks),
         "arrays": _save_arrays(directory, arrays),
         "config": {
             "n_samples": chain.config.n_samples,
@@ -198,7 +199,8 @@ def load_chain(directory) -> GibbsChain:
                          warm_start=cfg.get("warm_start", False))
     return GibbsChain(weight_samples=_load_array(directory, "w_samples"),
                       mean_samples=_load_array(directory, "mu_samples"),
-                      noise_samples=noise, view_dims=view_dims, config=config)
+                      noise_samples=noise, view_dims=view_dims, config=config,
+                      factor_blocks=tuple(manifest.get("factor_blocks", ())))
 
 
 def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = None) -> Path:

@@ -20,6 +20,12 @@ and the log joint see the data only through its statistics
 (:class:`LatentStats`).  :class:`Conditionals` and :func:`latent_natural`
 are the one implementation of that algebra: the Gibbs engine evaluates it
 at drawn latent statistics, the variational engine at its expected ones.
+
+The noise precision is block-diagonal across views.  When the mean and
+weight priors are too (the default), so is every mean and weight-column
+conditional precision, and each is factored per view
+(:attr:`PriorHyper.factor_slices`); a prior that couples the views makes
+the partition one block of all D rows.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .rng import (
     chol_logdet,
     inverse_wishart_logpdf,
     mvn_logpdf,
+    solve_lower,
     spd_cholesky,
     spd_inverse,
     symmetrize,
@@ -135,6 +142,17 @@ class PriorHyper:
         """Lower Cholesky factor of the weight-column prior covariance."""
         return spd_cholesky(self.weight_cov, "weight_cov")
 
+    @cached_property
+    def factor_slices(self) -> list[slice]:
+        """Row blocks on which the mean and weight-column conditional
+        precisions are block-diagonal: the view slices when ``mean_cov`` and
+        ``weight_cov`` have exactly zero cross-view blocks, otherwise one
+        block of all D rows."""
+        views = view_slices(self.view_dims)
+        coupled = any(np.any(cov[a, b]) for cov in (self.mean_cov, self.weight_cov)
+                      for a in views for b in views if a != b)
+        return [slice(0, self.dim)] if coupled else views
+
 
 @dataclass(frozen=True)
 class LatentStats:
@@ -175,9 +193,12 @@ class Conditionals:
     conditionals of the mean and of each weight column, on one set of data
     statistics and given latent statistics.
 
-    ``prec`` is the dense block-diagonal noise precision; the mean and
-    weight conditionals return (chol of the conditional precision,
-    conditional mean).  The residual scatter does not read ``priors``."""
+    ``prec`` is the dense block-diagonal noise precision.  The Gaussian
+    conditionals are held as right-hand sides (precision times mean) and
+    the Cholesky factors of their precisions on the factor blocks
+    (:meth:`precision_factors`); :meth:`factor_solve` turns the two into a
+    conditional mean or a draw.  The residual scatter does not read
+    ``priors``."""
 
     def __init__(self, stats: HankelStats, priors: PriorHyper):
         self.stats = stats
@@ -185,37 +206,39 @@ class Conditionals:
         self.slices = view_slices(stats.view_dims)
 
     def residual_scatter(self, weights: np.ndarray, mean: np.ndarray,
-                         lat: LatentStats) -> np.ndarray:
-        """sum_n (x_n - mean - W z_n)(x_n - mean - W z_n)^T, expanded about
-        the row means so only D x D and D x d arrays appear."""
+                         lat: LatentStats) -> list[np.ndarray]:
+        """Per-view diagonal blocks of sum_n (x_n - mean - W z_n)(x_n - mean
+        - W z_n)^T, expanded about the row means so only D_m x D_m and
+        D_m x d arrays appear."""
         dev = self.stats.row_mean - mean
         fitted = weights @ lat.total
-        scatter = self.stats.gram + self.stats.n_cols * np.outer(dev, dev)
-        scatter -= lat.cross @ weights.T + weights @ lat.cross.T
-        scatter -= np.outer(dev, fitted) + np.outer(fitted, dev)
-        scatter += weights @ lat.gram @ weights.T
-        return symmetrize(scatter)
+        blocks = []
+        for sl in self.slices:
+            w = weights[sl]
+            cross = lat.cross[sl] @ w.T
+            outer = np.outer(dev[sl], fitted[sl])
+            scatter = self.stats.gram[sl, sl] + self.stats.n_cols * np.outer(dev[sl], dev[sl])
+            scatter -= cross + cross.T
+            scatter -= outer + outer.T
+            scatter += w @ lat.gram @ w.T
+            blocks.append(symmetrize(scatter))
+        return blocks
 
-    def noise_conditionals(self, scatter: np.ndarray,
+    def noise_conditionals(self, scatter: list[np.ndarray],
                            ) -> list[tuple[np.ndarray, float]]:
         """Per-view (scale, dof) of the inverse-Wishart conditional given the
-        residual scatter."""
-        return [(symmetrize(scale0 + scatter[sl, sl]), dof0 + self.stats.n_cols)
-                for sl, scale0, dof0 in zip(self.slices, self.priors.noise_scale,
-                                            self.priors.noise_dof)]
+        per-view blocks of the residual scatter."""
+        return [(symmetrize(scale0 + block), dof0 + self.stats.n_cols)
+                for block, scale0, dof0 in zip(scatter, self.priors.noise_scale,
+                                               self.priors.noise_dof)]
 
-    def mean_natural(self, weights: np.ndarray, lat: LatentStats,
-                     prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(chol of conditional precision, conditional mean) for the mean."""
-        n = self.stats.n_cols
-        prior_prec, prior_rhs = self.priors.mean_prior
-        post_chol = spd_cholesky(symmetrize(n * prec + prior_prec),
-                                 "mean conditional precision")
-        # sum over columns of (x_n - W z_n)
-        demeaned_sum = n * self.stats.row_mean - weights @ lat.total
-        post_mean = cho_solve((post_chol, True), prec @ demeaned_sum + prior_rhs,
-                              check_finite=False)
-        return post_chol, post_mean
+    def mean_rhs(self, weights: np.ndarray, lat: LatentStats,
+                 prec: np.ndarray) -> np.ndarray:
+        """Conditional precision times conditional mean of the mean:
+        prec @ sum_n (x_n - W z_n) plus the prior precision times the prior
+        location."""
+        demeaned_sum = self.stats.n_cols * self.stats.row_mean - weights @ lat.total
+        return prec @ demeaned_sum + self.priors.mean_prior[1]
 
     def weight_rhs(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
                    prec: np.ndarray, i: int) -> np.ndarray:
@@ -226,17 +249,42 @@ class Conditionals:
                      - weights @ lat.gram[:, i] + weights[:, i] * lat.gram[i, i])
         return prec @ data_term + self.priors.weight_prior[1]
 
-    def weight_natural(self, weights: np.ndarray, mean: np.ndarray,
-                       lat: LatentStats, prec: np.ndarray, i: int,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(chol of conditional precision, conditional mean) for weight column i."""
-        post_chol = spd_cholesky(symmetrize(lat.gram[i, i] * prec
-                                            + self.priors.weight_prior[0]),
-                                 "weight conditional precision")
-        post_mean = cho_solve((post_chol, True),
-                              self.weight_rhs(weights, mean, lat, prec, i),
-                              check_finite=False)
-        return post_chol, post_mean
+    def precision_factors(self, prec: np.ndarray, sq_sums: np.ndarray,
+                          ) -> list[np.ndarray]:
+        """Lower Cholesky factors of the mean's conditional precision
+        N prec + P_mu and of each weight column's s_i prec + P0, for
+        s_i = ``sq_sums[i]`` = (Z Z^T)_ii: per factor block one
+        (1 + len(sq_sums)) x h x h stack, the mean's first, factored in
+        one call."""
+        scales = np.concatenate([[self.stats.n_cols], sq_sums])[:, None, None]
+        mean_prior, weight_prior = self.priors.mean_prior[0], self.priors.weight_prior[0]
+        factors = []
+        for sl in self.priors.factor_slices:
+            stack = scales * prec[sl, sl]
+            stack[0] += mean_prior[sl, sl]
+            stack[1:] += weight_prior[sl, sl]
+            try:
+                factors.append(np.linalg.cholesky(stack))
+            except np.linalg.LinAlgError:
+                for k, mat in enumerate(stack):
+                    spd_cholesky(mat, "mean conditional precision" if k == 0
+                                 else "weight conditional precision")
+                raise
+        return factors
+
+    def factor_solve(self, factors: list[np.ndarray], k: int, rhs: np.ndarray,
+                     white: np.ndarray | None = None) -> np.ndarray:
+        """P^-1 rhs for the precision P whose block factors L are entry
+        ``k`` of ``factors`` (0 the mean, i + 1 weight column i), by two
+        triangular solves per block: L^-T (L^-1 rhs + white).  A
+        standard-normal ``white`` makes it a draw from N(P^-1 rhs, P^-1)."""
+        out = np.empty_like(rhs)
+        for sl, chol in zip(self.priors.factor_slices, factors):
+            half = solve_lower(chol[k], rhs[sl])
+            if white is not None:
+                half += white[sl]
+            out[sl] = solve_lower(chol[k], half, transpose=True)
+        return out
 
     def weight_basis(self, prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, lam) diagonalizing the weight prior precision P0 and ``prec``
@@ -301,11 +349,11 @@ def log_joint(stats: HankelStats, lat: LatentStats, weights: np.ndarray,
     scatter = Conditionals(stats, priors).residual_scatter(weights, mean, lat)
 
     total = 0.0
-    for sl, cov in zip(view_slices(stats.view_dims), noise_cov):
+    for block, cov in zip(scatter, noise_cov):
         dim = cov.shape[0]
         chol = spd_cholesky(cov, "noise_cov")
         total += -0.5 * n * (dim * np.log(2.0 * np.pi) + chol_logdet(chol))
-        total += -0.5 * float(np.trace(cho_solve((chol, True), scatter[sl, sl],
+        total += -0.5 * float(np.trace(cho_solve((chol, True), block,
                                                  check_finite=False)))
 
     # standard-normal latent prior

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import multigammaln
+from scipy.linalg.lapack import dtrtrs
+from scipy.special import gammaln
 
 __all__ = [
     "Rng",
@@ -22,12 +23,15 @@ __all__ = [
     "spd_cholesky",
     "spd_inverse",
     "chol_inverse",
+    "solve_lower",
     "chol_logdet",
     "validate_spd",
     "psd_factor",
     "sample_mvn",
     "sample_wishart",
     "sample_inverse_wishart",
+    "sample_inverse_wishart_pair",
+    "log_multigamma",
     "mvn_logpdf",
     "wishart_logpdf",
     "inverse_wishart_logpdf",
@@ -118,6 +122,17 @@ def chol_inverse(chol: np.ndarray) -> np.ndarray:
                                 check_finite=False))
 
 
+def solve_lower(lower: np.ndarray, rhs: np.ndarray, transpose: bool = False,
+                ) -> np.ndarray:
+    """lower^-1 rhs, or lower^-T rhs with ``transpose``, for a C-ordered
+    lower-triangular ``lower`` with a nonzero diagonal (a Cholesky or
+    Bartlett factor).  Calls LAPACK ``trtrs`` on the Fortran-ordered
+    transpose directly, as ``solve_triangular`` does, without its
+    per-call checks: the sweeps solve many small systems."""
+    out, _ = dtrtrs(lower.T, rhs, lower=0, trans=0 if transpose else 1)
+    return out
+
+
 def chol_logdet(chol: np.ndarray) -> float:
     """ln |A| from the Cholesky factor of A."""
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -184,6 +199,18 @@ def sample_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarray:
     return symmetrize(factor @ factor.T)
 
 
+def _inverse_wishart_factors(rng: Rng, scale: np.ndarray, dof: float,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """(L, A): the lower Cholesky factor of ``scale`` and a Bartlett factor
+    of Wishart(I, dof), from which an InverseWishart(scale, dof) draw is
+    L A^-T A^-1 L^T."""
+    scale = np.asarray(scale, dtype=float)
+    dim = scale.shape[0]
+    if dof <= dim - 1:
+        raise ValueError(f"inverse-Wishart dof must exceed dim - 1 = {dim - 1}, got {dof}")
+    return spd_cholesky(scale, "scale"), _bartlett_factor(rng, dim, dof)
+
+
 def sample_inverse_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarray:
     """One draw from InverseWishart(scale, dof).
 
@@ -191,15 +218,31 @@ def sample_inverse_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarra
     computed through triangular solves only (no general inverse).  The mean
     is scale / (dof - dim - 1) when dof > dim + 1.
     """
-    scale = np.asarray(scale, dtype=float)
-    dim = scale.shape[0]
-    if dof <= dim - 1:
-        raise ValueError(f"inverse-Wishart dof must exceed dim - 1 = {dim - 1}, got {dof}")
-    chol = spd_cholesky(scale, "scale")
-    bart = _bartlett_factor(rng, dim, dof)
-    # draw = L A^-T A^-1 L^T where L L^T = scale and A A^T ~ Wishart(I, dof)
-    m = solve_triangular(bart, chol.T, lower=True)
+    chol, bart = _inverse_wishart_factors(rng, scale, dof)
+    m = solve_lower(bart, chol.T)
     return symmetrize(m.T @ m)
+
+
+def sample_inverse_wishart_pair(rng: Rng, scale: np.ndarray, dof: float,
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """(draw, its inverse): the draw of :func:`sample_inverse_wishart`, with
+    the same random numbers, and its inverse from the same factors,
+    (L^-T A)(L^-T A)^T, by one more triangular solve instead of a
+    factorization of the draw."""
+    chol, bart = _inverse_wishart_factors(rng, scale, dof)
+    m = solve_lower(bart, chol.T)
+    root = solve_lower(chol, bart, transpose=True)
+    return symmetrize(m.T @ m), symmetrize(root @ root.T)
+
+
+def log_multigamma(a: float, dim: int) -> float:
+    """ln Gamma_dim(a) = dim (dim - 1) / 4 ln pi + sum_j ln Gamma(a - j / 2)
+    over j < dim; equal to ``scipy.special.multigammaln`` without its
+    Python list of terms."""
+    if a <= 0.5 * (dim - 1):
+        raise ValueError(f"log_multigamma needs a > (dim - 1) / 2, got a = {a}, dim = {dim}")
+    return float((dim * (dim - 1) * 0.25) * np.log(np.pi)
+                 + np.sum(gammaln(a - 0.5 * np.arange(dim))))
 
 
 def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -227,7 +270,7 @@ def wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> float:
         - 0.5 * trace_term
         - 0.5 * dof * dim * np.log(2.0)
         - 0.5 * dof * chol_logdet(chol_s)
-        - multigammaln(0.5 * dof, dim)
+        - log_multigamma(0.5 * dof, dim)
     )
 
 
@@ -246,5 +289,5 @@ def inverse_wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> floa
         - 0.5 * trace_term
         + 0.5 * dof * chol_logdet(chol_s)
         - 0.5 * dof * dim * np.log(2.0)
-        - multigammaln(0.5 * dof, dim)
+        - log_multigamma(0.5 * dof, dim)
     )

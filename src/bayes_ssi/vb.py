@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import multigammaln, psi
+from scipy.special import psi
 
 from .gibbs import warm_start_point
 from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
-from .rng import Rng, chol_inverse, chol_logdet, spd_cholesky, spd_inverse
+from .rng import Rng, chol_inverse, chol_logdet, log_multigamma, spd_cholesky, spd_inverse
 from .subspace import HankelStats
 
 __all__ = [
@@ -107,6 +107,7 @@ class VBPosterior:
     weight_eigs: np.ndarray          # d x D
     mean_loc: np.ndarray             # D
     mean_cov: np.ndarray             # D x D
+    mean_cov_logdet: float           # ln |mean_cov|
     noise_scale: list[np.ndarray]    # per view
     noise_dof: list[float]           # per view
     view_dims: tuple[int, ...]
@@ -145,16 +146,15 @@ def _expected_logdet_precision(scale_logdet: float, dim: int, dof: float) -> flo
 def _wishart_log_norm(scale_logdet: float, dof: float, dim: int) -> float:
     """Log normalizer of a Wishart density on the precision, for an
     inverse-Wishart scale with log determinant ``scale_logdet``."""
-    return 0.5 * dof * (scale_logdet - dim * np.log(2.0)) - multigammaln(0.5 * dof, dim)
+    return 0.5 * dof * (scale_logdet - dim * np.log(2.0)) - log_multigamma(0.5 * dof, dim)
 
 
-def _gaussian_kl(dev: np.ndarray, cov: np.ndarray, prior_prec: np.ndarray,
-                 prior_logdet: float) -> float:
-    """KL(N(loc + dev, cov) || N(loc, prior_prec^-1)), with ``prior_logdet``
-    = ln |prior_prec^-1|."""
+def _gaussian_kl(dev: np.ndarray, cov: np.ndarray, cov_logdet: float,
+                 prior_prec: np.ndarray, prior_logdet: float) -> float:
+    """KL(N(loc + dev, cov) || N(loc, prior_prec^-1)), with ``cov_logdet``
+    = ln |cov| and ``prior_logdet`` = ln |prior_prec^-1|."""
     return 0.5 * (float(dev @ prior_prec @ dev) + float(np.sum(prior_prec * cov))
-                  - dev.size + prior_logdet
-                  - chol_logdet(spd_cholesky(cov, "factor cov")))
+                  - dev.size + prior_logdet - cov_logdet)
 
 
 def _expected_precision(post: VBPosterior) -> np.ndarray:
@@ -195,15 +195,18 @@ class _Kernel(Conditionals):
         gram = post.latent_map @ cross + n * np.outer(shift, shift) + n * cov
         return LatentStats(cross=cross, gram=gram, total=n * shift)
 
-    def expected_scatter(self, post: VBPosterior, lat: LatentStats) -> np.ndarray:
-        """sum_n E[(x_n - mu - W z_n)(x_n - mu - W z_n)^T]: the residual
-        scatter at the expected statistics plus the mean factor's covariance
-        and each weight column's covariance times E[sum_n z_in^2]."""
-        scatter = self.residual_scatter(post.weight_mean, post.mean_loc, lat)
-        scatter += self.stats.n_cols * post.mean_cov
+    def expected_scatter(self, post: VBPosterior, lat: LatentStats,
+                         ) -> list[np.ndarray]:
+        """Per-view diagonal blocks of sum_n E[(x_n - mu - W z_n)(x_n - mu -
+        W z_n)^T]: the residual scatter at the expected statistics plus the
+        mean factor's covariance and each weight column's covariance times
+        E[sum_n z_in^2]."""
+        n = self.stats.n_cols
         basis = post.weight_basis
-        scatter += (basis * (np.diag(lat.gram) @ post.weight_eigs)) @ basis.T
-        return scatter
+        weighted = basis * (np.diag(lat.gram) @ post.weight_eigs)
+        return [block + n * post.mean_cov[sl, sl] + weighted[sl] @ basis[sl].T
+                for sl, block in zip(self.slices, self.residual_scatter(
+                    post.weight_mean, post.mean_loc, lat))]
 
     def update_latent(self, post: VBPosterior, psi: np.ndarray) -> None:
         # E[W^T Psi W] adds tr(Psi Sigma_w_i) = e_i . diag(B^T Psi B) to
@@ -233,9 +236,13 @@ class _Kernel(Conditionals):
         post.noise_dof = [dof for _, dof in params]
 
     def update_mean(self, post: VBPosterior, psi: np.ndarray) -> None:
-        post_chol, post.mean_loc = self.mean_natural(post.weight_mean,
-                                                     self.latent_stats(post), psi)
-        post.mean_cov = chol_inverse(post_chol)
+        """One factorization of N Psi + P_mu on the factor blocks gives the
+        mean, the covariance and its log determinant."""
+        factors = self.precision_factors(psi, np.empty(0))
+        post.mean_loc = self.factor_solve(
+            factors, 0, self.mean_rhs(post.weight_mean, self.latent_stats(post), psi))
+        post.mean_cov = block_diagonal([chol_inverse(chol[0]) for chol in factors])
+        post.mean_cov_logdet = -sum(chol_logdet(chol[0]) for chol in factors)
 
     def elbo(self, post: VBPosterior, psi: np.ndarray) -> float:
         """Expected log likelihood minus each surrogate factor's KL
@@ -252,12 +259,13 @@ class _Kernel(Conditionals):
                                                    post.noise_dof)]
 
         value = 0.5 * n * (sum(e_logdets) - self.stats.dim * np.log(2.0 * np.pi))
-        value -= 0.5 * float(np.sum(psi * self.expected_scatter(post, lat)))
+        value -= 0.5 * sum(float(np.sum(psi[sl, sl] * block)) for sl, block
+                           in zip(self.slices, self.expected_scatter(post, lat)))
         # latent factors against N(0, I), summed over the columns
         latent_logdet = chol_logdet(spd_cholesky(post.latent_cov, "latent factor cov"))
         value -= 0.5 * (float(np.trace(lat.gram)) - n * d - n * latent_logdet)
         value -= _gaussian_kl(post.mean_loc - priors.mean_loc, post.mean_cov,
-                              priors.mean_prior[0], mean_logdet)
+                              post.mean_cov_logdet, priors.mean_prior[0], mean_logdet)
         # weight columns against their prior: B^T P0 B = I makes the trace
         # term sum(e_i) and ln |P0^-1| - ln |Sigma_w_i| = -sum(ln e_i)
         dev = post.weight_mean - priors.weight_loc[:, None]
@@ -316,6 +324,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
         weight_eigs=weight_eigs,
         mean_loc=stats.row_mean.copy(),
         mean_cov=1e-10 * np.eye(total_dim),
+        mean_cov_logdet=total_dim * np.log(1e-10),
         noise_scale=noise_scale,
         noise_dof=noise_dof,
         view_dims=priors.view_dims,

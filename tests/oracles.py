@@ -308,6 +308,52 @@ def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
     return out_mean, out_weights, out_noise
 
 
+def gibbs_transition_dense(stats, priors, weights, mean, lat, rng):
+    """The sampler's noise, mean and weight-column draws given the latent
+    statistics ``lat``, the unblocked way: the full D x D residual scatter,
+    the noise precision by inverting each drawn block, and one dense
+    D x D Cholesky factor per conditional.  Consumes ``rng`` in the
+    sampler's order (both noise blocks, D normals for the mean, D per
+    column) and returns (weights, mean, noise blocks, dense precision)."""
+    from bayes_ssi.rng import sample_inverse_wishart
+
+    def sym(a):
+        return 0.5 * (a + a.T)
+
+    def spd_inv(a):
+        return sym(sla.cho_solve((np.linalg.cholesky(sym(a)), True), np.eye(a.shape[0])))
+
+    def draw(post_prec, rhs):
+        chol = np.linalg.cholesky(sym(post_prec))
+        loc = sla.cho_solve((chol, True), rhs)
+        white = rng.generator.standard_normal(rhs.size)
+        return loc + sla.solve_triangular(chol.T, white, lower=False)
+
+    n = stats.n_cols
+    dev = stats.row_mean - mean
+    fitted = weights @ lat.total
+    scatter = sym(stats.gram + n * np.outer(dev, dev)
+                  - lat.cross @ weights.T - weights @ lat.cross.T
+                  - np.outer(dev, fitted) - np.outer(fitted, dev)
+                  + weights @ lat.gram @ weights.T)
+    noise = [sample_inverse_wishart(rng, sym(scale0 + scatter[sl, sl]), dof0 + n)
+             for sl, scale0, dof0 in zip(_view_slices(stats.view_dims),
+                                         priors.noise_scale, priors.noise_dof)]
+    prec = sla.block_diag(*[spd_inv(blk) for blk in noise])
+
+    mean_prior_prec = spd_inv(priors.mean_cov)
+    weight_prior_prec = spd_inv(priors.weight_cov)
+    mean = draw(n * prec + mean_prior_prec,
+                prec @ (n * stats.row_mean - fitted) + mean_prior_prec @ priors.mean_loc)
+    weights = weights.copy()
+    for i in range(weights.shape[1]):
+        data = (lat.cross[:, i] + (stats.row_mean - mean) * lat.total[i]
+                - weights @ lat.gram[:, i] + weights[:, i] * lat.gram[i, i])
+        weights[:, i] = draw(lat.gram[i, i] * prec + weight_prior_prec,
+                             prec @ data + weight_prior_prec @ priors.weight_loc)
+    return weights, mean, noise, prec
+
+
 def propagate_and_align_loop(samples, n_channels, dt, reference,
                              mac_threshold=0.8, freq_gate=0.1, mac_decimals=12):
     """Posterior draws propagated and aligned one draw at a time.

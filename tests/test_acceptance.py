@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from bayes_ssi.cli import main as cli_main
-from bayes_ssi.gibbs import GibbsConfig, run_gibbs, _block_precision, _prior_point
+from bayes_ssi.gibbs import GibbsConfig, run_gibbs, _prior_point
 from bayes_ssi.io import read_matrix_csv
 from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
 from bayes_ssi.modal_posterior import (
@@ -34,7 +34,13 @@ from bayes_ssi.vb import VBConfig, VBPosterior, latent_means, run_vb, _expected_
 from bayes_ssi.vb import _Kernel as VBKernel
 
 import oracles
-from explicit import explicit_kernel, weight_cov
+from explicit import (
+    block_precision,
+    explicit_kernel,
+    mean_conditional,
+    weight_conditional,
+    weight_cov,
+)
 
 FULL_PROFILE = os.environ.get("BAYES_SSI_FULL_ACCEPTANCE", "") not in ("", "0")
 BLOCK_ROWS = 15
@@ -225,12 +231,7 @@ def test_criterion_5_getting_it_right():
     chain = np.empty((n_iter, 6))
     for k in range(n_iter):
         kernel, lat = explicit_kernel(x, view_dims, priors, latent)
-        noise = kernel.draw_noise(weights, mean, lat, chain_rng)
-        prec = _block_precision(noise)
-        mean = kernel.draw_mean(weights, lat, prec, chain_rng)
-        for i in range(d):
-            weights[:, i] = kernel.draw_weight_column(weights, mean, lat, prec, i,
-                                                      chain_rng)
+        weights, mean, noise, prec = kernel.transition(weights, mean, lat, chain_rng)
         # explicit latent draw Z = A (X - mu 1^T) + L^-T E
         chol, proj = latent_natural(weights, prec)
         latent = proj @ (x - mean[:, None]) + solve_triangular(
@@ -266,7 +267,7 @@ def test_criterion_6_conditional_and_subspace_oracles():
     weights = gen.standard_normal((5, 2))
     mean = gen.standard_normal(5)
     x = gen.standard_normal((5, n))
-    chol, proj = latent_natural(weights, _block_precision(noise))
+    chol, proj = latent_natural(weights, block_precision(noise))
     means = proj @ (x - mean[:, None])
     cov = chol_inverse(chol)
     full_cov = np.zeros((5, 5))
@@ -315,13 +316,13 @@ def test_criterion_7_vb_gibbs_degeneracy():
         latent_centre=np.zeros(4),
         weight_mean=weights.copy(), weight_basis=np.eye(4),
         weight_eigs=np.zeros((d, 4)),
-        mean_loc=mean.copy(), mean_cov=np.zeros((4, 4)),
+        mean_loc=mean.copy(), mean_cov=np.zeros((4, 4)), mean_cov_logdet=-np.inf,
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs, view_dims=view_dims,
     )
 
     kernel.update_latent(post, _expected_precision(post))
-    chol, proj = latent_natural(weights, _block_precision(noise))
+    chol, proj = latent_natural(weights, block_precision(noise))
     latent = proj @ (x - mean[:, None])
     assert np.max(np.abs(post.latent_cov - chol_inverse(chol))) < 1e-10
     assert np.max(np.abs(latent_means(post, x) - latent)) < 1e-10
@@ -331,9 +332,9 @@ def test_criterion_7_vb_gibbs_degeneracy():
     # every column in one update, each mean refreshed in order
     kernel.update_weights(post, _expected_precision(post), True)
     for i in range(d):
-        chol, w_mean = gibbs_kernel.weight_natural(weights, mean, lat,
-                                                   _block_precision(noise), i)
-        assert np.max(np.abs(weight_cov(post)[i] - chol_inverse(chol))) < 1e-10
+        cov, w_mean = weight_conditional(gibbs_kernel, weights, mean, lat,
+                                         block_precision(noise), i)
+        assert np.max(np.abs(weight_cov(post)[i] - cov)) < 1e-10
         assert np.max(np.abs(post.weight_mean[:, i] - w_mean)) < 1e-10
         weights[:, i] = w_mean
     post.weight_eigs[:] = 0.0
@@ -349,8 +350,8 @@ def test_criterion_7_vb_gibbs_degeneracy():
     noise = [scale / dof for scale, dof in conds]
 
     kernel.update_mean(post, _expected_precision(post))
-    chol, m_mean = gibbs_kernel.mean_natural(weights, lat, _block_precision(noise))
-    assert np.max(np.abs(post.mean_cov - chol_inverse(chol))) < 1e-10
+    cov, m_mean = mean_conditional(gibbs_kernel, weights, lat, block_precision(noise))
+    assert np.max(np.abs(post.mean_cov - cov)) < 1e-10
     assert np.max(np.abs(post.mean_loc - m_mean)) < 1e-10
 
 

@@ -147,6 +147,28 @@ class TestIdentify:
         assert diag["n_records"] == 4000
         assert diag["ms_per_sweep"] > 0
 
+    @pytest.mark.parametrize("weight_cov, blocks", [(None, [4, 4]),
+                                                    ("dense", [8])])
+    def test_gibbs_factor_blocks_in_manifest(self, tmp_path, weight_cov, blocks):
+        # default priors factor per view; a weight prior that couples the
+        # views makes one block of all D = 8 rows
+        raw = tmp_path / "tiny.csv"
+        np.savetxt(raw, np.random.default_rng(6).standard_normal((200, 2)),
+                   delimiter=",")
+        extra = ()
+        if weight_cov == "dense":
+            priors_file = tmp_path / "priors.json"
+            cov = 0.5 * np.eye(8) + 0.1 * np.ones((8, 8))
+            priors_file.write_text(json.dumps({"weight_cov": cov.tolist()}))
+            extra = ("--priors", priors_file)
+        out = tmp_path / "gibbs"
+        code = run_cli("identify", "--input", raw, "--fs", 10.0,
+                       "--block-rows", 2, "--order", 2, "--engine", "gibbs",
+                       "--samples", 20, "--seed", 4, *extra, "--out", out)
+        assert code == 0
+        diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
+        assert diag["factor_blocks"] == blocks
+
     def test_rerun_byte_identical_numeric_artifacts(self, sim_dir, tmp_path):
         args = ("identify", "--input", sim_dir / "response.csv",
                 "--block-rows", 8, "--order", 4, "--engine", "vb",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,13 @@ from bayes_ssi.gibbs import (
     split_rhat,
     warm_start_point,
     _Kernel,
-    _block_precision,
 )
 from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
-from bayes_ssi.rng import Rng, chol_inverse, sample_inverse_wishart
+from bayes_ssi.rng import NotPositiveDefiniteError, Rng, chol_inverse, sample_inverse_wishart
 from bayes_ssi.subspace import HankelStats
 
 import oracles
-from explicit import explicit_kernel
+from explicit import block_precision, explicit_kernel, mean_conditional, weight_conditional
 
 
 def single_view_priors(dim, d, noise_scale=2.0, noise_dof=8.0,
@@ -107,10 +108,10 @@ class TestMeanConditional:
         priors = default_priors(2, 2, d)
         kernel, lat = explicit_kernel(weights @ latent, (2, 2), priors, latent)
         noise = [0.5 * np.eye(2), 2.0 * np.eye(2)]
-        chol, mean = kernel.mean_natural(weights, lat, _block_precision(noise))
+        cov, mean = mean_conditional(kernel, weights, lat, block_precision(noise))
         assert mean == pytest.approx(np.zeros(4), abs=1e-10)
         prec = np.diag([n / 0.5, n / 0.5, n / 2.0, n / 2.0]) + np.eye(4)
-        assert chol_inverse(chol) == pytest.approx(np.linalg.inv(prec))
+        assert cov == pytest.approx(np.linalg.inv(prec))
 
     def test_large_n_approaches_demeaned_average(self):
         # Sigma = I, prior I: posterior mean -> sample mean of (x - W z)
@@ -122,7 +123,7 @@ class TestMeanConditional:
         truth = np.array([0.7, -0.4])
         x = weights @ latent + truth[:, None] + gen.standard_normal((2, n))
         kernel, lat = explicit_kernel(x, (1, 1), priors, latent)
-        _, mean = kernel.mean_natural(weights, lat, np.eye(2))
+        _, mean = mean_conditional(kernel, weights, lat, np.eye(2))
         target = (x - weights @ latent).mean(axis=1)
         assert mean == pytest.approx(target, abs=3 / np.sqrt(n))
 
@@ -134,11 +135,11 @@ class TestMeanConditional:
         x = gen.standard_normal((1, n)) + 2.0
         weights, _, noise, latent = toy_state(gen, (1,), 1, n, noise=[np.array([[0.5]])])
         kernel, lat = explicit_kernel(x, (1,), priors, latent)
-        chol, mean = kernel.mean_natural(weights, lat, _block_precision(noise))
+        cov, mean = mean_conditional(kernel, weights, lat, block_precision(noise))
         demeaned = x - weights @ latent
         prec = n / 0.5 + 1 / 4.0
         expected_mean = (demeaned.sum() / 0.5) / prec
-        assert chol_inverse(chol)[0, 0] == pytest.approx(1 / prec, rel=1e-12)
+        assert cov[0, 0] == pytest.approx(1 / prec, rel=1e-12)
         assert mean[0] == pytest.approx(expected_mean, rel=1e-12)
 
 
@@ -151,10 +152,10 @@ class TestWeightConditional:
         latent[0] = 0.0
         kernel, lat = explicit_kernel(gen.standard_normal((4, n)), (2, 2), priors,
                                       latent)
-        chol, col_mean = kernel.weight_natural(weights, mean, lat,
-                                               _block_precision(noise), 0)
+        cov, col_mean = weight_conditional(kernel, weights, mean, lat,
+                                           block_precision(noise), 0)
         assert col_mean == pytest.approx(priors.weight_loc)
-        assert chol_inverse(chol) == pytest.approx(priors.weight_cov)
+        assert cov == pytest.approx(priors.weight_cov)
 
     def test_matches_ridge_regression(self):
         # d = 1, one view, Sigma = I: Bayesian linear regression with
@@ -169,10 +170,10 @@ class TestWeightConditional:
         x = gen.standard_normal((dim, n))
         z = gen.standard_normal((1, n))
         kernel, lat = explicit_kernel(x, (dim,), priors, z)
-        chol, mean = kernel.weight_natural(np.zeros((dim, 1)), np.zeros(dim), lat,
-                                           np.eye(dim), 0)
+        cov, mean = weight_conditional(kernel, np.zeros((dim, 1)), np.zeros(dim), lat,
+                                       np.eye(dim), 0)
         ridge_prec = float(z[0] @ z[0]) + 1.0
-        assert chol_inverse(chol) == pytest.approx(np.eye(dim) / ridge_prec)
+        assert cov == pytest.approx(np.eye(dim) / ridge_prec)
         assert mean == pytest.approx((x @ z[0]) / ridge_prec)
 
     def test_consistency_against_planted_weights(self):
@@ -191,10 +192,10 @@ class TestWeightConditional:
             noise_scale=(np.eye(dim),), noise_dof=(dim + 2.0,),
             latent_dim=d, view_dims=(dim,))
         kernel, lat = explicit_kernel(x, (dim,), priors, z)
-        prec = _block_precision([0.01 * np.eye(dim)])
+        prec = block_precision([0.01 * np.eye(dim)])
         for i in range(d):
-            chol, mean = kernel.weight_natural(w0, np.zeros(dim), lat, prec, i)
-            sd = np.sqrt(np.diag(chol_inverse(chol)))
+            cov, mean = weight_conditional(kernel, w0, np.zeros(dim), lat, prec, i)
+            sd = np.sqrt(np.diag(cov))
             assert np.all(np.abs(mean - w0[:, i]) < 3 * sd + 1e-9)
 
 
@@ -203,7 +204,7 @@ class TestLatentConditional:
         gen = np.random.default_rng(10)
         n = 8
         x = gen.standard_normal((4, n))
-        chol, proj = latent_natural(np.zeros((4, 2)), _block_precision([np.eye(2)] * 2))
+        chol, proj = latent_natural(np.zeros((4, 2)), block_precision([np.eye(2)] * 2))
         assert chol_inverse(chol) == pytest.approx(np.eye(2))
         assert proj @ x == pytest.approx(np.zeros((2, n)))
 
@@ -212,7 +213,7 @@ class TestLatentConditional:
         gen = np.random.default_rng(11)
         n = 5
         x = gen.standard_normal((2, n))
-        chol, proj = latent_natural(np.eye(2), _block_precision([np.eye(1)] * 2))
+        chol, proj = latent_natural(np.eye(2), block_precision([np.eye(1)] * 2))
         assert chol_inverse(chol) == pytest.approx(np.eye(2) / 2)
         assert proj @ x == pytest.approx(x / 2)
 
@@ -221,7 +222,7 @@ class TestLatentConditional:
         n, d = 6, 2
         weights, mean, noise, _ = toy_state(gen, (2, 3), d, n)
         x = gen.standard_normal((5, n))
-        chol, proj = latent_natural(weights, _block_precision(noise))
+        chol, proj = latent_natural(weights, block_precision(noise))
         means = proj @ (x - mean[:, None])
         full_cov = np.zeros((5, 5))
         full_cov[:2, :2] = noise[0]
@@ -274,8 +275,10 @@ class TestRunGibbs:
         resid = x - mean[:, None] - weights @ latent
         direct = resid @ resid.T
         kernel, lat = explicit_kernel(x, (2, 3), default_priors(2, 3, 2), latent)
-        grams = kernel.residual_scatter(weights, mean, lat)
-        assert grams == pytest.approx(direct, rel=1e-10)
+        blocks = kernel.residual_scatter(weights, mean, lat)
+        assert len(blocks) == 2
+        for block, sl in zip(blocks, kernel.slices):
+            assert block == pytest.approx(direct[sl, sl], rel=1e-10)
 
     def test_subspace_angle_shrinks_with_data(self):
         # planted two-view model: the posterior-mean weight subspace
@@ -358,16 +361,18 @@ class TestStatisticsEngine:
         kernel, lat = explicit_kernel(x, view_dims, priors, z)
         rng_kernel, rng_dense = Rng(5, 0), Rng(5, 0)
 
-        noise = kernel.draw_noise(weights0, mean0, lat, rng_kernel)
+        weights, mean, noise, prec = kernel.transition(weights0, mean0, lat, rng_kernel)
         resid = x - mean0[:, None] - weights0 @ z
         for blk, sl, scale0, dof0 in zip(noise, (slice(0, 2), slice(2, 5)),
                                          priors.noise_scale, priors.noise_dof):
             expect = sample_inverse_wishart(rng_dense, scale0 + resid[sl] @ resid[sl].T,
                                             dof0 + n)
             assert _relative_gap(blk, expect) < 1e-10
-        prec = np.zeros((5, 5))
-        prec[:2, :2] = np.linalg.inv(noise[0])
-        prec[2:, 2:] = np.linalg.inv(noise[1])
+        dense_prec = np.zeros((5, 5))
+        dense_prec[:2, :2] = np.linalg.inv(noise[0])
+        dense_prec[2:, 2:] = np.linalg.inv(noise[1])
+        assert _relative_gap(prec, dense_prec) < 1e-10
+        prec = dense_prec
 
         def dense_draw(post_prec, rhs):
             loc = np.linalg.solve(post_prec, rhs)
@@ -375,18 +380,15 @@ class TestStatisticsEngine:
             return loc + solve_triangular(np.linalg.cholesky(post_prec).T, white,
                                           lower=False)
 
-        mean = kernel.draw_mean(weights0, lat, _block_precision(noise), rng_kernel)
         mean_prior_prec = np.linalg.inv(priors.mean_cov)
         dense_mean = dense_draw(n * prec + mean_prior_prec,
                                 prec @ (x - weights0 @ z).sum(axis=1)
                                 + mean_prior_prec @ priors.mean_loc)
         assert _relative_gap(mean, dense_mean) < 1e-10
 
-        weights, dense_weights = weights0.copy(), weights0.copy()
+        dense_weights = weights0.copy()
         weight_prior_prec = np.linalg.inv(priors.weight_cov)
         for i in range(d):
-            weights[:, i] = kernel.draw_weight_column(
-                weights, mean, lat, _block_precision(noise), i, rng_kernel)
             others = (x - dense_mean[:, None] - dense_weights @ z
                       + np.outer(dense_weights[:, i], z[i]))
             dense_weights[:, i] = dense_draw(
@@ -408,7 +410,7 @@ class TestStatisticsEngine:
         stats = HankelStats.from_matrix(x, view_dims)
         kernel = _Kernel(stats, default_priors(2, 3, d))
         assert kernel.factor.shape[1] == min(data_rank, n - 1)
-        prec = _block_precision(noise)
+        prec = block_precision(noise)
 
         rng = Rng(7, 0)
         fast = np.array([_flat_latent_stats(kernel.draw_latent(weights, mean, prec, rng))
@@ -481,3 +483,88 @@ class TestStatisticsEngine:
             tracemalloc.stop()
         assert chain.n_records == 2
         assert peak < data_matrix_bytes / 10
+
+
+def _coupled_priors(gen, view_dims, d):
+    """Priors whose mean and weight covariances couple the views."""
+    total = sum(view_dims)
+    base = gen.standard_normal((total, total))
+    cov = 0.2 * base @ base.T + np.eye(total)
+    default = default_priors(*view_dims, d, noise_scale=1.0)
+    return PriorHyper(mean_loc=gen.standard_normal(total), mean_cov=cov,
+                      weight_loc=0.1 * gen.standard_normal(total), weight_cov=0.5 * cov,
+                      noise_scale=default.noise_scale, noise_dof=default.noise_dof,
+                      latent_dim=d, view_dims=view_dims)
+
+
+class TestBlockedTransition:
+    @pytest.mark.parametrize("case", ["default", "coupled", "unequal"])
+    def test_matches_dense_transition(self, case):
+        # the blocked sweep against the unblocked one from one state with
+        # twin generators, 200 sweeps: every draw agrees to rounding
+        gen = np.random.default_rng(70)
+        view_dims, d, n = {"default": ((3, 3), 2, 40), "coupled": ((3, 3), 2, 40),
+                           "unequal": ((2, 3), 1, 25)}[case]
+        total = sum(view_dims)
+        w0 = gen.standard_normal((total, d))
+        x = (w0 @ gen.standard_normal((d, n)) + 0.5 * gen.standard_normal((total, n))
+             + gen.standard_normal(total)[:, None])
+        priors = (_coupled_priors(gen, view_dims, d) if case == "coupled"
+                  else default_priors(*view_dims, d, noise_scale=1.0))
+        expected_blocks = [total] if case == "coupled" else list(view_dims)
+        assert [sl.stop - sl.start for sl in priors.factor_slices] == expected_blocks
+
+        stats = HankelStats.from_matrix(x, view_dims)
+        kernel = _Kernel(stats, priors)
+        rng_ours, rng_dense = Rng(11, 1), Rng(11, 1)
+        weights, mean, _ = warm_start_point(stats, priors)
+        lat = kernel.draw_prior_latent(d, Rng(3, 0))
+        ours = (weights, mean, lat)
+        dense = (weights, mean, lat)
+        records = {"ours": [], "dense": []}
+        for _ in range(200):
+            weights, mean, noise, prec = kernel.transition(*ours, rng_ours)
+            ours = (weights, mean, kernel.draw_latent(weights, mean, prec, rng_ours))
+            records["ours"].append(np.concatenate(
+                [weights.ravel(), mean, *[blk.ravel() for blk in noise]]))
+            weights, mean, noise, prec = oracles.gibbs_transition_dense(
+                stats, priors, *dense, rng_dense)
+            dense = (weights, mean, kernel.draw_latent(weights, mean, prec, rng_dense))
+            records["dense"].append(np.concatenate(
+                [weights.ravel(), mean, *[blk.ravel() for blk in noise]]))
+        ours, dense = np.array(records["ours"]), np.array(records["dense"])
+        n_weights = total * d
+        for part in (slice(0, n_weights), slice(n_weights, n_weights + total),
+                     slice(n_weights + total, None)):
+            assert _relative_gap(ours[:, part], dense[:, part]) < 1e-10
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_indefinite_precision_names_conditional(self, coupled):
+        # a noise precision with one negative eigenvalue: N prec + P_mu
+        # stays positive definite at N = 30, s prec + P0 does not at s = 500
+        gen = np.random.default_rng(71)
+        priors = (_coupled_priors(gen, (2, 2), 2) if coupled
+                  else default_priors(2, 2, 2))
+        kernel = _Kernel(HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2)),
+                         priors)
+        prec = np.diag([1.0, 1.0, 1.0, -0.01])
+        kernel.precision_factors(prec, np.array([1.0, 2.0]))
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="weight conditional precision") as err:
+            kernel.precision_factors(prec, np.array([1.0, 500.0]))
+        assert err.value.pivot is not None
+        with pytest.raises(NotPositiveDefiniteError, match="mean conditional precision"):
+            kernel.precision_factors(np.diag([1.0, 1.0, 1.0, -1.0]), np.array([1.0, 1.0]))
+
+    def test_partition_follows_prior_structure(self):
+        base = default_priors(2, 3, 1)
+        assert base.factor_slices == [slice(0, 2), slice(2, 5)]
+        mean_cov = base.mean_cov.copy()
+        mean_cov[0, 4] = mean_cov[4, 0] = 0.1
+        coupled = dataclasses.replace(base, mean_cov=mean_cov)
+        assert coupled.factor_slices == [slice(0, 5)]
+        # coupling inside one view keeps the view partition
+        weight_cov = base.weight_cov.copy()
+        weight_cov[2, 3] = weight_cov[3, 2] = 0.1
+        within = dataclasses.replace(base, weight_cov=weight_cov)
+        assert within.factor_slices == [slice(0, 2), slice(2, 5)]

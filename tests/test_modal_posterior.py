@@ -33,7 +33,8 @@ def make_vb_posterior(gen, d1, d2, d, w_scale=0.0):
         weight_mean=gen.standard_normal((total, d)),
         weight_basis=np.eye(total), weight_eigs=np.full((d, total), w_scale),
         mean_loc=np.zeros(total),
-        mean_cov=np.eye(total), noise_scale=[np.eye(d1), np.eye(d2)],
+        mean_cov=np.eye(total), mean_cov_logdet=0.0,
+        noise_scale=[np.eye(d1), np.eye(d2)],
         noise_dof=[d1 + 2.0, d2 + 2.0], view_dims=(d1, d2),
     )
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from bayes_ssi.gibbs import _block_precision
 from bayes_ssi.model import LatentStats, default_priors, log_joint, view_slices
 from bayes_ssi.subspace import HankelStats
 
-from explicit import explicit_kernel
+from explicit import block_precision, explicit_kernel, weight_conditional
 
 
 def toy_state(gen, view_dims, d, n):
@@ -157,7 +156,8 @@ class TestLogJoint:
         kernel, lat = explicit_kernel(gen.standard_normal((4, n)), view_dims, priors,
                                       latent)
 
-        _, col_mean = kernel.weight_natural(weights, mean, lat, _block_precision(noise), 0)
+        _, col_mean = weight_conditional(kernel, weights, mean, lat,
+                                         block_precision(noise), 0)
         weights[:, 0] = col_mean
         baseline = log_joint(kernel.stats, lat, weights, mean, noise, priors)
         for direction in np.eye(4):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import multigammaln
 
 from bayes_ssi.rng import (
     NotPositiveDefiniteError,
     Rng,
     inverse_wishart_logpdf,
+    log_multigamma,
     mvn_logpdf,
     sample_inverse_wishart,
+    sample_inverse_wishart_pair,
     sample_mvn,
     sample_wishart,
     spd_cholesky,
@@ -177,6 +180,33 @@ class TestSampleInverseWishart:
         rng = Rng(33, 0)
         for _ in range(20):
             validate_spd(sample_inverse_wishart(rng, np.eye(3), 5.5))
+
+    @pytest.mark.parametrize("dim", [1, 4, 60])
+    def test_pair_is_draw_and_its_inverse(self, dim):
+        # same random numbers as the single draw, and the second entry
+        # inverts the first
+        gen = np.random.default_rng(dim)
+        base = gen.standard_normal((dim, dim))
+        scale = base @ base.T + dim * np.eye(dim)
+        rng_pair, rng_single = Rng(34, 0), Rng(34, 0)
+        for _ in range(3):
+            draw, prec = sample_inverse_wishart_pair(rng_pair, scale, dim + 3.0)
+            assert np.array_equal(draw, sample_inverse_wishart(rng_single, scale,
+                                                               dim + 3.0))
+            assert np.array_equal(prec, prec.T)
+            assert prec @ draw == pytest.approx(np.eye(dim), abs=1e-9)
+
+
+class TestLogMultigamma:
+    def test_equals_scipy_multigammaln(self):
+        for dim in range(1, 130):
+            for a in (0.5 * (dim - 1) + 0.25, 0.5 * dim + 1.0, 0.5 * dim + 37.3,
+                      0.5 * (dim + 8193)):
+                assert log_multigamma(a, dim) == multigammaln(a, dim), (a, dim)
+
+    def test_domain_checked(self):
+        with pytest.raises(ValueError):
+            log_multigamma(1.0, 3)
 
 
 class TestLogDensities:

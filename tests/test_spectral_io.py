@@ -232,6 +232,7 @@ class TestChainPersistence:
         for a, b in zip(back.noise_samples, chain.noise_samples):
             assert np.array_equal(a, b)
         assert back.config == chain.config
+        assert back.factor_blocks == chain.factor_blocks == (2, 2)
 
     def test_manifest_lists_array_shapes(self, tmp_path):
         gen = np.random.default_rng(6)
