@@ -191,6 +191,14 @@ def _vb_config(cfg: dict) -> VBConfig:
                     warm_start=cfg.get("warm_start", False))
 
 
+def _require_draws(cfg: dict, default: int) -> int:
+    """The ``--draws`` count, rejected before any engine runs if below one."""
+    n_draws = cfg.get("draws", default)
+    if n_draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {n_draws}")
+    return n_draws
+
+
 def _warn_not_converged(diag: dict, max_iter: int, where: str = "") -> None:
     if not diag["converged"]:
         print(f"warning: VB{where} stopped at max_iter={max_iter} without "
@@ -356,6 +364,7 @@ def cmd_identify(cfg: dict) -> Path:
     """Hankel statistics -> engine -> modal posterior, with a classical point
     estimate as the alignment reference."""
     started = time.time()
+    n_draws = _require_draws(cfg, 4000)
     ts = _load_input(cfg)
     j = cfg["block_rows"]
     order = cfg["order"]
@@ -391,8 +400,7 @@ def cmd_identify(cfg: dict) -> Path:
             write_matrix_csv(out.file("elbo_trace.csv"),
                              np.asarray(post.elbo_trace)[:, None],
                              header=["elbo"])
-            draws = draw_observability_samples(post, cfg.get("draws", 4000),
-                                               Rng(cfg["seed"], DRAW_STREAM))
+            draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
         elif engine == "gibbs":
             gibbs_config = GibbsConfig(n_samples=cfg.get("samples", 5000),
                                        burn_in_fraction=cfg.get("burn_in", 0.2),
@@ -424,6 +432,7 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     """Variational sweep over model orders; per-order failures are recorded
     in the manifest and the exit code, not raised."""
     started = time.time()
+    n_draws = _require_draws(cfg, 500)
     ts = _load_input(cfg)
     orders = cfg["orders"]
     overrides = (load_prior_overrides(cfg["priors"]) if cfg.get("priors") else None)
@@ -436,7 +445,7 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         _write_welch_overlay(out, ts)
         result = stabilisation(ts, cfg["block_rows"], orders, vb_config,
-                               n_draws=cfg.get("draws", 500),
+                               n_draws=n_draws,
                                center=not cfg.get("no_center", False),
                                priors_factory=lambda _d1, _d2, order: priors[order])
         triples = np.column_stack([
@@ -446,10 +455,9 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
                          header=["order", "frequency_hz", "damping_ratio"])
         for order, diag in result.diagnostics.items():
             _warn_not_converged(diag, vb_config.max_iter, f" at order {order}")
-        write_json(out.file("run_manifest.json"),
-                   _manifest("stabilise", cfg, started, failures=result.failures,
-                             diagnostics={str(k): v for k, v in
-                                          result.diagnostics.items()}))
+        manifest = _manifest("stabilise", cfg, started, failures=result.failures,
+                             diagnostics={str(k): v for k, v in result.diagnostics.items()})
+        write_json(out.file("run_manifest.json"), {**manifest, "workers": result.workers})
     return Path(cfg["out"]), result.failures
 
 

@@ -10,7 +10,9 @@ draws are kept (they occur legitimately); summaries report their fraction.
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +110,8 @@ class ModalPosterior:
 class StabilisationData:
     """Flat (order, frequency, damping) triples across model orders, with
     non-conjugate (real-pole) entries removed, plus the variational
-    engine's convergence diagnostics per order that ran."""
+    engine's convergence diagnostics per order that ran and the number of
+    processes the orders ran in."""
 
     orders: np.ndarray
     frequencies: np.ndarray
@@ -116,6 +119,7 @@ class StabilisationData:
     requested_orders: tuple[int, ...]
     failures: dict[int, str] = field(default_factory=dict)
     diagnostics: dict[int, dict] = field(default_factory=dict)
+    workers: int = 1
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,6 +307,55 @@ def summarize(posterior: ModalPosterior) -> dict:
     }
 
 
+def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
+                 n_channels: int, fs: float, priors, order: int) -> tuple:
+    """One order of the stabilisation sweep: the variational run, its draws
+    (stream ``STAB_DRAW_STREAM_BASE + order``) and their propagation.
+
+    Returns ``(diagnostics, frequencies, damping_ratios, failure)``: the
+    run's diagnostics (None if the engine failed), the order's complex
+    poles below Nyquist (None on failure) and the numerical-failure message
+    (None on success).  Any other exception propagates.
+    """
+    diagnostics = None
+    try:
+        post = run_vb(stats, priors, config)
+        diagnostics = post.diagnostics()
+        draws = draw_observability_samples(
+            post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + order))
+        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, "vb", order)
+    except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+        return diagnostics, None, None, str(exc)
+    if modal.index.size == 0:
+        return diagnostics, None, None, (
+            f"all {n_excluded} draws degenerate; the shift-invariance "
+            f"solve needs (block_rows - 1) * channels >= order"
+        )
+    keep = modal.present & ~modal.real_pole & (modal.frequencies < fs / 2.0)
+    return diagnostics, modal.frequencies[keep], modal.damping_ratios[keep], None
+
+
+def _map_orders(run, priors: dict, workers: int) -> dict:
+    """``run(priors[order], order)`` for every order: in process for one
+    worker, else in ``workers`` forked processes, highest (costliest) order
+    first.  Results are keyed in the order of ``priors``."""
+    if workers == 1:
+        return {order: run(hyper, order) for order, hyper in priors.items()}
+    # imported here, so commands that never start a pool do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: the workers inherit the imported modules instead of importing
+    # them again, and the executor starts them before its own thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {order: pool.submit(run, priors[order], order)
+                   for order in sorted(priors, reverse=True)}
+        return {order: futures[order].result() for order in priors}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
                   vb_config: VBConfig, n_draws: int = 500, *,
                   center: bool = True, priors_factory=default_priors,
@@ -311,10 +364,15 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
     propagated (frequency, damping, order) triples.
 
     ``priors_factory(view_dim_future, view_dim_past, order)`` supplies the
-    priors for each order.  Numerical per-order failures (linear-algebra
-    errors, invalid values, a decreasing or non-finite bound) are recorded
-    and the sweep continues; any other exception propagates.  Real-pole
-    entries are removed from the pooled triples.
+    priors for each order; it is called in this process, so it need not be
+    picklable.  The orders run in one forked worker process per order, at
+    most one per CPU this process may run on (in this process for one).
+    Each order's result depends only on its own inputs, so the output is
+    the same for any worker count.  Numerical per-order failures
+    (linear-algebra errors, invalid values, a decreasing or non-finite
+    bound) are recorded and logged in ascending order, and the sweep
+    continues; any other exception propagates, and so does the death of a
+    worker.  Real-pole entries are removed from the pooled triples.
     """
     orders = sorted(set(int(o) for o in orders))
     if not orders:
@@ -324,7 +382,19 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
         raise ValueError(f"max order {orders[-1]} exceeds Hankel half-height {half}")
 
     stats = HankelStats.from_record(ts, block_rows, center=center)
-    dt = 1.0 / ts.fs
+    results: dict[int, tuple] = {}
+    priors = {}
+    for order in orders:
+        try:
+            priors[order] = priors_factory(stats.view_dims[0], stats.view_dims[1], order)
+        except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+            results[order] = (None, None, None, str(exc))
+    # one worker per order, at most one per CPU this process may run on;
+    # in process where the platform reports no CPU affinity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(orders), cpus)
+    run = functools.partial(_sweep_order, stats, vb_config, n_draws, ts.channels, ts.fs)
+    results.update(_map_orders(run, priors, workers))
 
     all_orders: list[np.ndarray] = []
     all_freqs: list[np.ndarray] = []
@@ -332,26 +402,16 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
     failures: dict[int, str] = {}
     diagnostics: dict[int, dict] = {}
     for order in orders:
-        try:
-            priors = priors_factory(stats.view_dims[0], stats.view_dims[1], order)
-            post = run_vb(stats, priors, vb_config)
-            diagnostics[order] = post.diagnostics()
-            draws = draw_observability_samples(
-                post, n_draws, Rng(vb_config.seed, STAB_DRAW_STREAM_BASE + order))
-            modal, n_excluded = propagate_many(draws, ts.channels, dt, "vb", order)
-            if modal.index.size == 0:
-                failures[order] = (
-                    f"all {n_excluded} draws degenerate; the shift-invariance "
-                    f"solve needs (block_rows - 1) * channels >= order"
-                )
-                continue
-            keep = modal.present & ~modal.real_pole & (modal.frequencies < ts.fs / 2.0)
-            all_orders.append(np.full(np.count_nonzero(keep), order, dtype=int))
-            all_freqs.append(modal.frequencies[keep])
-            all_damps.append(modal.damping_ratios[keep])
-        except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
-            logger.warning("stabilisation failed at order %d: %s", order, exc)
-            failures[order] = str(exc)
+        diag, freqs, damps, failure = results[order]
+        if diag is not None:
+            diagnostics[order] = diag
+        if failure is not None:
+            logger.warning("stabilisation failed at order %d: %s", order, failure)
+            failures[order] = failure
+            continue
+        all_orders.append(np.full(freqs.size, order, dtype=int))
+        all_freqs.append(freqs)
+        all_damps.append(damps)
 
     return StabilisationData(
         orders=(np.concatenate(all_orders) if all_orders else np.empty(0, dtype=int)),
@@ -360,4 +420,5 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
         requested_orders=tuple(orders),
         failures=failures,
         diagnostics=diagnostics,
+        workers=workers,
     )

@@ -321,6 +321,26 @@ class TestStabilise:
         assert not (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [("identify", "--engine", "vb"), ("stabilise",)])
+def test_draws_below_one_rejected_before_any_engine(sim_dir, tmp_path, capsys,
+                                                    monkeypatch, command):
+    import bayes_ssi.cli as cli_mod
+    import bayes_ssi.modal_posterior as mp
+
+    def engine_must_not_run(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(cli_mod, "run_vb", engine_must_not_run)
+    monkeypatch.setattr(mp, "run_vb", engine_must_not_run)
+    out = tmp_path / "no_draws"
+    code = run_cli(*command, "--input", sim_dir / "response.csv", "--block-rows", 8,
+                   "--order", 4, "--draws", 0, "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:") and "--draws" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
 class TestSpectrum:
     def test_psd_csv_layout(self, sim_dir, tmp_path):
         out = tmp_path / "spec"
