@@ -8,7 +8,7 @@ classical canonical-variate weighted baseline.
 
 __version__ = "0.1.0"
 
-from .rng import Rng, sample_inverse_wishart, sample_mvn, sample_wishart
+from .rng import Rng
 from .simulate import (
     ContinuousSS,
     DiscreteSS,
@@ -31,7 +31,7 @@ from .subspace import (
     shift_invariance,
     ssi_cov,
 )
-from .model import PriorHyper, default_priors, log_joint
+from .model import PriorHyper, default_priors
 from .gibbs import GibbsChain, GibbsConfig, run_gibbs
 from .vb import VBConfig, VBPosterior, latent_means, run_vb
 from .modal_posterior import (
@@ -50,13 +50,12 @@ from .spectral import WelchSpec, welch_psd
 from .io import ingest_csv
 
 __all__ = [
-    "Rng", "sample_inverse_wishart", "sample_mvn", "sample_wishart",
-    "ContinuousSS", "DiscreteSS", "TimeSeries", "build_shear_frame",
+    "Rng", "ContinuousSS", "DiscreteSS", "TimeSeries", "build_shear_frame",
     "discretize", "simulate_response", "to_continuous_ss",
     "van_loan_discretize", "HankelPair", "HankelStats", "ModalSet",
     "build_hankel", "cca", "modal_from_state_matrix", "modal_parameters",
     "realization_from_observability", "shift_invariance", "ssi_cov",
-    "PriorHyper", "default_priors", "log_joint", "GibbsChain", "GibbsConfig",
+    "PriorHyper", "default_priors", "GibbsChain", "GibbsConfig",
     "run_gibbs", "VBConfig", "VBPosterior", "latent_means", "run_vb",
     "ModalDraws", "ModalPosterior", "StabilisationData", "align_modes",
     "chain_observability_samples", "draw_observability_samples", "mac",

@@ -365,11 +365,22 @@ def cmd_identify(cfg: dict) -> Path:
     estimate as the alignment reference."""
     started = time.time()
     n_draws = _require_draws(cfg, 4000)
+    engine = cfg["engine"]
+    # an invalid engine configuration fails before any output is written
+    if engine == "vb":
+        engine_config = _vb_config(cfg)
+    elif engine == "gibbs":
+        engine_config = GibbsConfig(n_samples=cfg.get("samples", 5000),
+                                    burn_in_fraction=cfg.get("burn_in", 0.2),
+                                    thinning=cfg.get("thin", 1),
+                                    seed=cfg["seed"],
+                                    warm_start=cfg.get("warm_start", False))
+    elif engine != "ssi":
+        raise ValueError(f"unknown engine {engine!r}")
     ts = _load_input(cfg)
     j = cfg["block_rows"]
     order = cfg["order"]
     center = not cfg.get("no_center", False)
-    engine = cfg["engine"]
     overrides = (load_prior_overrides(cfg["priors"]) if cfg.get("priors") else None)
 
     with OutputDir(cfg["out"]) as out:
@@ -390,10 +401,9 @@ def cmd_identify(cfg: dict) -> Path:
 
         diagnostics = None
         if engine == "vb":
-            vb_config = _vb_config(cfg)
-            post = run_vb(stats, priors, vb_config)
+            post = run_vb(stats, priors, engine_config)
             diagnostics = post.diagnostics()
-            _warn_not_converged(diagnostics, vb_config.max_iter)
+            _warn_not_converged(diagnostics, engine_config.max_iter)
             save_vb_posterior(out.subdir("vb_posterior"), post,
                               extra_meta={"seed": cfg["seed"],
                                           "priors": describe_priors(priors)})
@@ -401,19 +411,12 @@ def cmd_identify(cfg: dict) -> Path:
                              np.asarray(post.elbo_trace)[:, None],
                              header=["elbo"])
             draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
-        elif engine == "gibbs":
-            gibbs_config = GibbsConfig(n_samples=cfg.get("samples", 5000),
-                                       burn_in_fraction=cfg.get("burn_in", 0.2),
-                                       thinning=cfg.get("thin", 1),
-                                       seed=cfg["seed"],
-                                       warm_start=cfg.get("warm_start", False))
-            chain = run_gibbs(stats, priors, gibbs_config)
+        else:
+            chain = run_gibbs(stats, priors, engine_config)
             diagnostics = chain.diagnostics()
             save_chain(out.subdir("chain"), chain,
                        extra_meta={"priors": describe_priors(priors)})
             draws = chain_observability_samples(chain)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
 
         modal, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
                                            engine, order)

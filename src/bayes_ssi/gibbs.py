@@ -34,7 +34,6 @@ from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent
 from .rng import (
     Rng,
     _bartlett_factor,
-    sample_inverse_wishart,
     sample_inverse_wishart_pair,
     spd_cholesky,
     spd_inverse,
@@ -47,8 +46,6 @@ __all__ = [
     "GibbsChain",
     "warm_start_point",
     "run_gibbs",
-    "effective_sample_size",
-    "split_rhat",
 ]
 
 
@@ -67,7 +64,7 @@ class GibbsConfig:
             raise ValueError("burn_in_fraction must lie in [0, 1)")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if int(self.n_samples * (1.0 - self.burn_in_fraction)) < 1:
+        if self.n_records < 1:
             raise ValueError("retention policy keeps no samples")
 
     @property
@@ -201,7 +198,7 @@ class _Kernel(Conditionals):
 def _prior_point(priors: PriorHyper, rng: Rng,
                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(weights, mean, per-view noise blocks) drawn from the priors."""
-    noise = [sample_inverse_wishart(rng, scale, dof)
+    noise = [sample_inverse_wishart_pair(rng, scale, dof)[0]
              for scale, dof in zip(priors.noise_scale, priors.noise_dof)]
     mean_chol = spd_cholesky(priors.mean_cov)
     mean = priors.mean_loc + mean_chol @ rng.generator.standard_normal(priors.dim)
@@ -282,38 +279,3 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
                       factor_blocks=tuple(sl.stop - sl.start
                                           for sl in priors.factor_slices))
 
-
-def effective_sample_size(draws: np.ndarray) -> float:
-    """Autocorrelation-based effective sample size of a scalar chain
-    (initial positive sequence estimator)."""
-    x = np.asarray(draws, dtype=float)
-    n = x.size
-    if n < 4:
-        return float(n)
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var == 0:
-        return float(n)
-    acf = np.correlate(x, x, mode="full")[n - 1:] / (n * var)
-    total = 1.0
-    for k in range(1, n - 2, 2):
-        pair = acf[k] + acf[k + 1]
-        if pair < 0:
-            break
-        total += 2.0 * pair
-    return float(n / max(total, 1.0))
-
-
-def split_rhat(draws: np.ndarray) -> float:
-    """Split-chain potential scale reduction factor of a scalar chain."""
-    x = np.asarray(draws, dtype=float)
-    half = x.size // 2
-    chains = np.stack([x[:half], x[half:2 * half]])
-    n = chains.shape[1]
-    means = chains.mean(axis=1)
-    within = chains.var(axis=1, ddof=1).mean()
-    between = n * means.var(ddof=1)
-    var_plus = (n - 1) / n * within + between / n
-    if within == 0:
-        return 1.0
-    return float(np.sqrt(var_plus / within))

@@ -69,8 +69,8 @@ def ingest_csv(path, fs: float) -> TimeSeries:
     Ragged rows, non-numeric cells, non-finite values and empty files all
     raise with the offending 1-based data row named.
     """
-    if fs <= 0:
-        raise ValueError("fs must be positive")
+    if not (np.isfinite(fs) and fs > 0):
+        raise ValueError(f"fs must be finite and positive, got {fs}")
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -111,13 +111,10 @@ def ingest_csv(path, fs: float) -> TimeSeries:
     return TimeSeries(data=data.T.copy(), fs=float(fs))
 
 
-def write_timeseries_csv(path, ts: TimeSeries, channel_names=None) -> None:
-    """One row per sample, header row of channel names."""
-    names = channel_names or [f"ch{i + 1}" for i in range(ts.channels)]
-    if len(names) != ts.channels:
-        raise ValueError("channel_names length mismatch")
+def write_timeseries_csv(path, ts: TimeSeries) -> None:
+    """One row per sample, header row of channel names ch1, ch2, ..."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(f"ch{i + 1}" for i in range(ts.channels)) + "\n")
         np.savetxt(fh, ts.data.T, fmt=FLOAT_FMT, delimiter=",")
 
 

@@ -116,7 +116,6 @@ class StabilisationData:
     orders: np.ndarray
     frequencies: np.ndarray
     damping_ratios: np.ndarray
-    requested_orders: tuple[int, ...]
     failures: dict[int, str] = field(default_factory=dict)
     diagnostics: dict[int, dict] = field(default_factory=dict)
     workers: int = 1
@@ -417,7 +416,6 @@ def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
         orders=(np.concatenate(all_orders) if all_orders else np.empty(0, dtype=int)),
         frequencies=(np.concatenate(all_freqs) if all_freqs else np.empty(0)),
         damping_ratios=(np.concatenate(all_damps) if all_damps else np.empty(0)),
-        requested_orders=tuple(orders),
         failures=failures,
         diagnostics=diagnostics,
         workers=workers,

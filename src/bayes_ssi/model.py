@@ -1,7 +1,7 @@
 """Shared definition of the hierarchical latent-projection model used by
 both inference engines: prior hyperparameters, the per-view block
-structure of the noise covariance, and the model's conditionals and log
-joint density on the data statistics.
+structure of the noise covariance, and the model's conditionals on the
+data statistics.
 
 The observation model for each column x_n of the stacked data is
 
@@ -15,7 +15,7 @@ identification pipeline always stacks exactly two (future rows first, then
 past rows).
 
 Given the latent matrix Z, the noise, mean and weight-column conditionals
-and the log joint see the data only through its statistics
+see the data only through its statistics
 (:class:`~bayes_ssi.subspace.HankelStats`) and the latent statistics
 (:class:`LatentStats`).  :class:`Conditionals` and :func:`latent_natural`
 are the one implementation of that algebra: the Gibbs engine evaluates it
@@ -38,9 +38,6 @@ from scipy.linalg import cho_solve
 
 from .rng import (
     NotPositiveDefiniteError,
-    chol_logdet,
-    inverse_wishart_logpdf,
-    mvn_logpdf,
     solve_lower,
     spd_cholesky,
     spd_inverse,
@@ -57,7 +54,6 @@ __all__ = [
     "block_diagonal",
     "latent_natural",
     "default_priors",
-    "log_joint",
 ]
 
 
@@ -337,33 +333,3 @@ def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,
         view_dims=dims,
     )
 
-
-def log_joint(stats: HankelStats, lat: LatentStats, weights: np.ndarray,
-              mean: np.ndarray, noise_cov: list[np.ndarray],
-              priors: PriorHyper) -> float:
-    """Log of the full joint density at (weights, mean, per-view noise
-    blocks, latent matrix Z), constants included so values are comparable
-    across states.  The data enter through ``stats`` and Z through its
-    statistics ``lat``."""
-    n = stats.n_cols
-    scatter = Conditionals(stats, priors).residual_scatter(weights, mean, lat)
-
-    total = 0.0
-    for block, cov in zip(scatter, noise_cov):
-        dim = cov.shape[0]
-        chol = spd_cholesky(cov, "noise_cov")
-        total += -0.5 * n * (dim * np.log(2.0 * np.pi) + chol_logdet(chol))
-        total += -0.5 * float(np.trace(cho_solve((chol, True), block,
-                                                 check_finite=False)))
-
-    # standard-normal latent prior
-    d = lat.gram.shape[0]
-    total += -0.5 * (n * d * np.log(2.0 * np.pi) + float(np.trace(lat.gram)))
-
-    for cov, scale, dof in zip(noise_cov, priors.noise_scale, priors.noise_dof):
-        total += inverse_wishart_logpdf(cov, scale, dof)
-
-    total += mvn_logpdf(mean, priors.mean_loc, priors.mean_cov)
-    for i in range(weights.shape[1]):
-        total += mvn_logpdf(weights[:, i], priors.weight_loc, priors.weight_cov)
-    return float(total)

@@ -1,9 +1,10 @@
-"""Seeded random streams and the matrix-variate distributions the model draws from.
+"""Seeded random streams, symmetric positive definite matrix helpers and
+the one matrix-variate draw the model needs.
 
-Only the three families the hierarchical model needs are implemented:
-multivariate Gaussian, Wishart and inverse Wishart.  Sampling is exact
-(Bartlett construction for the Wishart families) and fully reproducible
-given a (seed, stream) pair.
+The inverse-Wishart draw of the Gibbs sampler's noise blocks is exact
+(Bartlett construction) and fully reproducible given a (seed, stream)
+pair; the Gaussian conditional draws are triangular solves on standard
+normals, done where the conditionals are factored.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln
 
@@ -27,14 +28,8 @@ __all__ = [
     "chol_logdet",
     "validate_spd",
     "psd_factor",
-    "sample_mvn",
-    "sample_wishart",
-    "sample_inverse_wishart",
     "sample_inverse_wishart_pair",
     "log_multigamma",
-    "mvn_logpdf",
-    "wishart_logpdf",
-    "inverse_wishart_logpdf",
 ]
 
 _SYM_RTOL = 1e-12
@@ -54,7 +49,7 @@ class Rng:
     Identical (seed, stream) pairs reproduce bit-identical draw sequences;
     distinct streams derived from the same seed are statistically
     independent.  Instances are stateful and must not be shared between
-    concurrent workers; derive one substream per worker with :meth:`spawn`.
+    concurrent workers; give each worker its own stream.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -65,10 +60,6 @@ class Rng:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         self.generator = np.random.Generator(np.random.PCG64(seq))
 
-    def spawn(self, stream: int) -> "Rng":
-        """New independent stream sharing this Rng's seed."""
-        return Rng(self.seed, stream)
-
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
@@ -78,13 +69,13 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def check_symmetric(mat: np.ndarray, name: str = "matrix", rtol: float = _SYM_RTOL) -> None:
+def check_symmetric(mat: np.ndarray, name: str = "matrix") -> None:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > rtol * scale:
-        raise ValueError(f"{name} is not symmetric to within relative {rtol:g}")
+    if np.max(np.abs(mat - mat.T)) > _SYM_RTOL * scale:
+        raise ValueError(f"{name} is not symmetric to within relative {_SYM_RTOL:g}")
 
 
 def _failing_pivot(mat: np.ndarray) -> int:
@@ -159,16 +150,6 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sample_mvn(rng: Rng, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """One draw from N(mean, cov)."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-        raise ValueError(f"mean of size {mean.size} incompatible with cov {cov.shape}")
-    chol = spd_cholesky(cov, "cov")
-    return mean + chol @ rng.generator.standard_normal(mean.size)
-
-
 def _bartlett_factor(rng: Rng, dim: int, dof: float) -> np.ndarray:
     """Lower-triangular Bartlett factor A with A @ A.T ~ Wishart(I, dof):
     chi-square draws with dof - i degrees of freedom on the diagonal, then
@@ -188,48 +169,21 @@ def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(dim, -1)
 
 
-def sample_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarray:
-    """One draw from Wishart(scale, dof); expectation is dof * scale."""
-    scale = np.asarray(scale, dtype=float)
-    dim = scale.shape[0]
-    if dof <= dim - 1:
-        raise ValueError(f"Wishart dof must exceed dim - 1 = {dim - 1}, got {dof}")
-    chol = spd_cholesky(scale, "scale")
-    factor = chol @ _bartlett_factor(rng, dim, dof)
-    return symmetrize(factor @ factor.T)
+def sample_inverse_wishart_pair(rng: Rng, scale: np.ndarray, dof: float,
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """(draw, its inverse): one draw from InverseWishart(scale, dof) and its
+    inverse, through triangular solves only (no general inverse).
 
-
-def _inverse_wishart_factors(rng: Rng, scale: np.ndarray, dof: float,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """(L, A): the lower Cholesky factor of ``scale`` and a Bartlett factor
-    of Wishart(I, dof), from which an InverseWishart(scale, dof) draw is
-    L A^-T A^-1 L^T."""
+    With L the lower Cholesky factor of ``scale`` and A a Bartlett factor
+    of Wishart(I, dof), the draw is L A^-T A^-1 L^T and its inverse
+    (L^-T A)(L^-T A)^T.  The draw's mean is scale / (dof - dim - 1) when
+    dof > dim + 1."""
     scale = np.asarray(scale, dtype=float)
     dim = scale.shape[0]
     if dof <= dim - 1:
         raise ValueError(f"inverse-Wishart dof must exceed dim - 1 = {dim - 1}, got {dof}")
-    return spd_cholesky(scale, "scale"), _bartlett_factor(rng, dim, dof)
-
-
-def sample_inverse_wishart(rng: Rng, scale: np.ndarray, dof: float) -> np.ndarray:
-    """One draw from InverseWishart(scale, dof).
-
-    Equal in distribution to the inverse of a Wishart(scale^-1, dof) draw;
-    computed through triangular solves only (no general inverse).  The mean
-    is scale / (dof - dim - 1) when dof > dim + 1.
-    """
-    chol, bart = _inverse_wishart_factors(rng, scale, dof)
-    m = solve_lower(bart, chol.T)
-    return symmetrize(m.T @ m)
-
-
-def sample_inverse_wishart_pair(rng: Rng, scale: np.ndarray, dof: float,
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """(draw, its inverse): the draw of :func:`sample_inverse_wishart`, with
-    the same random numbers, and its inverse from the same factors,
-    (L^-T A)(L^-T A)^T, by one more triangular solve instead of a
-    factorization of the draw."""
-    chol, bart = _inverse_wishart_factors(rng, scale, dof)
+    chol = spd_cholesky(scale, "scale")
+    bart = _bartlett_factor(rng, dim, dof)
     m = solve_lower(bart, chol.T)
     root = solve_lower(chol, bart, transpose=True)
     return symmetrize(m.T @ m), symmetrize(root @ root.T)
@@ -243,51 +197,3 @@ def log_multigamma(a: float, dim: int) -> float:
         raise ValueError(f"log_multigamma needs a > (dim - 1) / 2, got a = {a}, dim = {dim}")
     return float((dim * (dim - 1) * 0.25) * np.log(np.pi)
                  + np.sum(gammaln(a - 0.5 * np.arange(dim))))
-
-
-def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Log density of N(mean, cov) at x, constants included."""
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    dim = mean.size
-    chol = spd_cholesky(np.asarray(cov, dtype=float), "cov")
-    dev = solve_triangular(chol, x - mean, lower=True)
-    return -0.5 * (dim * np.log(2.0 * np.pi) + chol_logdet(chol) + float(dev @ dev))
-
-
-def wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> float:
-    """Log density of Wishart(scale, dof) at x, constants included."""
-    x = np.asarray(x, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    dim = scale.shape[0]
-    chol_x = spd_cholesky(x, "x")
-    chol_s = spd_cholesky(scale, "scale")
-    # tr(scale^-1 x) via triangular solve
-    half = solve_triangular(chol_s, chol_x, lower=True)
-    trace_term = float(np.sum(half * half))
-    return (
-        0.5 * (dof - dim - 1) * chol_logdet(chol_x)
-        - 0.5 * trace_term
-        - 0.5 * dof * dim * np.log(2.0)
-        - 0.5 * dof * chol_logdet(chol_s)
-        - log_multigamma(0.5 * dof, dim)
-    )
-
-
-def inverse_wishart_logpdf(x: np.ndarray, scale: np.ndarray, dof: float) -> float:
-    """Log density of InverseWishart(scale, dof) at x, constants included."""
-    x = np.asarray(x, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    dim = scale.shape[0]
-    chol_x = spd_cholesky(x, "x")
-    chol_s = spd_cholesky(scale, "scale")
-    # tr(scale x^-1) via triangular solve
-    half = solve_triangular(chol_x, chol_s, lower=True)
-    trace_term = float(np.sum(half * half))
-    return (
-        -0.5 * (dof + dim + 1) * chol_logdet(chol_x)
-        - 0.5 * trace_term
-        + 0.5 * dof * chol_logdet(chol_s)
-        - 0.5 * dof * dim * np.log(2.0)
-        - log_multigamma(0.5 * dof, dim)
-    )

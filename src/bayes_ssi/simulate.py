@@ -79,8 +79,8 @@ class TimeSeries:
     fs: float
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
         if self.data.ndim != 2:
             raise ValueError("data must be a channels x n_samples matrix")
         if not np.all(np.isfinite(self.data)):

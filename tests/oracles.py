@@ -235,6 +235,28 @@ def vb_bound_dense(q, x, view_dims, priors):
     return float(value)
 
 
+def log_joint_dense(x, latent, weights, mean, noise, priors):
+    """Log of the full joint density at (weights, mean, per-view noise
+    blocks, latent matrix) on the explicit data ``x``, constants included,
+    assembled from scipy.stats densities column by column."""
+    import scipy.stats as st
+
+    fitted = weights @ latent + mean[:, None]
+    full_cov = sla.block_diag(*noise)
+    d = latent.shape[0]
+    value = 0.0
+    for k in range(x.shape[1]):
+        value += st.multivariate_normal(fitted[:, k], full_cov).logpdf(x[:, k])
+        value += st.multivariate_normal(np.zeros(d), np.eye(d)).logpdf(latent[:, k])
+    for blk, scale, dof in zip(noise, priors.noise_scale, priors.noise_dof):
+        value += st.invwishart(df=dof, scale=scale).logpdf(blk)
+    value += st.multivariate_normal(priors.mean_loc, priors.mean_cov).logpdf(mean)
+    for i in range(d):
+        value += st.multivariate_normal(priors.weight_loc,
+                                        priors.weight_cov).logpdf(weights[:, i])
+    return float(value)
+
+
 def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
     """Gibbs chain with an explicit d x N latent matrix, explicit residuals
     and dense inverses; scipy.stats draws the inverse-Wishart noise blocks.
@@ -315,7 +337,7 @@ def gibbs_transition_dense(stats, priors, weights, mean, lat, rng):
     D x D Cholesky factor per conditional.  Consumes ``rng`` in the
     sampler's order (both noise blocks, D normals for the mean, D per
     column) and returns (weights, mean, noise blocks, dense precision)."""
-    from bayes_ssi.rng import sample_inverse_wishart
+    from bayes_ssi.rng import sample_inverse_wishart_pair
 
     def sym(a):
         return 0.5 * (a + a.T)
@@ -336,7 +358,7 @@ def gibbs_transition_dense(stats, priors, weights, mean, lat, rng):
                   - lat.cross @ weights.T - weights @ lat.cross.T
                   - np.outer(dev, fitted) - np.outer(fitted, dev)
                   + weights @ lat.gram @ weights.T)
-    noise = [sample_inverse_wishart(rng, sym(scale0 + scatter[sl, sl]), dof0 + n)
+    noise = [sample_inverse_wishart_pair(rng, sym(scale0 + scatter[sl, sl]), dof0 + n)[0]
              for sl, scale0, dof0 in zip(_view_slices(stats.view_dims),
                                          priors.noise_scale, priors.noise_dof)]
     prec = sla.block_diag(*[spd_inv(blk) for blk in noise])

@@ -341,6 +341,42 @@ def test_draws_below_one_rejected_before_any_engine(sim_dir, tmp_path, capsys,
     assert not out.exists() or listing(out) == []
 
 
+@pytest.mark.parametrize("fs", ["nan", "inf", "sidecar-nan"])
+def test_non_finite_fs_rejected(sim_dir, tmp_path, capsys, fs):
+    record = tmp_path / "rec.csv"
+    record.write_bytes((sim_dir / "response.csv").read_bytes())
+    if fs == "sidecar-nan":
+        record.with_suffix(".json").write_text('{"fs": NaN}')
+        flag = ()
+    else:
+        flag = ("--fs", fs)
+    out = tmp_path / "bad_fs"
+    code = run_cli("identify", "--input", record, *flag, "--block-rows", 8,
+                   "--order", 4, "--engine", "ssi", "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:") and "fs" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
+def test_gibbs_retention_keeping_nothing_rejected_before_any_sweep(
+        sim_dir, tmp_path, capsys, monkeypatch):
+    import bayes_ssi.cli as cli_mod
+
+    def sampler_must_not_run(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(cli_mod, "run_gibbs", sampler_must_not_run)
+    out = tmp_path / "no_records"
+    code = run_cli("identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                   "--order", 4, "--engine", "gibbs", "--samples", 10, "--thin", 20,
+                   "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and "retention policy keeps no samples" in err[0]
+    assert not out.exists()
+
+
 class TestSpectrum:
     def test_psd_csv_layout(self, sim_dir, tmp_path):
         out = tmp_path / "spec"

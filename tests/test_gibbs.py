@@ -7,14 +7,17 @@ from scipy.linalg import solve_triangular
 
 from bayes_ssi.gibbs import (
     GibbsConfig,
-    effective_sample_size,
     run_gibbs,
-    split_rhat,
     warm_start_point,
     _Kernel,
 )
 from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
-from bayes_ssi.rng import NotPositiveDefiniteError, Rng, chol_inverse, sample_inverse_wishart
+from bayes_ssi.rng import (
+    NotPositiveDefiniteError,
+    Rng,
+    chol_inverse,
+    sample_inverse_wishart_pair,
+)
 from bayes_ssi.subspace import HankelStats
 
 import oracles
@@ -61,7 +64,7 @@ class TestNoiseConditional:
 
         rng = Rng(1, 0)
         scale, dof = conds[0]
-        draws = np.array([sample_inverse_wishart(rng, scale, dof)
+        draws = np.array([sample_inverse_wishart_pair(rng, scale, dof)[0]
                           for _ in range(10_000)])
         expected = scale / (dof - dim - 1)
         se = oracles.mc_standard_error(draws)
@@ -244,6 +247,11 @@ class TestRunGibbs:
         assert cfg.n_records == 8
         assert GibbsConfig(n_samples=10, burn_in_fraction=0.2, thinning=3).n_records == 2
 
+    def test_thinning_past_every_kept_sweep_rejected(self):
+        # 8 sweeps after burn-in, every 20th kept: no record would survive
+        with pytest.raises(ValueError, match="retention policy keeps no samples"):
+            GibbsConfig(n_samples=10, thinning=20)
+
     def test_chain_reproducible(self):
         gen = np.random.default_rng(13)
         stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
@@ -313,28 +321,6 @@ class TestRunGibbs:
         assert chain.n_records == 16
 
 
-class TestDiagnostics:
-    def test_ess_iid_close_to_n(self):
-        gen = np.random.default_rng(19)
-        x = gen.standard_normal(4000)
-        assert effective_sample_size(x) > 2000
-
-    def test_ess_correlated_much_smaller(self):
-        gen = np.random.default_rng(20)
-        x = np.zeros(4000)
-        for k in range(1, x.size):
-            x[k] = 0.95 * x[k - 1] + gen.standard_normal()
-        assert effective_sample_size(x) < 1000
-
-    def test_split_rhat_stationary_near_one(self):
-        gen = np.random.default_rng(21)
-        assert split_rhat(gen.standard_normal(4000)) == pytest.approx(1.0, abs=0.05)
-
-    def test_split_rhat_detects_drift(self):
-        x = np.linspace(0.0, 5.0, 2000) + np.random.default_rng(22).standard_normal(2000)
-        assert split_rhat(x) > 1.2
-
-
 def _relative_gap(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -365,8 +351,8 @@ class TestStatisticsEngine:
         resid = x - mean0[:, None] - weights0 @ z
         for blk, sl, scale0, dof0 in zip(noise, (slice(0, 2), slice(2, 5)),
                                          priors.noise_scale, priors.noise_dof):
-            expect = sample_inverse_wishart(rng_dense, scale0 + resid[sl] @ resid[sl].T,
-                                            dof0 + n)
+            expect, _ = sample_inverse_wishart_pair(rng_dense,
+                                                    scale0 + resid[sl] @ resid[sl].T, dof0 + n)
             assert _relative_gap(blk, expect) < 1e-10
         dense_prec = np.zeros((5, 5))
         dense_prec[:2, :2] = np.linalg.inv(noise[0])

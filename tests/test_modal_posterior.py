@@ -409,7 +409,8 @@ class TestStabilisation:
     def test_multiple_orders_collects_triples(self, short_benchmark):
         cfg = VBConfig(max_iter=60, elbo_rel_tol=1e-6, seed=3)
         result = stabilisation(short_benchmark, 6, [2, 4, 6], cfg, n_draws=25)
-        assert result.requested_orders == (2, 4, 6)
+        # every requested order either ran or is recorded as failed
+        assert set(result.diagnostics) | set(result.failures) == {2, 4, 6}
         assert set(np.unique(result.orders)) <= {2, 4, 6}
         # non-conjugate entries removed: all retained frequencies strictly
         # inside (0, fs/2)

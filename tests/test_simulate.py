@@ -189,3 +189,8 @@ class TestTimeSeries:
     def test_bad_fs(self):
         with pytest.raises(ValueError):
             TimeSeries(data=np.zeros((1, 4)), fs=0.0)
+
+    @pytest.mark.parametrize("fs", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fs_rejected(self, fs):
+        with pytest.raises(ValueError, match="fs must be finite and positive"):
+            TimeSeries(data=np.zeros((1, 4)), fs=fs)

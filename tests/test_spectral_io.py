@@ -133,6 +133,13 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="row 2"):
             ingest_csv(path, fs=1.0)
 
+    @pytest.mark.parametrize("fs", [0.0, np.nan, np.inf])
+    def test_bad_fs_rejected(self, tmp_path, fs):
+        path = tmp_path / "rec.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="fs must be finite and positive"):
+            ingest_csv(path, fs=fs)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text("")
