@@ -25,9 +25,7 @@ from .subspace import (
     ModalSet,
     build_hankel,
     cca,
-    modal_from_state_matrix,
     modal_parameters,
-    realization_from_observability,
     shift_invariance,
     ssi_cov,
 )
@@ -53,8 +51,7 @@ __all__ = [
     "Rng", "ContinuousSS", "DiscreteSS", "TimeSeries", "build_shear_frame",
     "discretize", "simulate_response", "to_continuous_ss",
     "van_loan_discretize", "HankelPair", "HankelStats", "ModalSet",
-    "build_hankel", "cca", "modal_from_state_matrix", "modal_parameters",
-    "realization_from_observability", "shift_invariance", "ssi_cov",
+    "build_hankel", "cca", "modal_parameters", "shift_invariance", "ssi_cov",
     "PriorHyper", "default_priors", "GibbsChain", "GibbsConfig",
     "run_gibbs", "VBConfig", "VBPosterior", "latent_means", "run_vb",
     "ModalDraws", "ModalPosterior", "StabilisationData", "align_modes",

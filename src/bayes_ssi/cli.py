@@ -338,6 +338,8 @@ def _write_mode_draws(out: OutputDir, posterior) -> None:
 def cmd_simulate(cfg: dict) -> Path:
     """Generate the benchmark response record and its sidecar."""
     started = time.time()
+    if not (np.isfinite(cfg["fs"]) and cfg["fs"] > 0):
+        raise ValueError(f"fs must be finite and positive, got {cfg['fs']}")
     mass_mat, damp, stiff = build_shear_frame(cfg["floors"], cfg["mass"],
                                               cfg["stiffness"])
     css = to_continuous_ss(mass_mat, damp, stiff, cfg["forcing_density"],

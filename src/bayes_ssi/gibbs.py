@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
 from .rng import (
     Rng,
     _bartlett_factor,
     sample_inverse_wishart_pair,
+    solve_lower,
     spd_cholesky,
     spd_inverse,
     symmetrize,
@@ -180,8 +180,8 @@ class _Kernel(Conditionals):
         k[:, -1] = np.sqrt(n) * shift
         spare = None
         if rng is not None:
-            k += solve_triangular(chol.T, rng.generator.standard_normal((d, rank)),
-                                  lower=False, check_finite=False)
+            k += solve_lower(chol, rng.generator.standard_normal((d, rank)),
+                             transpose=True)
             dof = n - rank
             if dof >= d:
                 spare = _bartlett_factor(rng, d, dof)
@@ -189,7 +189,7 @@ class _Kernel(Conditionals):
                 spare = rng.generator.standard_normal((d, dof))
         gram = k @ k.T
         if spare is not None:
-            spare = solve_triangular(chol.T, spare, lower=False, check_finite=False)
+            spare = solve_lower(chol, spare, transpose=True)
             gram += spare @ spare.T
         return LatentStats(cross=factor @ k[:, :-1].T, gram=symmetrize(gram),
                            total=np.sqrt(n) * k[:, -1])
@@ -202,9 +202,8 @@ def _prior_point(priors: PriorHyper, rng: Rng,
              for scale, dof in zip(priors.noise_scale, priors.noise_dof)]
     mean_chol = spd_cholesky(priors.mean_cov)
     mean = priors.mean_loc + mean_chol @ rng.generator.standard_normal(priors.dim)
-    w_chol = spd_cholesky(priors.weight_cov)
-    weights = (priors.weight_loc[:, None]
-               + w_chol @ rng.generator.standard_normal((priors.dim, priors.latent_dim)))
+    weights = (priors.weight_loc[:, None] + priors.weight_chol
+               @ rng.generator.standard_normal((priors.dim, priors.latent_dim)))
     return weights, mean, noise
 
 

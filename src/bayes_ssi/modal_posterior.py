@@ -56,6 +56,9 @@ DRAW_BLOCK = 256
 
 # decimals of the MACs that alignment ranks on
 MAC_DECIMALS = 12
+# a draw mode matches at MAC >= MAC_THRESHOLD within a relative FREQ_GATE
+MAC_THRESHOLD = 0.8
+FREQ_GATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -201,16 +204,15 @@ def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
 
 
 def align_modes(draws: ModalDraws, reference: ModalSet,
-                mac_threshold: float = 0.8, freq_gate: float = 0.1,
                 n_excluded: int = 0) -> ModalPosterior:
     """Match every draw's modes to the classical reference modes.
 
-    Greedy per draw over the pairs with MAC >= ``mac_threshold`` inside the
-    relative frequency gate: best MAC (to ``MAC_DECIMALS`` decimals) first,
-    then frequency distance, then the higher mode index; each mode is used
-    once, and unmatched draw modes are counted as unassigned.  Shapes are
-    unit-normalized, rotated to real-maximal phase and sign-aligned to the
-    reference.
+    Greedy per draw over the pairs with MAC >= ``MAC_THRESHOLD`` inside the
+    relative frequency gate ``FREQ_GATE``: best MAC (to ``MAC_DECIMALS``
+    decimals) first, then frequency distance, then the higher mode index;
+    each mode is used once, and unmatched draw modes are counted as
+    unassigned.  Shapes are unit-normalized, rotated to real-maximal phase
+    and sign-aligned to the reference.
     """
     n, m = draws.present.shape
     if n == 0:
@@ -223,11 +225,11 @@ def align_modes(draws: ModalDraws, reference: ModalSet,
     # n x m x r: every draw mode against every reference mode
     gap = np.abs(draws.frequencies[:, :, None] - ref_freqs)
     score = mac(draws.mode_shapes[:, :, None, :], ref_shapes)
-    gated = (ref_freqs > 0) & (gap > freq_gate * ref_freqs)
+    gated = (ref_freqs > 0) & (gap > FREQ_GATE * ref_freqs)
     # rank on MACs rounded to MAC_DECIMALS, so that MACs equal up to
     # rounding (every MAC of a one-channel record is 1) tie and fall
     # through to the frequency distance
-    free = np.where(draws.present[:, :, None] & ~gated & (score >= mac_threshold),
+    free = np.where(draws.present[:, :, None] & ~gated & (score >= MAC_THRESHOLD),
                     np.round(score, MAC_DECIMALS), -np.inf)
     # taking each draw's highest-ranked free pair min(m, r) times assigns
     # the same pairs as scanning all its pairs in rank order

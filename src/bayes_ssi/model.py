@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .rng import (
     NotPositiveDefiniteError,
+    chol_solve,
     solve_lower,
     spd_cholesky,
     spd_inverse,
@@ -96,7 +96,7 @@ class PriorHyper:
     def __post_init__(self):
         total = sum(self.view_dims)
         if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+            raise ValueError(f"latent_dim (model order) must be >= 1, got {self.latent_dim}")
         if self.mean_loc.shape != (total,) or self.weight_loc.shape != (total,):
             raise ValueError("prior location vectors must have the stacked dimension")
         validate_spd(self.mean_cov, "mean_cov")
@@ -181,7 +181,7 @@ def latent_natural(weights: np.ndarray, prec: np.ndarray,
     if extra is not None:
         post_prec += extra
     post_chol = spd_cholesky(symmetrize(post_prec), "latent conditional precision")
-    return post_chol, cho_solve((post_chol, True), prec_w.T, check_finite=False)
+    return post_chol, chol_solve(post_chol, prec_w.T)
 
 
 class Conditionals:

@@ -4,7 +4,8 @@ the one matrix-variate draw the model needs.
 The inverse-Wishart draw of the Gibbs sampler's noise blocks is exact
 (Bartlett construction) and fully reproducible given a (seed, stream)
 pair; the Gaussian conditional draws are triangular solves on standard
-normals, done where the conditionals are factored.
+normals, done where the conditionals are factored.  ``solve_lower`` and
+``chol_solve`` are the package's only bindings of LAPACK solves.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import gammaln
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "spd_cholesky",
     "spd_inverse",
     "chol_inverse",
+    "chol_solve",
     "solve_lower",
     "chol_logdet",
     "validate_spd",
@@ -109,8 +110,13 @@ def spd_inverse(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def chol_inverse(chol: np.ndarray) -> np.ndarray:
     """Exactly symmetric A^-1 from the lower Cholesky factor of A."""
-    return symmetrize(cho_solve((chol, True), np.eye(chol.shape[0]),
-                                check_finite=False))
+    return symmetrize(chol_solve(chol, np.eye(chol.shape[0])))
+
+
+def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs from the lower Cholesky factor of A.  Calls LAPACK
+    ``potrs`` as ``cho_solve`` does, without its per-call checks."""
+    return dpotrs(chol, rhs, lower=1)[0]
 
 
 def solve_lower(lower: np.ndarray, rhs: np.ndarray, transpose: bool = False,
@@ -120,8 +126,7 @@ def solve_lower(lower: np.ndarray, rhs: np.ndarray, transpose: bool = False,
     Bartlett factor).  Calls LAPACK ``trtrs`` on the Fortran-ordered
     transpose directly, as ``solve_triangular`` does, without its
     per-call checks: the sweeps solve many small systems."""
-    out, _ = dtrtrs(lower.T, rhs, lower=0, trans=0 if transpose else 1)
-    return out
+    return dtrtrs(lower.T, rhs, lower=0, trans=0 if transpose else 1)[0]
 
 
 def chol_logdet(chol: np.ndarray) -> float:

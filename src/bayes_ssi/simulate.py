@@ -156,8 +156,8 @@ def to_continuous_ss(mass_mat, damp, stiff, forcing_density: float,
 def van_loan_discretize(a: np.ndarray, noise_input: np.ndarray, density: float,
                         dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (A_d, Q_d) via the matrix exponential of the augmented block matrix."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     noise_input = np.atleast_2d(np.asarray(noise_input, dtype=float))
     p = a.shape[0]

@@ -5,8 +5,8 @@ modal extraction from state-space realizations.
 
 The shift-invariance solve and the eigen -> modal conversion run on stacks
 of matrices (``shift_invariance``, ``modal_parameters``); the classical
-baseline is the stack-of-one case (``realization_from_observability``,
-``modal_from_state_matrix``)."""
+baseline ``ssi_cov`` runs them on a stack of one, as the posterior draws
+run them on stacks of many."""
 
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .rng import symmetrize
+from .rng import solve_lower, symmetrize
 from .simulate import TimeSeries
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "ssi_cov",
     "shift_invariance",
     "modal_parameters",
-    "realization_from_observability",
-    "modal_from_state_matrix",
 ]
 
 # jitter ladder for near-singular auto-covariances, relative to trace/dim
@@ -165,16 +162,13 @@ class ModalSet:
     """Modal parameters with conjugate pairs collapsed to one entry each.
 
     ``real_pole`` flags entries that came from a real eigenvalue of the
-    state matrix (retained but non-physical for vibrating modes);
-    ``n_dropped`` counts zero eigenvalues whose continuous-time log is
-    undefined.
+    state matrix (retained but non-physical for vibrating modes).
     """
 
     frequencies: np.ndarray       # Hz
     damping_ratios: np.ndarray
     mode_shapes: np.ndarray       # complex, l x n_modes
     real_pole: np.ndarray         # bool mask
-    n_dropped: int = 0
 
     @property
     def n_modes(self) -> int:
@@ -249,10 +243,12 @@ def cca(auto_x: np.ndarray, auto_y: np.ndarray, cross_xy: np.ndarray,
     is the rank-k canonical approximation of ``cross_xy``.  Correlations are
     clamped to [0, 1] (numerical noise above 1 is truncated).
     """
+    if not all(np.isfinite(m).all() for m in (auto_x, auto_y, cross_xy)):
+        raise ValueError("CCA covariances must be finite")
     chol_x, _ = chol_with_jitter(auto_x, "first-view auto-covariance")
     chol_y, _ = chol_with_jitter(auto_y, "second-view auto-covariance")
-    normalized = solve_triangular(chol_x, cross_xy, lower=True)
-    normalized = solve_triangular(chol_y, normalized.T, lower=True).T
+    normalized = solve_lower(chol_x, cross_xy)
+    normalized = solve_lower(chol_y, normalized.T).T
     left, svals, right_t = np.linalg.svd(normalized)
     return chol_x @ left, np.clip(svals, 0.0, 1.0), chol_y @ right_t.T
 
@@ -352,44 +348,22 @@ def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
     return sort(freqs), sort(damping), shapes, real_pole, present
 
 
-def realization_from_observability(obs: np.ndarray, n_channels: int,
-                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, C) of one extended observability, the stack-of-one case of
-    :func:`shift_invariance`; raises numpy.linalg.LinAlgError if degenerate."""
-    obs = np.asarray(obs, dtype=float)
-    a, degenerate = shift_invariance(obs[None], n_channels)
-    if degenerate[0]:
-        raise np.linalg.LinAlgError("shifted observability block is rank deficient; "
-                                    "cannot solve for the state matrix")
-    return a[0], obs[:int(n_channels)].copy()
-
-
-def modal_from_state_matrix(a: np.ndarray, c_out: np.ndarray, dt: float) -> ModalSet:
-    """Modal parameters of one state matrix: the stack-of-one case of
-    :func:`modal_parameters`, trimmed to its modes."""
-    a = np.asarray(a, dtype=float)
-    freqs, damping, shapes, real_pole, present = modal_parameters(
-        a[None], np.asarray(c_out)[None], dt)
-    k = int(present.sum())
-    # each complex mode kept stands for a conjugate pair of eigenvalues
-    n_dropped = a.shape[0] - k - int(np.count_nonzero(~real_pole[0, :k]))
-    return ModalSet(frequencies=freqs[0, :k], damping_ratios=damping[0, :k],
-                    mode_shapes=shapes[0, :k].T, real_pole=real_pole[0, :k],
-                    n_dropped=n_dropped)
-
-
 def ssi_cov(stats: HankelStats, order: int, n_channels: int, dt: float,
             ) -> ModalSet:
     """Classical canonical-variate weighted covariance-driven identification.
 
     Factorizes the covariance blocks of the Hankel statistics of an
     ``n_channels`` record sampled every ``dt`` seconds at the requested
-    order and extracts modal parameters from the realization.
+    order and extracts modal parameters from the realization, with the
+    observability's first block row as C; raises LinAlgError if degenerate.
     """
-    if order > stats.view_dims[0]:
-        raise ValueError(
-            f"order {order} exceeds Hankel half-height {stats.view_dims[0]}"
-        )
     obs, _, _ = observability_controllability(stats, order)
-    a, c_out = realization_from_observability(obs, n_channels)
-    return modal_from_state_matrix(a, c_out, dt)
+    a, degenerate = shift_invariance(obs[None], n_channels)
+    if degenerate[0]:
+        raise np.linalg.LinAlgError("shifted observability block is rank deficient; "
+                                    "cannot solve for the state matrix")
+    freqs, damping, shapes, real_pole, present = modal_parameters(
+        a, obs[None, :n_channels], dt)
+    k = int(present.sum())
+    return ModalSet(frequencies=freqs[0, :k], damping_ratios=damping[0, :k],
+                    mode_shapes=shapes[0, :k].T, real_pole=real_pole[0, :k])

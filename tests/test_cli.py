@@ -359,6 +359,28 @@ def test_non_finite_fs_rejected(sim_dir, tmp_path, capsys, fs):
     assert not out.exists() or listing(out) == []
 
 
+@pytest.mark.parametrize("fs", ["0", "-5", "nan", "inf"])
+def test_simulate_bad_fs_rejected(tmp_path, capsys, fs):
+    out = tmp_path / "bad_fs"
+    code = run_cli("simulate", "--floors", 2, "--samples", 64, "--fs", fs,
+                   "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:") and "fs" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
+def test_stabilise_order_zero_rejected(sim_dir, tmp_path, capsys):
+    out = tmp_path / "order_zero"
+    code = run_cli("stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                   "--order", 0, "--draws", 10, "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "model order" in err[0] and "got 0" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
 def test_gibbs_retention_keeping_nothing_rejected_before_any_sweep(
         sim_dir, tmp_path, capsys, monkeypatch):
     import bayes_ssi.cli as cli_mod

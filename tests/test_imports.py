@@ -1,7 +1,10 @@
 """Every imported name in ``src/`` and ``tests/`` is read somewhere in its
 module, found with the standard library's ``ast`` alone.  Names listed in
 the module's ``__all__`` (re-exports) and imports on a line marked
-``# noqa: F401`` (attributes kept for the benchmark's tracer) are exempt."""
+``# noqa: F401`` (attributes kept for the benchmark's tracer) are exempt.
+
+Only ``rng`` binds LAPACK's solves and only ``rng`` and ``simulate`` import
+from ``scipy.linalg``; every other module solves through ``rng``."""
 
 import ast
 from pathlib import Path
@@ -9,7 +12,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+SRC = sorted(ROOT.glob("src/**/*.py"))
+FILES = sorted([*SRC, *ROOT.glob("tests/**/*.py")])
+# the modules allowed to import from scipy.linalg
+SCIPY_LINALG = {"rng.py", "simulate.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +51,30 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+def scipy_linalg_imports(source: str) -> list[str]:
+    """Dotted names of everything imported from ``scipy.linalg``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [n for n in names if n == "scipy.linalg" or n.startswith("scipy.linalg.")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_scipy_linalg_imported_only_by_rng_and_simulate(path):
+    names = scipy_linalg_imports(path.read_text())
+    if path.name not in SCIPY_LINALG:
+        assert names == []
+    if path.name != "rng.py":
+        assert [n for n in names if n.startswith("scipy.linalg.lapack")] == []
+
+
+def test_scan_finds_every_import_form():
+    source = ("import scipy.linalg as sla\nfrom scipy import linalg\n"
+              "from scipy.linalg.lapack import dpotrs\nfrom scipy.special import psi\n")
+    assert scipy_linalg_imports(source) == ["scipy.linalg", "scipy.linalg",
+                                            "scipy.linalg.lapack.dpotrs"]

@@ -18,7 +18,7 @@ from bayes_ssi.modal_posterior import (
     summarize,
 )
 from bayes_ssi.rng import Rng
-from bayes_ssi.subspace import ModalSet, modal_from_state_matrix
+from bayes_ssi.subspace import ModalSet, modal_parameters
 from bayes_ssi.vb import VBConfig, VBPosterior
 
 import oracles
@@ -51,7 +51,12 @@ def stable_modal_set(gen, n_modes=2, l=3, dt=0.02):
     for k, blk in enumerate(blocks):
         a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk
     c_out = gen.standard_normal((l, 2 * n_modes))
-    return a, c_out, modal_from_state_matrix(a, c_out, dt)
+    # every eigenvalue is one of a complex pair, so the modes are the
+    # first n_modes entries
+    (freqs,), (damping,), (shapes,), (real_pole,), _ = modal_parameters(
+        a[None], c_out[None], dt)
+    return a, c_out, ModalSet(frequencies=freqs[:n_modes], damping_ratios=damping[:n_modes],
+                              mode_shapes=shapes[:n_modes].T, real_pole=real_pole[:n_modes])
 
 
 def stack_modal_sets(modal_sets, source="vb", order=4):
@@ -284,10 +289,10 @@ class TestAlignModes:
         draws = [ModalSet(frequencies=np.array(freqs), damping_ratios=np.array([0.01, 0.02]),
                           mode_shapes=np.hstack([shape, shape]),
                           real_pole=np.zeros(2, bool))
-                 for freqs in ([1.9, 2.05], [2.05, 1.9], [1.75, 2.25], [2.25, 1.75])]
-        posterior = align_modes(stack_modal_sets(draws), reference, freq_gate=0.2)
+                 for freqs in ([1.9, 2.05], [2.05, 1.9], [1.85, 2.15], [2.15, 1.85])]
+        posterior = align_modes(stack_modal_sets(draws), reference)
         cluster, = posterior.clusters
-        assert cluster.frequencies.tolist() == [2.05, 2.05, 2.25, 1.75]
+        assert cluster.frequencies.tolist() == [2.05, 2.05, 2.15, 1.85]
         assert cluster.damping_ratios.tolist() == [0.02, 0.01, 0.02, 0.02]
         assert posterior.n_unassigned == 4
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import multigammaln
 
 from bayes_ssi.rng import (
     NotPositiveDefiniteError,
     Rng,
     _bartlett_factor,
+    chol_solve,
     log_multigamma,
     sample_inverse_wishart_pair,
+    solve_lower,
     spd_cholesky,
     validate_spd,
 )
@@ -128,3 +131,31 @@ class TestLogMultigamma:
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             log_multigamma(1.0, 3)
+
+
+class TestLapackSolves:
+    """The LAPACK solves equal scipy's wrappers bit for bit, on C-ordered
+    factors and on C- and Fortran-ordered right-hand sides."""
+
+    @staticmethod
+    def factor_and_rhs(dim):
+        gen = np.random.default_rng(dim)
+        base = gen.standard_normal((dim, dim))
+        chol = np.linalg.cholesky(base @ base.T + dim * np.eye(dim))
+        return chol, [gen.standard_normal(dim), gen.standard_normal((dim, 3)),
+                      gen.standard_normal((2 * dim + 1, dim)).T]
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 60, 120])
+    def test_chol_solve_equals_cho_solve(self, dim):
+        chol, rhs = self.factor_and_rhs(dim)
+        for b in [*rhs, np.eye(dim)]:
+            assert np.array_equal(chol_solve(chol, b), cho_solve((chol, True), b))
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 60, 120])
+    def test_solve_lower_equals_solve_triangular(self, dim):
+        chol, rhs = self.factor_and_rhs(dim)
+        for b in rhs:
+            assert np.array_equal(solve_lower(chol, b),
+                                  solve_triangular(chol, b, lower=True))
+            assert np.array_equal(solve_lower(chol, b, transpose=True),
+                                  solve_triangular(chol.T, b, lower=False))

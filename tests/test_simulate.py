@@ -129,8 +129,9 @@ class TestVanLoan:
         assert evals.min() >= -1e-10 * evals.max()
 
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            van_loan_discretize(np.array([[-1.0]]), np.array([[1.0]]), 1.0, 0.0)
+        for dt in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                van_loan_discretize(np.array([[-1.0]]), np.array([[1.0]]), 1.0, dt)
 
 
 class TestSimulateResponse:

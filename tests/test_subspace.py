@@ -14,10 +14,8 @@ from bayes_ssi.subspace import (
     build_hankel,
     cca,
     chol_with_jitter,
-    modal_from_state_matrix,
     modal_parameters,
     observability_controllability,
-    realization_from_observability,
     shift_invariance,
     ssi_cov,
 )
@@ -215,6 +213,12 @@ class TestCca:
         with pytest.raises(IllConditionedError):
             cca(bad, np.eye(2), np.zeros((2, 2)))
 
+    def test_non_finite_cross_covariance_rejected(self):
+        cross = np.zeros((2, 2))
+        cross[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cca(np.eye(2), np.eye(2), cross)
+
 
 class TestRealization:
     def test_forward_construction_recovers_state_matrix(self):
@@ -222,21 +226,20 @@ class TestRealization:
         a0 = np.array([[0.8, 0.3], [-0.3, 0.8]])
         c0 = gen.standard_normal((2, 2))
         obs = oracles.observability_forward(a0, c0, 6)
-        a, c_out = realization_from_observability(obs, 2)
+        (a,), degenerate = shift_invariance(obs[None], 2)
+        assert not degenerate[0]
         assert np.sort_complex(np.linalg.eigvals(a)) == pytest.approx(
             np.sort_complex(np.linalg.eigvals(a0)), abs=1e-8)
-        assert c_out == pytest.approx(c0)
 
     def test_scalar_shift(self):
         obs = np.array([[1.0], [0.5], [0.25], [0.125]])
-        a, c_out = realization_from_observability(obs, 1)
+        (a,), _ = shift_invariance(obs[None], 1)
         assert a == pytest.approx(np.array([[0.5]]))
-        assert c_out == pytest.approx(np.array([[1.0]]))
 
     def test_random_orthonormal_residual_nonnegative(self):
         gen = np.random.default_rng(8)
         q, _ = np.linalg.qr(gen.standard_normal((4, 2)))
-        a, _ = realization_from_observability(q, 2)
+        (a,), _ = shift_invariance(q[None], 2)
         # least squares: the shift residual is orthogonal to the shifted block
         residual = q[:-2] @ a - q[2:]
         assert q[:-2].T @ residual == pytest.approx(np.zeros((2, 2)), abs=1e-12)
@@ -256,10 +259,10 @@ class TestRealization:
         a, degenerate = shift_invariance(stack, 3)
         assert degenerate.tolist() == [False, True, False, True, False]
         assert np.all(np.isnan(a[degenerate]))
-        for k in (0, 2, 4):
-            a_k, c_k = realization_from_observability(stack[k], 3)
-            assert np.array_equal(a[k], a_k)
-            assert np.array_equal(c_k, stack[k, :3])
+        for k in range(5):
+            a_k, degenerate_k = shift_invariance(stack[k][None], 3)
+            assert degenerate_k[0] == degenerate[k]
+            assert np.array_equal(a[k], a_k[0], equal_nan=True)
         # 2 block rows of 3 channels leave 3 shifted rows for 4 states
         _, short = shift_invariance(stack[:, :6], 3)
         assert short.all()
@@ -279,12 +282,6 @@ class TestRealization:
             expected = np.linalg.pinv(stack[k, :-4], rcond=1e-12) @ stack[k, 4:]
             assert np.array_equal(a[k], expected)
 
-    def test_rank_deficient_top_rejected(self):
-        obs = np.zeros((6, 2))
-        obs[:, 0] = 1.0
-        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            realization_from_observability(obs, 2)
-
 
 class TestModalExtraction:
     def test_sdof_roundtrip(self):
@@ -294,30 +291,31 @@ class TestModalExtraction:
         ac = np.array([[0.0, 1.0], [-omega**2, -2 * zeta * omega]])
         dt = 0.02
         ad = expm(ac * dt)
-        modal = modal_from_state_matrix(ad, np.array([[1.0, 0.0]]), dt)
-        keep = ~modal.real_pole
-        assert modal.frequencies[keep] == pytest.approx([f0], rel=1e-10)
-        assert modal.damping_ratios[keep] == pytest.approx([zeta], rel=1e-10)
+        (freqs,), (damping,), _, (real_pole,), (present,) = modal_parameters(
+            ad[None], np.array([[[1.0, 0.0]]]), dt)
+        keep = present & ~real_pole
+        assert freqs[keep] == pytest.approx([f0], rel=1e-10)
+        assert damping[keep] == pytest.approx([zeta], rel=1e-10)
 
     def test_identity_state_matrix_flagged(self):
-        modal = modal_from_state_matrix(np.eye(2), np.ones((1, 2)), 0.1)
-        assert np.all(modal.real_pole)
-        assert modal.frequencies == pytest.approx(np.zeros(2))
+        (freqs,), _, _, (real_pole,), (present,) = modal_parameters(
+            np.eye(2)[None], np.ones((1, 1, 2)), 0.1)
+        assert present.all() and real_pole.all()
+        assert freqs == pytest.approx(np.zeros(2))
 
     def test_negative_real_pole_flagged(self):
         a = np.diag([-0.5, 0.4])
-        modal = modal_from_state_matrix(a, np.ones((1, 2)), 0.1)
-        assert np.all(modal.real_pole)
+        (freqs,), _, _, (real_pole,), (present,) = modal_parameters(
+            a[None], np.ones((1, 1, 2)), 0.1)
+        assert present.all() and real_pole.all()
         # the negative pole lands at the Nyquist frequency
-        assert modal.frequencies.max() >= 0.5 / 0.1 / 2
+        assert freqs.max() >= 0.5 / 0.1 / 2
 
     def test_zero_eigenvalue_dropped_with_count(self):
         a = np.diag([0.0, 0.5])
         with pytest.warns(UserWarning, match="dropped 1"):
-            modal = modal_from_state_matrix(a, np.ones((1, 2)), 0.1)
-        assert modal.n_dropped == 1
-        assert modal.n_modes == 1
-
+            _, _, _, _, (present,) = modal_parameters(a[None], np.ones((1, 1, 2)), 0.1)
+        assert present.tolist() == [True, False]
 
     def test_stack_rows_match_one_matrix_at_a_time(self):
         # a stack mixing complex pairs, real poles and a zero eigenvalue
@@ -334,13 +332,15 @@ class TestModalExtraction:
         for k, (a, c_out) in enumerate(zip(mats, outs)):
             with np.errstate(all="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                one = modal_from_state_matrix(a, c_out, 0.02)
-            n = one.n_modes
+                (f_one,), (d_one,), (s_one,), (r_one,), (p_one,) = modal_parameters(
+                    a[None], c_out[None], 0.02)
+            n = int(p_one.sum())
             assert present[k, :n].all() and not present[k, n:].any()
-            assert np.array_equal(freqs[k, :n], one.frequencies)
-            assert np.array_equal(damping[k, :n], one.damping_ratios)
-            assert np.array_equal(real_pole[k, :n], one.real_pole)
-            assert shapes[k, :n].T == pytest.approx(one.mode_shapes, rel=1e-14)
+            assert np.array_equal(present[k], p_one)
+            assert np.array_equal(freqs[k], f_one)
+            assert np.array_equal(damping[k], d_one)
+            assert np.array_equal(real_pole[k], r_one)
+            assert shapes[k] == pytest.approx(s_one, rel=1e-14)
             assert not np.any(freqs[k, n:]) and not np.any(shapes[k, n:])
             assert np.all(np.diff(freqs[k, :n]) >= 0)
 
@@ -374,13 +374,13 @@ class TestModalExtraction:
         t = well_conditioned(dim)
         t_inv = np.linalg.inv(t)
 
-        ref = modal_from_state_matrix(a, c_out, 0.02)
-        moved = modal_from_state_matrix(t @ a @ t_inv, c_out @ t_inv, 0.02)
-        assert moved.n_modes == ref.n_modes == n_modes
-        assert moved.frequencies == pytest.approx(ref.frequencies, rel=1e-9)
-        assert moved.damping_ratios == pytest.approx(ref.damping_ratios, rel=1e-9)
+        freqs, damping, shapes, _, present = modal_parameters(
+            np.stack([a, t @ a @ t_inv]), np.stack([c_out, c_out @ t_inv]), 0.02)
+        assert present.sum(axis=1).tolist() == [n_modes, n_modes]
+        assert freqs[1] == pytest.approx(freqs[0], rel=1e-9)
+        assert damping[1] == pytest.approx(damping[0], rel=1e-9)
         for k in range(n_modes):
-            a_k, b_k = ref.mode_shapes[:, k], moved.mode_shapes[:, k]
+            a_k, b_k = shapes[0, k], shapes[1, k]
             mac = abs(np.vdot(a_k, b_k)) ** 2 / (np.vdot(a_k, a_k).real
                                                  * np.vdot(b_k, b_k).real)
             assert mac >= 1.0 - 1e-9
@@ -421,8 +421,7 @@ class TestSsiCov:
         c0 = gen.standard_normal((2, 2))
         obs = oracles.observability_forward(a0, c0, 5)
         rot = gen.standard_normal((2, 2)) + 2 * np.eye(2)
-        a1, _ = realization_from_observability(obs, 2)
-        a2, _ = realization_from_observability(obs @ rot, 2)
+        (a1, a2), _ = shift_invariance(np.stack([obs, obs @ rot]), 2)
         assert np.sort_complex(np.linalg.eigvals(a1)) == pytest.approx(
             np.sort_complex(np.linalg.eigvals(a2)), abs=1e-8)
 
@@ -433,6 +432,27 @@ class TestSsiCov:
     def test_order_exceeding_half_height_rejected(self, small_ts):
         with pytest.raises(ValueError, match="order"):
             classical(small_ts, 3, 13)
+
+    def test_rank_deficient_shifted_block_rejected(self):
+        # 4 channels at 2 block rows leave 4 shifted rows for 6 states
+        gen = np.random.default_rng(14)
+        ts = TimeSeries(data=gen.standard_normal((4, 500)), fs=10.0)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            classical(ts, 2, 6)
+
+    def test_first_block_row_is_the_output_matrix(self, small_ts):
+        # the baseline is the stack pipeline's row for its observability,
+        # with the first block row as C, trimmed to the modes present
+        stats = HankelStats.from_record(small_ts, 10)
+        modal = ssi_cov(stats, 8, small_ts.channels, 1.0 / small_ts.fs)
+        obs, _, _ = observability_controllability(stats, 8)
+        a, _ = shift_invariance(obs[None], small_ts.channels)
+        (freqs,), (damping,), (shapes,), (real_pole,), (present,) = modal_parameters(
+            a, obs[None, :small_ts.channels], 1.0 / small_ts.fs)
+        assert np.array_equal(modal.frequencies, freqs[present])
+        assert np.array_equal(modal.damping_ratios, damping[present])
+        assert np.array_equal(modal.real_pole, real_pole[present])
+        assert np.array_equal(modal.mode_shapes, shapes[present].T)
 
     def test_odd_order_allowed(self, small_ts):
         # odd truncation leaves an unpaired eigenvalue; conjugate-pair
