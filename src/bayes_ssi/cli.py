@@ -162,7 +162,7 @@ def _manifest(command: str, cfg: dict, started: float,
               failures: dict | None = None, diagnostics: dict | None = None) -> dict:
     return {
         "command": command,
-        "seed": cfg.get("seed"),
+        "seed": cfg["seed"],
         "versions": {
             "bayes_ssi": __version__,
             "numpy": np.__version__,
@@ -184,16 +184,16 @@ def _config_echo(command: str, cfg: dict) -> dict:
 
 
 def _vb_config(cfg: dict) -> VBConfig:
-    return VBConfig(max_iter=cfg.get("max_iter", 500),
-                    elbo_rel_tol=cfg.get("tol", 1e-7),
+    return VBConfig(max_iter=cfg["max_iter"],
+                    elbo_rel_tol=cfg["tol"],
                     seed=cfg["seed"],
-                    latent_cross_cov=not cfg.get("strict_paper_vb", False),
-                    warm_start=cfg.get("warm_start", False))
+                    latent_cross_cov=not cfg["strict_paper_vb"],
+                    warm_start=cfg["warm_start"])
 
 
-def _require_draws(cfg: dict, default: int) -> int:
+def _require_draws(cfg: dict) -> int:
     """The ``--draws`` count, rejected before any engine runs if below one."""
-    n_draws = cfg.get("draws", default)
+    n_draws = cfg["draws"]
     if n_draws < 1:
         raise ValueError(f"--draws must be at least 1, got {n_draws}")
     return n_draws
@@ -284,7 +284,7 @@ def _per_view(key: str, value, shared: bool) -> list:
 def _load_input(cfg: dict):
     """Resolve the input record: CSV plus fs from the flag or a sidecar."""
     path = Path(cfg["input"])
-    fs = cfg.get("fs")
+    fs = cfg["fs"]
     if fs is None:
         sidecar = path.with_suffix(".json")
         if sidecar.exists():
@@ -366,28 +366,27 @@ def cmd_identify(cfg: dict) -> Path:
     """Hankel statistics -> engine -> modal posterior, with a classical point
     estimate as the alignment reference."""
     started = time.time()
-    n_draws = _require_draws(cfg, 4000)
+    n_draws = _require_draws(cfg)
     engine = cfg["engine"]
     # an invalid engine configuration fails before any output is written
     if engine == "vb":
         engine_config = _vb_config(cfg)
     elif engine == "gibbs":
-        engine_config = GibbsConfig(n_samples=cfg.get("samples", 5000),
-                                    burn_in_fraction=cfg.get("burn_in", 0.2),
-                                    thinning=cfg.get("thin", 1),
+        engine_config = GibbsConfig(n_samples=cfg["samples"],
+                                    burn_in_fraction=cfg["burn_in"],
+                                    thinning=cfg["thin"],
                                     seed=cfg["seed"],
-                                    warm_start=cfg.get("warm_start", False))
+                                    warm_start=cfg["warm_start"])
     elif engine != "ssi":
         raise ValueError(f"unknown engine {engine!r}")
     ts = _load_input(cfg)
     j = cfg["block_rows"]
     order = cfg["order"]
-    center = not cfg.get("no_center", False)
-    overrides = (load_prior_overrides(cfg["priors"]) if cfg.get("priors") else None)
+    overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("identify", cfg))
-        stats = HankelStats.from_record(ts, j, center=center)
+        stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
         reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
@@ -437,25 +436,22 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     """Variational sweep over model orders; per-order failures are recorded
     in the manifest and the exit code, not raised."""
     started = time.time()
-    n_draws = _require_draws(cfg, 500)
+    n_draws = _require_draws(cfg)
     ts = _load_input(cfg)
-    orders = cfg["orders"]
-    overrides = (load_prior_overrides(cfg["priors"]) if cfg.get("priors") else None)
+    overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
     vb_config = _vb_config(cfg)
     # invalid priors fail the command here, not as a failure at every order
     half = ts.channels * cfg["block_rows"]
-    priors = {order: build_priors(half, half, order, overrides) for order in orders}
+    priors = {order: build_priors(half, half, order, overrides) for order in cfg["orders"]}
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         _write_welch_overlay(out, ts)
-        result = stabilisation(ts, cfg["block_rows"], orders, vb_config,
-                               n_draws=n_draws,
-                               center=not cfg.get("no_center", False),
-                               priors_factory=lambda _d1, _d2, order: priors[order])
+        stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
+        result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
-        ]) if result.orders.size else np.empty((0, 3))
+        ])
         write_matrix_csv(out.file("stabilisation.csv"), triples,
                          header=["order", "frequency_hz", "damping_ratio"])
         for order, diag in result.diagnostics.items():
@@ -472,8 +468,7 @@ def cmd_spectrum(cfg: dict) -> Path:
     ts = _load_input(cfg)
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("spectrum", cfg))
-        spec = welch_psd(ts, segment_length=cfg.get("segment", 1024),
-                         overlap=cfg.get("overlap", 0.5))
+        spec = welch_psd(ts, segment_length=cfg["segment"], overlap=cfg["overlap"])
         header = (["frequency_hz"] + [f"ch{i + 1}" for i in range(ts.channels)]
                   + ["sum"])
         write_matrix_csv(out.file("psd.csv"),
@@ -515,8 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-center", action="store_true")
         p.add_argument("--strict-paper-vb", action="store_true")
         p.add_argument("--warm-start", action="store_true")
-        p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--tol", type=float, default=1e-7)
+        p.add_argument("--max-iter", type=int, default=VBConfig.max_iter)
+        p.add_argument("--tol", type=float, default=VBConfig.elbo_rel_tol)
 
     ident = sub.add_parser("identify", help="single-order identification")
     common_input(ident)
@@ -524,8 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--engine", choices=["ssi", "gibbs", "vb"], default="vb")
     ident.add_argument("--samples", type=int, default=5000,
                        help="Gibbs sweeps before burn-in removal")
-    ident.add_argument("--burn-in", type=float, default=0.2)
-    ident.add_argument("--thin", type=int, default=1)
+    ident.add_argument("--burn-in", type=float, default=GibbsConfig.burn_in_fraction)
+    ident.add_argument("--thin", type=int, default=GibbsConfig.thinning)
     ident.add_argument("--draws", type=int, default=4000,
                        help="Monte Carlo draws propagated from the VB posterior")
 

@@ -43,17 +43,19 @@ def _describe_matrix(mat: np.ndarray) -> dict | list:
     return mat.tolist()
 
 
+def _describe_vector(vec: np.ndarray) -> dict | list:
+    """Compact exact JSON form: constant vectors stay scalar."""
+    if np.all(vec == vec[0]):
+        return {"constant": float(vec[0]), "dim": vec.size}
+    return vec.tolist()
+
+
 def describe_priors(priors) -> dict:
     """JSON-ready echo of the prior hyperparameters for run manifests."""
     return {
-        "mean_loc": ({"constant": float(priors.mean_loc[0]), "dim": priors.mean_loc.size}
-                     if np.all(priors.mean_loc == priors.mean_loc[0])
-                     else priors.mean_loc.tolist()),
+        "mean_loc": _describe_vector(priors.mean_loc),
         "mean_cov": _describe_matrix(priors.mean_cov),
-        "weight_loc": ({"constant": float(priors.weight_loc[0]),
-                        "dim": priors.weight_loc.size}
-                       if np.all(priors.weight_loc == priors.weight_loc[0])
-                       else priors.weight_loc.tolist()),
+        "weight_loc": _describe_vector(priors.weight_loc),
         "weight_cov": _describe_matrix(priors.weight_cov),
         "noise_scale": [_describe_matrix(s) for s in priors.noise_scale],
         "noise_dof": list(priors.noise_dof),

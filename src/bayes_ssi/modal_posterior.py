@@ -6,6 +6,10 @@ baseline's shift-invariance solve and eigen-decomposition into one
 ``ModalDraws`` container of padded arrays, whose modes are then aligned to
 the classical reference by MAC in array operations.  Negative damping
 draws are kept (they occur legitimately); summaries report their fraction.
+
+``stabilisation`` runs the variational engine on one set of Hankel
+statistics at several model orders, each with its own priors, and pools
+the propagated (order, frequency, damping) triples.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import GibbsChain
-from .model import default_priors
+from .model import PriorHyper
 from .rng import Rng
-from .simulate import TimeSeries
 from .subspace import (
     HankelStats,
     ModalSet,
@@ -315,10 +318,11 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
 
     Returns ``(diagnostics, frequencies, damping_ratios, failure)``: the
     run's diagnostics (None if the engine failed), the order's complex
-    poles below Nyquist (None on failure) and the numerical-failure message
-    (None on success).  Any other exception propagates.
+    poles below Nyquist (empty on failure) and the numerical-failure
+    message (None on success).  Any other exception propagates.
     """
     diagnostics = None
+    empty = np.empty(0)
     try:
         post = run_vb(stats, priors, config)
         diagnostics = post.diagnostics()
@@ -326,9 +330,9 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
             post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + order))
         modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, "vb", order)
     except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
-        return diagnostics, None, None, str(exc)
+        return diagnostics, empty, empty, str(exc)
     if modal.index.size == 0:
-        return diagnostics, None, None, (
+        return diagnostics, empty, empty, (
             f"all {n_excluded} draws degenerate; the shift-invariance "
             f"solve needs (block_rows - 1) * channels >= order"
         )
@@ -339,9 +343,9 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
 def _map_orders(run, priors: dict, workers: int) -> dict:
     """``run(priors[order], order)`` for every order: in process for one
     worker, else in ``workers`` forked processes, highest (costliest) order
-    first.  Results are keyed in the order of ``priors``."""
+    first.  Results are keyed, and collected, in ascending order."""
     if workers == 1:
-        return {order: run(hyper, order) for order, hyper in priors.items()}
+        return {order: run(priors[order], order) for order in sorted(priors)}
     # imported here, so commands that never start a pool do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -352,72 +356,53 @@ def _map_orders(run, priors: dict, workers: int) -> dict:
     try:
         futures = {order: pool.submit(run, priors[order], order)
                    for order in sorted(priors, reverse=True)}
-        return {order: futures[order].result() for order in priors}
+        return {order: futures[order].result() for order in sorted(priors)}
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def stabilisation(ts: TimeSeries, block_rows: int, orders: list[int],
-                  vb_config: VBConfig, n_draws: int = 500, *,
-                  center: bool = True, priors_factory=default_priors,
-                  ) -> StabilisationData:
-    """Run the variational engine at multiple model orders and pool the
-    propagated (frequency, damping, order) triples.
+def stabilisation(stats: HankelStats, priors: dict[int, PriorHyper],
+                  vb_config: VBConfig, n_draws: int, n_channels: int,
+                  fs: float) -> StabilisationData:
+    """Run the variational engine on ``stats`` at every model order in
+    ``priors`` (order -> that order's priors) and pool the propagated
+    (frequency, damping, order) triples of ``n_draws`` draws per order.
 
-    ``priors_factory(view_dim_future, view_dim_past, order)`` supplies the
-    priors for each order; it is called in this process, so it need not be
-    picklable.  The orders run in one forked worker process per order, at
-    most one per CPU this process may run on (in this process for one).
-    Each order's result depends only on its own inputs, so the output is
-    the same for any worker count.  Numerical per-order failures
-    (linear-algebra errors, invalid values, a decreasing or non-finite
-    bound) are recorded and logged in ascending order, and the sweep
+    The orders run in one forked worker process per order, at most one per
+    CPU this process may run on (in this process for one).  Each order's
+    result depends only on its own inputs, so the output is the same for
+    any worker count.  Numerical per-order failures (linear-algebra
+    errors, invalid values, a decreasing or non-finite bound, every draw
+    degenerate) are recorded and logged in ascending order, and the sweep
     continues; any other exception propagates, and so does the death of a
     worker.  Real-pole entries are removed from the pooled triples.
     """
-    orders = sorted(set(int(o) for o in orders))
-    if not orders:
+    if not priors:
         raise ValueError("orders must be non-empty")
-    half = ts.channels * block_rows
-    if orders[-1] > half:
-        raise ValueError(f"max order {orders[-1]} exceeds Hankel half-height {half}")
+    half = stats.view_dims[0]
+    if max(priors) > half:
+        raise ValueError(f"max order {max(priors)} exceeds Hankel half-height {half}")
 
-    stats = HankelStats.from_record(ts, block_rows, center=center)
-    results: dict[int, tuple] = {}
-    priors = {}
-    for order in orders:
-        try:
-            priors[order] = priors_factory(stats.view_dims[0], stats.view_dims[1], order)
-        except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
-            results[order] = (None, None, None, str(exc))
     # one worker per order, at most one per CPU this process may run on;
     # in process where the platform reports no CPU affinity
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(orders), cpus)
-    run = functools.partial(_sweep_order, stats, vb_config, n_draws, ts.channels, ts.fs)
-    results.update(_map_orders(run, priors, workers))
+    workers = min(len(priors), cpus)
+    run = functools.partial(_sweep_order, stats, vb_config, n_draws, n_channels, fs)
+    results = _map_orders(run, priors, workers)
 
-    all_orders: list[np.ndarray] = []
-    all_freqs: list[np.ndarray] = []
-    all_damps: list[np.ndarray] = []
     failures: dict[int, str] = {}
     diagnostics: dict[int, dict] = {}
-    for order in orders:
-        diag, freqs, damps, failure = results[order]
+    for order, (diag, _, _, failure) in results.items():
         if diag is not None:
             diagnostics[order] = diag
         if failure is not None:
             logger.warning("stabilisation failed at order %d: %s", order, failure)
             failures[order] = failure
-            continue
-        all_orders.append(np.full(freqs.size, order, dtype=int))
-        all_freqs.append(freqs)
-        all_damps.append(damps)
-
+    _, freqs, damps, _ = zip(*results.values())
     return StabilisationData(
-        orders=(np.concatenate(all_orders) if all_orders else np.empty(0, dtype=int)),
-        frequencies=(np.concatenate(all_freqs) if all_freqs else np.empty(0)),
-        damping_ratios=(np.concatenate(all_damps) if all_damps else np.empty(0)),
+        orders=np.repeat(list(results), [f.size for f in freqs]),
+        frequencies=np.concatenate(freqs),
+        damping_ratios=np.concatenate(damps),
         failures=failures,
         diagnostics=diagnostics,
         workers=workers,

@@ -308,15 +308,15 @@ class Conditionals:
 
 
 def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,
-                   weight_scale: float = 1.0, mean_scale: float = 1.0,
-                   noise_scale: float = 100.0, noise_dof_offset: float = 2.0,
-                   ) -> PriorHyper:
+                   noise_scale: float = 100.0) -> PriorHyper:
     """Weakly informative proper priors.
 
-    Defaults follow the benchmark study: unit-variance Gaussian priors on
-    the mean and on each weight column, noise scale 100*I with degrees of
-    freedom D_m + 2 per view.  Pass ``noise_scale=1.0`` for the
-    identity-scale variant used on measured bridge data.
+    Defaults follow the benchmark study: zero-mean unit-variance Gaussian
+    priors on the mean and on each weight column, noise scale
+    ``noise_scale`` * I (100 by default) with degrees of freedom D_m + 2
+    per view.  Pass ``noise_scale=1.0`` for the identity-scale variant
+    used on measured bridge data; set any other field with
+    :func:`dataclasses.replace` on the result.
     """
     dims = (int(view_dim_future), int(view_dim_past))
     if any(d < 1 for d in dims):
@@ -324,11 +324,11 @@ def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,
     total = sum(dims)
     return PriorHyper(
         mean_loc=np.zeros(total),
-        mean_cov=mean_scale * np.eye(total),
+        mean_cov=np.eye(total),
         weight_loc=np.zeros(total),
-        weight_cov=weight_scale * np.eye(total),
+        weight_cov=np.eye(total),
         noise_scale=tuple(noise_scale * np.eye(d) for d in dims),
-        noise_dof=tuple(float(d + noise_dof_offset) for d in dims),
+        noise_dof=tuple(float(d + 2) for d in dims),
         latent_dim=int(latent_dim),
         view_dims=dims,
     )

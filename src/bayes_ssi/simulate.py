@@ -105,8 +105,9 @@ def build_shear_frame(n_floors: int, mass, stiffness) -> tuple[np.ndarray, np.nd
         raise ValueError("n_floors must be >= 1")
     m = np.broadcast_to(np.asarray(mass, dtype=float), (n_floors,)).copy()
     k = np.broadcast_to(np.asarray(stiffness, dtype=float), (n_floors,)).copy()
-    if np.any(m <= 0) or np.any(k <= 0):
-        raise ValueError("masses and stiffnesses must be positive")
+    for name, values in (("masses", m), ("stiffnesses", k)):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError(f"{name} must be finite and positive, got {values}")
 
     mass_mat = np.diag(m)
     stiff = np.zeros((n_floors, n_floors))
@@ -130,10 +131,10 @@ def to_continuous_ss(mass_mat, damp, stiff, forcing_density: float,
     mass_mat = np.asarray(mass_mat, dtype=float)
     damp = np.asarray(damp, dtype=float)
     stiff = np.asarray(stiff, dtype=float)
-    if forcing_density <= 0:
-        raise ValueError("forcing_density must be positive")
-    if meas_noise_sd < 0:
-        raise ValueError("meas_noise_sd must be non-negative")
+    if not (np.isfinite(forcing_density) and forcing_density > 0):
+        raise ValueError(f"forcing_density must be finite and positive, got {forcing_density}")
+    if not (np.isfinite(meas_noise_sd) and meas_noise_sd >= 0):
+        raise ValueError(f"meas_noise_sd must be finite and non-negative, got {meas_noise_sd}")
     n = mass_mat.shape[0]
     try:
         minv_k = np.linalg.solve(mass_mat, stiff)

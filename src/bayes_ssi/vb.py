@@ -82,8 +82,9 @@ class VBConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        if self.elbo_rel_tol <= 0:
-            raise ValueError("elbo_rel_tol must be positive")
+        if not (np.isfinite(self.elbo_rel_tol) and self.elbo_rel_tol > 0):
+            raise ValueError(
+                f"elbo_rel_tol must be finite and positive, got {self.elbo_rel_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -363,10 +363,10 @@ def test_criterion_8_stabilisation(benchmark_ts_full, benchmark_oracle,
     completion at orders 10 and 30."""
     oracle_freqs, _ = benchmark_oracle
     orders = list(range(2, 17, 2))
-    result = stabilisation(
-        benchmark_ts_full, BLOCK_ROWS, orders,
-        VBConfig(seed=0, warm_start=True), n_draws=400,
-    )
+    stats = HankelStats.from_record(benchmark_ts_full, BLOCK_ROWS)
+    priors = {order: default_priors(*stats.view_dims, order) for order in orders}
+    result = stabilisation(stats, priors, VBConfig(seed=0, warm_start=True), 400,
+                           benchmark_ts_full.channels, benchmark_ts_full.fs)
     assert result.failures == {}
 
     outside = np.ones(result.frequencies.size, dtype=bool)

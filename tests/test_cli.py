@@ -370,6 +370,39 @@ def test_simulate_bad_fs_rejected(tmp_path, capsys, fs):
     assert not out.exists() or listing(out) == []
 
 
+@pytest.mark.parametrize("flag,value,quantity", [
+    ("--mass", "nan", "masses"), ("--mass", "inf", "masses"),
+    ("--stiffness", "nan", "stiffnesses"), ("--stiffness", "inf", "stiffnesses"),
+    ("--forcing-density", "nan", "forcing_density"),
+    ("--forcing-density", "inf", "forcing_density"),
+    ("--measurement-sd", "nan", "meas_noise_sd"),
+    ("--measurement-sd", "inf", "meas_noise_sd"),
+])
+def test_simulate_non_finite_physical_flag_rejected(tmp_path, capsys, flag, value,
+                                                    quantity):
+    out = tmp_path / "bad_frame"
+    code = run_cli("simulate", "--floors", 2, "--samples", 64, flag, value,
+                   "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"{quantity} must be finite" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_rejected(sim_dir, tmp_path, capsys, tol):
+    out = tmp_path / "bad_tol"
+    code = run_cli("identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                   "--order", 4, "--engine", "vb", "--tol", tol, "--seed", 1,
+                   "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "elbo_rel_tol must be finite and positive" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
 def test_stabilise_order_zero_rejected(sim_dir, tmp_path, capsys):
     out = tmp_path / "order_zero"
     code = run_cli("stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,

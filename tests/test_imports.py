@@ -4,7 +4,11 @@ the module's ``__all__`` (re-exports) and imports on a line marked
 ``# noqa: F401`` (attributes kept for the benchmark's tracer) are exempt.
 
 Only ``rng`` binds LAPACK's solves and only ``rng`` and ``simulate`` import
-from ``scipy.linalg``; every other module solves through ``rng``."""
+from ``scipy.linalg``; every other module solves through ``rng``.
+
+The command line reads its configuration as ``cfg[key]``, never
+``cfg.get(key, default)``: every key comes from the parser, which holds
+the one default of each setting."""
 
 import ast
 from pathlib import Path
@@ -78,3 +82,20 @@ def test_scan_finds_every_import_form():
               "from scipy.linalg.lapack import dpotrs\nfrom scipy.special import psi\n")
     assert scipy_linalg_imports(source) == ["scipy.linalg", "scipy.linalg",
                                             "scipy.linalg.lapack.dpotrs"]
+
+
+def cfg_get_calls(source: str) -> list[int]:
+    """Lines of every ``cfg.get(...)`` call."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "cfg"]
+
+
+def test_cli_reads_no_second_default():
+    assert cfg_get_calls((ROOT / "src/bayes_ssi/cli.py").read_text()) == []
+
+
+def test_scan_finds_cfg_get_calls():
+    source = 'a = cfg.get("seed")\nb = cfg["tol"]\nc = {}.get("x")\nd = cfg.get("fs", 1)\n'
+    assert cfg_get_calls(source) == [1, 4]

@@ -17,8 +17,9 @@ from bayes_ssi.modal_posterior import (
     stabilisation,
     summarize,
 )
+from bayes_ssi.model import default_priors
 from bayes_ssi.rng import Rng
-from bayes_ssi.subspace import ModalSet, modal_parameters
+from bayes_ssi.subspace import HankelStats, ModalSet, modal_parameters
 from bayes_ssi.vb import VBConfig, VBPosterior
 
 import oracles
@@ -402,10 +403,18 @@ def short_benchmark(benchmark_ts_full):
                       fs=benchmark_ts_full.fs)
 
 
+def sweep(ts, block_rows, orders, cfg, n_draws):
+    """``stabilisation`` on the centred statistics of ``ts`` with default
+    priors at every order."""
+    stats = HankelStats.from_record(ts, block_rows)
+    priors = {order: default_priors(*stats.view_dims, order) for order in orders}
+    return stabilisation(stats, priors, cfg, n_draws, ts.channels, ts.fs)
+
+
 class TestStabilisation:
     def test_single_order_matches_direct_pipeline(self, short_benchmark):
         cfg = VBConfig(max_iter=60, elbo_rel_tol=1e-6, seed=3)
-        result = stabilisation(short_benchmark, 6, [4], cfg, n_draws=40)
+        result = sweep(short_benchmark, 6, [4], cfg, 40)
         assert result.failures == {}
         assert set(np.unique(result.orders)) == {4}
         assert np.all(result.frequencies > 0)
@@ -413,7 +422,7 @@ class TestStabilisation:
 
     def test_multiple_orders_collects_triples(self, short_benchmark):
         cfg = VBConfig(max_iter=60, elbo_rel_tol=1e-6, seed=3)
-        result = stabilisation(short_benchmark, 6, [2, 4, 6], cfg, n_draws=25)
+        result = sweep(short_benchmark, 6, [2, 4, 6], cfg, 25)
         # every requested order either ran or is recorded as failed
         assert set(result.diagnostics) | set(result.failures) == {2, 4, 6}
         assert set(np.unique(result.orders)) <= {2, 4, 6}
@@ -425,21 +434,18 @@ class TestStabilisation:
     def test_order_exceeding_half_height_rejected(self, short_benchmark):
         cfg = VBConfig(max_iter=10, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            stabilisation(short_benchmark, 2, [2, 50], cfg)
+            sweep(short_benchmark, 2, [2, 50], cfg, 10)
 
     def test_per_order_failure_recorded_run_continues(self, short_benchmark):
+        # 4 channels at 2 block rows: order 6 is within the half-height 8
+        # but above (2 - 1) * 4, so every shift-invariance solve degenerates
         cfg = VBConfig(max_iter=5, elbo_rel_tol=1e-6, seed=3)
-
-        def flaky_priors(d1, d2, order):
-            if order == 4:
-                raise RuntimeError("boom")
-            from bayes_ssi.model import default_priors
-            return default_priors(d1, d2, order)
-
-        result = stabilisation(short_benchmark, 6, [2, 4], cfg, n_draws=10,
-                               priors_factory=flaky_priors)
-        assert 4 in result.failures and "boom" in result.failures[4]
+        result = sweep(short_benchmark, 2, [2, 6], cfg, 10)
+        assert list(result.failures) == [6]
+        assert result.failures[6].startswith("all 10 draws degenerate")
+        assert set(result.diagnostics) == {2, 6}
         assert set(np.unique(result.orders)) == {2}
+        assert result.frequencies.size == result.damping_ratios.size > 0
 
     def test_programming_error_propagates(self, short_benchmark, monkeypatch):
         import bayes_ssi.modal_posterior as mp
@@ -450,11 +456,11 @@ class TestStabilisation:
         monkeypatch.setattr(mp, "run_vb", broken_run_vb)
         cfg = VBConfig(max_iter=5, seed=3)
         with pytest.raises(TypeError, match="synthetic programming error"):
-            stabilisation(short_benchmark, 6, [2, 4], cfg, n_draws=10)
+            sweep(short_benchmark, 6, [2, 4], cfg, 10)
 
     def test_diagnostics_per_order(self, short_benchmark):
         cfg = VBConfig(max_iter=2, seed=3)
-        result = stabilisation(short_benchmark, 6, [2, 4], cfg, n_draws=10)
+        result = sweep(short_benchmark, 6, [2, 4], cfg, 10)
         assert set(result.diagnostics) == {2, 4}
         for diag in result.diagnostics.values():
             assert diag["n_iter"] == 2

@@ -57,7 +57,7 @@ class TestDefaultPriors:
 
     def test_bad_dof_rejected(self):
         with pytest.raises(ValueError, match="noise_dof"):
-            default_priors(4, 4, 2, noise_dof_offset=-10.0)
+            dataclasses.replace(default_priors(4, 4, 2), noise_dof=(-6.0, -6.0))
 
     def test_noise_entries_must_match_view_count(self):
         # zipping would silently drop the second view's noise prior
