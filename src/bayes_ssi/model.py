@@ -97,8 +97,12 @@ class PriorHyper:
         total = sum(self.view_dims)
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim (model order) must be >= 1, got {self.latent_dim}")
-        if self.mean_loc.shape != (total,) or self.weight_loc.shape != (total,):
-            raise ValueError("prior location vectors must have the stacked dimension")
+        for name in ("mean_loc", "weight_loc"):
+            loc = getattr(self, name)
+            if loc.shape != (total,):
+                raise ValueError(f"{name} must have the stacked dimension {total}")
+            if not np.all(np.isfinite(loc)):
+                raise ValueError(f"{name} must be finite")
         validate_spd(self.mean_cov, "mean_cov")
         validate_spd(self.weight_cov, "weight_cov")
         if not len(self.noise_scale) == len(self.noise_dof) == len(self.view_dims):
@@ -112,10 +116,9 @@ class PriorHyper:
             validate_spd(scale, f"noise_scale[{m}]")
             if scale.shape != (dim, dim):
                 raise ValueError(f"noise_scale[{m}] must be {dim}x{dim}")
-            if dof <= dim - 1:
-                raise ValueError(
-                    f"noise_dof[{m}] must exceed view dim - 1 = {dim - 1}, got {dof}"
-                )
+            if not (np.isfinite(dof) and dof > dim - 1):
+                raise ValueError(f"noise_dof[{m}] must be finite and exceed "
+                                 f"view dim - 1 = {dim - 1}, got {dof}")
 
     @property
     def dim(self) -> int:

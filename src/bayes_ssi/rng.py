@@ -6,15 +6,26 @@ The inverse-Wishart draw of the Gibbs sampler's noise blocks is exact
 pair; the Gaussian conditional draws are triangular solves on standard
 normals, done where the conditionals are factored.  ``solve_lower`` and
 ``chol_solve`` are the package's only bindings of LAPACK solves.
+
+This is the one module that touches scipy's compiled code outside the
+simulator: it loads the extension modules behind ``scipy.linalg.lapack``
+(``dtrtrs``, ``dpotrs``) and ``scipy.special`` (``gammaln``, ``psi``)
+straight from their files.  Importing those subpackages would roughly
+double every command's start-up time and memory before it reads its input;
+the functions are the very objects the subpackages export, so every result
+is bit-for-bit the same.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
-from scipy.special import gammaln
+import scipy
 
 __all__ = [
     "Rng",
@@ -31,9 +42,37 @@ __all__ = [
     "psd_factor",
     "sample_inverse_wishart_pair",
     "log_multigamma",
+    "digamma",
 ]
 
 _SYM_RTOL = 1e-12
+
+
+def _scipy_extension(package: str, name: str, public: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its
+    file under its canonical name without importing ``scipy.<package>``;
+    the module ``public`` that re-exports its functions when no such file
+    exists (another scipy layout).  Registered in ``sys.modules``, so a
+    later import of the subpackage reuses it."""
+    canonical = f"scipy.{package}.{name}"
+    if canonical in sys.modules:
+        return sys.modules[canonical]
+    folder = Path(scipy.__file__).parent / package
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"{name}{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(canonical, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[canonical] = module
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(public)
+
+
+_flapack = _scipy_extension("linalg", "_flapack", "scipy.linalg.lapack")
+_ufuncs = _scipy_extension("special", "_special_ufuncs", "scipy.special")
+dtrtrs, dpotrs = _flapack.dtrtrs, _flapack.dpotrs
+gammaln, digamma = _ufuncs.gammaln, _ufuncs.psi
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -135,8 +174,11 @@ def chol_logdet(chol: np.ndarray) -> float:
 
 
 def validate_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check symmetry and positive definiteness; return the validated array."""
+    """Check finiteness, symmetry and positive definiteness; return the
+    validated array."""
     mat = np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
     check_symmetric(mat, name)
     spd_cholesky(mat, name)
     return mat
@@ -159,8 +201,10 @@ def _bartlett_factor(rng: Rng, dim: int, dof: float) -> np.ndarray:
     """Lower-triangular Bartlett factor A with A @ A.T ~ Wishart(I, dof):
     chi-square draws with dof - i degrees of freedom on the diagonal, then
     standard normals below it in row order (Smith & Hocking, AS 53)."""
-    a = np.zeros((dim, dim))
     gen = rng.generator
+    if dim == 1:  # the same single chi-square draw, without the array set-up
+        return np.array([[np.sqrt(gen.chisquare(dof))]])
+    a = np.zeros((dim, dim))
     a.flat[::dim + 1] = np.sqrt(gen.chisquare(dof - np.arange(dim)))
     a[_strict_lower(dim)] = gen.standard_normal(dim * (dim - 1) // 2)
     return a
@@ -197,7 +241,8 @@ def sample_inverse_wishart_pair(rng: Rng, scale: np.ndarray, dof: float,
 def log_multigamma(a: float, dim: int) -> float:
     """ln Gamma_dim(a) = dim (dim - 1) / 4 ln pi + sum_j ln Gamma(a - j / 2)
     over j < dim; equal to ``scipy.special.multigammaln`` without its
-    Python list of terms."""
+    Python list of terms, and through the same ``gammaln`` (loaded without
+    importing ``scipy.special``)."""
     if a <= 0.5 * (dim - 1):
         raise ValueError(f"log_multigamma needs a > (dim - 1) / 2, got a = {a}, dim = {dim}")
     return float((dim * (dim - 1) * 0.25) * np.log(np.pi)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_discrete_lyapunov
 
 from .rng import Rng, psd_factor, symmetrize
 
@@ -157,6 +156,8 @@ def to_continuous_ss(mass_mat, damp, stiff, forcing_density: float,
 def van_loan_discretize(a: np.ndarray, noise_input: np.ndarray, density: float,
                         dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (A_d, Q_d) via the matrix exponential of the augmented block matrix."""
+    from scipy.linalg import expm  # here, so that no other command loads scipy.linalg
+
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -183,6 +184,8 @@ def discretize(css: ContinuousSS, dt: float) -> DiscreteSS:
 
 def stationary_state_covariance(dss: DiscreteSS) -> np.ndarray:
     """Solve P = A P A^T + Q for the stationary state covariance."""
+    from scipy.linalg import solve_discrete_lyapunov
+
     if not np.any(dss.process_noise_cov):
         return np.zeros_like(dss.process_noise_cov)
     return symmetrize(solve_discrete_lyapunov(dss.a, dss.process_noise_cov))

@@ -39,11 +39,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import psi
 
 from .gibbs import warm_start_point
 from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
-from .rng import Rng, chol_inverse, chol_logdet, log_multigamma, spd_cholesky, spd_inverse
+from .rng import (
+    Rng,
+    chol_inverse,
+    chol_logdet,
+    digamma,
+    log_multigamma,
+    spd_cholesky,
+    spd_inverse,
+)
 from .subspace import HankelStats
 
 __all__ = [
@@ -140,7 +147,7 @@ def expected_noise_precision(post: VBPosterior) -> list[np.ndarray]:
 def _expected_logdet_precision(scale_logdet: float, dim: int, dof: float) -> float:
     """E[ln |precision|] under a Wishart factor whose scale inverse has log
     determinant ``scale_logdet``."""
-    digamma_sum = float(np.sum(psi(0.5 * (dof - np.arange(dim)))))
+    digamma_sum = float(np.sum(digamma(0.5 * (dof - np.arange(dim)))))
     return digamma_sum + dim * np.log(2.0) - scale_logdet
 
 

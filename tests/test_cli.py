@@ -22,6 +22,14 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+# prior files with a non-finite field, and the field the error must name
+NON_FINITE_PRIORS = [('{"noise_dof": NaN}', "noise_dof[0]"),
+                     ('{"noise_dof": Infinity}', "noise_dof[0]"),
+                     ('{"noise_scale": NaN}', "noise_scale[0]"),
+                     ('{"mean_loc": NaN}', "mean_loc"),
+                     ('{"weight_cov": NaN}', "weight_cov")]
+
+
 def listing(path):
     return sorted(p.name for p in Path(path).iterdir())
 
@@ -228,6 +236,20 @@ class TestIdentify:
         assert "noise_dof" in capsys.readouterr().err
         assert listing(out) == []
 
+    @pytest.mark.parametrize("text,field", NON_FINITE_PRIORS)
+    def test_non_finite_prior_rejected(self, sim_dir, tmp_path, capsys, text, field):
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text(text)
+        out = tmp_path / "non_finite"
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "vb",
+                       "--draws", 20, "--max-iter", 40, "--seed", 2,
+                       "--priors", priors_file, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "must be finite" in err
+        assert listing(out) == []
+
     def test_engine_failure_cleans_partial_artifacts(self, sim_dir, tmp_path):
         # order larger than the Hankel half-height fails after config.json
         # is staged; the directory must be left clean
@@ -319,6 +341,21 @@ class TestStabilise:
         assert len(err) == 1 and err[0].startswith("error:") and "noise_dof" in err[0]
         assert not (out / "stabilisation.csv").exists()
         assert not (out / "run_manifest.json").exists()
+
+    def test_non_finite_priors_fail_before_any_order(self, sim_dir, tmp_path, capsys):
+        # a failure at every order would print one line per order and
+        # leave the Welch overlay and the manifest behind
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text('{"noise_scale": NaN}')
+        out = tmp_path / "nan_priors"
+        code = run_cli("stabilise", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 2, "--order", 4,
+                       "--draws", 10, "--max-iter", 30, "--seed", 5,
+                       "--priors", priors_file, "--out", out)
+        assert code == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(err) == 1 and "noise_scale[0] must be finite" in err[0]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [("identify", "--engine", "vb"), ("stabilise",)])

@@ -3,8 +3,11 @@ module, found with the standard library's ``ast`` alone.  Names listed in
 the module's ``__all__`` (re-exports) and imports on a line marked
 ``# noqa: F401`` (attributes kept for the benchmark's tracer) are exempt.
 
-Only ``rng`` binds LAPACK's solves and only ``rng`` and ``simulate`` import
-from ``scipy.linalg``; every other module solves through ``rng``.
+No module imports ``scipy.linalg`` or ``scipy.special`` at module level, so
+no command pays for them at start-up; ``simulate`` alone imports them, inside
+the functions that need them.  ``rng`` is the one module that loads scipy's
+compiled modules (LAPACK's solves and the gamma functions) and the one that
+binds LAPACK's solves; every other module solves through ``rng``.
 
 The command line reads its configuration as ``cfg[key]``, never
 ``cfg.get(key, default)``: every key comes from the parser, which holds
@@ -18,8 +21,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted(ROOT.glob("src/**/*.py"))
 FILES = sorted([*SRC, *ROOT.glob("tests/**/*.py")])
-# the modules allowed to import from scipy.linalg
-SCIPY_LINALG = {"rng.py", "simulate.py"}
+# imported only inside functions, and only by the simulator
+SCIPY_SUBPACKAGES = (["scipy", "linalg"], ["scipy", "special"])
+# the compiled modules and the LAPACK solves only ``rng`` may name
+COMPILED = ("_flapack", "_special_ufuncs", "lapack", "dtrtrs", "dpotrs")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,31 +62,61 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
 
 
-def scipy_linalg_imports(source: str) -> list[str]:
-    """Dotted names of everything imported from ``scipy.linalg``."""
+def imports(source: str) -> list[tuple[str, bool]]:
+    """(dotted name, inside a function) of every imported name; a relative
+    import keeps its leading dots."""
+    tree = ast.parse(source)
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
     names = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            names += [f"{node.module}.{alias.name}" for alias in node.names]
-    return [n for n in names if n == "scipy.linalg" or n.startswith("scipy.linalg.")]
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (f"{node.module}." if node.module else "")
+            dotted = [base + alias.name for alias in node.names]
+        else:
+            continue
+        names += [(name, id(node) in nested) for name in dotted]
+    return names
+
+
+def compiled_scipy_names(source: str) -> list[str]:
+    """Imported names and string constants that name scipy's compiled
+    LAPACK or gamma-function modules, or LAPACK's solves."""
+    found = [name for name, _ in imports(source)]
+    found += [node.value for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return [n for n in found if n.split(".")[-1] in COMPILED]
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_scipy_linalg_imported_only_by_rng_and_simulate(path):
-    names = scipy_linalg_imports(path.read_text())
-    if path.name not in SCIPY_LINALG:
+    source = path.read_text()
+    names = [(name, inside) for name, inside in imports(source)
+             if name.split(".")[:2] in SCIPY_SUBPACKAGES]
+    assert [name for name, inside in names if not inside] == []
+    if path.name != "simulate.py":
         assert names == []
-    if path.name != "rng.py":
-        assert [n for n in names if n.startswith("scipy.linalg.lapack")] == []
+    compiled = compiled_scipy_names(source)
+    if path.name == "rng.py":
+        assert {"_flapack", "_special_ufuncs"} <= set(compiled)
+    else:
+        assert compiled == []
 
 
 def test_scan_finds_every_import_form():
     source = ("import scipy.linalg as sla\nfrom scipy import linalg\n"
-              "from scipy.linalg.lapack import dpotrs\nfrom scipy.special import psi\n")
-    assert scipy_linalg_imports(source) == ["scipy.linalg", "scipy.linalg",
-                                            "scipy.linalg.lapack.dpotrs"]
+              "from scipy.linalg.lapack import dpotrs\nfrom .rng import chol_solve\n"
+              "def f():\n    from scipy.special import psi\n"
+              "load('special', '_special_ufuncs')\n")
+    assert imports(source) == [
+        ("scipy.linalg", False), ("scipy.linalg", False),
+        ("scipy.linalg.lapack.dpotrs", False), (".rng.chol_solve", False),
+        ("scipy.special.psi", True)]
+    assert compiled_scipy_names(source) == ["scipy.linalg.lapack.dpotrs",
+                                            "_special_ufuncs"]
 
 
 def cfg_get_calls(source: str) -> list[int]:

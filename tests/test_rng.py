@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -159,3 +164,62 @@ class TestLapackSolves:
                                   solve_triangular(chol, b, lower=True))
             assert np.array_equal(solve_lower(chol, b, transpose=True),
                                   solve_triangular(chol.T, b, lower=False))
+
+
+class TestBartlettFactor:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_general_construction(self, dim):
+        # chi-square diagonal, then row-ordered normals below it: the factor
+        # and the generator's next draw are bit-identical at every dimension,
+        # the dim-1 shortcut included
+        dof = dim + 2.5
+        fast, general = Rng(36, 0), Rng(36, 0)
+        expected = np.zeros((dim, dim))
+        expected.flat[::dim + 1] = np.sqrt(general.generator.chisquare(dof - np.arange(dim)))
+        expected[np.tril_indices(dim, -1)] = general.generator.standard_normal(
+            dim * (dim - 1) // 2)
+        assert np.array_equal(_bartlett_factor(fast, dim, dof), expected)
+        assert fast.generator.standard_normal() == general.generator.standard_normal()
+
+
+def run_probe(probe: str) -> list[str]:
+    """Output lines of ``probe`` in a fresh interpreter that imports the
+    package from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.split()
+
+
+SAME_AS_SCIPY = """
+import numpy as np, scipy.linalg, scipy.linalg.lapack, scipy.special
+gen = np.random.default_rng(0)
+base = gen.standard_normal((8, 8))
+chol = np.linalg.cholesky(base @ base.T + 8 * np.eye(8))
+rhs = gen.standard_normal((8, 3))
+print(rng.dtrtrs is scipy.linalg.lapack.dtrtrs, rng.dpotrs is scipy.linalg.lapack.dpotrs,
+      rng.gammaln is scipy.special.gammaln, rng.digamma is scipy.special.psi,
+      np.array_equal(rng.solve_lower(chol, rhs),
+                     scipy.linalg.solve_triangular(chol, rhs, lower=True)),
+      np.array_equal(rng.chol_solve(chol, rhs), scipy.linalg.cho_solve((chol, True), rhs)),
+      rng.log_multigamma(40.5, 60) == scipy.special.multigammaln(40.5, 60))
+"""
+
+
+class TestScipyExtensions:
+    """``rng`` loads scipy's compiled modules without their subpackages; its
+    functions are the very objects those subpackages export."""
+
+    def test_functions_are_the_subpackages_own(self):
+        probe = ("from bayes_ssi import rng\n"
+                 "print(rng._flapack.__name__, rng._ufuncs.__name__)\n" + SAME_AS_SCIPY)
+        assert run_probe(probe) == ["scipy.linalg._flapack",
+                                    "scipy.special._special_ufuncs"] + ["True"] * 7
+
+    def test_falls_back_to_the_subpackages_without_the_files(self, tmp_path):
+        # scipy's files are looked up next to scipy.__file__; point it at an
+        # empty directory so neither compiled module is found
+        probe = (f"import scipy; scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+                 "from bayes_ssi import rng\n"
+                 "print(rng._flapack.__name__, rng._ufuncs.__name__)\n" + SAME_AS_SCIPY)
+        assert run_probe(probe) == ["scipy.linalg.lapack", "scipy.special"] + ["True"] * 7
