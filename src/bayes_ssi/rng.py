@@ -48,29 +48,30 @@ __all__ = [
 _SYM_RTOL = 1e-12
 
 
-def _scipy_extension(package: str, name: str, public: str):
+def _scipy_extension(package: str, name: str, public: str, needed: tuple[str, ...]):
     """scipy's compiled module ``scipy.<package>.<name>``, loaded from its
     file under its canonical name without importing ``scipy.<package>``;
-    the module ``public`` that re-exports its functions when no such file
-    exists (another scipy layout).  Registered in ``sys.modules``, so a
-    later import of the subpackage reuses it."""
+    the module ``public`` that re-exports its functions when that file is
+    absent or lacks one of the ``needed`` names (another scipy layout).
+    Registered in ``sys.modules``, so a later import of the subpackage
+    reuses it."""
     canonical = f"scipy.{package}.{name}"
-    if canonical in sys.modules:
-        return sys.modules[canonical]
+    module = sys.modules.get(canonical)
     folder = Path(scipy.__file__).parent / package
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"{name}{suffix}"
-        if path.is_file():
+        if module is None and path.is_file():
             spec = importlib.util.spec_from_file_location(canonical, path)
             module = importlib.util.module_from_spec(spec)
             sys.modules[canonical] = module
             spec.loader.exec_module(module)
-            return module
+    if module is not None and all(hasattr(module, attr) for attr in needed):
+        return module
     return importlib.import_module(public)
 
 
-_flapack = _scipy_extension("linalg", "_flapack", "scipy.linalg.lapack")
-_ufuncs = _scipy_extension("special", "_special_ufuncs", "scipy.special")
+_flapack = _scipy_extension("linalg", "_flapack", "scipy.linalg.lapack", ("dtrtrs", "dpotrs"))
+_ufuncs = _scipy_extension("special", "_special_ufuncs", "scipy.special", ("gammaln", "psi"))
 dtrtrs, dpotrs = _flapack.dtrtrs, _flapack.dpotrs
 gammaln, digamma = _ufuncs.gammaln, _ufuncs.psi
 
@@ -202,8 +203,6 @@ def _bartlett_factor(rng: Rng, dim: int, dof: float) -> np.ndarray:
     chi-square draws with dof - i degrees of freedom on the diagonal, then
     standard normals below it in row order (Smith & Hocking, AS 53)."""
     gen = rng.generator
-    if dim == 1:  # the same single chi-square draw, without the array set-up
-        return np.array([[np.sqrt(gen.chisquare(dof))]])
     a = np.zeros((dim, dim))
     a.flat[::dim + 1] = np.sqrt(gen.chisquare(dof - np.arange(dim)))
     a[_strict_lower(dim)] = gen.standard_normal(dim * (dim - 1) // 2)

@@ -5,14 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats as st
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import multigammaln
 
+from bayes_ssi import rng as rng_module
 from bayes_ssi.rng import (
     NotPositiveDefiniteError,
     Rng,
     _bartlett_factor,
+    _scipy_extension,
     chol_solve,
     log_multigamma,
     sample_inverse_wishart_pair,
@@ -170,8 +173,7 @@ class TestBartlettFactor:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equals_general_construction(self, dim):
         # chi-square diagonal, then row-ordered normals below it: the factor
-        # and the generator's next draw are bit-identical at every dimension,
-        # the dim-1 shortcut included
+        # and the generator's next draw are bit-identical at every dimension
         dof = dim + 2.5
         fast, general = Rng(36, 0), Rng(36, 0)
         expected = np.zeros((dim, dim))
@@ -223,3 +225,10 @@ class TestScipyExtensions:
                  "from bayes_ssi import rng\n"
                  "print(rng._flapack.__name__, rng._ufuncs.__name__)\n" + SAME_AS_SCIPY)
         assert run_probe(probe) == ["scipy.linalg.lapack", "scipy.special"] + ["True"] * 7
+
+    def test_falls_back_when_the_module_lacks_a_name(self):
+        # multigammaln lives in scipy.special, not in its compiled module
+        assert _scipy_extension("special", "_special_ufuncs", "scipy.special",
+                                ("gammaln", "psi")) is rng_module._ufuncs
+        assert _scipy_extension("special", "_special_ufuncs", "scipy.special",
+                                ("gammaln", "multigammaln")) is scipy.special
