@@ -19,6 +19,10 @@ conditional precision depend only on the drawn noise precision, so each
 sweep factors all of them at once, per view block when the priors allow
 (:attr:`~bayes_ssi.model.PriorHyper.factor_slices`), before drawing the
 mean and the columns in turn.
+
+The warm start is :func:`~bayes_ssi.subspace.warm_start_point`, the
+canonical-variate point the variational engine starts from too; neither
+engine imports the other.
 """
 
 from __future__ import annotations
@@ -39,12 +43,12 @@ from .rng import (
     spd_inverse,
     symmetrize,
 )
-from .subspace import HankelStats, cca
+from .subspace import HankelStats, warm_start_point
+from .subspace import cca  # noqa: F401  -- perfbench/tracing.py wraps this attribute
 
 __all__ = [
     "GibbsConfig",
     "GibbsChain",
-    "warm_start_point",
     "run_gibbs",
 ]
 
@@ -207,37 +211,14 @@ def _prior_point(priors: PriorHyper, rng: Rng,
     return weights, mean, noise
 
 
-def warm_start_point(stats: HankelStats, priors: PriorHyper,
-                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(weights, mean, per-view noise blocks) at the maximum-likelihood
-    point of the two-view latent projection model, from the statistics."""
-    if len(stats.view_dims) != 2:
-        raise ValueError("warm start requires exactly two views")
-    d = priors.latent_dim
-    h = stats.view_dims[0]
-    cov = stats.gram / stats.n_cols
-    auto1 = symmetrize(cov[:h, :h])
-    auto2 = symmetrize(cov[h:, h:])
-    cross = cov[:h, h:]
-    load1, corr, load2 = cca(auto1, auto2, cross)
-    root = np.sqrt(corr[:d])
-    w1 = load1[:, :d] * root
-    w2 = load2[:, :d] * root
-    weights = np.vstack([w1, w2])
-    noise = [symmetrize(auto1 - w1 @ w1.T), symmetrize(auto2 - w2 @ w2.T)]
-    # keep the MLE noise blocks safely positive definite
-    noise = [blk + 1e-8 * np.trace(blk) / blk.shape[0] * np.eye(blk.shape[0])
-             for blk in noise]
-    return weights, stats.row_mean.copy(), noise
-
-
 def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> GibbsChain:
     """Run the sampler on the data statistics and return the retained records.
 
     The chain starts from a prior draw (latent statistics included) or,
-    with ``config.warm_start``, at :func:`warm_start_point` with the latent
-    statistics at their conditional means.  Deterministic given (seed,
-    config, stats): reruns reproduce the chain bit for bit.  A sweep costs
+    with ``config.warm_start``, at
+    :func:`~bayes_ssi.subspace.warm_start_point` with the latent statistics
+    at their conditional means.  Deterministic given (seed, config, stats):
+    reruns reproduce the chain bit for bit.  A sweep costs
     O(d sum_b h_b^3) over the factor blocks h_b (O(d D^3) when the priors
     couple the views) whatever the column count.
     """
@@ -246,7 +227,7 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     d = priors.latent_dim
     n_records = config.n_records
     if config.warm_start:
-        weights, mean, noise = warm_start_point(stats, priors)
+        weights, mean, noise = warm_start_point(stats, d)
         prec = block_diagonal([spd_inverse(blk, "noise_cov") for blk in noise])
         lat = kernel.draw_latent(weights, mean, prec, None)
     else:
@@ -264,7 +245,7 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
         lat = kernel.draw_latent(weights, mean, prec, rng)
 
         kept = sweep > config.n_burn and (sweep - config.n_burn) % config.thinning == 0
-        if kept and record < n_records:
+        if kept:
             weight_samples[record] = weights
             mean_samples[record] = mean
             for m, block in enumerate(noise):

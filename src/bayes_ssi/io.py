@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -170,13 +171,7 @@ def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> 
         "view_dims": list(chain.view_dims),
         "factor_blocks": list(chain.factor_blocks),
         "arrays": _save_arrays(directory, arrays),
-        "config": {
-            "n_samples": chain.config.n_samples,
-            "burn_in_fraction": chain.config.burn_in_fraction,
-            "thinning": chain.config.thinning,
-            "seed": chain.config.seed,
-            "warm_start": chain.config.warm_start,
-        },
+        "config": dataclasses.asdict(chain.config),
     }
     if extra_meta:
         manifest.update(extra_meta)
@@ -191,11 +186,7 @@ def load_chain(directory) -> GibbsChain:
     view_dims = tuple(manifest["view_dims"])
     noise = [_load_array(directory, f"sigma_view{m}_samples")
              for m in range(1, len(view_dims) + 1)]
-    cfg = manifest["config"]
-    config = GibbsConfig(n_samples=cfg["n_samples"],
-                         burn_in_fraction=cfg["burn_in_fraction"],
-                         thinning=cfg["thinning"], seed=cfg["seed"],
-                         warm_start=cfg.get("warm_start", False))
+    config = GibbsConfig(**manifest["config"])
     return GibbsChain(weight_samples=_load_array(directory, "w_samples"),
                       mean_samples=_load_array(directory, "mu_samples"),
                       noise_samples=noise, view_dims=view_dims, config=config,

@@ -9,8 +9,8 @@ normals, done where the conditionals are factored.  ``solve_lower`` and
 
 This is the one module that touches scipy's compiled code outside the
 simulator: it loads the extension modules behind ``scipy.linalg.lapack``
-(``dtrtrs``, ``dpotrs``) and ``scipy.special`` (``gammaln``, ``psi``)
-straight from their files.  Importing those subpackages would roughly
+(``dtrtrs``, ``dpotrs``, ``dpotrf``) and ``scipy.special`` (``gammaln``,
+``psi``) straight from their files.  Importing those subpackages would roughly
 double every command's start-up time and memory before it reads its input;
 the functions are the very objects the subpackages export, so every result
 is bit-for-bit the same.
@@ -70,9 +70,10 @@ def _scipy_extension(package: str, name: str, public: str, needed: tuple[str, ..
     return importlib.import_module(public)
 
 
-_flapack = _scipy_extension("linalg", "_flapack", "scipy.linalg.lapack", ("dtrtrs", "dpotrs"))
+_flapack = _scipy_extension("linalg", "_flapack", "scipy.linalg.lapack",
+                            ("dtrtrs", "dpotrs", "dpotrf"))
 _ufuncs = _scipy_extension("special", "_special_ufuncs", "scipy.special", ("gammaln", "psi"))
-dtrtrs, dpotrs = _flapack.dtrtrs, _flapack.dpotrs
+dtrtrs, dpotrs, dpotrf = _flapack.dtrtrs, _flapack.dpotrs, _flapack.dpotrf
 gammaln, digamma = _ufuncs.gammaln, _ufuncs.psi
 
 
@@ -119,23 +120,21 @@ def check_symmetric(mat: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} is not symmetric to within relative {_SYM_RTOL:g}")
 
 
-def _failing_pivot(mat: np.ndarray) -> int:
-    """1-based index of the first leading minor that is not positive definite."""
-    for k in range(1, mat.shape[0] + 1):
-        try:
-            np.linalg.cholesky(mat[:k, :k])
-        except np.linalg.LinAlgError:
-            return k
-    return mat.shape[0]
-
-
 def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of ``mat``, naming the failing pivot on error."""
+    """Lower Cholesky factor of ``mat``, naming the failing pivot on error.
+
+    The pivot is LAPACK ``potrf``'s ``info``, the first leading minor that
+    is not positive definite; the whole matrix when ``potrf`` succeeds
+    where numpy's factorization failed (their OpenBLAS builds may disagree
+    on a borderline matrix).  A matrix that is not square keeps numpy's
+    error."""
     mat = np.asarray(mat, dtype=float)
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        pivot = _failing_pivot(mat)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise
+        pivot = int(dpotrf(mat, lower=1)[1]) or mat.shape[0]
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite: Cholesky pivot {pivot} failed",
             pivot=pivot,

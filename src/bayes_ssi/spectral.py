@@ -24,9 +24,6 @@ class WelchSpec:
     frequencies: np.ndarray   # Hz, 0 .. fs/2
     psd: np.ndarray           # channels x n_freq
     psd_sum: np.ndarray       # n_freq
-    segment_length: int
-    overlap: float
-    window: str = "hann"
 
 
 def welch_psd(ts: TimeSeries, segment_length: int = 1024,
@@ -57,5 +54,4 @@ def welch_psd(ts: TimeSeries, segment_length: int = 1024,
     power[..., 1:-1 if m % 2 == 0 else None] *= 2.0
     psd = np.clip(power.mean(axis=1), 0.0, None)
     return WelchSpec(frequencies=np.fft.rfftfreq(m, 1.0 / ts.fs), psd=psd,
-                     psd_sum=psd.sum(axis=0), segment_length=segment_length,
-                     overlap=overlap)
+                     psd_sum=psd.sum(axis=0))

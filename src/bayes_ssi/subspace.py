@@ -3,6 +3,12 @@ sufficient statistics, canonical correlation analysis, the
 canonical-variate weighted covariance-driven identification baseline, and
 modal extraction from state-space realizations.
 
+``canonical_weights`` is the one factorization of a two-view covariance
+into canonical-variate weights.  The classical baseline ``ssi_cov`` takes
+its observability from it, and ``warm_start_point`` takes from it the
+maximum-likelihood point of the latent projection model (the CCA solution,
+Bach & Jordan 2005) that both engines can start from.
+
 The shift-invariance solve and the eigen -> modal conversion run on stacks
 of matrices (``shift_invariance``, ``modal_parameters``); the classical
 baseline ``ssi_cov`` runs them on a stack of one, as the posterior draws
@@ -26,7 +32,8 @@ __all__ = [
     "build_hankel",
     "chol_with_jitter",
     "cca",
-    "observability_controllability",
+    "canonical_weights",
+    "warm_start_point",
     "ssi_cov",
     "shift_invariance",
     "modal_parameters",
@@ -50,9 +57,6 @@ class HankelPair:
 
     past: np.ndarray
     future: np.ndarray
-    n_channels: int
-    block_rows: int
-    centred: bool
 
     @property
     def n_cols(self) -> int:
@@ -204,16 +208,14 @@ def build_hankel(ts: TimeSeries, block_rows: int, center: bool = True) -> Hankel
     if center:
         stacked -= stacked.mean(axis=1, keepdims=True)
     half = j * l
-    return HankelPair(past=stacked[:half].copy(), future=stacked[half:].copy(),
-                      n_channels=l, block_rows=j, centred=center)
+    return HankelPair(past=stacked[:half].copy(), future=stacked[half:].copy())
 
 
-def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, float]:
+def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor, escalating diagonal jitter up to 1e-6*trace/dim.
 
-    Returns the factor and the jitter actually applied.  Raises
-    :class:`IllConditionedError` with a condition-number report if the
-    ladder is exhausted.
+    Raises :class:`IllConditionedError` with a condition-number report if
+    the ladder is exhausted.
     """
     mat = np.asarray(mat, dtype=float)
     dim = mat.shape[0]
@@ -223,7 +225,7 @@ def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> tuple[np.ndarray,
     eye = np.eye(dim)
     for level in _JITTER_LEVELS:
         try:
-            return np.linalg.cholesky(mat + level * base * eye), level * base
+            return np.linalg.cholesky(mat + level * base * eye)
         except np.linalg.LinAlgError:
             continue
     cond = np.linalg.cond(symmetrize(mat))
@@ -245,35 +247,53 @@ def cca(auto_x: np.ndarray, auto_y: np.ndarray, cross_xy: np.ndarray,
     """
     if not all(np.isfinite(m).all() for m in (auto_x, auto_y, cross_xy)):
         raise ValueError("CCA covariances must be finite")
-    chol_x, _ = chol_with_jitter(auto_x, "first-view auto-covariance")
-    chol_y, _ = chol_with_jitter(auto_y, "second-view auto-covariance")
+    chol_x = chol_with_jitter(auto_x, "first-view auto-covariance")
+    chol_y = chol_with_jitter(auto_y, "second-view auto-covariance")
     normalized = solve_lower(chol_x, cross_xy)
     normalized = solve_lower(chol_y, normalized.T).T
     left, svals, right_t = np.linalg.svd(normalized)
     return chol_x @ left, np.clip(svals, 0.0, 1.0), chol_y @ right_t.T
 
 
-def observability_controllability(stats: HankelStats, order: int,
-                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical-variate weighted factorization of the future-past
-    covariance, truncated to ``order`` states.
+def canonical_weights(cov: np.ndarray, view_dim: int, order: int) -> np.ndarray:
+    """Canonical-variate weights of the covariance ``cov`` of two stacked
+    views, the first ``view_dim`` rows long, truncated to ``order`` states.
 
-    The covariance blocks of the Hankel halves are taken about zero, like
-    the products of the Hankel rows themselves, with 1/N_cols scaling.
-    Returns (observability, controllability, correlations) such that
-    observability @ controllability reconstructs the future-past block up
-    to the discarded singular-value energy.
+    With ``cca``'s loadings (L_1 U, rho, L_2 V) of the view blocks, returns
+    the D x order matrix W = [L_1 U_k; L_2 V_k] diag(sqrt(rho_k)).  Its
+    first-view block W_1 times the transpose of its second W_2 is the
+    rank-``order`` canonical approximation of the cross-covariance block.
     """
-    dim = stats.view_dims[0]
-    if not 1 <= order <= dim:
-        raise ValueError(f"order must be in [1, {dim}], got {order}")
-    cov = stats.raw_gram() / stats.n_cols
-    load_f, corr, load_p = cca(symmetrize(cov[:dim, :dim]), symmetrize(cov[dim:, dim:]),
-                               cov[:dim, dim:])
-    root = np.sqrt(corr[:order])
-    obs = load_f[:, :order] * root
-    ctrb = (load_p[:, :order] * root).T
-    return obs, ctrb, corr
+    h = int(view_dim)
+    limit = min(h, cov.shape[0] - h)
+    if not 1 <= order <= limit:
+        raise ValueError(f"order must be in [1, {limit}], got {order}")
+    load1, corr, load2 = cca(symmetrize(cov[:h, :h]), symmetrize(cov[h:, h:]),
+                             cov[:h, h:])
+    return np.vstack([load1[:, :order], load2[:, :order]]) * np.sqrt(corr[:order])
+
+
+def warm_start_point(stats: HankelStats, latent_dim: int,
+                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(weights, mean, per-view noise blocks) at the maximum-likelihood
+    point of the two-view latent projection model, from the statistics.
+
+    The weights are the canonical weights of the covariance about the row
+    means (the model carries the mean), and each noise block is its view's
+    auto-covariance minus W_m W_m^T, plus 1e-8 of its mean diagonal on the
+    diagonal.
+    """
+    if len(stats.view_dims) != 2:
+        raise ValueError("warm start requires exactly two views")
+    h = stats.view_dims[0]
+    cov = stats.gram / stats.n_cols
+    weights = canonical_weights(cov, h, latent_dim)
+    noise = [symmetrize(cov[view, view] - weights[view] @ weights[view].T)
+             for view in (slice(None, h), slice(h, None))]
+    # keep the MLE noise blocks safely positive definite
+    noise = [blk + 1e-8 * np.trace(blk) / blk.shape[0] * np.eye(blk.shape[0])
+             for blk in noise]
+    return weights, stats.row_mean.copy(), noise
 
 
 def shift_invariance(obs: np.ndarray, n_channels: int,
@@ -352,12 +372,15 @@ def ssi_cov(stats: HankelStats, order: int, n_channels: int, dt: float,
             ) -> ModalSet:
     """Classical canonical-variate weighted covariance-driven identification.
 
-    Factorizes the covariance blocks of the Hankel statistics of an
-    ``n_channels`` record sampled every ``dt`` seconds at the requested
-    order and extracts modal parameters from the realization, with the
+    Takes the observability as the first-view block of the canonical
+    weights of the Hankel statistics' covariance about zero (like the
+    products of the Hankel rows themselves, with 1/N_cols scaling) at the
+    requested order, for an ``n_channels`` record sampled every ``dt``
+    seconds, and extracts modal parameters from the realization, with the
     observability's first block row as C; raises LinAlgError if degenerate.
     """
-    obs, _, _ = observability_controllability(stats, order)
+    h = stats.view_dims[0]
+    obs = canonical_weights(stats.raw_gram() / stats.n_cols, h, order)[:h]
     a, degenerate = shift_invariance(obs[None], n_channels)
     if degenerate[0]:
         raise np.linalg.LinAlgError("shifted observability block is rank deficient; "

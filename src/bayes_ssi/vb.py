@@ -29,6 +29,10 @@ the model's full conditional (:class:`~bayes_ssi.model.Conditionals`, the
 algebra the Gibbs engine samples from) evaluated at the expected latent
 statistics and expected noise precision, plus the mean-field corrections
 the other factors' covariances add.
+
+The warm start sets the weight means and noise factors at the
+canonical-variate point of :func:`~bayes_ssi.subspace.warm_start_point`,
+the one the Gibbs engine can start from too.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .gibbs import warm_start_point
 from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
 from .rng import (
     Rng,
@@ -51,7 +54,7 @@ from .rng import (
     spd_cholesky,
     spd_inverse,
 )
-from .subspace import HankelStats
+from .subspace import HankelStats, warm_start_point
 
 __all__ = [
     "VBConfig",
@@ -307,7 +310,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
     total_dim = stats.dim
     n = stats.n_cols
     if warm_start:
-        weight_mean, _, noise_cov = warm_start_point(stats, priors)
+        weight_mean, _, noise_cov = warm_start_point(stats, d)
         # 1e-8 I = B diag(1e-8 / lam) B^T for the basis with B^T B = diag(lam)
         weight_basis, lam = Conditionals(stats, priors).weight_basis(np.eye(total_dim))
         weight_eigs = np.tile(1e-8 / lam, (d, 1))

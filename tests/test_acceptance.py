@@ -29,7 +29,7 @@ from bayes_ssi.modal_posterior import (
 )
 from bayes_ssi.rng import Rng, chol_inverse
 from bayes_ssi.simulate import TimeSeries, build_shear_frame, discretize, simulate_response, to_continuous_ss
-from bayes_ssi.subspace import HankelStats, cca, observability_controllability, ssi_cov
+from bayes_ssi.subspace import HankelStats, canonical_weights, cca, ssi_cov
 from bayes_ssi.vb import VBConfig, VBPosterior, latent_means, run_vb, _expected_precision
 from bayes_ssi.vb import _Kernel as VBKernel
 
@@ -290,7 +290,8 @@ def test_criterion_6_conditional_and_subspace_oracles():
     # exact factorization at full rank
     ts = TimeSeries(data=gen.standard_normal((2, 3000)), fs=1.0)
     stats = HankelStats.from_record(ts, 3)
-    obs, ctrb, _ = observability_controllability(stats, 6)
+    weights = canonical_weights(stats.raw_gram() / stats.n_cols, 6, 6)
+    obs, ctrb = weights[:6], weights[6:].T
     cross = stats.raw_gram()[:6, 6:] / stats.n_cols
     rel = np.linalg.norm(obs @ ctrb - cross, "fro") / np.linalg.norm(cross, "fro")
     assert rel < 1e-8

@@ -8,7 +8,6 @@ from scipy.linalg import solve_triangular
 from bayes_ssi.gibbs import (
     GibbsConfig,
     run_gibbs,
-    warm_start_point,
     _Kernel,
 )
 from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
@@ -18,7 +17,7 @@ from bayes_ssi.rng import (
     chol_inverse,
     sample_inverse_wishart_pair,
 )
-from bayes_ssi.subspace import HankelStats
+from bayes_ssi.subspace import HankelStats, warm_start_point
 
 import oracles
 from explicit import block_precision, explicit_kernel, mean_conditional, weight_conditional
@@ -435,7 +434,7 @@ class TestStatisticsEngine:
         chain = run_gibbs(stats, priors, config)
         means, weights, noise = oracles.gibbs_chain_dense(
             x, view_dims, priors, n_sweeps, seed=9,
-            start=warm_start_point(stats, priors) if warm_start else None)
+            start=warm_start_point(stats, d) if warm_start else None)
         kept = slice(config.n_burn, None)
 
         def summaries(mu, w, blocks):
@@ -503,7 +502,7 @@ class TestBlockedTransition:
         stats = HankelStats.from_matrix(x, view_dims)
         kernel = _Kernel(stats, priors)
         rng_ours, rng_dense = Rng(11, 1), Rng(11, 1)
-        weights, mean, _ = warm_start_point(stats, priors)
+        weights, mean, _ = warm_start_point(stats, d)
         lat = kernel.draw_prior_latent(d, Rng(3, 0))
         ours = (weights, mean, lat)
         dense = (weights, mean, lat)

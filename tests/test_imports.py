@@ -9,6 +9,11 @@ the functions that need them.  ``rng`` is the one module that loads scipy's
 compiled modules (LAPACK's solves and the gamma functions) and the one that
 binds LAPACK's solves; every other module solves through ``rng``.
 
+The two engines, ``vb`` and ``gibbs``, do not import each other.
+``subspace`` is the one module that calls ``cca``, inside the
+canonical-variate factorization the classical baseline and both warm
+starts use; ``gibbs`` keeps the name for the tracer only.
+
 The command line reads its configuration as ``cfg[key]``, never
 ``cfg.get(key, default)``: every key comes from the parser, which holds
 the one default of each setting."""
@@ -23,8 +28,8 @@ SRC = sorted(ROOT.glob("src/**/*.py"))
 FILES = sorted([*SRC, *ROOT.glob("tests/**/*.py")])
 # imported only inside functions, and only by the simulator
 SCIPY_SUBPACKAGES = (["scipy", "linalg"], ["scipy", "special"])
-# the compiled modules and the LAPACK solves only ``rng`` may name
-COMPILED = ("_flapack", "_special_ufuncs", "lapack", "dtrtrs", "dpotrs")
+# the compiled modules and the LAPACK routines only ``rng`` may name
+COMPILED = ("_flapack", "_special_ufuncs", "lapack", "dtrtrs", "dpotrs", "dpotrf")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,6 +122,51 @@ def test_scan_finds_every_import_form():
         ("scipy.special.psi", True)]
     assert compiled_scipy_names(source) == ["scipy.linalg.lapack.dpotrs",
                                             "_special_ufuncs"]
+
+
+def package_imports(source: str, module: str) -> list[str]:
+    """Imported names that come from the package's module ``module``,
+    relative or absolute."""
+    found = []
+    for name, _ in imports(source):
+        parts = name.lstrip(".").split(".")
+        if parts[0] == "bayes_ssi":
+            parts = parts[1:]
+        if parts[:1] == [module]:
+            found.append(name)
+    return found
+
+
+def calls(source: str, name: str) -> list[int]:
+    """Lines of every call of ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("engine, other", [("vb", "gibbs"), ("gibbs", "vb")])
+def test_engines_do_not_import_each_other(engine, other):
+    source = (ROOT / f"src/bayes_ssi/{engine}.py").read_text()
+    assert package_imports(source, other) == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_subspace_calls_cca(path):
+    if path.name != "subspace.py":
+        assert calls(path.read_text(), "cca") == []
+
+
+def test_scan_flags_a_planted_engine_import():
+    source = (ROOT / "src/bayes_ssi/vb.py").read_text()
+    planted = source.replace("from .model import",
+                             "from .gibbs import warm_start_point\nfrom .model import", 1)
+    assert planted != source
+    assert package_imports(planted, "gibbs") == [".gibbs.warm_start_point"]
+    source = ("import bayes_ssi.gibbs\nfrom bayes_ssi import vb\nfrom . import gibbs\n"
+              "from .subspace import cca\nx = cca(a, b, c)\ny = subspace.cca(a, b, c)\n")
+    assert package_imports(source, "gibbs") == ["bayes_ssi.gibbs", ".gibbs"]
+    assert package_imports(source, "vb") == ["bayes_ssi.vb"]
+    assert calls(source, "cca") == [5, 6]
 
 
 def cfg_get_calls(source: str) -> list[int]:

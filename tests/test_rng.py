@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 import scipy.special
 import scipy.stats as st
 from scipy.linalg import cho_solve, solve_triangular
@@ -55,6 +57,17 @@ class TestRngStreams:
             Rng(-1)
 
 
+def first_failing_minor(mat):
+    """1-based index of the first leading minor that is not positive
+    definite, found by factoring each in turn; None if none fails."""
+    for k in range(1, mat.shape[0] + 1):
+        try:
+            np.linalg.cholesky(mat[:k, :k])
+        except np.linalg.LinAlgError:
+            return k
+    return None
+
+
 class TestSpdChecks:
     def test_validate_spd_accepts_identity(self):
         validate_spd(np.eye(3))
@@ -69,6 +82,29 @@ class TestSpdChecks:
         mat = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(NotPositiveDefiniteError, match="pivot 3"):
             spd_cholesky(mat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), dim=hst.integers(1, 12), data=hst.data())
+    def test_pivot_is_the_first_failing_leading_minor(self, seed, dim, data):
+        # a random SPD matrix with one diagonal entry lowered: the pivot
+        # named is the first leading minor whose own factorization fails
+        gen = np.random.default_rng(seed)
+        base = gen.standard_normal((dim, dim))
+        mat = base @ base.T + np.eye(dim)
+        k = data.draw(hst.integers(0, dim - 1))
+        mat[k, k] -= data.draw(hst.floats(0.0, 2.0)) * mat[k, k]
+        expected = first_failing_minor(mat)
+        if expected is None:
+            spd_cholesky(mat)
+        else:
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                spd_cholesky(mat)
+            assert err.value.pivot == expected
+            assert f"pivot {expected} failed" in str(err.value)
+
+    def test_non_square_keeps_numpys_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="square"):
+            spd_cholesky(np.ones((2, 3)))
 
     def test_cholesky_factor_reconstructs(self):
         gen = np.random.default_rng(0)
@@ -200,6 +236,7 @@ base = gen.standard_normal((8, 8))
 chol = np.linalg.cholesky(base @ base.T + 8 * np.eye(8))
 rhs = gen.standard_normal((8, 3))
 print(rng.dtrtrs is scipy.linalg.lapack.dtrtrs, rng.dpotrs is scipy.linalg.lapack.dpotrs,
+      rng.dpotrf is scipy.linalg.lapack.dpotrf,
       rng.gammaln is scipy.special.gammaln, rng.digamma is scipy.special.psi,
       np.array_equal(rng.solve_lower(chol, rhs),
                      scipy.linalg.solve_triangular(chol, rhs, lower=True)),
@@ -216,7 +253,7 @@ class TestScipyExtensions:
         probe = ("from bayes_ssi import rng\n"
                  "print(rng._flapack.__name__, rng._ufuncs.__name__)\n" + SAME_AS_SCIPY)
         assert run_probe(probe) == ["scipy.linalg._flapack",
-                                    "scipy.special._special_ufuncs"] + ["True"] * 7
+                                    "scipy.special._special_ufuncs"] + ["True"] * 8
 
     def test_falls_back_to_the_subpackages_without_the_files(self, tmp_path):
         # scipy's files are looked up next to scipy.__file__; point it at an
@@ -224,7 +261,7 @@ class TestScipyExtensions:
         probe = (f"import scipy; scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
                  "from bayes_ssi import rng\n"
                  "print(rng._flapack.__name__, rng._ufuncs.__name__)\n" + SAME_AS_SCIPY)
-        assert run_probe(probe) == ["scipy.linalg.lapack", "scipy.special"] + ["True"] * 7
+        assert run_probe(probe) == ["scipy.linalg.lapack", "scipy.special"] + ["True"] * 8
 
     def test_falls_back_when_the_module_lacks_a_name(self):
         # multigammaln lives in scipy.special, not in its compiled module

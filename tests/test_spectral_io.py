@@ -255,6 +255,19 @@ class TestChainPersistence:
         weights = np.load(tmp_path / "chain" / "w_samples.npy", allow_pickle=False)
         assert np.array_equal(weights, chain.weight_samples)
 
+    def test_config_written_before_warm_start_loads_with_default(self, tmp_path):
+        gen = np.random.default_rng(8)
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2))
+        config = GibbsConfig(n_samples=10, burn_in_fraction=0.5, thinning=2, seed=3)
+        save_chain(tmp_path / "chain", run_gibbs(stats, default_priors(2, 2, 1), config))
+        path = tmp_path / "chain" / "chain_manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["config"] == {"n_samples": 10, "burn_in_fraction": 0.5,
+                                      "thinning": 2, "seed": 3, "warm_start": False}
+        del manifest["config"]["warm_start"]
+        path.write_text(json.dumps(manifest))
+        assert load_chain(tmp_path / "chain").config == config
+
 
 class TestVbPersistence:
     def test_files_written_with_trace(self, tmp_path):

@@ -12,12 +12,13 @@ from bayes_ssi.subspace import (
     HankelStats,
     IllConditionedError,
     build_hankel,
+    canonical_weights,
     cca,
     chol_with_jitter,
     modal_parameters,
-    observability_controllability,
     shift_invariance,
     ssi_cov,
+    warm_start_point,
 )
 
 import oracles
@@ -155,18 +156,17 @@ class TestMatrixSqrt:
     """The Cholesky square root with a jitter ladder that ``cca`` uses."""
 
     def test_identity(self):
-        factor, jitter = chol_with_jitter(np.eye(3))
+        factor = chol_with_jitter(np.eye(3))
         assert factor == pytest.approx(np.eye(3))
-        assert jitter == 0.0
 
     def test_diagonal(self):
-        factor, _ = chol_with_jitter(np.diag([4.0, 9.0]))
+        factor = chol_with_jitter(np.diag([4.0, 9.0]))
         assert factor == pytest.approx(np.diag([2.0, 3.0]))
 
     def test_random_spd_reconstruction(self):
         gen = np.random.default_rng(4)
         mat = random_spd(gen, 5)
-        factor, _ = chol_with_jitter(mat)
+        factor = chol_with_jitter(mat)
         assert np.tril(factor) == pytest.approx(factor)
         assert np.max(np.abs(factor @ factor.T - mat)) < 1e-10 * np.max(np.abs(mat))
 
@@ -218,6 +218,60 @@ class TestCca:
         cross[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             cca(np.eye(2), np.eye(2), cross)
+
+
+class TestCanonicalWeights:
+    """One factorization serves the classical baseline and the warm start."""
+
+    def test_warm_start_weights_are_the_baseline_observability(self, small_ts):
+        # on centred statistics the two covariances coincide, so the warm
+        # start's first-view weights are the observability ssi_cov factors
+        stats = HankelStats.from_record(small_ts, 10)
+        h = stats.view_dims[0]
+        weights, mean, _ = warm_start_point(stats, 8)
+        obs = canonical_weights(stats.raw_gram() / stats.n_cols, h, 8)[:h]
+        assert np.array_equal(weights[:h], obs)
+        assert np.array_equal(mean, np.zeros(stats.dim))
+
+    def test_uncentred_warm_start_factors_the_centred_covariance(self, small_ts):
+        # a channel offset the size of the response separates the centred
+        # covariance from the one about zero
+        offset = small_ts.data.std(axis=1)[:, None]
+        ts = TimeSeries(data=small_ts.data + offset, fs=small_ts.fs)
+        stats = HankelStats.from_record(ts, 10, center=False)
+        h = stats.view_dims[0]
+        weights, mean, _ = warm_start_point(stats, 8)
+        assert np.array_equal(weights, canonical_weights(stats.gram / stats.n_cols, h, 8))
+        about_zero = canonical_weights(stats.raw_gram() / stats.n_cols, h, 8)
+        assert not np.allclose(np.abs(weights), np.abs(about_zero))
+        assert np.array_equal(mean, stats.row_mean)
+
+    def test_noise_blocks_are_the_residual_auto_covariances(self):
+        gen = np.random.default_rng(15)
+        x = gen.standard_normal((5, 5)) @ gen.standard_normal((5, 200)) + 1.0
+        stats = HankelStats.from_matrix(x, (2, 3))
+        weights, _, noise = warm_start_point(stats, 2)
+        cov = stats.gram / stats.n_cols
+        for view, blk in zip((slice(0, 2), slice(2, 5)), noise):
+            resid = cov[view, view] - weights[view] @ weights[view].T
+            resid = 0.5 * (resid + resid.T)
+            dim = resid.shape[0]
+            expected = resid + 1e-8 * np.trace(resid) / dim * np.eye(dim)
+            assert np.array_equal(blk, expected)
+
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_order_outside_view_dim_rejected(self, order):
+        gen = np.random.default_rng(16)
+        stats = HankelStats.from_matrix(gen.standard_normal((8, 100)), (4, 4))
+        with pytest.raises(ValueError, match=r"order must be in \[1, 4\]"):
+            warm_start_point(stats, order)
+
+    def test_order_bounded_by_the_smaller_view(self):
+        gen = np.random.default_rng(17)
+        stats = HankelStats.from_matrix(gen.standard_normal((5, 100)), (3, 2))
+        with pytest.raises(ValueError, match=r"order must be in \[1, 2\]"):
+            warm_start_point(stats, 3)
+        assert warm_start_point(stats, 2)[0].shape == (5, 2)
 
 
 class TestRealization:
@@ -391,7 +445,8 @@ class TestSsiCov:
         gen = np.random.default_rng(9)
         ts = TimeSeries(data=gen.standard_normal((2, 2000)), fs=1.0)
         stats = HankelStats.from_record(ts, 2)
-        obs, ctrb, _ = observability_controllability(stats, 4)
+        weights = canonical_weights(stats.raw_gram() / stats.n_cols, 4, 4)
+        obs, ctrb = weights[:4], weights[4:].T
         cross = stats.raw_gram()[:4, 4:] / stats.n_cols
         err = np.linalg.norm(obs @ ctrb - cross, "fro")
         assert err < 1e-8 * np.linalg.norm(cross, "fro")
@@ -445,7 +500,8 @@ class TestSsiCov:
         # with the first block row as C, trimmed to the modes present
         stats = HankelStats.from_record(small_ts, 10)
         modal = ssi_cov(stats, 8, small_ts.channels, 1.0 / small_ts.fs)
-        obs, _, _ = observability_controllability(stats, 8)
+        h = stats.view_dims[0]
+        obs = canonical_weights(stats.raw_gram() / stats.n_cols, h, 8)[:h]
         a, _ = shift_invariance(obs[None], small_ts.channels)
         (freqs,), (damping,), (shapes,), (real_pole,), (present,) = modal_parameters(
             a, obs[None, :small_ts.channels], 1.0 / small_ts.fs)
