@@ -23,6 +23,10 @@ mean and the columns in turn.
 The warm start is :func:`~bayes_ssi.subspace.warm_start_point`, the
 canonical-variate point the variational engine starts from too; neither
 engine imports the other.
+
+Every noise draw is exactly symmetric, so the chain keeps each one as its
+packed lower triangle, in ``np.tril_indices`` order, and
+:meth:`GibbsChain.noise_matrices` rebuilds the full matrices on demand.
 """
 
 from __future__ import annotations
@@ -80,13 +84,22 @@ class GibbsConfig:
         return (self.n_samples - self.n_burn) // self.thinning
 
 
+def _packed_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the dim(dim + 1)/2 lower-triangle entries
+    of a dim x dim matrix, in ``np.tril_indices`` (row-major) order: the
+    layout of a packed noise draw."""
+    return np.tril_indices(dim)
+
+
 @dataclass
 class GibbsChain:
     """Retained draws, one leading axis entry per record."""
 
     weight_samples: np.ndarray          # n_records x D x d
     mean_samples: np.ndarray            # n_records x D
-    noise_samples: list[np.ndarray]     # per view, n_records x D_m x D_m
+    # per view, n_records x D_m(D_m + 1)/2: each draw's lower triangle in
+    # np.tril_indices order (the draws are exactly symmetric)
+    noise_samples: list[np.ndarray]
     view_dims: tuple[int, ...]
     config: GibbsConfig
     elapsed_s: float = 0.0
@@ -95,6 +108,19 @@ class GibbsChain:
     @property
     def n_records(self) -> int:
         return self.weight_samples.shape[0]
+
+    def noise_matrices(self, m: int) -> np.ndarray:
+        """n_records x D_m x D_m stack of the noise covariances of view
+        ``m`` (0-based: ``noise_samples[m]``, the container's
+        ``sigma_view{m+1}_samples``), rebuilt from their packed lower
+        triangles."""
+        dim = self.view_dims[m]
+        rows, cols = _packed_index(dim)
+        packed = self.noise_samples[m]
+        full = np.empty((packed.shape[0], dim, dim))
+        full[:, rows, cols] = packed
+        full[:, cols, rows] = packed
+        return full
 
     def diagnostics(self) -> dict:
         """Run summary: sweeps run, records kept, wall-clock milliseconds
@@ -236,7 +262,8 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
 
     weight_samples = np.empty((n_records, priors.dim, d))
     mean_samples = np.empty((n_records, priors.dim))
-    noise_samples = [np.empty((n_records, dim, dim)) for dim in priors.view_dims]
+    packed = [_packed_index(dim) for dim in priors.view_dims]
+    noise_samples = [np.empty((n_records, rows.size)) for rows, _ in packed]
 
     start = time.perf_counter()
     record = 0
@@ -248,8 +275,8 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
         if kept:
             weight_samples[record] = weights
             mean_samples[record] = mean
-            for m, block in enumerate(noise):
-                noise_samples[m][record] = block
+            for samples, (rows, cols), block in zip(noise_samples, packed, noise):
+                samples[record] = block[rows, cols]
             record += 1
     elapsed = time.perf_counter() - start
 

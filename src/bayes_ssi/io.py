@@ -3,8 +3,9 @@
 All numeric CSV output is written with 17 significant digits so 64-bit
 floats round-trip exactly.  Engine containers (the Gibbs chain and the
 variational factors) hold one ``.npy`` file per array, shape kept, next to
-a JSON manifest.  Reruns with the same seed therefore reproduce
-byte-identical files.
+a JSON manifest; the chain's noise covariances are stored as their packed
+lower triangles, as the chain keeps them.  Reruns with the same seed
+therefore reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"
+# the chain manifest's name for the packed noise rows (GibbsChain.noise_samples)
+NOISE_LAYOUT = "lower triangle, numpy.tril_indices order"
 
 
 def _describe_matrix(mat: np.ndarray) -> dict | list:
@@ -156,7 +159,9 @@ def _load_array(directory: Path, name: str) -> np.ndarray:
 def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> Path:
     """Persist a chain: JSON manifest plus one ``.npy`` file per parameter
     with the record index leading (``w_samples`` n x D x d,
-    ``mu_samples`` n x D, ``sigma_view{m}_samples`` n x D_m x D_m)."""
+    ``mu_samples`` n x D, ``sigma_view{m}_samples`` n x D_m(D_m + 1)/2:
+    each noise covariance's lower triangle in ``np.tril_indices`` order,
+    which the manifest's ``noise_layout`` names)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     total_dim, d = chain.weight_samples.shape[1:]
@@ -170,6 +175,7 @@ def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> 
         "latent_dim": d,
         "view_dims": list(chain.view_dims),
         "factor_blocks": list(chain.factor_blocks),
+        "noise_layout": NOISE_LAYOUT,
         "arrays": _save_arrays(directory, arrays),
         "config": dataclasses.asdict(chain.config),
     }
@@ -180,12 +186,24 @@ def save_chain(directory, chain: GibbsChain, extra_meta: dict | None = None) -> 
 
 
 def load_chain(directory) -> GibbsChain:
+    """Read a chain written by :func:`save_chain`; the noise rows stay packed
+    (see :meth:`~bayes_ssi.gibbs.GibbsChain.noise_matrices`).  A noise file
+    of any other shape, such as the full n x D_m x D_m stack of a container
+    written before the packed layout, raises ``ValueError``."""
     directory = Path(directory)
     with open(directory / "chain_manifest.json") as fh:
         manifest = json.load(fh)
     view_dims = tuple(manifest["view_dims"])
-    noise = [_load_array(directory, f"sigma_view{m}_samples")
-             for m in range(1, len(view_dims) + 1)]
+    noise = []
+    for m, dim in enumerate(view_dims, start=1):
+        name = f"sigma_view{m}_samples"
+        packed = _load_array(directory, name)
+        expected = (manifest["n_records"], dim * (dim + 1) // 2)
+        if packed.shape != expected:
+            raise ValueError(
+                f"{directory / (name + '.npy')}: expected shape {expected} "
+                f"(records x packed lower triangle), found {packed.shape}")
+        noise.append(packed)
     config = GibbsConfig(**manifest["config"])
     return GibbsChain(weight_samples=_load_array(directory, "w_samples"),
                       mean_samples=_load_array(directory, "mu_samples"),

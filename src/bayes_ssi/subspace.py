@@ -16,6 +16,7 @@ run them on stacks of many."""
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ __all__ = [
 
 # jitter ladder for near-singular auto-covariances, relative to trace/dim
 _JITTER_LEVELS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+logger = logging.getLogger(__name__)
 
 
 class IllConditionedError(np.linalg.LinAlgError):
@@ -214,8 +217,9 @@ def build_hankel(ts: TimeSeries, block_rows: int, center: bool = True) -> Hankel
 def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor, escalating diagonal jitter up to 1e-6*trace/dim.
 
-    Raises :class:`IllConditionedError` with a condition-number report if
-    the ladder is exhausted.
+    Logs one warning naming ``name`` and the jitter level when any jitter
+    was needed.  Raises :class:`IllConditionedError` with a
+    condition-number report if the ladder is exhausted.
     """
     mat = np.asarray(mat, dtype=float)
     dim = mat.shape[0]
@@ -225,9 +229,13 @@ def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     eye = np.eye(dim)
     for level in _JITTER_LEVELS:
         try:
-            return np.linalg.cholesky(mat + level * base * eye)
+            factor = np.linalg.cholesky(mat + level * base * eye)
         except np.linalg.LinAlgError:
             continue
+        if level > 0:
+            logger.warning("%s is not positive definite: added diagonal jitter "
+                           "%g x trace/dim = %.3g", name, level, level * base)
+        return factor
     cond = np.linalg.cond(symmetrize(mat))
     raise IllConditionedError(
         f"{name} is not positive definite after jitter ladder "

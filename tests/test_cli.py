@@ -1,15 +1,31 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bayes_ssi
 from bayes_ssi.cli import build_priors, load_prior_overrides, main
-from bayes_ssi.io import read_matrix_csv
+from bayes_ssi.io import load_chain, read_matrix_csv, write_timeseries_csv
+
+SRC = str(Path(bayes_ssi.__file__).resolve().parent.parent)
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, whose stderr is what a user
+    sees: the library's log records reach it through logging's last-resort
+    handler, not through the test run's log capture."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "bayes_ssi.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +166,19 @@ class TestIdentify:
         assert code == 0
         weights = np.load(out / "chain" / "w_samples.npy", allow_pickle=False)
         assert weights.shape == (4000, 8, 2)
+        # each view's noise draws are stored as their 10 lower-triangle entries
+        manifest = json.loads((out / "chain" / "chain_manifest.json").read_text())
+        assert manifest["noise_layout"] == "lower triangle, numpy.tril_indices order"
+        chain = load_chain(out / "chain")
+        for m in (1, 2):
+            assert manifest["arrays"][f"sigma_view{m}_samples"] == [4000, 10]
+            packed = np.load(out / "chain" / f"sigma_view{m}_samples.npy",
+                             allow_pickle=False)
+            assert packed.shape == (4000, 10)
+            full = chain.noise_matrices(m - 1)
+            assert full.shape == (4000, 4, 4)
+            rows, cols = np.tril_indices(4)
+            assert np.array_equal(full[:, rows, cols], packed)
         diag = json.loads((out / "run_manifest.json").read_text())["diagnostics"]
         assert diag["n_sweeps"] == 5000
         assert diag["n_records"] == 4000
@@ -467,6 +496,37 @@ def test_gibbs_retention_keeping_nothing_rejected_before_any_sweep(
     err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
     assert len(err) == 1 and "retention policy keeps no samples" in err[0]
     assert not out.exists()
+
+
+class TestJitterWarning:
+    """A duplicated or constant channel makes both view auto-covariances
+    singular; the command still runs and says once per view that it added
+    jitter."""
+
+    @pytest.mark.parametrize("channel", ["duplicated", "constant"])
+    def test_singular_view_warns_once_per_view(self, sim_dir, tmp_path, channel):
+        data = np.loadtxt(sim_dir / "response.csv", delimiter=",", skiprows=1)
+        extra = data[:, 0] if channel == "duplicated" else np.full(len(data), 0.25)
+        raw = tmp_path / "singular.csv"
+        np.savetxt(raw, np.column_stack([data, extra]), delimiter=",", fmt="%.17g")
+        result = run_cli_process("identify", "--input", raw, "--fs", 50,
+                                 "--block-rows", 10, "--order", 8, "--engine", "ssi",
+                                 "--seed", 1, "--out", tmp_path / "out")
+        assert result.returncode == 0, result.stderr
+        err = result.stderr.splitlines()
+        assert len(err) == 2, err
+        for line, view in zip(err, ("first", "second")):
+            assert line.startswith(f"{view}-view auto-covariance is not positive "
+                                   "definite: added diagonal jitter 1e-12 x trace/dim")
+
+    def test_acceptance_record_prints_nothing(self, benchmark_ts_full, tmp_path):
+        record = tmp_path / "acceptance.csv"
+        write_timeseries_csv(record, benchmark_ts_full)
+        result = run_cli_process("identify", "--input", record, "--fs", 50,
+                                 "--block-rows", 15, "--order", 8, "--engine", "ssi",
+                                 "--seed", 1234, "--out", tmp_path / "out")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
 
 class TestSpectrum:

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from bayes_ssi.gibbs import (
+    GibbsChain,
     GibbsConfig,
     run_gibbs,
     _Kernel,
@@ -270,9 +271,52 @@ class TestRunGibbs:
         chain = run_gibbs(stats, priors, GibbsConfig(n_samples=50, seed=3))
         assert np.all(np.isfinite(chain.weight_samples))
         assert np.all(np.isfinite(chain.mean_samples))
-        for blocks in chain.noise_samples:
+        for m in range(2):
+            assert chain.noise_samples[m].shape == (chain.n_records, 3)
+            blocks = chain.noise_matrices(m)
+            assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
             for blk in blocks:
                 np.linalg.cholesky(blk)
+
+    def test_records_are_the_packed_noise_draws(self, monkeypatch):
+        # each kept record unpacks to exactly the noise blocks the sweep
+        # drew; unequal views make a misordered triangle show
+        gen = np.random.default_rng(16)
+        stats = HankelStats.from_matrix(gen.standard_normal((5, 40)), (2, 3))
+        drawn = []
+        transition = _Kernel.transition
+
+        def recording(self, *args):
+            out = transition(self, *args)
+            drawn.append(out[2])
+            return out
+
+        monkeypatch.setattr(_Kernel, "transition", recording)
+        config = GibbsConfig(n_samples=12, burn_in_fraction=0.25, thinning=2, seed=5)
+        chain = run_gibbs(stats, default_priors(2, 3, 1), config)
+        kept = drawn[config.n_burn + config.thinning - 1::config.thinning]
+        assert len(kept) == chain.n_records == 4
+        for m, dim in enumerate((2, 3)):
+            assert chain.noise_samples[m].shape == (4, dim * (dim + 1) // 2)
+            assert np.array_equal(chain.noise_matrices(m),
+                                  np.array([blocks[m] for blocks in kept]))
+
+    def test_noise_matrices_unpack_tril_rows_exactly(self):
+        # packing in np.tril_indices order and unpacking is bit-exact on
+        # exactly symmetric stacks
+        gen = np.random.default_rng(17)
+        full, packed = [], []
+        for dim in (1, 3, 4):
+            base = gen.standard_normal((6, dim, dim)) * np.exp(gen.uniform(-20, 20, (6, 1, 1)))
+            sym = 0.5 * (base + base.transpose(0, 2, 1))
+            rows, cols = np.tril_indices(dim)
+            full.append(sym)
+            packed.append(sym[:, rows, cols])
+        chain = GibbsChain(weight_samples=np.zeros((6, 8, 1)), mean_samples=np.zeros((6, 8)),
+                           noise_samples=packed, view_dims=(1, 3, 4),
+                           config=GibbsConfig(n_samples=6, burn_in_fraction=0.0))
+        for m in range(3):
+            assert np.array_equal(chain.noise_matrices(m), full[m])
 
     def test_gram_scatter_matches_residual_scatter(self):
         gen = np.random.default_rng(15)
@@ -443,7 +487,8 @@ class TestStatisticsEngine:
             noise_entries = [blk[:, [0, 0, 1], [0, 1, 1]] for blk in blocks]
             return np.column_stack([mu, mu**2, outer, *noise_entries])
 
-        ours = summaries(chain.mean_samples, chain.weight_samples, chain.noise_samples)
+        ours = summaries(chain.mean_samples, chain.weight_samples,
+                         [chain.noise_matrices(m) for m in range(2)])
         dense = summaries(means[kept], weights[kept], [blk[kept] for blk in noise])
         for col in range(ours.shape[1]):
             se = np.hypot(oracles.batch_means_se(ours[:, col]),

@@ -142,7 +142,7 @@ class TestChainSamples:
         return GibbsChain(
             weight_samples=weights,
             mean_samples=gen.standard_normal((n_records, 6)),
-            noise_samples=[gen.standard_normal((n_records, 3, 3)) for _ in range(2)],
+            noise_samples=[gen.standard_normal((n_records, 6)) for _ in range(2)],
             view_dims=(3, 3),
             config=GibbsConfig(n_samples=n_records, burn_in_fraction=0.0),
         )

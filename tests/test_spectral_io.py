@@ -250,10 +250,24 @@ class TestChainPersistence:
         manifest = json.loads((tmp_path / "chain" / "chain_manifest.json").read_text())
         assert manifest["n_records"] == 8
         assert manifest["arrays"] == {"w_samples": [8, 4, 1], "mu_samples": [8, 4],
-                                      "sigma_view1_samples": [8, 2, 2],
-                                      "sigma_view2_samples": [8, 2, 2]}
+                                      "sigma_view1_samples": [8, 3],
+                                      "sigma_view2_samples": [8, 3]}
+        assert manifest["noise_layout"] == "lower triangle, numpy.tril_indices order"
         weights = np.load(tmp_path / "chain" / "w_samples.npy", allow_pickle=False)
         assert np.array_equal(weights, chain.weight_samples)
+
+    def test_full_noise_stack_rejected(self, tmp_path):
+        # a container holding full n x D_m x D_m noise stacks, as written
+        # before the packed layout, is refused with the file and both shapes
+        gen = np.random.default_rng(7)
+        stats = HankelStats.from_matrix(gen.standard_normal((5, 30)), (2, 3))
+        chain = run_gibbs(stats, default_priors(2, 3, 1), GibbsConfig(n_samples=10, seed=1))
+        save_chain(tmp_path / "chain", chain)
+        path = tmp_path / "chain" / "sigma_view2_samples.npy"
+        np.save(path, chain.noise_matrices(1), allow_pickle=False)
+        with pytest.raises(ValueError, match=r"sigma_view2_samples\.npy: expected shape "
+                           r"\(8, 6\) .*found \(8, 3, 3\)"):
+            load_chain(tmp_path / "chain")
 
     def test_config_written_before_warm_start_loads_with_default(self, tmp_path):
         gen = np.random.default_rng(8)

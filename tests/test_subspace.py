@@ -170,6 +170,15 @@ class TestMatrixSqrt:
         assert np.tril(factor) == pytest.approx(factor)
         assert np.max(np.abs(factor @ factor.T - mat)) < 1e-10 * np.max(np.abs(mat))
 
+    def test_jitter_logged_with_name_and_level(self, caplog):
+        with caplog.at_level("WARNING", logger="bayes_ssi.subspace"):
+            chol_with_jitter(np.eye(3), "spd matrix")
+            factor = chol_with_jitter(np.ones((2, 2)), "test matrix")
+        assert np.all(np.isfinite(factor))
+        assert [r.getMessage() for r in caplog.records] == [
+            "test matrix is not positive definite: added diagonal jitter "
+            "1e-12 x trace/dim = 1e-12"]
+
     def test_jitter_ladder_fails_with_condition_report(self):
         mat = np.diag([1.0, -1.0])
         with pytest.raises(IllConditionedError, match="condition number"):
