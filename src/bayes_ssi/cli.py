@@ -31,7 +31,6 @@ import scipy
 from . import __version__
 from .gibbs import GibbsConfig, run_gibbs
 from .io import (
-    describe_priors,
     ingest_csv,
     save_chain,
     save_vb_posterior,
@@ -67,6 +66,7 @@ __all__ = [
     "cmd_spectrum",
     "build_priors",
     "load_prior_overrides",
+    "prior_overrides",
     "pin_blas_threads",
     "blas_threads",
 ]
@@ -199,42 +199,51 @@ def _require_draws(cfg: dict) -> int:
     return n_draws
 
 
-def _warn_not_converged(diag: dict, max_iter: int, where: str = "") -> None:
-    if not diag["converged"]:
-        print(f"warning: VB{where} stopped at max_iter={max_iter} without "
-              f"converging", file=sys.stderr)
+# the fields a ``--priors`` file may set besides the per-view noise prior
+_ARRAY_FIELDS = ("mean_loc", "mean_cov", "weight_loc", "weight_cov")
 
 
 def load_prior_overrides(path) -> dict:
     """Prior configuration file: JSON whose keys mirror the prior
     hyperparameter fields; scalars expand to scaled identities or constant
-    vectors."""
+    vectors.  :func:`prior_overrides` writes this form."""
     with open(path) as fh:
         raw = json.load(fh)
-    allowed = {"mean_loc", "mean_cov", "weight_loc", "weight_cov",
-               "noise_scale", "noise_dof"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {*_ARRAY_FIELDS, "noise_scale", "noise_dof"}
     if unknown:
         raise ValueError(f"unknown prior keys: {sorted(unknown)}")
     return raw
 
 
-def _expand_vector(value, dim: int) -> np.ndarray:
+def _expand(value, shape: tuple[int, ...]) -> np.ndarray:
+    """A prior vector or square matrix of ``shape`` from its file entry: a
+    scalar is a constant vector or a scaled identity."""
     if np.isscalar(value):
-        return float(value) * np.ones(dim)
+        return float(value) * (np.ones(shape) if len(shape) == 1 else np.eye(*shape))
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"prior vector must have length {dim}, got {arr.shape}")
+    if arr.shape != shape:
+        dim = shape[0]
+        need = (f"vector must have length {dim}" if len(shape) == 1
+                else f"matrix must be {dim}x{dim}")
+        raise ValueError(f"prior {need}, got {arr.shape}")
     return arr
 
 
-def _expand_matrix(value, dim: int) -> np.ndarray:
-    if np.isscalar(value):
-        return float(value) * np.eye(dim)
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"prior matrix must be {dim}x{dim}, got {arr.shape}")
-    return arr
+def _compact(arr: np.ndarray):
+    """The file entry :func:`_expand` reads back as ``arr`` exactly: a
+    scalar for a constant vector or a scaled identity, else the nested
+    list."""
+    scalar = float(arr.flat[0])
+    return scalar if np.array_equal(arr, _expand(scalar, arr.shape)) else arr.tolist()
+
+
+def prior_overrides(priors: PriorHyper) -> dict:
+    """``priors`` as a ``--priors`` file, JSON-ready, with the noise prior
+    as per-view lists: :func:`build_priors` at the same view dims and order
+    reads it back exactly."""
+    return {**{key: _compact(getattr(priors, key)) for key in _ARRAY_FIELDS},
+            "noise_scale": [_compact(scale) for scale in priors.noise_scale],
+            "noise_dof": [float(dof) for dof in priors.noise_dof]}
 
 
 def build_priors(view_dim_future: int, view_dim_past: int, order: int,
@@ -243,13 +252,8 @@ def build_priors(view_dim_future: int, view_dim_past: int, order: int,
     base = default_priors(view_dim_future, view_dim_past, order)
     if not overrides:
         return base
-    fields = {}
-    for key in ("mean_loc", "weight_loc"):
-        if key in overrides:
-            fields[key] = _expand_vector(overrides[key], base.dim)
-    for key in ("mean_cov", "weight_cov"):
-        if key in overrides:
-            fields[key] = _expand_matrix(overrides[key], base.dim)
+    fields = {key: _expand(overrides[key], getattr(base, key).shape)
+              for key in _ARRAY_FIELDS if key in overrides}
     if "noise_scale" in overrides:
         value = overrides["noise_scale"]
         try:
@@ -259,7 +263,7 @@ def build_priors(view_dim_future: int, view_dim_past: int, order: int,
         shared = rank == 0 or (rank == 2 and all(np.shape(value) == (d, d)
                                                  for d in base.view_dims))
         per_view = _per_view("noise_scale", value, shared)
-        fields["noise_scale"] = tuple(_expand_matrix(v, d)
+        fields["noise_scale"] = tuple(_expand(v, (d, d))
                                       for v, d in zip(per_view, base.view_dims))
     if "noise_dof" in overrides:
         value = overrides["noise_dof"]
@@ -396,18 +400,16 @@ def cmd_identify(cfg: dict) -> Path:
                        _manifest("identify", cfg, started))
             return Path(cfg["out"])
 
-        half = ts.channels * j
-        priors = build_priors(half, half, order, overrides)
+        priors = build_priors(*stats.view_dims, order, overrides)
         _write_welch_overlay(out, ts)
 
         diagnostics = None
         if engine == "vb":
             post = run_vb(stats, priors, engine_config)
             diagnostics = post.diagnostics()
-            _warn_not_converged(diagnostics, engine_config.max_iter)
             save_vb_posterior(out.subdir("vb_posterior"), post,
                               extra_meta={"seed": cfg["seed"],
-                                          "priors": describe_priors(priors)})
+                                          "priors": prior_overrides(priors)})
             write_matrix_csv(out.file("elbo_trace.csv"),
                              np.asarray(post.elbo_trace)[:, None],
                              header=["elbo"])
@@ -416,7 +418,7 @@ def cmd_identify(cfg: dict) -> Path:
             chain = run_gibbs(stats, priors, engine_config)
             diagnostics = chain.diagnostics()
             save_chain(out.subdir("chain"), chain,
-                       extra_meta={"priors": describe_priors(priors)})
+                       extra_meta={"priors": prior_overrides(priors)})
             draws = chain_observability_samples(chain)
 
         modal, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
@@ -440,22 +442,20 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     ts = _load_input(cfg)
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
     vb_config = _vb_config(cfg)
+    stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
     # invalid priors fail the command here, not as a failure at every order
-    half = ts.channels * cfg["block_rows"]
-    priors = {order: build_priors(half, half, order, overrides) for order in cfg["orders"]}
+    priors = {order: build_priors(*stats.view_dims, order, overrides)
+              for order in cfg["orders"]}
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         _write_welch_overlay(out, ts)
-        stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
         result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
         ])
         write_matrix_csv(out.file("stabilisation.csv"), triples,
                          header=["order", "frequency_hz", "damping_ratio"])
-        for order, diag in result.diagnostics.items():
-            _warn_not_converged(diag, vb_config.max_iter, f" at order {order}")
         manifest = _manifest("stabilise", cfg, started, failures=result.failures,
                              diagnostics={str(k): v for k, v in result.diagnostics.items()})
         write_json(out.file("run_manifest.json"), {**manifest, "workers": result.workers})

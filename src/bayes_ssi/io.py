@@ -37,37 +37,6 @@ FLOAT_FMT = "%.17g"
 NOISE_LAYOUT = "lower triangle, numpy.tril_indices order"
 
 
-def _describe_matrix(mat: np.ndarray) -> dict | list:
-    """Compact exact JSON form: scaled identities stay scalar."""
-    mat = np.asarray(mat)
-    dim = mat.shape[0]
-    diag = mat[0, 0]
-    if np.array_equal(mat, diag * np.eye(dim)):
-        return {"scaled_identity": float(diag), "dim": dim}
-    return mat.tolist()
-
-
-def _describe_vector(vec: np.ndarray) -> dict | list:
-    """Compact exact JSON form: constant vectors stay scalar."""
-    if np.all(vec == vec[0]):
-        return {"constant": float(vec[0]), "dim": vec.size}
-    return vec.tolist()
-
-
-def describe_priors(priors) -> dict:
-    """JSON-ready echo of the prior hyperparameters for run manifests."""
-    return {
-        "mean_loc": _describe_vector(priors.mean_loc),
-        "mean_cov": _describe_matrix(priors.mean_cov),
-        "weight_loc": _describe_vector(priors.weight_loc),
-        "weight_cov": _describe_matrix(priors.weight_cov),
-        "noise_scale": [_describe_matrix(s) for s in priors.noise_scale],
-        "noise_dof": list(priors.noise_dof),
-        "latent_dim": priors.latent_dim,
-        "view_dims": list(priors.view_dims),
-    }
-
-
 def ingest_csv(path, fs: float) -> TimeSeries:
     """Read a rectangular numeric CSV (optional single header row) into a
     TimeSeries with one channel per column.

@@ -17,7 +17,6 @@ run them on stacks of many."""
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,10 +337,11 @@ def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
 
     Conjugate eigenvalue pairs collapse to their positive-imaginary member;
     real eigenvalues are kept with ``real_pole`` set; zero eigenvalues
-    (continuous-time log undefined) are dropped with one warning counting
-    them.  Returns (frequencies, damping_ratios, mode_shapes, real_pole,
-    present), n x d each (shapes n x d x l, complex): row k holds matrix
-    k's modes in ascending frequency where ``present``, then zeros.
+    (continuous-time log undefined) are dropped with one logged warning
+    counting them.  Returns (frequencies, damping_ratios, mode_shapes,
+    real_pole, present), n x d each (shapes n x d x l, complex): row k
+    holds matrix k's modes in ascending frequency where ``present``, then
+    zeros.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -350,7 +350,7 @@ def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
     nonzero = np.abs(eigvals) > 1e-300
     n_dropped = int(np.count_nonzero(~nonzero))
     if n_dropped:
-        warnings.warn(f"dropped {n_dropped} zero eigenvalue(s) with undefined log")
+        logger.warning("dropped %d zero eigenvalue(s) with undefined log", n_dropped)
     keep = nonzero & ((eigvals.imag > 0) | (eigvals.imag == 0))
 
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -10,8 +10,8 @@ The latent factor is a joint Gaussian over each column, so its covariance
 couples the latent rows; the weight update therefore carries a
 cross-covariance correction term.  ``latent_cross_cov=False`` drops that
 correction (mean-only treatment of the other rows), which is no longer an
-exact coordinate update, so the bound is then allowed to wobble (warning
-instead of error).
+exact coordinate update, so the bound is then allowed to wobble (a logged
+warning instead of an error).
 
 Every update and the bound see the data only through its sufficient
 statistics (:class:`~bayes_ssi.subspace.HankelStats`).  The latent means
@@ -37,8 +37,8 @@ the one the Gibbs engine can start from too.
 
 from __future__ import annotations
 
+import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,6 +65,8 @@ __all__ = [
     "initial_posterior",
     "run_vb",
 ]
+
+logger = logging.getLogger(__name__)
 
 _MONOTONE_RTOL = 1e-8
 
@@ -348,9 +350,11 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
 
     Update order per sweep: latent factor, every weight column, noise
     factors, mean factor; the bound is evaluated after each full sweep.  A
-    decrease beyond 1e-8 relative raises (warns in the non-exact
+    decrease beyond 1e-8 relative raises (logs a warning in the non-exact
     ``latent_cross_cov=False`` mode); a non-finite bound aborts with a
-    state dump.  Each sweep costs O(D^3 + D^2 d), whatever the column count.
+    state dump, and a run that stops at ``max_iter`` unconverged logs one
+    warning naming the order.  Each sweep costs O(D^3 + D^2 d), whatever
+    the column count.
     """
     kernel = _Kernel(stats, priors)
     post = initial_posterior(stats, priors, config.seed, warm_start=config.warm_start)
@@ -378,12 +382,15 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
                        f"{previous:.12e} -> {bound:.12e}")
             if config.latent_cross_cov:
                 raise ElboDecreaseError(message)
-            warnings.warn(message)
+            logger.warning(message)
         post.elbo_trace.append(bound)
         post.n_iter = sweep
         if np.isfinite(previous) and abs(bound - previous) < config.elbo_rel_tol * abs(previous):
             post.converged = True
             break
         previous = bound
+    else:
+        logger.warning("VB at order %d stopped at max_iter=%d without converging",
+                       priors.latent_dim, config.max_iter)
     post.elapsed_s = time.perf_counter() - start
     return post

@@ -16,7 +16,11 @@ starts use; ``gibbs`` keeps the name for the tracer only.
 
 The command line reads its configuration as ``cfg[key]``, never
 ``cfg.get(key, default)``: every key comes from the parser, which holds
-the one default of each setting."""
+the one default of each setting.
+
+Warnings leave the library through its module loggers only: no module in
+``src/`` calls ``print`` or ``warnings.warn``, except the ``error:`` line
+with which ``cli.main`` reports a failed command."""
 
 import ast
 from pathlib import Path
@@ -184,3 +188,40 @@ def test_cli_reads_no_second_default():
 def test_scan_finds_cfg_get_calls():
     source = 'a = cfg.get("seed")\nb = cfg["tol"]\nc = {}.get("x")\nd = cfg.get("fs", 1)\n'
     assert cfg_get_calls(source) == [1, 4]
+
+
+def report_calls(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function, call text) of every ``print`` call
+    and every ``warn`` call, bare or as an attribute such as
+    ``warnings.warn``; at module level the function is ``""``."""
+    tree = ast.parse(source)
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and (getattr(child.func, "id", None) in ("print", "warn")
+                         or getattr(child.func, "attr", None) == "warn")):
+                found.append((where, ast.get_source_segment(source, child)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_reports_leave_through_loggers(path):
+    allowed = ([("main", 'print(f"error: {exc}", file=sys.stderr)')]
+               if path.name == "cli.py" else [])
+    assert report_calls(path.read_text()) == allowed
+
+
+def test_scan_finds_report_calls():
+    source = ("import warnings\nfrom warnings import warn\nprint('a')\n"
+              "def f():\n    warnings.warn('b')\n    logger.warning('c')\n"
+              "    def g():\n        warn('d')\n    return print\n"
+              "class K:\n    def h(self):\n        print('e', file=sys.stderr)\n")
+    assert report_calls(source) == [
+        ("", "print('a')"), ("f", "warnings.warn('b')"), ("g", "warn('d')"),
+        ("h", "print('e', file=sys.stderr)")]

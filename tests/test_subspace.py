@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,13 +372,15 @@ class TestModalExtraction:
         # the negative pole lands at the Nyquist frequency
         assert freqs.max() >= 0.5 / 0.1 / 2
 
-    def test_zero_eigenvalue_dropped_with_count(self):
+    def test_zero_eigenvalue_dropped_with_count(self, caplog):
         a = np.diag([0.0, 0.5])
-        with pytest.warns(UserWarning, match="dropped 1"):
+        with caplog.at_level("WARNING", logger="bayes_ssi.subspace"):
             _, _, _, _, (present,) = modal_parameters(a[None], np.ones((1, 1, 2)), 0.1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 zero eigenvalue(s) with undefined log"]
         assert present.tolist() == [True, False]
 
-    def test_stack_rows_match_one_matrix_at_a_time(self):
+    def test_stack_rows_match_one_matrix_at_a_time(self, caplog):
         # a stack mixing complex pairs, real poles and a zero eigenvalue
         gen = np.random.default_rng(12)
         rot = np.array([[0.9, 0.3], [-0.3, 0.9]])
@@ -388,13 +388,14 @@ class TestModalExtraction:
                 for d in ([0.5, -0.2], [0.0, 0.7], [0.8, 0.1])]
         mats.append(gen.standard_normal((4, 4)))
         outs = gen.standard_normal((4, 3, 4))
-        with pytest.warns(UserWarning, match="dropped 1"):
+        with caplog.at_level("WARNING", logger="bayes_ssi.subspace"):
             freqs, damping, shapes, real_pole, present = modal_parameters(
                 np.stack(mats), outs, 0.02)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 zero eigenvalue(s) with undefined log"]
         assert present.sum(axis=1).tolist()[:3] == [3, 2, 3]
         for k, (a, c_out) in enumerate(zip(mats, outs)):
-            with np.errstate(all="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with np.errstate(all="ignore"):
                 (f_one,), (d_one,), (s_one,), (r_one,), (p_one,) = modal_parameters(
                     a[None], c_out[None], 0.02)
             n = int(p_one.sum())

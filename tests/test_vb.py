@@ -271,14 +271,12 @@ class TestScatterConsistency:
 
 
 class TestStatisticsEngine:
-    @pytest.mark.filterwarnings("ignore:bound decreased")
     @pytest.mark.parametrize("cross_cov", [True, False])
     @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("coupled_prior", [False, True])
     def test_run_vb_matches_dense_sweeps(self, cross_cov, warm_start, coupled_prior):
         self.check_against_dense(cross_cov, warm_start, coupled_prior, centred=False)
 
-    @pytest.mark.filterwarnings("ignore:bound decreased")
     @pytest.mark.parametrize("cross_cov", [True, False])
     @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("coupled_prior", [False, True])
@@ -485,6 +483,26 @@ class TestRunVb:
         assert post.converged
         assert post.n_iter == trace.size
         assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
+
+    def test_max_iter_logged_once(self, caplog):
+        # one record when the run stops at max_iter unconverged, none when
+        # it converges, also on its last allowed sweep
+        gen = np.random.default_rng(14)
+        stats = HankelStats.from_matrix(gen.standard_normal((4, 60)), (2, 2))
+        priors = default_priors(2, 2, 2)
+        with caplog.at_level("WARNING", logger="bayes_ssi.vb"):
+            short = run_vb(stats, priors, VBConfig(max_iter=3, elbo_rel_tol=1e-8, seed=6))
+        assert not short.converged and short.n_iter == 3
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("bayes_ssi.vb", "WARNING",
+             "VB at order 2 stopped at max_iter=3 without converging")]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="bayes_ssi.vb"):
+            full = run_vb(stats, priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8, seed=6))
+            last = run_vb(stats, priors, VBConfig(max_iter=full.n_iter,
+                                                  elbo_rel_tol=1e-8, seed=6))
+        assert full.converged and last.converged and last.n_iter == full.n_iter
+        assert caplog.records == []
 
     def test_determinism(self):
         gen = np.random.default_rng(15)
