@@ -34,6 +34,7 @@ from .io import (
     ingest_csv,
     save_chain,
     save_vb_posterior,
+    write_array,
     write_json,
     write_matrix_csv,
     write_timeseries_csv,
@@ -321,22 +322,13 @@ def _modal_estimate_payload(modal, order: int, block_rows: int) -> dict:
 
 
 def _write_mode_draws(out: OutputDir, posterior) -> None:
+    """Each reference mode's aligned draws as ``mode_XX_draws.npy`` (n x 2
+    float64: frequency in Hz, damping ratio) and ``mode_XX_shapes.npy``
+    (n x l complex128: unit-norm, phase- and sign-aligned shapes)."""
     for k, cluster in enumerate(posterior.clusters, start=1):
-        write_matrix_csv(
-            out.file(f"mode_{k:02d}_draws.csv"),
-            np.column_stack([cluster.frequencies, cluster.damping_ratios])
-            if cluster.n_aligned else np.empty((0, 2)),
-            header=["frequency_hz", "damping_ratio"],
-        )
-        l = cluster.reference_shape.size
-        shape_cols = np.empty((cluster.n_aligned, 2 * l))
-        shape_cols[:, 0::2] = cluster.mode_shapes.real
-        shape_cols[:, 1::2] = cluster.mode_shapes.imag
-        header = []
-        for c in range(l):
-            header += [f"ch{c + 1}_re", f"ch{c + 1}_im"]
-        write_matrix_csv(out.file(f"mode_{k:02d}_shapes.csv"), shape_cols,
-                         header=header)
+        write_array(out.file(f"mode_{k:02d}_draws.npy"),
+                    np.column_stack([cluster.frequencies, cluster.damping_ratios]))
+        write_array(out.file(f"mode_{k:02d}_shapes.npy"), cluster.mode_shapes)
 
 
 def cmd_simulate(cfg: dict) -> Path:
@@ -389,8 +381,11 @@ def cmd_identify(cfg: dict) -> Path:
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
 
     with OutputDir(cfg["out"]) as out:
-        write_json(out.file("config.json"), _config_echo("identify", cfg))
+        # invalid priors fail every engine, ssi included, before any file
+        # is written
         stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
+        priors = build_priors(*stats.view_dims, order, overrides)
+        write_json(out.file("config.json"), _config_echo("identify", cfg))
         reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
@@ -400,7 +395,6 @@ def cmd_identify(cfg: dict) -> Path:
                        _manifest("identify", cfg, started))
             return Path(cfg["out"])
 
-        priors = build_priors(*stats.view_dims, order, overrides)
         _write_welch_overlay(out, ts)
 
         diagnostics = None

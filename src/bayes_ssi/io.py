@@ -1,11 +1,16 @@
-"""CSV/JSON/.npy artifact ingestion and persistence.
+"""CSV/JSON/.npy artifact ingestion and persistence; every artifact file
+a command writes is written here.
 
-All numeric CSV output is written with 17 significant digits so 64-bit
-floats round-trip exactly.  Engine containers (the Gibbs chain and the
-variational factors) hold one ``.npy`` file per array, shape kept, next to
-a JSON manifest; the chain's noise covariances are stored as their packed
-lower triangles, as the chain keeps them.  Reruns with the same seed
-therefore reproduce byte-identical files.
+Tables (the record, spectra, the bound trace, stabilisation triples) stay
+CSV, with 17 significant digits so 64-bit floats round-trip exactly; the
+text is byte for byte what ``np.savetxt(fmt="%.17g", delimiter=",")``
+writes.  Per-draw arrays are ``.npy`` files, float64 or complex128 only,
+written by :func:`write_array`: ``identify``'s per-mode draws and shapes,
+and the engine containers (the Gibbs chain and the variational factors),
+which hold one file per array, shape kept, next to a JSON manifest.  The
+chain's noise covariances are stored as their packed lower triangles, as
+the chain keeps them.  Reruns with the same seed therefore reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,12 +32,16 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
     "write_json",
+    "write_array",
     "save_chain",
     "load_chain",
     "save_vb_posterior",
 ]
 
 FLOAT_FMT = "%.17g"
+# rows formatted by one ``%``: bounds the text held at once, so writing a
+# long record does not raise the writer's peak memory above np.savetxt's
+CSV_BLOCK_ROWS = 512
 # the chain manifest's name for the packed noise rows (GibbsChain.noise_samples)
 NOISE_LAYOUT = "lower triangle, numpy.tril_indices order"
 
@@ -86,11 +95,21 @@ def ingest_csv(path, fs: float) -> TimeSeries:
     return TimeSeries(data=data.T.copy(), fs=float(fs))
 
 
+def _write_rows(fh, mat: np.ndarray) -> None:
+    """The rows of 2-D ``mat`` exactly as ``np.savetxt(fh, mat,
+    fmt=FLOAT_FMT, delimiter=",")`` writes them, formatting
+    ``CSV_BLOCK_ROWS`` rows with one ``%``."""
+    row = ",".join([FLOAT_FMT] * mat.shape[1]) + "\n"
+    for start in range(0, mat.shape[0], CSV_BLOCK_ROWS):
+        block = mat[start:start + CSV_BLOCK_ROWS]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_timeseries_csv(path, ts: TimeSeries) -> None:
     """One row per sample, header row of channel names ch1, ch2, ..."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"ch{i + 1}" for i in range(ts.channels)) + "\n")
-        np.savetxt(fh, ts.data.T, fmt=FLOAT_FMT, delimiter=",")
+        _write_rows(fh, ts.data.T)
 
 
 def write_matrix_csv(path, mat: np.ndarray, header: list[str] | None = None) -> None:
@@ -98,7 +117,7 @@ def write_matrix_csv(path, mat: np.ndarray, header: list[str] | None = None) -> 
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        np.savetxt(fh, mat, fmt=FLOAT_FMT, delimiter=",")
+        _write_rows(fh, mat)
 
 
 def read_matrix_csv(path, skip_header: bool = False) -> np.ndarray:
@@ -112,12 +131,23 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def write_array(path, arr: np.ndarray) -> None:
+    """``arr`` as one ``.npy`` file, shape and dtype kept, read back
+    exactly by ``np.load(path, allow_pickle=False)``.  Only float64 and
+    complex128 arrays are written; any other dtype raises ``TypeError``
+    rather than being cast."""
+    arr = np.asarray(arr)
+    if arr.dtype not in (np.float64, np.complex128):
+        raise TypeError(f"{path}: write_array takes float64 or complex128, "
+                        f"got {arr.dtype}")
+    np.save(path, arr, allow_pickle=False)
+
+
 def _save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> dict:
     """One ``<name>.npy`` file per array, shape kept; returns the shapes
     for the manifest."""
     for name, arr in arrays.items():
-        np.save(directory / f"{name}.npy", np.asarray(arr, dtype=float),
-                allow_pickle=False)
+        write_array(directory / f"{name}.npy", arr)
     return {name: list(np.shape(arr)) for name, arr in arrays.items()}
 
 

@@ -9,8 +9,16 @@ import numpy as np
 import pytest
 
 import bayes_ssi
-from bayes_ssi.cli import build_priors, load_prior_overrides, main, prior_overrides
+from bayes_ssi.cli import (
+    OutputDir,
+    _write_mode_draws,
+    build_priors,
+    load_prior_overrides,
+    main,
+    prior_overrides,
+)
 from bayes_ssi.io import load_chain, read_matrix_csv, write_timeseries_csv
+from bayes_ssi.modal_posterior import ModalPosterior, ModeCluster
 
 SRC = str(Path(bayes_ssi.__file__).resolve().parent.parent)
 
@@ -139,14 +147,52 @@ class TestIdentify:
         names = listing(out)
         for required in ("elbo_trace.csv", "modes_summary.json", "welch_sum.csv",
                          "modal_estimate.json", "vb_posterior", "config.json",
-                         "run_manifest.json", "mode_01_draws.csv"):
+                         "run_manifest.json", "mode_01_draws.npy"):
             assert required in names
         trace = read_matrix_csv(out / "elbo_trace.csv", skip_header=True)[:, 0]
         assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
         summary = json.loads((out / "modes_summary.json").read_text())
         assert summary["n_draws"] == 200
-        draws = read_matrix_csv(out / "mode_01_draws.csv", skip_header=True)
+        draws = np.load(out / "mode_01_draws.npy", allow_pickle=False)
         assert draws.shape[1] == 2
+
+    @pytest.mark.parametrize("engine", [("vb", "--draws", 100, "--max-iter", 60),
+                                        ("gibbs", "--samples", 150)])
+    def test_mode_arrays(self, sim_dir, tmp_path, engine):
+        # each reference mode's draws and shapes are two .npy arrays, with
+        # as many rows as the summary's aligned draws
+        out = tmp_path / engine[0]
+        assert run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", *engine,
+                       "--seed", 6, "--out", out) == 0
+        modes = json.loads((out / "modes_summary.json").read_text())["modes"]
+        assert [n for n in listing(out) if n.startswith("mode_")] == [
+            f"mode_{k:02d}_{kind}.npy" for k in range(1, len(modes) + 1)
+            for kind in ("draws", "shapes")]
+        assert sum(mode["n_aligned"] for mode in modes) > 0
+        for k, mode in enumerate(modes, start=1):
+            draws = np.load(out / f"mode_{k:02d}_draws.npy", allow_pickle=False)
+            shapes = np.load(out / f"mode_{k:02d}_shapes.npy", allow_pickle=False)
+            assert draws.dtype == np.float64 and draws.shape == (mode["n_aligned"], 2)
+            assert shapes.dtype == np.complex128
+            assert shapes.shape == (mode["n_aligned"], 4)
+            assert np.all(np.abs(np.linalg.norm(shapes, axis=1) - 1.0) <= 1e-12)
+            if mode["n_aligned"]:
+                assert mode["frequency_mean_hz"] == float(draws[:, 0].mean())
+
+    def test_mode_without_aligned_draws_writes_empty_arrays(self, tmp_path):
+        cluster = ModeCluster(reference_frequency=1.0, reference_shape=np.full(3, 3**-0.5),
+                              frequencies=np.empty(0), damping_ratios=np.empty(0),
+                              mode_shapes=np.empty((0, 3), dtype=complex),
+                              mac_scores=np.empty(0), draw_indices=np.empty(0, dtype=int))
+        posterior = ModalPosterior(clusters=[cluster], n_draws=5, n_excluded=0,
+                                   n_unassigned=5, source="vb", order=2)
+        with OutputDir(tmp_path) as out:
+            _write_mode_draws(out, posterior)
+        draws = np.load(tmp_path / "mode_01_draws.npy", allow_pickle=False)
+        shapes = np.load(tmp_path / "mode_01_shapes.npy", allow_pickle=False)
+        assert (draws.dtype, draws.shape) == (np.float64, (0, 2))
+        assert (shapes.dtype, shapes.shape) == (np.complex128, (0, 3))
 
     def test_vb_diagnostics_in_manifest(self, sim_dir, tmp_path):
         out = tmp_path / "vb_diag"
@@ -289,6 +335,36 @@ class TestIdentify:
         for rel in files:
             if rel.name not in ("config.json", "run_manifest.json"):
                 assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+    def test_ssi_engine_rejects_invalid_priors(self, sim_dir, tmp_path, capsys):
+        # the priors are built for every engine: ssi fails as vb does,
+        # with the same error line and no output left behind
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text(json.dumps({"noise_dof": 1}))
+        errors = {}
+        for engine in ("ssi", "vb"):
+            out = tmp_path / engine
+            code = run_cli("identify", "--input", sim_dir / "response.csv",
+                           "--block-rows", 8, "--order", 4, "--engine", engine,
+                           "--draws", 20, "--seed", 2, "--priors", priors_file,
+                           "--out", out)
+            assert code == 1
+            assert listing(out) == []
+            errors[engine] = capsys.readouterr().err.splitlines()
+        assert len(errors["ssi"]) == 1 and errors["ssi"][0].startswith("error:")
+        assert "noise_dof" in errors["ssi"][0]
+        assert errors["ssi"] == errors["vb"]
+
+    def test_ssi_engine_valid_priors_leave_estimate_unchanged(self, sim_dir, tmp_path):
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text(json.dumps({"noise_scale": 1.0, "noise_dof": 40}))
+        args = ("identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--order", 4, "--engine", "ssi", "--seed", 1)
+        plain, primed = tmp_path / "plain", tmp_path / "primed"
+        assert run_cli(*args, "--out", plain) == 0
+        assert run_cli(*args, "--priors", priors_file, "--out", primed) == 0
+        assert (plain / "modal_estimate.json").read_bytes() == \
+            (primed / "modal_estimate.json").read_bytes()
 
     def test_no_center_flag(self, sim_dir, tmp_path):
         code = run_cli("identify", "--input", sim_dir / "response.csv",

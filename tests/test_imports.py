@@ -20,7 +20,13 @@ the one default of each setting.
 
 Warnings leave the library through its module loggers only: no module in
 ``src/`` calls ``print`` or ``warnings.warn``, except the ``error:`` line
-with which ``cli.main`` reports a failed command."""
+with which ``cli.main`` reports a failed command.
+
+Every artifact byte leaves through ``io``: no other module in ``src/``
+calls ``np.save``, ``np.savetxt``, ``np.savez``, ``json.dump``,
+``Path.write_text`` or ``Path.write_bytes``, or calls ``open`` (bare or as
+a method) in a mode that writes, appends or creates; ``cli`` opens files
+only to read them."""
 
 import ast
 from pathlib import Path
@@ -225,3 +231,59 @@ def test_scan_finds_report_calls():
     assert report_calls(source) == [
         ("", "print('a')"), ("f", "warnings.warn('b')"), ("g", "warn('d')"),
         ("h", "print('e', file=sys.stderr)")]
+
+
+# calls that write a file whatever their arguments
+FILE_WRITES = ("save", "savetxt", "savez", "savez_compressed", "dump",
+               "write_text", "write_bytes")
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether an ``open`` call's mode writes, appends or creates: the
+    ``mode`` keyword, else the second argument of the builtin or the first
+    of a method such as ``Path.open``; no mode reads, and a mode that is
+    not a string constant counts as writing."""
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    mode = modes[0] if modes else (call.args[position] if len(call.args) > position
+                                   else ast.Constant("r"))
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(flag in mode.value for flag in "wax+")
+
+
+def file_writes(source: str) -> list[str]:
+    """Text of every call that writes a file: one named in FILE_WRITES,
+    bare or as an attribute, or an ``open`` that writes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in FILE_WRITES or (name == "open" and _opens_for_writing(node)):
+                found.append(ast.get_source_segment(source, node))
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_artifacts_leave_through_io(path):
+    if path.name != "io.py":
+        assert file_writes(path.read_text()) == []
+
+
+def test_scan_flags_a_planted_save_in_cli():
+    source = (ROOT / "src/bayes_ssi/cli.py").read_text()
+    call = 'write_array(out.file(f"mode_{k:02d}_shapes.npy"), cluster.mode_shapes)'
+    planted = source.replace(call, "np.save" + call.removeprefix("write_array"), 1)
+    assert planted != source
+    assert file_writes(planted) == [
+        'np.save(out.file(f"mode_{k:02d}_shapes.npy"), cluster.mode_shapes)']
+
+
+def test_scan_finds_file_writes():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, newline='')\nopen(p, 'w')\n"
+              "open(p, mode='ab')\nopen(p, 'r+')\nopen(p, how)\npath.open()\n"
+              "path.open('x')\nnp.savetxt(p, a)\njson.dump(d, fh)\n"
+              "json.dumps(d)\npath.write_text(t)\nnp.load(p)\n")
+    assert file_writes(source) == [
+        "open(p, 'w')", "open(p, mode='ab')", "open(p, 'r+')", "open(p, how)",
+        "path.open('x')", "np.savetxt(p, a)", "json.dump(d, fh)", "path.write_text(t)"]

@@ -9,11 +9,13 @@ from scipy import signal
 
 from bayes_ssi.gibbs import GibbsConfig, run_gibbs
 from bayes_ssi.io import (
+    CSV_BLOCK_ROWS,
     ingest_csv,
     load_chain,
     read_matrix_csv,
     save_chain,
     save_vb_posterior,
+    write_array,
     write_matrix_csv,
     write_timeseries_csv,
 )
@@ -210,6 +212,65 @@ class TestIngestFastPath:
         write_timeseries_csv(path, TimeSeries(data=values.T, fs=1.0))
         back = ingest_csv(path, fs=1.0)
         assert np.array_equal(back.data.view(np.uint64), values.T.view(np.uint64))
+
+
+# arrays whose CSV text must be np.savetxt's, byte for byte
+SAVETXT_CASES = {
+    "no_rows": np.empty((0, 3)),
+    "negative_zero": np.array([[-0.0, 0.0], [1.0, -0.0]]),
+    "subnormals": np.array([[5e-324, -2.2250738585072e-308, 1e-310]]),
+    "non_finite": np.array([[np.nan, np.inf], [-np.inf, -np.nan]]),
+    "one_dimensional": np.array([0.1, -2.5e17, 3.0]),
+    "empty_one_dimensional": np.array([]),
+    "blocks_and_a_tail": np.random.default_rng(12).standard_normal(
+        (2 * CSV_BLOCK_ROWS + 7, 3)) * 10.0 ** np.arange(-150, 150, 100),
+}
+
+
+def savetxt_bytes(path, mat, header=None) -> bytes:
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        np.savetxt(fh, np.atleast_2d(mat), fmt="%.17g", delimiter=",")
+    return path.read_bytes()
+
+
+class TestCsvBytes:
+    """The CSV writers emit exactly the bytes of ``np.savetxt`` with 17
+    significant digits."""
+
+    @pytest.mark.parametrize("name", sorted(SAVETXT_CASES))
+    def test_matrix_matches_savetxt(self, tmp_path, name):
+        mat = SAVETXT_CASES[name]
+        for header in (None, ["a", "b"]):
+            write_matrix_csv(tmp_path / "m.csv", mat, header=header)
+            assert (tmp_path / "m.csv").read_bytes() == \
+                savetxt_bytes(tmp_path / "ref.csv", mat, header)
+
+    @pytest.mark.parametrize("name", ["no_rows", "subnormals", "blocks_and_a_tail"])
+    def test_timeseries_matches_savetxt(self, tmp_path, name):
+        rows = SAVETXT_CASES[name]
+        write_timeseries_csv(tmp_path / "ts.csv", TimeSeries(data=rows.T, fs=1.0))
+        header = [f"ch{i + 1}" for i in range(rows.shape[1])]
+        assert (tmp_path / "ts.csv").read_bytes() == \
+            savetxt_bytes(tmp_path / "ref.csv", rows, header)
+
+
+class TestWriteArray:
+    @pytest.mark.parametrize("arr", [np.arange(6.0).reshape(3, 2),
+                                     np.array([[1 + 2j, -0.5j]]),
+                                     np.empty((0, 4), dtype=complex)])
+    def test_round_trip_exact(self, tmp_path, arr):
+        write_array(tmp_path / "a.npy", arr)
+        back = np.load(tmp_path / "a.npy", allow_pickle=False)
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("arr", [np.arange(3), np.ones(3, dtype=np.float32)])
+    def test_other_dtypes_rejected(self, tmp_path, arr):
+        with pytest.raises(TypeError, match=str(arr.dtype)):
+            write_array(tmp_path / "a.npy", arr)
+        assert not (tmp_path / "a.npy").exists()
 
 
 class TestMatrixCsv:
