@@ -5,6 +5,8 @@ and emit Welch spectra.
 Every command validates its configuration up front, owns its output
 directory through a lockfile, echoes the fully resolved configuration next
 to the numeric artifacts, and cleans partial artifacts up on failure.
+``identify`` and ``stabilise`` compute before they write, so a run that
+fails leaves an earlier run's artifacts in place.
 Reruns with the same configuration and seed reproduce every numeric output
 byte for byte; wall-clock metadata lives only in the run manifest.  The
 bundled OpenBLAS libraries of numpy and scipy run on one thread unless
@@ -40,7 +42,6 @@ from .io import (
     write_timeseries_csv,
 )
 from .modal_posterior import (
-    DRAW_STREAM,
     align_modes,
     chain_observability_samples,
     draw_observability_samples,
@@ -49,7 +50,7 @@ from .modal_posterior import (
     summarize,
 )
 from .model import PriorHyper, default_priors
-from .rng import Rng
+from .rng import DRAW_STREAM, SIMULATE_STREAM, Rng
 from .simulate import build_shear_frame, discretize, simulate_response, to_continuous_ss
 from .spectral import welch_psd
 from .subspace import (
@@ -71,8 +72,6 @@ __all__ = [
     "pin_blas_threads",
     "blas_threads",
 ]
-
-SIMULATE_STREAM = 0
 
 # package -> (library directory beside it, OpenBLAS file pattern, symbol suffix)
 _OPENBLAS = {"numpy": ("numpy.libs", "libscipy_openblas64_*.so*", "64_"),
@@ -302,11 +301,14 @@ def _load_input(cfg: dict):
     return ingest_csv(path, float(fs))
 
 
-def _write_welch_overlay(out: OutputDir, ts) -> None:
+def _welch_overlay(ts) -> np.ndarray:
+    """``welch_sum.csv``'s columns: frequency and the channel-sum spectrum."""
     spec = welch_psd(ts, segment_length=min(1024, ts.n_samples), overlap=0.5)
-    write_matrix_csv(out.file("welch_sum.csv"),
-                     np.column_stack([spec.frequencies, spec.psd_sum]),
-                     header=["frequency_hz", "psd_sum"])
+    return np.column_stack([spec.frequencies, spec.psd_sum])
+
+
+def _write_welch_overlay(out: OutputDir, overlay: np.ndarray) -> None:
+    write_matrix_csv(out.file("welch_sum.csv"), overlay, header=["frequency_hz", "psd_sum"])
 
 
 def _modal_estimate_payload(modal, order: int, block_rows: int) -> dict:
@@ -381,46 +383,45 @@ def cmd_identify(cfg: dict) -> Path:
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
 
     with OutputDir(cfg["out"]) as out:
-        # invalid priors fail every engine, ssi included, before any file
-        # is written
+        # every result before the first file; invalid priors fail every engine
         stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
         priors = build_priors(*stats.view_dims, order, overrides)
-        write_json(out.file("config.json"), _config_echo("identify", cfg))
         reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
+        if engine != "ssi":
+            overlay = _welch_overlay(ts)
+            if engine == "vb":
+                post = run_vb(stats, priors, engine_config)
+                diagnostics = post.diagnostics()
+                draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
+            else:
+                chain = run_gibbs(stats, priors, engine_config)
+                diagnostics = chain.diagnostics()
+                draws = chain_observability_samples(chain)
+            modal, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs)
+            posterior = align_modes(modal, reference)
+            summary = {**summarize(posterior), "source": engine}
+            if engine == "vb":
+                summary["status"] = diagnostics["status"]
+
+        write_json(out.file("config.json"), _config_echo("identify", cfg))
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
-
         if engine == "ssi":
             write_json(out.file("run_manifest.json"),
                        _manifest("identify", cfg, started))
             return Path(cfg["out"])
 
-        _write_welch_overlay(out, ts)
-
-        diagnostics = None
+        _write_welch_overlay(out, overlay)
         if engine == "vb":
-            post = run_vb(stats, priors, engine_config)
-            diagnostics = post.diagnostics()
             save_vb_posterior(out.subdir("vb_posterior"), post,
                               extra_meta={"seed": cfg["seed"],
                                           "priors": prior_overrides(priors)})
             write_matrix_csv(out.file("elbo_trace.csv"),
                              np.asarray(post.elbo_trace)[:, None],
                              header=["elbo"])
-            draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
         else:
-            chain = run_gibbs(stats, priors, engine_config)
-            diagnostics = chain.diagnostics()
             save_chain(out.subdir("chain"), chain,
                        extra_meta={"priors": prior_overrides(priors)})
-            draws = chain_observability_samples(chain)
-
-        modal, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
-                                           engine, order)
-        posterior = align_modes(modal, reference, n_excluded=n_excluded)
-        summary = summarize(posterior)
-        if engine == "vb":
-            summary["status"] = diagnostics["status"]
         write_json(out.file("modes_summary.json"), summary)
         _write_mode_draws(out, posterior)
         write_json(out.file("run_manifest.json"),
@@ -438,13 +439,15 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     vb_config = _vb_config(cfg)
     stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
     # invalid priors fail the command here, not as a failure at every order
-    priors = {order: build_priors(*stats.view_dims, order, overrides)
-              for order in cfg["orders"]}
+    priors = [build_priors(*stats.view_dims, order, overrides)
+              for order in sorted(set(cfg["orders"]))]
 
     with OutputDir(cfg["out"]) as out:
-        write_json(out.file("config.json"), _config_echo("stabilise", cfg))
-        _write_welch_overlay(out, ts)
+        # every result before the first file, as in cmd_identify
+        overlay = _welch_overlay(ts)
         result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)
+        write_json(out.file("config.json"), _config_echo("stabilise", cfg))
+        _write_welch_overlay(out, overlay)
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
         ])

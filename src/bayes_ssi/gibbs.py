@@ -39,6 +39,7 @@ import numpy as np
 
 from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
 from .rng import (
+    GIBBS_STREAM,
     Rng,
     _bartlett_factor,
     sample_inverse_wishart_pair,
@@ -84,13 +85,6 @@ class GibbsConfig:
         return (self.n_samples - self.n_burn) // self.thinning
 
 
-def _packed_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the dim(dim + 1)/2 lower-triangle entries
-    of a dim x dim matrix, in ``np.tril_indices`` (row-major) order: the
-    layout of a packed noise draw."""
-    return np.tril_indices(dim)
-
-
 @dataclass
 class GibbsChain:
     """Retained draws, one leading axis entry per record."""
@@ -115,7 +109,7 @@ class GibbsChain:
         ``sigma_view{m+1}_samples``), rebuilt from their packed lower
         triangles."""
         dim = self.view_dims[m]
-        rows, cols = _packed_index(dim)
+        rows, cols = np.tril_indices(dim)
         packed = self.noise_samples[m]
         full = np.empty((packed.shape[0], dim, dim))
         full[:, rows, cols] = packed
@@ -150,8 +144,8 @@ class _Kernel(Conditionals):
         return _gram_factor(self.stats.gram)
 
     def transition(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
-                   rng: Rng) -> tuple[np.ndarray, np.ndarray, list[np.ndarray],
-                                      np.ndarray]:
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray,
+                                                      list[np.ndarray], np.ndarray]:
         """Draw the per-view noise blocks, then the mean, then every weight
         column in order (each seeing the columns drawn before it) from their
         full conditionals given the latent statistics.  Returns (weights,
@@ -165,7 +159,7 @@ class _Kernel(Conditionals):
         noise = [cov for cov, _ in draws]
         prec = block_diagonal([block_prec for _, block_prec in draws])
         factors = self.precision_factors(prec, np.diag(lat.gram))
-        normal = rng.generator.standard_normal
+        normal = rng.standard_normal
         dim = self.stats.dim
         mean = self.factor_solve(factors, 0, self.mean_rhs(weights, lat, prec),
                                  normal(dim))
@@ -176,20 +170,20 @@ class _Kernel(Conditionals):
         return weights, mean, noise, prec
 
     def draw_latent(self, weights: np.ndarray, mean: np.ndarray, prec: np.ndarray,
-                    rng: Rng | None) -> LatentStats:
+                    rng: np.random.Generator | None) -> LatentStats:
         """Statistics of a latent matrix drawn from its full conditional, or
         of the conditional means when ``rng`` is None."""
         post_chol, proj = latent_natural(weights, prec)
         return self._latent_stats(post_chol, proj, proj @ (self.stats.row_mean - mean),
                                   rng)
 
-    def draw_prior_latent(self, d: int, rng: Rng) -> LatentStats:
+    def draw_prior_latent(self, d: int, rng: np.random.Generator) -> LatentStats:
         """Statistics of a standard-normal d x N latent matrix."""
         return self._latent_stats(np.eye(d), np.zeros((d, self.stats.dim)),
                                   np.zeros(d), rng)
 
     def _latent_stats(self, chol: np.ndarray, proj: np.ndarray, shift: np.ndarray,
-                      rng: Rng | None) -> LatentStats:
+                      rng: np.random.Generator | None) -> LatentStats:
         """Statistics of Z = proj (X - m 1^T) + shift 1^T + chol^-T E, with E
         a d x N standard-normal matrix (zero when ``rng`` is None), drawn
         exactly without forming X, Z or E.
@@ -210,13 +204,13 @@ class _Kernel(Conditionals):
         k[:, -1] = np.sqrt(n) * shift
         spare = None
         if rng is not None:
-            k += solve_lower(chol, rng.generator.standard_normal((d, rank)),
+            k += solve_lower(chol, rng.standard_normal((d, rank)),
                              transpose=True)
             dof = n - rank
             if dof >= d:
                 spare = _bartlett_factor(rng, d, dof)
             elif dof > 0:
-                spare = rng.generator.standard_normal((d, dof))
+                spare = rng.standard_normal((d, dof))
         gram = k @ k.T
         if spare is not None:
             spare = solve_lower(chol, spare, transpose=True)
@@ -225,15 +219,15 @@ class _Kernel(Conditionals):
                            total=np.sqrt(n) * k[:, -1])
 
 
-def _prior_point(priors: PriorHyper, rng: Rng,
+def _prior_point(priors: PriorHyper, rng: np.random.Generator,
                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(weights, mean, per-view noise blocks) drawn from the priors."""
     noise = [sample_inverse_wishart_pair(rng, scale, dof)[0]
              for scale, dof in zip(priors.noise_scale, priors.noise_dof)]
     mean_chol = spd_cholesky(priors.mean_cov)
-    mean = priors.mean_loc + mean_chol @ rng.generator.standard_normal(priors.dim)
+    mean = priors.mean_loc + mean_chol @ rng.standard_normal(priors.dim)
     weights = (priors.weight_loc[:, None] + priors.weight_chol
-               @ rng.generator.standard_normal((priors.dim, priors.latent_dim)))
+               @ rng.standard_normal((priors.dim, priors.latent_dim)))
     return weights, mean, noise
 
 
@@ -248,7 +242,7 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     O(d sum_b h_b^3) over the factor blocks h_b (O(d D^3) when the priors
     couple the views) whatever the column count.
     """
-    rng = Rng(config.seed, stream=1)
+    rng = Rng(config.seed, GIBBS_STREAM)
     kernel = _Kernel(stats, priors)
     d = priors.latent_dim
     n_records = config.n_records
@@ -262,7 +256,7 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
 
     weight_samples = np.empty((n_records, priors.dim, d))
     mean_samples = np.empty((n_records, priors.dim))
-    packed = [_packed_index(dim) for dim in priors.view_dims]
+    packed = [np.tril_indices(dim) for dim in priors.view_dims]
     noise_samples = [np.empty((n_records, rows.size)) for rows, _ in packed]
 
     start = time.perf_counter()

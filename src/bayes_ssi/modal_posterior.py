@@ -4,12 +4,14 @@ Each draw of the first-view weight block is an extended observability
 sample.  The stack of draws goes, ``DRAW_BLOCK`` at a time, through the
 baseline's shift-invariance solve and eigen-decomposition into one
 ``ModalDraws`` container of padded arrays, whose modes are then aligned to
-the classical reference by MAC in array operations.  Negative damping
+the classical reference by MAC in array operations.  The container carries
+the order and the count of the draws it came from.  Negative damping
 draws are kept (they occur legitimately); summaries report their fraction.
 
 ``stabilisation`` runs the variational engine on one set of Hankel
-statistics at several model orders, each with its own priors, and pools
-the propagated (order, frequency, damping) triples.
+statistics at several model orders, each with its own priors (whose latent
+dimension is the order), and pools the propagated (order, frequency,
+damping) triples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .gibbs import GibbsChain
 from .model import PriorHyper
-from .rng import Rng
+from .rng import STAB_DRAW_STREAM_BASE, Rng
 from .subspace import (
     HankelStats,
     ModalSet,
@@ -31,7 +33,7 @@ from .subspace import (
     modal_parameters,
     shift_invariance,
 )
-from .vb import VBConfig, VBPosterior, run_vb
+from .vb import ElboDecreaseError, NonFiniteBoundError, VBConfig, VBPosterior, run_vb
 
 __all__ = [
     "ModalDraws",
@@ -50,10 +52,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# draw-stream allocation: per-order stabilisation draws live at 100 + order
-DRAW_STREAM = 3
-STAB_DRAW_STREAM_BASE = 100
-
 # draws generated and propagated per block, which bounds the working memory
 DRAW_BLOCK = 256
 
@@ -68,9 +66,9 @@ FREQ_GATE = 0.1
 class ModalDraws:
     """Modes of a stack of propagated draws, padded to a common width m.
 
-    Row k is draw ``index[k]`` of the propagated stack (degenerate draws
-    are excluded).  Its modes fill the columns where ``present`` is set, in
-    ascending frequency; the padding after them is zero.
+    Row k is draw ``index[k]`` of the ``n_draws`` propagated (degenerate
+    draws are excluded).  Its modes fill the columns where ``present`` is
+    set, in ascending frequency; the padding after them is zero.
     """
 
     frequencies: np.ndarray     # n x m, Hz
@@ -79,7 +77,7 @@ class ModalDraws:
     real_pole: np.ndarray       # n x m, bool
     present: np.ndarray         # n x m, bool
     index: np.ndarray           # n
-    source: str                 # "gibbs" or "vb"
+    n_draws: int                # draws propagated, excluded ones included
     order: int
 
 
@@ -108,7 +106,6 @@ class ModalPosterior:
     n_draws: int
     n_excluded: int
     n_unassigned: int
-    source: str
     order: int
 
 
@@ -150,7 +147,8 @@ def phase_align(shape: np.ndarray) -> np.ndarray:
     return rotated * np.exp(-0.5j * np.angle(s))
 
 
-def draw_observability_samples(post: VBPosterior, n: int, rng: Rng) -> np.ndarray:
+def draw_observability_samples(post: VBPosterior, n: int, rng: np.random.Generator,
+                               ) -> np.ndarray:
     """Monte Carlo observability samples from the variational posterior:
     every weight column drawn from its Gaussian factor, first-view rows
     kept, ``DRAW_BLOCK`` draws at a time in draw, column, row order."""
@@ -163,9 +161,8 @@ def draw_observability_samples(post: VBPosterior, n: int, rng: Rng) -> np.ndarra
     factors = np.sqrt(post.weight_eigs)[:, :, None] * post.weight_basis[:d1].T
     mean = post.weight_mean[:d1]
     out = np.empty((n, d1, d))
-    gen = rng.generator
     for start in range(0, n, DRAW_BLOCK):
-        noise = gen.standard_normal((min(DRAW_BLOCK, n - start), d, total_dim))
+        noise = rng.standard_normal((min(DRAW_BLOCK, n - start), d, total_dim))
         # (d, B, D) @ (d, D, d1) -> (d, B, d1) -> B x d1 x d
         spread = (noise.transpose(1, 0, 2) @ factors).transpose(1, 2, 0)
         out[start:start + noise.shape[0]] = mean + spread
@@ -180,11 +177,10 @@ def chain_observability_samples(chain: GibbsChain) -> np.ndarray:
     return chain.weight_samples[:, :d1, :]
 
 
-def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
-                   source: str, order: int) -> tuple[ModalDraws, int]:
-    """Modes of the non-degenerate draws of a stack, ``DRAW_BLOCK`` at a
-    time, and the number of degenerate draws excluded (logged as one line,
-    never silent)."""
+def propagate_many(samples: np.ndarray, n_channels: int, dt: float) -> tuple[ModalDraws, int]:
+    """Modes of the non-degenerate draws of an n x D1 x order stack,
+    ``DRAW_BLOCK`` at a time, and the number of degenerate draws excluded
+    (logged as one line, never silent)."""
     parts, kept = [], []
     for start in range(0, samples.shape[0], DRAW_BLOCK):
         block = samples[start:start + DRAW_BLOCK]
@@ -201,13 +197,12 @@ def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
     width = int(present.sum(axis=1).max(initial=0))
     draws = ModalDraws(frequencies=freqs[:, :width], damping_ratios=damping[:, :width],
                        mode_shapes=shapes[:, :width], real_pole=real_pole[:, :width],
-                       present=present[:, :width], index=index, source=source,
-                       order=order)
+                       present=present[:, :width], index=index,
+                       n_draws=samples.shape[0], order=samples.shape[2])
     return draws, n_excluded
 
 
-def align_modes(draws: ModalDraws, reference: ModalSet,
-                n_excluded: int = 0) -> ModalPosterior:
+def align_modes(draws: ModalDraws, reference: ModalSet) -> ModalPosterior:
     """Match every draw's modes to the classical reference modes.
 
     Greedy per draw over the pairs with MAC >= ``MAC_THRESHOLD`` inside the
@@ -265,9 +260,9 @@ def align_modes(draws: ModalDraws, reference: ModalSet,
             draw_indices=draws.index[k],
         ))
     n_unassigned = int(np.count_nonzero(draws.present) - np.count_nonzero(assigned >= 0))
-    return ModalPosterior(clusters=clusters, n_draws=n + n_excluded,
-                          n_excluded=n_excluded, n_unassigned=n_unassigned,
-                          source=draws.source, order=draws.order)
+    return ModalPosterior(clusters=clusters, n_draws=draws.n_draws,
+                          n_excluded=draws.n_draws - n, n_unassigned=n_unassigned,
+                          order=draws.order)
 
 
 def summarize(posterior: ModalPosterior) -> dict:
@@ -301,7 +296,6 @@ def summarize(posterior: ModalPosterior) -> dict:
         modes.append(entry)
     n_draws = posterior.n_draws
     return {
-        "source": posterior.source,
         "order": posterior.order,
         "n_draws": n_draws,
         "n_excluded": posterior.n_excluded,
@@ -312,14 +306,16 @@ def summarize(posterior: ModalPosterior) -> dict:
 
 
 def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
-                 n_channels: int, fs: float, priors, order: int) -> tuple:
-    """One order of the stabilisation sweep: the variational run, its draws
-    (stream ``STAB_DRAW_STREAM_BASE + order``) and their propagation.
+                 n_channels: int, fs: float, priors: PriorHyper) -> tuple:
+    """One order of the stabilisation sweep, ``priors.latent_dim``: the
+    variational run, its draws (stream ``STAB_DRAW_STREAM_BASE + order``)
+    and their propagation.
 
     Returns ``(diagnostics, frequencies, damping_ratios, failure)``: the
     run's diagnostics (None if the engine failed), the order's complex
     poles below Nyquist (empty on failure) and the numerical-failure
-    message (None on success).  Any other exception propagates.
+    message (None on success): a linear-algebra error or a decreasing or
+    non-finite bound.  Any other exception propagates.
     """
     diagnostics = None
     empty = np.empty(0)
@@ -327,9 +323,9 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
         post = run_vb(stats, priors, config)
         diagnostics = post.diagnostics()
         draws = draw_observability_samples(
-            post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + order))
-        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, "vb", order)
-    except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+            post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + priors.latent_dim))
+        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs)
+    except (np.linalg.LinAlgError, ElboDecreaseError, NonFiniteBoundError) as exc:
         return diagnostics, empty, empty, str(exc)
     if modal.index.size == 0:
         return diagnostics, empty, empty, (
@@ -340,12 +336,13 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
     return diagnostics, modal.frequencies[keep], modal.damping_ratios[keep], None
 
 
-def _map_orders(run, priors: dict, workers: int) -> dict:
-    """``run(priors[order], order)`` for every order: in process for one
+def _map_orders(run, priors: list[PriorHyper], workers: int) -> dict:
+    """``run(p)`` for every order's priors ``p``: in process for one
     worker, else in ``workers`` forked processes, highest (costliest) order
-    first.  Results are keyed, and collected, in ascending order."""
+    first.  Results are keyed by order, and collected, in ascending order."""
+    ascending = sorted(priors, key=lambda p: p.latent_dim)
     if workers == 1:
-        return {order: run(priors[order], order) for order in sorted(priors)}
+        return {p.latent_dim: run(p) for p in ascending}
     # imported here, so commands that never start a pool do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -354,34 +351,37 @@ def _map_orders(run, priors: dict, workers: int) -> dict:
     # them again, and the executor starts them before its own thread
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = {order: pool.submit(run, priors[order], order)
-                   for order in sorted(priors, reverse=True)}
-        return {order: futures[order].result() for order in sorted(priors)}
+        futures = {p.latent_dim: pool.submit(run, p) for p in reversed(ascending)}
+        return {p.latent_dim: futures[p.latent_dim].result() for p in ascending}
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def stabilisation(stats: HankelStats, priors: dict[int, PriorHyper],
+def stabilisation(stats: HankelStats, priors: list[PriorHyper],
                   vb_config: VBConfig, n_draws: int, n_channels: int,
                   fs: float) -> StabilisationData:
-    """Run the variational engine on ``stats`` at every model order in
-    ``priors`` (order -> that order's priors) and pool the propagated
-    (frequency, damping, order) triples of ``n_draws`` draws per order.
+    """Run the variational engine on ``stats`` at every model order, one
+    entry of ``priors`` per order (its ``latent_dim``), and pool the
+    propagated (frequency, damping, order) triples of ``n_draws`` draws each.
 
     The orders run in one forked worker process per order, at most one per
     CPU this process may run on (in this process for one).  Each order's
     result depends only on its own inputs, so the output is the same for
     any worker count.  Numerical per-order failures (linear-algebra
-    errors, invalid values, a decreasing or non-finite bound, every draw
-    degenerate) are recorded and logged in ascending order, and the sweep
-    continues; any other exception propagates, and so does the death of a
-    worker.  Real-pole entries are removed from the pooled triples.
+    errors, a decreasing or non-finite bound, every draw degenerate) are
+    recorded and logged in ascending order, and the sweep continues; any
+    other exception propagates, and so does the death of a worker.
+    Real-pole entries are removed from the pooled triples.
     """
-    if not priors:
+    orders = [p.latent_dim for p in priors]
+    if not orders:
         raise ValueError("orders must be non-empty")
+    repeated = sorted({order for order in orders if orders.count(order) > 1})
+    if repeated:
+        raise ValueError(f"orders given more than once: {repeated}")
     half = stats.view_dims[0]
-    if max(priors) > half:
-        raise ValueError(f"max order {max(priors)} exceeds Hankel half-height {half}")
+    if max(orders) > half:
+        raise ValueError(f"max order {max(orders)} exceeds Hankel half-height {half}")
 
     # one worker per order, at most one per CPU this process may run on;
     # in process where the platform reports no CPU affinity

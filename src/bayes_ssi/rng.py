@@ -1,6 +1,9 @@
 """Seeded random streams, symmetric positive definite matrix helpers and
 the one matrix-variate draw the model needs.
 
+``Rng(seed, stream)`` is numpy's PCG64 ``Generator``, which every draw site
+calls directly; the streams a run derives from its seed are allocated here.
+
 The inverse-Wishart draw of the Gibbs sampler's noise blocks is exact
 (Bartlett construction) and fully reproducible given a (seed, stream)
 pair; the Gaussian conditional draws are triangular solves on standard
@@ -29,6 +32,7 @@ import scipy
 
 __all__ = [
     "Rng",
+    "SIMULATE_STREAM", "GIBBS_STREAM", "VB_INIT_STREAM", "DRAW_STREAM", "STAB_DRAW_STREAM_BASE",
     "NotPositiveDefiniteError",
     "symmetrize",
     "check_symmetric",
@@ -85,25 +89,26 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         self.pivot = pivot
 
 
-class Rng:
-    """Deterministic random stream keyed by (seed, stream).
+# one stream per consumer of a run's seed; stabilisation draws at base + order
+SIMULATE_STREAM = 0
+GIBBS_STREAM = 1
+VB_INIT_STREAM = 2
+DRAW_STREAM = 3
+STAB_DRAW_STREAM_BASE = 100
+
+
+def Rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Deterministic PCG64 generator keyed by (seed, stream).
 
     Identical (seed, stream) pairs reproduce bit-identical draw sequences;
     distinct streams derived from the same seed are statistically
-    independent.  Instances are stateful and must not be shared between
+    independent.  Generators are stateful and must not be shared between
     concurrent workers; give each worker its own stream.
     """
-
-    def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or seed > 2**64 - 1:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        self.generator = np.random.Generator(np.random.PCG64(seq))
-
-    def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, stream={self.stream})"
+    if seed < 0 or seed > 2**64 - 1:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    seq = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -197,14 +202,13 @@ def psd_factor(mat: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _bartlett_factor(rng: Rng, dim: int, dof: float) -> np.ndarray:
+def _bartlett_factor(rng: np.random.Generator, dim: int, dof: float) -> np.ndarray:
     """Lower-triangular Bartlett factor A with A @ A.T ~ Wishart(I, dof):
     chi-square draws with dof - i degrees of freedom on the diagonal, then
     standard normals below it in row order (Smith & Hocking, AS 53)."""
-    gen = rng.generator
     a = np.zeros((dim, dim))
-    a.flat[::dim + 1] = np.sqrt(gen.chisquare(dof - np.arange(dim)))
-    a[_strict_lower(dim)] = gen.standard_normal(dim * (dim - 1) // 2)
+    a.flat[::dim + 1] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
+    a[_strict_lower(dim)] = rng.standard_normal(dim * (dim - 1) // 2)
     return a
 
 
@@ -216,7 +220,7 @@ def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(dim, -1)
 
 
-def sample_inverse_wishart_pair(rng: Rng, scale: np.ndarray, dof: float,
+def sample_inverse_wishart_pair(rng: np.random.Generator, scale: np.ndarray, dof: float,
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """(draw, its inverse): one draw from InverseWishart(scale, dof) and its
     inverse, through triangular solves only (no general inverse).

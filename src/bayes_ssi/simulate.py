@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng, psd_factor, symmetrize
+from .rng import psd_factor, symmetrize
 
 __all__ = [
     "ContinuousSS",
@@ -191,7 +191,7 @@ def stationary_state_covariance(dss: DiscreteSS) -> np.ndarray:
     return symmetrize(solve_discrete_lyapunov(dss.a, dss.process_noise_cov))
 
 
-def simulate_response(dss: DiscreteSS, n_samples: int, rng: Rng) -> TimeSeries:
+def simulate_response(dss: DiscreteSS, n_samples: int, rng: np.random.Generator) -> TimeSeries:
     """Simulate the measured accelerations for ``n_samples`` steps.
 
     The initial state is drawn from the stationary distribution so the
@@ -201,15 +201,14 @@ def simulate_response(dss: DiscreteSS, n_samples: int, rng: Rng) -> TimeSeries:
         raise ValueError("n_samples must be positive")
     p = dss.a.shape[0]
     l = dss.c_out.shape[0]
-    gen = rng.generator
 
     f_init = psd_factor(stationary_state_covariance(dss))
     f_proc = psd_factor(dss.process_noise_cov)
     f_meas = psd_factor(dss.meas_noise_cov)
 
-    state = f_init @ gen.standard_normal(p)
-    proc = f_proc @ gen.standard_normal((p, n_samples))
-    meas = f_meas @ gen.standard_normal((l, n_samples))
+    state = f_init @ rng.standard_normal(p)
+    proc = f_proc @ rng.standard_normal((p, n_samples))
+    meas = f_meas @ rng.standard_normal((l, n_samples))
 
     data = np.empty((l, n_samples))
     for k in range(n_samples):

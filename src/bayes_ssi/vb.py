@@ -46,6 +46,7 @@ import numpy as np
 
 from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
 from .rng import (
+    VB_INIT_STREAM,
     Rng,
     chol_inverse,
     chol_logdet,
@@ -60,6 +61,7 @@ __all__ = [
     "VBConfig",
     "VBPosterior",
     "ElboDecreaseError",
+    "NonFiniteBoundError",
     "expected_noise_precision",
     "latent_means",
     "initial_posterior",
@@ -73,6 +75,10 @@ _MONOTONE_RTOL = 1e-8
 
 class ElboDecreaseError(RuntimeError):
     """The bound decreased beyond floating-point tolerance."""
+
+
+class NonFiniteBoundError(RuntimeError):
+    """The bound became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -307,7 +313,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
     maximum-likelihood point and matches the noise factors to the residual
     covariance there.
     """
-    rng = Rng(seed, stream=2)
+    rng = Rng(seed, VB_INIT_STREAM)
     d = priors.latent_dim
     total_dim = stats.dim
     n = stats.n_cols
@@ -322,7 +328,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
         mean_square = (float(np.trace(stats.gram)) + n * float(stats.row_mean @ stats.row_mean)
                        ) / (total_dim * n)
         scale = 0.1 * float(np.sqrt(mean_square)) + 1e-8
-        weight_mean = scale * rng.generator.standard_normal((total_dim, d))
+        weight_mean = scale * rng.standard_normal((total_dim, d))
         # the prior covariance L L^T: B = L, e_i = 1
         weight_basis = priors.weight_chol.copy()
         weight_eigs = np.ones((d, total_dim))
@@ -371,7 +377,7 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
 
         bound = kernel.elbo(post, psi)
         if not np.isfinite(bound):
-            raise RuntimeError(
+            raise NonFiniteBoundError(
                 "bound became non-finite at sweep "
                 f"{sweep}; state: |W|={np.linalg.norm(post.weight_mean):.3e}, "
                 f"|mu|={np.linalg.norm(post.mean_loc):.3e}, "

@@ -348,7 +348,7 @@ def gibbs_transition_dense(stats, priors, weights, mean, lat, rng):
     def draw(post_prec, rhs):
         chol = np.linalg.cholesky(sym(post_prec))
         loc = sla.cho_solve((chol, True), rhs)
-        white = rng.generator.standard_normal(rhs.size)
+        white = rng.standard_normal(rhs.size)
         return loc + sla.solve_triangular(chol.T, white, lower=False)
 
     n = stats.n_cols

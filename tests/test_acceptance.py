@@ -65,9 +65,8 @@ def engine_posterior(ts, engine, seed=0, gibbs_sweeps=1000, vb_draws=4000):
         post = run_vb(stats, priors, VBConfig(seed=seed))
         draws = draw_observability_samples(post, vb_draws, Rng(seed, 3))
         extras = {"post": post}
-    samples, n_excluded = propagate_many(draws, ts.channels, 1.0 / ts.fs,
-                                         engine, ORDER)
-    aligned = align_modes(samples, reference, n_excluded=n_excluded)
+    samples, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs)
+    aligned = align_modes(samples, reference)
     summary = summarize(aligned)
     summary["reference"] = reference
     return summary, extras
@@ -203,12 +202,12 @@ def test_criterion_5_getting_it_right():
 
     def prior_state(r):
         weights, mean, noise = _prior_point(priors, r)
-        return weights, mean, noise, r.generator.standard_normal((d, n))
+        return weights, mean, noise, r.standard_normal((d, n))
 
     def observe(weights, mean, noise, latent, r):
         fitted = weights @ latent + mean[:, None]
         noise_sd = np.sqrt([noise[0][0, 0], noise[1][0, 0]])
-        return fitted + noise_sd[:, None] * r.generator.standard_normal((2, n))
+        return fitted + noise_sd[:, None] * r.standard_normal((2, n))
 
     def stats(weights, mean, noise):
         return np.array([
@@ -235,7 +234,7 @@ def test_criterion_5_getting_it_right():
         # explicit latent draw Z = A (X - mu 1^T) + L^-T E
         chol, proj = latent_natural(weights, prec)
         latent = proj @ (x - mean[:, None]) + solve_triangular(
-            chol.T, chain_rng.generator.standard_normal((d, n)), lower=False,
+            chol.T, chain_rng.standard_normal((d, n)), lower=False,
             check_finite=False)
         x = observe(weights, mean, noise, latent, chain_rng)
         chain[k] = stats(weights, mean, noise)
@@ -365,7 +364,7 @@ def test_criterion_8_stabilisation(benchmark_ts_full, benchmark_oracle,
     oracle_freqs, _ = benchmark_oracle
     orders = list(range(2, 17, 2))
     stats = HankelStats.from_record(benchmark_ts_full, BLOCK_ROWS)
-    priors = {order: default_priors(*stats.view_dims, order) for order in orders}
+    priors = [default_priors(*stats.view_dims, order) for order in orders]
     result = stabilisation(stats, priors, VBConfig(seed=0, warm_start=True), 400,
                            benchmark_ts_full.channels, benchmark_ts_full.fs)
     assert result.failures == {}

@@ -83,6 +83,12 @@ def listing(path):
     return sorted(p.name for p in Path(path).iterdir())
 
 
+def contents(path):
+    """Every file under ``path``, by relative path, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes()
+            for p in Path(path).rglob("*") if p.is_file()}
+
+
 class TestSimulate:
     def test_artifacts(self, sim_dir):
         names = listing(sim_dir)
@@ -165,7 +171,9 @@ class TestIdentify:
         assert run_cli("identify", "--input", sim_dir / "response.csv",
                        "--block-rows", 8, "--order", 4, "--engine", *engine,
                        "--seed", 6, "--out", out) == 0
-        modes = json.loads((out / "modes_summary.json").read_text())["modes"]
+        summary = json.loads((out / "modes_summary.json").read_text())
+        assert summary["source"] == engine[0]
+        modes = summary["modes"]
         assert [n for n in listing(out) if n.startswith("mode_")] == [
             f"mode_{k:02d}_{kind}.npy" for k in range(1, len(modes) + 1)
             for kind in ("draws", "shapes")]
@@ -186,7 +194,7 @@ class TestIdentify:
                               mode_shapes=np.empty((0, 3), dtype=complex),
                               mac_scores=np.empty(0), draw_indices=np.empty(0, dtype=int))
         posterior = ModalPosterior(clusters=[cluster], n_draws=5, n_excluded=0,
-                                   n_unassigned=5, source="vb", order=2)
+                                   n_unassigned=5, order=2)
         with OutputDir(tmp_path) as out:
             _write_mode_draws(out, posterior)
         draws = np.load(tmp_path / "mode_01_draws.npy", allow_pickle=False)
@@ -408,14 +416,50 @@ class TestIdentify:
         assert listing(out) == []
 
     def test_engine_failure_cleans_partial_artifacts(self, sim_dir, tmp_path):
-        # order larger than the Hankel half-height fails after config.json
-        # is staged; the directory must be left clean
+        # order larger than the Hankel half-height fails before any file is
+        # written; the directory must be left clean
         out = tmp_path / "fail"
         code = run_cli("identify", "--input", sim_dir / "response.csv",
                        "--block-rows", 2, "--order", 50, "--engine", "ssi",
                        "--seed", 1, "--out", out)
         assert code == 1
         assert listing(out) == []
+
+    def test_late_write_failure_leaves_directory_empty(self, sim_dir, tmp_path,
+                                                       monkeypatch):
+        import bayes_ssi.cli as cli_mod
+
+        def failing_writer(out, posterior):
+            raise OSError("synthetic write failure")
+
+        monkeypatch.setattr(cli_mod, "_write_mode_draws", failing_writer)
+        out = tmp_path / "late"
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "vb",
+                       "--draws", 20, "--max-iter", 40, "--seed", 1, "--out", out)
+        assert code == 1
+        assert listing(out) == []
+
+    @pytest.mark.parametrize("failure", ["order", "engine"])
+    def test_failing_rerun_leaves_previous_run_intact(self, sim_dir, tmp_path,
+                                                      monkeypatch, failure):
+        import bayes_ssi.cli as cli_mod
+
+        args = ["identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--engine", "vb", "--draws", 20, "--max-iter", 40, "--seed", 1,
+                "--out", tmp_path]
+        assert run_cli(*args, "--order", 4) == 0
+        before = contents(tmp_path)
+        if failure == "engine":
+            def failing_run_vb(stats, priors, config):
+                raise np.linalg.LinAlgError("synthetic engine failure")
+
+            monkeypatch.setattr(cli_mod, "run_vb", failing_run_vb)
+            assert run_cli(*args, "--order", 4) == 1
+        else:
+            # above the Hankel half-height 32
+            assert run_cli(*args, "--order", 61) == 1
+        assert contents(tmp_path) == before
 
 
 class TestStabilise:
@@ -468,7 +512,7 @@ class TestStabilise:
 
         def failing_run_vb(data, priors, config):
             if priors.latent_dim == 4:
-                raise RuntimeError("synthetic engine failure")
+                raise np.linalg.LinAlgError("synthetic engine failure")
             return original(data, priors, config)
 
         monkeypatch.setattr(mp, "run_vb", failing_run_vb)
@@ -486,6 +530,27 @@ class TestStabilise:
         triples = read_matrix_csv(out / "stabilisation.csv", skip_header=True)
         assert set(np.unique(triples[:, 0])) == {2.0}
 
+
+    def test_failing_rerun_leaves_previous_run_intact(self, sim_dir, tmp_path):
+        args = ["stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--draws", 10, "--max-iter", 30, "--seed", 5, "--out", tmp_path]
+        assert run_cli(*args, "--order", 2, "--order", 4) == 0
+        before = contents(tmp_path)
+        assert run_cli(*args, "--order", 2, "--order", 61) == 1
+        assert contents(tmp_path) == before
+
+    def test_programming_error_writes_nothing(self, sim_dir, tmp_path, capsys):
+        # one block row leaves no shift-invariance solve to run: an invalid
+        # call, not a numerical failure at every order
+        out = tmp_path / "one_block_row"
+        code = run_cli("stabilise", "--input", sim_dir / "response.csv",
+                       "--block-rows", 1, "--order", 2, "--order", 4,
+                       "--draws", 10, "--max-iter", 30, "--seed", 5, "--out", out)
+        assert code == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "at least 2 complete block rows" in err[0]
+        assert listing(out) == []
 
     def test_invalid_priors_fail_before_any_order(self, sim_dir, tmp_path, capsys):
         # an invalid prior file is a configuration error, not a failure at

@@ -405,7 +405,7 @@ class TestStatisticsEngine:
 
         def dense_draw(post_prec, rhs):
             loc = np.linalg.solve(post_prec, rhs)
-            white = rng_dense.generator.standard_normal(loc.size)
+            white = rng_dense.standard_normal(loc.size)
             return loc + solve_triangular(np.linalg.cholesky(post_prec).T, white,
                                           lower=False)
 

@@ -18,9 +18,15 @@ from bayes_ssi.modal_posterior import (
     summarize,
 )
 from bayes_ssi.model import default_priors
-from bayes_ssi.rng import Rng
+from bayes_ssi.rng import STAB_DRAW_STREAM_BASE, Rng
 from bayes_ssi.subspace import HankelStats, ModalSet, modal_parameters
-from bayes_ssi.vb import VBConfig, VBPosterior
+from bayes_ssi.vb import (
+    ElboDecreaseError,
+    NonFiniteBoundError,
+    VBConfig,
+    VBPosterior,
+    run_vb,
+)
 
 import oracles
 
@@ -60,8 +66,9 @@ def stable_modal_set(gen, n_modes=2, l=3, dt=0.02):
                               mode_shapes=shapes[:n_modes].T, real_pole=real_pole[:n_modes])
 
 
-def stack_modal_sets(modal_sets, source="vb", order=4):
-    """ModalDraws holding one modal set per draw, padded to the widest."""
+def stack_modal_sets(modal_sets, n_excluded=0, order=4):
+    """ModalDraws holding one modal set per draw, padded to the widest, as
+    propagated from a stack with ``n_excluded`` more (degenerate) draws."""
     n, width = len(modal_sets), max(m.n_modes for m in modal_sets)
     l = modal_sets[0].mode_shapes.shape[0]
     freqs, damping = np.zeros((n, width)), np.zeros((n, width))
@@ -75,12 +82,12 @@ def stack_modal_sets(modal_sets, source="vb", order=4):
         present[k, :m.n_modes] = True
     return ModalDraws(frequencies=freqs, damping_ratios=damping, mode_shapes=shapes,
                       real_pole=real_pole, present=present, index=np.arange(n),
-                      source=source, order=order)
+                      n_draws=n + n_excluded, order=order)
 
 
 def one_draw_modes(obs, n_channels, dt):
     """(frequencies, damping, shapes n_modes x l, real_pole) of one draw."""
-    draws, n_excluded = propagate_many(obs[None], n_channels, dt, "vb", obs.shape[1])
+    draws, n_excluded = propagate_many(obs[None], n_channels, dt)
     assert n_excluded == 0
     keep = draws.present[0]
     return (draws.frequencies[0, keep], draws.damping_ratios[0, keep],
@@ -194,7 +201,7 @@ class TestPropagate:
         bad[:, 0] = 1.0
         stack = np.stack([good, bad, good])
         with caplog.at_level(logging.WARNING):
-            draws, n_excluded = propagate_many(stack, 3, 0.02, "vb", 4)
+            draws, n_excluded = propagate_many(stack, 3, 0.02)
         assert n_excluded == 1
         assert draws.index.tolist() == [0, 2]
         assert draws.frequencies.shape[0] == 2
@@ -208,10 +215,20 @@ class TestPropagate:
         bad[:, 0] = 1.0
         stack = np.stack([bad, good, bad, bad, good, bad])
         with caplog.at_level(logging.WARNING, logger="bayes_ssi.modal_posterior"):
-            _, n_excluded = propagate_many(stack, 3, 0.02, "vb", 4)
+            _, n_excluded = propagate_many(stack, 3, 0.02)
         assert n_excluded == 4
         assert len(caplog.records) == 1
         assert "excluded 4 of 6 draws" in caplog.records[0].getMessage()
+
+    def test_order_and_count_read_from_the_stack(self):
+        gen = np.random.default_rng(16)
+        a0, c0, _ = stable_modal_set(gen, n_modes=3, l=3)
+        good = oracles.observability_forward(a0, c0, 5)
+        bad = np.zeros_like(good)
+        bad[:, 0] = 1.0
+        draws, n_excluded = propagate_many(np.stack([good, bad, good]), 3, 0.02)
+        assert draws.order == good.shape[1] == 6
+        assert (draws.n_draws, n_excluded) == (3, 1)
 
 
 class TestAlignModes:
@@ -316,18 +333,28 @@ class TestAlignModes:
         _, _, modal0 = stable_modal_set(gen, n_modes=2, l=3)
         bad = np.zeros((2, 15, 4))
         bad[:, :, 0] = 1.0
-        draws, n_excluded = propagate_many(bad, 3, 0.02, "vb", 4)
+        draws, n_excluded = propagate_many(bad, 3, 0.02)
         assert n_excluded == 2
         with pytest.raises(ValueError):
-            align_modes(draws, modal0, n_excluded=n_excluded)
+            align_modes(draws, modal0)
+
+    def test_exclusions_counted_from_the_draws(self):
+        gen = np.random.default_rng(17)
+        a0, c0, modal0 = stable_modal_set(gen, n_modes=2, l=3)
+        good = oracles.observability_forward(a0, c0, 5)
+        bad = np.zeros_like(good)
+        bad[:, 0] = 1.0
+        draws, n_excluded = propagate_many(np.stack([good, bad, good, bad, bad]), 3, 0.02)
+        summary = summarize(align_modes(draws, modal0))
+        assert (summary["n_draws"], summary["n_excluded"], n_excluded) == (5, 3, 3)
+        assert summary["exclusion_rate"] == pytest.approx(0.6)
+        assert [mode["n_aligned"] for mode in summary["modes"]] == [2, 2]
 
     def test_summary_reports_exclusions(self):
         gen = np.random.default_rng(15)
         _, _, modal0 = stable_modal_set(gen, n_modes=2, l=3)
-        posterior = align_modes(stack_modal_sets([modal0], source="gibbs"), modal0,
-                                n_excluded=3)
+        posterior = align_modes(stack_modal_sets([modal0], n_excluded=3), modal0)
         summary = summarize(posterior)
-        assert summary["source"] == "gibbs"
         assert summary["n_draws"] == 4
         assert summary["n_excluded"] == 3
         assert summary["exclusion_rate"] == pytest.approx(0.75)
@@ -377,11 +404,11 @@ class TestStackedAgainstLoop:
         n_excluded, n_unassigned, expected = oracles.propagate_and_align_loop(
             stack, l, 0.02, reference)
 
-        draws, excluded = propagate_many(stack, l, 0.02, "vb", 2 * n_modes)
+        draws, excluded = propagate_many(stack, l, 0.02)
         assert excluded == n_excluded
         if draws.index.size == 0:
             return
-        posterior = align_modes(draws, reference, n_excluded=excluded)
+        posterior = align_modes(draws, reference)
         assert posterior.n_unassigned == n_unassigned
         assert posterior.n_draws == n_draws
         assert len(posterior.clusters) == len(expected)
@@ -407,7 +434,7 @@ def sweep(ts, block_rows, orders, cfg, n_draws):
     """``stabilisation`` on the centred statistics of ``ts`` with default
     priors at every order."""
     stats = HankelStats.from_record(ts, block_rows)
-    priors = {order: default_priors(*stats.view_dims, order) for order in orders}
+    priors = [default_priors(*stats.view_dims, order) for order in orders]
     return stabilisation(stats, priors, cfg, n_draws, ts.channels, ts.fs)
 
 
@@ -457,6 +484,58 @@ class TestStabilisation:
         cfg = VBConfig(max_iter=5, seed=3)
         with pytest.raises(TypeError, match="synthetic programming error"):
             sweep(short_benchmark, 6, [2, 4], cfg, 10)
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_untyped_error_propagates(self, short_benchmark, monkeypatch, error):
+        # only the typed numerical errors are recorded as an order failure
+        import bayes_ssi.modal_posterior as mp
+
+        def broken_run_vb(stats, priors, config):
+            raise error("synthetic error")
+
+        monkeypatch.setattr(mp, "run_vb", broken_run_vb)
+        with pytest.raises(error, match="synthetic error"):
+            sweep(short_benchmark, 6, [2, 4], VBConfig(max_iter=5, seed=3), 10)
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ElboDecreaseError,
+                                       NonFiniteBoundError])
+    def test_numerical_failure_recorded(self, short_benchmark, monkeypatch, error):
+        import bayes_ssi.modal_posterior as mp
+
+        def failing_at_order_4(stats, priors, config):
+            if priors.latent_dim == 4:
+                raise error("synthetic numerical failure")
+            return run_vb(stats, priors, config)
+
+        monkeypatch.setattr(mp, "run_vb", failing_at_order_4)
+        result = sweep(short_benchmark, 6, [2, 4], VBConfig(max_iter=5, seed=3), 10)
+        assert result.failures == {4: "synthetic numerical failure"}
+        assert set(result.diagnostics) == {2}
+        assert set(np.unique(result.orders)) == {2}
+
+    def test_zero_draws_raise(self, short_benchmark):
+        with pytest.raises(ValueError, match="at least one draw"):
+            sweep(short_benchmark, 6, [2, 4], VBConfig(max_iter=2, seed=3), 0)
+
+    def test_orders_read_from_the_priors(self, short_benchmark):
+        # each entry's latent dimension labels its triples and diagnostics
+        # and picks its draw stream, whatever the list order
+        ts = short_benchmark
+        cfg = VBConfig(max_iter=5, seed=3)
+        stats = HankelStats.from_record(ts, 6)
+        priors = [default_priors(*stats.view_dims, order) for order in (6, 2)]
+        result = stabilisation(stats, priors, cfg, 10, ts.channels, ts.fs)
+        assert list(result.diagnostics) == [2, 6]
+        samples = draw_observability_samples(run_vb(stats, priors[0], cfg), 10,
+                                             Rng(3, STAB_DRAW_STREAM_BASE + 6))
+        modal, _ = propagate_many(samples, ts.channels, 1.0 / ts.fs)
+        keep = modal.present & ~modal.real_pole & (modal.frequencies < ts.fs / 2)
+        assert result.frequencies[result.orders == 6].tolist() == \
+            modal.frequencies[keep].tolist()
+
+    def test_repeated_order_rejected(self, short_benchmark):
+        with pytest.raises(ValueError, match=r"orders given more than once: \[4\]"):
+            sweep(short_benchmark, 6, [2, 4, 4], VBConfig(max_iter=5, seed=3), 10)
 
     def test_diagnostics_per_order(self, short_benchmark):
         cfg = VBConfig(max_iter=2, seed=3)

@@ -14,6 +14,11 @@ from scipy.special import multigammaln
 
 from bayes_ssi import rng as rng_module
 from bayes_ssi.rng import (
+    DRAW_STREAM,
+    GIBBS_STREAM,
+    SIMULATE_STREAM,
+    STAB_DRAW_STREAM_BASE,
+    VB_INIT_STREAM,
     NotPositiveDefiniteError,
     Rng,
     _bartlett_factor,
@@ -36,25 +41,41 @@ def inverse_wishart_draws(rng, scale, dof, n):
 
 class TestRngStreams:
     def test_same_seed_stream_bit_identical(self):
-        a = Rng(99, 3).generator.standard_normal(1000)
-        b = Rng(99, 3).generator.standard_normal(1000)
+        a = Rng(99, 3).standard_normal(1000)
+        b = Rng(99, 3).standard_normal(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = Rng(99, 0).generator.standard_normal(1000)
-        b = Rng(99, 1).generator.standard_normal(1000)
+        a = Rng(99, 0).standard_normal(1000)
+        b = Rng(99, 1).standard_normal(1000)
         assert not np.array_equal(a, b)
 
     def test_streams_statistically_independent(self):
         n = 100_000
-        a = Rng(7, 0).generator.standard_normal(n)
-        b = Rng(7, 1).generator.standard_normal(n)
+        a = Rng(7, 0).standard_normal(n)
+        b = Rng(7, 1).standard_normal(n)
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 4.0 / np.sqrt(n)
 
     def test_seed_range_validated(self):
         with pytest.raises(ValueError):
             Rng(-1)
+
+    def test_is_numpys_pcg64_generator(self):
+        gen = Rng(99, 3)
+        assert isinstance(gen, np.random.Generator)
+        assert isinstance(gen.bit_generator, np.random.PCG64)
+        seq = np.random.SeedSequence(99, spawn_key=(3,))
+        expected = np.random.Generator(np.random.PCG64(seq)).standard_normal(10)
+        assert np.array_equal(gen.standard_normal(10), expected)
+
+    def test_stream_allocation(self):
+        fixed = [SIMULATE_STREAM, GIBBS_STREAM, VB_INIT_STREAM, DRAW_STREAM]
+        # every artifact's bits depend on these values
+        assert fixed + [STAB_DRAW_STREAM_BASE] == [0, 1, 2, 3, 100]
+        assert len(set(fixed)) == len(fixed)
+        # stabilisation orders start at 1, so no base + order meets a fixed stream
+        assert STAB_DRAW_STREAM_BASE + 1 > max(fixed)
 
 
 def first_failing_minor(mat):
@@ -213,11 +234,11 @@ class TestBartlettFactor:
         dof = dim + 2.5
         fast, general = Rng(36, 0), Rng(36, 0)
         expected = np.zeros((dim, dim))
-        expected.flat[::dim + 1] = np.sqrt(general.generator.chisquare(dof - np.arange(dim)))
-        expected[np.tril_indices(dim, -1)] = general.generator.standard_normal(
+        expected.flat[::dim + 1] = np.sqrt(general.chisquare(dof - np.arange(dim)))
+        expected[np.tril_indices(dim, -1)] = general.standard_normal(
             dim * (dim - 1) // 2)
         assert np.array_equal(_bartlett_factor(fast, dim, dof), expected)
-        assert fast.generator.standard_normal() == general.generator.standard_normal()
+        assert fast.standard_normal() == general.standard_normal()
 
 
 def run_probe(probe: str) -> list[str]:

@@ -142,9 +142,9 @@ def test_worker_death_fails_the_command(record, tmp_path):
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_order_failures_in_ascending_order(record, tmp_path):
     out = tmp_path / "failed"
+    action = 'import numpy; raise numpy.linalg.LinAlgError("synthetic")'
     proc = run_cli(*stabilise_args(record, "--out", out), check=False,
-                   code=FAIL_AT.format(orders={4, 8},
-                                       action='raise RuntimeError("synthetic")'))
+                   code=FAIL_AT.format(orders={4, 8}, action=action))
     assert proc.returncode == 1
     assert manifest(out)["failures"] == {"4": "synthetic", "8": "synthetic"}
     assert list(manifest(out)["failures"]) == ["4", "8"]
