@@ -11,7 +11,8 @@ Reruns with the same configuration and seed reproduce every numeric output
 byte for byte; wall-clock metadata lives only in the run manifest.  The
 bundled OpenBLAS libraries of numpy and scipy run on one thread unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, so the bytes do not
-depend on the machine's core count.
+depend on the machine's core count; the propagation of posterior draws
+runs on every CPU the process may use, with the same bytes at any count.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .modal_posterior import (
     propagate_many,
     stabilisation,
     summarize,
+    usable_cpus,
 )
 from .model import PriorHyper, default_priors
 from .rng import DRAW_STREAM, SIMULATE_STREAM, Rng
@@ -389,6 +391,7 @@ def cmd_identify(cfg: dict) -> Path:
         reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
         if engine != "ssi":
             overlay = _welch_overlay(ts)
+            threads = usable_cpus()
             if engine == "vb":
                 post = run_vb(stats, priors, engine_config)
                 diagnostics = post.diagnostics()
@@ -397,7 +400,10 @@ def cmd_identify(cfg: dict) -> Path:
                 chain = run_gibbs(stats, priors, engine_config)
                 diagnostics = chain.diagnostics()
                 draws = chain_observability_samples(chain)
-            modal, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs)
+            modal, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs, threads)
+            # the stack (15 MB at 4000 draws) is not needed past here, so
+            # its memory is free for the alignment
+            del draws
             posterior = align_modes(modal, reference)
             summary = {**summarize(posterior), "source": engine}
             if engine == "vb":
@@ -425,7 +431,8 @@ def cmd_identify(cfg: dict) -> Path:
         write_json(out.file("modes_summary.json"), summary)
         _write_mode_draws(out, posterior)
         write_json(out.file("run_manifest.json"),
-                   _manifest("identify", cfg, started, diagnostics=diagnostics))
+                   {**_manifest("identify", cfg, started, diagnostics=diagnostics),
+                    "propagation_threads": threads})
     return Path(cfg["out"])
 
 
@@ -455,7 +462,9 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
                          header=["order", "frequency_hz", "damping_ratio"])
         manifest = _manifest("stabilise", cfg, started, failures=result.failures,
                              diagnostics={str(k): v for k, v in result.diagnostics.items()})
-        write_json(out.file("run_manifest.json"), {**manifest, "workers": result.workers})
+        write_json(out.file("run_manifest.json"),
+                   {**manifest, "workers": result.workers,
+                    "propagation_threads": result.propagation_threads})
     return Path(cfg["out"]), result.failures
 
 

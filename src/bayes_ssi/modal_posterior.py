@@ -4,14 +4,18 @@ Each draw of the first-view weight block is an extended observability
 sample.  The stack of draws goes, ``DRAW_BLOCK`` at a time, through the
 baseline's shift-invariance solve and eigen-decomposition into one
 ``ModalDraws`` container of padded arrays, whose modes are then aligned to
-the classical reference by MAC in array operations.  The container carries
-the order and the count of the draws it came from.  Negative damping
-draws are kept (they occur legitimately); summaries report their fraction.
+the classical reference by MAC in array operations.  The blocks run on
+every CPU the process may use (``usable_cpus``) and are collected in
+order, so the result is the same for any thread count.  The container
+carries the order and the count of the draws it came from.  Negative
+damping draws are kept (they occur legitimately); summaries report their
+fraction.
 
 ``stabilisation`` runs the variational engine on one set of Hankel
 statistics at several model orders, each with its own priors (whose latent
 dimension is the order), and pools the propagated (order, frequency,
-damping) triples.
+damping) triples.  Its orders run in worker processes, and each order's
+propagation gets an equal share of the CPUs.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ from __future__ import annotations
 import functools
 import logging
 import os
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gibbs import GibbsChain
 from .model import PriorHyper
-from .rng import STAB_DRAW_STREAM_BASE, Rng
+from .rng import STAB_DRAW_STREAM_BASE, Rng, psd_factor
 from .subspace import (
     HankelStats,
     ModalSet,
@@ -48,12 +54,14 @@ __all__ = [
     "align_modes",
     "summarize",
     "stabilisation",
+    "usable_cpus",
 ]
 
 logger = logging.getLogger(__name__)
 
 # draws generated and propagated per block, which bounds the working memory
-DRAW_BLOCK = 256
+# of each thread; two threads at 128 hold what one did at 256
+DRAW_BLOCK = 128
 
 # decimals of the MACs that alignment ranks on
 MAC_DECIMALS = 12
@@ -113,8 +121,8 @@ class ModalPosterior:
 class StabilisationData:
     """Flat (order, frequency, damping) triples across model orders, with
     non-conjugate (real-pole) entries removed, plus the variational
-    engine's convergence diagnostics per order that ran and the number of
-    processes the orders ran in."""
+    engine's convergence diagnostics per order that ran, the number of
+    processes the orders ran in and the threads each order propagated on."""
 
     orders: np.ndarray
     frequencies: np.ndarray
@@ -122,6 +130,7 @@ class StabilisationData:
     failures: dict[int, str] = field(default_factory=dict)
     diagnostics: dict[int, dict] = field(default_factory=dict)
     workers: int = 1
+    propagation_threads: int = 1
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,20 +159,28 @@ def phase_align(shape: np.ndarray) -> np.ndarray:
 def draw_observability_samples(post: VBPosterior, n: int, rng: np.random.Generator,
                                ) -> np.ndarray:
     """Monte Carlo observability samples from the variational posterior:
-    every weight column drawn from its Gaussian factor, first-view rows
-    kept, ``DRAW_BLOCK`` draws at a time in draw, column, row order."""
+    the first-view rows of every weight column, drawn from their marginal
+    Gaussian, ``DRAW_BLOCK`` draws at a time in draw, column, row order.
+
+    Column i's first-view rows have mean ``weight_mean[:d1, i]`` and
+    covariance B1 diag(e_i) B1^T, with B1 the first d1 rows of
+    ``weight_basis`` and e_i its ``weight_eigs`` row, whether or not the
+    priors couple the views.  Each column of each draw takes d1 standard
+    normals through a factor of that covariance (``psd_factor``, so a
+    singular one gives its mean)."""
     if n < 1:
         raise ValueError("need at least one draw")
-    total_dim, d = post.weight_mean.shape
     d1 = post.view_dims[0]
-    # d x D x d1: column i's factor B diag(sqrt(e_i)) restricted to the
-    # first-view rows
-    factors = np.sqrt(post.weight_eigs)[:, :, None] * post.weight_basis[:d1].T
+    basis = post.weight_basis[:d1]
+    # d x d1 x d1: the transposed factor F_i^T of column i's marginal
+    factors = np.stack([psd_factor((basis * eigs) @ basis.T).T
+                        for eigs in post.weight_eigs])
     mean = post.weight_mean[:d1]
+    d = mean.shape[1]
     out = np.empty((n, d1, d))
     for start in range(0, n, DRAW_BLOCK):
-        noise = rng.standard_normal((min(DRAW_BLOCK, n - start), d, total_dim))
-        # (d, B, D) @ (d, D, d1) -> (d, B, d1) -> B x d1 x d
+        noise = rng.standard_normal((min(DRAW_BLOCK, n - start), d, d1))
+        # (d, B, d1) @ (d, d1, d1) -> (d, B, d1) -> B x d1 x d
         spread = (noise.transpose(1, 0, 2) @ factors).transpose(1, 2, 0)
         out[start:start + noise.shape[0]] = mean + spread
     return out
@@ -177,28 +194,78 @@ def chain_observability_samples(chain: GibbsChain) -> np.ndarray:
     return chain.weight_samples[:, :d1, :]
 
 
-def propagate_many(samples: np.ndarray, n_channels: int, dt: float) -> tuple[ModalDraws, int]:
-    """Modes of the non-degenerate draws of an n x D1 x order stack,
-    ``DRAW_BLOCK`` at a time, and the number of degenerate draws excluded
-    (logged as one line, never silent)."""
-    parts, kept = [], []
-    for start in range(0, samples.shape[0], DRAW_BLOCK):
-        block = samples[start:start + DRAW_BLOCK]
-        a, degenerate = shift_invariance(block, n_channels)
+def usable_cpus() -> int:
+    """CPUs this process may run on: its CPU affinity, so ``taskset``
+    lowers it; 1 where the platform reports no affinity."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _map_threads(run, items: Sequence, threads: int) -> list:
+    """``[run(x) for x in items]`` on the calling thread and up to
+    ``threads - 1`` worker threads, which take the items in turn; with one
+    thread, in this one alone.  Results come in item order, an exception in
+    any call propagates once every thread has stopped, and no worker
+    outlives the call."""
+    threads = min(threads, len(items))
+    if threads <= 1:
+        return [run(x) for x in items]
+    # imported here, so commands that never start a pool do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(items)
+    tickets = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = next(tickets, None)
+            if k is None:
+                return
+            results[k] = run(items[k])
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
+def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
+                   threads: int | None = None) -> tuple[ModalDraws, int]:
+    """Modes of the non-degenerate draws of an n x D1 x order stack, and
+    the number of degenerate draws excluded (logged as one line, never
+    silent).
+
+    The draws go ``DRAW_BLOCK`` at a time through the shift-invariance
+    solve and the eigen-decomposition, on ``threads`` threads (default
+    ``usable_cpus()``): numpy's batched ``svd`` and ``eig`` release the
+    GIL.  The blocks are collected in order, so the result is the same
+    bits for any thread count; warnings logged inside a block may come in
+    any order."""
+    n = samples.shape[0]
+    if n == 0:
+        raise ValueError("no draws to propagate")
+
+    def block(start):
+        chunk = samples[start:start + DRAW_BLOCK]
+        a, degenerate = shift_invariance(chunk, n_channels)
         good = np.flatnonzero(~degenerate)
-        parts.append(modal_parameters(a[good], block[good, :n_channels], dt))
-        kept.append(start + good)
+        return modal_parameters(a[good], chunk[good, :n_channels], dt), start + good
+
+    parts, kept = zip(*_map_threads(block, range(0, n, DRAW_BLOCK),
+                                    usable_cpus() if threads is None else threads))
     freqs, damping, shapes, real_pole, present = (np.concatenate(p) for p in zip(*parts))
     index = np.concatenate(kept)
-    n_excluded = samples.shape[0] - index.size
+    n_excluded = n - index.size
     if n_excluded:
-        logger.warning("excluded %d of %d draws as degenerate",
-                       n_excluded, samples.shape[0])
+        logger.warning("excluded %d of %d draws as degenerate", n_excluded, n)
     width = int(present.sum(axis=1).max(initial=0))
     draws = ModalDraws(frequencies=freqs[:, :width], damping_ratios=damping[:, :width],
                        mode_shapes=shapes[:, :width], real_pole=real_pole[:, :width],
                        present=present[:, :width], index=index,
-                       n_draws=samples.shape[0], order=samples.shape[2])
+                       n_draws=n, order=samples.shape[2])
     return draws, n_excluded
 
 
@@ -306,10 +373,10 @@ def summarize(posterior: ModalPosterior) -> dict:
 
 
 def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
-                 n_channels: int, fs: float, priors: PriorHyper) -> tuple:
+                 n_channels: int, fs: float, threads: int, priors: PriorHyper) -> tuple:
     """One order of the stabilisation sweep, ``priors.latent_dim``: the
     variational run, its draws (stream ``STAB_DRAW_STREAM_BASE + order``)
-    and their propagation.
+    and their propagation on ``threads`` threads.
 
     Returns ``(diagnostics, frequencies, damping_ratios, failure)``: the
     run's diagnostics (None if the engine failed), the order's complex
@@ -324,7 +391,7 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
         diagnostics = post.diagnostics()
         draws = draw_observability_samples(
             post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + priors.latent_dim))
-        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs)
+        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, threads)
     except (np.linalg.LinAlgError, ElboDecreaseError, NonFiniteBoundError) as exc:
         return diagnostics, empty, empty, str(exc)
     if modal.index.size == 0:
@@ -365,13 +432,14 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
     propagated (frequency, damping, order) triples of ``n_draws`` draws each.
 
     The orders run in one forked worker process per order, at most one per
-    CPU this process may run on (in this process for one).  Each order's
-    result depends only on its own inputs, so the output is the same for
-    any worker count.  Numerical per-order failures (linear-algebra
-    errors, a decreasing or non-finite bound, every draw degenerate) are
-    recorded and logged in ascending order, and the sweep continues; any
-    other exception propagates, and so does the death of a worker.
-    Real-pole entries are removed from the pooled triples.
+    CPU this process may run on (in this process for one), and each order
+    propagates its draws on ``max(1, cpus // workers)`` threads.  Each
+    order's result depends only on its own inputs, so the output is the
+    same for any worker or thread count.  Numerical per-order failures
+    (linear-algebra errors, a decreasing or non-finite bound, every draw
+    degenerate) are recorded and logged in ascending order, and the sweep
+    continues; any other exception propagates, and so does the death of a
+    worker.  Real-pole entries are removed from the pooled triples.
     """
     orders = [p.latent_dim for p in priors]
     if not orders:
@@ -383,11 +451,12 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
     if max(orders) > half:
         raise ValueError(f"max order {max(orders)} exceeds Hankel half-height {half}")
 
-    # one worker per order, at most one per CPU this process may run on;
-    # in process where the platform reports no CPU affinity
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # one worker per order, at most one per CPU, and the CPUs shared out
+    # among the workers' propagations
+    cpus = usable_cpus()
     workers = min(len(priors), cpus)
-    run = functools.partial(_sweep_order, stats, vb_config, n_draws, n_channels, fs)
+    threads = max(1, cpus // workers)
+    run = functools.partial(_sweep_order, stats, vb_config, n_draws, n_channels, fs, threads)
     results = _map_orders(run, priors, workers)
 
     failures: dict[int, str] = {}
@@ -406,4 +475,5 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
         failures=failures,
         diagnostics=diagnostics,
         workers=workers,
+        propagation_threads=threads,
     )

@@ -1,4 +1,8 @@
+import dataclasses
+import itertools
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from bayes_ssi.gibbs import GibbsChain, GibbsConfig
 from bayes_ssi.modal_posterior import (
+    DRAW_BLOCK,
     ModalDraws,
     align_modes,
     chain_observability_samples,
@@ -16,6 +21,7 @@ from bayes_ssi.modal_posterior import (
     propagate_many,
     stabilisation,
     summarize,
+    usable_cpus,
 )
 from bayes_ssi.model import default_priors
 from bayes_ssi.rng import STAB_DRAW_STREAM_BASE, Rng
@@ -44,6 +50,29 @@ def make_vb_posterior(gen, d1, d2, d, w_scale=0.0):
         noise_scale=[np.eye(d1), np.eye(d2)],
         noise_dof=[d1 + 2.0, d2 + 2.0], view_dims=(d1, d2),
     )
+
+
+def random_basis_posterior(gen, d1, d2, d, coupled):
+    """Weight factors on a random non-identity basis: block-diagonal over
+    the two views, as priors that do not couple them give, or full."""
+    total = d1 + d2
+    if coupled:
+        basis = gen.standard_normal((total, total)) / np.sqrt(total)
+    else:
+        basis = np.zeros((total, total))
+        basis[:d1, :d1] = gen.standard_normal((d1, d1)) / np.sqrt(d1)
+        basis[d1:, d1:] = gen.standard_normal((d2, d2)) / np.sqrt(d2)
+    return dataclasses.replace(make_vb_posterior(gen, d1, d2, d), weight_basis=basis,
+                               weight_eigs=gen.uniform(0.2, 2.0, (d, total)))
+
+
+def draw_moments(draws, mean):
+    """Per-draw statistics of n x d1 x d draws: every entry, and the product
+    of every pair of entries centred at ``mean`` (within and across
+    columns)."""
+    flat = (draws - mean).reshape(draws.shape[0], -1)
+    rows, cols = np.triu_indices(flat.shape[1])
+    return np.hstack([draws.reshape(draws.shape[0], -1), flat[:, rows] * flat[:, cols]])
 
 
 def stable_modal_set(gen, n_modes=2, l=3, dt=0.02):
@@ -134,6 +163,35 @@ class TestDrawSamples:
         post = make_vb_posterior(gen, 8, 8, 4, w_scale=0.01)
         draws = draw_observability_samples(post, 4000, Rng(2, 3))
         assert draws.shape == (4000, 8, 4)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_moments_match_full_basis_draw(self, coupled):
+        # the first-view marginal and the full-basis draw are one
+        # distribution: every mean and second moment agrees within its
+        # batch-means standard errors
+        gen = np.random.default_rng(20 + coupled)
+        post = random_basis_posterior(gen, 4, 3, 2, coupled)
+        n = 20_000
+        mean = post.weight_mean[:4]
+        ours = draw_moments(draw_observability_samples(post, n, Rng(5, 3)), mean)
+        oracle = draw_moments(oracles.vb_observability_draw_full_basis(post, n, Rng(6, 3)),
+                              mean)
+        for a, b in zip(ours.T, oracle.T):
+            se = np.hypot(oracles.batch_means_se(a), oracles.batch_means_se(b))
+            assert abs(a.mean() - b.mean()) < 4.5 * se
+
+    def test_d1_normals_per_column_whatever_the_block(self, monkeypatch):
+        import bayes_ssi.modal_posterior as mp
+
+        gen = np.random.default_rng(22)
+        post = random_basis_posterior(gen, 4, 3, 2, coupled=True)
+        rng = Rng(7, 3)
+        draws = draw_observability_samples(post, 300, rng)
+        fresh = Rng(7, 3)
+        fresh.standard_normal(300 * 2 * 4)
+        assert rng.standard_normal() == fresh.standard_normal()
+        monkeypatch.setattr(mp, "DRAW_BLOCK", 7)
+        assert np.array_equal(draw_observability_samples(post, 300, Rng(7, 3)), draws)
 
     def test_deterministic_given_stream(self):
         gen = np.random.default_rng(4)
@@ -229,6 +287,72 @@ class TestPropagate:
         draws, n_excluded = propagate_many(np.stack([good, bad, good]), 3, 0.02)
         assert draws.order == good.shape[1] == 6
         assert (draws.n_draws, n_excluded) == (3, 1)
+
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="no draws to propagate"):
+            propagate_many(np.empty((0, 60, 8)), 4, 0.02)
+
+
+@pytest.fixture(scope="module")
+def mixed_stack():
+    """More than five blocks of order-8 draws on four channels, with
+    degenerate ones among them (repeated columns, non-finite entries)."""
+    gen = np.random.default_rng(23)
+    a0, c0, _ = stable_modal_set(gen, n_modes=4, l=4)
+    return random_draw_stack(gen, a0, c0, 5, 5 * DRAW_BLOCK + 17)
+
+
+class TestPropagateThreads:
+    def test_same_bits_on_any_thread_count(self, mixed_stack):
+        # more threads than CPUs, switching as often as the interpreter
+        # allows: a block lost or taken twice changes the result
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (first, first_excluded), *others = [
+                propagate_many(mixed_stack, 4, 0.02, threads) for threads in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert first_excluded > 0
+        assert np.isnan(mixed_stack).any(axis=(1, 2)).any()
+        for draws, n_excluded in others:
+            assert n_excluded == first_excluded
+            for field in dataclasses.fields(ModalDraws):
+                assert np.array_equal(getattr(draws, field.name),
+                                      getattr(first, field.name)), field.name
+
+    def test_default_uses_every_usable_cpu(self, mixed_stack, monkeypatch):
+        import bayes_ssi.modal_posterior as mp
+
+        asked = []
+        original = mp._map_threads
+
+        def recording(run, items, threads):
+            asked.append(threads)
+            return original(run, items, threads)
+
+        monkeypatch.setattr(mp, "_map_threads", recording)
+        propagate_many(mixed_stack[:10], 4, 0.02)
+        assert asked == [usable_cpus()]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_error_propagates_and_threads_end(self, mixed_stack, monkeypatch,
+                                                    threads):
+        import bayes_ssi.modal_posterior as mp
+
+        calls = itertools.count()
+
+        def failing_third_block(a, c_out, dt):
+            if next(calls) == 2:
+                raise np.linalg.LinAlgError("synthetic block failure")
+            return modal_parameters(a, c_out, dt)
+
+        monkeypatch.setattr(mp, "modal_parameters", failing_third_block)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="synthetic block failure"):
+            propagate_many(mixed_stack, 4, 0.02, threads)
+        assert threading.active_count() == before
 
 
 class TestAlignModes:
@@ -452,6 +576,9 @@ class TestStabilisation:
         result = sweep(short_benchmark, 6, [2, 4, 6], cfg, 25)
         # every requested order either ran or is recorded as failed
         assert set(result.diagnostics) | set(result.failures) == {2, 4, 6}
+        # each order's propagation gets its share of the CPUs
+        assert result.workers == min(3, usable_cpus())
+        assert result.propagation_threads == max(1, usable_cpus() // result.workers)
         assert set(np.unique(result.orders)) <= {2, 4, 6}
         # non-conjugate entries removed: all retained frequencies strictly
         # inside (0, fs/2)
@@ -512,6 +639,28 @@ class TestStabilisation:
         assert result.failures == {4: "synthetic numerical failure"}
         assert set(result.diagnostics) == {2}
         assert set(np.unique(result.orders)) == {2}
+
+    def test_block_failure_recorded_for_its_order(self, short_benchmark, monkeypatch):
+        # one order runs in this process and propagates on every CPU; an
+        # error in one of its blocks is that order's failure
+        import bayes_ssi.modal_posterior as mp
+
+        calls = itertools.count()
+
+        def failing_second_block(a, c_out, dt):
+            if next(calls) == 1:
+                raise np.linalg.LinAlgError("synthetic block failure")
+            return modal_parameters(a, c_out, dt)
+
+        monkeypatch.setattr(mp, "modal_parameters", failing_second_block)
+        before = threading.active_count()
+        result = sweep(short_benchmark, 6, [4], VBConfig(max_iter=5, seed=3),
+                       4 * DRAW_BLOCK + 1)
+        assert threading.active_count() == before
+        assert (result.workers, result.propagation_threads) == (1, usable_cpus())
+        assert result.failures == {4: "synthetic block failure"}
+        assert set(result.diagnostics) == {4}
+        assert result.frequencies.size == 0
 
     def test_zero_draws_raise(self, short_benchmark):
         with pytest.raises(ValueError, match="at least one draw"):

@@ -1,7 +1,8 @@
 """The CLI runs numpy's and scipy's OpenBLAS on one thread unless the
 environment sets a thread count, records the count in effect in
 ``run_manifest.json``, and writes the same bytes whatever cores it may use,
-also when ``stabilise`` spreads its orders over worker processes.
+also when ``stabilise`` spreads its orders over worker processes and when
+the draws propagate on one thread per CPU.
 
 Each command runs in a fresh interpreter, so the thread and CPU settings of
 the test process itself are never touched.
@@ -47,8 +48,8 @@ def artifacts(out) -> dict:
             if p.is_file() and p.name not in ("config.json", "run_manifest.json")}
 
 
-def manifest_threads(out):
-    return json.loads((Path(out) / "run_manifest.json").read_text())["blas_threads"]
+def manifest(out) -> dict:
+    return json.loads((Path(out) / "run_manifest.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def record(tmp_path_factory):
 
 
 def test_one_thread_by_default(record):
-    assert manifest_threads(record) == {"numpy": 1, "scipy": 1}
+    assert manifest(record)["blas_threads"] == {"numpy": 1, "scipy": 1}
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
@@ -67,18 +68,34 @@ def test_environment_count_kept(tmp_path):
     out = tmp_path / "sim"
     run_cli("simulate", "--samples", 256, "--out", out,
             env={"OPENBLAS_NUM_THREADS": "2"})
-    assert manifest_threads(out) == {"numpy": 2, "scipy": 2}
+    assert manifest(out)["blas_threads"] == {"numpy": 2, "scipy": 2}
+
+
+def check_one_core(record, tmp_path, produced, *args):
+    """The command at 600 draws, five propagation blocks, on one CPU and
+    on every CPU: one propagation thread against one per CPU, and the
+    same artifacts."""
+    args = (*args, "--input", record / "response.csv", "--draws", 600, "--seed", 1)
+    one_core, all_cores = tmp_path / "one", tmp_path / "all"
+    run_cli(*args, "--out", one_core, cpus={min(os.sched_getaffinity(0))})
+    run_cli(*args, "--out", all_cores)
+    assert manifest(one_core)["propagation_threads"] == 1
+    assert manifest(all_cores)["propagation_threads"] == len(os.sched_getaffinity(0))
+    assert Path(produced) in artifacts(one_core)
+    assert artifacts(one_core) == artifacts(all_cores)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_artifacts_identical_on_one_core(record, tmp_path):
-    args = ("identify", "--input", record / "response.csv", "--block-rows", 15,
-            "--order", 8, "--engine", "vb", "--draws", 200, "--seed", 1)
-    one_core, all_cores = tmp_path / "one", tmp_path / "all"
-    run_cli(*args, "--out", one_core, cpus={min(os.sched_getaffinity(0))})
-    run_cli(*args, "--out", all_cores)
-    assert Path("modes_summary.json") in artifacts(one_core)
-    assert artifacts(one_core) == artifacts(all_cores)
+    check_one_core(record, tmp_path, "modes_summary.json", "identify", "--block-rows", 15,
+                   "--order", 8, "--engine", "vb")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_stabilise_one_order_identical_on_one_core(record, tmp_path):
+    # one order runs in the command's own process, propagating on every CPU
+    check_one_core(record, tmp_path, "stabilisation.csv", "stabilise", "--block-rows", 8,
+                   "--order", 8, "--max-iter", 40, "--tol", "1e-6")
 
 
 STAB_ORDERS = (2, 4, 6, 8)
@@ -88,10 +105,6 @@ def stabilise_args(record, *extra):
     return ("stabilise", "--input", record / "response.csv", "--block-rows", 8,
             *[a for order in STAB_ORDERS for a in ("--order", order)],
             "--draws", 50, "--max-iter", 40, "--tol", "1e-6", "--seed", 1, *extra)
-
-
-def manifest(out) -> dict:
-    return json.loads((Path(out) / "run_manifest.json").read_text())
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
@@ -104,6 +117,10 @@ def test_stabilise_identical_in_process_and_in_workers(record, tmp_path):
     assert manifest(one_core)["workers"] == 1
     assert manifest(all_cores)["workers"] == min(len(STAB_ORDERS),
                                                  len(os.sched_getaffinity(0)))
+    # the CPUs are shared out among the workers' propagations
+    assert manifest(one_core)["propagation_threads"] == 1
+    assert manifest(all_cores)["propagation_threads"] == max(
+        1, len(os.sched_getaffinity(0)) // manifest(all_cores)["workers"])
     assert Path("stabilisation.csv") in artifacts(one_core)
     assert artifacts(one_core) == artifacts(all_cores)
     one, every = manifest(one_core), manifest(all_cores)
