@@ -22,6 +22,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import platform
 import shutil
 import sys
 import time
@@ -34,6 +35,7 @@ import scipy
 from . import __version__
 from .gibbs import GibbsConfig, run_gibbs
 from .io import (
+    create_json,
     ingest_csv,
     save_chain,
     save_vb_posterior,
@@ -120,7 +122,12 @@ def blas_threads() -> dict:
 
 class OutputDir:
     """Exclusive ownership of an artifact directory via a lockfile, with
-    partial-artifact cleanup if the command fails."""
+    partial-artifact cleanup if the command fails.
+
+    The lockfile holds the owner's pid, host and UTC start time.  A run
+    that finds it names that owner, and calls the lock stale when the owner
+    ran on this host and its process no longer exists; removing a lock is
+    left to the user."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -129,14 +136,31 @@ class OutputDir:
 
     def __enter__(self) -> "OutputDir":
         self.path.mkdir(parents=True, exist_ok=True)
+        stamp = {"pid": os.getpid(), "host": platform.node(),
+                 "started_utc": datetime.now(timezone.utc).isoformat(timespec="seconds")}
         try:
-            self._lock.touch(exist_ok=False)
+            create_json(self._lock, stamp)
         except FileExistsError:
-            raise RuntimeError(
-                f"output directory {self.path} is locked by another run "
-                f"(remove {self._lock} if stale)"
-            ) from None
+            raise RuntimeError(self._locked_message()) from None
         return self
+
+    def _locked_message(self) -> str:
+        """The error for a lockfile found in place: its owner if the file
+        names one, and whether that owner is known to have ended."""
+        try:
+            with open(self._lock) as fh:
+                owner = json.load(fh)
+            pid, host, started = owner["pid"], owner["host"], owner["started_utc"]
+        except (OSError, ValueError, KeyError, TypeError):
+            pid = None
+        if not (isinstance(pid, int) and pid > 0):
+            return (f"output directory {self.path} is locked by another run "
+                    f"(remove {self._lock} if stale)")
+        locked = f"output directory {self.path} is locked by pid {pid} on {host} since {started}"
+        if host == platform.node() and not _process_exists(pid):
+            return (f"{locked}; that process no longer exists, so the lock is stale "
+                    f"(remove {self._lock})")
+        return f"{locked} (remove {self._lock} if stale)"
 
     def file(self, name: str) -> Path:
         target = self.path / name
@@ -158,6 +182,16 @@ class OutputDir:
                     target.unlink(missing_ok=True)
         self._lock.unlink(missing_ok=True)
         return False
+
+
+def _process_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)   # signal 0 only checks that the process exists
+    except ProcessLookupError:
+        return False
+    except PermissionError:   # it exists, owned by another user
+        return True
+    return True
 
 
 def _manifest(command: str, cfg: dict, started: float,

@@ -32,6 +32,7 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
     "write_json",
+    "create_json",
     "write_array",
     "save_chain",
     "load_chain",
@@ -125,10 +126,21 @@ def read_matrix_csv(path, skip_header: bool = False) -> np.ndarray:
                       ndmin=2)
 
 
+def _dump_json(fh, payload: dict) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(fh, payload)
+
+
+def create_json(path, payload: dict) -> None:
+    """:func:`write_json` into a file that does not exist yet: creation is
+    exclusive, and an existing file raises ``FileExistsError``."""
+    with open(path, "x") as fh:
+        _dump_json(fh, payload)
 
 
 def write_array(path, arr: np.ndarray) -> None:

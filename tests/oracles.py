@@ -498,3 +498,30 @@ def csv_rows_reading(path):
         if not all(math.isfinite(v) for v in values[-1]):
             raise ValueError(f"{path}: non-finite value at row {r}")
     return np.array(values)
+
+
+def simulate_response_loop(dss, n_samples, rng):
+    """The simulator's record stepped one sample at a time: the same
+    normals as ``simulate.simulate_response``, drawn in the same order,
+    then y_k = C x_k + v_k and x_{k+1} = A x_k + w_k in a Python loop."""
+    from bayes_ssi.rng import psd_factor
+    from bayes_ssi.simulate import TimeSeries, stationary_state_covariance
+
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    p = dss.a.shape[0]
+    l = dss.c_out.shape[0]
+
+    f_init = psd_factor(stationary_state_covariance(dss))
+    f_proc = psd_factor(dss.process_noise_cov)
+    f_meas = psd_factor(dss.meas_noise_cov)
+
+    state = f_init @ rng.standard_normal(p)
+    proc = f_proc @ rng.standard_normal((p, n_samples))
+    meas = f_meas @ rng.standard_normal((l, n_samples))
+
+    data = np.empty((l, n_samples))
+    for k in range(n_samples):
+        data[:, k] = dss.c_out @ state + meas[:, k]
+        state = dss.a @ state + proc[:, k]
+    return TimeSeries(data=data, fs=dss.fs)

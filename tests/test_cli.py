@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,37 @@ def contents(path):
     """Every file under ``path``, by relative path, with its bytes."""
     return {str(p.relative_to(path)): p.read_bytes()
             for p in Path(path).rglob("*") if p.is_file()}
+
+
+class TestOutputDir:
+    def test_lock_names_its_owner_and_is_removed(self, tmp_path):
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        with OutputDir(tmp_path):
+            stamp = json.loads((tmp_path / ".lock").read_text())
+        assert stamp["pid"] == os.getpid()
+        assert stamp["host"] == platform.node()
+        assert before <= datetime.fromisoformat(stamp["started_utc"]) <= datetime.now(
+            timezone.utc)
+        assert not (tmp_path / ".lock").exists()
+
+    def test_live_owner_named_and_not_called_stale(self, tmp_path):
+        with OutputDir(tmp_path):
+            stamp = json.loads((tmp_path / ".lock").read_text())
+            with pytest.raises(RuntimeError) as info:
+                OutputDir(tmp_path).__enter__()
+            message = str(info.value)
+        assert (f"locked by pid {os.getpid()} on {platform.node()} "
+                f"since {stamp['started_utc']}") in message
+        assert message.endswith("if stale)")
+        assert "no longer exists" not in message
+
+    @pytest.mark.parametrize("text", ["", "{not json", '{"pid": 0, "host": "h", '
+                                      '"started_utc": "t"}', '["pid"]'])
+    def test_unreadable_lock_still_refused(self, tmp_path, text):
+        (tmp_path / ".lock").write_text(text)
+        with pytest.raises(RuntimeError, match="is locked by another run"):
+            OutputDir(tmp_path).__enter__()
+        assert (tmp_path / ".lock").read_text() == text
 
 
 class TestSimulate:
@@ -388,6 +421,25 @@ class TestIdentify:
                        "--block-rows", 8, "--order", 4, "--engine", "ssi",
                        "--seed", 1, "--out", out)
         assert code == 1
+
+    def test_killed_run_lock_reported_stale(self, sim_dir, tmp_path, capsys):
+        # the lock of a run killed before it could remove it: its pid has exited
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        out = tmp_path / "stale"
+        out.mkdir()
+        stamp = {"pid": int(child.stdout), "host": platform.node(),
+                 "started_utc": "2026-01-02T03:04:05+00:00"}
+        (out / ".lock").write_text(json.dumps(stamp))
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "ssi",
+                       "--seed", 1, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"locked by pid {stamp['pid']} on {stamp['host']} since "
+                "2026-01-02T03:04:05+00:00; that process no longer exists, so the lock "
+                "is stale") in err
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
     def test_noise_dof_of_wrong_length_rejected(self, sim_dir, tmp_path, capsys):
         priors_file = tmp_path / "priors.json"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import oracles
+from bayes_ssi import simulate
 from bayes_ssi.rng import Rng
 from bayes_ssi.simulate import (
     DiscreteSS,
@@ -178,6 +182,86 @@ class TestSimulateResponse:
             band = np.abs(spec.frequencies - f) < 5 * df
             peak_bin = spec.frequencies[band][np.argmax(total[band])]
             assert abs(peak_bin - f) <= df + 1e-12
+
+
+def lightly_damped_frame(system):
+    """The benchmark frame at a tenth of its damping: spectral radius
+    about 0.9997, so a state error decays over thousands of samples."""
+    css = to_continuous_ss(system["mass"], system["damp"] / 10, system["stiff"], 5e-5, 0.05)
+    return discretize(css, 1.0 / 50.0)
+
+
+def non_normal_system():
+    """A stable Jordan-like A whose powers grow twentyfold before decaying."""
+    return DiscreteSS(a=np.array([[0.9, 5.0], [0.0, 0.9]]),
+                      process_noise_cov=np.array([[1.0, 0.3], [0.3, 0.5]]),
+                      c_out=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]]),
+                      meas_noise_cov=0.01 * np.eye(3), dt=0.1)
+
+
+SYSTEMS = {
+    "benchmark": lambda system: system["dss"],
+    "lightly_damped": lightly_damped_frame,
+    "non_normal": lambda system: non_normal_system(),
+}
+
+
+class TestChunkedRecursion:
+    """The chunked state recursion against the per-sample loop it replaced
+    (``oracles.simulate_response_loop``): the same normals, so the records
+    agree up to rounding and the generator ends in the same state."""
+
+    @staticmethod
+    def check_against_loop(dss, n, seed=11):
+        rng, loop_rng = Rng(seed, 0), Rng(seed, 0)
+        ts = simulate_response(dss, n, rng)
+        expected = oracles.simulate_response_loop(dss, n, loop_rng)
+        assert ts.data.shape == expected.data.shape == (dss.c_out.shape[0], n)
+        scale = np.max(np.abs(expected.data))
+        assert np.max(np.abs(ts.data - expected.data)) <= 1e-12 * scale
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_systems_are_lightly_damped_and_non_normal(self, benchmark_system):
+        spectral_radius = {name: np.max(np.abs(np.linalg.eigvals(make(benchmark_system).a)))
+                           for name, make in SYSTEMS.items()}
+        assert spectral_radius["lightly_damped"] >= 0.999
+        assert spectral_radius["non_normal"] < 1.0
+        a = non_normal_system().a
+        assert np.linalg.norm(a @ a.T - a.T @ a) > 1.0
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 1009, 4095, 4096, 4097, 2**16])
+    def test_matches_loop(self, benchmark_system, system, n):
+        self.check_against_loop(SYSTEMS[system](benchmark_system), n)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("chunk", [5, 64])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_matches_loop_at_chunk_edges(self, benchmark_system, monkeypatch, system,
+                                         chunk, offset):
+        # no whole chunk, exactly one, and one with one or two samples left
+        # over; the state after the last sample is never output
+        monkeypatch.setattr(simulate, "_chunk_length", lambda n_steps: chunk)
+        self.check_against_loop(SYSTEMS[system](benchmark_system), chunk + offset)
+
+    def test_chunk_length_near_square_root(self):
+        for n in (1, 2, 3, 1009, 4096, 4097, 2**16):
+            b = simulate._chunk_length(n)
+            assert b * b <= n < (b + 1) ** 2
+
+    def test_peak_memory_within_the_loops(self, benchmark_system):
+        # the states overwrite the process noise, so the chunked recursion
+        # allocates no N-sized array the loop did not
+        def traced_peak(simulate_fn):
+            tracemalloc.start()
+            try:
+                simulate_fn(benchmark_system["dss"], 2**16, Rng(1234, 0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loop_peak = traced_peak(oracles.simulate_response_loop)
+        assert traced_peak(simulate_response) <= loop_peak + 256 * 1024
 
 
 class TestTimeSeries:

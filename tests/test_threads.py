@@ -71,6 +71,20 @@ def test_environment_count_kept(tmp_path):
     assert manifest(out)["blas_threads"] == {"numpy": 2, "scipy": 2}
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_simulated_record_identical_at_one_and_two_threads(tmp_path):
+    # the command pins one thread, the benchmark's set-up runs at the
+    # default: the chunked state recursion must give both the same record
+    records = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"sim{threads}"
+        run_cli("simulate", "--samples", 65536, "--seed", 1234, "--out", out,
+                env={"OPENBLAS_NUM_THREADS": threads})
+        assert manifest(out)["blas_threads"] == {"numpy": int(threads), "scipy": int(threads)}
+        records[threads] = (out / "response.csv").read_bytes()
+    assert records["1"] == records["2"]
+
+
 def check_one_core(record, tmp_path, produced, *args):
     """The command at 600 draws, five propagation blocks, on one CPU and
     on every CPU: one propagation thread against one per CPU, and the
