@@ -3,10 +3,10 @@ posteriors from any CSV record, sweep model orders for stabilisation data,
 and emit Welch spectra.
 
 Every command validates its configuration up front, owns its output
-directory through a lockfile, echoes the fully resolved configuration next
-to the numeric artifacts, and cleans partial artifacts up on failure.
-``identify`` and ``stabilise`` compute before they write, so a run that
-fails leaves an earlier run's artifacts in place.
+directory through a lockfile, and echoes the fully resolved configuration
+next to the numeric artifacts.  It writes them into a staging directory and
+moves them into place only once it succeeds, so a run that fails leaves an
+earlier run's artifacts as they were.
 Reruns with the same configuration and seed reproduce every numeric output
 byte for byte; wall-clock metadata lives only in the run manifest.  The
 bundled OpenBLAS libraries of numpy and scipy run on one thread unless
@@ -81,6 +81,8 @@ __all__ = [
 _OPENBLAS = {"numpy": ("numpy.libs", "libscipy_openblas64_*.so*", "64_"),
              "scipy": ("scipy.libs", "libscipy_openblas-*.so*", "")}
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# ``os.kill(pid, 0)`` probes a pid only on POSIX; on Windows it ends the process
+_POSIX = os.name == "posix"
 
 
 def _openblas_threads_call(package: str, verb: str):
@@ -122,17 +124,23 @@ def blas_threads() -> dict:
 
 class OutputDir:
     """Exclusive ownership of an artifact directory via a lockfile, with
-    partial-artifact cleanup if the command fails.
+    every artifact staged until the command succeeds.
 
-    The lockfile holds the owner's pid, host and UTC start time.  A run
-    that finds it names that owner, and calls the lock stale when the owner
-    ran on this host and its process no longer exists; removing a lock is
-    left to the user."""
+    The lockfile ``.lock`` holds the owner's pid, host and UTC start time.
+    A run that finds it names that owner, and calls the lock stale when the
+    owner ran on this host and its process no longer exists; removing a
+    lock is left to the user.
+
+    :meth:`file` paths lie in the staging directory ``.bayes-ssi-staging``.
+    On a normal return each staged entry is renamed over its namesake, in
+    sorted order, a directory after the old tree is removed; on any
+    exception only the staging directory is removed.  A killed run's
+    staging directory is removed once the lock is held."""
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = self.path / ".lock"
-        self._written: list[Path] = []
+        self._staging = self.path / ".bayes-ssi-staging"
 
     def __enter__(self) -> "OutputDir":
         self.path.mkdir(parents=True, exist_ok=True)
@@ -142,6 +150,7 @@ class OutputDir:
             create_json(self._lock, stamp)
         except FileExistsError:
             raise RuntimeError(self._locked_message()) from None
+        shutil.rmtree(self._staging, ignore_errors=True)
         return self
 
     def _locked_message(self) -> str:
@@ -157,30 +166,28 @@ class OutputDir:
             return (f"output directory {self.path} is locked by another run "
                     f"(remove {self._lock} if stale)")
         locked = f"output directory {self.path} is locked by pid {pid} on {host} since {started}"
-        if host == platform.node() and not _process_exists(pid):
+        if _POSIX and host == platform.node() and not _process_exists(pid):
             return (f"{locked}; that process no longer exists, so the lock is stale "
                     f"(remove {self._lock})")
         return f"{locked} (remove {self._lock} if stale)"
 
     def file(self, name: str) -> Path:
-        target = self.path / name
+        """The staged path of artifact ``name``, a file or a directory."""
+        target = self._staging / name
         target.parent.mkdir(parents=True, exist_ok=True)
-        self._written.append(target)
-        return target
-
-    def subdir(self, name: str) -> Path:
-        target = self.path / name
-        self._written.append(target)
         return target
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            for target in reversed(self._written):
-                if target.is_dir():
-                    shutil.rmtree(target)
-                else:
-                    target.unlink(missing_ok=True)
-        self._lock.unlink(missing_ok=True)
+        try:
+            if exc_type is None and self._staging.is_dir():
+                for entry in sorted(self._staging.iterdir()):
+                    target = self.path / entry.name
+                    if target.is_dir() and not target.is_symlink():
+                        shutil.rmtree(target)
+                    os.replace(entry, target)
+        finally:
+            shutil.rmtree(self._staging, ignore_errors=True)
+            self._lock.unlink(missing_ok=True)
         return False
 
 
@@ -337,14 +344,12 @@ def _load_input(cfg: dict):
     return ingest_csv(path, float(fs))
 
 
-def _welch_overlay(ts) -> np.ndarray:
-    """``welch_sum.csv``'s columns: frequency and the channel-sum spectrum."""
+def _write_welch_overlay(out: OutputDir, ts) -> None:
+    """``welch_sum.csv``: frequency and the channel-sum spectrum."""
     spec = welch_psd(ts, segment_length=min(1024, ts.n_samples), overlap=0.5)
-    return np.column_stack([spec.frequencies, spec.psd_sum])
-
-
-def _write_welch_overlay(out: OutputDir, overlay: np.ndarray) -> None:
-    write_matrix_csv(out.file("welch_sum.csv"), overlay, header=["frequency_hz", "psd_sum"])
+    write_matrix_csv(out.file("welch_sum.csv"),
+                     np.column_stack([spec.frequencies, spec.psd_sum]),
+                     header=["frequency_hz", "psd_sum"])
 
 
 def _modal_estimate_payload(modal, order: int, block_rows: int) -> dict:
@@ -419,31 +424,11 @@ def cmd_identify(cfg: dict) -> Path:
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
 
     with OutputDir(cfg["out"]) as out:
-        # every result before the first file; invalid priors fail every engine
+        # invalid priors fail every engine, ssi included
         stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
         priors = build_priors(*stats.view_dims, order, overrides)
-        reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
-        if engine != "ssi":
-            overlay = _welch_overlay(ts)
-            threads = usable_cpus()
-            if engine == "vb":
-                post = run_vb(stats, priors, engine_config)
-                diagnostics = post.diagnostics()
-                draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
-            else:
-                chain = run_gibbs(stats, priors, engine_config)
-                diagnostics = chain.diagnostics()
-                draws = chain_observability_samples(chain)
-            modal, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs, threads)
-            # the stack (15 MB at 4000 draws) is not needed past here, so
-            # its memory is free for the alignment
-            del draws
-            posterior = align_modes(modal, reference)
-            summary = {**summarize(posterior), "source": engine}
-            if engine == "vb":
-                summary["status"] = diagnostics["status"]
-
         write_json(out.file("config.json"), _config_echo("identify", cfg))
+        reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
         write_json(out.file("modal_estimate.json"),
                    _modal_estimate_payload(reference, order, j))
         if engine == "ssi":
@@ -451,17 +436,32 @@ def cmd_identify(cfg: dict) -> Path:
                        _manifest("identify", cfg, started))
             return Path(cfg["out"])
 
-        _write_welch_overlay(out, overlay)
+        _write_welch_overlay(out, ts)
         if engine == "vb":
-            save_vb_posterior(out.subdir("vb_posterior"), post,
+            post = run_vb(stats, priors, engine_config)
+            diagnostics = post.diagnostics()
+            save_vb_posterior(out.file("vb_posterior"), post,
                               extra_meta={"seed": cfg["seed"],
                                           "priors": prior_overrides(priors)})
             write_matrix_csv(out.file("elbo_trace.csv"),
                              np.asarray(post.elbo_trace)[:, None],
                              header=["elbo"])
+            draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
         else:
-            save_chain(out.subdir("chain"), chain,
+            chain = run_gibbs(stats, priors, engine_config)
+            diagnostics = chain.diagnostics()
+            save_chain(out.file("chain"), chain,
                        extra_meta={"priors": prior_overrides(priors)})
+            draws = chain_observability_samples(chain)
+        threads = usable_cpus()
+        modal, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs, threads)
+        # the stack (15 MB at 4000 draws) is not needed past here, so its
+        # memory is free for the alignment
+        del draws
+        posterior = align_modes(modal, reference)
+        summary = {**summarize(posterior), "source": engine}
+        if engine == "vb":
+            summary["status"] = diagnostics["status"]
         write_json(out.file("modes_summary.json"), summary)
         _write_mode_draws(out, posterior)
         write_json(out.file("run_manifest.json"),
@@ -480,15 +480,12 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     vb_config = _vb_config(cfg)
     stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
     # invalid priors fail the command here, not as a failure at every order
-    priors = [build_priors(*stats.view_dims, order, overrides)
-              for order in sorted(set(cfg["orders"]))]
+    priors = [build_priors(*stats.view_dims, order, overrides) for order in cfg["orders"]]
 
     with OutputDir(cfg["out"]) as out:
-        # every result before the first file, as in cmd_identify
-        overlay = _welch_overlay(ts)
-        result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
-        _write_welch_overlay(out, overlay)
+        _write_welch_overlay(out, ts)
+        result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
         ])

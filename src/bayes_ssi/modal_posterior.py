@@ -205,7 +205,10 @@ def _map_threads(run, items: Sequence, threads: int) -> list:
     ``threads - 1`` worker threads, which take the items in turn; with one
     thread, in this one alone.  Results come in item order, an exception in
     any call propagates once every thread has stopped, and no worker
-    outlives the call."""
+    outlives the call.  The calling thread works rather than waits, because
+    ``ThreadPoolExecutor(threads).map`` with the caller idle wrote the same
+    bytes but ran slower, and peaked higher, in 4 of 4 paired ``identify``
+    runs (2^16 samples, 4000 draws, 2 CPUs)."""
     threads = min(threads, len(items))
     if threads <= 1:
         return [run(x) for x in items]

@@ -121,6 +121,36 @@ class TestOutputDir:
             OutputDir(tmp_path).__enter__()
         assert (tmp_path / ".lock").read_text() == text
 
+    def test_owner_not_probed_off_posix(self, tmp_path, monkeypatch):
+        import bayes_ssi.cli as cli_mod
+
+        def kill(pid, sig):
+            raise AssertionError("os.kill called off POSIX")
+
+        # a pid no process has, which a POSIX probe would call stale
+        stamp = {"pid": 2**22 + 1, "host": platform.node(), "started_utc": "t"}
+        (tmp_path / ".lock").write_text(json.dumps(stamp))
+        monkeypatch.setattr(cli_mod, "_POSIX", False)
+        monkeypatch.setattr(cli_mod.os, "kill", kill)
+        with pytest.raises(RuntimeError) as info:
+            OutputDir(tmp_path).__enter__()
+        message = str(info.value)
+        assert f"locked by pid {stamp['pid']} on {platform.node()} since t" in message
+        assert message.endswith("if stale)")
+        assert "no longer exists" not in message
+
+    def test_killed_runs_staging_removed(self, sim_dir, tmp_path):
+        # a killed run leaves its staging directory but, once removed, no lock
+        stray = tmp_path / ".bayes-ssi-staging" / "stray.txt"
+        stray.parent.mkdir()
+        stray.write_text("left by a killed run")
+        code = run_cli("identify", "--input", sim_dir / "response.csv",
+                       "--block-rows", 8, "--order", 4, "--engine", "ssi",
+                       "--seed", 1, "--out", tmp_path)
+        assert code == 0
+        assert listing(tmp_path) == ["config.json", "modal_estimate.json",
+                                     "run_manifest.json"]
+
 
 class TestSimulate:
     def test_artifacts(self, sim_dir):
@@ -492,6 +522,33 @@ class TestIdentify:
         assert code == 1
         assert listing(out) == []
 
+    def test_late_write_failure_leaves_previous_run_intact(self, sim_dir, tmp_path,
+                                                           monkeypatch):
+        import bayes_ssi.cli as cli_mod
+
+        def failing_writer(out, posterior):
+            raise OSError("synthetic write failure")
+
+        args = ["identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--order", 4, "--engine", "vb", "--draws", 20, "--max-iter", 40,
+                "--out", tmp_path]
+        assert run_cli(*args, "--seed", 1) == 0
+        before, names = contents(tmp_path), listing(tmp_path)
+        monkeypatch.setattr(cli_mod, "_write_mode_draws", failing_writer)
+        assert run_cli(*args, "--seed", 2) == 1
+        assert contents(tmp_path) == before
+        assert listing(tmp_path) == names
+
+    def test_rerun_replaces_directory_artifact(self, sim_dir, tmp_path):
+        args = ["identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--order", 4, "--engine", "vb", "--draws", 20, "--max-iter", 40,
+                "--seed", 1, "--out", tmp_path]
+        assert run_cli(*args) == 0
+        first = contents(tmp_path / "vb_posterior")
+        (tmp_path / "vb_posterior" / "planted.txt").write_text("not from this run")
+        assert run_cli(*args) == 0
+        assert contents(tmp_path / "vb_posterior") == first
+
     @pytest.mark.parametrize("failure", ["order", "engine"])
     def test_failing_rerun_leaves_previous_run_intact(self, sim_dir, tmp_path,
                                                       monkeypatch, failure):
@@ -589,6 +646,38 @@ class TestStabilise:
         assert run_cli(*args, "--order", 2, "--order", 4) == 0
         before = contents(tmp_path)
         assert run_cli(*args, "--order", 2, "--order", 61) == 1
+        assert contents(tmp_path) == before
+
+    def test_late_write_failure_leaves_previous_run_intact(self, sim_dir, tmp_path,
+                                                           monkeypatch):
+        import bayes_ssi.cli as cli_mod
+
+        original = cli_mod.write_json
+
+        def failing_write_json(path, payload):
+            if Path(path).name == "run_manifest.json":
+                raise OSError("synthetic write failure")
+            original(path, payload)
+
+        args = ["stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--order", 2, "--order", 4, "--draws", 10, "--max-iter", 30,
+                "--out", tmp_path]
+        assert run_cli(*args, "--seed", 5) == 0
+        before, names = contents(tmp_path), listing(tmp_path)
+        monkeypatch.setattr(cli_mod, "write_json", failing_write_json)
+        assert run_cli(*args, "--seed", 6) == 1
+        assert contents(tmp_path) == before
+        assert listing(tmp_path) == names
+
+    def test_repeated_order_rejected(self, sim_dir, tmp_path, capsys):
+        args = ["stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--draws", 10, "--max-iter", 30, "--seed", 5, "--out", tmp_path]
+        assert run_cli(*args, "--order", 2, "--order", 4) == 0
+        before = contents(tmp_path)
+        capsys.readouterr()
+        assert run_cli(*args, "--order", 2, "--order", 4, "--order", 4) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert err == ["error: orders given more than once: [4]"]
         assert contents(tmp_path) == before
 
     def test_programming_error_writes_nothing(self, sim_dir, tmp_path, capsys):

@@ -26,7 +26,10 @@ Every artifact byte leaves through ``io``: no other module in ``src/``
 calls ``np.save``, ``np.savetxt``, ``np.savez``, ``json.dump``,
 ``Path.write_text`` or ``Path.write_bytes``, or calls ``open`` (bare or as
 a method) in a mode that writes, appends or creates; ``cli`` opens files
-only to read them."""
+only to read them.  Every call in ``cli`` of an ``io`` writer takes
+``out.file(...)`` as its first argument, so each artifact is staged and
+reaches the output directory only when its command succeeds; the lock's
+``create_json`` is the one exception."""
 
 import ast
 from pathlib import Path
@@ -287,3 +290,53 @@ def test_scan_finds_file_writes():
     assert file_writes(source) == [
         "open(p, 'w')", "open(p, mode='ab')", "open(p, 'r+')", "open(p, how)",
         "path.open('x')", "np.savetxt(p, a)", "json.dump(d, fh)", "path.write_text(t)"]
+
+
+# the ``io`` functions that write an artifact
+IO_WRITERS = ("write_json", "write_matrix_csv", "write_timeseries_csv", "write_array",
+              "save_chain", "save_vb_posterior")
+
+
+def _is_staged(arg: ast.expr) -> bool:
+    """Whether ``arg`` is a call ``out.file(...)``."""
+    return (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+            and arg.func.attr == "file" and isinstance(arg.func.value, ast.Name)
+            and arg.func.value.id == "out")
+
+
+def writer_calls(source: str) -> list[tuple[str, bool]]:
+    """(call text, whether its first argument is ``out.file(...)``) of every
+    call of an ``io`` writer, bare or as an attribute."""
+    return [(ast.get_source_segment(source, node), bool(node.args) and _is_staged(node.args[0]))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            in IO_WRITERS]
+
+
+def test_cli_writes_every_artifact_staged():
+    found = writer_calls((ROOT / "src/bayes_ssi/cli.py").read_text())
+    assert len(found) >= len(IO_WRITERS)
+    assert [text for text, staged in found if not staged] == []
+
+
+def test_scan_flags_a_planted_unstaged_write_in_cli():
+    source = (ROOT / "src/bayes_ssi/cli.py").read_text()
+    call = 'write_json(out.file("config.json"), _config_echo("simulate", cfg))'
+    planted = source.replace(
+        call, 'write_json(Path(cfg["out"]) / "x.json", _config_echo("simulate", cfg))', 1)
+    assert planted != source
+    assert [text for text, staged in writer_calls(planted) if not staged] == [
+        'write_json(Path(cfg["out"]) / "x.json", _config_echo("simulate", cfg))']
+
+
+def test_scan_finds_writer_calls():
+    source = ("write_json(out.file('a'), d)\nio.save_chain(out.file('c'), ch)\n"
+              "write_array(path, a)\nwrite_json(path=out.file('b'), payload=d)\n"
+              "write_matrix_csv(other.file('m'), a)\ncreate_json(lock, d)\n"
+              "save_vb_posterior(out.path / 'v', p)\n")
+    assert writer_calls(source) == [
+        ("write_json(out.file('a'), d)", True), ("io.save_chain(out.file('c'), ch)", True),
+        ("write_array(path, a)", False), ("write_json(path=out.file('b'), payload=d)", False),
+        ("write_matrix_csv(other.file('m'), a)", False),
+        ("save_vb_posterior(out.path / 'v', p)", False)]
