@@ -13,6 +13,9 @@ bundled OpenBLAS libraries of numpy and scipy run on one thread unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, so the bytes do not
 depend on the machine's core count; the propagation of posterior draws
 runs on every CPU the process may use, with the same bytes at any count.
+Importing this module first sets that one thread before the libraries
+load, so they start no thread pool; a program that imported numpy before
+gets the same count from :func:`main`, through :func:`pin_blas_threads`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# numpy's and scipy's OpenBLAS each start a worker per extra CPU as they
+# load, and the workers spin before they sleep; a count of one set before
+# the load starts none.  Only when the user set no count and nothing loaded
+# numpy yet; the variable is removed once this module's imports are done
+_ONE_THREAD_AT_LOAD = (not any(os.environ.get(name) for name in _THREAD_ENV)
+                       and "numpy" not in sys.modules)
+if _ONE_THREAD_AT_LOAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import scipy
@@ -64,6 +77,9 @@ from .subspace import (
 )
 from .vb import VBConfig, run_vb
 
+if _ONE_THREAD_AT_LOAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 __all__ = [
     "main",
     "cmd_simulate",
@@ -80,7 +96,6 @@ __all__ = [
 # package -> (library directory beside it, OpenBLAS file pattern, symbol suffix)
 _OPENBLAS = {"numpy": ("numpy.libs", "libscipy_openblas64_*.so*", "64_"),
              "scipy": ("scipy.libs", "libscipy_openblas-*.so*", "")}
-_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # ``os.kill(pid, 0)`` probes a pid only on POSIX; on Windows it ends the process
 _POSIX = os.name == "posix"
 
@@ -329,14 +344,28 @@ def _per_view(key: str, value, shared: bool) -> list:
 
 
 def _load_input(cfg: dict):
-    """Resolve the input record: CSV plus fs from the flag or a sidecar."""
+    """Resolve the input record: CSV plus fs from the flag or a sidecar.
+
+    A sidecar that is not valid JSON, not a JSON object, or whose ``fs`` is
+    not a number raises ``ValueError`` naming the sidecar."""
     path = Path(cfg["input"])
     fs = cfg["fs"]
     if fs is None:
         sidecar = path.with_suffix(".json")
         if sidecar.exists():
             with open(sidecar) as fh:
-                fs = json.load(fh).get("fs")
+                try:
+                    meta = json.load(fh)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"sidecar {sidecar} is not valid JSON: {exc}") from None
+            if not isinstance(meta, dict):
+                raise ValueError(f"sidecar {sidecar} must hold a JSON object, "
+                                 f"got {type(meta).__name__}")
+            fs = meta.get("fs")
+            # JSON true and false load as bool, which is an int
+            if isinstance(fs, bool) or not isinstance(fs, (int, float, type(None))):
+                raise ValueError(f"sidecar {sidecar}: fs must be a number, got {fs!r}")
         if fs is None:
             raise ValueError(
                 f"--fs is required: no sampling rate flag and no sidecar {sidecar}"

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"
+# input records: UTF-8, with or without a leading byte-order mark
+CSV_ENCODING = "utf-8-sig"
 # rows formatted by one ``%``: bounds the text held at once, so writing a
 # long record does not raise the writer's peak memory above np.savetxt's
 CSV_BLOCK_ROWS = 512
@@ -51,13 +53,15 @@ def ingest_csv(path, fs: float) -> TimeSeries:
     """Read a rectangular numeric CSV (optional single header row) into a
     TimeSeries with one channel per column.
 
+    The text is UTF-8, and a leading byte-order mark is skipped, so it
+    neither hides a numeric first row as a header nor enters a header.
     Ragged rows, non-numeric cells, non-finite values and empty files all
     raise with the offending 1-based data row named.
     """
     if not (np.isfinite(fs) and fs > 0):
         raise ValueError(f"fs must be finite and positive, got {fs}")
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
         reader = csv.reader(fh)
         rows = (row for row in reader if row)
         first = next(rows, None)
@@ -72,13 +76,13 @@ def ingest_csv(path, fs: float) -> TimeSeries:
                 raise ValueError(f"{path}: no data rows below the header") from None
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=header_lines, ndmin=2,
-                          comments=None)
+                          comments=None, encoding=CSV_ENCODING)
     except ValueError:
         data = None
     if data is None or not np.isfinite(data).all():
         # quoted cells, which numpy's parser rejects, or a bad row: parse
         # cell by cell to read the former and name the latter
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding=CSV_ENCODING) as fh:
             body = [row for row in csv.reader(fh) if row][int(header_lines > 0):]
         width = len(body[0])
         data = np.empty((len(body), width))

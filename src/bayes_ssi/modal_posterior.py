@@ -76,12 +76,14 @@ class ModalDraws:
 
     Row k is draw ``index[k]`` of the ``n_draws`` propagated (degenerate
     draws are excluded).  Its modes fill the columns where ``present`` is
-    set, in ascending frequency; the padding after them is zero.
+    set, in ascending frequency; the padding after them is zero.  Draws
+    propagated without shapes (``propagate_many(..., shapes=False)``) hold
+    mode shapes with a zero-length channel axis, so they cannot be aligned.
     """
 
     frequencies: np.ndarray     # n x m, Hz
     damping_ratios: np.ndarray  # n x m
-    mode_shapes: np.ndarray     # n x m x l, complex
+    mode_shapes: np.ndarray     # n x m x l, complex; l = 0 without shapes
     real_pole: np.ndarray       # n x m, bool
     present: np.ndarray         # n x m, bool
     index: np.ndarray           # n
@@ -236,10 +238,12 @@ def _map_threads(run, items: Sequence, threads: int) -> list:
 
 
 def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
-                   threads: int | None = None) -> tuple[ModalDraws, int]:
+                   threads: int | None = None, shapes: bool = True,
+                   ) -> tuple[ModalDraws, int]:
     """Modes of the non-degenerate draws of an n x D1 x order stack, and
     the number of degenerate draws excluded (logged as one line, never
-    silent).
+    silent).  ``shapes=False`` computes eigenvalues only, for callers that
+    keep no mode shape (see :func:`~bayes_ssi.subspace.modal_parameters`).
 
     The draws go ``DRAW_BLOCK`` at a time through the shift-invariance
     solve and the eigen-decomposition, on ``threads`` threads (default
@@ -255,7 +259,8 @@ def propagate_many(samples: np.ndarray, n_channels: int, dt: float,
         chunk = samples[start:start + DRAW_BLOCK]
         a, degenerate = shift_invariance(chunk, n_channels)
         good = np.flatnonzero(~degenerate)
-        return modal_parameters(a[good], chunk[good, :n_channels], dt), start + good
+        return (modal_parameters(a[good], chunk[good, :n_channels], dt, shapes=shapes),
+                start + good)
 
     parts, kept = zip(*_map_threads(block, range(0, n, DRAW_BLOCK),
                                     usable_cpus() if threads is None else threads))
@@ -379,7 +384,8 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
                  n_channels: int, fs: float, threads: int, priors: PriorHyper) -> tuple:
     """One order of the stabilisation sweep, ``priors.latent_dim``: the
     variational run, its draws (stream ``STAB_DRAW_STREAM_BASE + order``)
-    and their propagation on ``threads`` threads.
+    and their propagation on ``threads`` threads, to eigenvalues only,
+    since no mode shape is kept.
 
     Returns ``(diagnostics, frequencies, damping_ratios, failure)``: the
     run's diagnostics (None if the engine failed), the order's complex
@@ -394,7 +400,8 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
         diagnostics = post.diagnostics()
         draws = draw_observability_samples(
             post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + priors.latent_dim))
-        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, threads)
+        modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, threads,
+                                           shapes=False)
     except (np.linalg.LinAlgError, ElboDecreaseError, NonFiniteBoundError) as exc:
         return diagnostics, empty, empty, str(exc)
     if modal.index.size == 0:

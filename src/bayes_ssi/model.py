@@ -24,8 +24,9 @@ at drawn latent statistics, the variational engine at its expected ones.
 The noise precision is block-diagonal across views.  When the mean and
 weight priors are too (the default), so is every mean and weight-column
 conditional precision, and each is factored per view
-(:attr:`PriorHyper.factor_slices`); a prior that couples the views makes
-the partition one block of all D rows.
+(:attr:`PriorHyper.factor_slices`), as is the variational engine's weight
+basis (:meth:`Conditionals.weight_basis`); a prior that couples the views
+makes the partition one block of all D rows.
 """
 
 from __future__ import annotations
@@ -204,6 +205,14 @@ class Conditionals:
         self.priors = priors
         self.slices = view_slices(stats.view_dims)
 
+    @cached_property
+    def view_blocks(self) -> list[slice]:
+        """Per view, the factor block that holds its rows: the columns of
+        the block-diagonal weight basis that are nonzero in those rows."""
+        return [next(block for block in self.priors.factor_slices
+                     if block.start <= view.start and view.stop <= block.stop)
+                for view in self.slices]
+
     def residual_scatter(self, weights: np.ndarray, mean: np.ndarray,
                          lat: LatentStats) -> list[np.ndarray]:
         """Per-view diagonal blocks of sum_n (x_n - mean - W z_n)(x_n - mean
@@ -289,12 +298,23 @@ class Conditionals:
         """(B, lam) diagonalizing the weight prior precision P0 and ``prec``
         at once: B^T P0 B = I and B^T prec B = diag(lam).
 
-        With L L^T the prior covariance, L^T prec L = V diag(lam) V^T and
-        B = L V.  Every weight column's conditional precision
-        s_i prec + P0 is then B^-T diag(s_i lam + 1) B^-1."""
+        With L L^T the prior covariance, L and ``prec`` (a noise precision,
+        block-diagonal per view) are block-diagonal on the factor blocks,
+        and so is B: on block b, L_b^T prec_b L_b = V_b diag(lam_b) V_b^T
+        and B_b = L_b V_b, one symmetric eigendecomposition per block, with
+        lam holding the blocks' eigenvalues in block order.  A prior that
+        couples the views gives one block: L^T prec L = V diag(lam) V^T and
+        B = L V.  Every weight column's conditional precision s_i prec + P0
+        is then B^-T diag(s_i lam + 1) B^-1."""
         chol = self.priors.weight_chol
-        lam, vecs = np.linalg.eigh(symmetrize(chol.T @ prec @ chol))
-        return chol @ vecs, lam
+        basis = np.zeros_like(chol)
+        lams = []
+        for sl in self.priors.factor_slices:
+            block = chol[sl, sl]
+            lam, vecs = np.linalg.eigh(symmetrize(block.T @ prec[sl, sl] @ block))
+            basis[sl, sl] = block @ vecs
+            lams.append(lam)
+        return basis, np.concatenate(lams)
 
     def weight_factors(self, prec: np.ndarray, sq_sums: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:

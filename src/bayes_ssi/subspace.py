@@ -331,7 +331,7 @@ def shift_invariance(obs: np.ndarray, n_channels: int,
 
 
 def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
-                     ) -> tuple[np.ndarray, ...]:
+                     shapes: bool = True) -> tuple[np.ndarray, ...]:
     """Natural frequencies, damping ratios and mode shapes of a stack of
     discrete state matrices (n x d x d) with output matrices (n x l x d).
 
@@ -341,12 +341,17 @@ def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
     counting them.  Returns (frequencies, damping_ratios, mode_shapes,
     real_pole, present), n x d each (shapes n x d x l, complex): row k
     holds matrix k's modes in ascending frequency where ``present``, then
-    zeros.
+    zeros.  With ``shapes=False`` only the eigenvalues are computed
+    (``np.linalg.eigvals``, no eigenvectors) and the shapes are n x d x 0.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     c_out = np.asarray(c_out, dtype=float)
-    eigvals, eigvecs = np.linalg.eig(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    if shapes:
+        eigvals, eigvecs = np.linalg.eig(a)
+    else:
+        eigvals = np.linalg.eigvals(a)
     nonzero = np.abs(eigvals) > 1e-300
     n_dropped = int(np.count_nonzero(~nonzero))
     if n_dropped:
@@ -365,15 +370,18 @@ def modal_parameters(a: np.ndarray, c_out: np.ndarray, dt: float,
     def sort(values):
         return np.where(present, np.take_along_axis(values, idx, axis=-1), 0)
 
-    width = int(present.sum(axis=-1).max(initial=0))
-    # gather eigenvectors as rows and multiply by their transpose: the
-    # operands keep the layout of one matrix's ``c_out @ eigvecs[:, kept]``
-    vecs = np.take_along_axis(np.swapaxes(eigvecs, -1, -2), idx[:, :width, None], axis=1)
-    shapes = np.zeros(present.shape + (c_out.shape[-2],), dtype=complex)
-    shapes[:, :width] = np.swapaxes(c_out @ np.swapaxes(vecs, -1, -2), -1, -2)
-    shapes[~present] = 0
+    mode_shapes = np.zeros(present.shape + (c_out.shape[-2] if shapes else 0,),
+                           dtype=complex)
+    if shapes:
+        width = int(present.sum(axis=-1).max(initial=0))
+        # gather eigenvectors as rows and multiply by their transpose: the
+        # operands keep the layout of one matrix's ``c_out @ eigvecs[:, kept]``
+        vecs = np.take_along_axis(np.swapaxes(eigvecs, -1, -2), idx[:, :width, None],
+                                  axis=1)
+        mode_shapes[:, :width] = np.swapaxes(c_out @ np.swapaxes(vecs, -1, -2), -1, -2)
+        mode_shapes[~present] = 0
     real_pole = present & np.take_along_axis(eigvals.imag == 0, idx, axis=-1)
-    return sort(freqs), sort(damping), shapes, real_pole, present
+    return sort(freqs), sort(damping), mode_shapes, real_pole, present
 
 
 def ssi_cov(stats: HankelStats, order: int, n_channels: int, dt: float,

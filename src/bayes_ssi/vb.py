@@ -21,10 +21,13 @@ recovers the d x N means when explicit data are at hand.
 
 Every weight column's precision is s_i Psi + P0, with one expected noise
 precision Psi and one prior precision P0 shared by all columns, so one
-symmetric eigendecomposition per sweep diagonalizes all of them
-(:meth:`~bayes_ssi.model.Conditionals.weight_basis`): the weight factors
-are held as a D x D basis B with B^T P0 B = I and a d x D array e of
-eigenvalues, column i's covariance being B diag(e_i) B^T.  Each update is
+symmetric eigendecomposition per factor block and sweep diagonalizes all
+of them (:meth:`~bayes_ssi.model.Conditionals.weight_basis`): one per
+view under the default priors, one of all D rows under priors that couple
+the views.  The weight factors are held as a D x D basis B, block-diagonal
+on those blocks, with B^T P0 B = I and a d x D array e of eigenvalues,
+column i's covariance being B diag(e_i) B^T; the kernel multiplies by B
+block by block.  Each update is
 the model's full conditional (:class:`~bayes_ssi.model.Conditionals`, the
 algebra the Gibbs engine samples from) evaluated at the expected latent
 statistics and expected noise precision, plus the mean-field corrections
@@ -116,6 +119,9 @@ class VBPosterior:
     i's covariance is ``weight_basis @ diag(weight_eigs[i]) @
     weight_basis.T``, and the basis whitens the weight prior precision P0:
     ``weight_basis.T @ P0 @ weight_basis = I``, which the bound relies on.
+    The basis is block-diagonal on the priors' factor blocks
+    (:attr:`~bayes_ssi.model.PriorHyper.factor_slices`), with its columns in
+    block order; the kernel reads only those blocks.
     """
 
     latent_cov: np.ndarray           # d x d, shared across columns
@@ -223,15 +229,18 @@ class _Kernel(Conditionals):
         n = self.stats.n_cols
         basis = post.weight_basis
         weighted = basis * (np.diag(lat.gram) @ post.weight_eigs)
-        return [block + n * post.mean_cov[sl, sl] + weighted[sl] @ basis[sl].T
-                for sl, block in zip(self.slices, self.residual_scatter(
-                    post.weight_mean, post.mean_loc, lat))]
+        scatter = self.residual_scatter(post.weight_mean, post.mean_loc, lat)
+        # a view's rows of the block-diagonal basis vanish outside its block
+        return [block + n * post.mean_cov[sl, sl] + weighted[sl, cols] @ basis[sl, cols].T
+                for sl, cols, block in zip(self.slices, self.view_blocks, scatter)]
 
     def update_latent(self, post: VBPosterior, psi: np.ndarray) -> None:
         # E[W^T Psi W] adds tr(Psi Sigma_w_i) = e_i . diag(B^T Psi B) to
-        # diagonal entry i
+        # diagonal entry i; B and Psi are block-diagonal on the factor blocks
         basis = post.weight_basis
-        trace_corr = post.weight_eigs @ np.einsum("ij,ij->j", basis, psi @ basis)
+        quad = [np.einsum("ij,ij->j", basis[sl, sl], psi[sl, sl] @ basis[sl, sl])
+                for sl in self.priors.factor_slices]
+        trace_corr = post.weight_eigs @ np.concatenate(quad)
         post_chol, post.latent_map = latent_natural(post.weight_mean, psi,
                                                     np.diag(trace_corr))
         post.latent_cov = chol_inverse(post_chol)

@@ -59,6 +59,19 @@ def observability_forward(a, c_out, n_blocks):
     return np.vstack(rows)
 
 
+def weight_basis_dense(priors, prec):
+    """(B, lam) of the variational weight basis by one D x D symmetric
+    eigendecomposition, whatever blocks the priors factor on: with L the
+    Cholesky factor of the weight prior covariance, L^T prec L = V diag(lam)
+    V^T and B = L V.  This is the library's one-block route, operation for
+    operation, applied to every prior: priors that couple the views must
+    match it bit for bit, block-diagonal ones to rounding."""
+    chol = priors.weight_chol
+    quad = chol.T @ prec @ chol
+    lam, vecs = np.linalg.eigh(0.5 * (quad + quad.T))
+    return chol @ vecs, lam
+
+
 def vb_observability_draw_full_basis(post, n, rng):
     """First-view rows of ``n`` full weight draws from the variational
     posterior: every column drawn over all D rows, D standard normals per

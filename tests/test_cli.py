@@ -763,6 +763,25 @@ def test_non_finite_fs_rejected(sim_dir, tmp_path, capsys, fs):
     assert not out.exists() or listing(out) == []
 
 
+@pytest.mark.parametrize("sidecar,problem", [
+    ('{"fs": 50', "not valid JSON"),
+    ('[{"fs": 50}]', "must hold a JSON object, got list"),
+    ('{"fs": "50"}', "fs must be a number, got '50'"),
+])
+def test_malformed_sidecar_rejected(sim_dir, tmp_path, capsys, sidecar, problem):
+    record = tmp_path / "rec.csv"
+    record.write_bytes((sim_dir / "response.csv").read_bytes())
+    record.with_suffix(".json").write_text(sidecar)
+    out = tmp_path / "bad_sidecar"
+    code = run_cli("identify", "--input", record, "--block-rows", 8, "--order", 4,
+                   "--engine", "ssi", "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(record.with_suffix(".json")) in err[0] and problem in err[0]
+    assert not out.exists() or listing(out) == []
+
+
 @pytest.mark.parametrize("fs", ["0", "-5", "nan", "inf"])
 def test_simulate_bad_fs_rejected(tmp_path, capsys, fs):
     out = tmp_path / "bad_fs"

@@ -61,9 +61,12 @@ def unused_imports(source: str) -> list[str]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     exported = set()
     for node in tree.body:
+        # a literal ``__all__`` exempts its names; one built at run time,
+        # as the package's from its lazy re-export map, exempts none
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
             exported |= set(ast.literal_eval(node.value))
     return [f"line {line}: {name}"
             for name, line in sorted(imported.items(), key=lambda item: item[1])
@@ -78,6 +81,13 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+def test_scan_exempts_only_a_literal_all():
+    listed = "import os\nimport sys\n__all__ = ['os']\n"
+    built = "import os\n__all__ = list({'os': 'path'})\n"
+    assert unused_imports(listed) == ["line 2: sys"]
+    assert unused_imports(built) == ["line 1: os"]
 
 
 def imports(source: str) -> list[tuple[str, bool]]:

@@ -322,6 +322,17 @@ class TestPropagateThreads:
                 assert np.array_equal(getattr(draws, field.name),
                                       getattr(first, field.name)), field.name
 
+    def test_eigenvalues_only_keep_all_but_shapes(self, mixed_stack):
+        full, excluded = propagate_many(mixed_stack, 4, 0.02, 2)
+        only, only_excluded = propagate_many(mixed_stack, 4, 0.02, 2, shapes=False)
+        assert only_excluded == excluded
+        assert only.mode_shapes.shape == full.present.shape + (0,)
+        for name in ("present", "real_pole", "index", "n_draws", "order"):
+            assert np.array_equal(getattr(only, name), getattr(full, name)), name
+        assert only.frequencies == pytest.approx(full.frequencies, rel=1e-10, abs=1e-10)
+        assert only.damping_ratios == pytest.approx(full.damping_ratios, rel=1e-10,
+                                                    abs=1e-10)
+
     def test_default_uses_every_usable_cpu(self, mixed_stack, monkeypatch):
         import bayes_ssi.modal_posterior as mp
 
@@ -343,10 +354,10 @@ class TestPropagateThreads:
 
         calls = itertools.count()
 
-        def failing_third_block(a, c_out, dt):
+        def failing_third_block(a, c_out, dt, **kwargs):
             if next(calls) == 2:
                 raise np.linalg.LinAlgError("synthetic block failure")
-            return modal_parameters(a, c_out, dt)
+            return modal_parameters(a, c_out, dt, **kwargs)
 
         monkeypatch.setattr(mp, "modal_parameters", failing_third_block)
         before = threading.active_count()
@@ -647,10 +658,10 @@ class TestStabilisation:
 
         calls = itertools.count()
 
-        def failing_second_block(a, c_out, dt):
+        def failing_second_block(a, c_out, dt, **kwargs):
             if next(calls) == 1:
                 raise np.linalg.LinAlgError("synthetic block failure")
-            return modal_parameters(a, c_out, dt)
+            return modal_parameters(a, c_out, dt, **kwargs)
 
         monkeypatch.setattr(mp, "modal_parameters", failing_second_block)
         before = threading.active_count()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bayes_ssi.model import default_priors, view_slices
+from bayes_ssi.model import Conditionals, block_diagonal, default_priors, view_slices
 from bayes_ssi.subspace import HankelStats
 
 import oracles
@@ -90,3 +90,54 @@ class TestLogJoint:
                 bumped[:, 0] = col_mean + eps * direction
                 assert oracles.log_joint_dense(x, latent, bumped, mean, noise,
                                                priors) < baseline
+
+
+def _spd(gen, dim):
+    base = gen.standard_normal((dim, dim))
+    return base @ base.T / dim + 0.5 * np.eye(dim)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestWeightBasis:
+    """The per-block weight basis against the one dense eigendecomposition
+    of ``oracles.weight_basis_dense``, on a block-diagonal noise precision."""
+
+    def _setup(self, seed, view_dims, coupled):
+        gen = np.random.default_rng(seed)
+        total = sum(view_dims)
+        weight_cov = (_spd(gen, total) if coupled
+                      else block_diagonal([_spd(gen, dim) for dim in view_dims]))
+        priors = dataclasses.replace(default_priors(*view_dims, 3), weight_cov=weight_cov)
+        prec = block_diagonal([_spd(gen, dim) for dim in view_dims])
+        stats = HankelStats.from_matrix(gen.standard_normal((total, 10)), view_dims)
+        return gen, priors, prec, Conditionals(stats, priors)
+
+    def test_coupling_prior_matches_dense_bit_for_bit(self):
+        _, priors, prec, conditionals = self._setup(5, (4, 6), coupled=True)
+        assert priors.factor_slices == [slice(0, 10)]
+        basis, lam = conditionals.weight_basis(prec)
+        dense_basis, dense_lam = oracles.weight_basis_dense(priors, prec)
+        assert np.array_equal(basis, dense_basis)
+        assert np.array_equal(lam, dense_lam)
+
+    @pytest.mark.parametrize("seed,view_dims", [(6, (4, 6)), (7, (5, 5)), (8, (1, 3))])
+    def test_uncoupled_blocks_match_dense(self, seed, view_dims):
+        gen, priors, prec, conditionals = self._setup(seed, view_dims, coupled=False)
+        views = view_slices(view_dims)
+        assert priors.factor_slices == views
+        basis, lam = conditionals.weight_basis(prec)
+        assert not any(np.any(basis[a, b]) for a in views for b in views if a != b)
+        total = sum(view_dims)
+        prior_prec = np.linalg.inv(priors.weight_cov)
+        assert np.max(np.abs(basis.T @ prior_prec @ basis - np.eye(total))) < 1e-10
+        assert np.max(np.abs(basis.T @ prec @ basis - np.diag(lam))) < 1e-10 * np.max(lam)
+        # column i's covariance B diag(e_i) B^T, e_i = 1 / (s_i lam + 1)
+        dense_basis, dense_lam = oracles.weight_basis_dense(priors, prec)
+        sq_sums = gen.uniform(0.5, 50.0, 3)
+        _, eigs = conditionals.weight_factors(prec, sq_sums)
+        dense_eigs = 1.0 / (np.outer(sq_sums, dense_lam) + 1.0)
+        for e, e_dense in zip(eigs, dense_eigs):
+            assert _rel((basis * e) @ basis.T, (dense_basis * e_dense) @ dense_basis.T) < 1e-10

@@ -115,6 +115,20 @@ class TestIngestCsv:
         ts = ingest_csv(path, fs=1.0)
         assert ts.data == pytest.approx(np.array([[1.0, 3.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize("first", ["0.1,0.2", '"0.1",0.2'])
+    def test_byte_order_mark_keeps_numeric_first_row(self, tmp_path, first):
+        # the quoted cell takes the cell-by-cell reader
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{first}\n0.3,0.4\n0.5,0.6\n".encode())
+        ts = ingest_csv(path, fs=1.0)
+        assert np.array_equal(ts.data, np.array([[0.1, 0.3, 0.5], [0.2, 0.4, 0.6]]))
+
+    def test_byte_order_mark_before_header_skips_only_header(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"\xef\xbb\xbfch1,ch2\n0.3,0.4\n0.5,0.6\n")
+        ts = ingest_csv(path, fs=1.0)
+        assert np.array_equal(ts.data, np.array([[0.3, 0.5], [0.4, 0.6]]))
+
     def test_nan_names_row(self, tmp_path):
         path = tmp_path / "rec.csv"
         rows = ["0.0,0.0"] * 30

@@ -408,6 +408,27 @@ class TestModalExtraction:
             assert not np.any(freqs[k, n:]) and not np.any(shapes[k, n:])
             assert np.all(np.diff(freqs[k, :n]) >= 0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eigenvalues_only_match_full_extraction(self, seed, caplog):
+        # random state matrices mix complex pairs and real poles of either
+        # sign; a zero row in every fifth gives an exact zero eigenvalue
+        gen = np.random.default_rng(seed)
+        n, d, l = 60, 6, 3
+        a = 0.5 * gen.standard_normal((n, d, d))
+        a[::5, gen.integers(d)] = 0.0
+        c_out = gen.standard_normal((n, l, d))
+        with caplog.at_level("WARNING", logger="bayes_ssi.subspace"):
+            full = modal_parameters(a, c_out, 0.02)
+            only = modal_parameters(a, c_out, 0.02, shapes=False)
+        freqs, damping, shapes, real_pole, present = only
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropped {n // 5} zero eigenvalue(s) with undefined log"] * 2
+        assert shapes.shape == (n, d, 0)
+        assert np.array_equal(present, full[4]) and np.array_equal(real_pole, full[3])
+        assert real_pole.any() and (present & ~real_pole).any()
+        assert freqs == pytest.approx(full[0], rel=1e-10, abs=1e-10)
+        assert damping == pytest.approx(full[1], rel=1e-10, abs=1e-10)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 4),
            l=st.integers(1, 5))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
+from bayes_ssi.model import (
+    LatentStats,
+    PriorHyper,
+    block_diagonal,
+    default_priors,
+    latent_natural,
+    view_slices,
+)
 from bayes_ssi.rng import NotPositiveDefiniteError, chol_inverse
 from bayes_ssi.subspace import HankelStats
 from bayes_ssi.vb import (
@@ -27,11 +34,14 @@ from explicit import (
 
 def random_posterior(gen, view_dims, d, n):
     """Random surrogate; its latent means are a random affine map of the
-    data columns (``n`` only sets the noise dof).  The weight basis is a
-    random orthonormal matrix, which whitens the identity weight prior
-    covariance the tests that evaluate the bound on it use."""
+    data columns (``n`` only sets the noise dof).  The weight basis is
+    block-diagonal per view, as the engine's is under priors that do not
+    couple the views, with a random orthonormal block per view: it whitens
+    the identity weight prior covariance the tests that evaluate the bound
+    on it use."""
     total = sum(view_dims)
-    basis, _ = np.linalg.qr(gen.standard_normal((total, total)))
+    base = gen.standard_normal((total, total))
+    basis = block_diagonal([np.linalg.qr(base[sl, sl])[0] for sl in view_slices(view_dims)])
     base = gen.standard_normal((total, total))
     mean_cov = 0.1 * (base @ base.T / total) + 0.3 * np.eye(total)
     base = gen.standard_normal((d, d))
