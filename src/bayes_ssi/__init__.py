@@ -24,7 +24,7 @@ _EXPORTS = {
                      "modal_parameters", "shift_invariance", "ssi_cov"], "subspace"),
     **dict.fromkeys(["PriorHyper", "default_priors"], "model"),
     **dict.fromkeys(["GibbsChain", "GibbsConfig", "run_gibbs"], "gibbs"),
-    **dict.fromkeys(["VBConfig", "VBPosterior", "latent_means", "run_vb"], "vb"),
+    **dict.fromkeys(["VBConfig", "VBPosterior", "run_vb"], "vb"),
     **dict.fromkeys(["ModalDraws", "ModalPosterior", "StabilisationData", "align_modes",
                      "chain_observability_samples", "draw_observability_samples", "mac",
                      "propagate_many", "stabilisation", "summarize"], "modal_posterior"),

@@ -257,6 +257,14 @@ def _require_draws(cfg: dict) -> int:
     return n_draws
 
 
+def _require_block_rows(cfg: dict) -> None:
+    """Reject a ``--block-rows`` count below the two that the
+    shift-invariance solve needs, before any engine runs."""
+    if cfg["block_rows"] < 2:
+        raise ValueError("--block-rows must be at least 2 complete block rows "
+                         f"for the shift-invariance solve, got {cfg['block_rows']}")
+
+
 # the fields a ``--priors`` file may set besides the per-view noise prior
 _ARRAY_FIELDS = ("mean_loc", "mean_cov", "weight_loc", "weight_cov")
 
@@ -453,6 +461,7 @@ def cmd_identify(cfg: dict) -> Path:
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
 
     with OutputDir(cfg["out"]) as out:
+        _require_block_rows(cfg)
         # invalid priors fail every engine, ssi included
         stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
         priors = build_priors(*stats.view_dims, order, overrides)
@@ -512,6 +521,7 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     priors = [build_priors(*stats.view_dims, order, overrides) for order in cfg["orders"]]
 
     with OutputDir(cfg["out"]) as out:
+        _require_block_rows(cfg)
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         _write_welch_overlay(out, ts)
         result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)

@@ -30,7 +30,6 @@ __all__ = [
     "ingest_csv",
     "write_timeseries_csv",
     "write_matrix_csv",
-    "read_matrix_csv",
     "write_json",
     "create_json",
     "write_array",
@@ -123,11 +122,6 @@ def write_matrix_csv(path, mat: np.ndarray, header: list[str] | None = None) -> 
         if header is not None:
             fh.write(",".join(header) + "\n")
         _write_rows(fh, mat)
-
-
-def read_matrix_csv(path, skip_header: bool = False) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1 if skip_header else 0,
-                      ndmin=2)
 
 
 def _dump_json(fh, payload: dict) -> None:

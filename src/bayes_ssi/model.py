@@ -163,12 +163,6 @@ class LatentStats:
     gram: np.ndarray     # d x d
     total: np.ndarray    # d
 
-    @classmethod
-    def from_latent(cls, x: np.ndarray, row_mean: np.ndarray,
-                    latent: np.ndarray) -> "LatentStats":
-        return cls(cross=(x - row_mean[:, None]) @ latent.T,
-                   gram=symmetrize(latent @ latent.T), total=latent.sum(axis=1))
-
 
 def latent_natural(weights: np.ndarray, prec: np.ndarray,
                    extra: np.ndarray | None = None,

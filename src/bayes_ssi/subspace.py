@@ -90,24 +90,6 @@ class HankelStats:
         return self.gram + self.n_cols * np.outer(self.row_mean, self.row_mean)
 
     @classmethod
-    def from_matrix(cls, x: np.ndarray, view_dims: tuple[int, ...]) -> "HankelStats":
-        """Statistics of an explicit stacked matrix, one column per
-        observation, whose rows split into views of ``view_dims`` rows."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("stacked data must be a 2-d matrix")
-        if x.shape[1] == 0:
-            raise ValueError("stacked data has no columns")
-        if sum(view_dims) != x.shape[0]:
-            raise ValueError(
-                f"view dims {tuple(view_dims)} do not sum to row count {x.shape[0]}"
-            )
-        row_mean = x.mean(axis=1)
-        centred = x - row_mean[:, None]
-        return cls(gram=symmetrize(centred @ centred.T), row_mean=row_mean,
-                   n_cols=x.shape[1], view_dims=tuple(view_dims))
-
-    @classmethod
     def from_record(cls, ts: TimeSeries, block_rows: int,
                     center: bool = True) -> "HankelStats":
         """Statistics of the stacked Hankel of ``ts``, built from the record.

@@ -16,8 +16,13 @@ warning instead of an error).
 Every update and the bound see the data only through its sufficient
 statistics (:class:`~bayes_ssi.subspace.HankelStats`).  The latent means
 are affine in the data, z_n = A (x_n - c), so the latent factor is held as
-the d x D map A and the centre c it was applied at; :func:`latent_means`
-recovers the d x N means when explicit data are at hand.
+the d x D map A and the centre c it was applied at.
+
+:func:`run_vb` holds one sweep's data flow: it evaluates the expected
+latent statistics once, after the latent update, and factors each view's
+noise scale once, after the noise update, and passes both to the updates
+and the bound that read them.  Under ``latent_cross_cov=False`` the weight
+update reads a second evaluation, without the latent cross-covariances.
 
 Every weight column's precision is s_i Psi + P0, with one expected noise
 precision Psi and one prior precision P0 shared by all columns, so one
@@ -56,7 +61,7 @@ from .rng import (
     digamma,
     log_multigamma,
     spd_cholesky,
-    spd_inverse,
+    symmetrize,
 )
 from .subspace import HankelStats, warm_start_point
 
@@ -65,8 +70,6 @@ __all__ = [
     "VBPosterior",
     "ElboDecreaseError",
     "NonFiniteBoundError",
-    "expected_noise_precision",
-    "latent_means",
     "initial_posterior",
     "run_vb",
 ]
@@ -150,17 +153,6 @@ class VBPosterior:
                 "ms_per_sweep": 1e3 * self.elapsed_s / self.n_iter if self.n_iter else 0.0}
 
 
-def latent_means(post: VBPosterior, x: np.ndarray) -> np.ndarray:
-    """d x N latent factor means of the columns of the stacked data ``x``."""
-    return post.latent_map @ (x - post.latent_centre[:, None])
-
-
-def expected_noise_precision(post: VBPosterior) -> list[np.ndarray]:
-    """Per-view expected precision dof * scale^-1 of the Wishart factors."""
-    return [dof * spd_inverse(scale, "noise factor scale")
-            for scale, dof in zip(post.noise_scale, post.noise_dof)]
-
-
 def _expected_logdet_precision(scale_logdet: float, dim: int, dof: float) -> float:
     """E[ln |precision|] under a Wishart factor whose scale inverse has log
     determinant ``scale_logdet``."""
@@ -182,9 +174,15 @@ def _gaussian_kl(dev: np.ndarray, cov: np.ndarray, cov_logdet: float,
                   - dev.size + prior_logdet - cov_logdet)
 
 
-def _expected_precision(post: VBPosterior) -> np.ndarray:
-    """Dense block-diagonal expected noise precision Psi."""
-    return block_diagonal(expected_noise_precision(post))
+def _expected_precision(post: VBPosterior) -> tuple[np.ndarray, list[float]]:
+    """Dense block-diagonal expected noise precision Psi, whose blocks are
+    dof * scale^-1 of the Wishart factors, and each view's ln |scale|, from
+    one Cholesky factorization of each scale."""
+    chols = [spd_cholesky(symmetrize(scale), "noise factor scale")
+             for scale in post.noise_scale]
+    return (block_diagonal([dof * chol_inverse(chol)
+                            for chol, dof in zip(chols, post.noise_dof)]),
+            [chol_logdet(chol) for chol in chols])
 
 
 class _Kernel(Conditionals):
@@ -209,7 +207,7 @@ class _Kernel(Conditionals):
         """Dense block-diagonal noise prior scale."""
         return block_diagonal(self.priors.noise_scale)
 
-    def latent_stats(self, post: VBPosterior, cross_cov: bool = True) -> LatentStats:
+    def latent_stats(self, post: VBPosterior, cross_cov: bool) -> LatentStats:
         """Expected latent statistics: (X - m 1^T) E[Z]^T = G A^T,
         E[Z] 1 = N A (m - c) and E[Z Z^T] = E[Z] E[Z]^T + N latent_cov, or
         only the diagonal of N latent_cov when ``cross_cov`` is False."""
@@ -247,41 +245,39 @@ class _Kernel(Conditionals):
         post.latent_centre = post.mean_loc.copy()
 
     def update_weights(self, post: VBPosterior, psi: np.ndarray,
-                       cross_cov: bool) -> None:
+                       lat: LatentStats) -> None:
         """Update every weight-column factor in column order; each mean sees
         the columns updated before it.  The covariances depend only on Psi
         and E[sum_n z_in^2], so all columns share one eigenbasis."""
-        lat = self.latent_stats(post, cross_cov)
         basis, eigs = self.weight_factors(psi, np.diag(lat.gram))
         for i in range(eigs.shape[0]):
             rhs = self.weight_rhs(post.weight_mean, post.mean_loc, lat, psi, i)
             post.weight_mean[:, i] = basis @ (eigs[i] * (rhs @ basis))
         post.weight_basis, post.weight_eigs = basis, eigs
 
-    def update_noise(self, post: VBPosterior) -> None:
-        params = self.noise_conditionals(self.expected_scatter(post, self.latent_stats(post)))
+    def update_noise(self, post: VBPosterior, lat: LatentStats) -> None:
+        params = self.noise_conditionals(self.expected_scatter(post, lat))
         post.noise_scale = [scale for scale, _ in params]
         post.noise_dof = [dof for _, dof in params]
 
-    def update_mean(self, post: VBPosterior, psi: np.ndarray) -> None:
+    def update_mean(self, post: VBPosterior, psi: np.ndarray,
+                    lat: LatentStats) -> None:
         """One factorization of N Psi + P_mu on the factor blocks gives the
         mean, the covariance and its log determinant."""
         factors = self.precision_factors(psi, np.empty(0))
         post.mean_loc = self.factor_solve(
-            factors, 0, self.mean_rhs(post.weight_mean, self.latent_stats(post), psi))
+            factors, 0, self.mean_rhs(post.weight_mean, lat, psi))
         post.mean_cov = block_diagonal([chol_inverse(chol[0]) for chol in factors])
         post.mean_cov_logdet = -sum(chol_logdet(chol[0]) for chol in factors)
 
-    def elbo(self, post: VBPosterior, psi: np.ndarray) -> float:
+    def elbo(self, post: VBPosterior, psi: np.ndarray, lat: LatentStats,
+             scale_logdets: list[float]) -> float:
         """Expected log likelihood minus each surrogate factor's KL
-        divergence from its prior."""
+        divergence from its prior, given the noise factors' ln |scale|."""
         priors = self.priors
         n = self.stats.n_cols
         d = post.latent_cov.shape[0]
-        lat = self.latent_stats(post)
         mean_logdet, noise_prior_logdets = self.prior_logdets
-        scale_logdets = [chol_logdet(spd_cholesky(scale, "noise factor scale"))
-                         for scale in post.noise_scale]
         e_logdets = [_expected_logdet_precision(logdet, scale.shape[0], dof)
                      for logdet, scale, dof in zip(scale_logdets, post.noise_scale,
                                                    post.noise_dof)]
@@ -376,15 +372,17 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
 
     start = time.perf_counter()
     previous = -np.inf
-    psi = _expected_precision(post)
+    psi, _ = _expected_precision(post)
     for sweep in range(1, config.max_iter + 1):
         kernel.update_latent(post, psi)
-        kernel.update_weights(post, psi, config.latent_cross_cov)
-        kernel.update_noise(post)
-        psi = _expected_precision(post)
-        kernel.update_mean(post, psi)
+        lat = kernel.latent_stats(post, True)
+        kernel.update_weights(post, psi, lat if config.latent_cross_cov
+                              else kernel.latent_stats(post, False))
+        kernel.update_noise(post, lat)
+        psi, scale_logdets = _expected_precision(post)
+        kernel.update_mean(post, psi, lat)
 
-        bound = kernel.elbo(post, psi)
+        bound = kernel.elbo(post, psi, lat, scale_logdets)
         if not np.isfinite(bound):
             raise NonFiniteBoundError(
                 "bound became non-finite at sweep "

@@ -17,8 +17,7 @@ from scipy.linalg import solve_triangular
 
 from bayes_ssi.cli import main as cli_main
 from bayes_ssi.gibbs import GibbsConfig, run_gibbs, _prior_point
-from bayes_ssi.io import read_matrix_csv
-from bayes_ssi.model import LatentStats, PriorHyper, default_priors, latent_natural
+from bayes_ssi.model import PriorHyper, default_priors, latent_natural
 from bayes_ssi.modal_posterior import (
     align_modes,
     chain_observability_samples,
@@ -30,14 +29,17 @@ from bayes_ssi.modal_posterior import (
 from bayes_ssi.rng import Rng, chol_inverse
 from bayes_ssi.simulate import TimeSeries, build_shear_frame, discretize, simulate_response, to_continuous_ss
 from bayes_ssi.subspace import HankelStats, canonical_weights, cca, ssi_cov
-from bayes_ssi.vb import VBConfig, VBPosterior, latent_means, run_vb, _expected_precision
+from bayes_ssi.vb import VBConfig, VBPosterior, run_vb, _expected_precision
 from bayes_ssi.vb import _Kernel as VBKernel
 
 import oracles
 from explicit import (
     block_precision,
     explicit_kernel,
+    latent_means,
+    latent_stats,
     mean_conditional,
+    read_matrix_csv,
     weight_conditional,
     weight_cov,
 )
@@ -321,16 +323,17 @@ def test_criterion_7_vb_gibbs_degeneracy():
         noise_dof=dofs, view_dims=view_dims,
     )
 
-    kernel.update_latent(post, _expected_precision(post))
+    kernel.update_latent(post, _expected_precision(post)[0])
     chol, proj = latent_natural(weights, block_precision(noise))
     latent = proj @ (x - mean[:, None])
     assert np.max(np.abs(post.latent_cov - chol_inverse(chol))) < 1e-10
     assert np.max(np.abs(latent_means(post, x) - latent)) < 1e-10
     post.latent_cov = np.zeros((d, d))
-    lat = LatentStats.from_latent(x, gibbs_kernel.stats.row_mean, latent)
+    lat = latent_stats(x, gibbs_kernel.stats.row_mean, latent)
+    expected_lat = kernel.latent_stats(post, True)
 
     # every column in one update, each mean refreshed in order
-    kernel.update_weights(post, _expected_precision(post), True)
+    kernel.update_weights(post, _expected_precision(post)[0], expected_lat)
     for i in range(d):
         cov, w_mean = weight_conditional(gibbs_kernel, weights, mean, lat,
                                          block_precision(noise), i)
@@ -339,7 +342,7 @@ def test_criterion_7_vb_gibbs_degeneracy():
         weights[:, i] = w_mean
     post.weight_eigs[:] = 0.0
 
-    kernel.update_noise(post)
+    kernel.update_noise(post, expected_lat)
     conds = gibbs_kernel.noise_conditionals(gibbs_kernel.residual_scatter(weights, mean,
                                                                           lat))
     for (scale_g, dof_g), scale_v, dof_v in zip(conds, post.noise_scale,
@@ -349,7 +352,7 @@ def test_criterion_7_vb_gibbs_degeneracy():
     # hold the precision at its conditional mean on both sides
     noise = [scale / dof for scale, dof in conds]
 
-    kernel.update_mean(post, _expected_precision(post))
+    kernel.update_mean(post, _expected_precision(post)[0], expected_lat)
     cov, m_mean = mean_conditional(gibbs_kernel, weights, lat, block_precision(noise))
     assert np.max(np.abs(post.mean_cov - cov)) < 1e-10
     assert np.max(np.abs(post.mean_loc - m_mean)) < 1e-10

@@ -19,8 +19,10 @@ from bayes_ssi.cli import (
     main,
     prior_overrides,
 )
-from bayes_ssi.io import load_chain, read_matrix_csv, write_timeseries_csv
+from bayes_ssi.io import load_chain, write_timeseries_csv
 from bayes_ssi.modal_posterior import ModalPosterior, ModeCluster
+
+from explicit import read_matrix_csv
 
 SRC = str(Path(bayes_ssi.__file__).resolve().parent.parent)
 
@@ -742,6 +744,30 @@ def test_draws_below_one_rejected_before_any_engine(sim_dir, tmp_path, capsys,
     assert code == 1
     err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
     assert len(err) == 1 and err[0].startswith("error:") and "--draws" in err[0]
+    assert not out.exists() or listing(out) == []
+
+
+@pytest.mark.parametrize("command", [("identify", "--engine", "ssi"),
+                                     ("identify", "--engine", "vb"), ("stabilise",)])
+def test_one_block_row_rejected_before_any_engine(sim_dir, tmp_path, capsys,
+                                                  monkeypatch, command):
+    # the shift-invariance solve needs two block rows, so no engine result
+    # at fewer could be used
+    import bayes_ssi.cli as cli_mod
+    import bayes_ssi.modal_posterior as mp
+
+    def engine_must_not_run(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(cli_mod, "ssi_cov", engine_must_not_run)
+    monkeypatch.setattr(cli_mod, "run_vb", engine_must_not_run)
+    monkeypatch.setattr(mp, "run_vb", engine_must_not_run)
+    out = tmp_path / "few_block_rows"
+    code = run_cli(*command, "--input", sim_dir / "response.csv",
+                   "--block-rows", 1, "--order", 4, "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:") and "--block-rows" in err[0]
     assert not out.exists() or listing(out) == []
 
 

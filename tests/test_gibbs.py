@@ -21,7 +21,13 @@ from bayes_ssi.rng import (
 from bayes_ssi.subspace import HankelStats, warm_start_point
 
 import oracles
-from explicit import block_precision, explicit_kernel, mean_conditional, weight_conditional
+from explicit import (
+    block_precision,
+    explicit_kernel,
+    hankel_stats,
+    mean_conditional,
+    weight_conditional,
+)
 
 
 def single_view_priors(dim, d, noise_scale=2.0, noise_dof=8.0,
@@ -254,7 +260,7 @@ class TestRunGibbs:
 
     def test_chain_reproducible(self):
         gen = np.random.default_rng(13)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 40)), (2, 2))
         priors = default_priors(2, 2, 1)
         cfg = GibbsConfig(n_samples=30, seed=21)
         a = run_gibbs(stats, priors, cfg)
@@ -266,7 +272,7 @@ class TestRunGibbs:
 
     def test_records_finite_and_spd(self):
         gen = np.random.default_rng(14)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 60)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
         priors = default_priors(2, 2, 2)
         chain = run_gibbs(stats, priors, GibbsConfig(n_samples=50, seed=3))
         assert np.all(np.isfinite(chain.weight_samples))
@@ -282,7 +288,7 @@ class TestRunGibbs:
         # each kept record unpacks to exactly the noise blocks the sweep
         # drew; unequal views make a misordered triangle show
         gen = np.random.default_rng(16)
-        stats = HankelStats.from_matrix(gen.standard_normal((5, 40)), (2, 3))
+        stats = hankel_stats(gen.standard_normal((5, 40)), (2, 3))
         drawn = []
         transition = _Kernel.transition
 
@@ -343,7 +349,7 @@ class TestRunGibbs:
         for n in (2**8, 2**10, 2**12):
             z = gen.standard_normal((d, n))
             x = w0 @ z + 0.3 * gen.standard_normal((8, n))
-            chain = run_gibbs(HankelStats.from_matrix(x, dims), priors,
+            chain = run_gibbs(hankel_stats(x, dims), priors,
                               GibbsConfig(n_samples=400, seed=5))
             w_hat = chain.weight_samples[100:].mean(axis=0)
             # largest principal angle between column spaces
@@ -357,7 +363,7 @@ class TestRunGibbs:
 
     def test_warm_start_runs(self):
         gen = np.random.default_rng(17)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 120)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 120)), (2, 2))
         priors = default_priors(2, 2, 1)
         chain = run_gibbs(stats, priors,
                           GibbsConfig(n_samples=20, seed=1, warm_start=True))
@@ -436,7 +442,7 @@ class TestStatisticsEngine:
         x = (gen.standard_normal((5, data_rank)) @ gen.standard_normal((data_rank, n))
              + gen.standard_normal(5)[:, None])
         weights, mean, noise, _ = toy_state(gen, view_dims, d, n)
-        stats = HankelStats.from_matrix(x, view_dims)
+        stats = hankel_stats(x, view_dims)
         kernel = _Kernel(stats, default_priors(2, 3, d))
         assert kernel.factor.shape[1] == min(data_rank, n - 1)
         prec = block_precision(noise)
@@ -472,7 +478,7 @@ class TestStatisticsEngine:
         if center:
             x -= x.mean(axis=1, keepdims=True)
         priors = default_priors(2, 2, d, noise_scale=1.0)
-        stats = HankelStats.from_matrix(x, view_dims)
+        stats = hankel_stats(x, view_dims)
         config = GibbsConfig(n_samples=n_sweeps, burn_in_fraction=0.2, seed=8,
                              warm_start=warm_start)
         chain = run_gibbs(stats, priors, config)
@@ -544,7 +550,7 @@ class TestBlockedTransition:
         expected_blocks = [total] if case == "coupled" else list(view_dims)
         assert [sl.stop - sl.start for sl in priors.factor_slices] == expected_blocks
 
-        stats = HankelStats.from_matrix(x, view_dims)
+        stats = hankel_stats(x, view_dims)
         kernel = _Kernel(stats, priors)
         rng_ours, rng_dense = Rng(11, 1), Rng(11, 1)
         weights, mean, _ = warm_start_point(stats, d)
@@ -575,7 +581,7 @@ class TestBlockedTransition:
         gen = np.random.default_rng(71)
         priors = (_coupled_priors(gen, (2, 2), 2) if coupled
                   else default_priors(2, 2, 2))
-        kernel = _Kernel(HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2)),
+        kernel = _Kernel(hankel_stats(gen.standard_normal((4, 30)), (2, 2)),
                          priors)
         prec = np.diag([1.0, 1.0, 1.0, -0.01])
         kernel.precision_factors(prec, np.array([1.0, 2.0]))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from bayes_ssi.model import Conditionals, block_diagonal, default_priors, view_slices
-from bayes_ssi.subspace import HankelStats
 
 import oracles
-from explicit import block_precision, explicit_kernel, weight_conditional
+from explicit import block_precision, explicit_kernel, hankel_stats, weight_conditional
 
 
 def toy_state(gen, view_dims, d, n):
@@ -24,11 +23,11 @@ def toy_state(gen, view_dims, d, n):
 class TestStackedData:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not sum to row count"):
-            HankelStats.from_matrix(np.zeros((5, 10)), (2, 2))
+            hankel_stats(np.zeros((5, 10)), (2, 2))
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="no columns"):
-            HankelStats.from_matrix(np.zeros((4, 0)), (2, 2))
+            hankel_stats(np.zeros((4, 0)), (2, 2))
 
     def test_view_slices(self):
         assert view_slices((2, 3)) == [slice(0, 2), slice(2, 5)]
@@ -112,7 +111,7 @@ class TestWeightBasis:
                       else block_diagonal([_spd(gen, dim) for dim in view_dims]))
         priors = dataclasses.replace(default_priors(*view_dims, 3), weight_cov=weight_cov)
         prec = block_diagonal([_spd(gen, dim) for dim in view_dims])
-        stats = HankelStats.from_matrix(gen.standard_normal((total, 10)), view_dims)
+        stats = hankel_stats(gen.standard_normal((total, 10)), view_dims)
         return gen, priors, prec, Conditionals(stats, priors)
 
     def test_coupling_prior_matches_dense_bit_for_bit(self):

@@ -12,7 +12,6 @@ from bayes_ssi.io import (
     CSV_BLOCK_ROWS,
     ingest_csv,
     load_chain,
-    read_matrix_csv,
     save_chain,
     save_vb_posterior,
     write_array,
@@ -21,11 +20,11 @@ from bayes_ssi.io import (
 )
 from bayes_ssi.model import default_priors
 from bayes_ssi.simulate import TimeSeries
-from bayes_ssi.subspace import HankelStats
 from bayes_ssi.spectral import welch_psd
 from bayes_ssi.vb import VBConfig, run_vb
 
 import oracles
+from explicit import hankel_stats, read_matrix_csv
 
 
 class TestWelch:
@@ -304,7 +303,7 @@ class TestMatrixCsv:
 class TestChainPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         gen = np.random.default_rng(5)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 50)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 50)), (2, 2))
         priors = default_priors(2, 2, 2)
         chain = run_gibbs(stats, priors, GibbsConfig(n_samples=20, seed=9))
         save_chain(tmp_path / "chain", chain)
@@ -318,7 +317,7 @@ class TestChainPersistence:
 
     def test_manifest_lists_array_shapes(self, tmp_path):
         gen = np.random.default_rng(6)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 30)), (2, 2))
         priors = default_priors(2, 2, 1)
         chain = run_gibbs(stats, priors, GibbsConfig(n_samples=10, seed=1))
         save_chain(tmp_path / "chain", chain)
@@ -335,7 +334,7 @@ class TestChainPersistence:
         # a container holding full n x D_m x D_m noise stacks, as written
         # before the packed layout, is refused with the file and both shapes
         gen = np.random.default_rng(7)
-        stats = HankelStats.from_matrix(gen.standard_normal((5, 30)), (2, 3))
+        stats = hankel_stats(gen.standard_normal((5, 30)), (2, 3))
         chain = run_gibbs(stats, default_priors(2, 3, 1), GibbsConfig(n_samples=10, seed=1))
         save_chain(tmp_path / "chain", chain)
         path = tmp_path / "chain" / "sigma_view2_samples.npy"
@@ -346,7 +345,7 @@ class TestChainPersistence:
 
     def test_config_written_before_warm_start_loads_with_default(self, tmp_path):
         gen = np.random.default_rng(8)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 30)), (2, 2))
         config = GibbsConfig(n_samples=10, burn_in_fraction=0.5, thinning=2, seed=3)
         save_chain(tmp_path / "chain", run_gibbs(stats, default_priors(2, 2, 1), config))
         path = tmp_path / "chain" / "chain_manifest.json"
@@ -361,7 +360,7 @@ class TestChainPersistence:
 class TestVbPersistence:
     def test_files_written_with_trace(self, tmp_path):
         gen = np.random.default_rng(7)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 40)), (2, 2))
         priors = default_priors(2, 2, 1)
         post = run_vb(stats, priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)

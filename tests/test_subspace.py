@@ -20,6 +20,7 @@ from bayes_ssi.subspace import (
 )
 
 import oracles
+from explicit import hankel_stats
 
 
 def classical(ts, block_rows, order):
@@ -121,7 +122,7 @@ class TestCovarianceBlocks:
         data = np.vstack([np.sin(np.arange(40.0)), np.cos(np.arange(40.0))])
         ts = TimeSeries(data=data, fs=1.0)
         hp = build_hankel(ts, 2, center=False)
-        stats = HankelStats.from_matrix(np.vstack([hp.future, hp.future]), (4, 4))
+        stats = hankel_stats(np.vstack([hp.future, hp.future]), (4, 4))
         cov = stats.raw_gram() / stats.n_cols
         assert cov[:4, 4:] == pytest.approx(cov[:4, :4])
         assert cov[4:, 4:] == pytest.approx(cov[:4, :4])
@@ -129,7 +130,7 @@ class TestCovarianceBlocks:
     def test_hand_computed_two_by_two(self):
         # Yp = [[1, -1], [1, 1]] over 2 columns: Yp Yp^T / 2 = I
         yp = np.array([[1.0, -1.0], [1.0, 1.0]])
-        stats = HankelStats.from_matrix(np.vstack([yp, yp]), (2, 2))
+        stats = hankel_stats(np.vstack([yp, yp]), (2, 2))
         assert stats.raw_gram()[2:, 2:] / stats.n_cols == pytest.approx(np.eye(2))
 
     def test_independent_white_channels_cross_covariance_vanishes(self):
@@ -256,7 +257,7 @@ class TestCanonicalWeights:
     def test_noise_blocks_are_the_residual_auto_covariances(self):
         gen = np.random.default_rng(15)
         x = gen.standard_normal((5, 5)) @ gen.standard_normal((5, 200)) + 1.0
-        stats = HankelStats.from_matrix(x, (2, 3))
+        stats = hankel_stats(x, (2, 3))
         weights, _, noise = warm_start_point(stats, 2)
         cov = stats.gram / stats.n_cols
         for view, blk in zip((slice(0, 2), slice(2, 5)), noise):
@@ -269,13 +270,13 @@ class TestCanonicalWeights:
     @pytest.mark.parametrize("order", [0, 5])
     def test_order_outside_view_dim_rejected(self, order):
         gen = np.random.default_rng(16)
-        stats = HankelStats.from_matrix(gen.standard_normal((8, 100)), (4, 4))
+        stats = hankel_stats(gen.standard_normal((8, 100)), (4, 4))
         with pytest.raises(ValueError, match=r"order must be in \[1, 4\]"):
             warm_start_point(stats, order)
 
     def test_order_bounded_by_the_smaller_view(self):
         gen = np.random.default_rng(17)
-        stats = HankelStats.from_matrix(gen.standard_normal((5, 100)), (3, 2))
+        stats = hankel_stats(gen.standard_normal((5, 100)), (3, 2))
         with pytest.raises(ValueError, match=r"order must be in \[1, 2\]"):
             warm_start_point(stats, 3)
         assert warm_start_point(stats, 2)[0].shape == (5, 2)

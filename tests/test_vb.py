@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bayes_ssi.model import (
-    LatentStats,
     PriorHyper,
     block_diagonal,
     default_priors,
@@ -14,9 +13,7 @@ from bayes_ssi.subspace import HankelStats
 from bayes_ssi.vb import (
     VBConfig,
     VBPosterior,
-    expected_noise_precision,
     initial_posterior,
-    latent_means,
     run_vb,
     _expected_precision,
     _Kernel,
@@ -26,10 +23,24 @@ import oracles
 from explicit import (
     block_precision,
     explicit_kernel,
+    hankel_stats,
+    latent_means,
+    latent_stats,
     mean_conditional,
     weight_conditional,
     weight_cov,
 )
+
+
+def _psi(post):
+    return _expected_precision(post)[0]
+
+
+def _bound(kernel, post):
+    """The bound at ``post``, its statistics and noise factors evaluated as
+    run_vb evaluates them."""
+    psi, scale_logdets = _expected_precision(post)
+    return kernel.elbo(post, psi, kernel.latent_stats(post, True), scale_logdets)
 
 
 def random_posterior(gen, view_dims, d, n):
@@ -101,14 +112,14 @@ class TestUpdateOracles:
         w0 = self.gen.standard_normal((4, self.d))
         z0 = self.gen.standard_normal((self.d, self.n))
         self.x = w0 @ z0 + 0.5 * self.gen.standard_normal((4, self.n))
-        self.kernel = _Kernel(HankelStats.from_matrix(self.x, self.view_dims), self.priors)
+        self.kernel = _Kernel(hankel_stats(self.x, self.view_dims), self.priors)
 
     def test_zero_weights_prior_fallback(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
         post.weight_mean[:] = 0.0
         post.weight_eigs[:] = 0.0
         post.mean_loc[:] = 0.0
-        self.kernel.update_latent(post, _expected_precision(post))
+        self.kernel.update_latent(post, _psi(post))
         assert post.latent_cov == pytest.approx(np.eye(self.d))
         assert latent_means(post, self.x) == pytest.approx(np.zeros((self.d, self.n)))
 
@@ -118,7 +129,7 @@ class TestUpdateOracles:
         noise = [0.5 * np.eye(2), 2.0 * np.eye(2)]
         latent = self.gen.standard_normal((self.d, self.n))
         post = point_mass_posterior(self.x, self.view_dims, weights, mean, noise, latent)
-        self.kernel.update_latent(post, _expected_precision(post))
+        self.kernel.update_latent(post, _psi(post))
         chol, proj = latent_natural(weights, block_precision(noise))
         assert post.latent_cov == pytest.approx(chol_inverse(chol), abs=1e-12)
         assert latent_means(post, self.x) == pytest.approx(
@@ -127,31 +138,32 @@ class TestUpdateOracles:
     @pytest.mark.parametrize("update", ["latent", "weight", "noise", "mean"])
     def test_each_update_does_not_decrease_bound(self, update):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
-        before = self.kernel.elbo(post, _expected_precision(post))
-        psi = _expected_precision(post)
+        before = _bound(self.kernel, post)
+        psi = _psi(post)
+        lat = self.kernel.latent_stats(post, True)
         if update == "latent":
             self.kernel.update_latent(post, psi)
         elif update == "weight":
-            self.kernel.update_weights(post, psi, True)
+            self.kernel.update_weights(post, psi, lat)
         elif update == "noise":
-            self.kernel.update_noise(post)
+            self.kernel.update_noise(post, lat)
         else:
-            self.kernel.update_mean(post, psi)
-        after = self.kernel.elbo(post, _expected_precision(post))
+            self.kernel.update_mean(post, psi, lat)
+        after = _bound(self.kernel, post)
         assert after >= before - 1e-10 * abs(before)
 
     def test_latent_update_strictly_improves_from_random_start(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
-        before = self.kernel.elbo(post, _expected_precision(post))
-        self.kernel.update_latent(post, _expected_precision(post))
-        assert self.kernel.elbo(post, _expected_precision(post)) > before
+        before = _bound(self.kernel, post)
+        self.kernel.update_latent(post, _psi(post))
+        assert _bound(self.kernel, post) > before
 
     def test_weight_no_information_returns_prior(self):
         post = random_posterior(self.gen, self.view_dims, self.d, self.n)
         post.latent_map[0] = 0.0
         post.latent_cov[0, :] = 0.0
         post.latent_cov[:, 0] = 0.0
-        self.kernel.update_weights(post, _expected_precision(post), True)
+        self.kernel.update_weights(post, _psi(post), self.kernel.latent_stats(post, True))
         assert post.weight_mean[:, 0] == pytest.approx(self.priors.weight_loc)
         assert weight_cov(post)[0] == pytest.approx(self.priors.weight_cov)
 
@@ -173,8 +185,8 @@ class TestUpdateOracles:
         post.noise_scale = [post.noise_dof[0] * np.eye(dim)]
         mz = latent_means(post, x)[0]
         sq = float(mz @ mz) + n * post.latent_cov[0, 0]
-        kernel = _Kernel(HankelStats.from_matrix(x, (dim,)), priors)
-        kernel.update_weights(post, _expected_precision(post), True)
+        kernel = _Kernel(hankel_stats(x, (dim,)), priors)
+        kernel.update_weights(post, _psi(post), kernel.latent_stats(post, True))
         assert weight_cov(post)[0] == pytest.approx(np.eye(dim) / (sq + 1.0))
         assert post.weight_mean[:, 0] == pytest.approx((x @ mz) / (sq + 1.0))
 
@@ -199,7 +211,8 @@ class TestUpdateOracles:
             (x[0, k] - mu - mw * mz[k]) ** 2 + vmu
             + (mz[k] ** 2 + vz) * vw + mw**2 * vz
             for k in range(n))
-        _Kernel(HankelStats.from_matrix(x, (1,)), priors).update_noise(post)
+        kernel = _Kernel(hankel_stats(x, (1,)), priors)
+        kernel.update_noise(post, kernel.latent_stats(post, True))
         assert post.noise_scale[0][0, 0] == pytest.approx(expected, rel=1e-10)
         assert post.noise_dof[0] == 3.0 + n
 
@@ -213,7 +226,8 @@ class TestUpdateOracles:
         priors = default_priors(1, 1, d, noise_scale=2.0)
         post = point_mass_posterior(x, (1, 1), w, np.zeros(2), [np.eye(1), np.eye(1)], z)
         assert latent_means(post, x) == pytest.approx(z, abs=1e-12)
-        _Kernel(HankelStats.from_matrix(x, (1, 1)), priors).update_noise(post)
+        kernel = _Kernel(hankel_stats(x, (1, 1)), priors)
+        kernel.update_noise(post, kernel.latent_stats(post, True))
         for scale, scale0 in zip(post.noise_scale, priors.noise_scale):
             assert scale == pytest.approx(scale0, abs=1e-12)
 
@@ -228,10 +242,9 @@ class TestUpdateOracles:
         post.weight_mean[:] = 0.0
         post.weight_eigs[:] = 0.0
         post.latent_map[:] = 0.0
-        psi = [float(p) for p in
-               (b[0, 0] for b in expected_noise_precision(post))]
-        kernel = _Kernel(HankelStats.from_matrix(x, (1, 1)), priors)
-        kernel.update_mean(post, _expected_precision(post))
+        psi = [float(p) for p in np.diag(_psi(post))]
+        kernel = _Kernel(hankel_stats(x, (1, 1)), priors)
+        kernel.update_mean(post, _psi(post), kernel.latent_stats(post, True))
         for row, p in enumerate(psi):
             shrink = n * p / (n * p + 1.0)
             assert post.mean_loc[row] == pytest.approx(
@@ -243,13 +256,14 @@ class TestUpdateOracles:
         priors = default_priors(1, 1, 1)
         truth = np.array([1.0, -2.0])
         x = truth[:, None] + 0.3 * gen.standard_normal((2, n))
-        kernel = _Kernel(HankelStats.from_matrix(x, (1, 1)), priors)
+        kernel = _Kernel(hankel_stats(x, (1, 1)), priors)
         post = initial_posterior(kernel.stats, priors, seed=0)
         for _ in range(5):
-            kernel.update_latent(post, _expected_precision(post))
-            kernel.update_weights(post, _expected_precision(post), True)
-            kernel.update_noise(post)
-            kernel.update_mean(post, _expected_precision(post))
+            kernel.update_latent(post, _psi(post))
+            lat = kernel.latent_stats(post, True)
+            kernel.update_weights(post, _psi(post), lat)
+            kernel.update_noise(post, lat)
+            kernel.update_mean(post, _psi(post), lat)
         sd = np.sqrt(np.diag(post.mean_cov))
         assert np.all(np.abs(post.mean_loc - truth) < 3 * (sd + 0.3 / np.sqrt(n)))
 
@@ -272,8 +286,8 @@ class TestScatterConsistency:
         n = 33
         x = gen.standard_normal((5, n)) + 3.0
         post = random_posterior(gen, (2, 3), 2, n)
-        kernel = _Kernel(HankelStats.from_matrix(x, (2, 3)), default_priors(2, 3, 2))
-        scatter = kernel.expected_scatter(post, kernel.latent_stats(post))
+        kernel = _Kernel(hankel_stats(x, (2, 3)), default_priors(2, 3, 2))
+        scatter = kernel.expected_scatter(post, kernel.latent_stats(post, True))
         direct = oracles.vb_residual_scatter_dense(_dense_factors(post, x), x, (2, 3))
         assert len(scatter) == len(direct)
         for a, b in zip(scatter, direct):
@@ -305,7 +319,7 @@ class TestStatisticsEngine:
             # zero row means, as a centred Hankel has; otherwise the rows
             # keep their offsets, as with --no-center
             x -= x.mean(axis=1, keepdims=True)
-        stats = HankelStats.from_matrix(x, (3, 3))
+        stats = hankel_stats(x, (3, 3))
         priors = default_priors(3, 3, d, noise_scale=1.0)
         if coupled_prior:
             # weight and mean priors that couple the two views
@@ -370,14 +384,15 @@ class TestWeightBasis:
                             weight_cov=0.3 * base @ base.T + 0.5 * np.eye(6),
                             noise_scale=(np.eye(3), 2.0 * np.eye(3)),
                             noise_dof=(6.0, 7.0), latent_dim=d, view_dims=(3, 3))
-        kernel = _Kernel(HankelStats.from_matrix(x, (3, 3)), priors)
+        kernel = _Kernel(hankel_stats(x, (3, 3)), priors)
         return kernel, random_posterior(gen, (3, 3), d, n)
 
     def test_column_covariances_invert_column_precisions(self):
         kernel, post = self._kernel_and_posterior(31)
-        psi = _expected_precision(post)
-        sq = np.diag(kernel.latent_stats(post).gram)
-        kernel.update_weights(post, psi, True)
+        psi = _psi(post)
+        lat = kernel.latent_stats(post, True)
+        sq = np.diag(lat.gram)
+        kernel.update_weights(post, psi, lat)
         prior_prec = np.linalg.inv(kernel.priors.weight_cov)
         basis = post.weight_basis
         assert basis.T @ prior_prec @ basis == pytest.approx(np.eye(6), abs=1e-12)
@@ -391,7 +406,7 @@ class TestWeightBasis:
         # negative for a large enough s_i
         psi = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e6])
         with pytest.raises(NotPositiveDefiniteError, match="weight conditional precision"):
-            kernel.update_weights(post, psi, True)
+            kernel.update_weights(post, psi, kernel.latent_stats(post, True))
 
 
 class TestDegeneracyAgainstSampler:
@@ -413,17 +428,18 @@ class TestDegeneracyAgainstSampler:
         kernel = _Kernel(gibbs_kernel.stats, priors)
 
         # latent step
-        kernel.update_latent(post, _expected_precision(post))
+        kernel.update_latent(post, _psi(post))
         chol, proj = latent_natural(weights, block_precision(noise))
         latent = proj @ (x - mean[:, None])
         assert post.latent_cov == pytest.approx(chol_inverse(chol), abs=1e-10)
         assert latent_means(post, x) == pytest.approx(latent, abs=1e-10)
         post.latent_cov = np.zeros((d, d))
-        lat = LatentStats.from_latent(x, gibbs_kernel.stats.row_mean, latent)
+        lat = latent_stats(x, gibbs_kernel.stats.row_mean, latent)
+        expected_lat = kernel.latent_stats(post, True)
 
         # weight steps: one update of every column, each mean refreshed in
         # order
-        kernel.update_weights(post, _expected_precision(post), True)
+        kernel.update_weights(post, _psi(post), expected_lat)
         for i in range(d):
             cov, w_mean = weight_conditional(gibbs_kernel, weights, mean, lat,
                                              block_precision(noise), i)
@@ -434,7 +450,7 @@ class TestDegeneracyAgainstSampler:
 
         # noise step: compare natural parameters, then hold the precision
         # at its conditional mean on both sides
-        kernel.update_noise(post)
+        kernel.update_noise(post, expected_lat)
         conds = gibbs_kernel.noise_conditionals(
             gibbs_kernel.residual_scatter(weights, mean, lat))
         for (scale_g, dof_g), scale_v, dof_v in zip(conds, post.noise_scale,
@@ -444,7 +460,7 @@ class TestDegeneracyAgainstSampler:
         noise = [scale / dof for (scale, dof) in conds]
 
         # mean step
-        kernel.update_mean(post, _expected_precision(post))
+        kernel.update_mean(post, _psi(post), expected_lat)
         cov, m_mean = mean_conditional(gibbs_kernel, weights, lat, block_precision(noise))
         assert post.mean_cov == pytest.approx(cov, abs=1e-10)
         assert post.mean_loc == pytest.approx(m_mean, abs=1e-10)
@@ -459,7 +475,7 @@ class TestRunVb:
             mean_loc=np.zeros(1), mean_cov=np.eye(1), weight_loc=np.zeros(1),
             weight_cov=np.eye(1), noise_scale=(np.array([[1.0]]),),
             noise_dof=(4.0,), latent_dim=1, view_dims=(1,))
-        post = run_vb(HankelStats.from_matrix(x, (1,)), priors,
+        post = run_vb(hankel_stats(x, (1,)), priors,
                       VBConfig(max_iter=300, elbo_rel_tol=1e-12, seed=3))
         log_z = oracles.log_marginal_quadrature_1d(
             x[0], weight_sd=1.0, mean_sd=1.0, noise_scale=1.0, noise_dof=4.0,
@@ -471,21 +487,55 @@ class TestRunVb:
     def test_fixed_point_invariance(self):
         gen = np.random.default_rng(13)
         priors = default_priors(2, 2, 1)
-        kernel = _Kernel(HankelStats.from_matrix(gen.standard_normal((4, 30)), (2, 2)),
+        kernel = _Kernel(hankel_stats(gen.standard_normal((4, 30)), (2, 2)),
                          priors)
         post = run_vb(kernel.stats, priors, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
                                                      seed=5))
         settled = post.elbo_trace[-1]
-        kernel.update_latent(post, _expected_precision(post))
-        kernel.update_weights(post, _expected_precision(post), True)
-        kernel.update_noise(post)
-        kernel.update_mean(post, _expected_precision(post))
-        again = kernel.elbo(post, _expected_precision(post))
+        kernel.update_latent(post, _psi(post))
+        lat = kernel.latent_stats(post, True)
+        kernel.update_weights(post, _psi(post), lat)
+        kernel.update_noise(post, lat)
+        kernel.update_mean(post, _psi(post), lat)
+        again = _bound(kernel, post)
         assert abs(again - settled) <= 1e-10 * abs(settled)
+
+    @pytest.mark.parametrize("cross_cov", [True, False])
+    def test_one_evaluation_per_sweep(self, monkeypatch, cross_cov):
+        # a sweep evaluates the expected latent statistics once, twice when
+        # the weight update drops the latent cross-covariances, and factors
+        # each view's noise scale once, after one factorization at the start
+        import bayes_ssi.rng as rng_mod
+        import bayes_ssi.vb as vb_mod
+
+        calls = {"latent_stats": 0, "noise scale": 0}
+        latent_stats_impl = _Kernel.latent_stats
+        cholesky = rng_mod.spd_cholesky
+
+        def counted_latent_stats(*args):
+            calls["latent_stats"] += 1
+            return latent_stats_impl(*args)
+
+        def counted_cholesky(mat, name="matrix"):
+            calls["noise scale"] += name == "noise factor scale"
+            return cholesky(mat, name)
+
+        monkeypatch.setattr(_Kernel, "latent_stats", counted_latent_stats)
+        monkeypatch.setattr(vb_mod, "spd_cholesky", counted_cholesky)
+        monkeypatch.setattr(rng_mod, "spd_cholesky", counted_cholesky)
+        gen = np.random.default_rng(14)
+        stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
+        sweeps = 4
+        post = run_vb(stats, default_priors(2, 2, 2),
+                      VBConfig(max_iter=sweeps, elbo_rel_tol=1e-300, seed=6,
+                               latent_cross_cov=cross_cov))
+        assert post.n_iter == sweeps
+        assert calls == {"latent_stats": sweeps * (1 if cross_cov else 2),
+                         "noise scale": len(stats.view_dims) * (sweeps + 1)}
 
     def test_monotone_trace_and_termination(self):
         gen = np.random.default_rng(14)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 60)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
         priors = default_priors(2, 2, 2)
         post = run_vb(stats, priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
                                              seed=6))
@@ -498,7 +548,7 @@ class TestRunVb:
         # one record when the run stops at max_iter unconverged, none when
         # it converges, also on its last allowed sweep
         gen = np.random.default_rng(14)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 60)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
         priors = default_priors(2, 2, 2)
         with caplog.at_level("WARNING", logger="bayes_ssi.vb"):
             short = run_vb(stats, priors, VBConfig(max_iter=3, elbo_rel_tol=1e-8, seed=6))
@@ -516,7 +566,7 @@ class TestRunVb:
 
     def test_determinism(self):
         gen = np.random.default_rng(15)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 40)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 40)), (2, 2))
         priors = default_priors(2, 2, 1)
         cfg = VBConfig(max_iter=40, elbo_rel_tol=1e-9, seed=11)
         a = run_vb(stats, priors, cfg)
@@ -528,7 +578,7 @@ class TestRunVb:
     def test_dof_offset_invariant(self):
         gen = np.random.default_rng(16)
         n = 25
-        stats = HankelStats.from_matrix(gen.standard_normal((4, n)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, n)), (2, 2))
         priors = default_priors(2, 2, 1)
         post = run_vb(stats, priors, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
                                              seed=2))
@@ -537,7 +587,7 @@ class TestRunVb:
 
     def test_strict_paper_mode_runs(self):
         gen = np.random.default_rng(17)
-        stats = HankelStats.from_matrix(gen.standard_normal((4, 50)), (2, 2))
+        stats = hankel_stats(gen.standard_normal((4, 50)), (2, 2))
         priors = default_priors(2, 2, 2)
         post = run_vb(stats, priors, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
                                              seed=4, latent_cross_cov=False))
@@ -550,7 +600,7 @@ class TestRunVb:
         d, n = 2, 800
         w0 = gen.standard_normal((6, d))
         x = w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
-        stats = HankelStats.from_matrix(x, (3, 3))
+        stats = hankel_stats(x, (3, 3))
         priors = default_priors(3, 3, d, noise_scale=1.0)
         cold = run_vb(stats, priors, VBConfig(max_iter=500, seed=1))
         warm = run_vb(stats, priors, VBConfig(max_iter=500, seed=1,
