@@ -516,6 +516,8 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     ts = _load_input(cfg)
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
     vb_config = _vb_config(cfg)
+    if cfg["block_rows"] < 1:   # no statistics to build; 1 is rejected below
+        _require_block_rows(cfg)
     stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
     # invalid priors fail the command here, not as a failure at every order
     priors = [build_priors(*stats.view_dims, order, overrides) for order in cfg["orders"]]

@@ -15,10 +15,10 @@ statistics exactly from the latent conditional, so a sweep costs the same at
 any N.
 
 Given the latent statistics, the mean's and every weight column's
-conditional precision depend only on the drawn noise precision, so each
-sweep factors all of them at once, per view block when the priors allow
-(:attr:`~bayes_ssi.model.PriorHyper.factor_slices`), before drawing the
-mean and the columns in turn.
+conditional precision depend only on the drawn noise precision, kept as
+its per-view blocks, so each sweep factors all of them at once, per view
+block when the priors allow (:attr:`~bayes_ssi.model.PriorHyper.factor_slices`),
+before drawing the mean and the columns in turn.
 
 The warm start is :func:`~bayes_ssi.subspace.warm_start_point`, the
 canonical-variate point the variational engine starts from too; neither
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
+from .model import Conditionals, LatentStats, PriorHyper, latent_natural
 from .rng import (
     GIBBS_STREAM,
     Rng,
@@ -145,19 +145,18 @@ class _Kernel(Conditionals):
 
     def transition(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray,
-                                                      list[np.ndarray], np.ndarray]:
+                                                      list[np.ndarray], list[np.ndarray]]:
         """Draw the per-view noise blocks, then the mean, then every weight
         column in order (each seeing the columns drawn before it) from their
         full conditionals given the latent statistics.  Returns (weights,
-        mean, noise blocks, dense noise precision).
+        mean, noise blocks, noise precision blocks).
 
         The random numbers are consumed in that order: each noise block's
         Bartlett factor, D normals for the mean, D normals per column."""
         draws = [sample_inverse_wishart_pair(rng, scale, dof)
                  for scale, dof in self.noise_conditionals(
                      self.residual_scatter(weights, mean, lat))]
-        noise = [cov for cov, _ in draws]
-        prec = block_diagonal([block_prec for _, block_prec in draws])
+        noise, prec = map(list, zip(*draws))
         factors = self.precision_factors(prec, np.diag(lat.gram))
         normal = rng.standard_normal
         dim = self.stats.dim
@@ -169,10 +168,10 @@ class _Kernel(Conditionals):
                 factors, i + 1, self.weight_rhs(weights, mean, lat, prec, i), normal(dim))
         return weights, mean, noise, prec
 
-    def draw_latent(self, weights: np.ndarray, mean: np.ndarray, prec: np.ndarray,
+    def draw_latent(self, weights: np.ndarray, mean: np.ndarray, prec: list[np.ndarray],
                     rng: np.random.Generator | None) -> LatentStats:
-        """Statistics of a latent matrix drawn from its full conditional, or
-        of the conditional means when ``rng`` is None."""
+        """Statistics of a latent matrix drawn from its full conditional
+        (noise precision blocks ``prec``), or of its means if ``rng`` is None."""
         post_chol, proj = latent_natural(weights, prec)
         return self._latent_stats(post_chol, proj, proj @ (self.stats.row_mean - mean),
                                   rng)
@@ -248,8 +247,8 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     n_records = config.n_records
     if config.warm_start:
         weights, mean, noise = warm_start_point(stats, d)
-        prec = block_diagonal([spd_inverse(blk, "noise_cov") for blk in noise])
-        lat = kernel.draw_latent(weights, mean, prec, None)
+        lat = kernel.draw_latent(weights, mean,
+                                 [spd_inverse(blk, "noise_cov") for blk in noise], None)
     else:
         weights, mean, noise = _prior_point(priors, rng)
         lat = kernel.draw_prior_latent(d, rng)

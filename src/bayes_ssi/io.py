@@ -7,10 +7,10 @@ text is byte for byte what ``np.savetxt(fmt="%.17g", delimiter=",")``
 writes.  Per-draw arrays are ``.npy`` files, float64 or complex128 only,
 written by :func:`write_array`: ``identify``'s per-mode draws and shapes,
 and the engine containers (the Gibbs chain and the variational factors),
-which hold one file per array, shape kept, next to a JSON manifest.  The
-chain's noise covariances are stored as their packed lower triangles, as
-the chain keeps them.  Reruns with the same seed therefore reproduce
-byte-identical files.
+which hold one file per array, shape kept, next to a JSON manifest, in
+the layout the container keeps: the chain's noise covariances as packed
+lower triangles, the variational basis and mean covariance per factor
+block.  Reruns with the same seed therefore reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -227,30 +227,33 @@ def save_vb_posterior(directory, post: VBPosterior, extra_meta: dict | None = No
 
     The latent factor is stored as its d x D map and centre: the latent
     mean of data column x_n is latent_map @ (x_n - latent_centre).  The
-    weight factors are stored as their shared basis B (D x D) and
-    eigenvalues e (d x D): column i's covariance is B diag(e_i) B^T.
+    weight factors are stored as their shared basis B and eigenvalues e
+    (d x D): column i's covariance is B diag(e_i) B^T.  B and the mean
+    covariance take one h_b x h_b file per factor block b, from 0
+    (``weight_basis_block{b}``, ``mean_cov_block{b}``; ``factor_blocks``
+    in the manifest lists the h_b).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     total_dim, d = post.weight_mean.shape
     arrays = {
         "weight_mean": post.weight_mean,
-        "weight_basis": post.weight_basis,
+        **{f"weight_basis_block{b}": basis for b, basis in enumerate(post.weight_basis)},
         "weight_eigs": post.weight_eigs,
         "latent_cov": post.latent_cov,
         "latent_map": post.latent_map,
         "latent_centre": post.latent_centre,
         "mean_loc": post.mean_loc,
-        "mean_cov": post.mean_cov,
+        **{f"mean_cov_block{b}": cov for b, cov in enumerate(post.mean_cov)},
+        **{f"noise_scale_view{m}": scale for m, scale in enumerate(post.noise_scale, start=1)},
+        "elbo_trace": np.asarray(post.elbo_trace),
     }
-    for m, scale in enumerate(post.noise_scale, start=1):
-        arrays[f"noise_scale_view{m}"] = scale
-    arrays["elbo_trace"] = np.asarray(post.elbo_trace)
     manifest = {
         "kind": "vb_posterior",
         "dim": total_dim,
         "latent_dim": d,
         "view_dims": list(post.view_dims),
+        "factor_blocks": [basis.shape[0] for basis in post.weight_basis],
         "arrays": _save_arrays(directory, arrays),
         "noise_dof": list(post.noise_dof),
         "converged": post.converged,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .gibbs import GibbsChain
 from .model import PriorHyper
-from .rng import STAB_DRAW_STREAM_BASE, Rng, psd_factor
+from .rng import STAB_DRAW_STREAM_BASE, Rng
 from .subspace import (
     HankelStats,
     ModalSet,
@@ -165,18 +165,19 @@ def draw_observability_samples(post: VBPosterior, n: int, rng: np.random.Generat
     Gaussian, ``DRAW_BLOCK`` draws at a time in draw, column, row order.
 
     Column i's first-view rows have mean ``weight_mean[:d1, i]`` and
-    covariance B1 diag(e_i) B1^T, with B1 the first d1 rows of
-    ``weight_basis`` and e_i its ``weight_eigs`` row, whether or not the
-    priors couple the views.  Each column of each draw takes d1 standard
-    normals through a factor of that covariance (``psd_factor``, so a
-    singular one gives its mean)."""
+    covariance B1 diag(e_i) B1^T, with B1 the first d1 rows of the first
+    ``weight_basis`` block (d1 x D when the priors couple the views) and
+    e_i the matching part of its ``weight_eigs`` row.  The R of one QR of
+    (B1 diag(sqrt(e_i)))^T, batched over the columns, is d1 x d1 with
+    R^T R that covariance, so each column of each draw takes d1 standard
+    normals through R^T; a zero covariance gives its mean."""
     if n < 1:
         raise ValueError("need at least one draw")
     d1 = post.view_dims[0]
-    basis = post.weight_basis[:d1]
-    # d x d1 x d1: the transposed factor F_i^T of column i's marginal
-    factors = np.stack([psd_factor((basis * eigs) @ basis.T).T
-                        for eigs in post.weight_eigs])
+    basis = post.weight_basis[0][:d1]
+    scaled = basis * np.sqrt(post.weight_eigs[:, None, :basis.shape[1]])
+    # d x d1 x d1: R_i, the transposed factor R_i^T of column i's marginal
+    factors = np.linalg.qr(scaled.transpose(0, 2, 1), mode="r")
     mean = post.weight_mean[:d1]
     d = mean.shape[1]
     out = np.empty((n, d1, d))

@@ -21,12 +21,14 @@ see the data only through its statistics
 are the one implementation of that algebra: the Gibbs engine evaluates it
 at drawn latent statistics, the variational engine at its expected ones.
 
-The noise precision is block-diagonal across views.  When the mean and
-weight priors are too (the default), so is every mean and weight-column
-conditional precision, and each is factored per view
-(:attr:`PriorHyper.factor_slices`), as is the variational engine's weight
-basis (:meth:`Conditionals.weight_basis`); a prior that couples the views
-makes the partition one block of all D rows.
+Every function here takes the noise precision as its list of per-view
+blocks.  When the mean and weight priors are block-diagonal too (the
+default), so is every mean and weight-column conditional precision, and
+each is factored per view (:attr:`PriorHyper.factor_slices`), as is the
+variational engine's weight basis (:meth:`Conditionals.weight_basis`),
+one array per view.  A prior that couples the views makes the partition
+one block of all D rows, the one case that assembles the D x D noise
+precision (:meth:`Conditionals.factor_precisions`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = [
     "LatentStats",
     "Conditionals",
     "view_slices",
-    "block_diagonal",
     "latent_natural",
     "default_priors",
 ]
@@ -64,15 +65,12 @@ def view_slices(view_dims: tuple[int, ...]) -> list[slice]:
     return [slice(int(edges[m]), int(edges[m + 1])) for m in range(len(view_dims))]
 
 
-def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """Dense block-diagonal matrix with the per-view ``blocks`` on its
-    diagonal."""
-    dims = [blk.shape[0] for blk in blocks]
-    out = np.zeros((sum(dims), sum(dims)))
-    start = 0
-    for blk, dim in zip(blocks, dims):
-        out[start:start + dim, start:start + dim] = blk
-        start += dim
+def _block_product(blocks: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """blockdiag(``blocks``) @ ``x``, one product per diagonal block."""
+    out, stop = np.empty(x.shape), 0
+    for blk in blocks:
+        start, stop = stop, stop + len(blk)
+        np.matmul(blk, x[start:stop], out=out[start:stop])
     return out
 
 
@@ -164,17 +162,18 @@ class LatentStats:
     total: np.ndarray    # d
 
 
-def latent_natural(weights: np.ndarray, prec: np.ndarray,
+def latent_natural(weights: np.ndarray, prec: list[np.ndarray],
                    extra: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(chol of the shared conditional precision P = W^T prec W + I + extra,
     map A = P^-1 W^T prec) of the latent conditional
-    z_n | x_n ~ N(A (x_n - mean), P^-1).
+    z_n | x_n ~ N(A (x_n - mean), P^-1), for the noise precision given as
+    its per-view blocks ``prec``.
 
     ``extra`` (d x d) is added to the precision; the variational engine
     passes its weight-uncertainty correction there."""
     d = weights.shape[1]
-    prec_w = prec @ weights                      # D x d
+    prec_w = _block_product(prec, weights)       # D x d
     post_prec = weights.T @ prec_w + np.eye(d)
     if extra is not None:
         post_prec += extra
@@ -187,9 +186,9 @@ class Conditionals:
     conditionals of the mean and of each weight column, on one set of data
     statistics and given latent statistics.
 
-    ``prec`` is the dense block-diagonal noise precision.  The Gaussian
-    conditionals are held as right-hand sides (precision times mean) and
-    the Cholesky factors of their precisions on the factor blocks
+    ``prec`` is the noise precision as its list of per-view blocks.  The
+    Gaussian conditionals are held as right-hand sides (precision times
+    mean) and the Cholesky factors of their precisions on the factor blocks
     (:meth:`precision_factors`); :meth:`factor_solve` turns the two into a
     conditional mean or a draw.  The residual scatter does not read
     ``priors``."""
@@ -199,13 +198,16 @@ class Conditionals:
         self.priors = priors
         self.slices = view_slices(stats.view_dims)
 
-    @cached_property
-    def view_blocks(self) -> list[slice]:
-        """Per view, the factor block that holds its rows: the columns of
-        the block-diagonal weight basis that are nonzero in those rows."""
-        return [next(block for block in self.priors.factor_slices
-                     if block.start <= view.start and view.stop <= block.stop)
-                for view in self.slices]
+    def factor_precisions(self, prec: list[np.ndarray]) -> list[np.ndarray]:
+        """The noise precision on each factor block: the per-view blocks
+        themselves, or, when a coupling prior makes one block of all D
+        rows, the D x D block-diagonal matrix."""
+        if len(self.priors.factor_slices) == len(prec):
+            return prec
+        dense = np.zeros((self.stats.dim, self.stats.dim))
+        for sl, blk in zip(self.slices, prec):
+            dense[sl, sl] = blk
+        return [dense]
 
     def residual_scatter(self, weights: np.ndarray, mean: np.ndarray,
                          lat: LatentStats) -> list[np.ndarray]:
@@ -235,23 +237,23 @@ class Conditionals:
                                                self.priors.noise_dof)]
 
     def mean_rhs(self, weights: np.ndarray, lat: LatentStats,
-                 prec: np.ndarray) -> np.ndarray:
+                 prec: list[np.ndarray]) -> np.ndarray:
         """Conditional precision times conditional mean of the mean:
         prec @ sum_n (x_n - W z_n) plus the prior precision times the prior
         location."""
         demeaned_sum = self.stats.n_cols * self.stats.row_mean - weights @ lat.total
-        return prec @ demeaned_sum + self.priors.mean_prior[1]
+        return _block_product(prec, demeaned_sum) + self.priors.mean_prior[1]
 
     def weight_rhs(self, weights: np.ndarray, mean: np.ndarray, lat: LatentStats,
-                   prec: np.ndarray, i: int) -> np.ndarray:
+                   prec: list[np.ndarray], i: int) -> np.ndarray:
         """Conditional precision times conditional mean of weight column i:
         prec @ sum_n (x_n - mean - sum_{k != i} w_k z_kn) z_in plus the
         prior precision times the prior location."""
         data_term = (lat.cross[:, i] + (self.stats.row_mean - mean) * lat.total[i]
                      - weights @ lat.gram[:, i] + weights[:, i] * lat.gram[i, i])
-        return prec @ data_term + self.priors.weight_prior[1]
+        return _block_product(prec, data_term) + self.priors.weight_prior[1]
 
-    def precision_factors(self, prec: np.ndarray, sq_sums: np.ndarray,
+    def precision_factors(self, prec: list[np.ndarray], sq_sums: np.ndarray,
                           ) -> list[np.ndarray]:
         """Lower Cholesky factors of the mean's conditional precision
         N prec + P_mu and of each weight column's s_i prec + P0, for
@@ -261,8 +263,8 @@ class Conditionals:
         scales = np.concatenate([[self.stats.n_cols], sq_sums])[:, None, None]
         mean_prior, weight_prior = self.priors.mean_prior[0], self.priors.weight_prior[0]
         factors = []
-        for sl in self.priors.factor_slices:
-            stack = scales * prec[sl, sl]
+        for sl, block_prec in zip(self.priors.factor_slices, self.factor_precisions(prec)):
+            stack = scales * block_prec
             stack[0] += mean_prior[sl, sl]
             stack[1:] += weight_prior[sl, sl]
             try:
@@ -288,31 +290,29 @@ class Conditionals:
             out[sl] = solve_lower(chol[k], half, transpose=True)
         return out
 
-    def weight_basis(self, prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def weight_basis(self, prec: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
         """(B, lam) diagonalizing the weight prior precision P0 and ``prec``
-        at once: B^T P0 B = I and B^T prec B = diag(lam).
+        at once, B block-diagonal on the factor blocks and returned as its
+        h_b x h_b blocks: B^T P0 B = I and B^T prec B = diag(lam).
 
-        With L L^T the prior covariance, L and ``prec`` (a noise precision,
-        block-diagonal per view) are block-diagonal on the factor blocks,
-        and so is B: on block b, L_b^T prec_b L_b = V_b diag(lam_b) V_b^T
-        and B_b = L_b V_b, one symmetric eigendecomposition per block, with
-        lam holding the blocks' eigenvalues in block order.  A prior that
-        couples the views gives one block: L^T prec L = V diag(lam) V^T and
-        B = L V.  Every weight column's conditional precision s_i prec + P0
-        is then B^-T diag(s_i lam + 1) B^-1."""
+        With L L^T the prior covariance, block b has
+        L_b^T prec_b L_b = V_b diag(lam_b) V_b^T and B_b = L_b V_b: one
+        symmetric eigendecomposition per block, one of all D rows under a
+        coupling prior, with lam the eigenvalues in block order.  Every
+        weight column's conditional precision s_i prec + P0 is then
+        B^-T diag(s_i lam + 1) B^-1."""
         chol = self.priors.weight_chol
-        basis = np.zeros_like(chol)
-        lams = []
-        for sl in self.priors.factor_slices:
+        bases, lams = [], []
+        for sl, block_prec in zip(self.priors.factor_slices, self.factor_precisions(prec)):
             block = chol[sl, sl]
-            lam, vecs = np.linalg.eigh(symmetrize(block.T @ prec[sl, sl] @ block))
-            basis[sl, sl] = block @ vecs
+            lam, vecs = np.linalg.eigh(symmetrize(block.T @ block_prec @ block))
+            bases.append(block @ vecs)
             lams.append(lam)
-        return basis, np.concatenate(lams)
+        return bases, np.concatenate(lams)
 
-    def weight_factors(self, prec: np.ndarray, sq_sums: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(B, e): the shared basis and the d x D eigenvalues
+    def weight_factors(self, prec: list[np.ndarray], sq_sums: np.ndarray,
+                       ) -> tuple[list[np.ndarray], np.ndarray]:
+        """(B, e): the shared basis blocks and the d x D eigenvalues
         e_i = 1 / (s_i lam + 1) of the weight columns' conditional
         covariances B diag(e_i) B^T, for s_i = ``sq_sums[i]`` = (Z Z^T)_ii."""
         basis, lam = self.weight_basis(prec)

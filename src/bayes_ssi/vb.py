@@ -24,15 +24,15 @@ noise scale once, after the noise update, and passes both to the updates
 and the bound that read them.  Under ``latent_cross_cov=False`` the weight
 update reads a second evaluation, without the latent cross-covariances.
 
-Every weight column's precision is s_i Psi + P0, with one expected noise
-precision Psi and one prior precision P0 shared by all columns, so one
-symmetric eigendecomposition per factor block and sweep diagonalizes all
-of them (:meth:`~bayes_ssi.model.Conditionals.weight_basis`): one per
-view under the default priors, one of all D rows under priors that couple
-the views.  The weight factors are held as a D x D basis B, block-diagonal
-on those blocks, with B^T P0 B = I and a d x D array e of eigenvalues,
-column i's covariance being B diag(e_i) B^T; the kernel multiplies by B
-block by block.  Each update is
+The expected noise precision Psi is held as its per-view blocks.  Every
+weight column's precision is s_i Psi + P0, with one prior precision P0,
+so one symmetric eigendecomposition per factor block and sweep
+diagonalizes all of them (:meth:`~bayes_ssi.model.Conditionals.weight_basis`):
+one per view under the default priors, one of all D rows under priors
+that couple the views.  The weight factors are that basis B, one
+h_b x h_b array per block with B^T P0 B = I, and a d x D array e of
+eigenvalues, column i's covariance being B diag(e_i) B^T; the mean
+factor's covariance is held per block too.  Each update is
 the model's full conditional (:class:`~bayes_ssi.model.Conditionals`, the
 algebra the Gibbs engine samples from) evaluated at the expected latent
 statistics and expected noise precision, plus the mean-field corrections
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Conditionals, LatentStats, PriorHyper, block_diagonal, latent_natural
+from .model import Conditionals, LatentStats, PriorHyper, latent_natural
 from .rng import (
     VB_INIT_STREAM,
     Rng,
@@ -118,23 +118,22 @@ class VBPosterior:
     """Parameters of the factorized surrogate posterior.
 
     The latent mean of data column x_n is ``latent_map @ (x_n -
-    latent_centre)``; every column shares ``latent_cov``.  Weight column
-    i's covariance is ``weight_basis @ diag(weight_eigs[i]) @
-    weight_basis.T``, and the basis whitens the weight prior precision P0:
-    ``weight_basis.T @ P0 @ weight_basis = I``, which the bound relies on.
-    The basis is block-diagonal on the priors' factor blocks
-    (:attr:`~bayes_ssi.model.PriorHyper.factor_slices`), with its columns in
-    block order; the kernel reads only those blocks.
+    latent_centre)``; every column shares ``latent_cov``.  The basis B and
+    the mean covariance are block-diagonal and held as one h_b x h_b array
+    per factor block (:attr:`~bayes_ssi.model.PriorHyper.factor_slices`),
+    and the columns of ``weight_eigs`` follow the block order: weight
+    column i's covariance is B diag(weight_eigs[i]) B^T, and B whitens the
+    weight prior precision P0, B^T P0 B = I, which the bound relies on.
     """
 
     latent_cov: np.ndarray           # d x d, shared across columns
     latent_map: np.ndarray           # d x D
     latent_centre: np.ndarray        # D
     weight_mean: np.ndarray          # D x d
-    weight_basis: np.ndarray         # D x D, shared by every column
-    weight_eigs: np.ndarray          # d x D
+    weight_basis: list[np.ndarray]   # per factor block, shared by every column
+    weight_eigs: np.ndarray          # d x D, columns in block order
     mean_loc: np.ndarray             # D
-    mean_cov: np.ndarray             # D x D
+    mean_cov: list[np.ndarray]       # per factor block
     mean_cov_logdet: float           # ln |mean_cov|
     noise_scale: list[np.ndarray]    # per view
     noise_dof: list[float]           # per view
@@ -166,32 +165,19 @@ def _wishart_log_norm(scale_logdet: float, dof: float, dim: int) -> float:
     return 0.5 * dof * (scale_logdet - dim * np.log(2.0)) - log_multigamma(0.5 * dof, dim)
 
 
-def _gaussian_kl(dev: np.ndarray, cov: np.ndarray, cov_logdet: float,
-                 prior_prec: np.ndarray, prior_logdet: float) -> float:
-    """KL(N(loc + dev, cov) || N(loc, prior_prec^-1)), with ``cov_logdet``
-    = ln |cov| and ``prior_logdet`` = ln |prior_prec^-1|."""
-    return 0.5 * (float(dev @ prior_prec @ dev) + float(np.sum(prior_prec * cov))
-                  - dev.size + prior_logdet - cov_logdet)
-
-
-def _expected_precision(post: VBPosterior) -> tuple[np.ndarray, list[float]]:
-    """Dense block-diagonal expected noise precision Psi, whose blocks are
+def _expected_precision(post: VBPosterior) -> tuple[list[np.ndarray], list[float]]:
+    """The expected noise precision Psi as its per-view blocks
     dof * scale^-1 of the Wishart factors, and each view's ln |scale|, from
     one Cholesky factorization of each scale."""
     chols = [spd_cholesky(symmetrize(scale), "noise factor scale")
              for scale in post.noise_scale]
-    return (block_diagonal([dof * chol_inverse(chol)
-                            for chol, dof in zip(chols, post.noise_dof)]),
+    return ([dof * chol_inverse(chol) for chol, dof in zip(chols, post.noise_dof)],
             [chol_logdet(chol) for chol in chols])
 
 
 class _Kernel(Conditionals):
     """The closed-form coordinate updates and the bound on one set of
-    sufficient statistics.
-
-    Each update is the model's Gibbs conditional evaluated at the expected
-    latent statistics, plus the mean-field corrections the other factors'
-    covariances add."""
+    sufficient statistics, worked block by block."""
 
     @cached_property
     def prior_logdets(self) -> tuple[float, list[float]]:
@@ -201,11 +187,6 @@ class _Kernel(Conditionals):
         return (chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov")),
                 [chol_logdet(spd_cholesky(scale0, "noise prior scale"))
                  for scale0 in priors.noise_scale])
-
-    @cached_property
-    def noise_prior_scale(self) -> np.ndarray:
-        """Dense block-diagonal noise prior scale."""
-        return block_diagonal(self.priors.noise_scale)
 
     def latent_stats(self, post: VBPosterior, cross_cov: bool) -> LatentStats:
         """Expected latent statistics: (X - m 1^T) E[Z]^T = G A^T,
@@ -223,28 +204,32 @@ class _Kernel(Conditionals):
         """Per-view diagonal blocks of sum_n E[(x_n - mu - W z_n)(x_n - mu -
         W z_n)^T]: the residual scatter at the expected statistics plus the
         mean factor's covariance and each weight column's covariance times
-        E[sum_n z_in^2]."""
+        E[sum_n z_in^2], on the view's rows of its factor block."""
         n = self.stats.n_cols
-        basis = post.weight_basis
-        weighted = basis * (np.diag(lat.gram) @ post.weight_eigs)
-        scatter = self.residual_scatter(post.weight_mean, post.mean_loc, lat)
-        # a view's rows of the block-diagonal basis vanish outside its block
-        return [block + n * post.mean_cov[sl, sl] + weighted[sl, cols] @ basis[sl, cols].T
-                for sl, cols, block in zip(self.slices, self.view_blocks, scatter)]
+        sq_eigs = np.diag(lat.gram) @ post.weight_eigs
+        out = self.residual_scatter(post.weight_mean, post.mean_loc, lat)
+        for block, basis, cov in zip(self.priors.factor_slices, post.weight_basis,
+                                     post.mean_cov):
+            weighted = basis * sq_eigs[block]
+            for m, view in enumerate(self.slices):
+                if block.start <= view.start < block.stop:
+                    rows = slice(view.start - block.start, view.stop - block.start)
+                    out[m] = out[m] + n * cov[rows, rows] + weighted[rows] @ basis[rows].T
+        return out
 
-    def update_latent(self, post: VBPosterior, psi: np.ndarray) -> None:
+    def update_latent(self, post: VBPosterior, psi: list[np.ndarray]) -> None:
         # E[W^T Psi W] adds tr(Psi Sigma_w_i) = e_i . diag(B^T Psi B) to
-        # diagonal entry i; B and Psi are block-diagonal on the factor blocks
-        basis = post.weight_basis
-        quad = [np.einsum("ij,ij->j", basis[sl, sl], psi[sl, sl] @ basis[sl, sl])
-                for sl in self.priors.factor_slices]
+        # diagonal entry i, B and Psi taken block by block
+        quad = [np.einsum("ij,ij->j", basis, block_psi @ basis)
+                for basis, block_psi in zip(post.weight_basis,
+                                            self.factor_precisions(psi))]
         trace_corr = post.weight_eigs @ np.concatenate(quad)
         post_chol, post.latent_map = latent_natural(post.weight_mean, psi,
                                                     np.diag(trace_corr))
         post.latent_cov = chol_inverse(post_chol)
         post.latent_centre = post.mean_loc.copy()
 
-    def update_weights(self, post: VBPosterior, psi: np.ndarray,
+    def update_weights(self, post: VBPosterior, psi: list[np.ndarray],
                        lat: LatentStats) -> None:
         """Update every weight-column factor in column order; each mean sees
         the columns updated before it.  The covariances depend only on Psi
@@ -252,25 +237,25 @@ class _Kernel(Conditionals):
         basis, eigs = self.weight_factors(psi, np.diag(lat.gram))
         for i in range(eigs.shape[0]):
             rhs = self.weight_rhs(post.weight_mean, post.mean_loc, lat, psi, i)
-            post.weight_mean[:, i] = basis @ (eigs[i] * (rhs @ basis))
+            for sl, block in zip(self.priors.factor_slices, basis):
+                post.weight_mean[sl, i] = block @ (eigs[i, sl] * (rhs[sl] @ block))
         post.weight_basis, post.weight_eigs = basis, eigs
 
     def update_noise(self, post: VBPosterior, lat: LatentStats) -> None:
-        params = self.noise_conditionals(self.expected_scatter(post, lat))
-        post.noise_scale = [scale for scale, _ in params]
-        post.noise_dof = [dof for _, dof in params]
+        post.noise_scale, post.noise_dof = map(
+            list, zip(*self.noise_conditionals(self.expected_scatter(post, lat))))
 
-    def update_mean(self, post: VBPosterior, psi: np.ndarray,
+    def update_mean(self, post: VBPosterior, psi: list[np.ndarray],
                     lat: LatentStats) -> None:
         """One factorization of N Psi + P_mu on the factor blocks gives the
         mean, the covariance and its log determinant."""
         factors = self.precision_factors(psi, np.empty(0))
         post.mean_loc = self.factor_solve(
             factors, 0, self.mean_rhs(post.weight_mean, lat, psi))
-        post.mean_cov = block_diagonal([chol_inverse(chol[0]) for chol in factors])
+        post.mean_cov = [chol_inverse(chol[0]) for chol in factors]
         post.mean_cov_logdet = -sum(chol_logdet(chol[0]) for chol in factors)
 
-    def elbo(self, post: VBPosterior, psi: np.ndarray, lat: LatentStats,
+    def elbo(self, post: VBPosterior, psi: list[np.ndarray], lat: LatentStats,
              scale_logdets: list[float]) -> float:
         """Expected log likelihood minus each surrogate factor's KL
         divergence from its prior, given the noise factors' ln |scale|."""
@@ -283,21 +268,29 @@ class _Kernel(Conditionals):
                                                    post.noise_dof)]
 
         value = 0.5 * n * (sum(e_logdets) - self.stats.dim * np.log(2.0 * np.pi))
-        value -= 0.5 * sum(float(np.sum(psi[sl, sl] * block)) for sl, block
-                           in zip(self.slices, self.expected_scatter(post, lat)))
+        value -= 0.5 * sum(float(np.sum(block_psi * block)) for block_psi, block
+                           in zip(psi, self.expected_scatter(post, lat)))
         # latent factors against N(0, I), summed over the columns
         latent_logdet = chol_logdet(spd_cholesky(post.latent_cov, "latent factor cov"))
         value -= 0.5 * (float(np.trace(lat.gram)) - n * d - n * latent_logdet)
-        value -= _gaussian_kl(post.mean_loc - priors.mean_loc, post.mean_cov,
-                              post.mean_cov_logdet, priors.mean_prior[0], mean_logdet)
+        # the mean factor against its prior, block by block
+        dev = post.mean_loc - priors.mean_loc
+        prec0 = priors.mean_prior[0]
+        value -= 0.5 * (sum(float(dev[sl] @ prec0[sl, sl] @ dev[sl])
+                            + float(np.sum(prec0[sl, sl] * cov))
+                            for sl, cov in zip(priors.factor_slices, post.mean_cov))
+                        - dev.size + mean_logdet - post.mean_cov_logdet)
         # weight columns against their prior: B^T P0 B = I makes the trace
         # term sum(e_i) and ln |P0^-1| - ln |Sigma_w_i| = -sum(ln e_i)
         dev = post.weight_mean - priors.weight_loc[:, None]
+        prec0 = priors.weight_prior[0]
         eigs = post.weight_eigs
-        value -= 0.5 * (float(np.sum(dev * (priors.weight_prior[0] @ dev)))
+        value -= 0.5 * (sum(float(np.sum(dev[sl] * (prec0[sl, sl] @ dev[sl])))
+                            for sl in priors.factor_slices)
                         + float(np.sum(eigs - np.log(eigs))) - eigs.size)
         # Wishart factors; tr(scale E[precision]) = dof * dim under the factor
-        value -= 0.5 * float(np.sum(self.noise_prior_scale * psi))
+        value -= 0.5 * sum(float(np.sum(scale0 * block_psi))
+                           for scale0, block_psi in zip(priors.noise_scale, psi))
         for dof0, logdet0, scale, dof, logdet, e_logdet in zip(
                 priors.noise_dof, noise_prior_logdets, post.noise_scale,
                 post.noise_dof, scale_logdets, e_logdets):
@@ -325,7 +318,8 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
     if warm_start:
         weight_mean, _, noise_cov = warm_start_point(stats, d)
         # 1e-8 I = B diag(1e-8 / lam) B^T for the basis with B^T B = diag(lam)
-        weight_basis, lam = Conditionals(stats, priors).weight_basis(np.eye(total_dim))
+        weight_basis, lam = Conditionals(stats, priors).weight_basis(
+            [np.eye(dim) for dim in priors.view_dims])
         weight_eigs = np.tile(1e-8 / lam, (d, 1))
         noise_dof = [dof0 + n for dof0 in priors.noise_dof]
         noise_scale = [dof * blk for dof, blk in zip(noise_dof, noise_cov)]
@@ -335,7 +329,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
         scale = 0.1 * float(np.sqrt(mean_square)) + 1e-8
         weight_mean = scale * rng.standard_normal((total_dim, d))
         # the prior covariance L L^T: B = L, e_i = 1
-        weight_basis = priors.weight_chol.copy()
+        weight_basis = [priors.weight_chol[sl, sl].copy() for sl in priors.factor_slices]
         weight_eigs = np.ones((d, total_dim))
         noise_scale = [s.copy() for s in priors.noise_scale]
         noise_dof = list(priors.noise_dof)
@@ -347,7 +341,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
         weight_basis=weight_basis,
         weight_eigs=weight_eigs,
         mean_loc=stats.row_mean.copy(),
-        mean_cov=1e-10 * np.eye(total_dim),
+        mean_cov=[1e-10 * np.eye(sl.stop - sl.start) for sl in priors.factor_slices],
         mean_cov_logdet=total_dim * np.log(1e-10),
         noise_scale=noise_scale,
         noise_dof=noise_dof,
@@ -364,8 +358,8 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
     decrease beyond 1e-8 relative raises (logs a warning in the non-exact
     ``latent_cross_cov=False`` mode); a non-finite bound aborts with a
     state dump, and a run that stops at ``max_iter`` unconverged logs one
-    warning naming the order.  Each sweep costs O(D^3 + D^2 d), whatever
-    the column count.
+    warning naming the order.  Each sweep costs O(sum_b h_b^3 + D^2 d) over
+    the factor blocks h_b, whatever the column count.
     """
     kernel = _Kernel(stats, priors)
     post = initial_posterior(stats, priors, config.seed, warm_start=config.warm_start)

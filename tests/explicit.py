@@ -1,14 +1,15 @@
 """Statistics of explicit stacked data X and an explicit latent matrix Z,
 the form the library's kernels take them in, the variational latent means
 of explicit data, the dense covariances of the variational weight
-factors, the dense mean and weight-column conditionals assembled from the
-kernels' block factors, and a reader for the CSV tables the commands
-write."""
+factors and of the mean factor, the dense mean and weight-column
+conditionals assembled from the kernels' block factors, and a reader for
+the CSV tables the commands write."""
 
 import numpy as np
+import scipy.linalg as sla
 
 from bayes_ssi.gibbs import _Kernel
-from bayes_ssi.model import LatentStats, block_diagonal
+from bayes_ssi.model import LatentStats
 from bayes_ssi.rng import chol_inverse, spd_inverse, symmetrize
 from bayes_ssi.subspace import HankelStats
 
@@ -55,18 +56,27 @@ def explicit_kernel(x, view_dims, priors, latent):
 
 
 def weight_cov(post):
-    """d x D x D covariances B diag(e_i) B^T of the weight-column factors."""
-    return (post.weight_basis * post.weight_eigs[:, None, :]) @ post.weight_basis.T
+    """d x D x D covariances B diag(e_i) B^T of the weight-column factors,
+    with B assembled from its per-block arrays."""
+    basis = sla.block_diag(*post.weight_basis)
+    return (basis * post.weight_eigs[:, None, :]) @ basis.T
+
+
+def dense_mean_cov(post):
+    """D x D covariance of the mean factor, assembled from its per-block
+    arrays."""
+    return sla.block_diag(*post.mean_cov)
 
 
 def block_precision(noise):
-    """Dense block-diagonal inverse of the per-view noise blocks."""
-    return block_diagonal([spd_inverse(blk) for blk in noise])
+    """The noise precision as the kernels take it: the inverse of each
+    per-view noise block."""
+    return [spd_inverse(blk) for blk in noise]
 
 
 def _conditional(kernel, lat, prec, k, rhs):
     factors = kernel.precision_factors(prec, np.diag(lat.gram))
-    cov = block_diagonal([chol_inverse(chol[k]) for chol in factors])
+    cov = sla.block_diag(*[chol_inverse(chol[k]) for chol in factors])
     return cov, kernel.factor_solve(factors, k, rhs)
 
 

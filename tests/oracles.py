@@ -76,11 +76,12 @@ def vb_observability_draw_full_basis(post, n, rng):
     """First-view rows of ``n`` full weight draws from the variational
     posterior: every column drawn over all D rows, D standard normals per
     column through its factor B diag(sqrt(e_i)), then the first-view rows
-    kept (n x d1 x d)."""
+    kept (n x d1 x d).  The basis is assembled from its per-block arrays."""
     total_dim, d = post.weight_mean.shape
     d1 = post.view_dims[0]
+    basis = sla.block_diag(*post.weight_basis)
     # d x D x d1: column i's factor restricted to the first-view rows
-    factors = np.sqrt(post.weight_eigs)[:, :, None] * post.weight_basis[:d1].T
+    factors = np.sqrt(post.weight_eigs)[:, :, None] * basis[:d1].T
     noise = rng.standard_normal((n, d, total_dim))
     spread = (noise.transpose(1, 0, 2) @ factors).transpose(1, 2, 0)
     return post.weight_mean[:d1] + spread

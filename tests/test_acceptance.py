@@ -35,6 +35,7 @@ from bayes_ssi.vb import _Kernel as VBKernel
 import oracles
 from explicit import (
     block_precision,
+    dense_mean_cov,
     explicit_kernel,
     latent_means,
     latent_stats,
@@ -316,9 +317,10 @@ def test_criterion_7_vb_gibbs_degeneracy():
     post = VBPosterior(
         latent_cov=np.zeros((d, d)), latent_map=np.zeros((d, 4)),
         latent_centre=np.zeros(4),
-        weight_mean=weights.copy(), weight_basis=np.eye(4),
+        weight_mean=weights.copy(), weight_basis=[np.eye(2), np.eye(2)],
         weight_eigs=np.zeros((d, 4)),
-        mean_loc=mean.copy(), mean_cov=np.zeros((4, 4)), mean_cov_logdet=-np.inf,
+        mean_loc=mean.copy(), mean_cov=[np.zeros((2, 2)), np.zeros((2, 2))],
+        mean_cov_logdet=-np.inf,
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs, view_dims=view_dims,
     )
@@ -354,7 +356,7 @@ def test_criterion_7_vb_gibbs_degeneracy():
 
     kernel.update_mean(post, _expected_precision(post)[0], expected_lat)
     cov, m_mean = mean_conditional(gibbs_kernel, weights, lat, block_precision(noise))
-    assert np.max(np.abs(post.mean_cov - cov)) < 1e-10
+    assert np.max(np.abs(dense_mean_cov(post) - cov)) < 1e-10
     assert np.max(np.abs(post.mean_loc - m_mean)) < 1e-10
 
 

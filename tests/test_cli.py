@@ -762,13 +762,16 @@ def test_one_block_row_rejected_before_any_engine(sim_dir, tmp_path, capsys,
     monkeypatch.setattr(cli_mod, "ssi_cov", engine_must_not_run)
     monkeypatch.setattr(cli_mod, "run_vb", engine_must_not_run)
     monkeypatch.setattr(mp, "run_vb", engine_must_not_run)
-    out = tmp_path / "few_block_rows"
-    code = run_cli(*command, "--input", sim_dir / "response.csv",
-                   "--block-rows", 1, "--order", 4, "--seed", 1, "--out", out)
-    assert code == 1
-    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
-    assert len(err) == 1 and err[0].startswith("error:") and "--block-rows" in err[0]
-    assert not out.exists() or listing(out) == []
+    # zero block rows would otherwise fail inside the statistics build,
+    # under a message that does not name the flag
+    for block_rows in (1, 0):
+        out = tmp_path / f"few_block_rows_{block_rows}"
+        code = run_cli(*command, "--input", sim_dir / "response.csv",
+                       "--block-rows", block_rows, "--order", 4, "--seed", 1, "--out", out)
+        assert code == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(err) == 1 and err[0].startswith("error:") and "--block-rows" in err[0]
+        assert not out.exists() or listing(out) == []
 
 
 @pytest.mark.parametrize("fs", ["nan", "inf", "sidecar-nan"])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
 from scipy.linalg import solve_triangular
 
 from bayes_ssi.gibbs import (
@@ -132,7 +133,7 @@ class TestMeanConditional:
         truth = np.array([0.7, -0.4])
         x = weights @ latent + truth[:, None] + gen.standard_normal((2, n))
         kernel, lat = explicit_kernel(x, (1, 1), priors, latent)
-        _, mean = mean_conditional(kernel, weights, lat, np.eye(2))
+        _, mean = mean_conditional(kernel, weights, lat, [np.eye(1), np.eye(1)])
         target = (x - weights @ latent).mean(axis=1)
         assert mean == pytest.approx(target, abs=3 / np.sqrt(n))
 
@@ -180,7 +181,7 @@ class TestWeightConditional:
         z = gen.standard_normal((1, n))
         kernel, lat = explicit_kernel(x, (dim,), priors, z)
         cov, mean = weight_conditional(kernel, np.zeros((dim, 1)), np.zeros(dim), lat,
-                                       np.eye(dim), 0)
+                                       [np.eye(dim)], 0)
         ridge_prec = float(z[0] @ z[0]) + 1.0
         assert cov == pytest.approx(np.eye(dim) / ridge_prec)
         assert mean == pytest.approx((x @ z[0]) / ridge_prec)
@@ -406,7 +407,7 @@ class TestStatisticsEngine:
         dense_prec = np.zeros((5, 5))
         dense_prec[:2, :2] = np.linalg.inv(noise[0])
         dense_prec[2:, 2:] = np.linalg.inv(noise[1])
-        assert _relative_gap(prec, dense_prec) < 1e-10
+        assert _relative_gap(sla.block_diag(*prec), dense_prec) < 1e-10
         prec = dense_prec
 
         def dense_draw(post_prec, rhs):
@@ -565,7 +566,8 @@ class TestBlockedTransition:
                 [weights.ravel(), mean, *[blk.ravel() for blk in noise]]))
             weights, mean, noise, prec = oracles.gibbs_transition_dense(
                 stats, priors, *dense, rng_dense)
-            dense = (weights, mean, kernel.draw_latent(weights, mean, prec, rng_dense))
+            dense = (weights, mean, kernel.draw_latent(
+                weights, mean, [prec[sl, sl] for sl in kernel.slices], rng_dense))
             records["dense"].append(np.concatenate(
                 [weights.ravel(), mean, *[blk.ravel() for blk in noise]]))
         ours, dense = np.array(records["ours"]), np.array(records["dense"])
@@ -583,14 +585,14 @@ class TestBlockedTransition:
                   else default_priors(2, 2, 2))
         kernel = _Kernel(hankel_stats(gen.standard_normal((4, 30)), (2, 2)),
                          priors)
-        prec = np.diag([1.0, 1.0, 1.0, -0.01])
+        prec = [np.eye(2), np.diag([1.0, -0.01])]
         kernel.precision_factors(prec, np.array([1.0, 2.0]))
         with pytest.raises(NotPositiveDefiniteError,
                            match="weight conditional precision") as err:
             kernel.precision_factors(prec, np.array([1.0, 500.0]))
         assert err.value.pivot is not None
         with pytest.raises(NotPositiveDefiniteError, match="mean conditional precision"):
-            kernel.precision_factors(np.diag([1.0, 1.0, 1.0, -1.0]), np.array([1.0, 1.0]))
+            kernel.precision_factors([np.eye(2), np.diag([1.0, -1.0])], np.array([1.0, 1.0]))
 
     def test_partition_follows_prior_structure(self):
         base = default_priors(2, 3, 1)

@@ -44,24 +44,24 @@ def make_vb_posterior(gen, d1, d2, d, w_scale=0.0):
         latent_cov=np.eye(d), latent_map=np.zeros((d, total)),
         latent_centre=np.zeros(total),
         weight_mean=gen.standard_normal((total, d)),
-        weight_basis=np.eye(total), weight_eigs=np.full((d, total), w_scale),
+        weight_basis=[np.eye(d1), np.eye(d2)],
+        weight_eigs=np.full((d, total), w_scale),
         mean_loc=np.zeros(total),
-        mean_cov=np.eye(total), mean_cov_logdet=0.0,
+        mean_cov=[np.eye(d1), np.eye(d2)], mean_cov_logdet=0.0,
         noise_scale=[np.eye(d1), np.eye(d2)],
         noise_dof=[d1 + 2.0, d2 + 2.0], view_dims=(d1, d2),
     )
 
 
 def random_basis_posterior(gen, d1, d2, d, coupled):
-    """Weight factors on a random non-identity basis: block-diagonal over
-    the two views, as priors that do not couple them give, or full."""
+    """Weight factors on a random non-identity basis: one block per view,
+    as priors that do not couple them give, or one full block."""
     total = d1 + d2
     if coupled:
-        basis = gen.standard_normal((total, total)) / np.sqrt(total)
+        basis = [gen.standard_normal((total, total)) / np.sqrt(total)]
     else:
-        basis = np.zeros((total, total))
-        basis[:d1, :d1] = gen.standard_normal((d1, d1)) / np.sqrt(d1)
-        basis[d1:, d1:] = gen.standard_normal((d2, d2)) / np.sqrt(d2)
+        basis = [gen.standard_normal((d1, d1)) / np.sqrt(d1),
+                 gen.standard_normal((d2, d2)) / np.sqrt(d2)]
     return dataclasses.replace(make_vb_posterior(gen, d1, d2, d), weight_basis=basis,
                                weight_eigs=gen.uniform(0.2, 2.0, (d, total)))
 

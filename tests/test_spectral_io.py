@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -364,19 +365,47 @@ class TestVbPersistence:
         priors = default_priors(2, 2, 1)
         post = run_vb(stats, priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
-        for name in ("vb_manifest.json", "weight_mean.npy", "weight_basis.npy",
-                     "weight_eigs.npy",
+        for name in ("vb_manifest.json", "weight_mean.npy", "weight_basis_block0.npy",
+                     "weight_basis_block1.npy", "weight_eigs.npy",
                      "latent_cov.npy", "latent_map.npy", "latent_centre.npy",
-                     "mean_loc.npy",
-                     "mean_cov.npy", "noise_scale_view1.npy",
-                     "noise_scale_view2.npy", "elbo_trace.npy"):
+                     "mean_loc.npy", "mean_cov_block0.npy", "mean_cov_block1.npy",
+                     "noise_scale_view1.npy", "noise_scale_view2.npy", "elbo_trace.npy"):
             assert (out / name).exists()
         trace = np.load(out / "elbo_trace.npy", allow_pickle=False)
         assert trace.size == post.n_iter
         weight_back = np.load(out / "weight_mean.npy", allow_pickle=False)
         assert np.array_equal(weight_back, post.weight_mean)
         assert not (out / "weight_cov.npy").exists()
-        basis = np.load(out / "weight_basis.npy", allow_pickle=False)
         eigs = np.load(out / "weight_eigs.npy", allow_pickle=False)
-        assert np.array_equal(basis, post.weight_basis)
+        for b, block in enumerate(post.weight_basis):
+            basis = np.load(out / f"weight_basis_block{b}.npy", allow_pickle=False)
+            assert np.array_equal(basis, block)
         assert np.array_equal(eigs, post.weight_eigs)
+
+    @pytest.mark.parametrize("case", ["default", "unequal", "coupled"])
+    def test_one_file_per_factor_block(self, tmp_path, case):
+        # the basis and the mean covariance are stored as the posterior
+        # holds them: one h_b x h_b file per factor block, named in the
+        # manifest's factor_blocks; no D x D file
+        view_dims = (2, 3) if case == "unequal" else (2, 2)
+        total = sum(view_dims)
+        gen = np.random.default_rng(8)
+        stats = hankel_stats(gen.standard_normal((total, 40)), view_dims)
+        priors = default_priors(*view_dims, 1)
+        if case == "coupled":
+            mean_cov = np.eye(total)
+            mean_cov[0, -1] = mean_cov[-1, 0] = 0.2
+            priors = dataclasses.replace(priors, mean_cov=mean_cov)
+        blocks = [total] if case == "coupled" else list(view_dims)
+        post = run_vb(stats, priors, VBConfig(max_iter=5, seed=2))
+        out = save_vb_posterior(tmp_path / "vb", post)
+        manifest = json.loads((out / "vb_manifest.json").read_text())
+        assert manifest["factor_blocks"] == blocks
+        for b, dim in enumerate(blocks):
+            for name in ("weight_basis", "mean_cov"):
+                arr = np.load(out / f"{name}_block{b}.npy", allow_pickle=False)
+                assert arr.shape == (dim, dim)
+                assert manifest["arrays"][f"{name}_block{b}"] == [dim, dim]
+        assert not (out / f"weight_basis_block{len(blocks)}.npy").exists()
+        assert not (out / "weight_basis.npy").exists()
+        assert not (out / "mean_cov.npy").exists()

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
+
 from bayes_ssi.model import (
     PriorHyper,
-    block_diagonal,
     default_priors,
     latent_natural,
     view_slices,
@@ -22,6 +25,7 @@ from bayes_ssi.vb import (
 import oracles
 from explicit import (
     block_precision,
+    dense_mean_cov,
     explicit_kernel,
     hankel_stats,
     latent_means,
@@ -43,18 +47,20 @@ def _bound(kernel, post):
     return kernel.elbo(post, psi, kernel.latent_stats(post, True), scale_logdets)
 
 
-def random_posterior(gen, view_dims, d, n):
+def random_posterior(gen, view_dims, d, n, blocks=None):
     """Random surrogate; its latent means are a random affine map of the
-    data columns (``n`` only sets the noise dof).  The weight basis is
-    block-diagonal per view, as the engine's is under priors that do not
-    couple the views, with a random orthonormal block per view: it whitens
-    the identity weight prior covariance the tests that evaluate the bound
-    on it use."""
+    data columns (``n`` only sets the noise dof).  The weight basis and the
+    mean covariance are block-diagonal on ``blocks`` (the views by
+    default), as the engine's are on the priors' factor blocks, with a
+    random orthonormal basis block per block: it whitens the identity
+    weight prior covariance the tests that evaluate the bound on it use."""
     total = sum(view_dims)
+    blocks = view_slices(view_dims) if blocks is None else blocks
     base = gen.standard_normal((total, total))
-    basis = block_diagonal([np.linalg.qr(base[sl, sl])[0] for sl in view_slices(view_dims)])
+    basis = [np.linalg.qr(base[sl, sl])[0] for sl in blocks]
     base = gen.standard_normal((total, total))
-    mean_cov = 0.1 * (base @ base.T / total) + 0.3 * np.eye(total)
+    dense_cov = 0.1 * (base @ base.T / total) + 0.3 * np.eye(total)
+    mean_cov = [dense_cov[sl, sl] for sl in blocks]
     base = gen.standard_normal((d, d))
     latent_cov = 0.1 * (base @ base.T / d) + 0.5 * np.eye(d)
     noise_scale = []
@@ -70,7 +76,7 @@ def random_posterior(gen, view_dims, d, n):
         weight_eigs=gen.uniform(0.5, 1.0, (d, total)),
         mean_loc=gen.standard_normal(total),
         mean_cov=mean_cov,
-        mean_cov_logdet=np.linalg.slogdet(mean_cov)[1],
+        mean_cov_logdet=sum(np.linalg.slogdet(cov)[1] for cov in mean_cov),
         noise_scale=noise_scale,
         noise_dof=[dim + 4.0 + n for dim in view_dims],
         view_dims=tuple(view_dims),
@@ -91,10 +97,10 @@ def point_mass_posterior(x, view_dims, weights, mean, noise, latent, dof_offset=
         latent_map=latent @ np.linalg.pinv(x),
         latent_centre=np.zeros(total),
         weight_mean=weights.copy(),
-        weight_basis=np.eye(total),
+        weight_basis=[np.eye(dim) for dim in view_dims],
         weight_eigs=np.zeros((d, total)),
         mean_loc=mean.copy(),
-        mean_cov=np.zeros((total, total)),
+        mean_cov=[np.zeros((dim, dim)) for dim in view_dims],
         mean_cov_logdet=-np.inf,
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs,
@@ -180,7 +186,7 @@ class TestUpdateOracles:
         x = gen.standard_normal((dim, n))
         post = random_posterior(gen, (dim,), 1, n)
         post.mean_loc[:] = 0.0
-        post.mean_cov[:] = 0.0
+        post.mean_cov[0][:] = 0.0
         # noise factor: point mass at identity precision
         post.noise_scale = [post.noise_dof[0] * np.eye(dim)]
         mz = latent_means(post, x)[0]
@@ -204,7 +210,7 @@ class TestUpdateOracles:
         mw = float(post.weight_mean[0, 0])
         vw = float(weight_cov(post)[0, 0, 0])
         mu = float(post.mean_loc[0])
-        vmu = float(post.mean_cov[0, 0])
+        vmu = float(post.mean_cov[0][0, 0])
         mz = latent_means(post, x)[0]
         vz = float(post.latent_cov[0, 0])
         expected = 1.5 + sum(
@@ -242,7 +248,7 @@ class TestUpdateOracles:
         post.weight_mean[:] = 0.0
         post.weight_eigs[:] = 0.0
         post.latent_map[:] = 0.0
-        psi = [float(p) for p in np.diag(_psi(post))]
+        psi = [float(p) for block in _psi(post) for p in np.diag(block)]
         kernel = _Kernel(hankel_stats(x, (1, 1)), priors)
         kernel.update_mean(post, _psi(post), kernel.latent_stats(post, True))
         for row, p in enumerate(psi):
@@ -264,14 +270,14 @@ class TestUpdateOracles:
             kernel.update_weights(post, _psi(post), lat)
             kernel.update_noise(post, lat)
             kernel.update_mean(post, _psi(post), lat)
-        sd = np.sqrt(np.diag(post.mean_cov))
+        sd = np.sqrt(np.diag(dense_mean_cov(post)))
         assert np.all(np.abs(post.mean_loc - truth) < 3 * (sd + 0.3 / np.sqrt(n)))
 
 
 def _dense_factors(post, x):
     return {"latent_mean": latent_means(post, x), "latent_cov": post.latent_cov,
             "weight_mean": post.weight_mean, "weight_cov": weight_cov(post),
-            "mean_loc": post.mean_loc, "mean_cov": post.mean_cov,
+            "mean_loc": post.mean_loc, "mean_cov": dense_mean_cov(post),
             "noise_scale": post.noise_scale, "noise_dof": post.noise_dof}
 
 
@@ -385,7 +391,7 @@ class TestWeightBasis:
                             noise_scale=(np.eye(3), 2.0 * np.eye(3)),
                             noise_dof=(6.0, 7.0), latent_dim=d, view_dims=(3, 3))
         kernel = _Kernel(hankel_stats(x, (3, 3)), priors)
-        return kernel, random_posterior(gen, (3, 3), d, n)
+        return kernel, random_posterior(gen, (3, 3), d, n, priors.factor_slices)
 
     def test_column_covariances_invert_column_precisions(self):
         kernel, post = self._kernel_and_posterior(31)
@@ -394,19 +400,41 @@ class TestWeightBasis:
         sq = np.diag(lat.gram)
         kernel.update_weights(post, psi, lat)
         prior_prec = np.linalg.inv(kernel.priors.weight_cov)
-        basis = post.weight_basis
+        basis = sla.block_diag(*post.weight_basis)
         assert basis.T @ prior_prec @ basis == pytest.approx(np.eye(6), abs=1e-12)
         for i, s in enumerate(sq):
-            dense = np.linalg.inv(s * psi + prior_prec)
+            dense = np.linalg.inv(s * sla.block_diag(*psi) + prior_prec)
             assert _rel(weight_cov(post)[i], dense) < 1e-10
 
     def test_indefinite_whitened_precision_raises(self):
         kernel, post = self._kernel_and_posterior(32)
         # a noise precision with a negative eigenvalue makes s_i lam + 1
         # negative for a large enough s_i
-        psi = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e6])
+        psi = [np.eye(3), np.diag([1.0, 1.0, -1e6])]
         with pytest.raises(NotPositiveDefiniteError, match="weight conditional precision"):
             kernel.update_weights(post, psi, kernel.latent_stats(post, True))
+
+
+class TestCouplingPriorBlock:
+    def test_one_dense_block_matches_dense_basis(self):
+        # a prior that couples the views makes one factor block of all D
+        # rows: one D x D basis block, bit for bit the dense route's, and
+        # one D x D mean covariance block
+        gen = np.random.default_rng(33)
+        x = gen.standard_normal((6, 80)) + gen.uniform(-1.0, 1.0, (6, 1))
+        base = gen.standard_normal((6, 6))
+        priors = dataclasses.replace(default_priors(3, 3, 2),
+                                     weight_cov=0.3 * base @ base.T + 0.5 * np.eye(6))
+        assert priors.factor_slices == [slice(0, 6)]
+        stats = hankel_stats(x, (3, 3))
+        post = run_vb(stats, priors, VBConfig(max_iter=3, seed=1))
+        assert [cov.shape for cov in post.mean_cov] == [(6, 6)]
+        kernel = _Kernel(stats, priors)
+        psi = _psi(post)
+        kernel.update_weights(post, psi, kernel.latent_stats(post, True))
+        basis, lam = oracles.weight_basis_dense(priors, sla.block_diag(*psi))
+        assert len(post.weight_basis) == 1
+        assert np.array_equal(post.weight_basis[0], basis)
 
 
 class TestDegeneracyAgainstSampler:
@@ -462,7 +490,7 @@ class TestDegeneracyAgainstSampler:
         # mean step
         kernel.update_mean(post, _psi(post), expected_lat)
         cov, m_mean = mean_conditional(gibbs_kernel, weights, lat, block_precision(noise))
-        assert post.mean_cov == pytest.approx(cov, abs=1e-10)
+        assert dense_mean_cov(post) == pytest.approx(cov, abs=1e-10)
         assert post.mean_loc == pytest.approx(m_mean, abs=1e-10)
 
 
