@@ -455,16 +455,16 @@ def cmd_identify(cfg: dict) -> Path:
                                     warm_start=cfg["warm_start"])
     elif engine != "ssi":
         raise ValueError(f"unknown engine {engine!r}")
+    _require_block_rows(cfg)
     ts = _load_input(cfg)
     j = cfg["block_rows"]
     order = cfg["order"]
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
+    stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
+    # invalid priors fail every engine, ssi included, before any output
+    priors = build_priors(*stats.view_dims, order, overrides)
 
     with OutputDir(cfg["out"]) as out:
-        _require_block_rows(cfg)
-        # invalid priors fail every engine, ssi included
-        stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
-        priors = build_priors(*stats.view_dims, order, overrides)
         write_json(out.file("config.json"), _config_echo("identify", cfg))
         reference = ssi_cov(stats, order, ts.channels, 1.0 / ts.fs)
         write_json(out.file("modal_estimate.json"),
@@ -513,17 +513,15 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     in the manifest and the exit code, not raised."""
     started = time.time()
     n_draws = _require_draws(cfg)
+    _require_block_rows(cfg)
     ts = _load_input(cfg)
     overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
     vb_config = _vb_config(cfg)
-    if cfg["block_rows"] < 1:   # no statistics to build; 1 is rejected below
-        _require_block_rows(cfg)
     stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
     # invalid priors fail the command here, not as a failure at every order
     priors = [build_priors(*stats.view_dims, order, overrides) for order in cfg["orders"]]
 
     with OutputDir(cfg["out"]) as out:
-        _require_block_rows(cfg)
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         _write_welch_overlay(out, ts)
         result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)

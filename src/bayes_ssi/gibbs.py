@@ -16,7 +16,7 @@ any N.
 
 Given the latent statistics, the mean's and every weight column's
 conditional precision depend only on the drawn noise precision, kept as
-its per-view blocks, so each sweep factors all of them at once, per view
+its per-view blocks, so each sweep factors all of them first, per view
 block when the priors allow (:attr:`~bayes_ssi.model.PriorHyper.factor_slices`),
 before drawing the mean and the columns in turn.
 

@@ -450,7 +450,9 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
     (linear-algebra errors, a decreasing or non-finite bound, every draw
     degenerate) are recorded and logged in ascending order, and the sweep
     continues; any other exception propagates, and so does the death of a
-    worker.  Real-pole entries are removed from the pooled triples.
+    worker.  With ``vb_config.warm_start`` the orders share one canonical
+    decomposition of ``stats``, built here, whose failure fails the sweep.
+    Real-pole entries are removed from the pooled triples.
     """
     orders = [p.latent_dim for p in priors]
     if not orders:
@@ -462,6 +464,9 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
     if max(orders) > half:
         raise ValueError(f"max order {max(orders)} exceeds Hankel half-height {half}")
 
+    if vb_config.warm_start:
+        # every order's warm start slices one decomposition: built before the fork
+        stats.canonical_weights(max(orders))
     # one worker per order, at most one per CPU, and the CPUs shared out
     # among the workers' propagations
     cpus = usable_cpus()

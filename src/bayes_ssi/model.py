@@ -254,29 +254,22 @@ class Conditionals:
         return _block_product(prec, data_term) + self.priors.weight_prior[1]
 
     def precision_factors(self, prec: list[np.ndarray], sq_sums: np.ndarray,
-                          ) -> list[np.ndarray]:
+                          ) -> list[list[np.ndarray]]:
         """Lower Cholesky factors of the mean's conditional precision
         N prec + P_mu and of each weight column's s_i prec + P0, for
-        s_i = ``sq_sums[i]`` = (Z Z^T)_ii: per factor block one
-        (1 + len(sq_sums)) x h x h stack, the mean's first, factored in
-        one call."""
-        scales = np.concatenate([[self.stats.n_cols], sq_sums])[:, None, None]
+        s_i = ``sq_sums[i]`` = (Z Z^T)_ii: per factor block a list of
+        1 + len(sq_sums) h x h factors, the mean's first."""
         mean_prior, weight_prior = self.priors.mean_prior[0], self.priors.weight_prior[0]
         factors = []
         for sl, block_prec in zip(self.priors.factor_slices, self.factor_precisions(prec)):
-            stack = scales * block_prec
-            stack[0] += mean_prior[sl, sl]
-            stack[1:] += weight_prior[sl, sl]
-            try:
-                factors.append(np.linalg.cholesky(stack))
-            except np.linalg.LinAlgError:
-                for k, mat in enumerate(stack):
-                    spd_cholesky(mat, "mean conditional precision" if k == 0
-                                 else "weight conditional precision")
-                raise
+            mean = spd_cholesky(self.stats.n_cols * block_prec + mean_prior[sl, sl],
+                                "mean conditional precision")
+            factors.append([mean] + [spd_cholesky(s * block_prec + weight_prior[sl, sl],
+                                                  "weight conditional precision")
+                                     for s in sq_sums])
         return factors
 
-    def factor_solve(self, factors: list[np.ndarray], k: int, rhs: np.ndarray,
+    def factor_solve(self, factors: list[list[np.ndarray]], k: int, rhs: np.ndarray,
                      white: np.ndarray | None = None) -> np.ndarray:
         """P^-1 rhs for the precision P whose block factors L are entry
         ``k`` of ``factors`` (0 the mean, i + 1 weight column i), by two

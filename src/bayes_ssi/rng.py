@@ -7,8 +7,10 @@ calls directly; the streams a run derives from its seed are allocated here.
 The inverse-Wishart draw of the Gibbs sampler's noise blocks is exact
 (Bartlett construction) and fully reproducible given a (seed, stream)
 pair; the Gaussian conditional draws are triangular solves on standard
-normals, done where the conditionals are factored.  ``solve_lower`` and
-``chol_solve`` are the package's only bindings of LAPACK solves.
+normals, done where the conditionals are factored.  ``spd_cholesky``
+(LAPACK ``dpotrf``) is the package's only Cholesky factorization, and
+``solve_lower`` (``dtrtrs``) and ``chol_solve`` (``dpotrs``) its only
+LAPACK solves.
 
 This is the one module that touches scipy's compiled code outside the
 simulator: it loads the extension modules behind ``scipy.linalg.lapack``
@@ -35,7 +37,6 @@ __all__ = [
     "SIMULATE_STREAM", "GIBBS_STREAM", "VB_INIT_STREAM", "DRAW_STREAM", "STAB_DRAW_STREAM_BASE",
     "NotPositiveDefiniteError",
     "symmetrize",
-    "check_symmetric",
     "spd_cholesky",
     "spd_inverse",
     "chol_inverse",
@@ -116,34 +117,19 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def check_symmetric(mat: np.ndarray, name: str = "matrix") -> None:
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > _SYM_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric to within relative {_SYM_RTOL:g}")
-
-
 def spd_cholesky(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of ``mat``, naming the failing pivot on error.
-
-    The pivot is LAPACK ``potrf``'s ``info``, the first leading minor that
-    is not positive definite; the whole matrix when ``potrf`` succeeds
-    where numpy's factorization failed (their OpenBLAS builds may disagree
-    on a borderline matrix).  A matrix that is not square keeps numpy's
-    error."""
+    """C-ordered lower Cholesky factor of ``mat`` from LAPACK ``potrf``,
+    naming the failing pivot on error: ``potrf``'s ``info``, the first
+    leading minor that is not positive definite.  A matrix that is not
+    square raises numpy's ``LinAlgError``."""
     mat = np.asarray(mat, dtype=float)
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise
-        pivot = int(dpotrf(mat, lower=1)[1]) or mat.shape[0]
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite: Cholesky pivot {pivot} failed",
-            pivot=pivot,
-        ) from None
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise np.linalg.LinAlgError(f"{name} must be square, got shape {mat.shape}")
+    chol, pivot = dpotrf(mat, lower=1)
+    if pivot:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite: Cholesky "
+                                       f"pivot {pivot} failed", pivot=pivot)
+    return np.ascontiguousarray(chol)
 
 
 def spd_inverse(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -178,15 +164,17 @@ def chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def validate_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check finiteness, symmetry and positive definiteness; return the
-    validated array."""
+def validate_spd(mat: np.ndarray, name: str = "matrix") -> None:
+    """Check that ``mat`` is finite, square, symmetric to 1e-12 and positive definite."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} must be finite")
-    check_symmetric(mat, name)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    if np.max(np.abs(mat - mat.T)) > _SYM_RTOL * scale:
+        raise ValueError(f"{name} is not symmetric to within relative {_SYM_RTOL:g}")
     spd_cholesky(mat, name)
-    return mat
 
 
 def psd_factor(mat: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ canonical-variate weighted covariance-driven identification baseline, and
 modal extraction from state-space realizations.
 
 ``canonical_weights`` is the one factorization of a two-view covariance
-into canonical-variate weights.  The classical baseline ``ssi_cov`` takes
-its observability from it, and ``warm_start_point`` takes from it the
-maximum-likelihood point of the latent projection model (the CCA solution,
-Bach & Jordan 2005) that both engines can start from.
+into canonical-variate weights, built once per statistics value and
+covariance (:meth:`HankelStats.canonical_weights`).  The classical baseline
+``ssi_cov`` takes its observability from it, and ``warm_start_point`` takes
+from it the maximum-likelihood point of the latent projection model (the
+CCA solution, Bach & Jordan 2005) that both engines can start from.
 
 The shift-invariance solve and the eigen -> modal conversion run on stacks
 of matrices (``shift_invariance``, ``modal_parameters``); the classical
@@ -17,11 +18,11 @@ run them on stacks of many."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import solve_lower, symmetrize
+from .rng import NotPositiveDefiniteError, solve_lower, spd_cholesky, symmetrize
 from .simulate import TimeSeries
 
 __all__ = [
@@ -80,6 +81,7 @@ class HankelStats:
     row_mean: np.ndarray      # D
     n_cols: int
     view_dims: tuple[int, ...]
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -88,6 +90,20 @@ class HankelStats:
     def raw_gram(self) -> np.ndarray:
         """sum_n x_n x_n^T, the Gram about zero."""
         return self.gram + self.n_cols * np.outer(self.row_mean, self.row_mean)
+
+    def canonical_weights(self, order: int, about_zero: bool = False) -> np.ndarray:
+        """:func:`canonical_weights` of the covariance about the row means,
+        or about zero with ``about_zero``: the first ``order`` columns of one
+        decomposition per covariance (one for both when the means are zero)."""
+        h = self.view_dims[0]
+        full = min(h, self.dim - h)
+        if not 1 <= order <= full:
+            raise ValueError(f"order must be in [1, {full}], got {order}")
+        key = about_zero and bool(np.any(self.row_mean))
+        if key not in self._weights:
+            gram = self.raw_gram() if key else self.gram
+            self._weights[key] = canonical_weights(gram / self.n_cols, h, full)
+        return self._weights[key][:, :order].copy()
 
     @classmethod
     def from_record(cls, ts: TimeSeries, block_rows: int,
@@ -196,7 +212,8 @@ def build_hankel(ts: TimeSeries, block_rows: int, center: bool = True) -> Hankel
 
 
 def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter up to 1e-6*trace/dim.
+    """Lower Cholesky factor, escalating diagonal jitter up to 1e-6*trace/dim
+    for as long as a pivot fails.
 
     Logs one warning naming ``name`` and the jitter level when any jitter
     was needed.  Raises :class:`IllConditionedError` with a
@@ -207,11 +224,10 @@ def chol_with_jitter(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     base = float(np.trace(mat)) / dim
     if base <= 0:
         base = 1.0
-    eye = np.eye(dim)
     for level in _JITTER_LEVELS:
         try:
-            factor = np.linalg.cholesky(mat + level * base * eye)
-        except np.linalg.LinAlgError:
+            factor = spd_cholesky(mat + level * base * np.eye(dim), name)
+        except NotPositiveDefiniteError:
             continue
         if level > 0:
             logger.warning("%s is not positive definite: added diagonal jitter "
@@ -276,7 +292,7 @@ def warm_start_point(stats: HankelStats, latent_dim: int,
         raise ValueError("warm start requires exactly two views")
     h = stats.view_dims[0]
     cov = stats.gram / stats.n_cols
-    weights = canonical_weights(cov, h, latent_dim)
+    weights = stats.canonical_weights(latent_dim)
     noise = [symmetrize(cov[view, view] - weights[view] @ weights[view].T)
              for view in (slice(None, h), slice(h, None))]
     # keep the MLE noise blocks safely positive definite
@@ -378,7 +394,7 @@ def ssi_cov(stats: HankelStats, order: int, n_channels: int, dt: float,
     observability's first block row as C; raises LinAlgError if degenerate.
     """
     h = stats.view_dims[0]
-    obs = canonical_weights(stats.raw_gram() / stats.n_cols, h, order)[:h]
+    obs = stats.canonical_weights(order, about_zero=True)[:h]
     a, degenerate = shift_invariance(obs[None], n_channels)
     if degenerate[0]:
         raise np.linalg.LinAlgError("shifted observability block is rank deficient; "

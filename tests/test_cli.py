@@ -411,7 +411,7 @@ class TestIdentify:
 
     def test_ssi_engine_rejects_invalid_priors(self, sim_dir, tmp_path, capsys):
         # the priors are built for every engine: ssi fails as vb does,
-        # with the same error line and no output left behind
+        # with the same error line and no output directory created
         priors_file = tmp_path / "priors.json"
         priors_file.write_text(json.dumps({"noise_dof": 1}))
         errors = {}
@@ -422,7 +422,7 @@ class TestIdentify:
                            "--draws", 20, "--seed", 2, "--priors", priors_file,
                            "--out", out)
             assert code == 1
-            assert listing(out) == []
+            assert not out.exists()
             errors[engine] = capsys.readouterr().err.splitlines()
         assert len(errors["ssi"]) == 1 and errors["ssi"][0].startswith("error:")
         assert "noise_dof" in errors["ssi"][0]
@@ -483,7 +483,7 @@ class TestIdentify:
                        "--priors", priors_file, "--out", out)
         assert code == 1
         assert "noise_dof" in capsys.readouterr().err
-        assert listing(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("text,field", NON_FINITE_PRIORS)
     def test_non_finite_prior_rejected(self, sim_dir, tmp_path, capsys, text, field):
@@ -497,7 +497,7 @@ class TestIdentify:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "must be finite" in err
-        assert listing(out) == []
+        assert not out.exists()
 
     def test_engine_failure_cleans_partial_artifacts(self, sim_dir, tmp_path):
         # order larger than the Hankel half-height fails before any file is
@@ -693,7 +693,7 @@ class TestStabilise:
         err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
         assert len(err) == 1 and err[0].startswith("error:")
         assert "at least 2 complete block rows" in err[0]
-        assert listing(out) == []
+        assert not out.exists()
 
     def test_invalid_priors_fail_before_any_order(self, sim_dir, tmp_path, capsys):
         # an invalid prior file is a configuration error, not a failure at
@@ -905,6 +905,24 @@ class TestJitterWarning:
             assert line.startswith(f"{view}-view auto-covariance is not positive "
                                    "definite: added diagonal jitter 1e-12 x trace/dim")
 
+    @pytest.mark.parametrize("command", [
+        ("stabilise", "--order", 2, "--order", 4, "--order", 6),
+        ("identify", "--engine", "vb", "--order", 4),
+    ], ids=["stabilise", "identify"])
+    def test_warm_start_warns_once_per_matrix(self, sim_dir, tmp_path, command):
+        # every order's warm start and the centred baseline slice one
+        # canonical decomposition, so each view's matrix is factored, and
+        # reported, once
+        data = np.loadtxt(sim_dir / "response.csv", delimiter=",", skiprows=1)
+        raw = tmp_path / "duplicated.csv"
+        np.savetxt(raw, np.column_stack([data, data[:, 0]]), delimiter=",", fmt="%.17g")
+        result = run_cli_process(*command, "--input", raw, "--fs", 50, "--block-rows", 10,
+                                 "--warm-start", "--draws", 10, "--max-iter", 30,
+                                 "--seed", 1, "--out", tmp_path / "out")
+        assert result.returncode == 0, result.stderr
+        jitter = [line for line in result.stderr.splitlines() if "jitter" in line]
+        assert [line.split()[0] for line in jitter] == ["first-view", "second-view"], jitter
+
     def test_acceptance_record_prints_nothing(self, benchmark_ts_full, tmp_path):
         record = tmp_path / "acceptance.csv"
         write_timeseries_csv(record, benchmark_ts_full)
@@ -913,6 +931,55 @@ class TestJitterWarning:
                                  "--seed", 1234, "--out", tmp_path / "out")
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
+
+
+class TestOneCanonicalDecomposition:
+    """A command runs one CCA per distinct covariance it factors: the
+    stabilisation orders share one, and so do the baseline and the warm
+    start of a centred record."""
+
+    @staticmethod
+    def _count_cca(monkeypatch) -> list:
+        import bayes_ssi.subspace as subspace_mod
+
+        calls, cca = [], subspace_mod.cca
+
+        def counted(*args):
+            calls.append(args)
+            return cca(*args)
+
+        monkeypatch.setattr(subspace_mod, "cca", counted)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_stabilise_orders_share_one(self, sim_dir, tmp_path, monkeypatch, cpus):
+        # in process the orders reuse the statistics' decomposition; forked
+        # workers inherit the one the parent built, so none is counted twice
+        # or missed
+        import bayes_ssi.modal_posterior as mp
+
+        monkeypatch.setattr(mp, "usable_cpus", lambda: cpus)
+        calls = self._count_cca(monkeypatch)
+        orders = [arg for order in range(2, 17, 2) for arg in ("--order", order)]
+        code = run_cli("stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                       *orders, "--warm-start", "--draws", 10, "--max-iter", 30,
+                       "--seed", 1, "--out", tmp_path / "stab")
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags,expected", [((), 1), (("--no-center",), 2)],
+                             ids=["centred", "no-center"])
+    def test_identify_one_per_covariance(self, sim_dir, tmp_path, monkeypatch,
+                                         flags, expected):
+        # uncentred statistics have a covariance about zero for the
+        # baseline and a centred one for the warm start
+        calls = self._count_cca(monkeypatch)
+        code = run_cli("identify", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                       "--order", 4, "--engine", "vb", "--warm-start", *flags,
+                       "--draws", 10, "--max-iter", 30, "--seed", 1,
+                       "--out", tmp_path / "vb")
+        assert code == 0
+        assert len(calls) == expected
 
 
 class TestSpectrum:

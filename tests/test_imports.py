@@ -7,7 +7,10 @@ No module imports ``scipy.linalg`` or ``scipy.special`` at module level, so
 no command pays for them at start-up; ``simulate`` alone imports them, inside
 the functions that need them.  ``rng`` is the one module that loads scipy's
 compiled modules (LAPACK's solves and the gamma functions) and the one that
-binds LAPACK's solves; every other module solves through ``rng``.
+binds LAPACK's solves; every other module solves through ``rng``.  Its
+``dpotrf`` is the package's one Cholesky: no module calls numpy's
+``linalg.cholesky`` or imports a ``cholesky`` or ``cho_factor``, and no
+module but ``rng`` names ``dpotrf``.
 
 The two engines, ``vb`` and ``gibbs``, do not import each other.
 ``subspace`` is the one module that calls ``cca``, inside the
@@ -132,6 +135,45 @@ def test_scipy_linalg_imported_only_by_rng_and_simulate(path):
         assert {"_flapack", "_special_ufuncs"} <= set(compiled)
     else:
         assert compiled == []
+
+
+def cholesky_routes(source: str) -> list[str]:
+    """Every route to a Cholesky factorization other than ``rng``'s: the
+    text of each call of ``linalg.cholesky`` (numpy's, as ``np.linalg`` or
+    ``numpy.linalg``), each imported name ending in ``cholesky`` or
+    ``cho_factor``, and each name, attribute or string constant
+    ``dpotrf``."""
+    found = [name for name, _ in imports(source)
+             if name.split(".")[-1] in ("cholesky", "cho_factor", "dpotrf")]
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cholesky"
+                and getattr(node.func.value, "attr", None) == "linalg"):
+            found.append(ast.get_source_segment(source, node))
+        elif "dpotrf" in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "value", None)):
+            found.append("dpotrf")
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_one_cholesky_binding(path):
+    routes = cholesky_routes(path.read_text())
+    if path.name == "rng.py":
+        assert "dpotrf" in routes
+        routes = [route for route in routes if route != "dpotrf"]
+    assert routes == []
+
+
+def test_scan_finds_cholesky_routes():
+    source = ("import numpy as np\nfrom numpy.linalg import cholesky\n"
+              "from scipy.linalg import cho_factor as cf\nfrom .rng import spd_cholesky\n"
+              "a = np.linalg.cholesky(m)\nb = numpy.linalg.cholesky(m)\n"
+              "c = spd_cholesky(m)\nd = lapack.dpotrf(m)\ne = get('dpotrf')\n"
+              "f = la.cholesky(m)\n")
+    assert cholesky_routes(source) == [
+        "numpy.linalg.cholesky", "scipy.linalg.cho_factor",
+        "np.linalg.cholesky(m)", "numpy.linalg.cholesky(m)", "dpotrf", "dpotrf"]
 
 
 def test_scan_finds_every_import_form():
