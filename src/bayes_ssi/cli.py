@@ -29,6 +29,7 @@ import platform
 import shutil
 import sys
 import time
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -149,7 +150,8 @@ class OutputDir:
     :meth:`file` paths lie in the staging directory ``.bayes-ssi-staging``.
     On a normal return each staged entry is renamed over its namesake, in
     sorted order, a directory after the old tree is removed; on any
-    exception only the staging directory is removed.  A killed run's
+    exception the staging directory is removed, and then, deepest first,
+    each directory this run created that is still empty.  A killed run's
     staging directory is removed once the lock is held."""
 
     def __init__(self, path):
@@ -158,6 +160,9 @@ class OutputDir:
         self._staging = self.path / ".bayes-ssi-staging"
 
     def __enter__(self) -> "OutputDir":
+        # the directories this run makes, deepest first
+        self._made = [folder for folder in (self.path, *self.path.parents)
+                      if not folder.exists()]
         self.path.mkdir(parents=True, exist_ok=True)
         stamp = {"pid": os.getpid(), "host": platform.node(),
                  "started_utc": datetime.now(timezone.utc).isoformat(timespec="seconds")}
@@ -203,6 +208,10 @@ class OutputDir:
         finally:
             shutil.rmtree(self._staging, ignore_errors=True)
             self._lock.unlink(missing_ok=True)
+            if exc_type is not None:
+                for folder in self._made:   # rmdir refuses one another run has filled
+                    with suppress(OSError):
+                        os.rmdir(folder)
         return False
 
 

@@ -44,7 +44,6 @@ from .rng import (
     _bartlett_factor,
     sample_inverse_wishart_pair,
     solve_lower,
-    spd_cholesky,
     spd_inverse,
     symmetrize,
 )
@@ -223,8 +222,7 @@ def _prior_point(priors: PriorHyper, rng: np.random.Generator,
     """(weights, mean, per-view noise blocks) drawn from the priors."""
     noise = [sample_inverse_wishart_pair(rng, scale, dof)[0]
              for scale, dof in zip(priors.noise_scale, priors.noise_dof)]
-    mean_chol = spd_cholesky(priors.mean_cov)
-    mean = priors.mean_loc + mean_chol @ rng.standard_normal(priors.dim)
+    mean = priors.mean_loc + priors.mean_chol @ rng.standard_normal(priors.dim)
     weights = (priors.weight_loc[:, None] + priors.weight_chol
                @ rng.standard_normal((priors.dim, priors.latent_dim)))
     return weights, mean, noise

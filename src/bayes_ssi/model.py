@@ -33,17 +33,17 @@ precision (:meth:`Conditionals.factor_precisions`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .rng import (
     NotPositiveDefiniteError,
+    chol_inverse,
     chol_solve,
     solve_lower,
     spd_cholesky,
-    spd_inverse,
     symmetrize,
     validate_spd,
 )
@@ -74,6 +74,14 @@ def _block_product(blocks: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prior_factor(mat: np.ndarray, name: str, dim: int) -> np.ndarray:
+    """:func:`~bayes_ssi.rng.validate_spd`'s factor of the ``dim`` x ``dim`` ``mat``."""
+    chol = validate_spd(mat, name)
+    if chol.shape != (dim, dim):
+        raise ValueError(f"{name} must be {dim}x{dim}, got shape {chol.shape}")
+    return chol
+
+
 @dataclass(frozen=True)
 class PriorHyper:
     """Hyperparameters of the hierarchical model.
@@ -81,6 +89,10 @@ class PriorHyper:
     The weight-column prior is shared by every column; the noise prior is
     an inverse Wishart per view with scale ``noise_scale[m]`` and degrees
     of freedom ``noise_dof[m]``.
+
+    Construction keeps the factor that validating each prior matrix makes
+    (:func:`~bayes_ssi.rng.validate_spd`): ``mean_chol``, ``weight_chol``
+    and ``noise_chols``, one per view, which every consumer reads.
     """
 
     mean_loc: np.ndarray
@@ -91,6 +103,9 @@ class PriorHyper:
     noise_dof: tuple[float, ...]
     latent_dim: int
     view_dims: tuple[int, ...]
+    mean_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    weight_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_chols: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(self.view_dims)
@@ -102,22 +117,23 @@ class PriorHyper:
                 raise ValueError(f"{name} must have the stacked dimension {total}")
             if not np.all(np.isfinite(loc)):
                 raise ValueError(f"{name} must be finite")
-        validate_spd(self.mean_cov, "mean_cov")
-        validate_spd(self.weight_cov, "weight_cov")
+        object.__setattr__(self, "mean_chol", _prior_factor(self.mean_cov, "mean_cov", total))
+        object.__setattr__(self, "weight_chol",
+                           _prior_factor(self.weight_cov, "weight_cov", total))
         if not len(self.noise_scale) == len(self.noise_dof) == len(self.view_dims):
             raise ValueError(
                 f"noise_scale and noise_dof need one entry per view "
                 f"({len(self.view_dims)}), got {len(self.noise_scale)} and "
                 f"{len(self.noise_dof)}"
             )
+        chols = []
         for m, (scale, dof, dim) in enumerate(
                 zip(self.noise_scale, self.noise_dof, self.view_dims)):
-            validate_spd(scale, f"noise_scale[{m}]")
-            if scale.shape != (dim, dim):
-                raise ValueError(f"noise_scale[{m}] must be {dim}x{dim}")
+            chols.append(_prior_factor(scale, f"noise_scale[{m}]", dim))
             if not (np.isfinite(dof) and dof > dim - 1):
                 raise ValueError(f"noise_dof[{m}] must be finite and exceed "
                                  f"view dim - 1 = {dim - 1}, got {dof}")
+        object.__setattr__(self, "noise_chols", tuple(chols))
 
     @property
     def dim(self) -> int:
@@ -126,19 +142,14 @@ class PriorHyper:
     @cached_property
     def mean_prior(self) -> tuple[np.ndarray, np.ndarray]:
         """(precision, precision @ location) of the mean prior."""
-        prec = spd_inverse(self.mean_cov, "mean_cov")
+        prec = chol_inverse(self.mean_chol)
         return prec, prec @ self.mean_loc
 
     @cached_property
     def weight_prior(self) -> tuple[np.ndarray, np.ndarray]:
         """(precision, precision @ location) of the weight-column prior."""
-        prec = spd_inverse(self.weight_cov, "weight_cov")
+        prec = chol_inverse(self.weight_chol)
         return prec, prec @ self.weight_loc
-
-    @cached_property
-    def weight_chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the weight-column prior covariance."""
-        return spd_cholesky(self.weight_cov, "weight_cov")
 
     @cached_property
     def factor_slices(self) -> list[slice]:

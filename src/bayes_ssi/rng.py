@@ -164,8 +164,9 @@ def chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def validate_spd(mat: np.ndarray, name: str = "matrix") -> None:
-    """Check that ``mat`` is finite, square, symmetric to 1e-12 and positive definite."""
+def validate_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of the symmetric part of ``mat``, once ``mat`` is
+    checked finite, square, symmetric to 1e-12 and positive definite."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} must be finite")
@@ -174,7 +175,7 @@ def validate_spd(mat: np.ndarray, name: str = "matrix") -> None:
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > _SYM_RTOL * scale:
         raise ValueError(f"{name} is not symmetric to within relative {_SYM_RTOL:g}")
-    spd_cholesky(mat, name)
+    return spd_cholesky(symmetrize(mat), name)
 
 
 def psd_factor(mat: np.ndarray) -> np.ndarray:

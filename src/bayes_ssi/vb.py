@@ -23,6 +23,10 @@ latent statistics once, after the latent update, and factors each view's
 noise scale once, after the noise update, and passes both to the updates
 and the bound that read them.  Under ``latent_cross_cov=False`` the weight
 update reads a second evaluation, without the latent cross-covariances.
+The latent and mean updates keep their covariance's log determinant
+(``latent_cov_logdet``, ``mean_cov_logdet``) from the one factorization of
+its precision, so the bound, which reads the priors' kept factors too,
+factors nothing.
 
 The expected noise precision Psi is held as its per-view blocks.  Every
 weight column's precision is s_i Psi + P0, with one prior precision P0,
@@ -48,7 +52,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +138,7 @@ class VBPosterior:
     mean_loc: np.ndarray             # D
     mean_cov: list[np.ndarray]       # per factor block
     mean_cov_logdet: float           # ln |mean_cov|
+    latent_cov_logdet: float         # ln |latent_cov|
     noise_scale: list[np.ndarray]    # per view
     noise_dof: list[float]           # per view
     view_dims: tuple[int, ...]
@@ -179,15 +183,6 @@ class _Kernel(Conditionals):
     """The closed-form coordinate updates and the bound on one set of
     sufficient statistics, worked block by block."""
 
-    @cached_property
-    def prior_logdets(self) -> tuple[float, list[float]]:
-        """ln |mean_cov| and each view's ln |noise_scale| of the priors, for
-        the bound."""
-        priors = self.priors
-        return (chol_logdet(spd_cholesky(priors.mean_cov, "mean_cov")),
-                [chol_logdet(spd_cholesky(scale0, "noise prior scale"))
-                 for scale0 in priors.noise_scale])
-
     def latent_stats(self, post: VBPosterior, cross_cov: bool) -> LatentStats:
         """Expected latent statistics: (X - m 1^T) E[Z]^T = G A^T,
         E[Z] 1 = N A (m - c) and E[Z Z^T] = E[Z] E[Z]^T + N latent_cov, or
@@ -227,6 +222,7 @@ class _Kernel(Conditionals):
         post_chol, post.latent_map = latent_natural(post.weight_mean, psi,
                                                     np.diag(trace_corr))
         post.latent_cov = chol_inverse(post_chol)
+        post.latent_cov_logdet = -chol_logdet(post_chol)
         post.latent_centre = post.mean_loc.copy()
 
     def update_weights(self, post: VBPosterior, psi: list[np.ndarray],
@@ -262,7 +258,6 @@ class _Kernel(Conditionals):
         priors = self.priors
         n = self.stats.n_cols
         d = post.latent_cov.shape[0]
-        mean_logdet, noise_prior_logdets = self.prior_logdets
         e_logdets = [_expected_logdet_precision(logdet, scale.shape[0], dof)
                      for logdet, scale, dof in zip(scale_logdets, post.noise_scale,
                                                    post.noise_dof)]
@@ -271,15 +266,14 @@ class _Kernel(Conditionals):
         value -= 0.5 * sum(float(np.sum(block_psi * block)) for block_psi, block
                            in zip(psi, self.expected_scatter(post, lat)))
         # latent factors against N(0, I), summed over the columns
-        latent_logdet = chol_logdet(spd_cholesky(post.latent_cov, "latent factor cov"))
-        value -= 0.5 * (float(np.trace(lat.gram)) - n * d - n * latent_logdet)
+        value -= 0.5 * (float(np.trace(lat.gram)) - n * d - n * post.latent_cov_logdet)
         # the mean factor against its prior, block by block
         dev = post.mean_loc - priors.mean_loc
         prec0 = priors.mean_prior[0]
         value -= 0.5 * (sum(float(dev[sl] @ prec0[sl, sl] @ dev[sl])
                             + float(np.sum(prec0[sl, sl] * cov))
                             for sl, cov in zip(priors.factor_slices, post.mean_cov))
-                        - dev.size + mean_logdet - post.mean_cov_logdet)
+                        - dev.size + chol_logdet(priors.mean_chol) - post.mean_cov_logdet)
         # weight columns against their prior: B^T P0 B = I makes the trace
         # term sum(e_i) and ln |P0^-1| - ln |Sigma_w_i| = -sum(ln e_i)
         dev = post.weight_mean - priors.weight_loc[:, None]
@@ -291,13 +285,13 @@ class _Kernel(Conditionals):
         # Wishart factors; tr(scale E[precision]) = dof * dim under the factor
         value -= 0.5 * sum(float(np.sum(scale0 * block_psi))
                            for scale0, block_psi in zip(priors.noise_scale, psi))
-        for dof0, logdet0, scale, dof, logdet, e_logdet in zip(
-                priors.noise_dof, noise_prior_logdets, post.noise_scale,
+        for dof0, chol0, scale, dof, logdet, e_logdet in zip(
+                priors.noise_dof, priors.noise_chols, post.noise_scale,
                 post.noise_dof, scale_logdets, e_logdets):
             dim = scale.shape[0]
             value -= (0.5 * (dof - dof0) * e_logdet - 0.5 * dof * dim
                       + _wishart_log_norm(logdet, dof, dim)
-                      - _wishart_log_norm(logdet0, dof0, dim))
+                      - _wishart_log_norm(chol_logdet(chol0), dof0, dim))
         return float(value)
 
 
@@ -343,6 +337,7 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
         mean_loc=stats.row_mean.copy(),
         mean_cov=[1e-10 * np.eye(sl.stop - sl.start) for sl in priors.factor_slices],
         mean_cov_logdet=total_dim * np.log(1e-10),
+        latent_cov_logdet=0.0,
         noise_scale=noise_scale,
         noise_dof=noise_dof,
         view_dims=priors.view_dims,

@@ -320,7 +320,7 @@ def test_criterion_7_vb_gibbs_degeneracy():
         weight_mean=weights.copy(), weight_basis=[np.eye(2), np.eye(2)],
         weight_eigs=np.zeros((d, 4)),
         mean_loc=mean.copy(), mean_cov=[np.zeros((2, 2)), np.zeros((2, 2))],
-        mean_cov_logdet=-np.inf,
+        mean_cov_logdet=-np.inf, latent_cov_logdet=-np.inf,
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs, view_dims=view_dims,
     )

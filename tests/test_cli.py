@@ -501,13 +501,13 @@ class TestIdentify:
 
     def test_engine_failure_cleans_partial_artifacts(self, sim_dir, tmp_path):
         # order larger than the Hankel half-height fails before any file is
-        # written; the directory must be left clean
+        # written; the directory the run made must not be left behind
         out = tmp_path / "fail"
         code = run_cli("identify", "--input", sim_dir / "response.csv",
                        "--block-rows", 2, "--order", 50, "--engine", "ssi",
                        "--seed", 1, "--out", out)
         assert code == 1
-        assert listing(out) == []
+        assert not out.exists()
 
     def test_late_write_failure_leaves_directory_empty(self, sim_dir, tmp_path,
                                                        monkeypatch):
@@ -522,7 +522,7 @@ class TestIdentify:
                        "--block-rows", 8, "--order", 4, "--engine", "vb",
                        "--draws", 20, "--max-iter", 40, "--seed", 1, "--out", out)
         assert code == 1
-        assert listing(out) == []
+        assert not out.exists()
 
     def test_late_write_failure_leaves_previous_run_intact(self, sim_dir, tmp_path,
                                                            monkeypatch):
@@ -864,6 +864,32 @@ def test_stabilise_order_zero_rejected(sim_dir, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
     assert "model order" in err[0] and "got 0" in err[0]
     assert not out.exists() or listing(out) == []
+
+
+# commands that fail after they made --out: an invalid Welch setting, an
+# order above the Hankel half-height 16, an order given twice
+FAILING_INSIDE_OUTPUT_DIR = {
+    "spectrum-overlap": ("spectrum", "--overlap", 1.0),
+    "spectrum-segment": ("spectrum", "--segment", 0),
+    "identify-vb-order": ("identify", "--engine", "vb", "--block-rows", 4, "--order", 20),
+    "identify-ssi-order": ("identify", "--engine", "ssi", "--block-rows", 4, "--order", 20),
+    "stabilise-order": ("stabilise", "--block-rows", 4, "--order", 20, "--draws", 10),
+    "stabilise-repeated-order": ("stabilise", "--block-rows", 8, "--order", 2,
+                                 "--order", 2, "--draws", 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_INSIDE_OUTPUT_DIR))
+def test_failure_removes_the_directories_it_made(sim_dir, tmp_path, capsys, case):
+    # --out and its missing parent are both made by the run, and both go
+    out = tmp_path / "fresh" / "out"
+    code = run_cli(*FAILING_INSIDE_OUTPUT_DIR[case], "--input", sim_dir / "response.csv",
+                   "--seed", 1, "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+    assert not out.parent.exists()
 
 
 def test_gibbs_retention_keeping_nothing_rejected_before_any_sweep(

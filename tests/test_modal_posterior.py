@@ -47,7 +47,7 @@ def make_vb_posterior(gen, d1, d2, d, w_scale=0.0):
         weight_basis=[np.eye(d1), np.eye(d2)],
         weight_eigs=np.full((d, total), w_scale),
         mean_loc=np.zeros(total),
-        mean_cov=[np.eye(d1), np.eye(d2)], mean_cov_logdet=0.0,
+        mean_cov=[np.eye(d1), np.eye(d2)], mean_cov_logdet=0.0, latent_cov_logdet=0.0,
         noise_scale=[np.eye(d1), np.eye(d2)],
         noise_dof=[d1 + 2.0, d2 + 2.0], view_dims=(d1, d2),
     )

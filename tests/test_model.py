@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bayes_ssi.model import Conditionals, default_priors, view_slices
+from bayes_ssi.model import Conditionals, PriorHyper, default_priors, view_slices
+from bayes_ssi.rng import symmetrize
 
 import oracles
 from explicit import block_precision, explicit_kernel, hankel_stats, weight_conditional
@@ -66,6 +67,12 @@ class TestDefaultPriors:
                            (base.noise_scale[:1], base.noise_dof)):
             with pytest.raises(ValueError, match="one entry per view"):
                 dataclasses.replace(base, noise_scale=scale, noise_dof=dof)
+
+    @pytest.mark.parametrize("field", ["mean_cov", "weight_cov"])
+    def test_covariance_of_wrong_size_rejected(self, field):
+        # the engines would otherwise fail in their first sweep, on a matmul
+        with pytest.raises(ValueError, match=f"{field} must be 6x6, got shape"):
+            dataclasses.replace(default_priors(3, 3, 2), **{field: np.eye(5)})
 
 
 class TestLogJoint:
@@ -185,3 +192,110 @@ class TestBlockLayout:
         else:
             run_gibbs(stats, priors, GibbsConfig(n_samples=3, burn_in_fraction=0.0, seed=1))
         assert seen and all(shapes == blocks for shapes in seen)
+
+
+class TestPriorFactors:
+    """Each prior matrix is factored once, when PriorHyper validates it,
+    and the engines read that factor; the latent covariance is factored
+    once per VB sweep."""
+
+    # distinct prior matrices, so each factorization is told by its input
+    @staticmethod
+    def _priors():
+        return PriorHyper(mean_loc=np.zeros(6), mean_cov=2.0 * np.eye(6),
+                          weight_loc=np.zeros(6), weight_cov=3.0 * np.eye(6),
+                          noise_scale=(100.0 * np.eye(3), 50.0 * np.eye(3)),
+                          noise_dof=(5.0, 6.0), latent_dim=2, view_dims=(3, 3))
+
+    @staticmethod
+    def _record_factorizations(monkeypatch):
+        """The list that every later LAPACK ``dpotrf`` input is copied to."""
+        import bayes_ssi.rng as rng_mod
+
+        inputs = []
+        dpotrf = rng_mod.dpotrf
+
+        def recorded(mat, *args, **kwargs):
+            inputs.append(np.array(mat))
+            return dpotrf(mat, *args, **kwargs)
+
+        monkeypatch.setattr(rng_mod, "dpotrf", recorded)
+        return inputs
+
+    @staticmethod
+    def _counts(inputs, priors):
+        """How often each prior matrix was factored, and how many d x d
+        matrices were (only the latent precision is d x d here)."""
+        mats = {"mean_cov": priors.mean_cov, "weight_cov": priors.weight_cov,
+                **{f"noise_scale[{m}]": scale for m, scale in enumerate(priors.noise_scale)}}
+        counts = {name: sum(x.shape == mat.shape and np.array_equal(x, mat) for x in inputs)
+                  for name, mat in mats.items()}
+        d = priors.latent_dim
+        counts["latent"] = sum(x.shape == (d, d) for x in inputs)
+        return counts
+
+    @staticmethod
+    def _stats():
+        gen = np.random.default_rng(21)
+        return hankel_stats(gen.standard_normal((6, 200)), (3, 3))
+
+    def test_construction_factors_each_prior_matrix_once(self, monkeypatch):
+        inputs = self._record_factorizations(monkeypatch)
+        priors = self._priors()
+        assert self._counts(inputs, priors) == {
+            "mean_cov": 1, "weight_cov": 1, "noise_scale[0]": 1, "noise_scale[1]": 1,
+            "latent": 0}
+        assert len(inputs) == 4
+
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+    def test_vb_factors_no_prior_matrix_and_the_latent_once_per_sweep(
+            self, monkeypatch, warm_start):
+        from bayes_ssi.vb import VBConfig, run_vb
+
+        priors, stats = self._priors(), self._stats()
+        inputs = self._record_factorizations(monkeypatch)
+        post = run_vb(stats, priors, VBConfig(max_iter=6, elbo_rel_tol=1e-300, seed=1,
+                                              warm_start=warm_start))
+        assert post.n_iter == 6
+        # a cold start's noise factors start at the prior scales, so the
+        # first expected noise precision factors those values once
+        start = 0 if warm_start else 1
+        assert self._counts(inputs, priors) == {
+            "mean_cov": 0, "weight_cov": 0, "noise_scale[0]": start,
+            "noise_scale[1]": start, "latent": post.n_iter}
+
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+    def test_gibbs_factors_no_prior_covariance(self, monkeypatch, warm_start):
+        from bayes_ssi.gibbs import GibbsConfig, run_gibbs
+
+        priors, stats = self._priors(), self._stats()
+        inputs = self._record_factorizations(monkeypatch)
+        run_gibbs(stats, priors, GibbsConfig(n_samples=4, burn_in_fraction=0.0, seed=1,
+                                             warm_start=warm_start))
+        counts = self._counts(inputs, priors)
+        # a cold start draws each view's noise block from its prior once
+        start = 0 if warm_start else 1
+        assert {name: counts[name] for name in
+                ("mean_cov", "weight_cov", "noise_scale[0]", "noise_scale[1]")} == {
+            "mean_cov": 0, "weight_cov": 0, "noise_scale[0]": start,
+            "noise_scale[1]": start}
+
+    def test_nearly_symmetric_prior_has_its_symmetric_part_factor(self):
+        # a covariance symmetric only to within the 1e-12 tolerance: its
+        # kept factor is that of its symmetric part, bit for bit, whatever
+        # triangle LAPACK reads
+        gen = np.random.default_rng(23)
+        skewed = {}
+        for field in ("mean_cov", "weight_cov"):
+            cov = _spd(gen, 6)
+            cov[np.triu_indices(6, 1)] *= 1.0 + 1e-13
+            skewed[field] = cov
+        base = default_priors(3, 3, 2)
+        raw = dataclasses.replace(base, **skewed)
+        sym = dataclasses.replace(base, **{k: symmetrize(v) for k, v in skewed.items()})
+        for field in ("mean_cov", "weight_cov"):
+            assert not np.array_equal(skewed[field], symmetrize(skewed[field]))
+        assert np.array_equal(raw.mean_chol, sym.mean_chol)
+        assert np.array_equal(raw.weight_chol, sym.weight_chol)
+        assert np.array_equal(raw.mean_prior[0], sym.mean_prior[0])
+        assert np.array_equal(raw.weight_prior[0], sym.weight_prior[0])

@@ -77,6 +77,7 @@ def random_posterior(gen, view_dims, d, n, blocks=None):
         mean_loc=gen.standard_normal(total),
         mean_cov=mean_cov,
         mean_cov_logdet=sum(np.linalg.slogdet(cov)[1] for cov in mean_cov),
+        latent_cov_logdet=np.linalg.slogdet(latent_cov)[1],
         noise_scale=noise_scale,
         noise_dof=[dim + 4.0 + n for dim in view_dims],
         view_dims=tuple(view_dims),
@@ -102,6 +103,7 @@ def point_mass_posterior(x, view_dims, weights, mean, noise, latent, dof_offset=
         mean_loc=mean.copy(),
         mean_cov=[np.zeros((dim, dim)) for dim in view_dims],
         mean_cov_logdet=-np.inf,
+        latent_cov_logdet=-np.inf,
         noise_scale=[dof * blk for dof, blk in zip(dofs, noise)],
         noise_dof=dofs,
         view_dims=tuple(view_dims),
