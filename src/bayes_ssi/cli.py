@@ -4,9 +4,10 @@ and emit Welch spectra.
 
 Every command validates its configuration up front, owns its output
 directory through a lockfile, and echoes the fully resolved configuration
-next to the numeric artifacts.  It writes them into a staging directory and
-moves them into place only once it succeeds, so a run that fails leaves an
-earlier run's artifacts as they were.
+next to the numeric artifacts.  It writes them into a staging directory
+and moves them into place only once it succeeds, so a run that fails
+leaves an earlier run's artifacts as they were.  ``identify`` and
+``stabilise`` build one set of priors, for every order, and record it.
 Reruns with the same configuration and seed reproduce every numeric output
 byte for byte; wall-clock metadata lives only in the run manifest.  The
 bundled OpenBLAS libraries of numpy and scipy run on one thread unless
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import json
 import os
 import platform
@@ -67,7 +67,7 @@ from .modal_posterior import (
     summarize,
     usable_cpus,
 )
-from .model import PriorHyper, default_priors
+from .model import PriorHyper, default_fields
 from .rng import DRAW_STREAM, SIMULATE_STREAM, Rng
 from .simulate import build_shear_frame, discretize, simulate_response, to_continuous_ss
 from .spectral import welch_psd
@@ -279,29 +279,47 @@ _ARRAY_FIELDS = ("mean_loc", "mean_cov", "weight_loc", "weight_cov")
 
 
 def load_prior_overrides(path) -> dict:
-    """Prior configuration file: JSON whose keys mirror the prior
+    """Prior configuration file: a JSON object whose keys mirror the prior
     hyperparameter fields; scalars expand to scaled identities or constant
-    vectors.  :func:`prior_overrides` writes this form."""
+    vectors.  :func:`prior_overrides` writes this form, and
+    :func:`build_priors` checks the values."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"must hold a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - {*_ARRAY_FIELDS, "noise_scale", "noise_dof"}
     if unknown:
         raise ValueError(f"unknown prior keys: {sorted(unknown)}")
     return raw
 
 
-def _expand(value, shape: tuple[int, ...]) -> np.ndarray:
-    """A prior vector or square matrix of ``shape`` from its file entry: a
-    scalar is a constant vector or a scaled identity."""
-    if np.isscalar(value):
-        return float(value) * (np.ones(shape) if len(shape) == 1 else np.eye(*shape))
-    arr = np.asarray(value, dtype=float)
+def _expand(key: str, value, shape: tuple[int, ...]):
+    """The prior entry of ``shape`` that a file's ``value``, a number or
+    nested lists of numbers, sets: a number is a float for shape (), else
+    a constant vector or a scaled identity.  A boolean, a string, a ragged
+    list or another shape raises ``ValueError`` naming ``key``."""
+    def numeric(v) -> bool:
+        if isinstance(v, list):
+            return all(map(numeric, v))
+        # JSON true and false load as bool, which is an int
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    arr = None
+    if numeric(value):
+        with suppress(ValueError):      # ragged
+            arr = np.asarray(value, dtype=float)
+    if arr is None:
+        got = "a ragged or non-numeric list" if isinstance(value, list) else repr(value)
+        raise ValueError(f"{key} must be a number or a regular nested list of numbers, "
+                         f"got {got}")
+    if arr.ndim == 0 and shape:
+        arr = arr * (np.ones(shape) if len(shape) == 1 else np.eye(*shape))
     if arr.shape != shape:
-        dim = shape[0]
-        need = (f"vector must have length {dim}" if len(shape) == 1
-                else f"matrix must be {dim}x{dim}")
-        raise ValueError(f"prior {need}, got {arr.shape}")
-    return arr
+        raise ValueError(f"{key} must be a number or of shape {shape}, got shape {arr.shape}")
+    return arr if shape else float(arr)
 
 
 def _compact(arr: np.ndarray):
@@ -309,55 +327,60 @@ def _compact(arr: np.ndarray):
     scalar for a constant vector or a scaled identity, else the nested
     list."""
     scalar = float(arr.flat[0])
-    return scalar if np.array_equal(arr, _expand(scalar, arr.shape)) else arr.tolist()
+    return scalar if np.array_equal(arr, _expand("", scalar, arr.shape)) else arr.tolist()
 
 
 def prior_overrides(priors: PriorHyper) -> dict:
     """``priors`` as a ``--priors`` file, JSON-ready, with the noise prior
-    as per-view lists: :func:`build_priors` at the same view dims and order
-    reads it back exactly."""
+    as per-view lists: :func:`build_priors` at the same view dims reads it
+    back exactly."""
     return {**{key: _compact(getattr(priors, key)) for key in _ARRAY_FIELDS},
             "noise_scale": [_compact(scale) for scale in priors.noise_scale],
             "noise_dof": [float(dof) for dof in priors.noise_dof]}
 
 
-def build_priors(view_dim_future: int, view_dim_past: int, order: int,
+def build_priors(view_dim_future: int, view_dim_past: int,
                  overrides: dict | None = None) -> PriorHyper:
-    """Default priors with optional overrides from a prior config file."""
-    base = default_priors(view_dim_future, view_dim_past, order)
-    if not overrides:
-        return base
-    fields = {key: _expand(overrides[key], getattr(base, key).shape)
-              for key in _ARRAY_FIELDS if key in overrides}
-    if "noise_scale" in overrides:
-        value = overrides["noise_scale"]
+    """The default priors with the fields a prior config file's
+    ``overrides`` set, expanded to the view dims first, so that the priors
+    are built, and their matrices factored, once.
+
+    A noise prior entry is one value for both views, a number or (for
+    ``noise_scale``) one D_view x D_view matrix, or a list of 2 per-view
+    values."""
+    fields = default_fields(view_dim_future, view_dim_past)
+    dims = fields["view_dims"]
+    overrides = overrides or {}
+    fields.update({key: _expand(key, overrides[key], fields[key].shape)
+                   for key in _ARRAY_FIELDS if key in overrides})
+    for key, shape in (("noise_scale", lambda d: (d, d)), ("noise_dof", lambda d: ())):
+        if key not in overrides:
+            continue
+        value = overrides[key]
         try:
-            rank = np.ndim(value)
+            shared = all(np.shape(value) in ((), shape(d)) for d in dims)
         except ValueError:      # ragged: a list of per-view entries
-            rank = None
-        shared = rank == 0 or (rank == 2 and all(np.shape(value) == (d, d)
-                                                 for d in base.view_dims))
-        per_view = _per_view("noise_scale", value, shared)
-        fields["noise_scale"] = tuple(_expand(v, (d, d))
-                                      for v, d in zip(per_view, base.view_dims))
-    if "noise_dof" in overrides:
-        value = overrides["noise_dof"]
-        per_view = _per_view("noise_dof", value, not isinstance(value, list))
-        fields["noise_dof"] = tuple(float(v) for v in per_view)
-    return dataclasses.replace(base, **fields)
+            shared = False
+        if not shared and len(value) != 2:
+            raise ValueError(f"{key} must be one value for both views or a list of 2 "
+                             f"per-view values, got a list of {len(value)}")
+        per_view = [value] * 2 if shared else value
+        fields[key] = tuple(_expand(f"{key}[{m}]", v, shape(d))
+                            for m, (v, d) in enumerate(zip(per_view, dims)))
+    return PriorHyper(**fields)
 
 
-def _per_view(key: str, value, shared: bool) -> list:
-    """The two per-view entries of a noise prior override: ``value`` for
-    both views when ``shared``, else ``value`` itself, which must then be a
-    list of exactly two entries."""
-    if shared:
-        return [value, value]
-    if not isinstance(value, list) or len(value) != 2:
-        got = f"a list of {len(value)}" if isinstance(value, list) else repr(value)
-        raise ValueError(f"{key} must be one value for both views or a list of 2 "
-                         f"per-view values, got {got}")
-    return value
+def _command_priors(cfg: dict, view_dims: tuple[int, ...]) -> PriorHyper:
+    """The one set of priors a command runs with: the defaults at
+    ``view_dims``, overridden by the ``--priors`` file if one is given.  Any
+    fault in that file raises ``ValueError`` naming the file."""
+    path = cfg["priors"]
+    if not path:
+        return build_priors(*view_dims)
+    try:
+        return build_priors(*view_dims, load_prior_overrides(path))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise ValueError(f"prior file {path}: {exc}") from None
 
 
 def _load_input(cfg: dict):
@@ -468,10 +491,9 @@ def cmd_identify(cfg: dict) -> Path:
     ts = _load_input(cfg)
     j = cfg["block_rows"]
     order = cfg["order"]
-    overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
     stats = HankelStats.from_record(ts, j, center=not cfg["no_center"])
     # invalid priors fail every engine, ssi included, before any output
-    priors = build_priors(*stats.view_dims, order, overrides)
+    priors = _command_priors(cfg, stats.view_dims)
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("identify", cfg))
@@ -485,7 +507,7 @@ def cmd_identify(cfg: dict) -> Path:
 
         _write_welch_overlay(out, ts)
         if engine == "vb":
-            post = run_vb(stats, priors, engine_config)
+            post = run_vb(stats, priors, order, engine_config)
             diagnostics = post.diagnostics()
             save_vb_posterior(out.file("vb_posterior"), post,
                               extra_meta={"seed": cfg["seed"],
@@ -495,7 +517,7 @@ def cmd_identify(cfg: dict) -> Path:
                              header=["elbo"])
             draws = draw_observability_samples(post, n_draws, Rng(cfg["seed"], DRAW_STREAM))
         else:
-            chain = run_gibbs(stats, priors, engine_config)
+            chain = run_gibbs(stats, priors, order, engine_config)
             diagnostics = chain.diagnostics()
             save_chain(out.file("chain"), chain,
                        extra_meta={"priors": prior_overrides(priors)})
@@ -524,16 +546,16 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
     n_draws = _require_draws(cfg)
     _require_block_rows(cfg)
     ts = _load_input(cfg)
-    overrides = load_prior_overrides(cfg["priors"]) if cfg["priors"] else None
     vb_config = _vb_config(cfg)
     stats = HankelStats.from_record(ts, cfg["block_rows"], center=not cfg["no_center"])
     # invalid priors fail the command here, not as a failure at every order
-    priors = [build_priors(*stats.view_dims, order, overrides) for order in cfg["orders"]]
+    priors = _command_priors(cfg, stats.view_dims)
 
     with OutputDir(cfg["out"]) as out:
         write_json(out.file("config.json"), _config_echo("stabilise", cfg))
         _write_welch_overlay(out, ts)
-        result = stabilisation(stats, priors, vb_config, n_draws, ts.channels, ts.fs)
+        result = stabilisation(stats, priors, cfg["orders"], vb_config, n_draws,
+                               ts.channels, ts.fs)
         triples = np.column_stack([
             result.orders.astype(float), result.frequencies, result.damping_ratios,
         ])
@@ -542,7 +564,8 @@ def cmd_stabilise(cfg: dict) -> tuple[Path, dict]:
         manifest = _manifest("stabilise", cfg, started, failures=result.failures,
                              diagnostics={str(k): v for k, v in result.diagnostics.items()})
         write_json(out.file("run_manifest.json"),
-                   {**manifest, "workers": result.workers,
+                   {**manifest, "priors": prior_overrides(priors),
+                    "workers": result.workers,
                     "propagation_threads": result.propagation_threads})
     return Path(cfg["out"]), result.failures
 

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Conditionals, LatentStats, PriorHyper, latent_natural
+from .model import Conditionals, LatentStats, PriorHyper, check_order, latent_natural
 from .rng import (
     GIBBS_STREAM,
     Rng,
@@ -217,19 +217,20 @@ class _Kernel(Conditionals):
                            total=np.sqrt(n) * k[:, -1])
 
 
-def _prior_point(priors: PriorHyper, rng: np.random.Generator,
+def _prior_point(priors: PriorHyper, order: int, rng: np.random.Generator,
                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(weights, mean, per-view noise blocks) drawn from the priors."""
     noise = [sample_inverse_wishart_pair(rng, scale, dof)[0]
              for scale, dof in zip(priors.noise_scale, priors.noise_dof)]
     mean = priors.mean_loc + priors.mean_chol @ rng.standard_normal(priors.dim)
     weights = (priors.weight_loc[:, None] + priors.weight_chol
-               @ rng.standard_normal((priors.dim, priors.latent_dim)))
+               @ rng.standard_normal((priors.dim, order)))
     return weights, mean, noise
 
 
-def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> GibbsChain:
-    """Run the sampler on the data statistics and return the retained records.
+def run_gibbs(stats: HankelStats, priors: PriorHyper, order: int,
+              config: GibbsConfig) -> GibbsChain:
+    """Run the sampler at model order ``order``; return the retained records.
 
     The chain starts from a prior draw (latent statistics included) or,
     with ``config.warm_start``, at
@@ -239,19 +240,19 @@ def run_gibbs(stats: HankelStats, priors: PriorHyper, config: GibbsConfig) -> Gi
     O(d sum_b h_b^3) over the factor blocks h_b (O(d D^3) when the priors
     couple the views) whatever the column count.
     """
+    check_order(order)
     rng = Rng(config.seed, GIBBS_STREAM)
     kernel = _Kernel(stats, priors)
-    d = priors.latent_dim
     n_records = config.n_records
     if config.warm_start:
-        weights, mean, noise = warm_start_point(stats, d)
+        weights, mean, noise = warm_start_point(stats, order)
         lat = kernel.draw_latent(weights, mean,
                                  [spd_inverse(blk, "noise_cov") for blk in noise], None)
     else:
-        weights, mean, noise = _prior_point(priors, rng)
-        lat = kernel.draw_prior_latent(d, rng)
+        weights, mean, noise = _prior_point(priors, order, rng)
+        lat = kernel.draw_prior_latent(order, rng)
 
-    weight_samples = np.empty((n_records, priors.dim, d))
+    weight_samples = np.empty((n_records, priors.dim, order))
     mean_samples = np.empty((n_records, priors.dim))
     packed = [np.tril_indices(dim) for dim in priors.view_dims]
     noise_samples = [np.empty((n_records, rows.size)) for rows, _ in packed]

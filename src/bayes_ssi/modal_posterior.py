@@ -12,10 +12,10 @@ damping draws are kept (they occur legitimately); summaries report their
 fraction.
 
 ``stabilisation`` runs the variational engine on one set of Hankel
-statistics at several model orders, each with its own priors (whose latent
-dimension is the order), and pools the propagated (order, frequency,
-damping) triples.  Its orders run in worker processes, and each order's
-propagation gets an equal share of the CPUs.
+statistics at several model orders, all under one set of priors, and pools
+the propagated (order, frequency, damping) triples.  Its orders run in
+worker processes, and each order's propagation gets an equal share of the
+CPUs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import GibbsChain
-from .model import PriorHyper
+from .model import PriorHyper, check_order
 from .rng import STAB_DRAW_STREAM_BASE, Rng
 from .subspace import (
     HankelStats,
@@ -381,10 +381,10 @@ def summarize(posterior: ModalPosterior) -> dict:
     }
 
 
-def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
-                 n_channels: int, fs: float, threads: int, priors: PriorHyper) -> tuple:
-    """One order of the stabilisation sweep, ``priors.latent_dim``: the
-    variational run, its draws (stream ``STAB_DRAW_STREAM_BASE + order``)
+def _sweep_order(stats: HankelStats, priors: PriorHyper, config: VBConfig, n_draws: int,
+                 n_channels: int, fs: float, threads: int, order: int) -> tuple:
+    """One order of the stabilisation sweep: the variational run at
+    ``order``, its draws (stream ``STAB_DRAW_STREAM_BASE + order``)
     and their propagation on ``threads`` threads, to eigenvalues only,
     since no mode shape is kept.
 
@@ -397,10 +397,10 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
     diagnostics = None
     empty = np.empty(0)
     try:
-        post = run_vb(stats, priors, config)
+        post = run_vb(stats, priors, order, config)
         diagnostics = post.diagnostics()
         draws = draw_observability_samples(
-            post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + priors.latent_dim))
+            post, n_draws, Rng(config.seed, STAB_DRAW_STREAM_BASE + order))
         modal, n_excluded = propagate_many(draws, n_channels, 1.0 / fs, threads,
                                            shapes=False)
     except (np.linalg.LinAlgError, ElboDecreaseError, NonFiniteBoundError) as exc:
@@ -414,13 +414,13 @@ def _sweep_order(stats: HankelStats, config: VBConfig, n_draws: int,
     return diagnostics, modal.frequencies[keep], modal.damping_ratios[keep], None
 
 
-def _map_orders(run, priors: list[PriorHyper], workers: int) -> dict:
-    """``run(p)`` for every order's priors ``p``: in process for one
-    worker, else in ``workers`` forked processes, highest (costliest) order
-    first.  Results are keyed by order, and collected, in ascending order."""
-    ascending = sorted(priors, key=lambda p: p.latent_dim)
+def _map_orders(run, orders: Sequence[int], workers: int) -> dict:
+    """``run(order)`` for every order: in process for one worker, else in
+    ``workers`` forked processes, highest (costliest) order first.  Results
+    are keyed by order, and collected, in ascending order."""
+    ascending = sorted(orders)
     if workers == 1:
-        return {p.latent_dim: run(p) for p in ascending}
+        return {order: run(order) for order in ascending}
     # imported here, so commands that never start a pool do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -429,18 +429,19 @@ def _map_orders(run, priors: list[PriorHyper], workers: int) -> dict:
     # them again, and the executor starts them before its own thread
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = {p.latent_dim: pool.submit(run, p) for p in reversed(ascending)}
-        return {p.latent_dim: futures[p.latent_dim].result() for p in ascending}
+        futures = {order: pool.submit(run, order) for order in reversed(ascending)}
+        return {order: futures[order].result() for order in ascending}
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def stabilisation(stats: HankelStats, priors: list[PriorHyper],
+def stabilisation(stats: HankelStats, priors: PriorHyper, orders: Sequence[int],
                   vb_config: VBConfig, n_draws: int, n_channels: int,
                   fs: float) -> StabilisationData:
-    """Run the variational engine on ``stats`` at every model order, one
-    entry of ``priors`` per order (its ``latent_dim``), and pool the
-    propagated (frequency, damping, order) triples of ``n_draws`` draws each.
+    """Run the variational engine on ``stats`` under ``priors`` at every
+    model order in ``orders``, and pool the propagated (frequency, damping,
+    order) triples of ``n_draws`` draws each.  Every order must be at least
+    1, given once and at most the Hankel half-height.
 
     The orders run in one forked worker process per order, at most one per
     CPU this process may run on (in this process for one), and each order
@@ -454,9 +455,9 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
     decomposition of ``stats``, built here, whose failure fails the sweep.
     Real-pole entries are removed from the pooled triples.
     """
-    orders = [p.latent_dim for p in priors]
     if not orders:
         raise ValueError("orders must be non-empty")
+    check_order(min(orders))
     repeated = sorted({order for order in orders if orders.count(order) > 1})
     if repeated:
         raise ValueError(f"orders given more than once: {repeated}")
@@ -470,10 +471,11 @@ def stabilisation(stats: HankelStats, priors: list[PriorHyper],
     # one worker per order, at most one per CPU, and the CPUs shared out
     # among the workers' propagations
     cpus = usable_cpus()
-    workers = min(len(priors), cpus)
+    workers = min(len(orders), cpus)
     threads = max(1, cpus // workers)
-    run = functools.partial(_sweep_order, stats, vb_config, n_draws, n_channels, fs, threads)
-    results = _map_orders(run, priors, workers)
+    run = functools.partial(_sweep_order, stats, priors, vb_config, n_draws, n_channels, fs,
+                            threads)
+    results = _map_orders(run, orders, workers)
 
     failures: dict[int, str] = {}
     diagnostics: dict[int, dict] = {}

@@ -12,7 +12,8 @@ with Sigma block-diagonal across views, Gaussian priors on mu and on each
 column of W (columns share one prior), and an inverse-Wishart prior on each
 view's noise block.  The machinery is generic in the number of views; the
 identification pipeline always stacks exactly two (future rows first, then
-past rows).
+past rows).  One :class:`PriorHyper` serves every model order, which the
+engines take as an argument.
 
 Given the latent matrix Z, the noise, mean and weight-column conditionals
 see the data only through its statistics
@@ -55,6 +56,8 @@ __all__ = [
     "Conditionals",
     "view_slices",
     "latent_natural",
+    "check_order",
+    "default_fields",
     "default_priors",
 ]
 
@@ -86,9 +89,9 @@ def _prior_factor(mat: np.ndarray, name: str, dim: int) -> np.ndarray:
 class PriorHyper:
     """Hyperparameters of the hierarchical model.
 
-    The weight-column prior is shared by every column; the noise prior is
-    an inverse Wishart per view with scale ``noise_scale[m]`` and degrees
-    of freedom ``noise_dof[m]``.
+    The weight-column prior is shared by every column, however many there
+    are; the noise prior is an inverse Wishart per view with scale
+    ``noise_scale[m]`` and degrees of freedom ``noise_dof[m]``.
 
     Construction keeps the factor that validating each prior matrix makes
     (:func:`~bayes_ssi.rng.validate_spd`): ``mean_chol``, ``weight_chol``
@@ -101,7 +104,6 @@ class PriorHyper:
     weight_cov: np.ndarray
     noise_scale: tuple[np.ndarray, ...]
     noise_dof: tuple[float, ...]
-    latent_dim: int
     view_dims: tuple[int, ...]
     mean_chol: np.ndarray = field(init=False, repr=False, compare=False)
     weight_chol: np.ndarray = field(init=False, repr=False, compare=False)
@@ -109,8 +111,6 @@ class PriorHyper:
 
     def __post_init__(self):
         total = sum(self.view_dims)
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim (model order) must be >= 1, got {self.latent_dim}")
         for name in ("mean_loc", "weight_loc"):
             loc = getattr(self, name)
             if loc.shape != (total,):
@@ -328,7 +328,32 @@ class Conditionals:
         return basis, 1.0 / whitened
 
 
-def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,
+def check_order(order: int) -> None:
+    """Reject a model order (latent dimension) below one."""
+    if order < 1:
+        raise ValueError(f"model order must be >= 1, got {order}")
+
+
+def default_fields(view_dim_future: int, view_dim_past: int, *,
+                   noise_scale: float = 100.0) -> dict:
+    """The :class:`PriorHyper` fields of :func:`default_priors`, unvalidated,
+    so a caller can replace some before the one construction."""
+    dims = (int(view_dim_future), int(view_dim_past))
+    if any(d < 1 for d in dims):
+        raise ValueError("view dims must be positive")
+    total = sum(dims)
+    return dict(
+        mean_loc=np.zeros(total),
+        mean_cov=np.eye(total),
+        weight_loc=np.zeros(total),
+        weight_cov=np.eye(total),
+        noise_scale=tuple(noise_scale * np.eye(d) for d in dims),
+        noise_dof=tuple(float(d + 2) for d in dims),
+        view_dims=dims,
+    )
+
+
+def default_priors(view_dim_future: int, view_dim_past: int, *,
                    noise_scale: float = 100.0) -> PriorHyper:
     """Weakly informative proper priors.
 
@@ -339,18 +364,5 @@ def default_priors(view_dim_future: int, view_dim_past: int, latent_dim: int, *,
     used on measured bridge data; set any other field with
     :func:`dataclasses.replace` on the result.
     """
-    dims = (int(view_dim_future), int(view_dim_past))
-    if any(d < 1 for d in dims):
-        raise ValueError("view dims must be positive")
-    total = sum(dims)
-    return PriorHyper(
-        mean_loc=np.zeros(total),
-        mean_cov=np.eye(total),
-        weight_loc=np.zeros(total),
-        weight_cov=np.eye(total),
-        noise_scale=tuple(noise_scale * np.eye(d) for d in dims),
-        noise_dof=tuple(float(d + 2) for d in dims),
-        latent_dim=int(latent_dim),
-        view_dims=dims,
-    )
-
+    return PriorHyper(**default_fields(view_dim_future, view_dim_past,
+                                       noise_scale=noise_scale))

@@ -278,7 +278,7 @@ def canonical_weights(cov: np.ndarray, view_dim: int, order: int) -> np.ndarray:
     return np.vstack([load1[:, :order], load2[:, :order]]) * np.sqrt(corr[:order])
 
 
-def warm_start_point(stats: HankelStats, latent_dim: int,
+def warm_start_point(stats: HankelStats, order: int,
                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(weights, mean, per-view noise blocks) at the maximum-likelihood
     point of the two-view latent projection model, from the statistics.
@@ -292,7 +292,7 @@ def warm_start_point(stats: HankelStats, latent_dim: int,
         raise ValueError("warm start requires exactly two views")
     h = stats.view_dims[0]
     cov = stats.gram / stats.n_cols
-    weights = stats.canonical_weights(latent_dim)
+    weights = stats.canonical_weights(order)
     noise = [symmetrize(cov[view, view] - weights[view] @ weights[view].T)
              for view in (slice(None, h), slice(h, None))]
     # keep the MLE noise blocks safely positive definite

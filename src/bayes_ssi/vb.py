@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Conditionals, LatentStats, PriorHyper, latent_natural
+from .model import Conditionals, LatentStats, PriorHyper, check_order, latent_natural
 from .rng import (
     VB_INIT_STREAM,
     Rng,
@@ -295,41 +295,41 @@ class _Kernel(Conditionals):
         return float(value)
 
 
-def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
+def initial_posterior(stats: HankelStats, priors: PriorHyper, order: int, seed: int,
                       warm_start: bool = False) -> VBPosterior:
-    """Deterministic seeded initialization: small random weight means, zero
-    latent means, noise factors at their prior, mean factor centred on the
-    data row means.
+    """Deterministic seeded initialization at model order ``order``: small
+    random weight means, zero latent means, noise factors at their prior,
+    mean factor centred on the data row means.
 
     ``warm_start`` replaces the random weight means with the classical
     maximum-likelihood point and matches the noise factors to the residual
     covariance there.
     """
+    check_order(order)
     rng = Rng(seed, VB_INIT_STREAM)
-    d = priors.latent_dim
     total_dim = stats.dim
     n = stats.n_cols
     if warm_start:
-        weight_mean, _, noise_cov = warm_start_point(stats, d)
+        weight_mean, _, noise_cov = warm_start_point(stats, order)
         # 1e-8 I = B diag(1e-8 / lam) B^T for the basis with B^T B = diag(lam)
         weight_basis, lam = Conditionals(stats, priors).weight_basis(
             [np.eye(dim) for dim in priors.view_dims])
-        weight_eigs = np.tile(1e-8 / lam, (d, 1))
+        weight_eigs = np.tile(1e-8 / lam, (order, 1))
         noise_dof = [dof0 + n for dof0 in priors.noise_dof]
         noise_scale = [dof * blk for dof, blk in zip(noise_dof, noise_cov)]
     else:
         mean_square = (float(np.trace(stats.gram)) + n * float(stats.row_mean @ stats.row_mean)
                        ) / (total_dim * n)
         scale = 0.1 * float(np.sqrt(mean_square)) + 1e-8
-        weight_mean = scale * rng.standard_normal((total_dim, d))
+        weight_mean = scale * rng.standard_normal((total_dim, order))
         # the prior covariance L L^T: B = L, e_i = 1
         weight_basis = [priors.weight_chol[sl, sl].copy() for sl in priors.factor_slices]
-        weight_eigs = np.ones((d, total_dim))
+        weight_eigs = np.ones((order, total_dim))
         noise_scale = [s.copy() for s in priors.noise_scale]
         noise_dof = list(priors.noise_dof)
     return VBPosterior(
-        latent_cov=np.eye(d),
-        latent_map=np.zeros((d, total_dim)),
+        latent_cov=np.eye(order),
+        latent_map=np.zeros((order, total_dim)),
         latent_centre=stats.row_mean.copy(),
         weight_mean=weight_mean,
         weight_basis=weight_basis,
@@ -344,9 +344,10 @@ def initial_posterior(stats: HankelStats, priors: PriorHyper, seed: int,
     )
 
 
-def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPosterior:
-    """Iterate the coordinate updates on the sufficient statistics until the
-    bound converges.
+def run_vb(stats: HankelStats, priors: PriorHyper, order: int,
+           config: VBConfig) -> VBPosterior:
+    """Iterate the coordinate updates on the sufficient statistics at model
+    order ``order`` until the bound converges.
 
     Update order per sweep: latent factor, every weight column, noise
     factors, mean factor; the bound is evaluated after each full sweep.  A
@@ -357,7 +358,7 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
     the factor blocks h_b, whatever the column count.
     """
     kernel = _Kernel(stats, priors)
-    post = initial_posterior(stats, priors, config.seed, warm_start=config.warm_start)
+    post = initial_posterior(stats, priors, order, config.seed, warm_start=config.warm_start)
 
     start = time.perf_counter()
     previous = -np.inf
@@ -393,6 +394,6 @@ def run_vb(stats: HankelStats, priors: PriorHyper, config: VBConfig) -> VBPoster
         previous = bound
     else:
         logger.warning("VB at order %d stopped at max_iter=%d without converging",
-                       priors.latent_dim, config.max_iter)
+                       order, config.max_iter)
     post.elapsed_s = time.perf_counter() - start
     return post

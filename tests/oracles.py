@@ -285,9 +285,10 @@ def log_joint_dense(x, latent, weights, mean, noise, priors):
     return float(value)
 
 
-def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
-    """Gibbs chain with an explicit d x N latent matrix, explicit residuals
-    and dense inverses; scipy.stats draws the inverse-Wishart noise blocks.
+def gibbs_chain_dense(x, view_dims, priors, order, n_sweeps, seed, start=None):
+    """Gibbs chain of model order d = ``order`` with an explicit d x N
+    latent matrix, explicit residuals and dense inverses; scipy.stats draws
+    the inverse-Wishart noise blocks.
 
     Each sweep draws the noise blocks, the mean, every weight column (in
     place) and the latent columns.  ``start`` is (weights, mean, noise
@@ -299,7 +300,7 @@ def gibbs_chain_dense(x, view_dims, priors, n_sweeps, seed, start=None):
 
     gen = np.random.default_rng(seed)
     total_dim, n = x.shape
-    d = priors.latent_dim
+    d = order
     slices = _view_slices(view_dims)
     mean_prior_prec = np.linalg.inv(priors.mean_cov)
     weight_prior_prec = np.linalg.inv(priors.weight_cov)

@@ -57,15 +57,15 @@ def slice_ts(ts, n):
 def engine_posterior(ts, engine, seed=0, gibbs_sweeps=1000, vb_draws=4000):
     """One full identification run; returns (summary dict, extras)."""
     stats = HankelStats.from_record(ts, BLOCK_ROWS)
-    priors = default_priors(*stats.view_dims, ORDER)
+    priors = default_priors(*stats.view_dims)
     reference = ssi_cov(stats, ORDER, ts.channels, 1.0 / ts.fs)
     if engine == "gibbs":
-        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=gibbs_sweeps,
-                                                     burn_in_fraction=0.2, seed=seed))
+        chain = run_gibbs(stats, priors, ORDER, GibbsConfig(n_samples=gibbs_sweeps,
+                                                            burn_in_fraction=0.2, seed=seed))
         draws = chain_observability_samples(chain)
         extras = {"chain": chain}
     else:
-        post = run_vb(stats, priors, VBConfig(seed=seed))
+        post = run_vb(stats, priors, ORDER, VBConfig(seed=seed))
         draws = draw_observability_samples(post, vb_draws, Rng(seed, 3))
         extras = {"post": post}
     samples, _ = propagate_many(draws, ts.channels, 1.0 / ts.fs)
@@ -198,13 +198,13 @@ def test_criterion_5_getting_it_right():
         mean_loc=np.zeros(2), mean_cov=0.5 * np.eye(2),
         weight_loc=np.zeros(2), weight_cov=0.5 * np.eye(2),
         noise_scale=(np.array([[2.0]]), np.array([[1.0]])),
-        noise_dof=(12.0, 12.0), latent_dim=d, view_dims=view_dims,
+        noise_dof=(12.0, 12.0), view_dims=view_dims,
     )
     n_iter = 60_000
     rng = Rng(2024, 0)
 
     def prior_state(r):
-        weights, mean, noise = _prior_point(priors, r)
+        weights, mean, noise = _prior_point(priors, d, r)
         return weights, mean, noise, r.standard_normal((d, n))
 
     def observe(weights, mean, noise, latent, r):
@@ -305,7 +305,7 @@ def test_criterion_7_vb_gibbs_degeneracy():
     gen = np.random.default_rng(123)
     view_dims = (2, 2)
     d, n = 2, 12
-    priors = default_priors(2, 2, d, noise_scale=2.0)
+    priors = default_priors(2, 2, noise_scale=2.0)
     x = gen.standard_normal((4, n))
     weights = gen.standard_normal((4, d))
     mean = gen.standard_normal(4)
@@ -369,8 +369,8 @@ def test_criterion_8_stabilisation(benchmark_ts_full, benchmark_oracle,
     oracle_freqs, _ = benchmark_oracle
     orders = list(range(2, 17, 2))
     stats = HankelStats.from_record(benchmark_ts_full, BLOCK_ROWS)
-    priors = [default_priors(*stats.view_dims, order) for order in orders]
-    result = stabilisation(stats, priors, VBConfig(seed=0, warm_start=True), 400,
+    result = stabilisation(stats, default_priors(*stats.view_dims), orders,
+                           VBConfig(seed=0, warm_start=True), 400,
                            benchmark_ts_full.channels, benchmark_ts_full.fs)
     assert result.failures == {}
 

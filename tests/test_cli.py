@@ -66,20 +66,20 @@ def _spd(gen, dim):
 
 
 _gen = np.random.default_rng(9)
-# (view dims, order, --priors overrides) of the prior sets written and read back
+# (view dims, --priors overrides) of the prior sets written and read back
 ROUND_TRIP_PRIORS = [
-    ((4, 4), 2, None),
-    ((4, 4), 2, {"weight_cov": 2.0, "noise_scale": [1.0, 3.0], "noise_dof": 40.0}),
-    ((3, 3), 2, {"noise_scale": [_spd(_gen, 3).tolist(), 2.0], "noise_dof": [5.5, 70]}),
-    ((4, 4), 3, {"mean_loc": _gen.standard_normal(8).tolist(),
-                 "mean_cov": _spd(_gen, 8).tolist(),
-                 "weight_loc": _gen.standard_normal(8).tolist(),
-                 "weight_cov": _spd(_gen, 8).tolist(),
-                 "noise_scale": [_spd(_gen, 4).tolist(), _spd(_gen, 4).tolist()]}),
-    ((1, 1), 1, {"mean_loc": [0.5, -1.25], "noise_scale": [0.3, 7.0],
-                 "noise_dof": [0.5, 2.0]}),
+    ((4, 4), None),
+    ((4, 4), {"weight_cov": 2.0, "noise_scale": [1.0, 3.0], "noise_dof": 40.0}),
+    ((3, 3), {"noise_scale": [_spd(_gen, 3).tolist(), 2.0], "noise_dof": [5.5, 70]}),
+    ((4, 4), {"mean_loc": _gen.standard_normal(8).tolist(),
+              "mean_cov": _spd(_gen, 8).tolist(),
+              "weight_loc": _gen.standard_normal(8).tolist(),
+              "weight_cov": _spd(_gen, 8).tolist(),
+              "noise_scale": [_spd(_gen, 4).tolist(), _spd(_gen, 4).tolist()]}),
+    ((1, 1), {"mean_loc": [0.5, -1.25], "noise_scale": [0.3, 7.0],
+              "noise_dof": [0.5, 2.0]}),
     # one matrix for both views, constant on the diagonal but no scaled identity
-    ((2, 2), 1, {"noise_scale": [[2.0, 0.25], [0.25, 2.0]]}),
+    ((2, 2), {"noise_scale": [[2.0, 0.25], [0.25, 2.0]]}),
 ]
 
 
@@ -562,7 +562,7 @@ class TestIdentify:
         assert run_cli(*args, "--order", 4) == 0
         before = contents(tmp_path)
         if failure == "engine":
-            def failing_run_vb(stats, priors, config):
+            def failing_run_vb(stats, priors, order, config):
                 raise np.linalg.LinAlgError("synthetic engine failure")
 
             monkeypatch.setattr(cli_mod, "run_vb", failing_run_vb)
@@ -621,10 +621,10 @@ class TestStabilise:
 
         original = mp.run_vb
 
-        def failing_run_vb(data, priors, config):
-            if priors.latent_dim == 4:
+        def failing_run_vb(data, priors, order, config):
+            if order == 4:
                 raise np.linalg.LinAlgError("synthetic engine failure")
-            return original(data, priors, config)
+            return original(data, priors, order, config)
 
         monkeypatch.setattr(mp, "run_vb", failing_run_vb)
         out = tmp_path / "partial"
@@ -641,6 +641,28 @@ class TestStabilise:
         triples = read_matrix_csv(out / "stabilisation.csv", skip_header=True)
         assert set(np.unique(triples[:, 0])) == {2.0}
 
+
+    def test_manifest_priors_rerun_as_prior_file(self, sim_dir, tmp_path):
+        # the run manifest's priors entry, the one set of priors every
+        # order ran with, is a --priors file that reproduces the sweep
+        gen = np.random.default_rng(8)
+        priors_file = tmp_path / "priors.json"
+        priors_file.write_text(json.dumps({
+            "mean_loc": gen.standard_normal(64).tolist(), "weight_cov": 2.0,
+            "noise_scale": [_spd(gen, 32).tolist(), 3.0],
+            "noise_dof": [40, 50.5]}))
+        args = ("stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
+                "--order", 2, "--order", 4, "--draws", 20, "--max-iter", 40,
+                "--seed", 5)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(*args, "--priors", priors_file, "--out", first) == 0
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(
+            json.loads((first / "run_manifest.json").read_text())["priors"]))
+        assert run_cli(*args, "--priors", echo, "--out", second) == 0
+        triples = (first / "stabilisation.csv").read_bytes()
+        assert len(triples.splitlines()) > 1
+        assert triples == (second / "stabilisation.csv").read_bytes()
 
     def test_failing_rerun_leaves_previous_run_intact(self, sim_dir, tmp_path):
         args = ["stabilise", "--input", sim_dir / "response.csv", "--block-rows", 8,
@@ -811,6 +833,31 @@ def test_malformed_sidecar_rejected(sim_dir, tmp_path, capsys, sidecar, problem)
     assert not out.exists() or listing(out) == []
 
 
+@pytest.mark.parametrize("text,problem", [
+    ('{"mean_loc": true}', "mean_loc must be a number"),
+    ("5", "must hold a JSON object, got int"),
+    ('{"mean_loc": ', "not valid JSON"),
+    ('{"noise_dof": "abc"}', "noise_dof[0] must be a number"),
+    ('{"noise_dof": [70, false]}', "noise_dof[1] must be a number"),
+    ('{"noise_scale": ["1.0", 2.0]}', "noise_scale[0] must be a number"),
+    ('{"weight_cov": [[1, 0], [0]]}', "weight_cov must be a number"),
+], ids=["bool", "not-an-object", "invalid-json", "string", "bool-in-list",
+        "string-in-list", "ragged"])
+@pytest.mark.parametrize("command", [("identify", "--engine", "ssi"), ("stabilise",)])
+def test_malformed_prior_file_rejected(sim_dir, tmp_path, capsys, command, text, problem):
+    priors_file = tmp_path / "priors.json"
+    priors_file.write_text(text)
+    out = tmp_path / "bad_priors"
+    code = run_cli(*command, "--input", sim_dir / "response.csv", "--block-rows", 8,
+                   "--order", 4, "--draws", 10, "--seed", 1, "--priors", priors_file,
+                   "--out", out)
+    assert code == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"prior file {priors_file}" in err[0] and problem in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fs", ["0", "-5", "nan", "inf"])
 def test_simulate_bad_fs_rejected(tmp_path, capsys, fs):
     out = tmp_path / "bad_fs"
@@ -867,13 +914,15 @@ def test_stabilise_order_zero_rejected(sim_dir, tmp_path, capsys):
 
 
 # commands that fail after they made --out: an invalid Welch setting, an
-# order above the Hankel half-height 16, an order given twice
+# order above the Hankel half-height 16 or below 1, an order given twice
 FAILING_INSIDE_OUTPUT_DIR = {
     "spectrum-overlap": ("spectrum", "--overlap", 1.0),
     "spectrum-segment": ("spectrum", "--segment", 0),
     "identify-vb-order": ("identify", "--engine", "vb", "--block-rows", 4, "--order", 20),
     "identify-ssi-order": ("identify", "--engine", "ssi", "--block-rows", 4, "--order", 20),
+    "identify-order-zero": ("identify", "--engine", "vb", "--block-rows", 4, "--order", 0),
     "stabilise-order": ("stabilise", "--block-rows", 4, "--order", 20, "--draws", 10),
+    "stabilise-order-zero": ("stabilise", "--block-rows", 4, "--order", 0, "--draws", 10),
     "stabilise-repeated-order": ("stabilise", "--block-rows", 8, "--order", 2,
                                  "--order", 2, "--draws", 10),
 }
@@ -1029,7 +1078,7 @@ class TestPriorConfig:
             "weight_cov": 2.0, "noise_scale": [1.0, 3.0], "noise_dof": 40.0,
         }))
         overrides = load_prior_overrides(path)
-        priors = build_priors(4, 4, 2, overrides)
+        priors = build_priors(4, 4, overrides)
         assert priors.weight_cov == pytest.approx(2.0 * np.eye(8))
         assert priors.noise_scale[0] == pytest.approx(np.eye(4))
         assert priors.noise_scale[1] == pytest.approx(3.0 * np.eye(4))
@@ -1039,39 +1088,38 @@ class TestPriorConfig:
         mat = (2.0 * np.eye(8)).tolist()
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"mean_cov": mat}))
-        priors = build_priors(4, 4, 2, load_prior_overrides(path))
+        priors = build_priors(4, 4, load_prior_overrides(path))
         assert priors.mean_cov == pytest.approx(2.0 * np.eye(8))
 
     def test_noise_dof_needs_one_entry_per_view(self):
-        assert build_priors(3, 3, 2, {"noise_dof": [70, 80]}).noise_dof == (70.0, 80.0)
+        assert build_priors(3, 3, {"noise_dof": [70, 80]}).noise_dof == (70.0, 80.0)
         for value in ([70], [70, 80, 90]):
             with pytest.raises(ValueError, match="noise_dof"):
-                build_priors(3, 3, 2, {"noise_dof": value})
+                build_priors(3, 3, {"noise_dof": value})
 
     def test_noise_scale_read_by_rank(self):
         # a 2x2 matrix for views of dimension 2 is one prior shared by both
         # views, not two per-view rows; other two-element lists are per view
-        shared = build_priors(2, 2, 1, {"noise_scale": [[1, 0], [0, 2]]})
+        shared = build_priors(2, 2, {"noise_scale": [[1, 0], [0, 2]]})
         for scale in shared.noise_scale:
             assert scale == pytest.approx(np.diag([1.0, 2.0]))
-        per_view = build_priors(2, 2, 1, {"noise_scale": [[[1, 0], [0, 2]], 3.0]})
+        per_view = build_priors(2, 2, {"noise_scale": [[[1, 0], [0, 2]], 3.0]})
         assert per_view.noise_scale[0] == pytest.approx(np.diag([1.0, 2.0]))
         assert per_view.noise_scale[1] == pytest.approx(3.0 * np.eye(2))
         with pytest.raises(ValueError, match="noise_scale"):
-            build_priors(2, 2, 1, {"noise_scale": [1.0, 2.0, 3.0]})
+            build_priors(2, 2, {"noise_scale": [1.0, 2.0, 3.0]})
 
     def test_defaults_written_compactly(self):
-        assert prior_overrides(build_priors(4, 4, 2)) == {
+        assert prior_overrides(build_priors(4, 4)) == {
             "mean_loc": 0.0, "mean_cov": 1.0, "weight_loc": 0.0, "weight_cov": 1.0,
             "noise_scale": [100.0, 100.0], "noise_dof": [6.0, 6.0]}
 
-    @pytest.mark.parametrize("view_dims, order, overrides", ROUND_TRIP_PRIORS,
+    @pytest.mark.parametrize("view_dims, overrides", ROUND_TRIP_PRIORS,
                              ids=["defaults", "scalar-shorthand", "per-view-noise",
                                   "full-matrices", "1x1-views", "2x2-shared-matrix"])
-    def test_prior_file_round_trip_exact(self, view_dims, order, overrides):
-        p = build_priors(*view_dims, order, overrides)
-        back = build_priors(*p.view_dims, p.latent_dim,
-                            json.loads(json.dumps(prior_overrides(p))))
+    def test_prior_file_round_trip_exact(self, view_dims, overrides):
+        p = build_priors(*view_dims, overrides)
+        back = build_priors(*p.view_dims, json.loads(json.dumps(prior_overrides(p))))
         for field in dataclasses.fields(p):
             a, b = getattr(p, field.name), getattr(back, field.name)
             if field.name == "noise_scale":

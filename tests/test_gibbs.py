@@ -31,13 +31,13 @@ from explicit import (
 )
 
 
-def single_view_priors(dim, d, noise_scale=2.0, noise_dof=8.0,
+def single_view_priors(dim, noise_scale=2.0, noise_dof=8.0,
                        weight_scale=1.0, mean_scale=1.0):
     return PriorHyper(
         mean_loc=np.zeros(dim), mean_cov=mean_scale * np.eye(dim),
         weight_loc=np.zeros(dim), weight_cov=weight_scale * np.eye(dim),
         noise_scale=(noise_scale * np.eye(dim),), noise_dof=(noise_dof,),
-        latent_dim=d, view_dims=(dim,),
+        view_dims=(dim,),
     )
 
 
@@ -59,7 +59,7 @@ class TestNoiseConditional:
         # InverseWishart(K0, nu0 + N); check the parameters and the
         # empirical mean of draws against the formula
         n, dim = 12, 2
-        priors = default_priors(dim, dim, 1, noise_scale=3.0)
+        priors = default_priors(dim, dim, noise_scale=3.0)
         kernel, lat = explicit_kernel(np.zeros((2 * dim, n)), (dim, dim), priors,
                                       np.zeros((1, n)))
         conds = kernel.noise_conditionals(
@@ -82,7 +82,7 @@ class TestNoiseConditional:
         # posterior InvGamma((nu0 + N)/2, (k0 + sum r^2)/2)
         gen = np.random.default_rng(2)
         n = 40
-        priors = single_view_priors(1, 1, noise_scale=2.5, noise_dof=5.0)
+        priors = single_view_priors(1, noise_scale=2.5, noise_dof=5.0)
         x = gen.standard_normal((1, n))
         weights, mean, _, latent = toy_state(gen, (1,), 1, n)
         resid = x - mean[:, None] - weights @ latent
@@ -94,7 +94,7 @@ class TestNoiseConditional:
 
     def test_scale_grows_linearly_with_n(self):
         gen = np.random.default_rng(3)
-        priors = default_priors(2, 2, 1)
+        priors = default_priors(2, 2)
         base = gen.standard_normal((4, 2000))
         weights, mean, _, latent = toy_state(gen, (2, 2), 1, 2000)
 
@@ -115,7 +115,7 @@ class TestMeanConditional:
         n, d = 25, 2
         weights = gen.standard_normal((4, d))
         latent = gen.standard_normal((d, n))
-        priors = default_priors(2, 2, d)
+        priors = default_priors(2, 2)
         kernel, lat = explicit_kernel(weights @ latent, (2, 2), priors, latent)
         noise = [0.5 * np.eye(2), 2.0 * np.eye(2)]
         cov, mean = mean_conditional(kernel, weights, lat, block_precision(noise))
@@ -127,7 +127,7 @@ class TestMeanConditional:
         # Sigma = I, prior I: posterior mean -> sample mean of (x - W z)
         gen = np.random.default_rng(5)
         n = 10_000
-        priors = default_priors(1, 1, 1)
+        priors = default_priors(1, 1)
         weights = gen.standard_normal((2, 1))
         latent = gen.standard_normal((1, n))
         truth = np.array([0.7, -0.4])
@@ -141,7 +141,7 @@ class TestMeanConditional:
         # one view, D = 1: hand-derived normal posterior for the mean
         gen = np.random.default_rng(6)
         n = 9
-        priors = single_view_priors(1, 1, mean_scale=4.0)
+        priors = single_view_priors(1, mean_scale=4.0)
         x = gen.standard_normal((1, n)) + 2.0
         weights, _, noise, latent = toy_state(gen, (1,), 1, n, noise=[np.array([[0.5]])])
         kernel, lat = explicit_kernel(x, (1,), priors, latent)
@@ -157,7 +157,7 @@ class TestWeightConditional:
     def test_no_information_returns_prior(self):
         gen = np.random.default_rng(7)
         n, d = 10, 2
-        priors = default_priors(2, 2, d)
+        priors = default_priors(2, 2)
         weights, mean, noise, latent = toy_state(gen, (2, 2), d, n)
         latent[0] = 0.0
         kernel, lat = explicit_kernel(gen.standard_normal((4, n)), (2, 2), priors,
@@ -176,7 +176,7 @@ class TestWeightConditional:
             mean_loc=np.zeros(dim), mean_cov=np.eye(dim),
             weight_loc=np.zeros(dim), weight_cov=np.eye(dim),
             noise_scale=(np.eye(dim),), noise_dof=(dim + 2.0,),
-            latent_dim=1, view_dims=(dim,))
+            view_dims=(dim,))
         x = gen.standard_normal((dim, n))
         z = gen.standard_normal((1, n))
         kernel, lat = explicit_kernel(x, (dim,), priors, z)
@@ -200,7 +200,7 @@ class TestWeightConditional:
             mean_loc=np.zeros(dim), mean_cov=np.eye(dim),
             weight_loc=np.zeros(dim), weight_cov=np.eye(dim),
             noise_scale=(np.eye(dim),), noise_dof=(dim + 2.0,),
-            latent_dim=d, view_dims=(dim,))
+            view_dims=(dim,))
         kernel, lat = explicit_kernel(x, (dim,), priors, z)
         prec = block_precision([0.01 * np.eye(dim)])
         for i in range(d):
@@ -259,13 +259,20 @@ class TestRunGibbs:
         with pytest.raises(ValueError, match="retention policy keeps no samples"):
             GibbsConfig(n_samples=10, thinning=20)
 
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+    def test_order_zero_rejected(self, warm_start):
+        stats = hankel_stats(np.random.default_rng(13).standard_normal((4, 40)), (2, 2))
+        with pytest.raises(ValueError, match="model order must be >= 1, got 0"):
+            run_gibbs(stats, default_priors(2, 2), 0,
+                      GibbsConfig(n_samples=3, seed=1, warm_start=warm_start))
+
     def test_chain_reproducible(self):
         gen = np.random.default_rng(13)
         stats = hankel_stats(gen.standard_normal((4, 40)), (2, 2))
-        priors = default_priors(2, 2, 1)
+        priors = default_priors(2, 2)
         cfg = GibbsConfig(n_samples=30, seed=21)
-        a = run_gibbs(stats, priors, cfg)
-        b = run_gibbs(stats, priors, cfg)
+        a = run_gibbs(stats, priors, 1, cfg)
+        b = run_gibbs(stats, priors, 1, cfg)
         assert np.array_equal(a.weight_samples, b.weight_samples)
         assert np.array_equal(a.mean_samples, b.mean_samples)
         for blk_a, blk_b in zip(a.noise_samples, b.noise_samples):
@@ -274,8 +281,8 @@ class TestRunGibbs:
     def test_records_finite_and_spd(self):
         gen = np.random.default_rng(14)
         stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
-        priors = default_priors(2, 2, 2)
-        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=50, seed=3))
+        priors = default_priors(2, 2)
+        chain = run_gibbs(stats, priors, 2, GibbsConfig(n_samples=50, seed=3))
         assert np.all(np.isfinite(chain.weight_samples))
         assert np.all(np.isfinite(chain.mean_samples))
         for m in range(2):
@@ -300,7 +307,7 @@ class TestRunGibbs:
 
         monkeypatch.setattr(_Kernel, "transition", recording)
         config = GibbsConfig(n_samples=12, burn_in_fraction=0.25, thinning=2, seed=5)
-        chain = run_gibbs(stats, default_priors(2, 3, 1), config)
+        chain = run_gibbs(stats, default_priors(2, 3), 1, config)
         kept = drawn[config.n_burn + config.thinning - 1::config.thinning]
         assert len(kept) == chain.n_records == 4
         for m, dim in enumerate((2, 3)):
@@ -332,7 +339,7 @@ class TestRunGibbs:
         weights, mean, _, latent = toy_state(gen, (2, 3), 2, n)
         resid = x - mean[:, None] - weights @ latent
         direct = resid @ resid.T
-        kernel, lat = explicit_kernel(x, (2, 3), default_priors(2, 3, 2), latent)
+        kernel, lat = explicit_kernel(x, (2, 3), default_priors(2, 3), latent)
         blocks = kernel.residual_scatter(weights, mean, lat)
         assert len(blocks) == 2
         for block, sl in zip(blocks, kernel.slices):
@@ -345,12 +352,12 @@ class TestRunGibbs:
         dims = (4, 4)
         d = 2
         w0 = gen.standard_normal((8, d))
-        priors = default_priors(4, 4, d)
+        priors = default_priors(4, 4)
         angles = []
         for n in (2**8, 2**10, 2**12):
             z = gen.standard_normal((d, n))
             x = w0 @ z + 0.3 * gen.standard_normal((8, n))
-            chain = run_gibbs(hankel_stats(x, dims), priors,
+            chain = run_gibbs(hankel_stats(x, dims), priors, d,
                               GibbsConfig(n_samples=400, seed=5))
             w_hat = chain.weight_samples[100:].mean(axis=0)
             # largest principal angle between column spaces
@@ -365,8 +372,8 @@ class TestRunGibbs:
     def test_warm_start_runs(self):
         gen = np.random.default_rng(17)
         stats = hankel_stats(gen.standard_normal((4, 120)), (2, 2))
-        priors = default_priors(2, 2, 1)
-        chain = run_gibbs(stats, priors,
+        priors = default_priors(2, 2)
+        chain = run_gibbs(stats, priors, 1,
                           GibbsConfig(n_samples=20, seed=1, warm_start=True))
         assert chain.n_records == 16
 
@@ -392,7 +399,7 @@ class TestStatisticsEngine:
             mean_loc=gen.standard_normal(5), mean_cov=base @ base.T + np.eye(5),
             weight_loc=gen.standard_normal(5), weight_cov=2.0 * np.eye(5),
             noise_scale=(2.0 * np.eye(2), 3.0 * np.eye(3)), noise_dof=(5.0, 6.0),
-            latent_dim=d, view_dims=view_dims)
+            view_dims=view_dims)
         weights0, mean0, _, z = toy_state(gen, view_dims, d, n)
         kernel, lat = explicit_kernel(x, view_dims, priors, z)
         rng_kernel, rng_dense = Rng(5, 0), Rng(5, 0)
@@ -444,7 +451,7 @@ class TestStatisticsEngine:
              + gen.standard_normal(5)[:, None])
         weights, mean, noise, _ = toy_state(gen, view_dims, d, n)
         stats = hankel_stats(x, view_dims)
-        kernel = _Kernel(stats, default_priors(2, 3, d))
+        kernel = _Kernel(stats, default_priors(2, 3))
         assert kernel.factor.shape[1] == min(data_rank, n - 1)
         prec = block_precision(noise)
 
@@ -478,13 +485,13 @@ class TestStatisticsEngine:
              + np.array([0.8, -0.5, 0.3, 1.0])[:, None])
         if center:
             x -= x.mean(axis=1, keepdims=True)
-        priors = default_priors(2, 2, d, noise_scale=1.0)
+        priors = default_priors(2, 2, noise_scale=1.0)
         stats = hankel_stats(x, view_dims)
         config = GibbsConfig(n_samples=n_sweeps, burn_in_fraction=0.2, seed=8,
                              warm_start=warm_start)
-        chain = run_gibbs(stats, priors, config)
+        chain = run_gibbs(stats, priors, d, config)
         means, weights, noise = oracles.gibbs_chain_dense(
-            x, view_dims, priors, n_sweeps, seed=9,
+            x, view_dims, priors, d, n_sweeps, seed=9,
             start=warm_start_point(stats, d) if warm_start else None)
         kept = slice(config.n_burn, None)
 
@@ -511,10 +518,10 @@ class TestStatisticsEngine:
         ts = TimeSeries(data=gen.standard_normal((4, 2**15)), fs=1.0)
         stats = HankelStats.from_record(ts, 15)
         data_matrix_bytes = stats.dim * stats.n_cols * 8
-        priors = default_priors(*stats.view_dims, 4)
+        priors = default_priors(*stats.view_dims)
         tracemalloc.start()
         try:
-            chain = run_gibbs(stats, priors, GibbsConfig(n_samples=3, seed=1))
+            chain = run_gibbs(stats, priors, 4, GibbsConfig(n_samples=3, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -522,16 +529,16 @@ class TestStatisticsEngine:
         assert peak < data_matrix_bytes / 10
 
 
-def _coupled_priors(gen, view_dims, d):
+def _coupled_priors(gen, view_dims):
     """Priors whose mean and weight covariances couple the views."""
     total = sum(view_dims)
     base = gen.standard_normal((total, total))
     cov = 0.2 * base @ base.T + np.eye(total)
-    default = default_priors(*view_dims, d, noise_scale=1.0)
+    default = default_priors(*view_dims, noise_scale=1.0)
     return PriorHyper(mean_loc=gen.standard_normal(total), mean_cov=cov,
                       weight_loc=0.1 * gen.standard_normal(total), weight_cov=0.5 * cov,
                       noise_scale=default.noise_scale, noise_dof=default.noise_dof,
-                      latent_dim=d, view_dims=view_dims)
+                      view_dims=view_dims)
 
 
 class TestBlockedTransition:
@@ -546,8 +553,8 @@ class TestBlockedTransition:
         w0 = gen.standard_normal((total, d))
         x = (w0 @ gen.standard_normal((d, n)) + 0.5 * gen.standard_normal((total, n))
              + gen.standard_normal(total)[:, None])
-        priors = (_coupled_priors(gen, view_dims, d) if case == "coupled"
-                  else default_priors(*view_dims, d, noise_scale=1.0))
+        priors = (_coupled_priors(gen, view_dims) if case == "coupled"
+                  else default_priors(*view_dims, noise_scale=1.0))
         expected_blocks = [total] if case == "coupled" else list(view_dims)
         assert [sl.stop - sl.start for sl in priors.factor_slices] == expected_blocks
 
@@ -581,8 +588,8 @@ class TestBlockedTransition:
         # a noise precision with one negative eigenvalue: N prec + P_mu
         # stays positive definite at N = 30, s prec + P0 does not at s = 500
         gen = np.random.default_rng(71)
-        priors = (_coupled_priors(gen, (2, 2), 2) if coupled
-                  else default_priors(2, 2, 2))
+        priors = (_coupled_priors(gen, (2, 2)) if coupled
+                  else default_priors(2, 2))
         kernel = _Kernel(hankel_stats(gen.standard_normal((4, 30)), (2, 2)),
                          priors)
         prec = [np.eye(2), np.diag([1.0, -0.01])]
@@ -595,7 +602,7 @@ class TestBlockedTransition:
             kernel.precision_factors([np.eye(2), np.diag([1.0, -1.0])], np.array([1.0, 1.0]))
 
     def test_partition_follows_prior_structure(self):
-        base = default_priors(2, 3, 1)
+        base = default_priors(2, 3)
         assert base.factor_slices == [slice(0, 2), slice(2, 5)]
         mean_cov = base.mean_cov.copy()
         mean_cov[0, 4] = mean_cov[4, 0] = 0.1

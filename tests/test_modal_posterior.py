@@ -569,8 +569,8 @@ def sweep(ts, block_rows, orders, cfg, n_draws):
     """``stabilisation`` on the centred statistics of ``ts`` with default
     priors at every order."""
     stats = HankelStats.from_record(ts, block_rows)
-    priors = [default_priors(*stats.view_dims, order) for order in orders]
-    return stabilisation(stats, priors, cfg, n_draws, ts.channels, ts.fs)
+    return stabilisation(stats, default_priors(*stats.view_dims), orders, cfg, n_draws,
+                         ts.channels, ts.fs)
 
 
 class TestStabilisation:
@@ -615,7 +615,7 @@ class TestStabilisation:
     def test_programming_error_propagates(self, short_benchmark, monkeypatch):
         import bayes_ssi.modal_posterior as mp
 
-        def broken_run_vb(stats, priors, config):
+        def broken_run_vb(stats, priors, order, config):
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(mp, "run_vb", broken_run_vb)
@@ -628,7 +628,7 @@ class TestStabilisation:
         # only the typed numerical errors are recorded as an order failure
         import bayes_ssi.modal_posterior as mp
 
-        def broken_run_vb(stats, priors, config):
+        def broken_run_vb(stats, priors, order, config):
             raise error("synthetic error")
 
         monkeypatch.setattr(mp, "run_vb", broken_run_vb)
@@ -640,10 +640,10 @@ class TestStabilisation:
     def test_numerical_failure_recorded(self, short_benchmark, monkeypatch, error):
         import bayes_ssi.modal_posterior as mp
 
-        def failing_at_order_4(stats, priors, config):
-            if priors.latent_dim == 4:
+        def failing_at_order_4(stats, priors, order, config):
+            if order == 4:
                 raise error("synthetic numerical failure")
-            return run_vb(stats, priors, config)
+            return run_vb(stats, priors, order, config)
 
         monkeypatch.setattr(mp, "run_vb", failing_at_order_4)
         result = sweep(short_benchmark, 6, [2, 4], VBConfig(max_iter=5, seed=3), 10)
@@ -678,15 +678,15 @@ class TestStabilisation:
             sweep(short_benchmark, 6, [2, 4], VBConfig(max_iter=2, seed=3), 0)
 
     def test_orders_read_from_the_priors(self, short_benchmark):
-        # each entry's latent dimension labels its triples and diagnostics
-        # and picks its draw stream, whatever the list order
+        # each order labels its triples and diagnostics and picks its draw
+        # stream, whatever the list order
         ts = short_benchmark
         cfg = VBConfig(max_iter=5, seed=3)
         stats = HankelStats.from_record(ts, 6)
-        priors = [default_priors(*stats.view_dims, order) for order in (6, 2)]
-        result = stabilisation(stats, priors, cfg, 10, ts.channels, ts.fs)
+        priors = default_priors(*stats.view_dims)
+        result = stabilisation(stats, priors, [6, 2], cfg, 10, ts.channels, ts.fs)
         assert list(result.diagnostics) == [2, 6]
-        samples = draw_observability_samples(run_vb(stats, priors[0], cfg), 10,
+        samples = draw_observability_samples(run_vb(stats, priors, 6, cfg), 10,
                                              Rng(3, STAB_DRAW_STREAM_BASE + 6))
         modal, _ = propagate_many(samples, ts.channels, 1.0 / ts.fs)
         keep = modal.present & ~modal.real_pole & (modal.frequencies < ts.fs / 2)
@@ -696,6 +696,22 @@ class TestStabilisation:
     def test_repeated_order_rejected(self, short_benchmark):
         with pytest.raises(ValueError, match=r"orders given more than once: \[4\]"):
             sweep(short_benchmark, 6, [2, 4, 4], VBConfig(max_iter=5, seed=3), 10)
+
+    @pytest.mark.parametrize("orders, problem", [
+        ([0], "model order must be >= 1, got 0"),
+        ([2, 2], r"orders given more than once: \[2\]"),
+        ([2, 13], "max order 13 exceeds Hankel half-height 12"),
+    ], ids=["zero", "repeated", "above-half-height"])
+    def test_invalid_orders_rejected_before_any_order_runs(self, short_benchmark,
+                                                           monkeypatch, orders, problem):
+        import bayes_ssi.modal_posterior as mp
+
+        def engine_must_not_run(*args):
+            raise AssertionError("an order ran")
+
+        monkeypatch.setattr(mp, "run_vb", engine_must_not_run)
+        with pytest.raises(ValueError, match=problem):
+            sweep(short_benchmark, 3, orders, VBConfig(max_iter=5, seed=3), 10)
 
     def test_diagnostics_per_order(self, short_benchmark):
         cfg = VBConfig(max_iter=2, seed=3)

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from bayes_ssi.model import Conditionals, PriorHyper, default_priors, view_slices
 from bayes_ssi.rng import symmetrize
+from bayes_ssi.subspace import HankelStats
 
 import oracles
 from explicit import block_precision, explicit_kernel, hankel_stats, weight_conditional
@@ -38,18 +39,18 @@ class TestStackedData:
 class TestDefaultPriors:
     def test_benchmark_hyperparameters(self):
         # D1 = D2 = 4, d = 2: weight prior covariance I8, noise dof D_m + 2
-        priors = default_priors(4, 4, 2)
+        priors = default_priors(4, 4)
         assert priors.weight_cov == pytest.approx(np.eye(8))
         assert priors.mean_cov == pytest.approx(np.eye(8))
         assert priors.noise_dof == (6.0, 6.0)
         assert priors.noise_scale[0] == pytest.approx(100.0 * np.eye(4))
 
     def test_bridge_preset_identity_noise_scale(self):
-        priors = default_priors(35, 35, 10, noise_scale=1.0)
+        priors = default_priors(35, 35, noise_scale=1.0)
         assert priors.noise_scale[1] == pytest.approx(np.eye(35))
 
     def test_invariants_enforced(self):
-        priors = default_priors(3, 5, 2)
+        priors = default_priors(3, 5)
         assert priors.dim == 8
         for scale, dof, dim in zip(priors.noise_scale, priors.noise_dof,
                                    priors.view_dims):
@@ -58,11 +59,11 @@ class TestDefaultPriors:
 
     def test_bad_dof_rejected(self):
         with pytest.raises(ValueError, match="noise_dof"):
-            dataclasses.replace(default_priors(4, 4, 2), noise_dof=(-6.0, -6.0))
+            dataclasses.replace(default_priors(4, 4), noise_dof=(-6.0, -6.0))
 
     def test_noise_entries_must_match_view_count(self):
         # zipping would silently drop the second view's noise prior
-        base = default_priors(3, 3, 2)
+        base = default_priors(3, 3)
         for scale, dof in ((base.noise_scale, base.noise_dof[:1]),
                            (base.noise_scale[:1], base.noise_dof)):
             with pytest.raises(ValueError, match="one entry per view"):
@@ -72,7 +73,7 @@ class TestDefaultPriors:
     def test_covariance_of_wrong_size_rejected(self, field):
         # the engines would otherwise fail in their first sweep, on a matmul
         with pytest.raises(ValueError, match=f"{field} must be 6x6, got shape"):
-            dataclasses.replace(default_priors(3, 3, 2), **{field: np.eye(5)})
+            dataclasses.replace(default_priors(3, 3), **{field: np.eye(5)})
 
 
 class TestLogJoint:
@@ -82,7 +83,7 @@ class TestLogJoint:
         gen = np.random.default_rng(3)
         view_dims = (2, 2)
         d, n = 2, 30
-        priors = default_priors(2, 2, d)
+        priors = default_priors(2, 2)
         weights, mean, noise, latent = toy_state(gen, view_dims, d, n)
         x = gen.standard_normal((4, n))
         kernel, lat = explicit_kernel(x, view_dims, priors, latent)
@@ -118,7 +119,7 @@ class TestWeightBasis:
         total = sum(view_dims)
         weight_cov = (_spd(gen, total) if coupled
                       else sla.block_diag(*[_spd(gen, dim) for dim in view_dims]))
-        priors = dataclasses.replace(default_priors(*view_dims, 3), weight_cov=weight_cov)
+        priors = dataclasses.replace(default_priors(*view_dims), weight_cov=weight_cov)
         prec = [_spd(gen, dim) for dim in view_dims]
         stats = hankel_stats(gen.standard_normal((total, 10)), view_dims)
         return gen, priors, prec, sla.block_diag(*prec), Conditionals(stats, priors)
@@ -181,17 +182,22 @@ class TestBlockLayout:
 
         gen = np.random.default_rng(12)
         stats = hankel_stats(gen.standard_normal((sum(view_dims), 40)), view_dims)
-        priors = default_priors(*view_dims, 2)
+        priors = default_priors(*view_dims)
         seen = self._record_precisions(monkeypatch)
         blocks = [(dim, dim) for dim in view_dims]
         if engine == "vb":
-            post = run_vb(stats, priors, VBConfig(max_iter=3, seed=1))
+            post = run_vb(stats, priors, 2, VBConfig(max_iter=3, seed=1))
             assert [blk.shape for blk in post.weight_basis] == blocks
             assert [cov.shape for cov in post.mean_cov] == blocks
             assert post.weight_eigs.shape == (2, sum(view_dims))
         else:
-            run_gibbs(stats, priors, GibbsConfig(n_samples=3, burn_in_fraction=0.0, seed=1))
+            run_gibbs(stats, priors, 2,
+                      GibbsConfig(n_samples=3, burn_in_fraction=0.0, seed=1))
         assert seen and all(shapes == blocks for shapes in seen)
+
+
+# the model order of the factorization counts
+ORDER = 2
 
 
 class TestPriorFactors:
@@ -205,7 +211,7 @@ class TestPriorFactors:
         return PriorHyper(mean_loc=np.zeros(6), mean_cov=2.0 * np.eye(6),
                           weight_loc=np.zeros(6), weight_cov=3.0 * np.eye(6),
                           noise_scale=(100.0 * np.eye(3), 50.0 * np.eye(3)),
-                          noise_dof=(5.0, 6.0), latent_dim=2, view_dims=(3, 3))
+                          noise_dof=(5.0, 6.0), view_dims=(3, 3))
 
     @staticmethod
     def _record_factorizations(monkeypatch):
@@ -223,14 +229,13 @@ class TestPriorFactors:
         return inputs
 
     @staticmethod
-    def _counts(inputs, priors):
+    def _counts(inputs, priors, d=ORDER):
         """How often each prior matrix was factored, and how many d x d
         matrices were (only the latent precision is d x d here)."""
         mats = {"mean_cov": priors.mean_cov, "weight_cov": priors.weight_cov,
                 **{f"noise_scale[{m}]": scale for m, scale in enumerate(priors.noise_scale)}}
         counts = {name: sum(x.shape == mat.shape and np.array_equal(x, mat) for x in inputs)
                   for name, mat in mats.items()}
-        d = priors.latent_dim
         counts["latent"] = sum(x.shape == (d, d) for x in inputs)
         return counts
 
@@ -254,8 +259,8 @@ class TestPriorFactors:
 
         priors, stats = self._priors(), self._stats()
         inputs = self._record_factorizations(monkeypatch)
-        post = run_vb(stats, priors, VBConfig(max_iter=6, elbo_rel_tol=1e-300, seed=1,
-                                              warm_start=warm_start))
+        post = run_vb(stats, priors, ORDER, VBConfig(max_iter=6, elbo_rel_tol=1e-300,
+                                                     seed=1, warm_start=warm_start))
         assert post.n_iter == 6
         # a cold start's noise factors start at the prior scales, so the
         # first expected noise precision factors those values once
@@ -270,8 +275,8 @@ class TestPriorFactors:
 
         priors, stats = self._priors(), self._stats()
         inputs = self._record_factorizations(monkeypatch)
-        run_gibbs(stats, priors, GibbsConfig(n_samples=4, burn_in_fraction=0.0, seed=1,
-                                             warm_start=warm_start))
+        run_gibbs(stats, priors, ORDER, GibbsConfig(n_samples=4, burn_in_fraction=0.0,
+                                                    seed=1, warm_start=warm_start))
         counts = self._counts(inputs, priors)
         # a cold start draws each view's noise block from its prior once
         start = 0 if warm_start else 1
@@ -279,6 +284,37 @@ class TestPriorFactors:
                 ("mean_cov", "weight_cov", "noise_scale[0]", "noise_scale[1]")} == {
             "mean_cov": 0, "weight_cov": 0, "noise_scale[0]": start,
             "noise_scale[1]": start}
+
+    def test_prior_file_overrides_factor_each_matrix_once(self, monkeypatch):
+        # the overrides are expanded before the priors are built, so the
+        # default 100 I noise scales are never factored
+        from bayes_ssi.cli import build_priors
+
+        inputs = self._record_factorizations(monkeypatch)
+        build_priors(3, 3, {"noise_scale": 1.0})
+        assert len(inputs) == 4
+        assert all(np.array_equal(x, np.eye(len(x))) for x in inputs)
+
+    def test_stabilisation_factors_no_prior_matrix(self, monkeypatch):
+        # in process, warm started, at three orders: every order reads the
+        # one PriorHyper its caller built
+        import bayes_ssi.modal_posterior as mp
+        from bayes_ssi.simulate import TimeSeries
+        from bayes_ssi.vb import VBConfig
+
+        ts = TimeSeries(data=np.random.default_rng(22).standard_normal((1, 300)), fs=1.0)
+        stats = HankelStats.from_record(ts, 3)
+        priors = self._priors()
+        monkeypatch.setattr(mp, "usable_cpus", lambda: 1)
+        inputs = self._record_factorizations(monkeypatch)
+        result = mp.stabilisation(stats, priors, [1, 2, 3],
+                                  VBConfig(max_iter=4, seed=1, warm_start=True), 10,
+                                  ts.channels, ts.fs)
+        assert result.workers == 1 and set(result.diagnostics) == {1, 2, 3}
+        counts = self._counts(inputs, priors)
+        assert {name: counts[name] for name in
+                ("mean_cov", "weight_cov", "noise_scale[0]", "noise_scale[1]")} == {
+            "mean_cov": 0, "weight_cov": 0, "noise_scale[0]": 0, "noise_scale[1]": 0}
 
     def test_nearly_symmetric_prior_has_its_symmetric_part_factor(self):
         # a covariance symmetric only to within the 1e-12 tolerance: its
@@ -290,7 +326,7 @@ class TestPriorFactors:
             cov = _spd(gen, 6)
             cov[np.triu_indices(6, 1)] *= 1.0 + 1e-13
             skewed[field] = cov
-        base = default_priors(3, 3, 2)
+        base = default_priors(3, 3)
         raw = dataclasses.replace(base, **skewed)
         sym = dataclasses.replace(base, **{k: symmetrize(v) for k, v in skewed.items()})
         for field in ("mean_cov", "weight_cov"):

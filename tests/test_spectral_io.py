@@ -21,7 +21,7 @@ from bayes_ssi.io import (
 )
 from bayes_ssi.model import default_priors
 from bayes_ssi.simulate import TimeSeries
-from bayes_ssi.spectral import welch_psd
+from bayes_ssi.spectral import WELCH_BLOCK, welch_psd
 from bayes_ssi.vb import VBConfig, run_vb
 
 import oracles
@@ -63,6 +63,39 @@ class TestWelch:
         ts = TimeSeries(data=np.zeros((1, 100)), fs=1.0)
         with pytest.raises(ValueError, match="segment_length"):
             welch_psd(ts, segment_length=256)
+
+    def test_blocks_give_the_bits_of_one_mean_over_every_segment(self):
+        # 301 segments, three blocks: the running sum adds the segments in
+        # the order of the mean over one stack of all of them
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        gen = np.random.default_rng(3)
+        ts = TimeSeries(data=gen.standard_normal((3, 2**14)), fs=20.0)
+        m, step = 256, 256 - int(0.8 * 256)
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(m) / m)
+        segments = sliding_window_view(ts.data, m, axis=1)[:, ::step]
+        assert segments.shape[1] > 2 * WELCH_BLOCK
+        spectra = np.fft.rfft((segments - segments.mean(axis=-1, keepdims=True)) * window)
+        power = (spectra.real ** 2 + spectra.imag ** 2) / (ts.fs * np.sum(window ** 2))
+        power[..., 1:-1] *= 2.0
+        spec = welch_psd(ts, segment_length=m, overlap=0.8)
+        assert np.array_equal(spec.psd, np.clip(power.mean(axis=1), 0.0, None))
+
+    def test_peak_memory_bounded_at_high_overlap(self):
+        # at overlap 0.99 this record has 2886 segments of 1024 samples; the
+        # estimate never holds more than a block of them
+        import tracemalloc
+
+        gen = np.random.default_rng(2)
+        ts = TimeSeries(data=gen.standard_normal((2, 2**15)), fs=50.0)
+        every_segment_bytes = 2 * 2886 * 1024 * 8
+        tracemalloc.start()
+        try:
+            welch_psd(ts, segment_length=1024, overlap=0.99)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < every_segment_bytes / 3
 
 
 @st.composite
@@ -305,8 +338,8 @@ class TestChainPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         gen = np.random.default_rng(5)
         stats = hankel_stats(gen.standard_normal((4, 50)), (2, 2))
-        priors = default_priors(2, 2, 2)
-        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=20, seed=9))
+        priors = default_priors(2, 2)
+        chain = run_gibbs(stats, priors, 2, GibbsConfig(n_samples=20, seed=9))
         save_chain(tmp_path / "chain", chain)
         back = load_chain(tmp_path / "chain")
         assert np.array_equal(back.weight_samples, chain.weight_samples)
@@ -319,8 +352,8 @@ class TestChainPersistence:
     def test_manifest_lists_array_shapes(self, tmp_path):
         gen = np.random.default_rng(6)
         stats = hankel_stats(gen.standard_normal((4, 30)), (2, 2))
-        priors = default_priors(2, 2, 1)
-        chain = run_gibbs(stats, priors, GibbsConfig(n_samples=10, seed=1))
+        priors = default_priors(2, 2)
+        chain = run_gibbs(stats, priors, 1, GibbsConfig(n_samples=10, seed=1))
         save_chain(tmp_path / "chain", chain)
         manifest = json.loads((tmp_path / "chain" / "chain_manifest.json").read_text())
         assert manifest["n_records"] == 8
@@ -336,7 +369,7 @@ class TestChainPersistence:
         # before the packed layout, is refused with the file and both shapes
         gen = np.random.default_rng(7)
         stats = hankel_stats(gen.standard_normal((5, 30)), (2, 3))
-        chain = run_gibbs(stats, default_priors(2, 3, 1), GibbsConfig(n_samples=10, seed=1))
+        chain = run_gibbs(stats, default_priors(2, 3), 1, GibbsConfig(n_samples=10, seed=1))
         save_chain(tmp_path / "chain", chain)
         path = tmp_path / "chain" / "sigma_view2_samples.npy"
         np.save(path, chain.noise_matrices(1), allow_pickle=False)
@@ -348,7 +381,7 @@ class TestChainPersistence:
         gen = np.random.default_rng(8)
         stats = hankel_stats(gen.standard_normal((4, 30)), (2, 2))
         config = GibbsConfig(n_samples=10, burn_in_fraction=0.5, thinning=2, seed=3)
-        save_chain(tmp_path / "chain", run_gibbs(stats, default_priors(2, 2, 1), config))
+        save_chain(tmp_path / "chain", run_gibbs(stats, default_priors(2, 2), 1, config))
         path = tmp_path / "chain" / "chain_manifest.json"
         manifest = json.loads(path.read_text())
         assert manifest["config"] == {"n_samples": 10, "burn_in_fraction": 0.5,
@@ -362,8 +395,8 @@ class TestVbPersistence:
     def test_files_written_with_trace(self, tmp_path):
         gen = np.random.default_rng(7)
         stats = hankel_stats(gen.standard_normal((4, 40)), (2, 2))
-        priors = default_priors(2, 2, 1)
-        post = run_vb(stats, priors, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
+        priors = default_priors(2, 2)
+        post = run_vb(stats, priors, 1, VBConfig(max_iter=20, elbo_rel_tol=1e-9, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
         for name in ("vb_manifest.json", "weight_mean.npy", "weight_basis_block0.npy",
                      "weight_basis_block1.npy", "weight_eigs.npy",
@@ -391,13 +424,13 @@ class TestVbPersistence:
         total = sum(view_dims)
         gen = np.random.default_rng(8)
         stats = hankel_stats(gen.standard_normal((total, 40)), view_dims)
-        priors = default_priors(*view_dims, 1)
+        priors = default_priors(*view_dims)
         if case == "coupled":
             mean_cov = np.eye(total)
             mean_cov[0, -1] = mean_cov[-1, 0] = 0.2
             priors = dataclasses.replace(priors, mean_cov=mean_cov)
         blocks = [total] if case == "coupled" else list(view_dims)
-        post = run_vb(stats, priors, VBConfig(max_iter=5, seed=2))
+        post = run_vb(stats, priors, 1, VBConfig(max_iter=5, seed=2))
         out = save_vb_posterior(tmp_path / "vb", post)
         manifest = json.loads((out / "vb_manifest.json").read_text())
         assert manifest["factor_blocks"] == blocks

@@ -150,10 +150,10 @@ def test_stabilise_identical_in_process_and_in_workers(record, tmp_path):
 FAIL_AT = """
 import bayes_ssi.modal_posterior as mp
 original = mp.run_vb
-def run_vb(stats, priors, config):
-    if priors.latent_dim in {orders}:
+def run_vb(stats, priors, order, config):
+    if order in {orders}:
         {action}
-    return original(stats, priors, config)
+    return original(stats, priors, order, config)
 mp.run_vb = run_vb
 """
 

@@ -116,7 +116,7 @@ class TestUpdateOracles:
         self.view_dims = (2, 2)
         self.d = 2
         self.n = 50
-        self.priors = default_priors(2, 2, self.d, noise_scale=1.0)
+        self.priors = default_priors(2, 2, noise_scale=1.0)
         w0 = self.gen.standard_normal((4, self.d))
         z0 = self.gen.standard_normal((self.d, self.n))
         self.x = w0 @ z0 + 0.5 * self.gen.standard_normal((4, self.n))
@@ -184,7 +184,7 @@ class TestUpdateOracles:
             mean_loc=np.zeros(dim), mean_cov=np.eye(dim),
             weight_loc=np.zeros(dim), weight_cov=np.eye(dim),
             noise_scale=(np.eye(dim),), noise_dof=(dim + 2.0,),
-            latent_dim=1, view_dims=(dim,))
+            view_dims=(dim,))
         x = gen.standard_normal((dim, n))
         post = random_posterior(gen, (dim,), 1, n)
         post.mean_loc[:] = 0.0
@@ -206,7 +206,7 @@ class TestUpdateOracles:
         priors = PriorHyper(
             mean_loc=np.zeros(1), mean_cov=np.eye(1), weight_loc=np.zeros(1),
             weight_cov=np.eye(1), noise_scale=(np.array([[1.5]]),),
-            noise_dof=(3.0,), latent_dim=1, view_dims=(1,))
+            noise_dof=(3.0,), view_dims=(1,))
         x = gen.standard_normal((1, n))
         post = random_posterior(gen, (1,), 1, n)
         mw = float(post.weight_mean[0, 0])
@@ -231,7 +231,7 @@ class TestUpdateOracles:
         w = np.ones((2, d))
         z = np.linspace(-1, 1, n)[None, :]
         x = w @ z
-        priors = default_priors(1, 1, d, noise_scale=2.0)
+        priors = default_priors(1, 1, noise_scale=2.0)
         post = point_mass_posterior(x, (1, 1), w, np.zeros(2), [np.eye(1), np.eye(1)], z)
         assert latent_means(post, x) == pytest.approx(z, abs=1e-12)
         kernel = _Kernel(hankel_stats(x, (1, 1)), priors)
@@ -244,7 +244,7 @@ class TestUpdateOracles:
         # mean by (N psi + 1)^-1 N psi per coordinate
         gen = np.random.default_rng(9)
         n = 20
-        priors = default_priors(1, 1, 1)
+        priors = default_priors(1, 1)
         x = gen.standard_normal((2, n)) + 3.0
         post = random_posterior(gen, (1, 1), 1, n)
         post.weight_mean[:] = 0.0
@@ -261,11 +261,11 @@ class TestUpdateOracles:
     def test_mean_update_consistency_large_n(self):
         gen = np.random.default_rng(10)
         n = 10_000
-        priors = default_priors(1, 1, 1)
+        priors = default_priors(1, 1)
         truth = np.array([1.0, -2.0])
         x = truth[:, None] + 0.3 * gen.standard_normal((2, n))
         kernel = _Kernel(hankel_stats(x, (1, 1)), priors)
-        post = initial_posterior(kernel.stats, priors, seed=0)
+        post = initial_posterior(kernel.stats, priors, 1, seed=0)
         for _ in range(5):
             kernel.update_latent(post, _psi(post))
             lat = kernel.latent_stats(post, True)
@@ -294,7 +294,7 @@ class TestScatterConsistency:
         n = 33
         x = gen.standard_normal((5, n)) + 3.0
         post = random_posterior(gen, (2, 3), 2, n)
-        kernel = _Kernel(hankel_stats(x, (2, 3)), default_priors(2, 3, 2))
+        kernel = _Kernel(hankel_stats(x, (2, 3)), default_priors(2, 3))
         scatter = kernel.expected_scatter(post, kernel.latent_stats(post, True))
         direct = oracles.vb_residual_scatter_dense(_dense_factors(post, x), x, (2, 3))
         assert len(scatter) == len(direct)
@@ -328,7 +328,7 @@ class TestStatisticsEngine:
             # keep their offsets, as with --no-center
             x -= x.mean(axis=1, keepdims=True)
         stats = hankel_stats(x, (3, 3))
-        priors = default_priors(3, 3, d, noise_scale=1.0)
+        priors = default_priors(3, 3, noise_scale=1.0)
         if coupled_prior:
             # weight and mean priors that couple the two views
             base = gen.standard_normal((6, 6))
@@ -336,14 +336,13 @@ class TestStatisticsEngine:
             priors = PriorHyper(mean_loc=gen.standard_normal(6), mean_cov=cov,
                                 weight_loc=0.1 * gen.standard_normal(6), weight_cov=cov,
                                 noise_scale=priors.noise_scale,
-                                noise_dof=priors.noise_dof, latent_dim=d,
-                                view_dims=(3, 3))
+                                noise_dof=priors.noise_dof, view_dims=(3, 3))
         cfg = VBConfig(max_iter=sweeps, elbo_rel_tol=1e-300, seed=4,
                        latent_cross_cov=cross_cov, warm_start=warm_start)
-        post = run_vb(stats, priors, cfg)
+        post = run_vb(stats, priors, d, cfg)
         assert post.n_iter == sweeps
 
-        q = _dense_factors(initial_posterior(stats, priors, 4, warm_start), x)
+        q = _dense_factors(initial_posterior(stats, priors, d, 4, warm_start), x)
         for bound in post.elbo_trace:
             q = oracles.vb_sweep_dense(q, x, (3, 3), priors, cross_cov)
             dense = oracles.vb_bound_dense(q, x, (3, 3), priors)
@@ -369,10 +368,10 @@ class TestStatisticsEngine:
         for value in vars(stats).values():
             assert stats.n_cols not in np.shape(value)
         data_matrix_bytes = stats.dim * stats.n_cols * 8
-        priors = default_priors(*stats.view_dims, 4)
+        priors = default_priors(*stats.view_dims)
         tracemalloc.start()
         try:
-            post = run_vb(stats, priors, VBConfig(max_iter=3, seed=1))
+            post = run_vb(stats, priors, 4, VBConfig(max_iter=3, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -391,7 +390,7 @@ class TestWeightBasis:
                             weight_loc=gen.standard_normal(6),
                             weight_cov=0.3 * base @ base.T + 0.5 * np.eye(6),
                             noise_scale=(np.eye(3), 2.0 * np.eye(3)),
-                            noise_dof=(6.0, 7.0), latent_dim=d, view_dims=(3, 3))
+                            noise_dof=(6.0, 7.0), view_dims=(3, 3))
         kernel = _Kernel(hankel_stats(x, (3, 3)), priors)
         return kernel, random_posterior(gen, (3, 3), d, n, priors.factor_slices)
 
@@ -425,11 +424,11 @@ class TestCouplingPriorBlock:
         gen = np.random.default_rng(33)
         x = gen.standard_normal((6, 80)) + gen.uniform(-1.0, 1.0, (6, 1))
         base = gen.standard_normal((6, 6))
-        priors = dataclasses.replace(default_priors(3, 3, 2),
+        priors = dataclasses.replace(default_priors(3, 3),
                                      weight_cov=0.3 * base @ base.T + 0.5 * np.eye(6))
         assert priors.factor_slices == [slice(0, 6)]
         stats = hankel_stats(x, (3, 3))
-        post = run_vb(stats, priors, VBConfig(max_iter=3, seed=1))
+        post = run_vb(stats, priors, 2, VBConfig(max_iter=3, seed=1))
         assert [cov.shape for cov in post.mean_cov] == [(6, 6)]
         kernel = _Kernel(stats, priors)
         psi = _psi(post)
@@ -447,7 +446,7 @@ class TestDegeneracyAgainstSampler:
         gen = np.random.default_rng(12)
         view_dims = (2, 2)
         d, n = 2, 15
-        priors = default_priors(2, 2, d, noise_scale=1.5)
+        priors = default_priors(2, 2, noise_scale=1.5)
         x = gen.standard_normal((4, n))
         weights = gen.standard_normal((4, d))
         mean = gen.standard_normal(4)
@@ -504,8 +503,8 @@ class TestRunVb:
         priors = PriorHyper(
             mean_loc=np.zeros(1), mean_cov=np.eye(1), weight_loc=np.zeros(1),
             weight_cov=np.eye(1), noise_scale=(np.array([[1.0]]),),
-            noise_dof=(4.0,), latent_dim=1, view_dims=(1,))
-        post = run_vb(hankel_stats(x, (1,)), priors,
+            noise_dof=(4.0,), view_dims=(1,))
+        post = run_vb(hankel_stats(x, (1,)), priors, 1,
                       VBConfig(max_iter=300, elbo_rel_tol=1e-12, seed=3))
         log_z = oracles.log_marginal_quadrature_1d(
             x[0], weight_sd=1.0, mean_sd=1.0, noise_scale=1.0, noise_dof=4.0,
@@ -516,11 +515,11 @@ class TestRunVb:
 
     def test_fixed_point_invariance(self):
         gen = np.random.default_rng(13)
-        priors = default_priors(2, 2, 1)
+        priors = default_priors(2, 2)
         kernel = _Kernel(hankel_stats(gen.standard_normal((4, 30)), (2, 2)),
                          priors)
-        post = run_vb(kernel.stats, priors, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
-                                                     seed=5))
+        post = run_vb(kernel.stats, priors, 1, VBConfig(max_iter=2000, elbo_rel_tol=1e-13,
+                                                        seed=5))
         settled = post.elbo_trace[-1]
         kernel.update_latent(post, _psi(post))
         lat = kernel.latent_stats(post, True)
@@ -556,7 +555,7 @@ class TestRunVb:
         gen = np.random.default_rng(14)
         stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
         sweeps = 4
-        post = run_vb(stats, default_priors(2, 2, 2),
+        post = run_vb(stats, default_priors(2, 2), 2,
                       VBConfig(max_iter=sweeps, elbo_rel_tol=1e-300, seed=6,
                                latent_cross_cov=cross_cov))
         assert post.n_iter == sweeps
@@ -566,9 +565,9 @@ class TestRunVb:
     def test_monotone_trace_and_termination(self):
         gen = np.random.default_rng(14)
         stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
-        priors = default_priors(2, 2, 2)
-        post = run_vb(stats, priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
-                                             seed=6))
+        priors = default_priors(2, 2)
+        post = run_vb(stats, priors, 2, VBConfig(max_iter=500, elbo_rel_tol=1e-8,
+                                                seed=6))
         trace = np.asarray(post.elbo_trace)
         assert post.converged
         assert post.n_iter == trace.size
@@ -579,28 +578,34 @@ class TestRunVb:
         # it converges, also on its last allowed sweep
         gen = np.random.default_rng(14)
         stats = hankel_stats(gen.standard_normal((4, 60)), (2, 2))
-        priors = default_priors(2, 2, 2)
+        priors = default_priors(2, 2)
         with caplog.at_level("WARNING", logger="bayes_ssi.vb"):
-            short = run_vb(stats, priors, VBConfig(max_iter=3, elbo_rel_tol=1e-8, seed=6))
+            short = run_vb(stats, priors, 2, VBConfig(max_iter=3, elbo_rel_tol=1e-8, seed=6))
         assert not short.converged and short.n_iter == 3
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
             ("bayes_ssi.vb", "WARNING",
              "VB at order 2 stopped at max_iter=3 without converging")]
         caplog.clear()
         with caplog.at_level("WARNING", logger="bayes_ssi.vb"):
-            full = run_vb(stats, priors, VBConfig(max_iter=500, elbo_rel_tol=1e-8, seed=6))
-            last = run_vb(stats, priors, VBConfig(max_iter=full.n_iter,
-                                                  elbo_rel_tol=1e-8, seed=6))
+            full = run_vb(stats, priors, 2, VBConfig(max_iter=500, elbo_rel_tol=1e-8, seed=6))
+            last = run_vb(stats, priors, 2, VBConfig(max_iter=full.n_iter,
+                                                     elbo_rel_tol=1e-8, seed=6))
         assert full.converged and last.converged and last.n_iter == full.n_iter
         assert caplog.records == []
+
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+    def test_order_zero_rejected(self, warm_start):
+        stats = hankel_stats(np.random.default_rng(15).standard_normal((4, 40)), (2, 2))
+        with pytest.raises(ValueError, match="model order must be >= 1, got 0"):
+            run_vb(stats, default_priors(2, 2), 0, VBConfig(seed=1, warm_start=warm_start))
 
     def test_determinism(self):
         gen = np.random.default_rng(15)
         stats = hankel_stats(gen.standard_normal((4, 40)), (2, 2))
-        priors = default_priors(2, 2, 1)
+        priors = default_priors(2, 2)
         cfg = VBConfig(max_iter=40, elbo_rel_tol=1e-9, seed=11)
-        a = run_vb(stats, priors, cfg)
-        b = run_vb(stats, priors, cfg)
+        a = run_vb(stats, priors, 1, cfg)
+        b = run_vb(stats, priors, 1, cfg)
         assert np.array_equal(a.weight_mean, b.weight_mean)
         assert np.array_equal(a.latent_map, b.latent_map)
         assert a.elbo_trace == b.elbo_trace
@@ -609,18 +614,18 @@ class TestRunVb:
         gen = np.random.default_rng(16)
         n = 25
         stats = hankel_stats(gen.standard_normal((4, n)), (2, 2))
-        priors = default_priors(2, 2, 1)
-        post = run_vb(stats, priors, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
-                                             seed=2))
+        priors = default_priors(2, 2)
+        post = run_vb(stats, priors, 1, VBConfig(max_iter=7, elbo_rel_tol=1e-12,
+                                                seed=2))
         for dof, dof0 in zip(post.noise_dof, priors.noise_dof):
             assert dof - dof0 == n
 
     def test_strict_paper_mode_runs(self):
         gen = np.random.default_rng(17)
         stats = hankel_stats(gen.standard_normal((4, 50)), (2, 2))
-        priors = default_priors(2, 2, 2)
-        post = run_vb(stats, priors, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
-                                             seed=4, latent_cross_cov=False))
+        priors = default_priors(2, 2)
+        post = run_vb(stats, priors, 2, VBConfig(max_iter=60, elbo_rel_tol=1e-8,
+                                                seed=4, latent_cross_cov=False))
         assert np.all(np.isfinite(post.elbo_trace))
 
     def test_warm_start_converges_faster_to_equal_bound(self):
@@ -631,10 +636,10 @@ class TestRunVb:
         w0 = gen.standard_normal((6, d))
         x = w0 @ gen.standard_normal((d, n)) + 0.3 * gen.standard_normal((6, n))
         stats = hankel_stats(x, (3, 3))
-        priors = default_priors(3, 3, d, noise_scale=1.0)
-        cold = run_vb(stats, priors, VBConfig(max_iter=500, seed=1))
-        warm = run_vb(stats, priors, VBConfig(max_iter=500, seed=1,
-                                             warm_start=True))
+        priors = default_priors(3, 3, noise_scale=1.0)
+        cold = run_vb(stats, priors, d, VBConfig(max_iter=500, seed=1))
+        warm = run_vb(stats, priors, d, VBConfig(max_iter=500, seed=1,
+                                                warm_start=True))
         assert warm.n_iter <= cold.n_iter
         assert warm.elbo_trace[-1] >= cold.elbo_trace[-1] - 1e-4 * abs(
             cold.elbo_trace[-1])
